@@ -6,18 +6,20 @@ lineage (Cao et al., PAPERS.md) shows fp32 factors are numerically free
 whenever a tile's ε-budget sits above single-precision roundoff.  This
 bench measures both levers on the paper's st-3D-exp workload at the
 b = 100 CI scale, against the *PR-6 defaults* arm — exact-SVD backend,
-unbatched right-looking loops, all-fp64 storage, and the historical
+the reference right-looking loops, all-fp64 storage, and the historical
 ``scipy.linalg``-wrapper recompression rounding (kept verbatim in
 :func:`repro.linalg.backends._qr_svd_recompress_reference` and routed
 via ``CompressionBackend.reference_recompress``).
 
 Arms (factorization only; assembly is identical across arms):
 
-* ``pr6``      — svd backend, wrapper rounding, unbatched, fp64;
-* ``direct``   — svd backend, direct-LAPACK rounding, unbatched, fp64;
-* ``batched``  — auto backend, batched waves, fp64;
-* ``new``      — auto backend, batched waves, adaptive precision
-  (the recommended hot-path configuration).
+* ``pr6``      — svd backend, wrapper rounding, reference loops, fp64;
+* ``direct``   — svd backend, direct-LAPACK rounding, reference loops,
+  fp64;
+* ``batched``  — auto backend, the execution core at one inline worker
+  with ``batch=True`` (batching only exists where a graph core runs),
+  fp64;
+* ``new``      — as ``batched`` plus adaptive precision.
 
 Reproduction targets:
 
@@ -28,7 +30,10 @@ Reproduction targets:
 * the ≥ 1.3x ``new``-over-``pr6`` factorization speedup is asserted
   only under ``REPRO_BENCH_BATCH_FULL=1`` (which pins the full
   n = 1600 / b = 100 scale) — timing assertions on shrunken smoke
-  scales or loaded CI runners measure noise, not the implementation;
+  scales or loaded CI runners measure noise, not the implementation.
+  It measures the rounding path, the auto backend and fp32 storage, not
+  batching: with BLAS pinned to one thread ``batch=True`` is never
+  faster than ``batch=False`` beyond noise (docs/performance.md);
 * per-kernel-class GFLOP/s is recorded per arm (flops are identical
   across arms by the bitwise invariant, so the uplift is pure time).
 
@@ -106,6 +111,7 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
         return tlr_cholesky(
             m, batch=cfg["batch"], precision=cfg["precision"],
             backend=cfg["backend"],
+            executor="sequential" if cfg["batch"] else None,
         )
 
     base_cfg = {"n": N, "b": B, "band": BAND, "eps": EPS}
@@ -182,7 +188,9 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
         m_b = BandTLRMatrix.from_problem(
             prob, rule, band_size=BAND, backend="auto", precision=precision
         )
-        tlr_cholesky(m_b, batch=True, precision=precision)
+        tlr_cholesky(
+            m_b, executor="sequential", batch=True, precision=precision
+        )
         m_u = BandTLRMatrix.from_problem(
             prob, rule, band_size=BAND, backend="auto", precision=precision
         )
@@ -222,7 +230,9 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
     # one representative unit for --benchmark-only tables: the hot path.
     # tlr_cholesky factorizes in place, so each round gets a fresh build.
     benchmark.pedantic(
-        lambda m: tlr_cholesky(m, batch=True, precision="adaptive"),
+        lambda m: tlr_cholesky(
+            m, executor="sequential", batch=True, precision="adaptive"
+        ),
         setup=lambda: ((build(arms["new"]),), {}),
         rounds=3,
     )

@@ -1,4 +1,4 @@
-"""Ablation — thread-pool executor vs the sequential task loop.
+"""Ablation — the execution core on 1, 2 and 4 workers vs the reference loops.
 
 The paper's PaRSEC runs execute the BAND-DENSE-TLR Cholesky graph with
 dependency-driven worker threads; our simulator replays the same graph
@@ -13,7 +13,7 @@ factor must be bitwise identical across worker counts (all writes to a
 tile are totally ordered by dataflow edges) and must match the dense
 reference to the truncation accuracy.  Speedup is recorded for the
 ablation table but not asserted — CI runners and this container may
-expose a single core, where the thread pool can only break even.
+expose a single core, where worker threads can only break even.
 """
 
 from __future__ import annotations

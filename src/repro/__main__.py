@@ -182,7 +182,6 @@ def _run_demo(args: argparse.Namespace) -> int:
         resume=args.resume,
     )
     how = f" on {args.workers} workers" if args.workers else ""
-    how += " [batched]" if args.batch else ""
     print(f"factorized in {time.perf_counter() - t0:.2f}s{how} "
           f"({rep.counter.total / 1e9:.2f} modelled Gflop)")
     pr = rep.precision_report
@@ -444,9 +443,9 @@ def _run_execute(args: argparse.Namespace) -> int:
         ex = get_executor(
             "threads", n_workers=args.workers, scheduler=args.scheduler
         )
-    # Batching needs shared-memory tiles: only the thread executor (and
-    # the sequential reference) supports it, so the flag is dropped for
-    # the processes backend instead of erroring on the default.
+    # Batching needs shared-memory tiles: only the in-process core
+    # supports it, so the flag is dropped for the processes backend
+    # instead of erroring on the default.
     use_batch = args.batch and args.executor == "threads"
     res = ex.execute(
         graph, matrix,
@@ -961,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--accuracy", type=float, default=1e-8)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--workers", type=int, default=None,
-                   help="factorize on the parallel executor with N threads "
+                   help="factorize on the execution core with N workers "
                         "(also parallelizes matrix assembly)")
     d.add_argument("--compression", choices=["svd", "rsvd", "auto"],
                    default="auto",
@@ -975,9 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "permits), or fp32 (forced)")
     d.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="group same-shape kernels into stacked BLAS/LAPACK "
-                        "calls (bitwise-identical factor; --no-batch "
-                        "disables)")
+                   help="with --workers/--checkpoint: run ready same-shape "
+                        "SYRK/GEMM tasks as one stacked matmul (bitwise-"
+                        "identical factor; --no-batch disables)")
     d.add_argument("--obs", type=str, default=None, metavar="DIR",
                    help="record spans + metrics and write trace/summary/"
                         "Prometheus artifacts into DIR")
@@ -1059,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser(
         "execute",
-        help="run the Cholesky DAG for real on the parallel executor",
+        help="run the Cholesky DAG for real on the execution core",
     )
     e.add_argument("--n", type=int, default=2048)
     e.add_argument("--tile", type=int, default=128)
@@ -1096,9 +1095,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "permits), or fp32 (forced)")
     e.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="group same-shape kernels into stacked BLAS/LAPACK "
-                        "calls (threads executor only; bitwise-identical "
-                        "factor; --no-batch disables)")
+                   help="run ready same-shape SYRK/GEMM tasks as one "
+                        "stacked matmul (threads executor only; bitwise-"
+                        "identical factor; --no-batch disables)")
     e.add_argument("--scheduler", choices=["priority", "fifo", "lifo"],
                    default="priority")
     e.add_argument("--compare-sequential", action="store_true",

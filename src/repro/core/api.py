@@ -169,20 +169,22 @@ class TLRSolver:
         """Run the BAND-DENSE-TLR Cholesky in place.
 
         With ``n_workers`` the factorization executes on the
-        dependency-driven thread-pool executor (same factor, bitwise,
-        for any worker count); without it, the sequential loops run.
+        dependency-driven execution core (one worker inline, more on
+        threads; same factor, bitwise, for any worker count); without
+        it, the sequential reference loops run.
         ``executor``/``n_ranks`` select a backend explicitly instead —
         e.g. ``executor="processes", n_ranks=4`` runs the distributed
         multi-process executor with tiles placed by the hybrid band
         distribution (again the same factor, bitwise, at any rank
         count); see :func:`~repro.core.factorize.tlr_cholesky`.
 
-        ``batch=True`` groups same-shape kernel invocations into
-        stacked BLAS/LAPACK calls; ``precision`` selects the
-        mixed-precision storage policy (defaults to the matrix's own).
-        Both keep the factor bitwise identical to their unbatched /
-        same-policy counterparts — see
-        :func:`~repro.core.factorize.tlr_cholesky`.
+        ``batch=True`` applies where a graph core runs (``n_workers``,
+        ``executor`` or a resilience option): ready tasks of one kernel
+        class and shape run as one stacked ``matmul``, and the factor
+        stays bitwise identical to the unbatched one; the reference
+        loops have nothing to batch.  ``precision`` selects the
+        mixed-precision storage policy (defaults to the matrix's own)
+        — see :func:`~repro.core.factorize.tlr_cholesky`.
 
         ``faults``/``recovery``/``checkpoint``/``resume`` pass through to
         :func:`~repro.core.factorize.tlr_cholesky`'s resilience engine:

@@ -1,11 +1,11 @@
 """Sequential reference BAND-DENSE-TLR Cholesky factorization.
 
 The right-looking tile algorithm of Fig. 4, executed as straight loops —
-the numerical ground truth the runtime executor and the simulator's DAG
-are validated against.  One code path covers all the paper's layouts
-through the matrix's per-tile formats: pure TLR (band 1), BAND-DENSE-TLR
-(band B), fully dense (band NT), and the tile-based densification of
-:mod:`repro.core.densify`.
+the numerical ground truth the runtime's execution core and the
+simulator's DAG are validated against.  One code path covers all the
+paper's layouts through the matrix's per-tile formats: pure TLR (band 1),
+BAND-DENSE-TLR (band B), fully dense (band NT), and the tile-based
+densification of :mod:`repro.core.densify`.
 
 Beyond the paper's static layouts, ``adaptive_threshold`` implements the
 *online* densification Section V-B sketches as future work ("an adaptive
@@ -117,12 +117,15 @@ def tlr_cholesky(
         Compression backend for the GEMM recompressions (instance,
         registry name, or ``None`` to use the matrix's backend).
     batch:
-        Group same-shape, same-class kernel invocations into single
-        stacked BLAS/LAPACK calls (:mod:`repro.linalg.batched`).  The
-        factor stays bitwise identical to the unbatched run.  On the
-        default sequential path the right-looking loops batch each
-        panel wave in place; with ``n_workers``/``executor`` the graph
-        executors batch their ready windows.  Incompatible with
+        Where a graph core runs (``n_workers``, ``executor`` or a
+        resilience option), a worker that claims a ready task also
+        claims every ready task of the same kernel class, shapes and
+        ranks and runs them as one stacked ``matmul`` call
+        (:mod:`repro.linalg.batched`).  The factor stays bitwise
+        identical to the unbatched run.  The default path is the plain
+        reference loops, which have nothing to batch — there the flag
+        changes nothing (it never changed a factor, and on a pinned CPU
+        it buys no time either).  Incompatible with
         ``adaptive_threshold`` and the processes/sim executors, and
         silently disabled while the recovery engine is active.
     precision:
@@ -140,16 +143,18 @@ def tlr_cholesky(
         destination whose both GEMM operands are (or became) dense.
     n_workers:
         When set, the factorization runs through the dependency-driven
-        parallel executor (:mod:`repro.runtime.parallel`) on that many
-        worker threads instead of the sequential loops — the DAG is built
-        from the matrix's measured ranks and the factor is bitwise
-        identical for any worker count.  Incompatible with
+        execution core (:mod:`repro.runtime.executor`) on that many
+        workers (one worker runs inline, more run on threads) instead of
+        the sequential loops — the DAG is built from the matrix's
+        measured ranks and the factor is bitwise identical for any
+        worker count.  Incompatible with
         ``adaptive_threshold`` (online densification rewrites the graph
         mid-flight).
     executor:
         A :class:`~repro.runtime.protocol.Executor` instance or registry
         name (``"sequential"``, ``"threads"``, ``"processes"``) selecting
-        the backend explicitly — the multi-process executor is only
+        the backend explicitly — ``"sequential"`` is the thread executor
+        at one inline worker, and the multi-process executor is only
         reachable this way.  Mutually exclusive with ``n_workers`` (which
         is shorthand for the thread executor); the ``"sim"`` executor is
         rejected because it predicts a run without factorizing.
@@ -244,8 +249,6 @@ def tlr_cholesky(
                 faults, recovery, checkpoint, resume,
                 executor=executor, n_ranks=n_ranks, batch=batch,
             )
-        elif batch:
-            report = _tlr_cholesky_sequential_batched(matrix, rule, backend)
         else:
             report = _tlr_cholesky_sequential(
                 matrix, rule, adaptive_threshold, backend
@@ -327,77 +330,6 @@ def _tlr_cholesky_sequential(
     return report
 
 
-def _tlr_cholesky_sequential_batched(
-    matrix: BandTLRMatrix,
-    rule: TruncationRule,
-    backend,
-) -> FactorizationReport:
-    """The right-looking loops with per-wave kernel batching.
-
-    Each panel's TRSMs form one wave and each panel's trailing SYRK/GEMM
-    updates another; every task in a wave writes a distinct tile, so the
-    planner may group them freely and the factor is bitwise the one the
-    unbatched loops produce.  Batching here stays on the plain in-place
-    loops — no task graph, ready-set, or commit bookkeeping — so a
-    singleton-heavy wave costs the same as the unbatched path.
-    """
-    from ..linalg.batched import BatchItem, BatchPlanner, run_batch
-
-    nt = matrix.ntiles
-    report = FactorizationReport()
-    counter = report.counter
-    planner = BatchPlanner()
-    for k in range(nt):
-        hcore.potrf_dense(
-            matrix.tile(k, k), counter=counter, tile_index=(k, k)
-        )
-        trsms = [
-            BatchItem(
-                m, "trsm", (matrix.tile(k, k), matrix.tile(m, k)), index=(m, k)
-            )
-            for m in range(k + 1, nt)
-        ]
-        for group in planner.partition(trsms):
-            for res in run_batch(group, rule, counter=counter, backend=backend):
-                matrix.set_tile(res.ref, k, res.out)
-        updates = []
-        for n in range(k + 1, nt):
-            updates.append(
-                BatchItem(
-                    (n, n),
-                    "syrk",
-                    (matrix.tile(n, k), matrix.tile(n, n)),
-                    index=(n, n),
-                )
-            )
-            for m in range(n + 1, nt):
-                updates.append(
-                    BatchItem(
-                        (m, n),
-                        "gemm",
-                        (
-                            matrix.tile(m, k),
-                            matrix.tile(n, k),
-                            matrix.tile(m, n),
-                        ),
-                        index=(m, n),
-                    )
-                )
-        for group in planner.partition(updates):
-            for res in run_batch(group, rule, counter=counter, backend=backend):
-                m, n = res.ref
-                recomp = res.recomp
-                if recomp is not None:
-                    if recomp.grew:
-                        report.rank_growth_events += 1
-                    report.max_rank_seen = max(
-                        report.max_rank_seen, recomp.rank_after
-                    )
-                if res.out is not None:
-                    matrix.set_tile(m, n, res.out)
-    return report
-
-
 def _tlr_cholesky_graph(
     matrix: BandTLRMatrix,
     rule: TruncationRule,
@@ -417,9 +349,9 @@ def _tlr_cholesky_graph(
     Builds the Cholesky DAG from the matrix's measured rank grid (the
     same graph the simulator replays) and executes it on the selected
     :class:`~repro.runtime.protocol.Executor` backend — ``n_workers``
-    threads, ``executor=``'s choice, or the sequential graph executor
-    when neither is given but resilience features are requested; the
-    report surface matches the sequential path's.
+    workers of the in-process core, ``executor=``'s choice, or the core
+    at one inline worker when neither is given but resilience features
+    are requested; the report surface matches the sequential path's.
     """
     # Local import: repro.runtime must stay importable without repro.core.
     from ..runtime.graph import build_cholesky_graph

@@ -1,28 +1,39 @@
 """Batched same-shape kernel execution (H2OPUS-TLR style marshaling).
 
-H2OPUS-TLR (PAPERS.md, 2108.11932) gets its throughput by *marshaling*
-same-shape low-rank operations into batched kernel calls instead of
-dispatching them one tile at a time.  BENCH_compression.json showed the
-same effect at CI sizes from the other side: below the b ≈ 200 crossover
-per-tile Python/BLAS dispatch overhead — not asymptotics — dominates the
-runtime.  This module is the marshaling layer for the Table-I kernels:
+H2OPUS-TLR (PAPERS.md, 2108.11932) gets its GPU throughput by
+*marshaling* same-shape low-rank operations into batched kernel calls
+instead of dispatching them one tile at a time.  This module is that
+marshaling layer for the Table-I kernels:
 
 * :class:`BatchItem` wraps one ready task (an opaque ``ref`` plus its
   operand tiles) in executor-agnostic form;
-* :class:`BatchPlanner` partitions a drained ready set into shape-keyed
-  buckets — same kernel class, same operand shapes/ranks/dtypes — and
-  singleton groups for everything unbatchable;
+* :class:`BatchPlanner` keys ready tasks into shape buckets — same
+  kernel class, same operand shapes/ranks/dtypes — and ``None`` for
+  everything unbatchable;
 * :func:`run_batch` executes one group: singletons run the ordinary
   :mod:`~repro.linalg.hcore` kernel, larger groups run a *stacked*
-  formulation — one multi-RHS triangular solve for a panel's TRSMs, one
-  3-D ``np.matmul`` per product stage for GEMM/SYRK variants.
+  formulation — one 3-D ``np.matmul`` per product stage of the
+  GEMM/SYRK variants.
 
-Bitwise identity is the hard invariant.  Every stacked formulation
-performs the *same* BLAS/LAPACK calls on the same per-tile data (``trtrs``
-solves columns independently, batched ``matmul`` runs one ``gemm`` per
-slice), so batched results are bit-for-bit equal to unbatched execution —
-the property suite in ``tests/test_batched.py`` enforces this across
-kernel mixes, dtypes, and worker counts.
+What is guaranteed: a factorization is bitwise identical with batching
+on or off, because only the ``matmul`` classes are stacked.  A batched
+``matmul`` runs one ``gemm`` per slice on that slice's data alone, so
+each tile gets bit-for-bit the result of a solo call.  The triangular
+solves are deliberately **not** stacked: a multi-RHS ``trtrs`` does not
+treat right-hand-side columns independently (OpenBLAS blocks TRSM over
+the columns, so a tile's solution depends on its neighbours in the
+stack — 113 tiles differed by up to 2e-15 at N=1600/b=50/band 2 when a
+panel's TRSMs were solved as one stack).  The differential test in
+``tests/test_executor.py`` enforces the identity across worker counts,
+schedulers, batch modes and resumed runs.
+
+What it buys: nothing on a pinned CPU.  With BLAS at one thread
+(N=3200/b=200/eps=1e-4/band 2, best of 5) the reference loops take
+1186 ms, the core at one worker 1245 ms plain and 1246 ms batched, at
+two workers 922 ms either way; at N=1600 batched is 0.6% slower than
+plain at b=100 and 3% slower at b=50.  The marshaling gain belongs to
+devices with a per-launch cost that NumPy-over-BLAS on a CPU does not
+have.
 
 What batches and what does not:
 
@@ -30,8 +41,7 @@ What batches and what does not:
 kernel           batch key (beyond the kernel class)
 ===============  =====================================================
 POTRF            never batched (one per panel, on the critical path)
-TRSM (dense C)   the shared ``L`` tile — one multi-RHS ``trtrs``
-TRSM (lr C)      the shared ``L`` tile + V dtype (ragged ranks fine)
+TRSM             never batched (a stacked ``trtrs`` is not bitwise)
 SYRK (dense A)   A shape
 SYRK (lr A)      A shape + rank + dtype
 GEMM (all-dense) A/B shapes
@@ -53,7 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..utils.exceptions import KernelError
 from . import hcore
@@ -66,8 +75,6 @@ from .flops import (
     flops_gemm_dense_lrlr,
     flops_syrk_dense,
     flops_syrk_lr,
-    flops_trsm_dense,
-    flops_trsm_lr,
 )
 from .hcore import _count
 from .tiles import DenseTile, LowRankTile, Tile
@@ -120,7 +127,7 @@ class BatchPlanner:
         call for one tile only adds copies).
     max_batch:
         Buckets larger than this split into chunks, bounding both the
-        stack workspace and — in the parallel executor — how much work a
+        stack workspace and — in the execution core — how much work a
         single worker claims at once.
     max_copy_bytes:
         Per-item ceiling on the bytes the stacked formulation has to
@@ -152,22 +159,13 @@ class BatchPlanner:
 
         Keys encode everything the stacked formulations require to be
         uniform: kernel class, operand shapes, low-rank ranks, storage
-        dtypes — and for TRSM the identity of the shared ``L`` tile
-        (tasks of one panel all solve against the same factor).
+        dtypes.  POTRF and TRSM always run solo (a stacked triangular
+        solve is not bitwise the per-tile one).
         """
         op, tiles = item.op, item.tiles
         cap = self.max_copy_bytes
-        if op == "potrf":
+        if op in ("potrf", "trsm"):
             return None
-        if op == "trsm":
-            l_tile, c = tiles
-            if isinstance(c, DenseTile):
-                if c.data.nbytes > cap:  # stacked multi-RHS copies C
-                    return None
-                return ("trsm_d", id(l_tile))
-            if c.v.nbytes > cap:  # stacked solve copies the V factors
-                return None
-            return ("trsm_lr", id(l_tile), c.dtype.char)
         if op == "syrk":
             a, _c = tiles
             if isinstance(a, DenseTile):
@@ -241,63 +239,6 @@ class BatchPlanner:
 # ----------------------------------------------------------------------
 # Stacked kernel bodies
 # ----------------------------------------------------------------------
-def _batch_trsm_dense(items, counter) -> None:
-    """One multi-RHS ``trtrs`` for a panel's dense TRSMs.
-
-    ``L X_i^T = C_i^T`` for every ``i`` becomes one solve against the
-    horizontally concatenated right-hand sides — ``trtrs`` treats
-    columns independently, so each tile's solution is bitwise the one a
-    separate call produces.
-    """
-    l_data = items[0].tiles[0].data
-    cs = [item.tiles[1] for item in items]
-    rhs = np.hstack([c.data.T for c in cs])
-    x = sla.solve_triangular(l_data, rhs, lower=True, trans="N", check_finite=False)
-    off = 0
-    total = 0.0
-    for c in cs:
-        bm = c.shape[0]
-        c.data[...] = x[:, off : off + bm].T
-        off += bm
-        total += flops_trsm_dense(bm)
-    _count(counter, KernelClass.TRSM_DENSE, total, count=len(cs))
-
-
-def _batch_trsm_lr(items, counter) -> list[LowRankTile]:
-    """One multi-RHS ``trtrs`` over the concatenated V factors.
-
-    Ragged ranks concatenate fine (each tile contributes ``rank``
-    columns); the solve promotes fp32 stacks against the fp64 band tile
-    and the split slices are cast back per tile, exactly as the solo
-    kernel does.
-    """
-    l_data = items[0].tiles[0].data
-    cs = [item.tiles[1] for item in items]
-    vs = np.hstack([c.v for c in cs])
-    outs: list[LowRankTile] = []
-    total = 0.0
-    if vs.shape[1]:
-        x = sla.solve_triangular(
-            l_data, vs, lower=True, trans="N", check_finite=False
-        )
-    else:
-        x = vs
-    off = 0
-    for c in cs:
-        k = c.rank
-        if k:
-            v = x[:, off : off + k]
-            if v.dtype != c.dtype:
-                v = v.astype(c.dtype)
-            outs.append(LowRankTile(c.u, np.ascontiguousarray(v)))
-            off += k
-        else:
-            outs.append(c)
-        total += flops_trsm_lr(c.shape[0], k)
-    _count(counter, KernelClass.TRSM_LR, total, count=len(cs))
-    return outs
-
-
 def _batch_syrk_dense(items, counter) -> None:
     """Stacked ``C_i -= A_i A_i^T`` via one 3-D matmul."""
     a_stack = np.stack([item.tiles[0].data for item in items])
@@ -426,17 +367,6 @@ def run_batch(
     if len(group) == 1:
         return [_run_single(group[0], rule, counter, backend)]
     op = group[0].op
-    if op == "trsm":
-        if isinstance(group[0].tiles[1], DenseTile):
-            _batch_trsm_dense(group, counter)
-            return [
-                BatchResult(item.ref, item.tiles[1], None) for item in group
-            ]
-        outs = _batch_trsm_lr(group, counter)
-        return [
-            BatchResult(item.ref, out, None)
-            for item, out in zip(group, outs)
-        ]
     if op == "syrk":
         if isinstance(group[0].tiles[0], DenseTile):
             _batch_syrk_dense(group, counter)
@@ -464,12 +394,12 @@ def run_batch(
 def stack_rhs(rhs_list) -> tuple[np.ndarray, list[int]]:
     """Stack right-hand sides column-wise into one multi-RHS array.
 
-    The solve-side counterpart of the TRSM marshaling above: ``k``
-    vectors (or multi-column blocks) against the *same* factor become
-    one ``(n, Σwidths)`` float64 array, so every ``solve_triangular``
-    call in the substitution carries all pending columns at once —
-    ``trtrs`` solves columns independently, so each caller's slice of
-    the stacked solution matches a standalone solve.
+    The solve-side marshaling primitive: ``k`` vectors (or multi-column
+    blocks) against the *same* factor become one ``(n, Σwidths)`` float64
+    array, so every ``solve_triangular`` call in the substitution carries
+    all pending columns at once.  Each caller's slice of the stacked
+    solution matches a standalone solve to rounding, not bitwise — BLAS
+    blocks TRSM over the right-hand-side columns.
 
     Returns the stacked array and the per-input column widths for
     :func:`split_solution`.

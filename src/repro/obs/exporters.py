@@ -107,7 +107,7 @@ def gantt(result, *, width: int = 80, max_rows: int = 32) -> str:
     """Render a tuple trace as one text row per busy process-core.
 
     Accepts any result with a ``(tid, proc, start, end)`` ``trace`` and
-    a ``makespan`` (``SimResult``, ``ParallelExecutionReport``,
+    a ``makespan`` (``SimResult``, ``ExecutionReport``,
     ``DistributedExecutionReport``).  Tasks are assigned to core lanes
     greedily in start order via :func:`assign_lanes` — the same scheme
     the Chrome exporter uses, so both views agree.  ``.`` marks idle
@@ -178,7 +178,7 @@ def utilization_timeline(result, *, buckets: int = 60):
 # Chrome trace
 # ----------------------------------------------------------------------
 def _chrome_events_from_result(result) -> tuple[list[dict], dict]:
-    """Events from a ``SimResult``/``ParallelExecutionReport`` trace.
+    """Events from a ``SimResult``/``ExecutionReport`` trace.
 
     Processes map to pids, greedily reconstructed core lanes to tids
     (via :func:`assign_lanes`, shared with :func:`gantt`).
@@ -255,7 +255,7 @@ def write_chrome_trace(source, path: str | Path) -> Path:
     source:
         A :class:`~repro.obs.tracer.Tracer`, or any object with a
         non-``None`` ``trace`` attribute of ``(tid, proc, start, end)``
-        tuples (``SimResult``, ``ParallelExecutionReport``).
+        tuples (``SimResult``, ``ExecutionReport``).
     path:
         Output file; ``.json`` appended when missing.
 

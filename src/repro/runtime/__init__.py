@@ -16,17 +16,15 @@ from .distributed import (
     placement_of,
 )
 from .dtd import Access, TaskInserter, dtd_cholesky_graph
-from .executor import ExecutionReport, execute_graph
+from .executor import ExecutionReport, execute_graph, execute_graph_parallel
 from .graph import TaskGraph, build_cholesky_graph, classify_gemm
 from .jdf import CHOLESKY_JDF, cholesky_graph_from_jdf, compile_jdf, parse_jdf
 from .machine import SHAHEEN_II_LIKE, KernelRateModel, MachineSpec
 from .memory_pool import MemoryPool, PoolStats
 from .parallel import (
-    ParallelExecutionReport,
     ThreadSafeFlopCounter,
     ThreadSafeMemoryPool,
     ThreadSafeMemoryTracker,
-    execute_graph_parallel,
 )
 from .protocol import (
     EXECUTOR_NAMES,
@@ -89,7 +87,6 @@ __all__ = [
     "SHAHEEN_II_LIKE",
     "MemoryPool",
     "PoolStats",
-    "ParallelExecutionReport",
     "ThreadSafeFlopCounter",
     "ThreadSafeMemoryPool",
     "ThreadSafeMemoryTracker",

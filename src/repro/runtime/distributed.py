@@ -1,6 +1,6 @@
 """Multi-process distributed executor: real numerics on SPMD ranks.
 
-The thread executor (:mod:`repro.runtime.parallel`) shares one address
+The in-process core (:mod:`repro.runtime.executor`) shares one address
 space; the simulator (:mod:`repro.runtime.simulator`) only *predicts*
 what a distributed run would do.  This module closes the loop: it runs
 the same :class:`~repro.runtime.graph.TaskGraph` on ``N`` OS processes,
@@ -44,8 +44,8 @@ the controller relaunches the run from the latest checkpoint (or from
 scratch — its own tile state is untouched until the final gather) and
 counts a recovery.
 
-The report quacks like a :class:`~repro.runtime.parallel
-.ParallelExecutionReport` (``makespan``/``busy``/``trace``/
+The report quacks like an :class:`~repro.runtime.executor
+.ExecutionReport` (``makespan``/``busy``/``trace``/
 ``occupancy``), so gantt, occupancy summaries and Chrome-trace export
 consume distributed runs unchanged, and adds the realized communication
 volume: :class:`~repro.runtime.simulator.CommStats` under the
@@ -77,7 +77,14 @@ from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError, RuntimeSystemError
 from ..utils.validation import check_positive_int
 from .dataflow import DataflowBreakdown
-from .executor import ExecutionReport, _canonical_tid, _commit_task, _compute_task
+from .executor import (
+    ExecutionReport,
+    _check_graph,
+    _commit_task,
+    _compute_task,
+    _release_factors,
+    _restore_latest,
+)
 from .graph import TaskGraph
 from .memory_pool import MemoryPool
 from .resilience import ResilienceReport, as_checkpointer, build_manager
@@ -184,24 +191,27 @@ class _Aborted(Exception):
     """Internal: the controller signalled abort; exit quietly."""
 
 
-def _rank_main(cfg: _RankConfig, inboxes, results, abort) -> None:
+def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
     """Top-level worker body (one per rank; process or thread).
 
-    Communicates only through the queue objects it was handed, so the
-    same function runs on ``multiprocessing`` queues in real processes
-    and on ``queue.Queue`` in the in-process harness the tests use.
+    Communicates only through the objects it was handed, so the same
+    function runs on ``multiprocessing`` queues in real processes and on
+    ``queue.Queue`` in the in-process harness the tests use.  ``emit``
+    delivers one message to the controller: the ``send`` of this rank's
+    own result pipe (synchronous, on this thread), or the shared
+    ``queue.Queue.put`` inline.
     """
     try:
-        payload = _rank_body(cfg, inboxes, results, abort)
+        payload = _rank_body(cfg, inboxes, emit, abort)
     except _Aborted:
         return
     except BaseException:
         try:
-            results.put(("error", cfg.rank, traceback.format_exc()))
+            emit(("error", cfg.rank, traceback.format_exc()))
         except Exception:
             pass
         return
-    results.put(("done", cfg.rank, payload))
+    emit(("done", cfg.rank, payload))
     # Drain until the controller's stop: a peer may still route a
     # (defensive) forward through us even though all our tasks are done.
     _drain_until_stop(cfg, inboxes, abort)
@@ -224,7 +234,7 @@ def _drain_until_stop(cfg, inboxes, abort) -> None:
                 inboxes[child].put(("tile", _src_tid, _ij, tile, sub))
 
 
-def _rank_body(cfg: _RankConfig, inboxes, results, abort) -> dict:
+def _rank_body(cfg: _RankConfig, inboxes, emit, abort) -> dict:
     # Defensive under fork starts: the child must not write into the
     # parent's (copied) observation sinks — spans are replayed by the
     # controller from the returned trace instead.
@@ -242,19 +252,18 @@ def _rank_body(cfg: _RankConfig, inboxes, results, abort) -> dict:
     inbox = inboxes[me]
     completed = set(cfg.completed)
 
-    report = ExecutionReport()
+    # Plain (lock-free, picklable) accounting: a rank is single-threaded
+    # and ships its counter back to the controller.
+    report = ExecutionReport(
+        counter=FlopCounter(), tracker=MemoryTracker(), pool=MemoryPool()
+    )
     pooled: dict[int, object] = {}
     stats_lock = threading.Lock()
     manager = build_manager(cfg.faults, cfg.recovery)
     if manager is not None:
-
-        def _discard(tile) -> None:
-            if isinstance(tile, LowRankTile):
-                for arr in (tile.u, tile.v):
-                    if pooled.pop(id(arr), None) is not None:
-                        report.pool.release(arr)
-
-        manager.discard = _discard
+        manager.discard = lambda tile: _release_factors(
+            tile, report, pooled, stats_lock
+        )
 
     # Communication + dataflow accounting, simulator conventions:
     # logical messages/bytes are counted once per (producer task,
@@ -371,7 +380,7 @@ def _rank_body(cfg: _RankConfig, inboxes, results, abort) -> dict:
             # puts this rank's timeline on the controller clock for the
             # shard merger.  Early tile arrivals are handled by the same
             # _pump the wait loop spins on.
-            results.put(("sync", me, time.time()))
+            emit(("sync", me, time.time()))
             while "offset_s" not in clock_sync:
                 _pump(block=True)
 
@@ -436,16 +445,16 @@ def _rank_body(cfg: _RankConfig, inboxes, results, abort) -> dict:
                 # Frontier shard: this rank's owned-tile state and
                 # completed set are a consistent per-rank prefix the
                 # controller merges into a global checkpoint.  The tiles
-                # MUST be deep-copied: a multiprocessing queue pickles
-                # lazily (in the feeder thread), and the in-place
+                # MUST be deep-copied: the inline harness hands these
+                # very objects to the controller, and the in-place
                 # POTRF/SYRK kernels would otherwise mutate tiles after
-                # ``put`` but before serialization, desynchronizing the
-                # shard's tile state from its completed set.
+                # the emit, desynchronizing the shard's tile state from
+                # its completed set.
                 owned = {
                     ij: t.copy() for ij, t in store.tiles.items()
                     if dist.owner(*ij) == me
                 }
-                results.put(("panel", me, p, {
+                emit(("panel", me, p, {
                     "tiles": owned,
                     "completed": list(completed),
                 }))
@@ -531,7 +540,7 @@ class DistributedExecutionReport:
     """Artifacts of a multi-process (numerical) graph execution.
 
     Same accounting surface as
-    :class:`~repro.runtime.parallel.ParallelExecutionReport` (one rank
+    :class:`~repro.runtime.executor.ExecutionReport` (one rank
     per lane: ``nodes = n_ranks``, ``cores_per_node = 1``) plus the
     realized communication volume.
 
@@ -646,7 +655,7 @@ def execute_graph_distributed(
 ) -> DistributedExecutionReport:
     """Execute a Cholesky task graph on ``n_ranks`` OS processes.
 
-    Parameters mirror :func:`~repro.runtime.parallel
+    Parameters mirror :func:`~repro.runtime.executor
     .execute_graph_parallel` where they overlap; the differences:
 
     Parameters
@@ -710,21 +719,7 @@ def execute_graph_distributed(
                 f"distribution targets {distribution.nprocs} ranks but "
                 f"n_ranks={n_ranks}"
             )
-    if graph.ntiles != matrix.ntiles:
-        raise RuntimeSystemError(
-            f"graph is for NT={graph.ntiles} but the matrix has NT={matrix.ntiles}"
-        )
-    if graph.band_size != matrix.band_size:
-        raise RuntimeSystemError(
-            f"graph band_size={graph.band_size} does not match "
-            f"matrix band_size={matrix.band_size}"
-        )
-    for tid, task in graph.tasks.items():
-        if tid != _canonical_tid(task):
-            raise RuntimeSystemError(
-                "distributed executor received an expanded graph; build "
-                "it without recursive_split"
-            )
+    _check_graph(graph, matrix)
     if faults is not None and not isinstance(faults, str):
         from ..testing.faults import FaultPlan
 
@@ -772,14 +767,10 @@ def execute_graph_distributed(
     restarts = 0
     while True:
         completed0: set = set()
-        if resume or restarts:
-            if ckptr is not None:
-                ck = ckptr.load_latest()
-                if ck is not None:
-                    ckptr.validate_against(graph, matrix, ck)
-                    for ij, tile in ck.matrix.tiles.items():
-                        matrix.set_tile(*ij, tile)
-                    completed0 = set(ck.completed)
+        if (resume or restarts) and ckptr is not None:
+            ck = _restore_latest(ckptr, graph, matrix)
+            if ck is not None:
+                completed0 = set(ck.completed)
         resend: dict[int, list] = {r: [] for r in range(n_ranks)}
         for tid in completed0:
             if _remote_dest_ranks(graph, placement, tid, completed0):
@@ -877,14 +868,17 @@ def _run_once(
             shard_dir=None if shard_dir is None else str(shard_dir),
         )
 
+    payloads: dict[int, dict] = {}
+    lost: list[int] = []
+    readers: dict[object, int] = {}  # live result pipe -> rank
     if inline:
         inboxes = [_queue.Queue() for _ in range(n_ranks)]
-        results: object = _queue.Queue()
+        results = _queue.Queue()
         abort: object = threading.Event()
         workers = [
             threading.Thread(
                 target=_rank_main,
-                args=(make_cfg(r), inboxes, results, abort),
+                args=(make_cfg(r), inboxes, results.put, abort),
                 name=f"repro-rank-{r}",
             )
             for r in range(n_ranks)
@@ -893,38 +887,59 @@ def _run_once(
             w.start()
     else:
         import multiprocessing as mp
+        from multiprocessing.connection import wait as wait_readable
 
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context("spawn")
         inboxes = [ctx.Queue() for _ in range(n_ranks)]
-        results = ctx.Queue()
         abort = ctx.Event()
-        workers = [
-            ctx.Process(
+        workers = []
+        for r in range(n_ranks):
+            # One result pipe per rank, created just before its process,
+            # the controller's copy of the write end closed right after:
+            # the rank is then the pipe's only writer, so its death reads
+            # as EOF here.  (One queue shared by all ranks hung instead: a
+            # rank killed while its feeder thread was mid-``put`` left a
+            # truncated message that the surviving writers kept open.)
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            w = ctx.Process(
                 target=_rank_main,
-                args=(make_cfg(r), inboxes, results, abort),
+                args=(make_cfg(r), inboxes, send_end.send, abort),
                 name=f"repro-rank-{r}",
             )
-            for r in range(n_ranks)
-        ]
-        for w in workers:
             w.start()
+            send_end.close()
+            readers[recv_end] = r
+            workers.append(w)
 
-    def _alive(r: int) -> bool:
-        return workers[r].is_alive()
+    def poll() -> list:
+        """Messages arriving within 0.25 s.  A pipe at EOF (or cut short)
+        before its rank's payload arrived marks that rank lost."""
+        if inline:
+            try:
+                return [results.get(timeout=0.25)]
+            except _queue.Empty:
+                return []
+        msgs = []
+        for conn in wait_readable(list(readers), timeout=0.25):
+            try:
+                msgs.append(conn.recv())
+            except (EOFError, OSError):
+                conn.close()
+                r = readers.pop(conn)
+                if r not in payloads:
+                    lost.append(r)
+        return msgs
 
-    payloads: dict[int, dict] = {}
     latest_shard: dict[int, dict] = {}
     last_saved_panels = _leading_panels_done(panel_tasks, completed0)
     error: tuple[int, str] | None = None
-    lost: list[int] = []
     try:
         while len(payloads) < n_ranks and error is None and not lost:
-            try:
-                msg = results.get(timeout=0.25)
-            except _queue.Empty:
+            msgs = poll()
+            if not msgs and not lost:
                 if deadline is not None and time.time() > deadline:
                     raise RuntimeSystemError(
                         f"distributed execution exceeded {timeout_s:.1f}s; "
@@ -932,37 +947,37 @@ def _run_once(
                     )
                 lost = [
                     r for r in range(n_ranks)
-                    if r not in payloads and not _alive(r)
+                    if r not in payloads and not workers[r].is_alive()
                 ]
-                continue
-            kind = msg[0]
-            if kind == "done":
-                payloads[msg[1]] = msg[2]
-            elif kind == "error":
-                error = (msg[1], msg[2])
-            elif kind == "sync":
-                # Clock handshake: echo the rank's send timestamp with
-                # the controller clock; the rank midpoints the exchange
-                # into its shard's offset estimate.
-                inboxes[msg[1]].put(("sync_reply", msg[2], time.time()))
-            elif kind == "panel" and ckptr is not None:
-                latest_shard[msg[1]] = msg[3]
-                union = set(completed0)
-                for shard in latest_shard.values():
-                    union.update(shard["completed"])
-                panels_done = _leading_panels_done(panel_tasks, union)
-                if (
-                    panels_done - last_saved_panels >= ckptr.config.every
-                    and len(union) < len(graph.tasks)
-                ):
-                    snap = matrix.copy()
+            for msg in msgs:
+                kind = msg[0]
+                if kind == "done":
+                    payloads[msg[1]] = msg[2]
+                elif kind == "error":
+                    error = (msg[1], msg[2])
+                elif kind == "sync":
+                    # Clock handshake: echo the rank's send timestamp with
+                    # the controller clock; the rank midpoints the
+                    # exchange into its shard's offset estimate.
+                    inboxes[msg[1]].put(("sync_reply", msg[2], time.time()))
+                elif kind == "panel" and ckptr is not None:
+                    latest_shard[msg[1]] = msg[3]
+                    union = set(completed0)
                     for shard in latest_shard.values():
-                        for ij, tile in shard["tiles"].items():
-                            snap.set_tile(*ij, tile)
-                    ckptr.save(snap, union, panels_done)
-                    if rrep is not None:
-                        rrep.checkpoints_written += 1
-                    last_saved_panels = panels_done
+                        union.update(shard["completed"])
+                    panels_done = _leading_panels_done(panel_tasks, union)
+                    if (
+                        panels_done - last_saved_panels >= ckptr.config.every
+                        and len(union) < len(graph.tasks)
+                    ):
+                        snap = matrix.copy()
+                        for shard in latest_shard.values():
+                            for ij, tile in shard["tiles"].items():
+                                snap.set_tile(*ij, tile)
+                        ckptr.save(snap, union, panels_done)
+                        if rrep is not None:
+                            rrep.checkpoints_written += 1
+                        last_saved_panels = panels_done
     finally:
         abort_now = error is not None or lost or len(payloads) < n_ranks
         if abort_now:
@@ -979,9 +994,11 @@ def _run_once(
                 if w.is_alive():  # pragma: no cover - stuck rank
                     w.terminate()
                     w.join(timeout=2.0)
+            for conn in readers:
+                conn.close()
             # Unblock queue feeder threads so interpreter shutdown does
             # not wait on undelivered messages.
-            for q in (*inboxes, results):
+            for q in inboxes:
                 try:
                     q.cancel_join_thread()
                 except Exception:

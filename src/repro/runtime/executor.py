@@ -1,31 +1,67 @@
-"""In-process executor: runs a Cholesky task graph with real numerics.
+"""The in-process execution core: one dependency-driven loop, real numerics.
 
-The executor walks the same :class:`~repro.runtime.graph.TaskGraph` the
-simulator replays, but actually performs every HCORE kernel on a
-:class:`~repro.matrix.BandTLRMatrix` — validating that the unfolded DAG
-computes the same factor as the sequential reference algorithm (and hence
-that the simulator's timing applies to a correct execution).
+One worker loop unfolds the Cholesky :class:`~repro.runtime.graph
+.TaskGraph` — the same graph the simulator replays — whatever the worker
+set: a ready queue fed by dependency countdown (PaRSEC's activation
+model), per-tile write locks so independent GEMMs update disjoint tiles
+at the same time, and every HCORE kernel actually performed on a
+:class:`~repro.matrix.BandTLRMatrix`.  ``n_workers=1`` runs the loop
+inline on the calling thread (no thread is started and nothing ever
+blocks); ``n_workers=N`` runs the same loop on N threads.  NumPy/SciPy
+release the GIL inside BLAS/LAPACK calls, so the kernels — where
+virtually all the time goes — genuinely overlap.
+:func:`execute_graph` is the core at one worker.
 
-Tasks run in dependency (priority-topological) order on one process; the
-point here is numerical fidelity, not parallel speed — on this machine the
-BLAS underneath already uses the cores.
+Determinism: every write to a tile is totally ordered by the graph's
+dataflow edges (the LOCAL chains of the PTG), and every read is ordered
+against the tile's final write, so the computed factor is *bitwise
+identical* to the reference loops of :mod:`repro.core.factorize` for any
+worker count, scheduler policy (``priority``/``fifo``/``lifo``, matching
+:func:`repro.runtime.simulator.simulate`), batch mode and interleaving.
+
+Deadlock: the loop has one rule — ready set empty, nothing in flight and
+tasks left means no task can ever become ready, and the run raises
+:class:`SchedulingError` (a cyclic or otherwise unsatisfiable graph) for
+every worker count and batch mode.
+
+The report quacks like a :class:`~repro.runtime.simulator.SimResult`
+(``trace``, ``makespan``, ``busy``, ``occupancy``) so the analysis
+pipeline — :func:`repro.obs.exporters.gantt`,
+:func:`repro.analysis.occupancy_summary`,
+:func:`repro.obs.exporters.write_chrome_trace` — consumes real executions
+exactly as it consumes simulated ones.
 
 Low-rank destinations exercise the dynamic-memory path: recompression
 output factors are re-associated with a :class:`MemoryPool` and rank-growth
 reallocations are counted, mirroring Section VII-B.
 
-Resilience: pass ``faults`` (a spec string, :class:`FaultPlan`, or
-injector) and/or ``recovery`` (a :class:`RecoveryPolicy`) to run every
-task under the retry/rollback engine of
-:mod:`repro.runtime.resilience`; pass ``checkpoint`` (a directory or
-:class:`CheckpointConfig`) to periodically persist the completed-panel
-frontier, and ``resume=True`` to restart from the latest checkpoint.
+Resilience: ``faults`` (a spec string, :class:`FaultPlan`, or injector)
+and/or ``recovery`` (a :class:`RecoveryPolicy`) run every task under the
+retry/rollback engine of :mod:`repro.runtime.resilience` — the
+deterministic fault draws depend only on (seed, task, attempt), so a
+chaotic run still produces the bitwise-identical factor.  ``checkpoint``
+(a directory or :class:`CheckpointConfig`) persists the completed-panel
+frontier at panel boundaries after *quiescing* the workers (no task in
+flight — trivially true at one worker), so every archive is a consistent
+dataflow cut; ``resume=True`` restarts from the latest one, under any
+worker count.
+
+Failures: an exception raised by a task on a worker *thread* reaches the
+caller wrapped in :class:`RuntimeSystemError` (original chained); at one
+inline worker there is no thread boundary and it propagates unchanged.
+``KeyboardInterrupt``/``SystemExit`` are never wrapped: the run drains the
+ready queue, releases every pool-owned factor buffer, and re-raises them.
 """
 
 from __future__ import annotations
 
+import heapq
+import os
 import threading
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .. import obs
 from ..linalg import hcore
@@ -35,18 +71,24 @@ from ..linalg.flops import FlopCounter
 from ..linalg.tiles import LowRankTile
 from ..matrix.memory import MemoryTracker
 from ..matrix.tlr_matrix import BandTLRMatrix
-from ..utils.exceptions import RuntimeSystemError
+from ..utils.exceptions import RuntimeSystemError, SchedulingError
+from ..utils.validation import check_positive_int
 from .graph import TaskGraph
 from .memory_pool import MemoryPool
+from .parallel import (
+    ThreadSafeFlopCounter,
+    ThreadSafeMemoryPool,
+    ThreadSafeMemoryTracker,
+)
 from .resilience import ResilienceReport, as_checkpointer, build_manager
 from .task import TaskKind, task_name, task_sort_key
 
-__all__ = ["ExecutionReport", "execute_graph"]
+__all__ = ["ExecutionReport", "execute_graph", "execute_graph_parallel"]
 
 
 @dataclass
 class ExecutionReport:
-    """Artifacts of a real (numerical) graph execution.
+    """Artifacts of a real (numerical) in-process graph execution.
 
     Attributes
     ----------
@@ -69,24 +111,65 @@ class ExecutionReport:
     resilience:
         Recovery-engine counters (``None`` when no faults/recovery/
         checkpointing was requested).
+    n_workers, makespan, busy, total_flops, trace:
+        The timing surface of a :class:`~repro.runtime.simulator
+        .SimResult`; each worker maps to one "process" lane
+        (``nodes = n_workers``, ``cores_per_node = 1``).
     """
 
-    counter: FlopCounter = field(default_factory=FlopCounter)
-    tracker: MemoryTracker = field(default_factory=MemoryTracker)
-    pool: MemoryPool = field(default_factory=MemoryPool)
+    counter: FlopCounter = field(default_factory=ThreadSafeFlopCounter)
+    tracker: MemoryTracker = field(default_factory=ThreadSafeMemoryTracker)
+    pool: MemoryPool = field(default_factory=ThreadSafeMemoryPool)
     rank_growth_events: int = 0
     max_rank_seen: int = 0
     tasks_executed: int = 0
     tasks_resumed: int = 0
     resilience: ResilienceReport | None = None
+    n_workers: int = 1
+    makespan: float = 0.0
+    busy: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    total_flops: float = 0.0
+    trace: list[tuple] | None = None
+
+    @property
+    def nodes(self) -> int:
+        """Worker count, presented as SimResult's process count."""
+        return self.n_workers
+
+    @property
+    def cores_per_node(self) -> int:
+        return 1
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Per-worker busy fraction in [0, 1]."""
+        return self.busy / max(self.makespan, 1e-300)
+
+    @property
+    def achieved_gflops(self) -> float:
+        """Modelled flops over real wall-clock (Gflop/s)."""
+        return self.total_flops / max(self.makespan, 1e-300) / 1e9
+
+    @property
+    def speedup_vs_serial(self) -> float:
+        """Aggregate busy time over makespan — parallel efficiency proxy."""
+        return float(self.busy.sum()) / max(self.makespan, 1e-300)
 
 
-def execute_graph(
+def execute_graph(graph: TaskGraph, matrix: BandTLRMatrix, **kwargs):
+    """:func:`execute_graph_parallel` at one inline worker."""
+    return execute_graph_parallel(graph, matrix, n_workers=1, **kwargs)
+
+
+def execute_graph_parallel(
     graph: TaskGraph,
     matrix: BandTLRMatrix,
     *,
+    n_workers: int | None = None,
     rule: TruncationRule | None = None,
     use_pool: bool = True,
+    scheduler: str = "priority",
+    collect_trace: bool = False,
     backend=None,
     batch: bool = False,
     faults=None,
@@ -105,26 +188,45 @@ def execute_graph(
         concern — numerically the whole-tile kernel is identical).
     matrix:
         The compressed matrix to factorize; mutated into its Cholesky
-        factor (lower triangle).
+        factor (lower triangle), bitwise the reference loops' factor.
+    n_workers:
+        Worker count; defaults to ``os.cpu_count()``.  One worker runs
+        inline on the calling thread.
     rule:
         Truncation rule for recompressions; defaults to the matrix's rule.
     use_pool:
-        Re-associate recompression outputs with the pool (exercises the
-        dynamic-memory path; disable for pure-numerics runs).
+        Re-associate recompression outputs with the shared memory pool
+        (the Section VII-B dynamic-memory path; disable for
+        pure-numerics runs).
+    scheduler:
+        Ready-queue policy, matching ``simulate(scheduler=...)``:
+        ``"priority"`` (panel-ordered, critical-path promoting),
+        ``"fifo"`` (become-ready order) or ``"lifo"`` (newest first).
+    collect_trace:
+        Record per-task ``(tid, worker, start, end)`` tuples in seconds
+        relative to launch — consumable by ``obs.gantt`` and
+        ``obs.write_chrome_trace`` exactly like a simulator trace.  A
+        batched window is apportioned to its member tasks by modelled
+        flops.
     backend:
         Compression backend for GEMM recompressions; defaults to the
         matrix's backend.
     batch:
-        Drain the ready set into same-shape kernel buckets and dispatch
-        each bucket as one stacked BLAS/LAPACK call (see
-        :mod:`repro.linalg.batched`).  Results are bitwise identical to
-        unbatched execution.  Ignored (forced off) when the recovery
-        engine is active — retry/rollback wraps individual task
-        attempts, which batching would fuse.
+        When a worker claims a task, it also claims every other *ready*
+        task with the same batch key (same kernel class, shapes, ranks,
+        dtypes — see :mod:`repro.linalg.batched`) and runs the bucket as
+        one stacked ``matmul`` call.  The factor stays bitwise identical
+        to unbatched execution for any worker count; the scheduler policy
+        still picks *which* bucket goes first, batching only widens the
+        claim.  Ignored (forced off) when the recovery engine is active —
+        retry/rollback wraps individual task attempts, which batching
+        would fuse.
     faults:
         Fault-injection source: a spec string (see
         :mod:`repro.testing.faults` for the grammar), a ``FaultPlan``, or
-        a ready injector.  Implies the recovery engine.
+        a ready injector.  Implies the recovery engine.  Injection
+        decisions depend only on (seed, task, attempt), never on
+        scheduling, so chaos runs are reproducible across worker counts.
     recovery:
         A :class:`~repro.runtime.resilience.RecoveryPolicy`; ``None``
         with ``faults`` set uses the default policy.
@@ -132,7 +234,8 @@ def execute_graph(
         Checkpoint directory (or
         :class:`~repro.runtime.resilience.CheckpointConfig` /
         :class:`~repro.runtime.resilience.Checkpointer`) — the
-        completed-panel frontier is persisted there.
+        completed-panel frontier is persisted there at panel boundaries,
+        after quiescing the workers.
     resume:
         Restore the latest checkpoint from ``checkpoint`` before
         executing; completed tasks are skipped.
@@ -140,23 +243,34 @@ def execute_graph(
     Returns
     -------
     ExecutionReport
+
+    Raises
+    ------
+    SchedulingError
+        On an invalid scheduler policy or an unsatisfiable (e.g. cyclic)
+        graph: ready set empty, nothing in flight, tasks left.
+    RuntimeSystemError
+        On graph/matrix mismatch, an expanded graph, or when a task
+        raised on a worker thread (the original exception is chained; at
+        one inline worker it propagates unchanged).
     """
-    if graph.ntiles != matrix.ntiles:
-        raise RuntimeSystemError(
-            f"graph is for NT={graph.ntiles} but the matrix has NT={matrix.ntiles}"
+    if scheduler not in ("priority", "fifo", "lifo"):
+        raise SchedulingError(
+            f"scheduler must be 'priority', 'fifo' or 'lifo', got {scheduler!r}"
         )
-    if graph.band_size != matrix.band_size:
-        raise RuntimeSystemError(
-            f"graph band_size={graph.band_size} does not match "
-            f"matrix band_size={matrix.band_size}"
-        )
+    if n_workers is None:
+        n_workers = os.cpu_count() or 1
+    check_positive_int("n_workers", n_workers)
+    _check_graph(graph, matrix)
+
     rule = rule or matrix.rule
     backend = backend if backend is not None else matrix.backend
-    report = ExecutionReport()
+    report = ExecutionReport(
+        n_workers=n_workers, total_flops=graph.total_flops()
+    )
     report.tracker.register_matrix(matrix)
-    pooled: dict[int, object] = {}  # id -> factor array owned by the pool
-    stats_lock = threading.Lock()
 
+    # --- resilience / checkpoint state --------------------------------
     manager = build_manager(faults, recovery)
     ckptr = as_checkpointer(checkpoint)
     rrep = None
@@ -167,120 +281,376 @@ def execute_graph(
     report.resilience = rrep
 
     completed: set[tuple] = set()
-    panels_total_done = 0
+    panels = {"done": 0, "since": 0, "due": False}
     if resume and ckptr is not None:
-        ck = ckptr.load_latest()
+        ck = _restore_latest(ckptr, graph, matrix)
         if ck is not None:
-            ckptr.validate_against(graph, matrix, ck)
-            for ij, tile in ck.matrix.tiles.items():
-                matrix.set_tile(*ij, tile)
             completed = set(ck.completed)
-            panels_total_done = ck.panels_done
-            report.tasks_resumed = len(completed)
-            rrep.tasks_resumed = len(completed)
+            panels["done"] = ck.panels_done
+            report.tasks_resumed = rrep.tasks_resumed = len(completed)
+
+    # --- dependency countdown state -----------------------------------
+    pending = [tid for tid in graph.tasks if tid not in completed]
+    indeg: dict[tuple, int] = {}
+    succs: dict[tuple, list[tuple]] = {tid: [] for tid in graph.tasks}
+    panel_remaining: dict[int, int] = {}
+    for tid in pending:
+        task = graph.tasks[tid]
+        sources = {e.src for e in task.deps} - completed
+        indeg[tid] = len(sources)
+        for src in sources:
+            succs[src].append(tid)
+        panel_remaining[task.panel] = panel_remaining.get(task.panel, 0) + 1
+
+    cond = threading.Condition()
+    ready: list[tuple] = []  # heap of (key, tid)
+    arrival_seq = 0
+
+    def ready_key(tid: tuple) -> tuple:
+        nonlocal arrival_seq
+        arrival_seq += 1
+        if scheduler == "fifo":
+            return (arrival_seq,)
+        if scheduler == "lifo":
+            return (-arrival_seq,)
+        return task_sort_key(graph.tasks[tid])
+
+    # --- batching state (caller holds ``cond`` for all mutations) -----
+    # A task's batch key is computable the moment it becomes ready (its
+    # input tiles are final), so buckets are maintained alongside the
+    # heap: claiming one task claims its whole bucket, and stale heap
+    # entries of co-claimed tasks are skipped on pop.
+    batching = batch and manager is None
+    planner = BatchPlanner() if batching else None
+    bucket_of: dict[tuple, tuple | None] = {}
+    buckets: dict[tuple, list[tuple]] = {}
+    claimed: set[tuple] = set()
+
+    def register_ready(tid: tuple) -> None:
+        heapq.heappush(ready, (ready_key(tid), tid))
+        if batching:
+            kb = planner.key(_batch_item(tid, graph.tasks[tid], matrix))
+            bucket_of[tid] = kb
+            if kb is not None:
+                buckets.setdefault(kb, []).append(tid)
+
+    def claim_group(tid: tuple) -> list[tuple]:
+        """The bucket ``tid`` leads, capped at the planner's max batch."""
+        group = [tid]
+        if batching:
+            kb = bucket_of.get(tid)
+            if kb is not None:
+                members = [
+                    t for t in buckets.pop(kb, []) if t not in claimed
+                ]
+                if members:
+                    members.sort(
+                        key=lambda t: task_sort_key(graph.tasks[t])
+                    )
+                    group = members[: planner.max_batch]
+                    rest = members[planner.max_batch :]
+                    if rest:
+                        buckets[kb] = rest
+        claimed.update(group)
+        return group
+
+    for tid in pending:
+        if indeg[tid] == 0:
+            register_ready(tid)
+
+    n_tasks = len(pending)
+    state = {"executed": 0, "inflight": 0, "failed": None}
+
+    # --- shared numerical state ---------------------------------------
+    # One lock per stored tile, held while *writing* that tile.  Reads
+    # need no lock: a task's input tiles were finalized by dependency
+    # predecessors, and the dataflow chains guarantee no concurrent
+    # writer exists while a reader runs.  Locking only the destination is
+    # what lets GEMMs that share a panel tile update disjoint output
+    # tiles concurrently.
+    tile_locks = {ij: threading.Lock() for ij in matrix.tiles}
+    pooled: dict[int, np.ndarray] = {}  # id -> factor array owned by pool
+    stats_lock = threading.Lock()
 
     if manager is not None:
+        manager.discard = lambda tile: _release_factors(
+            tile, report, pooled, stats_lock
+        )
 
-        def _discard(tile) -> None:
-            if isinstance(tile, LowRankTile):
-                for arr in (tile.u, tile.v):
-                    if pooled.pop(id(arr), None) is not None:
-                        report.pool.release(arr)
+    def commit(tid, out, recomp) -> None:
+        _commit_task(
+            tid, graph.tasks[tid], out, recomp, matrix, report, pooled,
+            use_pool, stats_lock,
+        )
 
-        manager.discard = _discard
+    def run_group(tids: list[tuple]) -> None:
+        """Compute and commit a claimed group under its write locks: a
+        singleton through the ordinary per-tile kernel (under the
+        recovery engine when one is active), a larger group as one
+        stacked kernel call."""
+        if len(tids) == 1:
+            (tid,) = tids
+            task = graph.tasks[tid]
 
-    panel_remaining: dict[int, int] = {}
-    for tid, task in graph.tasks.items():
-        if tid not in completed:
-            p = task.panel
-            panel_remaining[p] = panel_remaining.get(p, 0) + 1
-    panels_since_save = 0
+            def compute():
+                return _compute_task(
+                    tid, task, matrix, rule, backend, report.counter
+                )
 
+            with tile_locks[task.out_tile]:
+                if manager is not None:
+                    commit(tid, *manager.run(task, matrix, compute))
+                else:
+                    commit(tid, *compute())
+            return
+        # Ready tasks always have distinct output tiles, so the write
+        # locks form a disjoint set; acquiring them in sorted order keeps
+        # lock acquisition deadlock-free against the singleton path.
+        items = [_batch_item(t, graph.tasks[t], matrix) for t in tids]
+        out_locks = [
+            tile_locks[ij]
+            for ij in sorted({graph.tasks[t].out_tile for t in tids})
+        ]
+        for lk in out_locks:
+            lk.acquire()
+        try:
+            for res in run_batch(
+                items, rule, counter=report.counter, backend=backend
+            ):
+                commit(res.ref, res.out, res.recomp)
+        finally:
+            for lk in reversed(out_locks):
+                lk.release()
+
+    busy = np.zeros(n_workers)
+    traces: list[list[tuple]] = [[] for _ in range(n_workers)]
     observing = obs.enabled()
     if observing:
         obs.graph_observed(graph, task_name)
+    t0 = time.perf_counter()
+    span_t0 = obs.clock()  # the tracer-clock reading of ``t0``
 
-    def finish_task(tid, task) -> None:
-        """Post-commit bookkeeping shared by both dispatch loops."""
-        nonlocal panels_total_done, panels_since_save
-        report.tasks_executed += 1
-        completed.add(tid)
-        panel_remaining[task.panel] -= 1
-        if panel_remaining[task.panel] == 0:
-            panels_total_done += 1
-            panels_since_save += 1
-            if (
-                ckptr is not None
-                and panels_since_save >= ckptr.config.every
-                and len(completed) < len(graph.tasks)
-            ):
-                ckptr.save(matrix, completed, panels_total_done)
-                rrep.checkpoints_written += 1
-                panels_since_save = 0
-
-    try:
-        if batch and manager is None:
-            _run_batched_loop(
-                graph, matrix, rule, backend, report, pooled, use_pool,
-                stats_lock, completed, finish_task, observing,
-            )
-        else:
-            for tid in graph.topological_order():
-                task = graph.tasks[tid]
-                if tid != _canonical_tid(task):
-                    raise RuntimeSystemError(
-                        "executor received an expanded graph; build it "
-                        "without recursive_split"
-                    )
-                if tid in completed:
-                    continue
-                if observing:
-                    span = obs.span(
-                        task_name(tid),
+    def worker(wid: int) -> None:
+        while True:
+            with cond:
+                while True:
+                    if state["failed"] is not None:
+                        return
+                    if panels["due"]:
+                        if state["inflight"]:
+                            cond.wait(timeout=0.05)
+                            continue
+                        # Quiesced: the tile state is a consistent
+                        # dataflow cut; this worker writes the checkpoint
+                        # while peers wait.
+                        try:
+                            ckptr.save(matrix, completed, panels["done"])
+                        except Exception as exc:
+                            state["failed"] = exc
+                            cond.notify_all()
+                            return
+                        rrep.checkpoints_written += 1
+                        panels["due"] = False
+                        panels["since"] = 0
+                        cond.notify_all()
+                    if ready:
+                        _, tid = heapq.heappop(ready)
+                        if tid in claimed:
+                            # Stale heap entry: this task already ran as
+                            # a co-claimed member of an earlier batch.
+                            continue
+                        group = claim_group(tid)
+                        state["inflight"] += len(group)
+                        if observing:
+                            obs.sample("ready_queue_depth", len(ready))
+                        break
+                    if not state["inflight"]:
+                        # Nothing ready and nothing running: the run is
+                        # complete — or, with tasks left, deadlocked (the
+                        # caller raises).  Either way no work will come.
+                        cond.notify_all()
+                        return
+                    cond.wait(timeout=0.05)
+            start = time.perf_counter() - t0
+            try:
+                if observing and len(group) == 1:
+                    task = graph.tasks[group[0]]
+                    with obs.span(
+                        task_name(group[0]),
                         "task",
+                        worker=wid,
                         kernel=task.kernel.value,
                         flops=task.flops,
-                    )
+                    ):
+                        run_group(group)
                 else:
-                    span = obs.NULL_SPAN
-                with span:
-                    if manager is not None:
-                        out, recomp = manager.run(
-                            task,
-                            matrix,
-                            lambda: _compute_task(
-                                tid, task, matrix, rule, backend,
-                                report.counter
-                            ),
+                    run_group(group)
+            except BaseException as exc:
+                # Hand the failure to the caller.  KeyboardInterrupt /
+                # SystemExit additionally drain the ready queue so peers
+                # stop picking work before the interrupt is re-raised.
+                with cond:
+                    if state["failed"] is None:
+                        state["failed"] = exc
+                    if not isinstance(exc, Exception):
+                        ready.clear()
+                    state["inflight"] -= len(group)
+                    cond.notify_all()
+                return
+            end = time.perf_counter() - t0
+            busy[wid] += end - start
+            if collect_trace or (observing and len(group) > 1):
+                # One fused call ran the whole group: apportion its window
+                # to the member tasks by modelled flops, contiguous and
+                # non-overlapping, so the analytics critical-path/GFLOP/s
+                # join keeps working on batched runs.
+                weights = [max(graph.tasks[t].flops, 1.0) for t in group]
+                scale = (end - start) / sum(weights)
+                cursor = start
+                for t2, w in zip(group, weights):
+                    t_end = cursor + w * scale
+                    if collect_trace:
+                        traces[wid].append((t2, wid, cursor, t_end))
+                    if observing and len(group) > 1:
+                        task = graph.tasks[t2]
+                        obs.record_span(
+                            task_name(t2),
+                            "task",
+                            start=span_t0 + cursor,
+                            end=span_t0 + t_end,
+                            worker=wid,
+                            kernel=task.kernel.value,
+                            flops=task.flops,
+                            batched=len(group),
                         )
-                    else:
-                        out, recomp = _compute_task(
-                            tid, task, matrix, rule, backend, report.counter
-                        )
-                    _commit_task(
-                        tid, task, out, recomp, matrix, report, pooled,
-                        use_pool, stats_lock,
-                    )
-                finish_task(tid, task)
-        if ckptr is not None and report.tasks_executed:
-            # Final checkpoint: resuming a finished run is a no-op.
-            ckptr.save(matrix, completed, panels_total_done)
-            rrep.checkpoints_written += 1
+                    cursor = t_end
+            with cond:
+                state["inflight"] -= len(group)
+                state["executed"] += len(group)
+                released = 0
+                for t2 in group:
+                    completed.add(t2)
+                    panel = graph.tasks[t2].panel
+                    panel_remaining[panel] -= 1
+                    if panel_remaining[panel] == 0:
+                        panels["done"] += 1
+                        panels["since"] += 1
+                        if (
+                            ckptr is not None
+                            and panels["since"] >= ckptr.config.every
+                            and state["executed"] < n_tasks
+                        ):
+                            panels["due"] = True
+                    for succ in succs[t2]:
+                        indeg[succ] -= 1
+                        if indeg[succ] == 0:
+                            register_ready(succ)
+                            released += 1
+                if observing and released:
+                    obs.sample("ready_queue_depth", len(ready))
+                if released or panels["due"] or not state["inflight"]:
+                    cond.notify_all()
+
+    try:
+        if n_workers == 1:
+            worker(0)
+        else:
+            threads = [
+                threading.Thread(
+                    target=worker, args=(w,), name=f"repro-worker-{w}"
+                )
+                for w in range(n_workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
     finally:
         if manager is not None:
             manager.close()
 
+    report.makespan = time.perf_counter() - t0
+    report.busy = busy
+    report.tasks_executed = state["executed"]
     if observing:
+        obs.gauge_set("makespan_s", report.makespan, executor="parallel")
         obs.counter_add(
-            "tasks_executed", report.tasks_executed, executor="sequential"
+            "tasks_executed", report.tasks_executed, executor="parallel"
         )
+        for wid in range(n_workers):
+            obs.gauge_set(
+                "worker_occupancy",
+                float(busy[wid]) / max(report.makespan, 1e-300),
+                worker=str(wid),
+            )
         obs.pool_observed(report.pool.stats, pool="executor")
         from ..linalg.backends import get_backend
 
         obs.pool_observed(
             get_backend(backend).workspace_pool_stats, pool="workspace"
         )
+    if collect_trace:
+        report.trace = sorted(
+            (rec for per_worker in traces for rec in per_worker),
+            key=lambda r: (r[1], r[2]),
+        )
+
+    failed = state["failed"]
+    if failed is not None:
+        if not isinstance(failed, Exception):
+            # Clean cancellation: no task is running, so every buffer
+            # the pool still considers live can be returned before the
+            # interrupt continues up the stack.
+            with stats_lock:
+                leaked = list(pooled.values())
+                pooled.clear()
+            for arr in leaked:
+                report.pool.release(arr)
+        if n_workers == 1 or not isinstance(failed, Exception):
+            raise failed
+        raise RuntimeSystemError(
+            f"worker failed while executing the graph: {failed}"
+        ) from failed
+    if state["executed"] != n_tasks:
+        raise SchedulingError(
+            f"execution deadlocked: {state['executed']} of {n_tasks} tasks "
+            "completed with none ready or in flight (cyclic graph?)"
+        )
+    if ckptr is not None and state["executed"]:
+        # Final checkpoint: resuming a finished run is a no-op.
+        ckptr.save(matrix, completed, panels["done"])
+        rrep.checkpoints_written += 1
     return report
+
+
+def _check_graph(graph, matrix) -> None:
+    """Reject a graph that was not built, unexpanded, for ``matrix``."""
+    if graph.ntiles != matrix.ntiles:
+        raise RuntimeSystemError(
+            f"graph is for NT={graph.ntiles} but the matrix has NT={matrix.ntiles}"
+        )
+    if graph.band_size != matrix.band_size:
+        raise RuntimeSystemError(
+            f"graph band_size={graph.band_size} does not match "
+            f"matrix band_size={matrix.band_size}"
+        )
+    for tid, task in graph.tasks.items():
+        if tid != _canonical_tid(task):
+            raise RuntimeSystemError(
+                "executor received an expanded graph; build it without "
+                "recursive_split"
+            )
+
+
+def _restore_latest(ckptr, graph, matrix):
+    """Load the latest checkpoint (if any) and restore its tiles into
+    ``matrix``; returns the :class:`CheckpointState` or ``None``."""
+    ck = ckptr.load_latest()
+    if ck is not None:
+        ckptr.validate_against(graph, matrix, ck)
+        for ij, tile in ck.matrix.tiles.items():
+            matrix.set_tile(*ij, tile)
+    return ck
 
 
 def _batch_item(tid, task, matrix) -> BatchItem:
@@ -304,99 +674,6 @@ def _batch_item(tid, task, matrix) -> BatchItem:
     return BatchItem(
         tid, "gemm", (matrix.tile(m, k), matrix.tile(n, k), matrix.tile(m, n))
     )
-
-
-def _record_batch_spans(tids, graph, start, end, worker=None) -> None:
-    """Emit per-task spans for one batched window.
-
-    The batch executed as a single fused call; its wall-clock window is
-    apportioned to the member tasks proportionally to their modelled
-    flops, keeping the spans contiguous and non-overlapping so the
-    analytics critical-path/GFLOP/s join keeps working on batched runs.
-    """
-    tasks = [graph.tasks[tid] for tid in tids]
-    weights = [max(task.flops, 1.0) for task in tasks]
-    total = sum(weights)
-    n = len(tids)
-    t = start
-    attrs = {} if worker is None else {"worker": worker}
-    for tid, task, w in zip(tids, tasks, weights):
-        dt = (end - start) * (w / total)
-        obs.record_span(
-            task_name(tid),
-            "task",
-            start=t,
-            end=t + dt,
-            kernel=task.kernel.value,
-            flops=task.flops,
-            batched=n,
-            **attrs,
-        )
-        t += dt
-
-
-def _run_batched_loop(
-    graph, matrix, rule, backend, report, pooled, use_pool, stats_lock,
-    completed, finish_task, observing,
-) -> None:
-    """Kahn-wave dispatch with same-shape bucket batching.
-
-    Each wave drains the full ready set, partitions it into shape-keyed
-    buckets (:class:`~repro.linalg.batched.BatchPlanner`), and runs every
-    group through :func:`~repro.linalg.batched.run_batch`.  Commit order
-    within a wave follows the scheduler's priority order, so pool/tracker
-    accounting stays deterministic; the computed factor is bitwise
-    independent of grouping by construction.
-    """
-    planner = BatchPlanner()
-    pending = []
-    for tid, task in graph.tasks.items():
-        if tid != _canonical_tid(task):
-            raise RuntimeSystemError(
-                "executor received an expanded graph; build it without "
-                "recursive_split"
-            )
-        if tid not in completed:
-            pending.append(tid)
-    indeg: dict[tuple, int] = {}
-    succs: dict[tuple, list[tuple]] = {tid: [] for tid in graph.tasks}
-    for tid in pending:
-        sources = {e.src for e in graph.tasks[tid].deps} - completed
-        indeg[tid] = len(sources)
-        for src in sources:
-            succs[src].append(tid)
-    ready = [tid for tid in pending if indeg[tid] == 0]
-    while ready:
-        ready.sort(key=lambda t: task_sort_key(graph.tasks[t]))
-        items = [_batch_item(tid, graph.tasks[tid], matrix) for tid in ready]
-        next_ready: list[tuple] = []
-        for group in planner.partition(items):
-            t_start = obs.clock() if observing else 0.0
-            results = run_batch(
-                group, rule, counter=report.counter, backend=backend
-            )
-            if observing:
-                _record_batch_spans(
-                    [item.ref for item in group], graph, t_start, obs.clock()
-                )
-            for res in results:
-                tid = res.ref
-                task = graph.tasks[tid]
-                _commit_task(
-                    tid, task, res.out, res.recomp, matrix, report, pooled,
-                    use_pool, stats_lock,
-                )
-                finish_task(tid, task)
-                for succ in succs[tid]:
-                    indeg[succ] -= 1
-                    if indeg[succ] == 0:
-                        next_ready.append(succ)
-        ready = next_ready
-    if len(completed) != len(graph.tasks):
-        raise RuntimeSystemError(
-            f"batched execution stalled: {len(completed)} of "
-            f"{len(graph.tasks)} tasks completed (cyclic graph?)"
-        )
 
 
 def _compute_task(tid, task, matrix, rule, backend, counter):
@@ -439,15 +716,28 @@ def _compute_task(tid, task, matrix, rule, backend, counter):
     return out, recomp
 
 
+def _release_factors(tile, report, pooled, stats_lock, keep=()) -> None:
+    """Return a displaced or discarded tile's pool-owned factors to the
+    free lists (``keep`` holds buffer ids the new tile still references)."""
+    if isinstance(tile, LowRankTile):
+        for arr in (tile.u, tile.v):
+            if id(arr) in keep:
+                continue
+            with stats_lock:
+                owned = pooled.pop(id(arr), None) is not None
+            if owned:
+                report.pool.release(arr)
+
+
 def _commit_task(
     tid, task, out, recomp, matrix, report, pooled, use_pool, stats_lock
 ) -> None:
     """Publish a validated task result: tile store, pool, tracker.
 
-    Shared by the sequential and parallel executors (``report`` carries
-    the same accounting surface in both; ``pooled`` maps buffer id ->
-    array for the factors currently owned by the pool, guarded by
-    ``stats_lock``).
+    Shared by the in-process core and the per-rank loop of the
+    distributed executor (``report`` carries the same accounting surface
+    in both; ``pooled`` maps buffer id -> array for the factors currently
+    owned by the pool, guarded by ``stats_lock``).
     """
     kind = task.kind
     if kind in (TaskKind.POTRF, TaskKind.SYRK):
@@ -459,17 +749,11 @@ def _commit_task(
     # suite's pool audit checks exactly this).  Factors the new tile still
     # references stay live: trsm_lr only solves V and reuses the U array.
     old = matrix.tile(*dest)
-    if out is not old and isinstance(old, LowRankTile):
+    if out is not old:
         kept = (
-            {id(out.u), id(out.v)} if isinstance(out, LowRankTile) else set()
+            {id(out.u), id(out.v)} if isinstance(out, LowRankTile) else ()
         )
-        for arr in (old.u, old.v):
-            if id(arr) in kept:
-                continue
-            with stats_lock:
-                owned = pooled.pop(id(arr), None) is not None
-            if owned:
-                report.pool.release(arr)
+        _release_factors(old, report, pooled, stats_lock, keep=kept)
     if kind is TaskKind.GEMM and recomp is not None:
         bm, bn = out.shape
         # Transient stacked factors existed during recompression.

@@ -1,80 +1,27 @@
-"""Dependency-driven parallel executor: real numerics on worker threads.
+"""Accounting objects safe to share across worker threads.
 
-The sequential executor (:mod:`repro.runtime.executor`) walks the Cholesky
-DAG in topological order on one thread — a correctness oracle.  This
-module runs the *same* :class:`~repro.runtime.graph.TaskGraph` the
-simulator replays, but concurrently: a ready queue fed by dependency
-countdown (PaRSEC's activation model), a pool of worker threads, and
-per-tile locks so independent GEMMs update disjoint tiles at the same
-time.  NumPy/SciPy release the GIL inside BLAS/LAPACK calls, so the
-kernels — where virtually all the time goes — genuinely overlap.
-
-Determinism: every write to a tile is totally ordered by the graph's
-dataflow edges (the LOCAL chains of the PTG), and every read is ordered
-against the tile's final write, so the computed factor is *bitwise
-identical* for any worker count and any interleaving.  The scheduler
-policy (``priority``/``fifo``/``lifo``) matches
-:func:`repro.runtime.simulator.simulate` so real and simulated runs can be
-compared queue-for-queue.
-
-Each worker records per-task start/end timestamps; the resulting report
-quacks like a :class:`~repro.runtime.simulator.SimResult` (``trace``,
-``makespan``, ``busy``, ``occupancy``) so the existing analysis pipeline —
-:func:`repro.obs.exporters.gantt`, :func:`repro.analysis.occupancy_summary`,
-:func:`repro.obs.exporters.write_chrome_trace` — consumes real
-executions exactly as it consumes simulated ones.
-
-Resilience (same kwargs as the sequential executor): ``faults`` and
-``recovery`` run every task under the retry/rollback engine of
-:mod:`repro.runtime.resilience` — the deterministic fault draws depend
-only on (seed, task, attempt), so a chaotic parallel run still produces
-the bitwise-identical factor.  ``checkpoint``/``resume`` persist and
-restore the completed-task frontier: checkpoints are written at panel
-boundaries after *quiescing* the workers (no task in flight), so every
-archive is a consistent dataflow cut.
-
-Cancellation: ``KeyboardInterrupt``/``SystemExit`` raised inside a
-worker drain the ready queue, release every pool-owned factor buffer,
-and re-raise the original exception unchanged — ordinary kernel errors
-are still wrapped in :class:`RuntimeSystemError`.
+The execution core (:mod:`repro.runtime.executor`) runs one worker loop
+on ``n_workers`` threads; every worker reports into the same flop
+counter, memory pool and memory tracker.  The read-modify-write updates
+of the plain classes are not atomic in CPython, so the core's
+:class:`~repro.runtime.executor.ExecutionReport` carries these locked
+subclasses — at one inline worker the locks are simply uncontended.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 import threading
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import obs
-from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
 from ..matrix.memory import MemoryTracker
-from ..matrix.tlr_matrix import BandTLRMatrix
-from ..utils.exceptions import RuntimeSystemError, SchedulingError
-from ..utils.validation import check_positive_int
-from ..linalg.batched import BatchPlanner, run_batch
-from .executor import (
-    _batch_item,
-    _canonical_tid,
-    _commit_task,
-    _compute_task,
-    _record_batch_spans,
-)
-from .graph import TaskGraph
 from .memory_pool import MemoryPool
-from .resilience import ResilienceReport, as_checkpointer, build_manager
-from .task import task_name, task_sort_key
 
 __all__ = [
-    "ParallelExecutionReport",
     "ThreadSafeFlopCounter",
     "ThreadSafeMemoryPool",
     "ThreadSafeMemoryTracker",
-    "execute_graph_parallel",
 ]
 
 
@@ -131,536 +78,3 @@ class ThreadSafeMemoryTracker(MemoryTracker):
     def transient(self, elements) -> None:
         with self._lock:
             super().transient(elements)
-
-
-@dataclass
-class ParallelExecutionReport:
-    """Artifacts of a parallel (numerical) graph execution.
-
-    Carries the same accounting as the sequential
-    :class:`~repro.runtime.executor.ExecutionReport` plus the timing
-    surface of a :class:`~repro.runtime.simulator.SimResult` (``makespan``,
-    ``busy``, ``trace``, ``occupancy``) so the gantt/occupancy/Chrome-trace
-    pipeline consumes real runs unchanged.  Each worker thread maps to one
-    "process" lane (``nodes = n_workers``, ``cores_per_node = 1``).
-    """
-
-    counter: ThreadSafeFlopCounter = field(default_factory=ThreadSafeFlopCounter)
-    tracker: ThreadSafeMemoryTracker = field(
-        default_factory=ThreadSafeMemoryTracker
-    )
-    pool: ThreadSafeMemoryPool = field(default_factory=ThreadSafeMemoryPool)
-    rank_growth_events: int = 0
-    max_rank_seen: int = 0
-    tasks_executed: int = 0
-    tasks_resumed: int = 0
-    resilience: ResilienceReport | None = None
-    n_workers: int = 1
-    makespan: float = 0.0
-    busy: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    total_flops: float = 0.0
-    trace: list[tuple] | None = None
-
-    @property
-    def nodes(self) -> int:
-        """Worker count, presented as SimResult's process count."""
-        return self.n_workers
-
-    @property
-    def cores_per_node(self) -> int:
-        return 1
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        """Per-worker busy fraction in [0, 1]."""
-        return self.busy / max(self.makespan, 1e-300)
-
-    @property
-    def achieved_gflops(self) -> float:
-        """Modelled flops over real wall-clock (Gflop/s)."""
-        return self.total_flops / max(self.makespan, 1e-300) / 1e9
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Aggregate busy time over makespan — parallel efficiency proxy."""
-        return float(self.busy.sum()) / max(self.makespan, 1e-300)
-
-
-def execute_graph_parallel(
-    graph: TaskGraph,
-    matrix: BandTLRMatrix,
-    *,
-    n_workers: int | None = None,
-    rule: TruncationRule | None = None,
-    use_pool: bool = True,
-    scheduler: str = "priority",
-    collect_trace: bool = False,
-    backend=None,
-    batch: bool = False,
-    faults=None,
-    recovery=None,
-    checkpoint=None,
-    resume: bool = False,
-) -> ParallelExecutionReport:
-    """Execute a (non-expanded) Cholesky task graph on worker threads.
-
-    Parameters
-    ----------
-    graph:
-        Graph built by :func:`repro.runtime.graph.build_cholesky_graph`
-        *without* ``recursive_split`` (same restriction as the sequential
-        executor).
-    matrix:
-        The compressed matrix to factorize; mutated into its Cholesky
-        factor (lower triangle).  The result is bitwise identical to the
-        sequential executor's.
-    n_workers:
-        Worker thread count; defaults to ``os.cpu_count()``.
-    rule:
-        Truncation rule for recompressions; defaults to the matrix's rule.
-    use_pool:
-        Re-associate recompression outputs with the shared memory pool
-        (the Section VII-B dynamic-memory path).
-    scheduler:
-        Ready-queue policy, matching ``simulate(scheduler=...)``:
-        ``"priority"`` (panel-ordered, critical-path promoting),
-        ``"fifo"`` (become-ready order) or ``"lifo"`` (newest first).
-    collect_trace:
-        Record per-task ``(tid, worker, start, end)`` tuples in seconds
-        relative to launch — consumable by ``obs.gantt`` and
-        ``obs.write_chrome_trace`` exactly like a simulator trace.  In
-        batched mode fused windows are apportioned to member tasks by
-        modelled flops.
-    batch:
-        When a worker claims a task, it also claims every other *ready*
-        task with the same batch key (same kernel class, shapes, ranks,
-        dtypes — see :mod:`repro.linalg.batched`) and runs the bucket as
-        one stacked BLAS/LAPACK call.  Results stay bitwise identical to
-        unbatched execution for any worker count; the scheduler policy
-        still picks *which* bucket goes first, batching only widens the
-        claim.  Ignored (forced off) when the recovery engine is active.
-    faults:
-        Fault-injection source (spec string / ``FaultPlan`` / injector);
-        implies the recovery engine.  Injection decisions depend only on
-        (seed, task, attempt), never on scheduling, so chaos runs are
-        reproducible across worker counts.
-    recovery:
-        A :class:`~repro.runtime.resilience.RecoveryPolicy`; ``None``
-        with ``faults`` set uses the default policy.
-    checkpoint:
-        Checkpoint directory (or ``CheckpointConfig``/``Checkpointer``);
-        written at panel boundaries after quiescing the workers.
-    resume:
-        Restore the latest checkpoint from ``checkpoint`` before
-        executing; completed tasks are skipped.
-
-    Returns
-    -------
-    ParallelExecutionReport
-
-    Raises
-    ------
-    SchedulingError
-        On an invalid scheduler policy or a cyclic graph (deadlock).
-    RuntimeSystemError
-        On graph/matrix mismatch, an expanded graph, or when a kernel
-        raised inside a worker (the original exception is chained).
-        ``KeyboardInterrupt``/``SystemExit`` are *not* wrapped: the run
-        cancels cleanly and re-raises them unchanged.
-    """
-    if scheduler not in ("priority", "fifo", "lifo"):
-        raise SchedulingError(
-            f"scheduler must be 'priority', 'fifo' or 'lifo', got {scheduler!r}"
-        )
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    check_positive_int("n_workers", n_workers)
-    if graph.ntiles != matrix.ntiles:
-        raise RuntimeSystemError(
-            f"graph is for NT={graph.ntiles} but the matrix has NT={matrix.ntiles}"
-        )
-    if graph.band_size != matrix.band_size:
-        raise RuntimeSystemError(
-            f"graph band_size={graph.band_size} does not match "
-            f"matrix band_size={matrix.band_size}"
-        )
-    for tid, task in graph.tasks.items():
-        if tid != _canonical_tid(task):
-            raise RuntimeSystemError(
-                "parallel executor received an expanded graph; build it "
-                "without recursive_split"
-            )
-
-    rule = rule or matrix.rule
-    backend = backend if backend is not None else matrix.backend
-    report = ParallelExecutionReport(n_workers=n_workers)
-    report.tracker.register_matrix(matrix)
-    report.total_flops = graph.total_flops()
-
-    # --- resilience / checkpoint state --------------------------------
-    manager = build_manager(faults, recovery)
-    ckptr = as_checkpointer(checkpoint)
-    rrep = None
-    if manager is not None:
-        rrep = manager.report
-    elif ckptr is not None:
-        rrep = ResilienceReport()
-    report.resilience = rrep
-
-    completed: set[tuple] = set()
-    panels = {"done": 0, "since": 0, "due": False}
-    if resume and ckptr is not None:
-        ck = ckptr.load_latest()
-        if ck is not None:
-            ckptr.validate_against(graph, matrix, ck)
-            for ij, tile in ck.matrix.tiles.items():
-                matrix.set_tile(*ij, tile)
-            completed = set(ck.completed)
-            panels["done"] = ck.panels_done
-            report.tasks_resumed = len(completed)
-            rrep.tasks_resumed = len(completed)
-
-    # --- dependency countdown state -----------------------------------
-    pending = [tid for tid in graph.tasks if tid not in completed]
-    indeg: dict[tuple, int] = {}
-    succs: dict[tuple, list[tuple]] = {tid: [] for tid in graph.tasks}
-    for tid in pending:
-        sources = {e.src for e in graph.tasks[tid].deps} - completed
-        indeg[tid] = len(sources)
-        for src in sources:
-            succs[src].append(tid)
-
-    cond = threading.Condition()
-    ready: list[tuple] = []  # heap of (key, tid)
-    arrival_seq = 0
-
-    def ready_key(tid: tuple) -> tuple:
-        nonlocal arrival_seq
-        arrival_seq += 1
-        if scheduler == "fifo":
-            return (arrival_seq,)
-        if scheduler == "lifo":
-            return (-arrival_seq,)
-        return task_sort_key(graph.tasks[tid])
-
-    # --- batching state (caller holds ``cond`` for all mutations) -----
-    # A task's batch key is computable the moment it becomes ready (its
-    # input tiles are final), so buckets are maintained alongside the
-    # heap: claiming one task claims its whole bucket, and stale heap
-    # entries of co-claimed tasks are skipped on pop.
-    batching = batch and manager is None
-    planner = BatchPlanner() if batching else None
-    bucket_of: dict[tuple, tuple | None] = {}
-    buckets: dict[tuple, list[tuple]] = {}
-    claimed: set[tuple] = set()
-
-    def register_ready(tid: tuple) -> None:
-        heapq.heappush(ready, (ready_key(tid), tid))
-        if batching:
-            kb = planner.key(_batch_item(tid, graph.tasks[tid], matrix))
-            bucket_of[tid] = kb
-            if kb is not None:
-                buckets.setdefault(kb, []).append(tid)
-
-    def claim_group(tid: tuple) -> list[tuple]:
-        """The bucket ``tid`` leads, capped at the planner's max batch."""
-        group = [tid]
-        if batching:
-            kb = bucket_of.get(tid)
-            if kb is not None:
-                members = [
-                    t for t in buckets.pop(kb, []) if t not in claimed
-                ]
-                if members:
-                    members.sort(
-                        key=lambda t: task_sort_key(graph.tasks[t])
-                    )
-                    group = members[: planner.max_batch]
-                    rest = members[planner.max_batch :]
-                    if rest:
-                        buckets[kb] = rest
-        claimed.update(group)
-        return group
-
-    for tid in pending:
-        if indeg[tid] == 0:
-            register_ready(tid)
-
-    n_tasks = len(pending)
-    state = {"executed": 0, "inflight": 0, "failed": None, "cancelled": False}
-
-    panel_remaining: dict[int, int] = {}
-    for tid in pending:
-        p = graph.tasks[tid].panel
-        panel_remaining[p] = panel_remaining.get(p, 0) + 1
-
-    # --- shared numerical state ---------------------------------------
-    # One lock per stored tile, held while *writing* that tile.  Reads
-    # need no lock: a task's input tiles were finalized by dependency
-    # predecessors, and the dataflow chains guarantee no concurrent
-    # writer exists while a reader runs.  Locking only the destination is
-    # what lets GEMMs that share a panel tile update disjoint output
-    # tiles concurrently.
-    tile_locks = {ij: threading.Lock() for ij in matrix.tiles}
-    pooled: dict[int, np.ndarray] = {}  # id -> factor array owned by pool
-    stats_lock = threading.Lock()
-
-    if manager is not None:
-
-        def _discard(tile) -> None:
-            from ..linalg.tiles import LowRankTile
-
-            if isinstance(tile, LowRankTile):
-                for arr in (tile.u, tile.v):
-                    with stats_lock:
-                        owned = pooled.pop(id(arr), None) is not None
-                    if owned:
-                        report.pool.release(arr)
-
-        manager.discard = _discard
-
-    def run_task(tid: tuple) -> None:
-        task = graph.tasks[tid]
-        with tile_locks[task.out_tile]:
-            if manager is not None:
-                out, recomp = manager.run(
-                    task,
-                    matrix,
-                    lambda: _compute_task(
-                        tid, task, matrix, rule, backend, report.counter
-                    ),
-                )
-            else:
-                out, recomp = _compute_task(
-                    tid, task, matrix, rule, backend, report.counter
-                )
-            _commit_task(
-                tid, task, out, recomp, matrix, report, pooled,
-                use_pool, stats_lock,
-            )
-
-    def run_group(tids: list[tuple]) -> None:
-        """Execute a claimed batch with one stacked kernel call.
-
-        Ready tasks always have distinct output tiles, so the write
-        locks form a disjoint set; acquiring them in sorted order keeps
-        lock acquisition deadlock-free against the singleton path.
-        """
-        items = [_batch_item(t, graph.tasks[t], matrix) for t in tids]
-        out_locks = [
-            tile_locks[ij]
-            for ij in sorted({graph.tasks[t].out_tile for t in tids})
-        ]
-        for lk in out_locks:
-            lk.acquire()
-        try:
-            results = run_batch(
-                items, rule, counter=report.counter, backend=backend
-            )
-            for res in results:
-                _commit_task(
-                    res.ref, graph.tasks[res.ref], res.out, res.recomp,
-                    matrix, report, pooled, use_pool, stats_lock,
-                )
-        finally:
-            for lk in reversed(out_locks):
-                lk.release()
-
-    def write_checkpoint() -> None:
-        """Persist the frontier; caller holds ``cond`` with no task
-        in flight, so the tile state is a consistent dataflow cut."""
-        ckptr.save(matrix, completed, panels["done"])
-        rrep.checkpoints_written += 1
-
-    busy = np.zeros(n_workers)
-    traces: list[list[tuple]] = [[] for _ in range(n_workers)]
-    observing = obs.enabled()
-    if observing:
-        obs.graph_observed(graph, task_name)
-    t0 = time.perf_counter()
-
-    def worker(wid: int) -> None:
-        while True:
-            with cond:
-                while True:
-                    if state["failed"] is not None:
-                        return
-                    if panels["due"]:
-                        if state["inflight"] == 0:
-                            # Quiesced: this worker writes the
-                            # checkpoint while peers wait.
-                            try:
-                                write_checkpoint()
-                            except Exception as exc:
-                                state["failed"] = exc
-                                cond.notify_all()
-                                return
-                            panels["due"] = False
-                            panels["since"] = 0
-                            cond.notify_all()
-                        else:
-                            cond.wait(timeout=0.05)
-                            continue
-                    if ready:
-                        _, tid = heapq.heappop(ready)
-                        if tid in claimed:
-                            # Stale heap entry: this task already ran as
-                            # a co-claimed member of an earlier batch.
-                            continue
-                        group = claim_group(tid)
-                        state["inflight"] += len(group)
-                        if observing:
-                            obs.sample("ready_queue_depth", len(ready))
-                        break
-                    if state["executed"] + state["inflight"] >= n_tasks:
-                        return
-                    cond.wait(timeout=0.05)
-            start = time.perf_counter() - t0
-            try:
-                if len(group) == 1:
-                    tid = group[0]
-                    if observing:
-                        _task = graph.tasks[tid]
-                        with obs.span(
-                            task_name(tid),
-                            "task",
-                            worker=wid,
-                            kernel=_task.kernel.value,
-                            flops=_task.flops,
-                        ):
-                            run_task(tid)
-                    else:
-                        run_task(tid)
-                else:
-                    clk0 = obs.clock() if observing else 0.0
-                    run_group(group)
-                    if observing:
-                        _record_batch_spans(
-                            group, graph, clk0, obs.clock(), worker=wid
-                        )
-            except Exception as exc:  # propagate to the caller (wrapped)
-                with cond:
-                    if state["failed"] is None:
-                        state["failed"] = exc
-                    state["inflight"] -= len(group)
-                    cond.notify_all()
-                return
-            except BaseException as exc:
-                # KeyboardInterrupt / SystemExit: cancel cleanly — drain
-                # the ready queue so peers stop picking work, and let the
-                # caller release pool buffers and re-raise unchanged.
-                with cond:
-                    if state["failed"] is None:
-                        state["failed"] = exc
-                        state["cancelled"] = True
-                    ready.clear()
-                    state["inflight"] -= len(group)
-                    cond.notify_all()
-                return
-            end = time.perf_counter() - t0
-            busy[wid] += end - start
-            if collect_trace:
-                if len(group) == 1:
-                    traces[wid].append((group[0], wid, start, end))
-                else:
-                    # Apportion the batched window per task by modelled
-                    # flops, mirroring _record_batch_spans.
-                    weights = [
-                        max(graph.tasks[t].flops, 1.0) for t in group
-                    ]
-                    total_w = sum(weights)
-                    cursor = start
-                    for t2, w in zip(group, weights):
-                        t_end = cursor + (end - start) * (w / total_w)
-                        traces[wid].append((t2, wid, cursor, t_end))
-                        cursor = t_end
-            with cond:
-                state["inflight"] -= len(group)
-                state["executed"] += len(group)
-                released = 0
-                for t2 in group:
-                    completed.add(t2)
-                    task = graph.tasks[t2]
-                    panel_remaining[task.panel] -= 1
-                    if panel_remaining[task.panel] == 0:
-                        panels["done"] += 1
-                        panels["since"] += 1
-                        if (
-                            ckptr is not None
-                            and panels["since"] >= ckptr.config.every
-                            and state["executed"] < n_tasks
-                        ):
-                            panels["due"] = True
-                    for succ in succs[t2]:
-                        indeg[succ] -= 1
-                        if indeg[succ] == 0:
-                            register_ready(succ)
-                            released += 1
-                if observing and released:
-                    obs.sample("ready_queue_depth", len(ready))
-                if state["executed"] == n_tasks or released or panels["due"]:
-                    cond.notify_all()
-
-    threads = [
-        threading.Thread(target=worker, args=(w,), name=f"repro-worker-{w}")
-        for w in range(n_workers)
-    ]
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        if manager is not None:
-            manager.close()
-
-    report.makespan = time.perf_counter() - t0
-    report.busy = busy
-    report.tasks_executed = state["executed"]
-    if observing:
-        obs.gauge_set("makespan_s", report.makespan, executor="parallel")
-        obs.counter_add(
-            "tasks_executed", report.tasks_executed, executor="parallel"
-        )
-        for wid in range(n_workers):
-            obs.gauge_set(
-                "worker_occupancy",
-                float(busy[wid]) / max(report.makespan, 1e-300),
-                worker=str(wid),
-            )
-        obs.pool_observed(report.pool.stats, pool="executor")
-        from ..linalg.backends import get_backend
-
-        obs.pool_observed(
-            get_backend(backend).workspace_pool_stats, pool="workspace"
-        )
-    if collect_trace:
-        report.trace = sorted(
-            (rec for per_worker in traces for rec in per_worker),
-            key=lambda r: (r[1], r[2]),
-        )
-
-    if state["failed"] is not None:
-        if state["cancelled"]:
-            # Clean cancellation: no task is running, so every buffer
-            # the pool still considers live can be returned before the
-            # interrupt continues up the stack.
-            with stats_lock:
-                leaked = list(pooled.values())
-                pooled.clear()
-            for arr in leaked:
-                report.pool.release(arr)
-            raise state["failed"]
-        raise RuntimeSystemError(
-            f"worker failed while executing the graph: {state['failed']}"
-        ) from state["failed"]
-    if state["executed"] != n_tasks:
-        raise SchedulingError(
-            f"parallel execution deadlocked: {state['executed']} of "
-            f"{n_tasks} tasks completed (cyclic graph?)"
-        )
-    if ckptr is not None and state["executed"]:
-        # Final checkpoint: resuming a finished run is a no-op.
-        with cond:
-            write_checkpoint()
-    return report

@@ -1,13 +1,13 @@
-"""One ``Executor`` protocol over the thread, process, and DES backends.
+"""One ``Executor`` protocol over the in-process, process, and DES backends.
 
-The repo grew three ways to run the same Cholesky
-:class:`~repro.runtime.graph.TaskGraph` — sequential/thread executors
-with real numerics (:mod:`repro.runtime.executor`,
-:mod:`repro.runtime.parallel`), a true multi-process executor with
+There are three ways to run the same Cholesky
+:class:`~repro.runtime.graph.TaskGraph` — the in-process core with real
+numerics (:mod:`repro.runtime.executor`: one worker loop, inline at one
+worker and on threads above), a true multi-process executor with
 explicit communication (:mod:`repro.runtime.distributed`), and a
 discrete-event simulator that only predicts
-(:mod:`repro.runtime.simulator`).  Their call signatures drifted apart
-(``n_workers`` vs ``n_ranks`` vs ``dist``/``machine``), which made
+(:mod:`repro.runtime.simulator`).  Their call signatures differ
+(``n_workers`` vs ``n_ranks`` vs ``dist``/``machine``), which would make
 "run the same problem on another backend" a rewrite instead of an
 argument change.
 
@@ -58,7 +58,6 @@ class ExecutorRun:
     report:
         The backend's native report — an
         :class:`~repro.runtime.executor.ExecutionReport`,
-        :class:`~repro.runtime.parallel.ParallelExecutionReport`,
         :class:`~repro.runtime.distributed.DistributedExecutionReport`,
         or :class:`~repro.runtime.simulator.SimResult`.  Unknown
         attribute reads on the run fall through to it, so analysis code
@@ -103,26 +102,9 @@ class Executor(ABC):
         parameter semantics (they are shared verbatim)."""
 
 
-class SequentialExecutor(Executor):
-    """Single-thread reference numerics (:func:`execute_graph`)."""
-
-    name = "sequential"
-
-    def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, batch=False, collect_trace=False, faults=None,
-                recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
-        from .executor import execute_graph
-
-        report = execute_graph(
-            graph, matrix, rule=rule, use_pool=use_pool, backend=backend,
-            batch=batch, faults=faults, recovery=recovery,
-            checkpoint=checkpoint, resume=resume,
-        )
-        return ExecutorRun(executor=self.name, report=report)
-
-
 class ThreadExecutor(Executor):
-    """Shared-memory worker threads (:func:`execute_graph_parallel`)."""
+    """The in-process core (:func:`execute_graph_parallel`): one worker
+    loop, inline at ``n_workers=1`` and on threads above."""
 
     name = "threads"
 
@@ -134,7 +116,7 @@ class ThreadExecutor(Executor):
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
                 backend=None, batch=False, collect_trace=False, faults=None,
                 recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
-        from .parallel import execute_graph_parallel
+        from .executor import execute_graph_parallel
 
         report = execute_graph_parallel(
             graph, matrix, n_workers=self.n_workers, rule=rule,
@@ -144,6 +126,15 @@ class ThreadExecutor(Executor):
             resume=resume,
         )
         return ExecutorRun(executor=self.name, report=report)
+
+
+class SequentialExecutor(ThreadExecutor):
+    """The thread executor at one inline worker."""
+
+    name = "sequential"
+
+    def __init__(self):
+        super().__init__(n_workers=1)
 
 
 class ProcessExecutor(Executor):
@@ -211,7 +202,7 @@ class SimExecutor(Executor):
         if batch:
             raise ConfigurationError(
                 "the sim executor predicts a run; kernel batching only "
-                "applies to the sequential and thread executors"
+                "applies to the in-process executors"
             )
         if faults is not None or recovery is not None \
                 or checkpoint is not None or resume:

@@ -1,6 +1,6 @@
 """A flat thread pool for embarrassingly-parallel tile work.
 
-The Cholesky executor (:mod:`repro.runtime.parallel`) needs a
+The Cholesky executor (:mod:`repro.runtime.executor`) needs a
 dependency-driven pool; matrix *assembly* does not — every tile is
 generated and compressed independently.  :func:`parallel_map` covers that
 case with the same hand-rolled thread style as the PR-1 executor: worker

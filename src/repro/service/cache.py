@@ -139,9 +139,11 @@ class FactorRecipe:
 
     The key identifies the factor's numerical content; the recipe adds
     the build-only knobs that change cost but not identity (compression
-    backend, batching, assembly/factorization worker counts) and the
-    original precision *spec* (the key holds only its ε-resolved
-    identity, but the build needs the policy itself).
+    backend, assembly/factorization worker counts, and ``batch`` — which
+    only takes effect where a graph core runs, i.e. with ``n_workers``
+    or a warm-start checkpoint; the default build is the reference
+    loops) and the original precision *spec* (the key holds only its
+    ε-resolved identity, but the build needs the policy itself).
     """
 
     problem: CovarianceProblem

@@ -155,49 +155,30 @@ class TestSaveLoad:
 
 
 class TestKillAndResume:
-    def test_serial_kill_and_resume(
-        self, base_matrix, baseline_factor, tmp_path
+    @pytest.mark.parallel
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_kill_and_resume(
+        self, base_matrix, baseline_factor, tmp_path, n_workers
     ):
         killed = base_matrix.copy()
         with pytest.raises(KeyboardInterrupt):
-            execute_graph(
-                _graph_for(killed), killed,
+            execute_graph_parallel(
+                _graph_for(killed), killed, n_workers=n_workers,
                 faults=_KillAt((TaskKind.POTRF, 5)),
                 checkpoint=tmp_path,
             )
         assert list(tmp_path.glob("ckpt-*.json"))  # progress survived
 
         resumed = base_matrix.copy()
-        rep = execute_graph(
-            _graph_for(resumed), resumed, checkpoint=tmp_path, resume=True
+        rep = execute_graph_parallel(
+            _graph_for(resumed), resumed, n_workers=n_workers,
+            checkpoint=tmp_path, resume=True,
         )
         assert rep.tasks_resumed > 0
         assert rep.tasks_executed > 0
         assert rep.tasks_resumed + rep.tasks_executed == len(
             _graph_for(resumed).tasks
         )
-        assert np.array_equal(
-            resumed.to_dense(lower_only=True), baseline_factor
-        )
-
-    @pytest.mark.parallel
-    def test_parallel_kill_and_resume(
-        self, base_matrix, baseline_factor, tmp_path
-    ):
-        killed = base_matrix.copy()
-        with pytest.raises(KeyboardInterrupt):
-            execute_graph_parallel(
-                _graph_for(killed), killed, n_workers=2,
-                faults=_KillAt((TaskKind.POTRF, 5)),
-                checkpoint=tmp_path,
-            )
-
-        resumed = base_matrix.copy()
-        rep = execute_graph_parallel(
-            _graph_for(resumed), resumed, n_workers=2,
-            checkpoint=tmp_path, resume=True,
-        )
-        assert rep.tasks_resumed > 0
         assert np.array_equal(
             resumed.to_dense(lower_only=True), baseline_factor
         )

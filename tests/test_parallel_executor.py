@@ -1,6 +1,7 @@
-"""Unit tests: the parallel executor computes the sequential factor
-bitwise-identically for any worker count, conserves tasks, and feeds the
-trace/occupancy analysis pipeline."""
+"""Unit tests: the execution core on several worker threads conserves
+tasks, propagates failures, and feeds the trace/occupancy analysis
+pipeline.  (Bitwise identity across worker counts, batch modes and
+scheduler policies is ``tests/test_executor.py``'s differential test.)"""
 
 import json
 import threading
@@ -52,16 +53,6 @@ class TestDeterminism:
             factors[w] = m.to_dense(lower_only=True)
         assert np.array_equal(factors[1], factors[2])
         assert np.array_equal(factors[1], factors[4])
-
-    def test_matches_sequential_executor(self, small_problem, rule8):
-        base = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-        g = _graph_for(base, 2)
-        seq, par = base.copy(), base.copy()
-        execute_graph(g, seq)
-        execute_graph_parallel(g, par, n_workers=4)
-        assert np.array_equal(
-            seq.to_dense(lower_only=True), par.to_dense(lower_only=True)
-        )
 
     def test_matches_reference_loops(self, small_problem, small_dense, rule8):
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
@@ -122,23 +113,6 @@ class TestConservation:
 
 
 class TestGuards:
-    def test_band_mismatch_rejected(self, small_tlr):
-        g = build_cholesky_graph(small_tlr.ntiles, 3, 64, lambda i, j: 8)
-        with pytest.raises(RuntimeSystemError):
-            execute_graph_parallel(g, small_tlr)
-
-    def test_nt_mismatch_rejected(self, small_tlr):
-        g = build_cholesky_graph(4, 1, 64, lambda i, j: 8)
-        with pytest.raises(RuntimeSystemError):
-            execute_graph_parallel(g, small_tlr)
-
-    def test_expanded_graph_rejected(self, small_tlr):
-        g = build_cholesky_graph(
-            small_tlr.ntiles, 1, 64, lambda i, j: 8, recursive_split=2
-        )
-        with pytest.raises(RuntimeSystemError, match="expanded"):
-            execute_graph_parallel(g, small_tlr)
-
     def test_bad_scheduler_rejected(self, small_tlr):
         g = _graph_for(small_tlr, 1)
         with pytest.raises(SchedulingError):
