@@ -282,6 +282,7 @@ def _run_tune_sweep(args: argparse.Namespace) -> int:
         rows,
         title=f"simulated sweep over {len(result.candidates)} candidates "
               f"({result.rates_mode} rates, "
+              f"{cal.task_overhead_s * 1e6:.0f} us/task overhead, "
               f"calibrated from {len(runs)} run(s))",
     ))
     w = result.winner.candidate
@@ -399,7 +400,7 @@ def _run_execute(args: argparse.Namespace) -> int:
     from repro.core import tlr_cholesky
     from repro.obs import gantt, write_chrome_trace
     from repro.matrix import BandTLRMatrix
-    from repro.runtime import build_cholesky_graph, get_executor
+    from repro.runtime import get_executor, graph_for_matrix
 
     problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
     rule = TruncationRule(eps=args.accuracy)
@@ -415,14 +416,7 @@ def _run_execute(args: argparse.Namespace) -> int:
         from repro.linalg import apply_precision
 
         apply_precision(matrix, matrix.precision)
-    grid = matrix.rank_grid()
-
-    def rank_fn(i: int, j: int) -> int:
-        return int(max(grid[i, j], 1))
-
-    graph = build_cholesky_graph(
-        matrix.ntiles, args.band, args.tile, rank_fn
-    )
+    graph = graph_for_matrix(matrix)
 
     if args.executor == "sim":
         return _execute_sim(args, graph)

@@ -1,11 +1,25 @@
 """Sequential reference BAND-DENSE-TLR Cholesky factorization.
 
-The right-looking tile algorithm of Fig. 4, executed as straight loops —
-the numerical ground truth the runtime's execution core and the
-simulator's DAG are validated against.  One code path covers all the
-paper's layouts through the matrix's per-tile formats: pure TLR (band 1),
-BAND-DENSE-TLR (band B), fully dense (band NT), and the tile-based
-densification of :mod:`repro.core.densify`.
+The tile algorithm of Fig. 4, executed as straight loops — the numerical
+ground truth the runtime's execution core is validated against.  One code
+path covers all the paper's layouts through the matrix's per-tile
+formats: pure TLR (band 1), BAND-DENSE-TLR (band B), fully dense
+(band NT), and the tile-based densification of :mod:`repro.core.densify`.
+
+Where this departs from the paper: HCORE_DGEMM rounds a low-rank tile
+once per (tile, panel) pair — O(NT³) roundings for O(NT²) tiles, 68-83 %
+of a factorization here.  Low-rank tiles are instead updated
+**left-looking and fused** (H2OPUS-TLR's accumulate-then-round,
+PAPERS.md 2108.11932): just before its TRSM a tile takes every panel
+product at once and the sum is rounded once.  Dense tiles keep the
+right-looking order, and their bits.  The factor is therefore not the
+right-looking factor bit for bit; what holds instead
+(``tests/test_fused_update.py``): it is deterministic and bitwise
+identical across these loops, every worker and rank count and a resumed
+run; its backward error stays within 10·ε of the dense oracle and within
+1.5x of the per-update factor's (the right-looking graph,
+``build_cholesky_graph``'s default, executed through the same kernel);
+and no final rank exceeds the per-update one by more than max(2, 5 %).
 
 Beyond the paper's static layouts, ``adaptive_threshold`` implements the
 *online* densification Section V-B sketches as future work ("an adaptive
@@ -112,10 +126,15 @@ def tlr_cholesky(
         SPD matrix in BAND-DENSE-TLR storage; overwritten by ``L``.
     rule:
         Truncation rule for the low-rank updates; defaults to the
-        matrix's compression rule.
+        matrix's compression rule.  Each low-rank tile is rounded under
+        it once, after all of its panel updates were accumulated (module
+        docstring).
     backend:
-        Compression backend for the GEMM recompressions (instance,
-        registry name, or ``None`` to use the matrix's backend).
+        Compression backend for those roundings (instance, registry
+        name, or ``None`` to use the matrix's backend): the shared
+        QR-QR-SVD while the accumulated width is below half a tile, the
+        backend's own ``compress`` of the dense sum beyond it, seeded by
+        the tile's coordinates.
     batch:
         Where a graph core runs (``n_workers``, ``executor`` or a
         resilience option), a worker that claims a ready task also
@@ -145,9 +164,10 @@ def tlr_cholesky(
         When set, the factorization runs through the dependency-driven
         execution core (:mod:`repro.runtime.executor`) on that many
         workers (one worker runs inline, more run on threads) instead of
-        the sequential loops — the DAG is built from the matrix's
-        measured ranks and the factor is bitwise identical for any
-        worker count.  Incompatible with
+        the sequential loops — the fused DAG
+        (:func:`~repro.runtime.graph.graph_for_matrix`) is built from the
+        matrix's measured ranks and the factor is bitwise identical to
+        the loops' for any worker count.  Incompatible with
         ``adaptive_threshold`` (online densification rewrites the graph
         mid-flight).
     executor:
@@ -272,7 +292,14 @@ def _tlr_cholesky_sequential(
     adaptive_threshold: float | None,
     backend,
 ) -> FactorizationReport:
-    """The right-looking loops of Fig. 4 (body of :func:`tlr_cholesky`)."""
+    """The reference loops (body of :func:`tlr_cholesky`).
+
+    Dense destinations are updated right-looking, panel by panel, as in
+    Fig. 4; a low-rank destination ``(m, n)`` is skipped by the trailing
+    updates and takes every panel product ``j < n`` in one fused GEMM
+    just before its TRSM.  The panel tiles it reads are final by then,
+    so nothing is held pending.
+    """
     nt = matrix.ntiles
     report = FactorizationReport()
 
@@ -282,18 +309,41 @@ def _tlr_cholesky_sequential(
             matrix.set_tile(i, j, DenseTile(tile.to_dense()))
             report.tiles_densified_online += 1
 
-    def maybe_densify_grown(i: int, j: int, rank_after: int) -> None:
-        if adaptive_threshold is None:
+    def update(m: int, n: int, panels) -> None:
+        """``(m, n) -= Σ_{j in panels} (m, j) (n, j)ᵀ``."""
+        a = [matrix.tile(m, j) for j in panels]
+        b = [matrix.tile(n, j) for j in panels]
+        if adaptive_threshold is not None and any(
+            isinstance(aj, DenseTile) and isinstance(bj, DenseTile)
+            for aj, bj in zip(a, b)
+        ):
+            # Closure rule: a full-rank update needs a dense C.
+            densify(m, n)
+        c = matrix.tile(m, n)
+        if isinstance(c, DenseTile):
+            for aj, bj in zip(a, b):
+                hcore.gemm_auto(aj, bj, c, rule, counter=report.counter)
             return
-        b = min(matrix.desc.tile_shape(i, j))
-        if rank_after > adaptive_threshold * b:
-            densify(i, j)
+        out, _, recomp = hcore.gemm_auto(
+            a, b, c, rule,
+            counter=report.counter, backend=backend, tile_index=(m, n),
+        )
+        if recomp.grew:
+            report.rank_growth_events += 1
+        report.max_rank_seen = max(report.max_rank_seen, recomp.rank_after)
+        matrix.set_tile(m, n, out)
+        if adaptive_threshold is not None:
+            b_min = min(matrix.desc.tile_shape(m, n))
+            if recomp.rank_after > adaptive_threshold * b_min:
+                densify(m, n)
 
     for k in range(nt):
         hcore.potrf_dense(
             matrix.tile(k, k), counter=report.counter, tile_index=(k, k)
         )
         for m in range(k + 1, nt):
+            if k > 0 and isinstance(matrix.tile(m, k), LowRankTile):
+                update(m, k, range(k))
             out = hcore.trsm_auto(
                 matrix.tile(k, k), matrix.tile(m, k), counter=report.counter
             )
@@ -303,30 +353,8 @@ def _tlr_cholesky_sequential(
                 matrix.tile(n, k), matrix.tile(n, n), counter=report.counter
             )
             for m in range(n + 1, nt):
-                if (
-                    adaptive_threshold is not None
-                    and isinstance(matrix.tile(m, k), DenseTile)
-                    and isinstance(matrix.tile(n, k), DenseTile)
-                ):
-                    # Closure rule: a full-rank update needs a dense C.
-                    densify(m, n)
-                out, _, recomp = hcore.gemm_auto(
-                    matrix.tile(m, k),
-                    matrix.tile(n, k),
-                    matrix.tile(m, n),
-                    rule,
-                    counter=report.counter,
-                    backend=backend,
-                )
-                if recomp is not None:
-                    if recomp.grew:
-                        report.rank_growth_events += 1
-                    report.max_rank_seen = max(
-                        report.max_rank_seen, recomp.rank_after
-                    )
-                matrix.set_tile(m, n, out)
-                if recomp is not None:
-                    maybe_densify_grown(m, n, recomp.rank_after)
+                if isinstance(matrix.tile(m, n), DenseTile):
+                    update(m, n, (k,))
     return report
 
 
@@ -346,15 +374,15 @@ def _tlr_cholesky_graph(
 ) -> FactorizationReport:
     """Run the factorization through a graph executor.
 
-    Builds the Cholesky DAG from the matrix's measured rank grid (the
-    same graph the simulator replays) and executes it on the selected
+    Builds the fused Cholesky DAG (one GEMM task per low-rank tile) from
+    the matrix's measured rank grid and executes it on the selected
     :class:`~repro.runtime.protocol.Executor` backend — ``n_workers``
     workers of the in-process core, ``executor=``'s choice, or the core
     at one inline worker when neither is given but resilience features
     are requested; the report surface matches the sequential path's.
     """
     # Local import: repro.runtime must stay importable without repro.core.
-    from ..runtime.graph import build_cholesky_graph
+    from ..runtime.graph import graph_for_matrix
     from ..runtime.protocol import ThreadExecutor, get_executor
 
     if executor is None:
@@ -380,18 +408,10 @@ def _tlr_cholesky_graph(
             "--executor sim`) directly for predictions"
         )
 
-    grid = matrix.rank_grid()
-
-    def rank_fn(i: int, j: int) -> int:
-        return int(max(grid[i, j], 1))
-
-    graph = build_cholesky_graph(
-        matrix.ntiles, matrix.band_size, matrix.desc.tile_size, rank_fn
-    )
     run = ex.execute(
-        graph, matrix, rule=rule, backend=backend, batch=batch,
-        faults=faults, recovery=recovery, checkpoint=checkpoint,
-        resume=resume,
+        graph_for_matrix(matrix), matrix,
+        rule=rule, backend=backend, batch=batch, faults=faults,
+        recovery=recovery, checkpoint=checkpoint, resume=resume,
     )
     return FactorizationReport(
         counter=run.counter,

@@ -16,11 +16,10 @@ touching the tile algorithms:
   whose rank approaches the tile size fall back to the exact SVD (the
   randomized scheme has no advantage there);
 * :class:`AutoBackend` (``"auto"``) — per-tile dispatch between the two:
-  BENCH_compression.json places the svd/rsvd crossover at b ≈ 200
-  (below it the randomized path *loses*, 0.66–0.86x, because per-tile
-  dispatch overhead dominates), so ``auto`` routes tiles with
-  ``min(m, n)`` below the crossover to the exact SVD and larger tiles to
-  ARA.  This is the library default.
+  tiles with ``min(m, n)`` below a crossover (200) take the exact SVD,
+  larger tiles ARA (measurements in :class:`AutoBackend`).  The CLI and
+  the solver service default to it; the library default
+  (``get_backend(None)``) is ``"svd"``.
 
 The ε certificate is two-stage.  The Frobenius residual
 ``||A - QQᵀA||_F² = ||A||_F² - ||B||_F²`` is tracked exactly and accepts
@@ -33,17 +32,18 @@ with a few power-iterated Gaussian probes and compared to ε directly.
 The estimate is probabilistic (like all of ARA); the certified factors
 carry an error of order ε rather than a hard ε guarantee.
 
-Recompression (QR-QR-SVD rounding) is rank-deterministic and shared by
-all backends; what the backend adds there is a reusable workspace: the
-``(m, r)`` / ``(n, r)`` stacked factors of every low-rank GEMM are served
-from a :class:`~repro.runtime.memory_pool.MemoryPool` instead of fresh
-``hstack`` allocations — the Section VII-B memory designation applied to
-the kernel transients, not just the tile storage.  The rounding itself
-calls LAPACK directly (``geqrf``/``orgqr``/``gesdd``) rather than the
-``scipy.linalg`` wrappers: at TLR stack sizes (b ≈ 100, r ≈ 2k) wrapper
-overhead is a measurable fraction of the call, and the direct path is
-dtype-generic — float32 stacks run the single-precision drivers, which
-is where the adaptive-precision compute path gets its speedup.
+Recompression rounds ``C - Σ_j A_j B_jᵀ`` once per low-rank tile
+(:meth:`CompressionBackend.recompress_update`): as stacked factors —
+QR-QR-SVD, rank-deterministic and shared by all backends — while the
+accumulated width stays below half the tile, else as the dense sum handed
+to the backend's own :meth:`~CompressionBackend.compress`.  The stacks
+live in a reusable workspace instead of fresh ``hstack`` allocations —
+the Section VII-B memory designation applied to the kernel transients,
+not just the tile storage.  The stacked rounding calls LAPACK directly
+(``geqrf``/``orgqr``/``gesdd``) rather than the ``scipy.linalg``
+wrappers: at TLR stack sizes (b ≈ 100, r ≈ 2k) wrapper overhead is a
+measurable fraction of the call, and the direct path is dtype-generic —
+float32 stacks run the single-precision drivers.
 
 Determinism: a :class:`RandomizedSVDBackend` seeded per tile (see
 :func:`tile_seed`) produces bit-identical factors for a given input, so
@@ -229,73 +229,55 @@ def _qr_svd_recompress(
     return RecompressionResult(tile, rank_before=r, rank_after=k, grew=k > prev)
 
 
-def _qr_svd_recompress_reference(
-    u_stack: np.ndarray,
-    v_stack: np.ndarray,
-    rule: TruncationRule,
-    previous_rank: int | None,
-    *,
-    overwrite: bool = False,
-) -> RecompressionResult:
-    """The pre-batching ``scipy.linalg`` wrapper rounding, kept for A/B.
-
-    Numerically this reduces to the same LAPACK drivers as
-    :func:`_qr_svd_recompress` (bitwise-identical float64 results — a
-    test asserts it); the direct-call version replaced it because the
-    wrapper overhead (validation, workspace queries, copies) dominates
-    at small tile sizes.  The ablation bench times this path as its
-    baseline arm, and :attr:`CompressionBackend.reference_recompress`
-    routes a backend through it.
-    """
-    r = u_stack.shape[1]
-    m, n = u_stack.shape[0], v_stack.shape[0]
-    if r == 0:
-        tile = LowRankTile.zero(m, n)
-        return RecompressionResult(tile, 0, 0, grew=False)
-    qu, ru = sla.qr(
-        u_stack, mode="economic", check_finite=False, overwrite_a=overwrite
-    )
-    qv, rv = sla.qr(
-        v_stack, mode="economic", check_finite=False, overwrite_a=overwrite
-    )
-    core = ru @ rv.T
-    try:
-        uc, s, vct = sla.svd(
-            core, full_matrices=False, lapack_driver="gesdd", check_finite=False
-        )
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise CompressionError(f"SVD failed during recompression: {exc}") from exc
-    k = truncation_rank(s, rule)
-    if k == 0:
-        tile = LowRankTile.zero(m, n)
-    else:
-        root = np.sqrt(s[:k])
-        tile = LowRankTile((qu @ uc[:, :k]) * root, (qv @ vct[:k].T) * root)
-    prev = r if previous_rank is None else previous_rank
-    return RecompressionResult(tile, rank_before=r, rank_after=k, grew=k > prev)
-
-
 class _StackWorkspace:
-    """Pool-backed buffers for the recompression stacks.
+    """Grow-only scratch buffers for the recompression stacks.
 
-    The pool import is deferred to first use: ``repro.runtime`` imports
-    :mod:`repro.linalg` at package load, so a module-level import here
-    would be circular.
+    One flat buffer serves both stacks of a rounding, viewed at the
+    width that rounding needs.  An idle buffer is reused when it is
+    large enough and replaced by a larger one when it is not, so the
+    workspace holds one buffer per dtype and *concurrently rounding*
+    thread, each no larger than the largest request it has served
+    (free lists keyed by size would pin a buffer per distinct stack
+    width: 150 classes and 90 MB after one N=3200/ε=1e-8 factorization).
+
+    The pool-stats import is deferred to first use: ``repro.runtime``
+    imports :mod:`repro.linalg` at package load, so a module-level
+    import here would be circular.
     """
 
     def __init__(self) -> None:
-        from ..runtime.memory_pool import MemoryPool
+        from ..runtime.memory_pool import PoolStats
 
-        self.pool = MemoryPool()
+        self.stats = PoolStats()
+        self._idle: dict[str, list[np.ndarray]] = {}
         self._lock = threading.Lock()
 
-    def allocate(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def acquire(self, nelem: int, dtype: np.dtype) -> np.ndarray:
+        """A flat buffer of at least ``nelem`` elements (not zeroed)."""
+        stats = self.stats
         with self._lock:
-            return self.pool.allocate(shape, dtype=dtype)
+            idle = self._idle.get(dtype.char)
+            buf = idle.pop() if idle else None
+            if buf is not None and buf.size >= nelem:
+                stats.reuses += 1
+            else:
+                buf = np.empty(nelem, dtype=dtype)
+                stats.allocations += 1
+            stats.outstanding_bytes += buf.nbytes
+            stats.peak_bytes = max(stats.peak_bytes, stats.outstanding_bytes)
+        return buf
 
     def release(self, buf: np.ndarray) -> None:
         with self._lock:
-            self.pool.release(buf)
+            self._idle.setdefault(buf.dtype.char, []).append(buf)
+            self.stats.releases += 1
+            self.stats.outstanding_bytes -= buf.nbytes
+
+    @property
+    def idle_bytes(self) -> int:
+        """Bytes parked in idle buffers."""
+        with self._lock:
+            return sum(b.nbytes for bufs in self._idle.values() for b in bufs)
 
 
 # ----------------------------------------------------------------------
@@ -305,18 +287,13 @@ class CompressionBackend:
     """Interface every compression engine implements.
 
     Subclasses provide :meth:`compress`; recompression is the shared
-    QR-QR-SVD rounding with a pooled stack workspace.
+    QR-QR-SVD rounding with a reusable stack workspace.
     """
 
     #: Registry name (``"svd"``, ``"rsvd"``).
     name: str = "base"
     #: Base entropy for per-tile seeding (ignored by deterministic backends).
     seed: int = 0
-    #: Route recompressions through the scipy-wrapper reference rounding
-    #: (:func:`_qr_svd_recompress_reference`) instead of the direct
-    #: LAPACK calls — same float64 numerics, pre-batching dispatch cost.
-    #: For A/B benchmarks and cross-validation tests only.
-    reference_recompress: bool = False
 
     def __init__(self) -> None:
         self._workspace: _StackWorkspace | None = None
@@ -349,13 +326,8 @@ class CompressionBackend:
                 f"stacked factor rank mismatch: U has {u_stack.shape[1]}, "
                 f"V has {v_stack.shape[1]}"
             )
-        rounding = (
-            _qr_svd_recompress_reference
-            if self.reference_recompress
-            else _qr_svd_recompress
-        )
         with obs.span("recompress", "recompress", backend=self.name):
-            result = rounding(u_stack, v_stack, rule, previous_rank)
+            result = _qr_svd_recompress(u_stack, v_stack, rule, previous_rank)
         obs.histogram_observe(
             "tile_rank", result.rank_after, stage="recompress_post"
         )
@@ -367,21 +339,29 @@ class CompressionBackend:
         u_upd: np.ndarray,
         v_upd: np.ndarray,
         rule: TruncationRule,
+        *,
+        seed=None,
     ) -> RecompressionResult:
-        """Round ``C - u_upd @ v_upd.T`` without allocating fresh stacks.
+        """Round ``C - u_upd @ v_upd.T`` once, in the smaller representation.
 
-        Stage 1 of the low-rank GEMM: the destination factors and the
-        (negated) update factors are packed into pooled workspace buffers;
-        stage 2 rounds them in place and releases the buffers.  This is
-        the hot path of the TLR GEMM — the workspace turns its two large
-        transient allocations per call into pool reuses.
+        ``u_upd``/``v_upd`` hold every pending update of the tile side by
+        side (one panel product or all of them — the kernel does not
+        care), so the accumulated width is ``W = c.rank + u_upd.shape[1]``.
+        The sum is rounded in whichever form has fewer elements:
+
+        * ``W < min(m, n) / 2`` — the stacked factors, ``(m + n)·W``
+          elements, packed into the reusable workspace: QR-QR-SVD in
+          place on it;
+        * otherwise — the dense ``m x n`` sum, handed to the backend's own
+          :meth:`compress` (exact SVD or ARA; ``seed`` pins the latter,
+          callers pass :func:`tile_seed` of the destination).
 
         The rounding runs in the *destination tile's* storage dtype: an
-        fp32 tile is updated and re-rounded entirely in single precision
-        (the update factors are cast on pack), an fp64 tile entirely in
-        double.  The certified ε of an fp32 tile sits above fp32 roundoff
-        by policy (:mod:`repro.linalg.precision`), so the lower-precision
-        rounding stays within the tile's error budget.
+        fp32 tile is packed or summed, and returned, in single precision
+        (the update factors are cast), an fp64 tile in double.  The
+        certified ε of an fp32 tile sits above fp32 roundoff by policy
+        (:mod:`repro.linalg.precision`), so the lower-precision rounding
+        stays within the tile's error budget.
         """
         kc, ku = c.rank, u_upd.shape[1]
         r = kc + ku
@@ -391,31 +371,42 @@ class CompressionBackend:
             return RecompressionResult(
                 LowRankTile.zero(m, n, dtype=dtype), 0, 0, grew=False
             )
-        if self._workspace is None:
-            self._workspace = _StackWorkspace()
-        ws = self._workspace
-        # Allocated transposed and viewed through ``.T`` so the stacks are
-        # F-contiguous: the in-place geqrf/orgqr calls then factor the
-        # workspace directly instead of f2py copying a C-order stack.
-        us_buf = ws.allocate((r, m), dtype=dtype)
-        vs_buf = ws.allocate((r, n), dtype=dtype)
-        us = us_buf.T
-        vs = vs_buf.T
-        try:
-            us[:, :kc] = c.u
-            us[:, kc:] = u_upd
-            vs[:, :kc] = c.v
-            np.multiply(v_upd, -1.0, out=vs[:, kc:])
-            rounding = (
-                _qr_svd_recompress_reference
-                if self.reference_recompress
-                else _qr_svd_recompress
+        if 2 * r >= min(m, n):
+            # Wide: the dense sum is the smaller representation, formed
+            # directly (no workspace — it would be at least as large).
+            dense = c.u @ c.v.T
+            dense -= (
+                u_upd.astype(dtype, copy=False)
+                @ v_upd.astype(dtype, copy=False).T
             )
-            with obs.span("recompress", "recompress", backend=self.name):
-                result = rounding(us, vs, rule, c.rank, overwrite=True)
-        finally:
-            ws.release(us_buf)
-            ws.release(vs_buf)
+            tile = self.compress(dense, rule, seed=seed)
+            if tile.dtype != dtype:
+                tile = tile.astype(dtype)
+            result = RecompressionResult(
+                tile, rank_before=r, rank_after=tile.rank,
+                grew=tile.rank > kc,
+            )
+        else:
+            if self._workspace is None:
+                self._workspace = _StackWorkspace()
+            ws = self._workspace
+            buf = ws.acquire((m + n) * r, dtype)
+            # Viewed transposed so the stacks are F-contiguous: the
+            # in-place geqrf/orgqr calls then factor the workspace
+            # directly instead of f2py copying a C-order stack.
+            us = buf[: m * r].reshape(r, m).T
+            vs = buf[m * r : (m + n) * r].reshape(r, n).T
+            try:
+                us[:, :kc] = c.u
+                us[:, kc:] = u_upd
+                vs[:, :kc] = c.v
+                np.multiply(v_upd, -1.0, out=vs[:, kc:])
+                with obs.span("recompress", "recompress", backend=self.name):
+                    result = _qr_svd_recompress(
+                        us, vs, rule, kc, overwrite=True
+                    )
+            finally:
+                ws.release(buf)
         if obs.enabled():
             obs.histogram_observe("tile_rank", kc, stage="recompress_pre")
             obs.histogram_observe(
@@ -425,8 +416,15 @@ class CompressionBackend:
 
     @property
     def workspace_pool_stats(self):
-        """Stats of the stack workspace pool (``None`` before first use)."""
-        return None if self._workspace is None else self._workspace.pool.stats
+        """Reuse/allocation counters of the stack workspace (a
+        :class:`~repro.runtime.memory_pool.PoolStats`; ``None`` before
+        first use)."""
+        return None if self._workspace is None else self._workspace.stats
+
+    @property
+    def workspace_idle_bytes(self) -> int:
+        """Bytes the stack workspace holds while no rounding is running."""
+        return 0 if self._workspace is None else self._workspace.idle_bytes
 
 
 class SVDBackend(CompressionBackend):
@@ -645,21 +643,35 @@ class RandomizedSVDBackend(CompressionBackend):
 
 
 class AutoBackend(CompressionBackend):
-    """Per-tile svd/rsvd dispatch around the measured crossover.
+    """Per-tile svd/rsvd dispatch around a tile-size crossover.
 
-    BENCH_compression.json (PR 5) measured the randomized path *losing*
-    to the exact SVD below b ≈ 200 (speedup 0.66–0.86x) and winning ≥2x
-    above it at ε = 1e-4: below the crossover the blocked range finder's
-    extra passes and Python dispatch cost more than the ``gesdd`` they
-    save.  ``auto`` applies that measurement per tile: blocks whose
-    ``min(m, n)`` is under :attr:`crossover` take the exact SVD, larger
-    blocks the adaptive randomized path.  Very tight tolerances
-    (ε ≤ :attr:`exact_eps`) also pin the exact path — ranks approach the
-    tile size there and ARA would fall back anyway, after paying for the
-    sampling.
+    Below a tile size the blocked range finder's extra passes and Python
+    dispatch cost more than the ``gesdd`` they save.  With BLAS pinned to
+    one thread (NT = 12 st-3D-exp, a 2-core host, all off-band tiles)
+    ``rsvd`` over ``svd`` measures, by tile size b:
 
-    Recompression is the shared QR-QR-SVD rounding (rank-deterministic,
-    backend-independent), so ``auto`` only changes initial compression.
+    ========  =====  =====  =====  =====  =====
+    ε         100    150    200    250    400
+    ========  =====  =====  =====  =====  =====
+    1e-4      0.88x  1.17x  1.62x  1.75x  2.68x
+    1e-6      0.72x  0.87x  1.02x  1.23x  1.56x
+    1e-8      0.67x  0.76x  0.78x  0.85x  1.02x
+    ========  =====  =====  =====  =====  =====
+
+    ``auto`` applies a single threshold to that surface: blocks whose
+    ``min(m, n)`` is under :attr:`crossover` (200) take the exact SVD,
+    larger blocks the adaptive randomized path — a win at loose ε, a
+    wash at ε = 1e-6 and a loss at ε = 1e-8 until b ≈ 400.  Very tight
+    tolerances (ε ≤ :attr:`exact_eps`) pin the exact path outright:
+    ranks approach the tile size there and ARA would fall back anyway,
+    after paying for the sampling.
+
+    The stacked QR-QR-SVD rounding is backend-independent, so below half
+    a tile's width ``auto`` only changes initial compression; a wide
+    accumulated update is rounded through :meth:`compress` and follows
+    the same dispatch (:meth:`CompressionBackend.recompress_update`).
+    The CLI and :class:`~repro.service.cache.FactorRecipe` default to
+    ``"auto"``; the library default (``get_backend(None)``) is ``"svd"``.
     """
 
     name = "auto"

@@ -29,9 +29,9 @@ schedulers, batch modes and resumed runs.
 
 What it buys: nothing on a pinned CPU.  With BLAS at one thread
 (N=3200/b=200/eps=1e-4/band 2, best of 5) the reference loops take
-1186 ms, the core at one worker 1245 ms plain and 1246 ms batched, at
-two workers 922 ms either way; at N=1600 batched is 0.6% slower than
-plain at b=100 and 3% slower at b=50.  The marshaling gain belongs to
+546 ms, the core at one worker 572 ms plain and 576 ms batched, at
+two workers 584 and 577 ms; at N=1600 batched is 3% faster than
+plain at b=100 and 6% slower at b=50.  The marshaling gain belongs to
 devices with a per-launch cost that NumPy-over-BLAS on a CPU does not
 have.
 
@@ -47,9 +47,10 @@ SYRK (lr A)      A shape + rank + dtype
 GEMM (all-dense) A/B shapes
 GEMM (lr,lr→d)   A/B shapes + ranks + dtypes
 GEMM (lr,d→d)    shapes + lr side + rank + dtype
-GEMM (→ lr C)    never batched — recompression is inherently per-tile
-                 (each destination rounds at its own stacked rank), and
-                 it is already served by the pooled direct-LAPACK path
+GEMM (→ lr C)    never batched — a fused low-rank-destination GEMM is
+                 one task per tile that already carries every panel
+                 product and rounds once at its own accumulated width:
+                 there is nothing left to stack
 ===============  =====================================================
 
 Flop accounting: a batched group reports the summed Table-I flops of its
@@ -96,8 +97,10 @@ class BatchItem:
     ``ref`` is opaque to this module (the executors pass task ids);
     ``op`` is ``"potrf" | "trsm" | "syrk" | "gemm"``; ``tiles`` are the
     operand tiles in kernel order with the destination last —
-    ``(c,)``, ``(l, c)``, ``(a, c)``, ``(a, b, c)`` respectively.
-    ``index`` carries the destination tile coordinates for diagnostics.
+    ``(c,)``, ``(l, c)``, ``(a, c)``, ``(a, b, c)`` respectively (``a``
+    and ``b`` are lists of tiles for a fused multi-panel GEMM, whose
+    destination is low-rank).  ``index`` carries the destination tile
+    coordinates: diagnostics, and the seed of a randomized rounding.
     """
 
     ref: object
@@ -177,8 +180,11 @@ class BatchPlanner:
             return ("syrk_lr", a.shape, a.rank, a.dtype.char)
         if op == "gemm":
             a, b, c = tiles
-            if isinstance(c, LowRankTile):
-                return None  # per-tile recompression
+            if isinstance(c, LowRankTile) or isinstance(a, list):
+                # One rounding per destination (or, for a densified
+                # destination, a multi-panel update whose order is its
+                # bits): nothing to stack.
+                return None
             a_lr, b_lr = isinstance(a, LowRankTile), isinstance(b, LowRankTile)
             if not a_lr and not b_lr:
                 if a.data.nbytes + b.data.nbytes > cap:
@@ -345,8 +351,15 @@ def _run_single(
     if op == "syrk":
         hcore.syrk_auto(tiles[0], tiles[1], counter=counter)
         return BatchResult(item.ref, None, None)
+    a, b, c = tiles
+    if isinstance(a, list) and not isinstance(c, LowRankTile):
+        raise KernelError(
+            "a fused multi-panel GEMM needs a low-rank destination; dense "
+            "destinations take one operand pair per item"
+        )
     out, _, recomp = hcore.gemm_auto(
-        tiles[0], tiles[1], tiles[2], rule, counter=counter, backend=backend
+        a, b, c, rule,
+        counter=counter, backend=backend, tile_index=item.index,
     )
     return BatchResult(item.ref, out, recomp)
 

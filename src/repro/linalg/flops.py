@@ -54,6 +54,7 @@ __all__ = [
     "flops_gemm_lr",
     "flops_gemm_lr_general",
     "flops_gemm_lr_dense_general",
+    "flops_gemm_lr_fused",
     "kernel_flops",
     "FlopCounter",
     "dense_cholesky_flops",
@@ -190,6 +191,36 @@ def flops_gemm_lr_dense_general(b: int, kc: int, ka: int) -> float:
     """
     r = kc + ka
     return 2.0 * b * b * ka + 9.0 * b * r * r + (157.0 / 8.0) * r**3
+
+
+def flops_gemm_lr_fused(b: int, kc: int, pairs) -> float:
+    """Cost of the fused update ``C - Σ_j A_j B_jᵀ`` of a low-rank tile.
+
+    ``pairs`` holds one ``(ka, kb)`` per panel, ``kb=None`` for a dense
+    B operand.  Every product is formed at the thinner of its operand
+    ranks (the formation terms of the two single-update models above),
+    and the sum is rounded **once** at the accumulated width
+    ``w = kc + Σ_j min(ka_j, kb_j)``: as stacked factors (QR-QR-SVD,
+    ``9bw² + 157/8·w³``) while ``w < b/2``, else as the dense ``b x b``
+    sum (``2b²w`` to form it, ``22b³`` for its SVD) — the width rule of
+    :meth:`CompressionBackend.recompress_update
+    <repro.linalg.backends.CompressionBackend.recompress_update>`.
+    With one pair below the width rule this is exactly
+    :func:`flops_gemm_lr_general` / :func:`flops_gemm_lr_dense_general`.
+    """
+    formation = 0.0
+    w = kc
+    for ka, kb in pairs:
+        if kb is None:
+            formation += 2.0 * b * b * ka
+            w += ka
+        else:
+            k_upd = min(ka, kb)
+            formation += 2.0 * b * ka * kb + 2.0 * b * ka * k_upd
+            w += k_upd
+    if 2 * w < b:
+        return formation + 9.0 * b * w * w + (157.0 / 8.0) * w**3
+    return formation + 2.0 * b * b * w + 22.0 * b**3
 
 
 def kernel_flops(kind: KernelClass, b: int, k: int = 0, k2: int = 0) -> float:

@@ -10,10 +10,13 @@ schedules.  Conventions (matching HiCMA / LAPACK lower Cholesky):
 * low-rank tiles are ``U @ V.T`` (see :mod:`repro.linalg.tiles`).
 
 Dense-output kernels mutate their destination tile in place and return it;
-low-rank-output kernels return a *new* :class:`LowRankTile` together with a
-:class:`~repro.linalg.compression.RecompressionResult` because the paper's
-dynamic memory designation reallocates the tile exactly at the
-recompression boundary (Section VII-B).
+the low-rank-output kernel returns a *new* :class:`LowRankTile` together
+with a :class:`~repro.linalg.compression.RecompressionResult` because the
+paper's dynamic memory designation reallocates the tile exactly at the
+recompression boundary (Section VII-B).  One kernel, :func:`gemm_lr`,
+covers regions (5) and (6): it takes one operand pair (the paper's
+HCORE_DGEMM, a rounding per update) or every pair of a tile at once (the
+fused left-looking update, one rounding per tile).
 
 Every kernel can record its Table I modelled cost into a
 :class:`~repro.linalg.flops.FlopCounter`.
@@ -33,7 +36,7 @@ import scipy.linalg as sla
 
 from ..obs import kernel_observed
 from ..utils.exceptions import KernelError, NotPositiveDefiniteError
-from .backends import get_backend
+from .backends import get_backend, tile_seed
 from .compression import RecompressionResult, TruncationRule
 from .flops import (
     FlopCounter,
@@ -41,8 +44,7 @@ from .flops import (
     flops_gemm_dense,
     flops_gemm_dense_lrd,
     flops_gemm_dense_lrlr,
-    flops_gemm_lr_dense_general,
-    flops_gemm_lr_general,
+    flops_gemm_lr_fused,
     flops_potrf_dense,
     flops_syrk_dense,
     flops_syrk_lr,
@@ -60,7 +62,6 @@ __all__ = [
     "gemm_dense",
     "gemm_dense_lrd",
     "gemm_dense_lrlr",
-    "gemm_lr_dense",
     "gemm_lr",
     "gemm_auto",
     "syrk_auto",
@@ -237,67 +238,86 @@ def gemm_dense_lrlr(
 
 
 # ----------------------------------------------------------------------
-# GEMMs writing into a low-rank C (regions 5 and 6) — two-stage with
-# recompression at the memory-designation boundary
+# GEMM writing into a low-rank C (regions 5 and 6) — formation, then one
+# rounding at the memory-designation boundary
 # ----------------------------------------------------------------------
-def gemm_lr_dense(
-    a: LowRankTile,
-    b: DenseTile,
-    c: LowRankTile,
-    rule: TruncationRule,
-    *,
-    counter: FlopCounter | None = None,
-    backend=None,
-) -> tuple[LowRankTile, RecompressionResult]:
-    """(5)-GEMM (new) — low-rank C, low-rank A, dense B.
+def _lr_product(a: Tile, b: Tile):
+    """Factors ``(u, v)`` with ``A @ B.T == u @ v.T``, and the pair's
+    operand ranks ``(k_a, k_b)`` (``k_b`` is ``None`` for a dense
+    operand on either side).
 
-    ``A B^T = U_A (B V_A)^T`` is a rank-``k_A`` update; it is stacked onto
-    C (stage 1, inside the backend's pooled workspace) and recompressed
-    (stage 2).  The returned :class:`RecompressionResult` carries the
-    rank-growth flag that drives the dynamic memory pool.
+    The product is formed at the thinner of the two operand ranks:
+    ``U_A (B V_A)ᵀ`` against a dense B, ``(A V_B) U_Bᵀ`` against a dense A
+    (the upper-triangular mirror, which a banded Cholesky never issues),
+    and for two low-rank operands ``U_A (U_B (V_Bᵀ V_A))ᵀ`` when
+    ``k_A < k_B``, else ``(U_A (V_Aᵀ V_B)) U_Bᵀ``.
     """
-    k = a.rank
-    u_upd = a.u
-    v_upd = b.data @ a.v if k > 0 else np.zeros((b.shape[0], 0))
-    res = get_backend(backend).recompress_update(c, u_upd, v_upd, rule)
-    _count(
-        counter,
-        KernelClass.GEMM_LR_DENSE,
-        flops_gemm_lr_dense_general(c.shape[0], c.rank, max(k, 1)),
+    a_lr, b_lr = isinstance(a, LowRankTile), isinstance(b, LowRankTile)
+    if a_lr and b_lr:
+        if a.rank < b.rank:
+            return a.u, b.u @ (b.v.T @ a.v), (a.rank, b.rank)
+        return a.u @ (a.v.T @ b.v), b.u, (a.rank, b.rank)
+    if a_lr:
+        return a.u, b.data @ a.v, (a.rank, None)
+    if b_lr:
+        return a.data @ b.v, b.u, (b.rank, None)
+    raise KernelError(
+        "unsupported GEMM operand combination: dense A and B with a "
+        "low-rank C cannot arise in a banded Cholesky"
     )
-    return res.tile, res
+
+
+def _gemm_lr(
+    a, b, c: LowRankTile, rule: TruncationRule, counter, backend, tile_index
+) -> tuple[LowRankTile, KernelClass, RecompressionResult]:
+    """Body of :func:`gemm_lr`; also reports the kernel class that ran."""
+    pairs = list(zip(a, b)) if isinstance(a, (list, tuple)) else [(a, b)]
+    us, vs, ranks = zip(*(_lr_product(aj, bj) for aj, bj in pairs))
+    u_upd = us[0] if len(us) == 1 else np.hstack(us)
+    v_upd = vs[0] if len(vs) == 1 else np.hstack(vs)
+    kc = c.rank
+    backend = get_backend(backend)
+    seed = None if tile_index is None else tile_seed(backend.seed, *tile_index)
+    res = backend.recompress_update(c, u_upd, v_upd, rule, seed=seed)
+    kind = (
+        KernelClass.GEMM_LR
+        if any(kb is not None for _, kb in ranks)
+        else KernelClass.GEMM_LR_DENSE
+    )
+    _count(counter, kind, flops_gemm_lr_fused(c.shape[0], kc, ranks))
+    return res.tile, kind, res
 
 
 def gemm_lr(
-    a: LowRankTile,
-    b: LowRankTile,
+    a,
+    b,
     c: LowRankTile,
     rule: TruncationRule,
     *,
     counter: FlopCounter | None = None,
     backend=None,
+    tile_index: tuple[int, int] | None = None,
 ) -> tuple[LowRankTile, RecompressionResult]:
-    """(6)-GEMM — all three tiles low-rank (HCORE_DGEMM).
+    """(5)/(6)-GEMM — low-rank ``C <- C - Σ_j A_j B_jᵀ``, rounded once.
 
-    ``A B^T = (U_A (V_A^T V_B)) U_B^T`` is a rank-``k_B`` update; stacked
-    onto C and recompressed through the backend's pooled workspace.
+    ``a`` and ``b`` are one operand pair (HCORE_DGEMM, the paper's
+    per-update kernel) or equal-length sequences of them (the fused
+    left-looking update: every panel product of the tile at once).  Each
+    product is formed at the thinner of its operand ranks
+    (:func:`_lr_product`), the factors are laid side by side, and
+    :meth:`CompressionBackend.recompress_update
+    <repro.linalg.backends.CompressionBackend.recompress_update>` rounds
+    the sum in one go.  The returned :class:`RecompressionResult` carries
+    the rank-growth flag that drives the dynamic memory pool;
+    ``tile_index``, the destination's coordinates, seeds a randomized
+    backend's wide roundings (:func:`~repro.linalg.backends.tile_seed`).
+
+    Recorded as (6)-GEMM when some pair has two low-rank operands, else
+    as (5)-GEMM, at the cost of
+    :func:`~repro.linalg.flops.flops_gemm_lr_fused`.
     """
-    if a.rank > 0 and b.rank > 0:
-        w = a.v.T @ b.v
-        u_upd = a.u @ w
-        v_upd = b.u
-    else:
-        u_upd = np.zeros((c.shape[0], 0))
-        v_upd = np.zeros((c.shape[1], 0))
-    res = get_backend(backend).recompress_update(c, u_upd, v_upd, rule)
-    _count(
-        counter,
-        KernelClass.GEMM_LR,
-        flops_gemm_lr_general(
-            c.shape[0], c.rank, max(a.rank, 1), max(b.rank, 1)
-        ),
-    )
-    return res.tile, res
+    tile, _, res = _gemm_lr(a, b, c, rule, counter, backend, tile_index)
+    return tile, res
 
 
 # ----------------------------------------------------------------------
@@ -328,57 +348,39 @@ def syrk_auto(
 
 
 def gemm_auto(
-    a: Tile,
-    b: Tile,
+    a,
+    b,
     c: Tile,
     rule: TruncationRule,
     *,
     counter: FlopCounter | None = None,
     backend=None,
+    tile_index: tuple[int, int] | None = None,
 ) -> tuple[Tile, KernelClass, RecompressionResult | None]:
     """Dispatch ``C <- C - A B^T`` on the formats of all three tiles.
 
     Returns the (possibly new) destination tile, the kernel class that ran,
     and the recompression result for low-rank destinations (else ``None``).
-    ``backend`` selects the compression backend used for the recompression
-    of low-rank destinations (dense destinations never recompress).
+    A low-rank destination also takes equal-length *sequences* of operand
+    tiles — every panel product of the tile — and rounds their sum once
+    (:func:`gemm_lr`); dense destinations never recompress and take one
+    pair per call, so their update order (and bits) is the caller's.
+    ``backend`` selects the compression backend of the rounding and
+    ``tile_index`` (the destination's coordinates) seeds it where it is
+    randomized.
     """
-    if isinstance(c, DenseTile):
-        if isinstance(a, DenseTile) and isinstance(b, DenseTile):
-            return gemm_dense(a, b, c, counter=counter), KernelClass.GEMM_DENSE, None
-        if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):
-            return (
-                gemm_dense_lrlr(a, b, c, counter=counter),
-                KernelClass.GEMM_DENSE_LRLR,
-                None,
-            )
+    if isinstance(c, LowRankTile):
+        return _gemm_lr(a, b, c, rule, counter, backend, tile_index)
+    if isinstance(a, DenseTile) and isinstance(b, DenseTile):
+        return gemm_dense(a, b, c, counter=counter), KernelClass.GEMM_DENSE, None
+    if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):
         return (
-            gemm_dense_lrd(a, b, c, counter=counter),
-            KernelClass.GEMM_DENSE_LRD,
+            gemm_dense_lrlr(a, b, c, counter=counter),
+            KernelClass.GEMM_DENSE_LRLR,
             None,
         )
-    # Low-rank destination
-    if isinstance(a, LowRankTile) and isinstance(b, DenseTile):
-        tile, res = gemm_lr_dense(a, b, c, rule, counter=counter, backend=backend)
-        return tile, KernelClass.GEMM_LR_DENSE, res
-    if isinstance(a, DenseTile) and isinstance(b, LowRankTile):
-        # Mirror case (upper-triangular variants); reuse (5)-GEMM by symmetry:
-        # A B^T = (A V_B) U_B^T  — a rank-k_B update.
-        k = b.rank
-        u_upd = a.data @ b.v if k > 0 else np.zeros((a.shape[0], 0))
-        v_upd = b.u
-        res = get_backend(backend).recompress_update(c, u_upd, v_upd, rule)
-        _count(
-            counter,
-            KernelClass.GEMM_LR_DENSE,
-            flops_gemm_lr_dense_general(c.shape[0], c.rank, max(k, 1)),
-        )
-        return res.tile, KernelClass.GEMM_LR_DENSE, res
-    if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):
-        tile, res = gemm_lr(a, b, c, rule, counter=counter, backend=backend)
-        return tile, KernelClass.GEMM_LR, res
-    raise KernelError(
-        "unsupported GEMM operand combination: "
-        f"A={type(a).__name__}, B={type(b).__name__}, C={type(c).__name__} "
-        "(dense A and B with low-rank C cannot arise in a banded Cholesky)"
+    return (
+        gemm_dense_lrd(a, b, c, counter=counter),
+        KernelClass.GEMM_DENSE_LRD,
+        None,
     )

@@ -17,7 +17,12 @@ from .distributed import (
 )
 from .dtd import Access, TaskInserter, dtd_cholesky_graph
 from .executor import ExecutionReport, execute_graph, execute_graph_parallel
-from .graph import TaskGraph, build_cholesky_graph, classify_gemm
+from .graph import (
+    TaskGraph,
+    build_cholesky_graph,
+    classify_gemm,
+    graph_for_matrix,
+)
 from .jdf import CHOLESKY_JDF, cholesky_graph_from_jdf, compile_jdf, parse_jdf
 from .machine import SHAHEEN_II_LIKE, KernelRateModel, MachineSpec
 from .memory_pool import MemoryPool, PoolStats
@@ -75,6 +80,7 @@ __all__ = [
     "dtd_cholesky_graph",
     "TaskGraph",
     "build_cholesky_graph",
+    "graph_for_matrix",
     "CHOLESKY_JDF",
     "compile_jdf",
     "parse_jdf",

@@ -96,6 +96,19 @@ def calibrate_machine(
     )
 
 
+#: Table-I classes that run the same kernel on the same destination format
+#: and differ only in one operand's format.  A recording that exercised
+#: one of a pair prices the other: the fused low-rank-destination GEMM is
+#: labelled (5) or (6) by its first panel alone, and a band-1 recording
+#: holds only (6) while every candidate band above 1 also holds (5).
+_SIBLING_CLASS = {
+    "(5)-GEMM": "(6)-GEMM",
+    "(6)-GEMM": "(5)-GEMM",
+    "(3)-GEMM": "(3)-SYRK",
+    "(3)-SYRK": "(3)-GEMM",
+}
+
+
 @dataclass
 class MeasuredRates:
     """Kernel durations replayed from a recorded run's task spans.
@@ -116,15 +129,17 @@ class MeasuredRates:
     extrapolate: bool = False
 
     def seconds(self, kernel, flops: float, b: int, k: int) -> float:
-        """Median measured duration of ``kernel``; flops-based fallback."""
+        """Measured duration of ``kernel``, else of its sibling class
+        (:data:`_SIBLING_CLASS`), else the aggregate flops rate."""
         name = getattr(kernel, "value", str(kernel))
-        if self.extrapolate:
-            g = self.class_gflops.get(name)
-            if g and g > 0.0 and flops > 0.0:
-                return flops / (g * 1e9)
-        d = self.durations.get(name)
-        if d is not None:
-            return d
+        for cls in (name, _SIBLING_CLASS.get(name)):
+            if self.extrapolate:
+                g = self.class_gflops.get(cls)
+                if g and g > 0.0 and flops > 0.0:
+                    return flops / (g * 1e9)
+            d = self.durations.get(cls)
+            if d is not None:
+                return d
         if flops <= 0.0:
             return 0.0
         return flops / (self.fallback_gflops * 1e9)

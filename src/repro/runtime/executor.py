@@ -65,6 +65,7 @@ import numpy as np
 
 from .. import obs
 from ..linalg import hcore
+from ..linalg.backends import get_backend
 from ..linalg.batched import BatchItem, BatchPlanner, run_batch
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
@@ -584,8 +585,6 @@ def execute_graph_parallel(
                 worker=str(wid),
             )
         obs.pool_observed(report.pool.stats, pool="executor")
-        from ..linalg.backends import get_backend
-
         obs.pool_observed(
             get_backend(backend).workspace_pool_stats, pool="workspace"
         )
@@ -670,9 +669,24 @@ def _batch_item(tid, task, matrix) -> BatchItem:
     if kind is TaskKind.SYRK:
         (_, n, k) = tid
         return BatchItem(tid, "syrk", (matrix.tile(n, k), matrix.tile(n, n)))
-    (_, m, n, k) = tid
-    return BatchItem(
-        tid, "gemm", (matrix.tile(m, k), matrix.tile(n, k), matrix.tile(m, n))
+    (_, m, n, _) = tid
+    a, b = _gemm_operands(task, matrix)
+    if len(a) == 1:
+        a, b = a[0], b[0]
+    return BatchItem(tid, "gemm", (a, b, matrix.tile(m, n)), index=(m, n))
+
+
+def _gemm_operands(task, matrix) -> tuple[list, list]:
+    """The ``(m, j)`` and ``(n, j)`` tiles of every panel ``j`` a GEMM
+    task's edges name, in panel order: one pair in the right-looking
+    graph, all ``n`` of them for a fused low-rank destination."""
+    m, n = task.out_tile
+    panels = sorted(
+        {e.src[2] for e in task.deps if e.src[0] is TaskKind.TRSM}
+    )
+    return (
+        [matrix.tile(m, j) for j in panels],
+        [matrix.tile(n, j) for j in panels],
     )
 
 
@@ -704,16 +718,21 @@ def _compute_task(tid, task, matrix, rule, backend, counter):
             matrix.tile(n, k), matrix.tile(n, n), counter=counter
         )
         return None, None
-    (_, m, n, k) = tid
-    out, _, recomp = hcore.gemm_auto(
-        matrix.tile(m, k),
-        matrix.tile(n, k),
-        matrix.tile(m, n),
-        rule,
-        counter=counter,
-        backend=backend,
-    )
-    return out, recomp
+    (_, m, n, _) = tid
+    a, b = _gemm_operands(task, matrix)
+    c = matrix.tile(m, n)
+    if isinstance(c, LowRankTile):
+        # Every panel product at once, one rounding.
+        out, _, recomp = hcore.gemm_auto(
+            a, b, c, rule,
+            counter=counter, backend=backend, tile_index=(m, n),
+        )
+        return out, recomp
+    # A dense destination (on the band, or densified) is updated one
+    # panel at a time, in panel order: the reference loops' bits.
+    for aj, bj in zip(a, b):
+        hcore.gemm_auto(aj, bj, c, rule, counter=counter)
+    return c, None
 
 
 def _release_factors(tile, report, pooled, stats_lock, keep=()) -> None:

@@ -19,6 +19,20 @@ Dependency structure of the right-looking tile Cholesky::
 Kernel classes and Table-I costs are derived from the band predicate and
 the supplied rank function exactly as in :mod:`repro.linalg.flops`.
 
+That is the paper's PTG and the builder's default.  ``fused=True`` builds
+the form the library's own factorizations execute: a low-rank destination
+``(m, n)`` is updated *left-looking* by **one** task, ``GEMM(m, n, n-1)``,
+whose edges name every panel tile it reads::
+
+    GEMM(m,n,n-1) <- TRSM(m,j), TRSM(n,j)  for every j < n   [row/col bcasts]
+    TRSM(m,n)     <- GEMM(m,n,n-1)                           [tile (m,n), LOCAL]
+
+so one rounding replaces ``n``; dense destinations keep the chains above.
+Because the fused task's inputs are all edges, executors, checkpoint
+resume and rank-to-rank resends need no second mechanism — and executing
+the default graph with the same kernel (one pair per task) is the
+per-update oracle the fused form is tested against.
+
 Optionally, region-(1) (all-dense band) tasks are *expanded* into their
 nested recursive sub-graphs (Section VII-D): each expanded task becomes
 ``fork -> sub-tasks -> join`` with zero-cost fork/join bookkeeping nodes,
@@ -37,6 +51,7 @@ from ..linalg.flops import (
     flops_gemm_dense_lrd,
     flops_gemm_dense_lrlr,
     flops_gemm_lr_dense_general,
+    flops_gemm_lr_fused,
     flops_gemm_lr_general,
     flops_potrf_dense,
     flops_syrk_dense,
@@ -49,7 +64,13 @@ from ..utils.exceptions import ConfigurationError, SchedulingError
 from ..utils.validation import check_positive_int
 from .task import Edge, Task, TaskId, TaskKind, task_sort_key
 
-__all__ = ["TaskGraph", "build_cholesky_graph", "classify_gemm", "RankFn"]
+__all__ = [
+    "TaskGraph",
+    "build_cholesky_graph",
+    "graph_for_matrix",
+    "classify_gemm",
+    "RankFn",
+]
 
 #: Rank accessor: ``rank_fn(i, j) -> int`` for an off-band tile ``(i, j)``.
 RankFn = Callable[[int, int], int]
@@ -188,6 +209,7 @@ def build_cholesky_graph(
     tile_size: int,
     rank_fn: RankFn,
     *,
+    fused: bool = False,
     recursive_split: int | None = None,
     recursive_kernels: frozenset[KernelClass] | set[KernelClass] | None = None,
 ) -> TaskGraph:
@@ -204,6 +226,13 @@ def build_cholesky_graph(
     rank_fn:
         Rank of off-band tile ``(i, j)`` (used for costs/messages; the
         builder never inspects tile data).
+    fused:
+        Build the left-looking form for low-rank destinations (module
+        docstring): one ``GEMM(m, n, n-1)`` per off-band tile carrying all
+        ``n`` panel products, costed by
+        :func:`~repro.linalg.flops.flops_gemm_lr_fused`.  The default is
+        the paper's right-looking PTG, which the simulator studies, the
+        JDF/DTD front ends and the per-update test oracle use.
     recursive_split:
         When given (>= 2), region-(1) tasks are expanded into their nested
         sub-graphs with this split factor (Section VII-D).
@@ -297,28 +326,51 @@ def build_cholesky_graph(
             for m in range(n + 1, nt):
                 # ---- GEMM(m, n, k) ------------------------------------
                 tid = (TaskKind.GEMM, m, n, k)
-                kernel = classify_gemm(m, n, k, band_size)
-                ra = rank_fn(m, k) if (m - k) >= band_size else 0
-                rb = rank_fn(n, k) if (n - k) >= band_size else 0
-                rc = rank_fn(m, n) if (m - n) >= band_size else 0
+                lr_dest = (m - n) >= band_size
+                if fused and lr_dest:
+                    # One task per low-rank destination, issued with the
+                    # last panel and reading all of them.
+                    if k != n - 1:
+                        continue
+                    panels = range(n)
+                else:
+                    panels = (k,)
+                rc = rank_fn(m, n) if lr_dest else 0
+                # (k_a, k_b) per panel; None marks a dense operand.
+                ranks = [
+                    (
+                        rank_fn(m, j) if (m - j) >= band_size else None,
+                        rank_fn(n, j) if (n - j) >= band_size else None,
+                    )
+                    for j in panels
+                ]
+                ra, rb = ranks[-1]
+                kernel = classify_gemm(m, n, panels[0], band_size)
                 if kernel is KernelClass.GEMM_DENSE:
                     fl = flops_gemm_dense(b)
                 elif kernel is KernelClass.GEMM_DENSE_LRD:
                     fl = flops_gemm_dense_lrd(b, ra)
                 elif kernel is KernelClass.GEMM_DENSE_LRLR:
                     fl = flops_gemm_dense_lrlr(b, ra, rb)
+                elif fused:
+                    fl = flops_gemm_lr_fused(b, rc, ranks)
                 elif kernel is KernelClass.GEMM_LR_DENSE:
                     fl = flops_gemm_lr_dense_general(b, rc, max(ra, 1))
                 else:
                     fl = flops_gemm_lr_general(b, rc, max(ra, 1), max(rb, 1))
-                deps = [
-                    Edge((TaskKind.TRSM, m, k), tid, (m, k), elements(m, k)),
-                    Edge((TaskKind.TRSM, n, k), tid, (n, k), elements(n, k)),
-                ]
-                if k > 0:
+                deps = []
+                for j in panels:
+                    deps.append(
+                        Edge((TaskKind.TRSM, m, j), tid, (m, j), elements(m, j))
+                    )
+                    deps.append(
+                        Edge((TaskKind.TRSM, n, j), tid, (n, j), elements(n, j))
+                    )
+                if k > 0 and not (fused and lr_dest):
                     deps.append(
                         Edge((TaskKind.GEMM, m, n, k - 1), tid, (m, n), elements(m, n))
                     )
+                hint = max(rc, *(r or 0 for pair in ranks for r in pair))
                 g.add_task(
                     Task(
                         tid=tid,
@@ -328,13 +380,27 @@ def build_cholesky_graph(
                         out_tile=(m, n),
                         deps=deps,
                         panel=k,
-                        rank_hint=max(ra, rb, rc),
+                        rank_hint=hint,
                     )
                 )
 
     if recursive_split is not None:
         g = expand_recursive(g, recursive_split, kernels=recursive_kernels)
     return g
+
+
+def graph_for_matrix(matrix) -> TaskGraph:
+    """The graph a factorization of ``matrix`` executes: the fused form at
+    the matrix's geometry, costed from its current rank grid (dense and
+    rank-0 tiles count as rank 1)."""
+    grid = matrix.rank_grid()
+    return build_cholesky_graph(
+        matrix.ntiles,
+        matrix.band_size,
+        matrix.desc.tile_size,
+        lambda i, j: int(max(grid[i, j], 1)),
+        fused=True,
+    )
 
 
 def expand_recursive(

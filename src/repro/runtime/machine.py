@@ -135,6 +135,12 @@ class MachineSpec:
     gpu_dense_gflops:
         Sustained dense double-precision rate per GPU (V100-class DGEMM
         by default).
+    task_overhead_s:
+        Core time the runtime spends per task outside the kernel
+        (scheduling, dependency release; for the Python thread core also
+        the interpreter lock).  A task occupies its core for this long
+        before its kernel starts.  Zero by default — the paper's model;
+        :class:`repro.tune.Calibration` measures it from a recorded run.
     """
 
     nodes: int = 16
@@ -146,12 +152,15 @@ class MachineSpec:
     memory_per_node_GB: float = 128.0
     gpus_per_node: int = 0
     gpu_dense_gflops: float = 1300.0
+    task_overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive_int("nodes", self.nodes)
         check_positive_int("cores_per_node", self.cores_per_node)
         if self.gpus_per_node < 0:
             raise ConfigurationError("gpus_per_node must be >= 0")
+        if self.task_overhead_s < 0.0:
+            raise ConfigurationError("task_overhead_s must be >= 0")
         check_positive_float("gpu_dense_gflops", self.gpu_dense_gflops)
         check_positive_float("latency_s", self.latency_s)
         check_positive_float("bandwidth_Bps", self.bandwidth_Bps)
@@ -173,6 +182,7 @@ class MachineSpec:
             memory_per_node_GB=self.memory_per_node_GB,
             gpus_per_node=self.gpus_per_node,
             gpu_dense_gflops=self.gpu_dense_gflops,
+            task_overhead_s=self.task_overhead_s,
         )
 
     def transfer_seconds(self, nbytes: int) -> float:

@@ -294,13 +294,18 @@ def simulate(
                 # aside and keep scanning for accelerator-eligible work.
                 skipped.append(entry)
                 continue
+            # The runtime's per-task overhead holds the core (or GPU
+            # stream) before the kernel; busy time and the traced span
+            # cover the kernel alone, as a recorded task span does.
+            start = now
             if dur > 0.0:
                 busy_by_kernel[kernels_arr[i]] = (
                     busy_by_kernel.get(kernels_arr[i], 0.0) + dur
                 )
-            end = now + dur
+                start += machine.task_overhead_s
+            end = start + dur
             if trace is not None:
-                trace.append((tids[i], p, now, end))
+                trace.append((tids[i], p, start, end))
             push_event(end, EV_DONE, (i, None, "gpu" if on_gpu else "cpu"))
             running += 1
         for entry in skipped:
@@ -328,7 +333,7 @@ def simulate(
                     + (int(in_elems[i]) * _BYTES + out_bytes) / machine.bandwidth_Bps
                 )
                 free_cores[q] -= 1
-                dur = duration[i] + migration
+                dur = duration[i] + migration + machine.task_overhead_s
                 busy[q] += duration[i]
                 if duration[i] > 0.0:
                     busy_by_kernel[kernels_arr[i]] = (

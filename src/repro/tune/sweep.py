@@ -311,7 +311,7 @@ def sweep(
     rank_fn = calibration.rank_fn(nt)
     graphs = {
         band: build_cholesky_graph(
-            nt, band, calibration.tile_size, rank_fn
+            nt, band, calibration.tile_size, rank_fn, fused=True
         )
         for band in bands
     }
@@ -341,6 +341,7 @@ def sweep(
             scheduler=cand.scheduler,
             distribution=cand.distribution,
             collect_trace=True,
+            task_overhead_s=calibration.task_overhead_s,
         )
         return CandidateReport(
             candidate=cand,

@@ -183,7 +183,7 @@ def verify_prediction(
     from .. import obs
     from ..matrix import BandTLRMatrix
     from ..obs.analytics import run_from_observation
-    from ..runtime import build_cholesky_graph, get_executor
+    from ..runtime import get_executor, graph_for_matrix
     from ..runtime.simulator import simulate_schedule
     from repro import TruncationRule, st_3d_exp_problem
 
@@ -198,14 +198,7 @@ def verify_prediction(
         precision=cfg["precision"],
         n_workers=cfg["workers"],
     )
-    grid = matrix.rank_grid()
-
-    def rank_fn(i: int, j: int) -> int:
-        return int(max(grid[i, j], 1))
-
-    graph = build_cholesky_graph(
-        matrix.ntiles, cfg["band"], cfg["tile"], rank_fn
-    )
+    graph = graph_for_matrix(matrix)
 
     sim = simulate_schedule(
         graph,
@@ -215,6 +208,7 @@ def verify_prediction(
         scheduler=w.scheduler,
         distribution=w.distribution,
         collect_trace=True,
+        task_overhead_s=calibration.task_overhead_s,
     )
     predicted = predicted_run(graph, sim)
 

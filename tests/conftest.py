@@ -7,6 +7,19 @@ fixtures — factorization tests copy the matrices they modify.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# One BLAS thread per worker: the suite runs up to four workers on hosts
+# with two cores, and an unpinned OpenBLAS oversubscribes them.  The
+# wall-clock gates of tests/test_tune.py then judge bimodal timings: with
+# the fused graph (few, long low-rank GEMM tasks per class) they failed
+# 6 of 16 unpinned module runs here against 0 of 16 pinned.  Only
+# effective before numpy loads.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

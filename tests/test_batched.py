@@ -22,11 +22,6 @@ from repro.linalg import (
     LowRankTile,
     run_batch,
 )
-from repro.linalg.backends import (
-    SVDBackend,
-    _qr_svd_recompress,
-    _qr_svd_recompress_reference,
-)
 from repro.matrix import BandTLRMatrix
 from repro.utils import ConfigurationError, KernelError
 
@@ -278,32 +273,3 @@ class TestFactorizationBitwise:
         r2 = tlr_cholesky(m2)
         assert r1.counter.per_class == r2.counter.per_class
         assert r1.counter.per_class_count == r2.counter.per_class_count
-
-
-class TestReferenceRounding:
-    """The direct-LAPACK rounding is bitwise the scipy-wrapper one."""
-
-    @pytest.mark.parametrize(
-        "m,r", [(100, 35), (100, 12), (30, 45), (64, 20)]
-    )
-    def test_single_call_bitwise(self, m, r):
-        rng = np.random.default_rng(21)
-        rule = TruncationRule(eps=1e-4)
-        u = np.asfortranarray(rng.standard_normal((m, r)))
-        v = np.asfortranarray(rng.standard_normal((m, r)))
-        a = _qr_svd_recompress(u.copy(order="F"), v.copy(order="F"), rule, None)
-        b = _qr_svd_recompress_reference(
-            u.copy(order="F"), v.copy(order="F"), rule, None
-        )
-        assert a.rank_after == b.rank_after
-        np.testing.assert_array_equal(a.tile.u, b.tile.u)
-        np.testing.assert_array_equal(a.tile.v, b.tile.v)
-
-    def test_end_to_end_bitwise(self, problem, rule):
-        ref_backend = SVDBackend()
-        ref_backend.reference_recompress = True
-        m1 = BandTLRMatrix.from_problem(problem, rule, 2, backend=ref_backend)
-        tlr_cholesky(m1, backend=ref_backend)
-        m2 = BandTLRMatrix.from_problem(problem, rule, 2, backend="svd")
-        tlr_cholesky(m2)
-        assert factors_equal(m1, m2)

@@ -23,7 +23,7 @@ from repro.linalg.tiles import LowRankTile
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     RecoveryPolicy,
-    build_cholesky_graph,
+    graph_for_matrix,
     execute_graph,
     execute_graph_parallel,
     parallel_map,
@@ -43,13 +43,7 @@ DEEP = RecoveryPolicy(max_retries=12, backoff_s=0.0)
 
 
 def _graph_for(matrix):
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
-        matrix.ntiles,
-        matrix.band_size,
-        matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-    )
+    return graph_for_matrix(matrix)
 
 
 @pytest.fixture(scope="module")

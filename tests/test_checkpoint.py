@@ -10,7 +10,7 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     CheckpointConfig,
     Checkpointer,
-    build_cholesky_graph,
+    graph_for_matrix,
     execute_graph,
     execute_graph_parallel,
 )
@@ -20,13 +20,7 @@ from repro.utils import CheckpointError, ConfigurationError
 
 
 def _graph_for(matrix):
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
-        matrix.ntiles,
-        matrix.band_size,
-        matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-    )
+    return graph_for_matrix(matrix)
 
 
 @pytest.fixture(scope="module")

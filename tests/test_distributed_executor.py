@@ -21,7 +21,7 @@ from repro.runtime import (
     SimExecutor,
     ThreadExecutor,
     binomial_children,
-    build_cholesky_graph,
+    graph_for_matrix,
     classify_dataflow,
     execute_graph,
     execute_graph_distributed,
@@ -33,19 +33,14 @@ from repro.runtime import (
 from repro.utils import ConfigurationError, RuntimeSystemError
 
 
-def _rank_fn_for(matrix):
-    grid = matrix.rank_grid()
-
-    def rank(i, j):
-        return int(max(grid[i, j], 1))
-
-    return rank
-
-
 def _graph_for(matrix, band):
-    return build_cholesky_graph(
-        matrix.ntiles, band, matrix.desc.tile_size, _rank_fn_for(matrix)
-    )
+    assert band == matrix.band_size
+    return graph_for_matrix(matrix)
+
+
+#: Rank 0 owns 46 of the 100 tasks of the fused NT=8/band-2 graph on two
+#: ranks; dying after 41 of them leaves a late checkpoint frontier.
+_KILL_AFTER = 41
 
 
 def _dist_for(graph, ranks):
@@ -216,7 +211,7 @@ class TestResilience:
         with pytest.raises(RuntimeSystemError):
             execute_graph_distributed(
                 g, m, n_ranks=2, checkpoint=ckpt,
-                max_restarts=0, _chaos_kill=(0, 50),
+                max_restarts=0, _chaos_kill=(0, _KILL_AFTER),
             )
         m2 = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         rep = execute_graph_distributed(
@@ -239,7 +234,7 @@ class TestResilience:
         with pytest.raises(RuntimeSystemError):
             execute_graph_distributed(
                 g, m, n_ranks=2, checkpoint=ckpt,
-                max_restarts=0, _chaos_kill=(0, 50),
+                max_restarts=0, _chaos_kill=(0, _KILL_AFTER),
             )
         m2 = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         rep = execute_graph(g, m2, checkpoint=ckpt, resume=True)

@@ -2,7 +2,7 @@
 
 ``execute_graph`` is ``execute_graph_parallel`` at one inline worker, so
 one differential test covers every way to run a graph in-process: the
-reference right-looking loops against the core across worker counts,
+reference loops against the core (on the fused graph) across worker counts,
 batch modes, scheduler policies and fresh/resumed runs — bitwise.  The
 guards, the single deadlock rule and the reporting surface are tested
 here once instead of once per executor name.
@@ -24,6 +24,7 @@ from repro.runtime import (
     SequentialExecutor,
     ThreadExecutor,
     build_cholesky_graph,
+    graph_for_matrix,
     execute_graph,
     execute_graph_parallel,
     get_executor,
@@ -33,13 +34,8 @@ from repro.utils import RuntimeSystemError, SchedulingError
 
 
 def _graph_for(matrix):
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
-        matrix.ntiles,
-        matrix.band_size,
-        matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-    )
+    """The fused graph ``tlr_cholesky`` executes (one rounding per tile)."""
+    return graph_for_matrix(matrix)
 
 
 def _assert_factors_bitwise(got, want):
@@ -49,6 +45,7 @@ def _assert_factors_bitwise(got, want):
         if isinstance(t_want, DenseTile):
             assert np.array_equal(t_got.data, t_want.data), ij
         else:
+            assert t_got.dtype == t_want.dtype, ij
             assert np.array_equal(t_got.u, t_want.u), ij
             assert np.array_equal(t_got.v, t_want.v), ij
 

@@ -1,0 +1,512 @@
+"""Accumulate-then-round: the invariants of the fused low-rank update.
+
+``tlr_cholesky`` updates a low-rank tile left-looking — every panel
+product at once, **one** rounding — so its factor is no longer bitwise
+the right-looking one.  What replaces that promise, and is tested here:
+
+(a) determinism: the reference loops, the execution core at any worker
+    count and the process executor produce the same bits, fresh or
+    resumed from a checkpoint, for every precision and backend;
+(b) accuracy against the dense ``scipy`` factor, and against the
+    *per-update oracle* — the paper's right-looking graph (the default
+    of ``build_cholesky_graph``) executed through the same kernel, one
+    operand pair per task;
+(c) a fused task with one pair *is* the per-update kernel, bitwise;
+(d) the representation rule of ``recompress_update`` and its edges;
+(e) online densification around the single rounding;
+(f) realized communication equals simulated communication on the fused
+    graph (``tune verify``'s tolerance gate runs on it in
+    ``tests/test_tune.py``).
+"""
+
+import shutil
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from repro import TruncationRule, st_3d_exp_problem
+from repro.core import tlr_cholesky
+from repro.distribution import BandDistribution, ProcessGrid
+from repro.linalg import (
+    DenseTile,
+    KernelClass,
+    LowRankTile,
+    SVDBackend,
+    gemm_auto,
+    gemm_lr,
+)
+from repro.linalg.batched import BatchItem, BatchPlanner, run_batch
+from repro.linalg.flops import (
+    flops_gemm_lr_dense_general,
+    flops_gemm_lr_fused,
+    flops_gemm_lr_general,
+)
+from repro.matrix import BandTLRMatrix
+from repro.runtime import (
+    CheckpointConfig,
+    MachineSpec,
+    build_cholesky_graph,
+    classify_dataflow,
+    execute_graph,
+    execute_graph_distributed,
+    execute_graph_parallel,
+    get_executor,
+    graph_for_matrix,
+    simulate,
+)
+from repro.runtime.task import TaskKind
+from repro.utils import KernelError
+
+from .test_executor import (
+    _assert_factors_bitwise as assert_bitwise,
+    _assert_pool_consistent,
+    _KillAt,
+)
+
+
+def oracle_graph_for(matrix):
+    """The paper's right-looking PTG: one rounding per (tile, panel)."""
+    grid = matrix.rank_grid()
+    return build_cholesky_graph(
+        matrix.ntiles,
+        matrix.band_size,
+        matrix.desc.tile_size,
+        lambda i, j: int(max(grid[i, j], 1)),
+    )
+
+
+def backward_error(factor, dense):
+    l = factor.to_dense(lower_only=True)
+    return np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+
+
+def lowrank(rng, m, n, k, dtype=np.float64):
+    return LowRankTile(
+        rng.standard_normal((m, k)).astype(dtype),
+        rng.standard_normal((n, k)).astype(dtype),
+    )
+
+
+# ----------------------------------------------------------------------
+# (a) one factor, however it is computed
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def problem():
+    return st_3d_exp_problem(800, 100, seed=3)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (precision, backend)
+        for precision in ("fp64", "adaptive")
+        for backend in ("svd", "rsvd")
+    ],
+    ids="{0[0]}-{0[1]}".format,
+)
+def case(request, problem, tmp_path_factory):
+    """Base matrix, the loops' factor and report, a mid-run checkpoint."""
+    precision, backend = request.param
+    base = BandTLRMatrix.from_problem(
+        problem, TruncationRule(eps=1e-4), 2,
+        backend=backend, precision=precision,
+    )
+    ref = base.copy()
+    ref_report = tlr_cholesky(ref)
+    lowrank_tiles = [
+        t for t in ref.tiles.values() if isinstance(t, LowRankTile)
+    ]
+    want = np.float32 if precision == "adaptive" else np.float64
+    assert {t.dtype for t in lowrank_tiles} == {np.dtype(want)}
+    # killed half way at one worker: the checkpoint every resumed run,
+    # on threads and on ranks, restarts from
+    ckpt = tmp_path_factory.mktemp("ckpt")
+    started = base.copy()
+    with pytest.raises(KeyboardInterrupt):
+        execute_graph(
+            graph_for_matrix(started), started,
+            faults=_KillAt((TaskKind.POTRF, base.ntiles // 2)),
+            checkpoint=CheckpointConfig(directory=ckpt, every=2),
+        )
+    assert list(ckpt.glob("ckpt-*.json"))
+    return base, ref, ref_report, ckpt
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+@pytest.mark.parametrize(
+    "how", [1, 2, 3, "processes"], ids="workers{}".format
+)
+def test_one_factor_however_computed(case, tmp_path, how, resumed):
+    base, ref, ref_report, ckpt = case
+    m = base.copy()
+    graph = graph_for_matrix(m)
+    kwargs = {}
+    if resumed:
+        shutil.copytree(ckpt, tmp_path / "ckpt")
+        kwargs = {
+            "checkpoint": CheckpointConfig(
+                directory=tmp_path / "ckpt", every=base.ntiles
+            ),
+            "resume": True,
+        }
+    if how == "processes":
+        report = get_executor("processes", n_ranks=2).execute(
+            graph, m, **kwargs
+        ).report
+    else:
+        report = execute_graph_parallel(graph, m, n_workers=how, **kwargs)
+        _assert_pool_consistent(report, m)
+    assert_bitwise(m, ref)
+    if resumed:
+        assert 0 < report.tasks_resumed < graph.n_tasks
+        assert report.tasks_executed == graph.n_tasks - report.tasks_resumed
+    else:
+        assert report.counter.per_class == ref_report.counter.per_class
+        assert (
+            report.counter.per_class_count
+            == ref_report.counter.per_class_count
+        )
+        assert report.max_rank_seen == ref_report.max_rank_seen
+        assert report.rank_growth_events == ref_report.rank_growth_events
+
+
+def test_one_rounding_per_updated_tile(case):
+    """The count the whole change is about: NT=8 at band 2 has 21
+    low-rank tiles, 15 of them below the first block column."""
+    _, _, ref_report, _ = case
+    counts = ref_report.counter.per_class_count
+    assert (
+        counts[KernelClass.GEMM_LR] + counts[KernelClass.GEMM_LR_DENSE] == 15
+    )
+
+
+# ----------------------------------------------------------------------
+# (b) the dense oracle and the per-update oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
+def test_accuracy_against_both_oracles(eps):
+    problem = st_3d_exp_problem(1500, 125, seed=7)
+    dense = problem.dense()
+    base = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), 2)
+
+    fused = base.copy()
+    tlr_cholesky(fused)
+    oracle = base.copy()
+    execute_graph(oracle_graph_for(oracle), oracle)
+
+    # the dense LAPACK factor, tile by tile
+    chol = sla.cholesky(dense, lower=True)
+    l = fused.to_dense(lower_only=True)
+    assert np.linalg.norm(l - chol) <= 100 * eps * np.linalg.norm(chol)
+
+    err = backward_error(fused, dense)
+    assert err <= 10 * eps
+    assert err <= 1.5 * backward_error(oracle, dense)
+    for ij, t in fused.tiles.items():
+        if isinstance(t, LowRankTile):
+            k = oracle.tile(*ij).rank
+            assert t.rank <= k + max(2, 0.05 * k), ij
+
+
+# ----------------------------------------------------------------------
+# (c) one pair is the per-update kernel
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("b_dense", [False, True], ids=["lr-lr", "lr-dense"])
+def test_single_pair_is_the_per_update_kernel(rng, b_dense):
+    rule = TruncationRule(eps=1e-6)
+    a = lowrank(rng, 80, 80, 5)
+    b = DenseTile(rng.standard_normal((80, 80))) if b_dense else lowrank(
+        rng, 80, 80, 7
+    )
+    c = lowrank(rng, 80, 80, 9)
+    one, kind_one, res_one = gemm_auto(a, b, c, rule)
+    many, kind_many, res_many = gemm_auto([a], [b], c, rule)
+    assert kind_one is kind_many
+    assert kind_one is (
+        KernelClass.GEMM_LR_DENSE if b_dense else KernelClass.GEMM_LR
+    )
+    assert np.array_equal(one.u, many.u) and np.array_equal(one.v, many.v)
+    assert res_one.rank_before == res_many.rank_before == 9 + 5
+
+
+def test_fused_item_through_run_batch(rng):
+    """A fused item never stacks (``BatchPlanner.key`` is ``None``); run
+    solo through ``run_batch`` it is the kernel call the execution core
+    makes — seeded by the destination's coordinates — and list operands
+    with a dense destination are refused, not mis-dispatched."""
+    rule = TruncationRule(eps=1e-6)
+    a = [lowrank(rng, 80, 80, 30), lowrank(rng, 80, 80, 25)]
+    b = [lowrank(rng, 80, 80, 28), DenseTile(rng.standard_normal((80, 80)))]
+    c = lowrank(rng, 80, 80, 9)  # W = 9 + 28 + 25 >= 40: the seeded path
+    item = BatchItem("ref", "gemm", (a, b, c), index=(5, 2))
+    assert BatchPlanner().key(item) is None
+    (res,) = run_batch([item], rule, backend="rsvd")
+    want, _, _ = gemm_auto(a, b, c, rule, backend="rsvd", tile_index=(5, 2))
+    assert np.array_equal(res.out.u, want.u)
+    assert np.array_equal(res.out.v, want.v)
+    dense_c = DenseTile(rng.standard_normal((80, 80)))
+    with pytest.raises(KernelError):
+        run_batch([BatchItem("ref", "gemm", (a, b, dense_c))], rule)
+
+
+def test_per_update_graph_is_the_loops_where_tiles_have_one_panel():
+    """At NT=3 the only updated low-rank tile, (2, 1), has one panel: the
+    fused loops and the right-looking graph are the same computation."""
+    small = st_3d_exp_problem(300, 100, seed=3)
+    base = BandTLRMatrix.from_problem(small, TruncationRule(eps=1e-6), 1)
+    loops, oracle = base.copy(), base.copy()
+    tlr_cholesky(loops)
+    execute_graph(oracle_graph_for(oracle), oracle)
+    assert_bitwise(loops, oracle)
+
+
+def test_fused_flop_model_reduces_to_the_single_update_models():
+    b = 400
+    assert flops_gemm_lr_fused(b, 20, [(8, 30)]) == flops_gemm_lr_general(
+        b, 20, 8, 30
+    )
+    assert flops_gemm_lr_fused(
+        b, 20, [(8, None)]
+    ) == flops_gemm_lr_dense_general(b, 20, 8)
+    # past b/2 the rounding is priced as a dense b x b SVD, not by width
+    wide = flops_gemm_lr_fused(b, 150, [(40, 40), (40, None)])
+    wider = flops_gemm_lr_fused(b, 190, [(40, 40), (40, None)])
+    assert wider - wide == 2.0 * b * b * 40
+
+
+# ----------------------------------------------------------------------
+# (d) the representation rule
+# ----------------------------------------------------------------------
+class CountingSVD(SVDBackend):
+    """Counts the wide roundings (the dense sums handed to ``compress``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.compressed = []
+
+    def compress(self, a, rule, *, seed=None):
+        self.compressed.append(a.shape)
+        return super().compress(a, rule, seed=seed)
+
+
+class TestWidthRule:
+    RULE = TruncationRule(eps=1e-8)
+
+    @pytest.mark.parametrize(
+        "shape,width,wide",
+        [
+            ((64, 64), 31, False),   # W = b/2 - 1: stacked factors
+            ((64, 64), 32, True),    # W = b/2: the dense sum
+            ((100, 60), 29, False),  # ragged: the rule reads min(m, n)
+            ((100, 60), 30, True),
+            ((60, 100), 30, True),
+        ],
+    )
+    def test_representation_switches_at_half_the_tile(
+        self, rng, shape, width, wide
+    ):
+        m, n = shape
+        backend = CountingSVD()
+        c = lowrank(rng, m, n, 10)
+        u = rng.standard_normal((m, width - 10))
+        v = rng.standard_normal((n, width - 10))
+        res = backend.recompress_update(c, u, v, self.RULE)
+        assert backend.compressed == ([(m, n)] if wide else [])
+        assert res.rank_before == width
+        np.testing.assert_allclose(
+            res.tile.to_dense(), c.to_dense() - u @ v.T, atol=1e-6
+        )
+        assert res.grew == (res.rank_after > 10)
+
+    def test_both_routes_agree(self, rng):
+        """One update rounded as stacked factors (W = 31) and, with a zero
+        column appended to the destination, as the dense sum (W = 32)."""
+        u = rng.standard_normal((64, 12))
+        v = rng.standard_normal((64, 12))
+        base = rng.standard_normal((64, 19))
+        narrow = LowRankTile(base, base.copy())           # W = 31
+        pad = np.zeros((64, 1))
+        wide = LowRankTile(np.hstack([base, pad]), np.hstack([base, pad]))
+        a = SVDBackend().recompress_update(narrow, u, v, self.RULE)
+        b = SVDBackend().recompress_update(wide, u, v, self.RULE)
+        assert a.rank_after == b.rank_after
+        np.testing.assert_allclose(
+            a.tile.to_dense(), b.tile.to_dense(), atol=1e-8
+        )
+
+    def test_rank_zero_operands_change_nothing(self, rng):
+        c = lowrank(rng, 64, 64, 6)
+        a, b = lowrank(rng, 64, 64, 4), lowrank(rng, 64, 64, 3)
+        zero = LowRankTile.zero(64, 64)
+        plain, _ = gemm_lr([a], [b], c, self.RULE)
+        padded, res = gemm_lr([zero, a, zero], [b, b, zero], c, self.RULE)
+        assert np.array_equal(plain.u, padded.u)
+        assert np.array_equal(plain.v, padded.v)
+        assert res.rank_before == 6 + 3
+        same, res = gemm_lr([zero], [zero], c, self.RULE)
+        np.testing.assert_allclose(same.to_dense(), c.to_dense(), atol=1e-8)
+        assert not res.grew
+
+    def test_rank_zero_destination(self, rng):
+        a, b = lowrank(rng, 64, 64, 4), lowrank(rng, 64, 64, 4)
+        out, res = gemm_lr(a, b, LowRankTile.zero(64, 64), self.RULE)
+        np.testing.assert_allclose(
+            out.to_dense(), -(a.to_dense() @ b.to_dense().T), atol=1e-6
+        )
+        assert res.grew and res.rank_after == 4
+        nothing, res = gemm_lr(
+            LowRankTile.zero(64, 64), b, LowRankTile.zero(64, 64), self.RULE
+        )
+        assert nothing.rank == 0 and res.rank_before == 0
+
+    @pytest.mark.parametrize("width", [8, 40], ids=["stacked", "dense-sum"])
+    def test_fp32_destination_stays_fp32(self, rng, width):
+        rule = TruncationRule(eps=1e-3)
+        c = lowrank(rng, 64, 64, 6, np.float32)
+        a = [lowrank(rng, 64, 64, width - 6)]   # fp64 operands
+        b = [DenseTile(rng.standard_normal((64, 64)))]
+        out, res = gemm_lr(a, b, c, rule)
+        assert out.dtype == np.float32
+        want = c.to_dense() - a[0].to_dense() @ b[0].data.T
+        assert np.linalg.norm(out.to_dense() - want) <= 1e-4 * np.linalg.norm(
+            want
+        )
+
+    def test_update_is_formed_at_the_thinner_rank(self, rng):
+        """k_A < k_B used to stack k_B columns; the width is min(k_A, k_B)."""
+        c = lowrank(rng, 64, 64, 5)
+        thin, thick = lowrank(rng, 64, 64, 3), lowrank(rng, 64, 64, 11)
+        for a, b in ((thin, thick), (thick, thin)):
+            out, res = gemm_lr(a, b, c, self.RULE)
+            assert res.rank_before == 5 + 3
+            np.testing.assert_allclose(
+                out.to_dense(),
+                c.to_dense() - a.to_dense() @ b.to_dense().T,
+                atol=1e-6,
+            )
+
+    def test_mirror_operands_share_the_kernel(self, rng):
+        """Dense A against low-rank B (an upper-triangular variant): the
+        same product helper, recorded as (5)-GEMM."""
+        c = lowrank(rng, 64, 64, 5)
+        a, b = DenseTile(rng.standard_normal((64, 64))), lowrank(rng, 64, 64, 4)
+        out, kind, res = gemm_auto(a, b, c, self.RULE)
+        assert kind is KernelClass.GEMM_LR_DENSE
+        assert res.rank_before == 5 + 4
+        np.testing.assert_allclose(
+            out.to_dense(), c.to_dense() - a.data @ b.to_dense().T, atol=1e-6
+        )
+
+
+# ----------------------------------------------------------------------
+# (e) online densification around the single rounding
+# ----------------------------------------------------------------------
+class TestAdaptiveThreshold:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        problem = st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
+        base = BandTLRMatrix.from_problem(
+            problem, TruncationRule(eps=1e-8), band_size=1
+        )
+        return problem.dense(), base
+
+    def test_growth_is_checked_after_the_rounding(self, setup):
+        dense, base = setup
+        plain, adaptive = base.copy(), base.copy()
+        tlr_cholesky(plain)
+        report = tlr_cholesky(adaptive, adaptive_threshold=0.3)
+        assert report.tiles_densified_online > 0
+        for (i, j), tile in adaptive.tiles.items():
+            # column 0 is never updated, hence never rounded or checked
+            if i == j or j == 0 or isinstance(tile, DenseTile):
+                continue
+            # a rounded tile that stayed low-rank is under the threshold
+            assert tile.rank <= 0.3 * 125, (i, j)
+        assert backward_error(adaptive, dense) <= 10 * 1e-8
+        assert backward_error(adaptive, dense) <= 1.5 * backward_error(
+            plain, dense
+        )
+
+    def test_closure_rule_densifies_the_destination_first(self, setup):
+        """Panel 0 of tile (2, 1) has two dense operands: a full-rank
+        update, which no rounding should be asked to absorb."""
+        dense, base = setup
+        m = base.copy()
+        for ij in ((1, 0), (2, 0)):
+            m.set_tile(*ij, DenseTile(m.tile(*ij).to_dense()))
+        report = tlr_cholesky(m, adaptive_threshold=1.0)
+        assert isinstance(m.tile(2, 1), DenseTile)
+        assert report.tiles_densified_online >= 1
+        assert backward_error(m, dense) <= 10 * 1e-8
+
+
+# ----------------------------------------------------------------------
+# the fused graph, and (f) its communication
+# ----------------------------------------------------------------------
+class TestFusedGraph:
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    def test_one_task_per_lowrank_destination(self, band):
+        nt = 7
+        g = build_cholesky_graph(nt, band, 64, lambda i, j: 8, fused=True)
+        g.validate()
+        gemms = [t for t in g.tasks.values() if t.kind is TaskKind.GEMM]
+        by_tile = {}
+        for t in gemms:
+            by_tile.setdefault(t.out_tile, []).append(t)
+        for (m, n), tasks in by_tile.items():
+            if m - n < band:
+                assert len(tasks) == n  # dense: the right-looking chain
+                continue
+            (task,) = tasks
+            assert task.tid == (TaskKind.GEMM, m, n, n - 1)
+            sources = {e.src for e in task.deps}
+            assert sources == {
+                (TaskKind.TRSM, r, j) for r in (m, n) for j in range(n)
+            }
+            assert task.kernel is (
+                KernelClass.GEMM_LR if n >= band else KernelClass.GEMM_LR_DENSE
+            )
+        updated = {
+            (m, n) for m in range(nt) for n in range(1, m) if m - n >= band
+        }
+        assert updated <= set(by_tile)
+
+    def test_default_graph_is_the_papers_ptg(self):
+        nt = 6
+        g = build_cholesky_graph(nt, 2, 64, lambda i, j: 8)
+        assert g.n_tasks == nt + 2 * (nt * (nt - 1) // 2) + (
+            nt * (nt - 1) * (nt - 2) // 6
+        )
+
+    def test_batch_planner_leaves_fused_tasks_alone(self, rng):
+        from repro.linalg import BatchItem, BatchPlanner
+
+        planner = BatchPlanner()
+        a, b = lowrank(rng, 64, 64, 4), lowrank(rng, 64, 64, 4)
+        lr_c, dense_c = lowrank(rng, 64, 64, 4), DenseTile(np.eye(64))
+        assert planner.key(BatchItem(0, "gemm", ([a, a], [b, b], lr_c))) is None
+        assert planner.key(BatchItem(1, "gemm", ([a, a], [b, b], dense_c))) is None
+        assert planner.key(BatchItem(2, "gemm", (a, b, dense_c))) is not None
+
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_realized_comm_equals_simulated_comm(self, problem, ranks):
+        m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-4), 2)
+        g = graph_for_matrix(m)
+        dist = BandDistribution(ProcessGrid.squarest(ranks), band_size=2)
+        rep = execute_graph_distributed(
+            g, m, n_ranks=ranks, distribution=dist, _inline=True
+        )
+        sim = simulate(g, dist, MachineSpec(nodes=ranks, cores_per_node=1))
+        for field in (
+            "local_edges", "remote_edges", "messages", "bytes_sent",
+            "broadcasts",
+        ):
+            assert getattr(rep.comm, field) == getattr(sim.comm, field), field
+        assert rep.dataflow.edges == classify_dataflow(g, dist).edges
+        # owner computes: a tile's only writers share its owner, so a
+        # fused task still receives nothing but final panel tiles
+        remote_sources = {
+            src for (src, _dst, loc) in rep.dataflow.edges if loc == "remote"
+        }
+        assert remote_sources <= {TaskKind.POTRF, TaskKind.TRSM}

@@ -16,7 +16,6 @@ from repro.linalg import (
     gemm_dense_lrd,
     gemm_dense_lrlr,
     gemm_lr,
-    gemm_lr_dense,
     potrf_dense,
     syrk_dense,
     syrk_lr,
@@ -169,7 +168,7 @@ class TestGemmLowRankOutputs:
         ta, a = lowrank(rng, k=3)
         b = rng.standard_normal((B, B))
         tc, c0 = lowrank(rng, k=4)
-        out, res = gemm_lr_dense(ta, DenseTile(b), tc, RULE)
+        out, res = gemm_lr(ta, DenseTile(b), tc, RULE)
         np.testing.assert_allclose(out.to_dense(), c0 - a @ b.T, atol=1e-7)
         assert res.rank_before == 3 + 4
 

@@ -13,15 +13,12 @@ import pytest
 
 from repro.matrix import BandTLRMatrix
 from repro.obs import LogHistogram, MergeReport, load_shards, merge_shards
-from repro.runtime import build_cholesky_graph, execute_graph_distributed
+from repro.runtime import execute_graph_distributed, graph_for_matrix
 
 
 def _graph_for(matrix, band):
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
-        matrix.ntiles, band, matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-    )
+    assert band == matrix.band_size
+    return graph_for_matrix(matrix)
 
 
 @pytest.fixture(scope="module")

@@ -17,26 +17,16 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     ThreadSafeFlopCounter,
     ThreadSafeMemoryPool,
-    build_cholesky_graph,
+    graph_for_matrix,
     execute_graph,
     execute_graph_parallel,
 )
 from repro.utils import ConfigurationError, RuntimeSystemError, SchedulingError
 
 
-def _rank_fn_for(matrix):
-    grid = matrix.rank_grid()
-
-    def rank(i, j):
-        return int(max(grid[i, j], 1))
-
-    return rank
-
-
 def _graph_for(matrix, band):
-    return build_cholesky_graph(
-        matrix.ntiles, band, matrix.desc.tile_size, _rank_fn_for(matrix)
-    )
+    assert band == matrix.band_size
+    return graph_for_matrix(matrix)
 
 
 class TestDeterminism:

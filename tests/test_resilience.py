@@ -21,7 +21,7 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     RecoveryManager,
     RecoveryPolicy,
-    build_cholesky_graph,
+    graph_for_matrix,
     execute_graph,
     execute_graph_parallel,
 )
@@ -40,13 +40,7 @@ FAST = RecoveryPolicy(backoff_s=0.0)  # no backoff sleeps in unit tests
 
 
 def _graph_for(matrix):
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
-        matrix.ntiles,
-        matrix.band_size,
-        matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-    )
+    return graph_for_matrix(matrix)
 
 
 @pytest.fixture(scope="module")

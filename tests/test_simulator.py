@@ -6,7 +6,7 @@ import pytest
 from repro.distribution import BandDistribution, ProcessGrid, TwoDBlockCyclic
 from repro.linalg import KernelClass
 from repro.runtime import MachineSpec, build_cholesky_graph, simulate
-from repro.utils import SchedulingError
+from repro.utils import ConfigurationError, SchedulingError
 
 RANK = lambda i, j: max(4, 64 // (abs(i - j) + 1))
 
@@ -162,6 +162,35 @@ class TestTrace:
 
     def test_no_trace_by_default(self, graph, machine, dist):
         assert simulate(graph, dist, machine).trace is None
+
+
+class TestTaskOverhead:
+    def test_one_core_pays_it_once_per_task(self, graph):
+        one = TwoDBlockCyclic(ProcessGrid.squarest(1))
+        h = 1e-3
+        free, paid = (
+            simulate(
+                graph, one,
+                MachineSpec(nodes=1, cores_per_node=1, task_overhead_s=x),
+                collect_trace=True,
+            )
+            for x in (0.0, h)
+        )
+        assert paid.makespan == pytest.approx(
+            free.makespan + h * graph.n_tasks
+        )
+        # busy time and traced spans cover the kernels alone, as a
+        # recorded run's task spans do
+        assert paid.busy.sum() == pytest.approx(free.busy.sum())
+        spans = [
+            {tid: end - start for tid, _, start, end in res.trace}
+            for res in (free, paid)
+        ]
+        assert spans[1] == pytest.approx(spans[0])
+
+    def test_negative_overhead_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MachineSpec(task_overhead_s=-1e-6)
 
 
 class TestRecursiveGraphSimulation:

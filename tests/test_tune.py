@@ -145,6 +145,24 @@ class TestRates:
         got = rates.seconds("(9)-NOSUCH", 2e9, TILE, 8)
         assert got == pytest.approx(2e9 / (rates.fallback_gflops * 1e9))
 
+    def test_unrecorded_class_borrows_its_sibling(self):
+        """A band-1 recording holds (6)-GEMM and (3)-SYRK only; the same
+        kernels labelled (5)-GEMM and (3)-GEMM at wider bands replay
+        them instead of the aggregate rate.  A recorded class is never
+        overridden."""
+        rates = MeasuredRates(
+            durations={"(6)-GEMM": 2e-3, "(3)-SYRK": 1e-4, "(1)-POTRF": 5e-5},
+            fallback_gflops=1.0,
+        )
+        assert rates.seconds("(5)-GEMM", 1e9, TILE, 8) == 2e-3
+        assert rates.seconds("(3)-GEMM", 1e9, TILE, 8) == 1e-4
+        assert rates.seconds("(1)-GEMM", 1e9, TILE, 8) == pytest.approx(1.0)
+        both = dataclasses.replace(
+            rates, durations={**rates.durations, "(5)-GEMM": 7e-4}
+        )
+        assert both.seconds("(5)-GEMM", 1e9, TILE, 8) == 7e-4
+        assert both.seconds("(6)-GEMM", 1e9, TILE, 8) == 2e-3
+
     def test_extrapolate_uses_class_gflops(self, run):
         rates = dataclasses.replace(rates_from_runs([run]), extrapolate=True)
         kernel = next(t.kernel for t in run.tasks if t.kernel)
@@ -174,6 +192,30 @@ class TestCalibration:
         other.graph["tile_size"] = TILE * 2
         with pytest.raises(ConfigurationError):
             Calibration.from_runs([run, other])
+
+    def test_task_overhead_is_the_median_dispatch_gap(self, run):
+        """Two workers, 1 ms tasks 50 us apart.  A worker that starts
+        late or one long stall (a lock hand-off timeout, a neighbour on
+        the core) moves the idle time per task, not the estimate."""
+        from repro.obs.analytics import RunTrace, TaskSpan
+
+        def worker(name, begin, stall_at=None):
+            spans, t = [], begin
+            for i in range(20):
+                if i == stall_at:
+                    t += 0.010
+                spans.append(TaskSpan(f"{name}-{i}", t, t + 1e-3, name))
+                t += 1e-3 + 50e-6
+            return spans
+
+        def overhead(tasks):
+            trace = RunTrace(tasks=tasks, graph=run.graph, meta=run.meta)
+            return Calibration.from_runs([trace]).task_overhead_s
+
+        calm = worker("w0", 0.0) + worker("w1", 0.0)
+        assert overhead(calm) == pytest.approx(50e-6)
+        noisy = worker("w0", 0.0, stall_at=10) + worker("w1", 2e-3)
+        assert overhead(noisy) == pytest.approx(50e-6)
 
     def test_rank_fn_exact_at_recorded_size(self, calibration, recorded):
         _, grid = recorded
