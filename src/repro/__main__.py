@@ -76,7 +76,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.linalg", "tiles, compression, HCORE kernels, flop models"),
         ("repro.matrix", "BAND-DENSE-TLR containers, memory accounting, I/O"),
         ("repro.distribution", "2D/1D block-cyclic + hybrid band layouts"),
-        ("repro.runtime", "PTG/DTD graphs, executor, machine simulator"),
+        ("repro.runtime", "PTG graphs, executors, machine simulator"),
         ("repro.core", "factorization, auto-tuner, solves, MLE, API"),
         ("repro.analysis", "rank models, metrics, Gantt, reporting"),
     ]:

@@ -15,7 +15,6 @@ from .distributed import (
     execute_graph_distributed,
     placement_of,
 )
-from .dtd import Access, TaskInserter, dtd_cholesky_graph
 from .executor import ExecutionReport, execute_graph, execute_graph_parallel
 from .graph import (
     TaskGraph,
@@ -23,7 +22,6 @@ from .graph import (
     classify_gemm,
     graph_for_matrix,
 )
-from .jdf import CHOLESKY_JDF, cholesky_graph_from_jdf, compile_jdf, parse_jdf
 from .machine import SHAHEEN_II_LIKE, KernelRateModel, MachineSpec
 from .memory_pool import MemoryPool, PoolStats
 from .parallel import (
@@ -54,7 +52,6 @@ from .task import Edge, EdgeKind, Task, TaskKind, task_sort_key
 from .workpool import parallel_map
 
 __all__ = [
-    "Access",
     "DataflowBreakdown",
     "classify_dataflow",
     "to_dot",
@@ -76,15 +73,9 @@ __all__ = [
     "ProcessExecutor",
     "SimExecutor",
     "get_executor",
-    "TaskInserter",
-    "dtd_cholesky_graph",
     "TaskGraph",
     "build_cholesky_graph",
     "graph_for_matrix",
-    "CHOLESKY_JDF",
-    "compile_jdf",
-    "parse_jdf",
-    "cholesky_graph_from_jdf",
     "classify_gemm",
     "ExecutionReport",
     "execute_graph",

@@ -12,41 +12,51 @@ over explicit send/recv channels with binomial broadcast trees for the
 panel factors (POTRF and TRSM outputs) — the Section VII-A communication
 pattern, executed instead of simulated.
 
-Execution model (owner computes, SPMD):
+Execution model (owner computes, dataflow): every rank is *one inline
+worker of the execution core* — the same dependency-driven loop, ready
+set, scheduler policy, recovery engine, pool and accounting as an
+in-process run — restricted to the tasks whose output tile it owns.
+This module supplies only the link (:class:`_RankLink`) for what a rank
+does differently:
 
-* every rank walks the *same* deterministic topological order and
-  executes only the tasks whose output tile it owns;
-* a task's input tiles are LOCAL (produced by an earlier task on the
-  same rank — the PTG chain edges) or REMOTE, in which case the rank
-  blocks on its inbox until the tile arrives;
+* a task's input is LOCAL (released by the commit of an earlier task on
+  the same rank — the PTG chain edges) or REMOTE, released when the
+  producer's tile *arrives* in the rank's inbox;
+* a rank with nothing ready and arrivals outstanding blocks on its inbox,
+  checking the controller's abort flag and the run's deadline — an input
+  that never arrives is a typed error, never a hang;
 * a rank that commits a task whose output has remote consumers sends
   the tile once per consumer rank, routed down a binomial tree whose
-  interior nodes are consumer ranks (each forwards to its subtree).
+  interior nodes are consumer ranks (each forwards to its subtree), and
+  on a closed panel ships its frontier shard to the controller.
 
 Correctness rests on a property of the Cholesky PTG under
 owner-computes placement: every remote edge originates from a POTRF or
 TRSM task, and those outputs are the *final* writes to their tile
 coordinates.  Remote tiles are therefore immutable snapshots — each
 consumer rank receives exactly one version per coordinate, reads it
-read-only, and never owns a write to it.  Combined with the total
-ordering of writes per tile (the LOCAL chains) and deterministic
-kernels, the factor is bitwise identical to the sequential and thread
-executors for any rank count.
+read-only, and never owns a write to it.  No rank follows a prescribed
+task order; as for threads, determinism rests on the total order of
+writes per tile (the LOCAL chains) and deterministic kernels, so the
+factor is bitwise identical to the reference loops and the in-process
+core for any rank count.
 
-Resilience carries over wholesale: each rank runs its tasks under its
-own :class:`~repro.runtime.resilience.RecoveryManager` (fault draws
-depend only on (seed, task, attempt), so chaos runs stay deterministic
-across rank counts); checkpoints are coordinated by the controller,
-which merges per-rank frontier shards into standard
+Resilience carries over wholesale: the core on each rank runs its tasks
+under its own recovery engine (fault draws depend only on
+(seed, task, attempt), so chaos runs stay deterministic across rank
+counts); checkpoints are coordinated by the controller, which merges
+per-rank frontier shards into standard
 :class:`~repro.runtime.resilience.Checkpointer` archives that the other
 executors can resume, and vice versa.  If a rank process dies mid-run,
 the controller relaunches the run from the latest checkpoint (or from
 scratch — its own tile state is untouched until the final gather) and
-counts a recovery.
+counts a recovery.  A task exception on a rank crosses the process
+boundary as the thread boundary is crossed: wrapped in
+:class:`RuntimeSystemError` with the original exception chained.
 
-The report quacks like an :class:`~repro.runtime.executor
-.ExecutionReport` (``makespan``/``busy``/``trace``/
-``occupancy``), so gantt, occupancy summaries and Chrome-trace export
+The report *is* an :class:`~repro.runtime.executor.ExecutionReport`
+(one rank per lane; the ranks' counters, pool statistics and tracker
+peaks merged), so gantt, occupancy summaries and Chrome-trace export
 consume distributed runs unchanged, and adds the realized communication
 volume: :class:`~repro.runtime.simulator.CommStats` under the
 simulator's counting conventions (directly comparable with
@@ -58,6 +68,9 @@ reconciliation, not an assumption.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
 import queue as _queue
 import threading
 import time
@@ -80,14 +93,11 @@ from .dataflow import DataflowBreakdown
 from .executor import (
     ExecutionReport,
     _check_graph,
-    _commit_task,
-    _compute_task,
-    _release_factors,
     _restore_latest,
+    execute_graph_parallel,
 )
 from .graph import TaskGraph
-from .memory_pool import MemoryPool
-from .resilience import ResilienceReport, as_checkpointer, build_manager
+from .resilience import ResilienceReport, as_checkpointer
 from .simulator import CommStats
 from .task import TaskId, task_name
 
@@ -121,6 +131,16 @@ def placement_of(graph: TaskGraph, dist: Distribution) -> dict[TaskId, int]:
     return {tid: dist.owner(*t.out_tile) for tid, t in graph.tasks.items()}
 
 
+#: The :class:`MemoryTracker` figures a rank reports and the controller sums.
+_TRACKED = ("current_elements", "peak_elements", "reallocations")
+
+
+def _add_fields(into, part, names=None) -> None:
+    """``into.f += part.f`` over ``part``'s dataclass fields (or ``names``)."""
+    for name in names or [f.name for f in dataclasses.fields(part)]:
+        setattr(into, name, getattr(into, name) + getattr(part, name))
+
+
 def _tile_nbytes(tile) -> int:
     """Actual factor bytes a tile occupies on the wire."""
     if isinstance(tile, LowRankTile):
@@ -142,21 +162,24 @@ def _remote_dest_ranks(graph, placement, tid, completed) -> list[int]:
 class _RankStore:
     """A rank's private tile store, quacking like the matrix for kernels.
 
-    Holds the tiles this rank owns plus read-only snapshots received
-    from peers.  Missing tiles are a protocol error, not a KeyError.
+    ``tiles`` holds the tiles this rank owns — all it ever writes,
+    accounts, checkpoints or returns; ``remote`` the read-only snapshots
+    received from peers.  A missing tile is a protocol error, not a
+    KeyError.
     """
 
     def __init__(self, tiles: dict[tuple[int, int], object]):
         self.tiles = tiles
+        self.remote: dict[tuple[int, int], object] = {}
 
     def tile(self, i: int, j: int):
-        try:
-            return self.tiles[(i, j)]
-        except KeyError:
+        tile = self.tiles.get((i, j), self.remote.get((i, j)))
+        if tile is None:
             raise RuntimeSystemError(
                 f"tile ({i}, {j}) is neither owned by nor received on "
                 "this rank — placement/dataflow mismatch"
-            ) from None
+            )
+        return tile
 
     def set_tile(self, i: int, j: int, tile) -> None:
         self.tiles[(i, j)] = tile
@@ -167,7 +190,6 @@ class _RankConfig:
     """Everything one rank needs; must stay picklable for spawn starts."""
 
     rank: int
-    n_ranks: int
     graph: TaskGraph
     dist: Distribution
     tiles: dict[tuple[int, int], object]
@@ -179,7 +201,6 @@ class _RankConfig:
     faults: object
     recovery: object
     ckpt_every: int | None
-    collect_trace: bool
     t0_wall: float
     deadline: float | None
     attempt: int
@@ -188,7 +209,7 @@ class _RankConfig:
 
 
 class _Aborted(Exception):
-    """Internal: the controller signalled abort; exit quietly."""
+    """Internal: the controller said stop (or abort); exit quietly."""
 
 
 def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
@@ -201,40 +222,188 @@ def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
     own result pipe (synchronous, on this thread), or the shared
     ``queue.Queue.put`` inline.
     """
+    link = _RankLink(cfg, inboxes, emit, abort)
     try:
-        payload = _rank_body(cfg, inboxes, emit, abort)
-    except _Aborted:
-        return
-    except BaseException:
+        payload = _rank_body(link)
+        emit(("done", cfg.rank, payload))
+        # Keep forwarding until the controller's stop: a peer may still
+        # route a (defensive) forward through us though our tasks are done.
+        while True:
+            link.receive(block=True)
+    except _Aborted:  # stop or abort
+        pass
+    except BaseException as exc:
+        # The exception itself crosses to the controller when it pickles
+        # (so the caller can chain it); its traceback text always does.
         try:
-            emit(("error", cfg.rank, traceback.format_exc()))
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = None
+        try:
+            emit(("error", cfg.rank, exc, traceback.format_exc()))
         except Exception:
             pass
-        return
-    emit(("done", cfg.rank, payload))
-    # Drain until the controller's stop: a peer may still route a
-    # (defensive) forward through us even though all our tasks are done.
-    _drain_until_stop(cfg, inboxes, abort)
+    finally:
+        # Tiles still queued for a stopped (or dead) peer are needed by no
+        # one now and must not hold up this process's exit.
+        for q in inboxes:
+            if hasattr(q, "cancel_join_thread"):  # not the inline queues
+                q.cancel_join_thread()
 
 
-def _drain_until_stop(cfg, inboxes, abort) -> None:
-    inbox = inboxes[cfg.rank]
-    while True:
-        try:
-            msg = inbox.get(timeout=0.25)
-        except _queue.Empty:
-            if abort is not None and abort.is_set():
-                return
-            continue
-        if msg[0] == "stop":
+class _RankLink:
+    """What a rank does differently, as the execution core sees it.
+
+    The core (:func:`~repro.runtime.executor.execute_graph_parallel`)
+    asks the link which tasks the rank owns and which inputs must still
+    *arrive* (``owned``, ``restored``, ``arrived``), blocks on or polls
+    the inbox through it (``receive``), and reports every commit to it
+    (``committed``: send the tile to its consumer ranks, ship a frontier
+    shard on a closed panel).  ``t0`` is the ``perf_counter`` reading of
+    the controller's launch, so every rank's trace shares one time axis.
+
+    The link also keeps the rank's communication accounting under the
+    simulator's conventions: logical messages/bytes are counted once per
+    (producer task, consumer rank) at the producer; wire counts follow
+    the actual tree hops with actual factor sizes.
+    """
+
+    def __init__(self, cfg: _RankConfig, inboxes, emit, abort):
+        self.cfg, self.store = cfg, _RankStore(dict(cfg.tiles))
+        self.inboxes, self.emit, self.abort = inboxes, emit, abort
+        self.placement = placement_of(cfg.graph, cfg.dist)
+        self.owned = {
+            tid for tid, r in self.placement.items() if r == cfg.rank
+        }
+        # The restored checkpoint frontier.  Consumers in it are not
+        # (re-)sent to; it never grows during the run.
+        self.restored = cfg.completed
+        # Remote producers whose tiles are here (in ``store.remote``).
+        self.arrived: set[TaskId] = set()
+        self.t0 = time.perf_counter() - (time.time() - cfg.t0_wall)
+        self.comm = CommStats()
+        self.wire_messages = self.wire_bytes = 0
+        self.df_edges: dict[tuple, int] = {}
+        self.df_bytes: dict[tuple, int] = {}
+        # Shard telemetry (only when the controller asked for obs
+        # shards): the NTP-style handshake result, and one event per wire
+        # hop so the merger can draw realized edges.
+        self.clock_sync: dict[str, float] = {}
+        self.sends: list[dict] = []
+        self.recvs: list[dict] = []
+        self.kill_budget = None
+        if cfg.chaos_kill is not None and cfg.attempt == 0 and \
+                cfg.chaos_kill[0] == cfg.rank:
+            self.kill_budget = int(cfg.chaos_kill[1])
+
+    def _post(self, src_tid, ij, tile, dests: list[int]) -> None:
+        """Send ``tile`` down the binomial tree over ``dests``."""
+        for child, sub in binomial_children(dests):
+            self.inboxes[child].put(("tile", src_tid, ij, tile, sub))
+            self.wire_messages += 1
+            self.wire_bytes += _tile_nbytes(tile)
+            if self.cfg.shard_dir is not None:
+                self.sends.append({
+                    "task": task_name(src_tid), "dst": child,
+                    "t": time.perf_counter() - self.t0,
+                })
+
+    def receive(self, block: bool) -> list[TaskId]:
+        """Drain the inbox (``block``: wait up to 0.2 s for a first
+        message).  Arriving tiles are stored and forwarded down their
+        subtrees; returns their producer tasks.  An empty inbox checks the
+        controller's abort flag and the run's deadline."""
+        cfg = self.cfg
+        inbox = self.inboxes[cfg.rank]
+        got: list[TaskId] = []
+        while True:
+            try:
+                msg = inbox.get(timeout=0.2) if block else inbox.get_nowait()
+            except _queue.Empty:
+                if self.abort is not None and self.abort.is_set():
+                    raise _Aborted() from None
+                if cfg.deadline is not None and time.time() > cfg.deadline:
+                    raise RuntimeSystemError(
+                        f"rank {cfg.rank} exceeded the "
+                        f"{cfg.deadline - cfg.t0_wall:.1f}s "
+                        "distributed-execution deadline"
+                    ) from None
+                return got
+            block = False
+            if msg[0] == "stop":  # only sent once we reported done
+                raise _Aborted()
+            if msg[0] == "sync_reply":
+                _, t_echo, t_ctrl = msg
+                t_recv = time.time()
+                self.clock_sync["offset_s"] = t_ctrl - (t_echo + t_recv) / 2
+                self.clock_sync["rtt_s"] = t_recv - t_echo
+                continue
+            _, src_tid, ij, tile, subtree = msg
+            self._post(src_tid, ij, tile, list(subtree))
+            self.store.remote[ij] = tile
+            self.arrived.add(src_tid)
+            got.append(src_tid)
+            if cfg.shard_dir is not None:
+                self.recvs.append({
+                    "task": task_name(src_tid),
+                    "t": time.perf_counter() - self.t0,
+                })
+
+    def send_output(self, tid: TaskId) -> None:
+        """Send ``tid``'s (final) output tile once per consumer rank."""
+        graph, me = self.cfg.graph, self.cfg.rank
+        dests = _remote_dest_ranks(graph, self.placement, tid, self.restored)
+        if not dests:
             return
-        if msg[0] == "tile":
-            _, _src_tid, _ij, tile, subtree = msg
-            for child, sub in binomial_children(list(subtree)):
-                inboxes[child].put(("tile", _src_tid, _ij, tile, sub))
+        out_tile = graph.tasks[tid].out_tile
+        elements = next(
+            e.elements for e in graph.succs[tid]
+            if self.placement[e.dst] != me
+        )
+        self.comm.messages += len(dests)
+        self.comm.bytes_sent += elements * 8 * len(dests)
+        if len(dests) > 1:
+            self.comm.broadcasts += 1
+        self._post(tid, out_tile, self.store.tile(*out_tile), dests)
+
+    def committed(self, tid: TaskId, completed: set, panel_closed: bool):
+        """The core committed ``tid``: account its realized dataflow,
+        send its output on, and on a closed panel ship the frontier
+        shard the controller merges into a global checkpoint."""
+        cfg = self.cfg
+        if self.kill_budget is not None:
+            self.kill_budget -= 1
+            if self.kill_budget <= 0:
+                os._exit(17)  # simulated rank crash, no cleanup
+        task = cfg.graph.tasks[tid]
+        for e in task.deps:
+            kinds = (cfg.graph.tasks[e.src].kind, task.kind)
+            local = e.src in self.owned
+            key = (*kinds, "local" if local else "remote")
+            self.df_edges[key] = self.df_edges.get(key, 0) + 1
+            if local:
+                self.comm.local_edges += 1
+            else:
+                self.comm.remote_edges += 1
+                self.df_bytes[kinds] = (
+                    self.df_bytes.get(kinds, 0) + e.elements * 8
+                )
+        self.send_output(tid)
+        if panel_closed and cfg.ckpt_every is not None:
+            # The owned-tile state and completed set are a consistent
+            # per-rank prefix.  The tiles MUST be deep-copied: the inline
+            # harness hands these very objects to the controller, and the
+            # in-place POTRF/SYRK kernels would otherwise mutate tiles
+            # after the emit, desynchronizing the shard's tile state from
+            # its completed set.
+            self.emit(("panel", cfg.rank, task.panel, {
+                "tiles": {ij: t.copy() for ij, t in self.store.tiles.items()},
+                "completed": list(completed),
+            }))
 
 
-def _rank_body(cfg: _RankConfig, inboxes, emit, abort) -> dict:
+def _rank_body(link: _RankLink) -> dict:
+    cfg = link.cfg
     # Defensive under fork starts: the child must not write into the
     # parent's (copied) observation sinks — spans are replayed by the
     # controller from the returned trace instead.
@@ -243,254 +412,57 @@ def _rank_body(cfg: _RankConfig, inboxes, emit, abort) -> dict:
     except Exception:
         pass
 
-    from ..linalg.backends import get_backend
+    if cfg.shard_dir is not None:
+        # NTP-style clock handshake: the controller echoes our send
+        # timestamp with its own clock reading; the midpoint estimate
+        # puts this rank's timeline on the controller clock for the
+        # shard merger.  Tiles arriving meanwhile are kept as usual.
+        link.emit(("sync", cfg.rank, time.time()))
+        while "offset_s" not in link.clock_sync:
+            link.receive(block=True)
+    # Resume: re-publish the final tile versions that restored-away
+    # consumers on other ranks still need (the checkpoint frontier is a
+    # per-rank-consistent cut; remote payloads are final tile versions,
+    # so resending from restored state is always valid).
+    for tid in cfg.resend:
+        link.send_output(tid)
 
-    graph, dist, me = cfg.graph, cfg.dist, cfg.rank
-    placement = placement_of(graph, dist)
-    backend = get_backend(cfg.backend_name)
-    store = _RankStore(dict(cfg.tiles))
-    inbox = inboxes[me]
-    completed = set(cfg.completed)
-
-    # Plain (lock-free, picklable) accounting: a rank is single-threaded
-    # and ships its counter back to the controller.
-    report = ExecutionReport(
-        counter=FlopCounter(), tracker=MemoryTracker(), pool=MemoryPool()
+    report = execute_graph_parallel(
+        cfg.graph, link.store, n_workers=1, rule=cfg.rule,
+        use_pool=cfg.use_pool, collect_trace=True,
+        backend=cfg.backend_name, faults=cfg.faults,
+        recovery=cfg.recovery, _link=link,
     )
-    pooled: dict[int, object] = {}
-    stats_lock = threading.Lock()
-    manager = build_manager(cfg.faults, cfg.recovery)
-    if manager is not None:
-        manager.discard = lambda tile: _release_factors(
-            tile, report, pooled, stats_lock
-        )
+    if cfg.shard_dir is not None:
+        _write_shard(cfg, report, link)
+    # The peers' snapshots are dead weight from here on; drop them before
+    # the payload is pickled (the rank's memory peak).
+    link.store.remote.clear()
 
-    # Communication + dataflow accounting, simulator conventions:
-    # logical messages/bytes are counted once per (producer task,
-    # consumer rank) at the producer; wire counts follow the actual tree
-    # hops with actual factor sizes.
-    comm = {
-        "local_edges": 0, "remote_edges": 0, "messages": 0,
-        "bytes_sent": 0, "broadcasts": 0,
-        "wire_messages": 0, "wire_bytes": 0,
-    }
-    df_edges: dict[tuple, int] = {}
-    df_bytes: dict[tuple, int] = {}
-    arrived: set[TaskId] = set()
-    trace: list[tuple] = []
-    busy = 0.0
-    # Shard telemetry (only when the controller asked for obs shards):
-    # clock_sync holds the NTP-style handshake result; comm events are
-    # recorded per wire hop so the merger can draw realized edges.
-    sharding = cfg.shard_dir is not None
-    clock_sync: dict[str, float] = {}
-    comm_sends: list[dict] = []
-    comm_recvs: list[dict] = []
-    kill_budget = None
-    if cfg.chaos_kill is not None and cfg.attempt == 0 and \
-            cfg.chaos_kill[0] == me:
-        kill_budget = int(cfg.chaos_kill[1])
-
-    def _check_liveness() -> None:
-        if abort is not None and abort.is_set():
-            raise _Aborted()
-        if cfg.deadline is not None and time.time() > cfg.deadline:
-            raise RuntimeSystemError(
-                f"rank {me} exceeded the {cfg.deadline - cfg.t0_wall:.1f}s "
-                "distributed-execution deadline"
-            )
-
-    def _pump(block: bool) -> bool:
-        """Receive one message; forward tree hops; record arrivals."""
-        try:
-            msg = inbox.get(timeout=0.2) if block else inbox.get_nowait()
-        except _queue.Empty:
-            _check_liveness()
-            return False
-        if msg[0] == "stop":  # only sent after we report done
-            return False
-        if msg[0] == "sync_reply":
-            _, t_echo, t_ctrl = msg
-            t_recv = time.time()
-            clock_sync["offset_s"] = t_ctrl - (t_echo + t_recv) / 2.0
-            clock_sync["rtt_s"] = t_recv - t_echo
-            return True
-        _, src_tid, ij, tile, subtree = msg
-        for child, sub in binomial_children(list(subtree)):
-            inboxes[child].put(("tile", src_tid, ij, tile, sub))
-            comm["wire_messages"] += 1
-            comm["wire_bytes"] += _tile_nbytes(tile)
-            if sharding:
-                comm_sends.append({
-                    "task": task_name(src_tid), "dst": child,
-                    "t": time.time() - cfg.t0_wall,
-                })
-        store.set_tile(*ij, tile)
-        arrived.add(src_tid)
-        if sharding:
-            comm_recvs.append({
-                "task": task_name(src_tid),
-                "t": time.time() - cfg.t0_wall,
-            })
-        return True
-
-    def _send_output(tid) -> None:
-        dests = _remote_dest_ranks(graph, placement, tid, completed_remote)
-        if not dests:
-            return
-        task = graph.tasks[tid]
-        tile = store.tile(*task.out_tile)
-        elements = next(
-            (e.elements for e in graph.succs.get(tid, [])
-             if placement[e.dst] != me),
-            0,
-        )
-        comm["messages"] += len(dests)
-        comm["bytes_sent"] += elements * 8 * len(dests)
-        if len(dests) > 1:
-            comm["broadcasts"] += 1
-        for child, sub in binomial_children(dests):
-            inboxes[child].put(("tile", tid, task.out_tile, tile, sub))
-            comm["wire_messages"] += 1
-            comm["wire_bytes"] += _tile_nbytes(tile)
-            if sharding:
-                comm_sends.append({
-                    "task": task_name(tid), "dst": child,
-                    "t": time.time() - cfg.t0_wall,
-                })
-
-    # Consumers already restored from a checkpoint must not be re-sent
-    # to; my own completed set grows during the run but remote-dest
-    # pruning only ever consults the restored frontier.
-    completed_remote = frozenset(completed)
-
-    # My tasks, my panels, my remote inputs.
-    order = graph.topological_order()
-    mine = [tid for tid in order if placement[tid] == me]
-    panel_remaining: dict[int, int] = {}
-    for tid in mine:
-        if tid not in completed:
-            p = graph.tasks[tid].panel
-            panel_remaining[p] = panel_remaining.get(p, 0) + 1
-
-    try:
-        if sharding:
-            # NTP-style clock handshake: the controller echoes our send
-            # timestamp with its own clock reading; the midpoint estimate
-            # puts this rank's timeline on the controller clock for the
-            # shard merger.  Early tile arrivals are handled by the same
-            # _pump the wait loop spins on.
-            emit(("sync", me, time.time()))
-            while "offset_s" not in clock_sync:
-                _pump(block=True)
-
-        # Resume: re-publish the final tile versions that restored-away
-        # consumers on other ranks still need (the checkpoint frontier
-        # is a per-rank-consistent cut; remote payloads are final tile
-        # versions, so resending from restored state is always valid).
-        for tid in cfg.resend:
-            _send_output(tid)
-
-        for tid in mine:
-            if tid in completed:
-                continue
-            task = graph.tasks[tid]
-            for e in task.deps:
-                src_owner = placement[e.src]
-                loc = "local" if src_owner == me else "remote"
-                key = (graph.tasks[e.src].kind, task.kind, loc)
-                df_edges[key] = df_edges.get(key, 0) + 1
-                if loc == "local":
-                    comm["local_edges"] += 1
-                else:
-                    comm["remote_edges"] += 1
-                    bkey = (graph.tasks[e.src].kind, task.kind)
-                    df_bytes[bkey] = df_bytes.get(bkey, 0) + e.elements * 8
-                    # Block until the producer's tile lands — whether it
-                    # was just executed or resent from a restored
-                    # checkpoint frontier on the producer's rank.
-                    while e.src not in arrived:
-                        _pump(block=True)
-            start = time.time() - cfg.t0_wall
-            if manager is not None:
-                out, recomp = manager.run(
-                    task, store,
-                    lambda: _compute_task(
-                        tid, task, store, cfg.rule, backend, report.counter
-                    ),
-                )
-            else:
-                out, recomp = _compute_task(
-                    tid, task, store, cfg.rule, backend, report.counter
-                )
-            _commit_task(
-                tid, task, out, recomp, store, report, pooled,
-                cfg.use_pool, stats_lock,
-            )
-            end = time.time() - cfg.t0_wall
-            busy += end - start
-            trace.append((tid, me, start, end))
-            report.tasks_executed += 1
-            completed.add(tid)
-            if kill_budget is not None:
-                kill_budget -= 1
-                if kill_budget <= 0:
-                    import os as _os
-
-                    _os._exit(17)  # simulated rank crash, no cleanup
-            _send_output(tid)
-            p = task.panel
-            panel_remaining[p] -= 1
-            if panel_remaining[p] == 0 and cfg.ckpt_every is not None:
-                # Frontier shard: this rank's owned-tile state and
-                # completed set are a consistent per-rank prefix the
-                # controller merges into a global checkpoint.  The tiles
-                # MUST be deep-copied: the inline harness hands these
-                # very objects to the controller, and the in-place
-                # POTRF/SYRK kernels would otherwise mutate tiles after
-                # the emit, desynchronizing the shard's tile state from
-                # its completed set.
-                owned = {
-                    ij: t.copy() for ij, t in store.tiles.items()
-                    if dist.owner(*ij) == me
-                }
-                emit(("panel", me, p, {
-                    "tiles": owned,
-                    "completed": list(completed),
-                }))
-            while _pump(block=False):  # keep forwarding latency low
-                pass
-    finally:
-        if manager is not None:
-            manager.close()
-
-    if sharding:
-        _write_shard(cfg, graph, trace, clock_sync, comm_sends, comm_recvs,
-                     comm, busy)
-
-    resilience = manager.report if manager is not None else None
+    # The report's accounting objects hold locks and pool buffers;
+    # their plain, picklable contents go back to the controller.
+    counter, tracker = FlopCounter(), MemoryTracker()
+    counter.merge(report.counter)
+    _add_fields(tracker, report.tracker, _TRACKED)
     return {
-        "rank": me,
-        "tiles": {
-            ij: t for ij, t in store.tiles.items() if dist.owner(*ij) == me
-        },
-        "counter": report.counter,
+        "tiles": link.store.tiles,
+        "counter": counter,
+        "pool_stats": report.pool.stats,
+        "tracker": tracker,
         "rank_growth_events": report.rank_growth_events,
         "max_rank_seen": report.max_rank_seen,
         "tasks_executed": report.tasks_executed,
-        "busy": busy,
-        "trace": trace,
-        "comm": comm,
-        "df_edges": df_edges,
-        "df_bytes": df_bytes,
-        "resilience": resilience,
-        "pool_stats": report.pool.stats,
+        "busy": float(report.busy[0]),
+        "trace": [(tid, cfg.rank, s, e) for tid, _, s, e in report.trace],
+        "resilience": report.resilience,
+        "comm": link.comm,
+        "wire": (link.wire_messages, link.wire_bytes),
+        "df_edges": link.df_edges,
+        "df_bytes": link.df_bytes,
     }
 
 
-def _write_shard(
-    cfg, graph, trace, clock_sync, comm_sends, comm_recvs, comm, busy
-) -> None:
+def _write_shard(cfg, report, link) -> None:
     """Write this rank's obs shard (``shard-rank<R>.json``).
 
     Each rank persists its own telemetry — task spans with kernel/flop
@@ -505,8 +477,8 @@ def _write_shard(
 
     sk = LogHistogram()
     spans = []
-    for tid, _r, start, end in trace:
-        task = graph.tasks[tid]
+    for tid, _w, start, end in report.trace:
+        task = cfg.graph.tasks[tid]
         spans.append({
             "name": task_name(tid),
             "kind": task.kind.value,
@@ -518,15 +490,15 @@ def _write_shard(
         sk.add(end - start)
     doc = {
         "rank": cfg.rank,
-        "n_ranks": cfg.n_ranks,
-        "clock": clock_sync,
+        "n_ranks": cfg.dist.nprocs,
+        "clock": link.clock_sync,
         "spans": spans,
-        "comm": {"sends": comm_sends, "recvs": comm_recvs},
+        "comm": {"sends": link.sends, "recvs": link.recvs},
         "counters": {
             "tasks_executed": len(spans),
-            "busy_s": busy,
-            "wire_messages": comm["wire_messages"],
-            "wire_bytes": comm["wire_bytes"],
+            "busy_s": float(report.busy[0]),
+            "wire_messages": link.wire_messages,
+            "wire_bytes": link.wire_bytes,
         },
         "sketch": sk.to_dict(),
     }
@@ -536,13 +508,12 @@ def _write_shard(
 
 
 @dataclass
-class DistributedExecutionReport:
-    """Artifacts of a multi-process (numerical) graph execution.
-
-    Same accounting surface as
-    :class:`~repro.runtime.executor.ExecutionReport` (one rank
-    per lane: ``nodes = n_ranks``, ``cores_per_node = 1``) plus the
-    realized communication volume.
+class DistributedExecutionReport(ExecutionReport):
+    """An :class:`~repro.runtime.executor.ExecutionReport` (one rank per
+    lane: ``n_workers = nodes =`` the rank count; counters, pool
+    statistics and tracker figures are the ranks' summed — the pool and
+    tracker peaks are therefore the capacity all address spaces need
+    together) plus the realized communication volume.
 
     Attributes
     ----------
@@ -569,19 +540,6 @@ class DistributedExecutionReport:
         ``shard_dir``; ``None`` otherwise.
     """
 
-    counter: FlopCounter = field(default_factory=FlopCounter)
-    tracker: MemoryTracker = field(default_factory=MemoryTracker)
-    pool: MemoryPool = field(default_factory=MemoryPool)
-    rank_growth_events: int = 0
-    max_rank_seen: int = 0
-    tasks_executed: int = 0
-    tasks_resumed: int = 0
-    resilience: ResilienceReport | None = None
-    n_ranks: int = 1
-    makespan: float = 0.0
-    busy: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    total_flops: float = 0.0
-    trace: list[tuple] | None = None
     comm: CommStats = field(default_factory=CommStats)
     dataflow: DataflowBreakdown = field(default_factory=DataflowBreakdown)
     wire_messages: int = 0
@@ -589,32 +547,6 @@ class DistributedExecutionReport:
     placement: dict = field(default_factory=dict)
     rank_restarts: int = 0
     shard_merge: object | None = None
-
-    @property
-    def n_workers(self) -> int:
-        """Rank count, under the thread-report's attribute name."""
-        return self.n_ranks
-
-    @property
-    def nodes(self) -> int:
-        return self.n_ranks
-
-    @property
-    def cores_per_node(self) -> int:
-        return 1
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        """Per-rank busy fraction in [0, 1]."""
-        return self.busy / max(self.makespan, 1e-300)
-
-    @property
-    def achieved_gflops(self) -> float:
-        return self.total_flops / max(self.makespan, 1e-300) / 1e9
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        return float(self.busy.sum()) / max(self.makespan, 1e-300)
 
 
 def _leading_panels_done(panel_tasks, union_completed) -> int:
@@ -746,10 +678,10 @@ def execute_graph_distributed(
     placement = placement_of(graph, distribution)
     ckptr = as_checkpointer(checkpoint)
 
-    report = DistributedExecutionReport(n_ranks=n_ranks)
-    report.tracker.register_matrix(matrix)
-    report.total_flops = graph.total_flops()
-    report.placement = placement
+    report = DistributedExecutionReport(
+        n_workers=n_ranks, total_flops=graph.total_flops(),
+        placement=placement,
+    )
     rrep = ResilienceReport() if (
         ckptr is not None or faults is not None or recovery is not None
         or _chaos_kill is not None
@@ -781,8 +713,7 @@ def execute_graph_distributed(
                 graph, matrix, distribution, placement, n_ranks,
                 completed0, resend, rule, backend_obj.name, use_pool,
                 faults, recovery, ckptr, panel_tasks, rrep, report,
-                collect_trace or observing, timeout_s,
-                _chaos_kill, restarts, _inline, shard_dir,
+                timeout_s, _chaos_kill, restarts, _inline, shard_dir,
             )
         except _RankDied as died:
             restarts += 1
@@ -843,8 +774,7 @@ def execute_graph_distributed(
 def _run_once(
     graph, matrix, dist, placement, n_ranks, completed0, resend,
     rule, backend_name, use_pool, faults, recovery, ckptr, panel_tasks,
-    rrep, report, collect_trace, timeout_s, chaos_kill, attempt, inline,
-    shard_dir=None,
+    rrep, report, timeout_s, chaos_kill, attempt, inline, shard_dir,
 ) -> None:
     """One launch-collect-gather attempt; raises ``_RankDied`` on loss."""
     t0_wall = time.time()
@@ -858,13 +788,13 @@ def _run_once(
             if dist.owner(*ij) == r
         }
         return _RankConfig(
-            rank=r, n_ranks=n_ranks, graph=graph, dist=dist, tiles=owned,
+            rank=r, graph=graph, dist=dist, tiles=owned,
             rule=rule, backend_name=backend_name, use_pool=use_pool,
             completed=frozenset(completed0), resend=tuple(resend[r]),
             faults=faults, recovery=recovery,
             ckpt_every=None if ckptr is None else ckptr.config.every,
-            collect_trace=collect_trace, t0_wall=t0_wall,
-            deadline=deadline, attempt=attempt, chaos_kill=chaos_kill,
+            t0_wall=t0_wall, deadline=deadline, attempt=attempt,
+            chaos_kill=chaos_kill,
             shard_dir=None if shard_dir is None else str(shard_dir),
         )
 
@@ -935,7 +865,7 @@ def _run_once(
 
     latest_shard: dict[int, dict] = {}
     last_saved_panels = _leading_panels_done(panel_tasks, completed0)
-    error: tuple[int, str] | None = None
+    error: tuple | None = None  # (rank, exception or None, traceback)
     try:
         while len(payloads) < n_ranks and error is None and not lost:
             msgs = poll()
@@ -954,7 +884,7 @@ def _run_once(
                 if kind == "done":
                     payloads[msg[1]] = msg[2]
                 elif kind == "error":
-                    error = (msg[1], msg[2])
+                    error = msg[1:]
                 elif kind == "sync":
                     # Clock handshake: echo the rank's send timestamp with
                     # the controller clock; the rank midpoints the
@@ -1005,9 +935,10 @@ def _run_once(
                     pass
 
     if error is not None:
+        # The thread-boundary rule of the core, at the process boundary.
         raise RuntimeSystemError(
-            f"rank {error[0]} failed while executing the graph:\n{error[1]}"
-        )
+            f"rank {error[0]} failed while executing the graph:\n{error[2]}"
+        ) from error[1]
     if lost:
         raise _RankDied(lost)
 
@@ -1018,49 +949,35 @@ def _run_once(
         for ij, tile in payload["tiles"].items():
             matrix.set_tile(*ij, tile)
 
+    # Merge the ranks' core reports.  Pool and tracker figures add up
+    # (owned tiles are disjoint and every rank is its own address space,
+    # so the summed peaks are the capacity the run needs).
     busy = np.zeros(n_ranks)
     trace: list[tuple] = []
-    comm = CommStats()
-    df = DataflowBreakdown()
-    report.counter = FlopCounter()
-    report.rank_growth_events = 0
-    report.max_rank_seen = 0
-    report.tasks_executed = 0
-    report.wire_messages = 0
-    report.wire_bytes = 0
+    df = report.dataflow
     for r, payload in sorted(payloads.items()):
         report.counter.merge(payload["counter"])
+        _add_fields(report.pool.stats, payload["pool_stats"])
+        _add_fields(report.tracker, payload["tracker"], _TRACKED)
+        _add_fields(report.comm, payload["comm"])
         report.rank_growth_events += payload["rank_growth_events"]
         report.max_rank_seen = max(
             report.max_rank_seen, payload["max_rank_seen"]
         )
         report.tasks_executed += payload["tasks_executed"]
+        report.wire_messages += payload["wire"][0]
+        report.wire_bytes += payload["wire"][1]
         busy[r] = payload["busy"]
         trace.extend(payload["trace"])
-        c = payload["comm"]
-        comm.local_edges += c["local_edges"]
-        comm.remote_edges += c["remote_edges"]
-        comm.messages += c["messages"]
-        comm.bytes_sent += c["bytes_sent"]
-        comm.broadcasts += c["broadcasts"]
-        report.wire_messages += c["wire_messages"]
-        report.wire_bytes += c["wire_bytes"]
         for key, cnt in payload["df_edges"].items():
             df.edges[key] = df.edges.get(key, 0) + cnt
         for key, nbytes in payload["df_bytes"].items():
             df.bytes_remote[key] = df.bytes_remote.get(key, 0) + nbytes
-        sub = payload["resilience"]
-        if sub is not None and rrep is not None:
-            rrep.retries += sub.retries
-            rrep.recoveries += sub.recoveries
-            rrep.npd_shifts += sub.npd_shifts
-            rrep.densify_fallbacks += sub.densify_fallbacks
-            rrep.watchdog_requeues += sub.watchdog_requeues
+        if payload["resilience"] is not None and rrep is not None:
+            _add_fields(rrep, payload["resilience"])
 
     report.makespan = makespan
     report.busy = busy
-    report.comm = comm
-    report.dataflow = df
     report.trace = sorted(trace, key=lambda rec: (rec[1], rec[2]))
 
     if obs.enabled():

@@ -46,11 +46,24 @@ flight — trivially true at one worker), so every archive is a consistent
 dataflow cut; ``resume=True`` restarts from the latest one, under any
 worker count.
 
-Failures: an exception raised by a task on a worker *thread* reaches the
-caller wrapped in :class:`RuntimeSystemError` (original chained); at one
-inline worker there is no thread boundary and it propagates unchanged.
-``KeyboardInterrupt``/``SystemExit`` are never wrapped: the run drains the
-ready queue, releases every pool-owned factor buffer, and re-raises them.
+Failures: an exception raised by a task on a worker *thread* — or on a
+rank *process* — reaches the caller wrapped in :class:`RuntimeSystemError`
+(original chained); at one inline worker there is no boundary and it
+propagates unchanged.  ``KeyboardInterrupt``/``SystemExit`` are never
+wrapped: the run drains the ready queue, releases every pool-owned factor
+buffer, and re-raises them.
+
+Ranks: each process of :mod:`repro.runtime.distributed` is one inline
+worker of this loop, handed an internal *link* (``_link``; not an option)
+for the three things a rank does differently.  It runs only the tasks it
+owns, and a dependency whose producer lives on another rank is released by
+that tile's *arrival*, not by a local commit; with nothing ready, nothing
+in flight and arrivals outstanding it blocks on its inbox (which checks
+the controller's abort flag and the deadline) instead of declaring a
+deadlock; and a commit is followed by the send to the consumer ranks and,
+on a closed panel, the frontier shard to the controller, instead of a
+quiesced checkpoint.  Everything else — ready set, scheduler policy,
+recovery engine, pool, accounting, trace — is the code above.
 """
 
 from __future__ import annotations
@@ -177,6 +190,7 @@ def execute_graph_parallel(
     recovery=None,
     checkpoint=None,
     resume: bool = False,
+    _link=None,
 ) -> ExecutionReport:
     """Execute a (non-expanded) Cholesky task graph on ``matrix`` in place.
 
@@ -262,7 +276,9 @@ def execute_graph_parallel(
     if n_workers is None:
         n_workers = os.cpu_count() or 1
     check_positive_int("n_workers", n_workers)
-    _check_graph(graph, matrix)
+    link = _link  # a rank's transport (module docstring); None in-process
+    if link is None:
+        _check_graph(graph, matrix)
 
     rule = rule or matrix.rule
     backend = backend if backend is not None else matrix.backend
@@ -281,7 +297,7 @@ def execute_graph_parallel(
         rrep = ResilienceReport()
     report.resilience = rrep
 
-    completed: set[tuple] = set()
+    completed: set[tuple] = set() if link is None else set(link.restored)
     panels = {"done": 0, "since": 0, "due": False}
     if resume and ckptr is not None:
         ck = _restore_latest(ckptr, graph, matrix)
@@ -291,16 +307,28 @@ def execute_graph_parallel(
             report.tasks_resumed = rrep.tasks_resumed = len(completed)
 
     # --- dependency countdown state -----------------------------------
-    pending = [tid for tid in graph.tasks if tid not in completed]
+    # A rank runs the tasks it owns.  A producer on another rank releases
+    # its consumers when its tile *arrives* (checkpointed or not: the
+    # owner re-sends restored tiles), a local one when it commits.
+    owned = graph.tasks if link is None else link.owned
+    pending = [
+        tid for tid in graph.tasks if tid in owned and tid not in completed
+    ]
     indeg: dict[tuple, int] = {}
     succs: dict[tuple, list[tuple]] = {tid: [] for tid in graph.tasks}
+    awaited: set[tuple] = set()  # remote producers not yet arrived
     panel_remaining: dict[int, int] = {}
     for tid in pending:
         task = graph.tasks[tid]
-        sources = {e.src for e in task.deps} - completed
+        sources = {
+            e.src for e in task.deps
+            if e.src not in (completed if e.src in owned else link.arrived)
+        }
         indeg[tid] = len(sources)
         for src in sources:
             succs[src].append(tid)
+            if src not in owned:
+                awaited.add(src)
         panel_remaining[task.panel] = panel_remaining.get(task.panel, 0) + 1
 
     cond = threading.Condition()
@@ -354,6 +382,18 @@ def execute_graph_parallel(
                         buckets[kb] = rest
         claimed.update(group)
         return group
+
+    def release(src: tuple) -> int:
+        """``src``'s output exists (committed here, or arrived from its
+        rank): count down its consumers; returns how many became ready."""
+        awaited.discard(src)
+        released = 0
+        for succ in succs[src]:
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                register_ready(succ)
+                released += 1
+        return released
 
     for tid in pending:
         if indeg[tid] == 0:
@@ -428,7 +468,9 @@ def execute_graph_parallel(
     observing = obs.enabled()
     if observing:
         obs.graph_observed(graph, task_name)
-    t0 = time.perf_counter()
+    # Ranks time against the controller's launch so their traces share
+    # one axis.
+    t0 = time.perf_counter() if link is None else link.t0
     span_t0 = obs.clock()  # the tracer-clock reading of ``t0``
 
     def worker(wid: int) -> None:
@@ -466,6 +508,13 @@ def execute_graph_parallel(
                             obs.sample("ready_queue_depth", len(ready))
                         break
                     if not state["inflight"]:
+                        if awaited:
+                            # A rank with inputs still to come: block on
+                            # the inbox (which checks abort and deadline)
+                            # instead of calling it a deadlock.
+                            for src in link.receive(block=True):
+                                release(src)
+                            continue
                         # Nothing ready and nothing running: the run is
                         # complete — or, with tasks left, deadlocked (the
                         # caller raises).  Either way no work will come.
@@ -533,7 +582,13 @@ def execute_graph_parallel(
                     completed.add(t2)
                     panel = graph.tasks[t2].panel
                     panel_remaining[panel] -= 1
-                    if panel_remaining[panel] == 0:
+                    closed = panel_remaining[panel] == 0
+                    if link is not None:
+                        # Tile to its consumer ranks; on a closed panel
+                        # the frontier shard to the controller, which
+                        # writes the checkpoints of a distributed run.
+                        link.committed(t2, completed, closed)
+                    elif closed:
                         panels["done"] += 1
                         panels["since"] += 1
                         if (
@@ -542,11 +597,10 @@ def execute_graph_parallel(
                             and state["executed"] < n_tasks
                         ):
                             panels["due"] = True
-                    for succ in succs[t2]:
-                        indeg[succ] -= 1
-                        if indeg[succ] == 0:
-                            register_ready(succ)
-                            released += 1
+                    released += release(t2)
+                if awaited:  # keep arrivals and tree forwards moving
+                    for src in link.receive(block=False):
+                        released += release(src)
                 if observing and released:
                     obs.sample("ready_queue_depth", len(ready))
                 if released or panels["due"] or not state["inflight"]:

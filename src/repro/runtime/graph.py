@@ -231,8 +231,8 @@ def build_cholesky_graph(
         docstring): one ``GEMM(m, n, n-1)`` per off-band tile carrying all
         ``n`` panel products, costed by
         :func:`~repro.linalg.flops.flops_gemm_lr_fused`.  The default is
-        the paper's right-looking PTG, which the simulator studies, the
-        JDF/DTD front ends and the per-update test oracle use.
+        the paper's right-looking PTG, which the simulator studies and
+        the per-update test oracle use.
     recursive_split:
         When given (>= 2), region-(1) tasks are expanded into their nested
         sub-graphs with this split factor (Section VII-D).

@@ -249,8 +249,9 @@ def get_executor(spec, **kwargs) -> Executor:
 
     ``kwargs`` are forwarded to the named executor's constructor
     (``n_workers``/``scheduler`` for threads, ``n_ranks``/
-    ``distribution``/... for processes and sim); passing kwargs with an
-    instance is an error — configure the instance instead.
+    ``distribution``/... for processes and sim); a keyword the named
+    executor does not take, or any keyword with an instance (configure
+    the instance instead), is a :class:`ConfigurationError`.
     """
     if isinstance(spec, Executor):
         if kwargs:
@@ -270,4 +271,9 @@ def get_executor(spec, **kwargs) -> Executor:
         raise ConfigurationError(
             f"unknown executor {spec!r}; available: {sorted(classes)}"
         ) from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # e.g. n_ranks for the sequential executor
+        raise ConfigurationError(
+            f"executor {spec!r} does not accept {sorted(kwargs)}: {exc}"
+        ) from None

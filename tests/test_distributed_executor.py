@@ -6,6 +6,7 @@ count, and survives rank loss via checkpoint/restart — all behind the
 unified Executor protocol."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ class TestDeterminism:
         assert rep_d.counter.total == pytest.approx(rep_t.counter.total)
         assert rep_d.max_rank_seen == rep_t.max_rank_seen
         assert rep_d.rank_growth_events == rep_t.rank_growth_events
+
+    def test_rank_accounting_reaches_the_report(self, small_problem, rule8):
+        """Pool statistics and tracker figures cross the process boundary
+        and add up to what the one-worker core reports for the same
+        factorization (they used to be dropped: all zeros)."""
+        a = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
+        b = a.copy()
+        g = _graph_for(a, 2)
+        rep = execute_graph_distributed(g, a, n_ranks=2)
+        core = execute_graph(g, b)
+        got, want = rep.pool.stats, core.pool.stats
+        assert got.allocations + got.reuses == want.allocations + want.reuses > 0
+        assert got.releases == want.releases
+        assert got.allocations + got.reuses - got.releases == core.pool.live_count
+        assert got.outstanding_bytes == want.outstanding_bytes > 0
+        assert got.peak_bytes >= got.outstanding_bytes
+        assert rep.max_rank_seen == core.max_rank_seen > 0
+        assert rep.rank_growth_events == core.rank_growth_events
+        assert rep.tracker.current_elements == core.tracker.current_elements
+        assert rep.tracker.current_elements == a.memory_elements()
+        assert rep.tracker.reallocations == core.tracker.reallocations > 0
+        assert rep.tracker.peak_elements >= core.tracker.current_elements
 
     def test_trace_covers_every_task_once(self, band2):
         g = _graph_for(band2, 2)
@@ -346,6 +369,8 @@ class TestFactorizeWiring:
             tlr_cholesky(m, executor="threads", n_workers=2)
         with pytest.raises(ConfigurationError):
             tlr_cholesky(m, n_ranks=2)
+        with pytest.raises(ConfigurationError, match="sequential"):
+            tlr_cholesky(m, executor="sequential", n_ranks=2)
         with pytest.raises(ConfigurationError):
             tlr_cholesky(m, executor="sim")
         with pytest.raises(ConfigurationError):
@@ -359,6 +384,34 @@ class TestGuards:
             execute_graph_distributed(
                 g, band2, n_ranks=2, _inline=True, _chaos_kill=(0, 1)
             )
+
+    def test_missing_input_is_a_deadline_error_not_a_hang(
+        self, band2, monkeypatch
+    ):
+        """A rank whose remote input never arrives blocks on its inbox
+        only until the deadline, then fails typed."""
+        from repro.runtime import distributed
+
+        monkeypatch.setattr(
+            distributed._RankLink, "send_output", lambda self, tid: None
+        )
+        outcome = []
+
+        def run():
+            try:
+                execute_graph_distributed(
+                    _graph_for(band2, 2), band2, n_ranks=2, _inline=True,
+                    timeout_s=0.5,
+                )
+            except BaseException as exc:  # noqa: BLE001 - recorded below
+                outcome.append(exc)
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=10.0)
+        assert not helper.is_alive(), "ranks hung on a missing input"
+        assert len(outcome) == 1 and type(outcome[0]) is RuntimeSystemError
+        assert "exceeded" in str(outcome[0])
 
     def test_live_injector_rejected(self, band2):
         from repro.testing import FaultPlan

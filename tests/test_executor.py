@@ -1,14 +1,17 @@
-"""The one in-process execution core.
+"""The one execution core.
 
-``execute_graph`` is ``execute_graph_parallel`` at one inline worker, so
-one differential test covers every way to run a graph in-process: the
-reference loops against the core (on the fused graph) across worker counts,
-batch modes, scheduler policies and fresh/resumed runs — bitwise.  The
-guards, the single deadlock rule and the reporting surface are tested
-here once instead of once per executor name.
+``execute_graph`` is ``execute_graph_parallel`` at one inline worker and
+every rank of the process executor is one inline worker of the same loop,
+so one differential test covers every way to run a graph: the reference
+loops against the core (on the fused graph) across worker counts, batch
+modes, scheduler policies, rank counts and fresh/resumed runs — bitwise.
+The guards, the failure rule, the single deadlock rule and the reporting
+surface are tested here once instead of once per executor name.
 """
 
+import collections
 import shutil
+import sys
 import threading
 
 import numpy as np
@@ -16,21 +19,31 @@ import pytest
 
 from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
+from repro.distribution import BandDistribution, ProcessGrid
 from repro.linalg import DenseTile, LowRankTile
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     CheckpointConfig,
+    DistributedExecutionReport,
     ExecutionReport,
     SequentialExecutor,
     ThreadExecutor,
     build_cholesky_graph,
     graph_for_matrix,
     execute_graph,
+    execute_graph_distributed,
     execute_graph_parallel,
     get_executor,
+    placement_of,
 )
+from repro.runtime import distributed as distributed_mod
+from repro.runtime import executor as executor_mod
 from repro.runtime.task import Edge, TaskKind
-from repro.utils import RuntimeSystemError, SchedulingError
+from repro.utils import (
+    NotPositiveDefiniteError,
+    RuntimeSystemError,
+    SchedulingError,
+)
 
 
 def _graph_for(matrix):
@@ -58,6 +71,29 @@ def _assert_pool_consistent(report, matrix):
         if isinstance(t, LowRankTile)
     )
     assert report.pool.live_count == referenced
+
+
+def _assert_same_accounting(rep, ref_report):
+    """Flops per kernel class and rank statistics of the reference loops."""
+    want = ref_report.counter
+    assert rep.counter.per_class_count == want.per_class_count
+    assert rep.counter.per_class.keys() == want.per_class.keys()
+    for kind, flops in want.per_class.items():
+        assert rep.counter.per_class[kind] == pytest.approx(flops, rel=1e-12)
+    assert rep.rank_growth_events == ref_report.rank_growth_events
+    assert rep.max_rank_seen == ref_report.max_rank_seen
+
+
+def _resume_from(ckpt, private, ntiles):
+    """Keywords resuming from a private copy of ``ckpt`` (the resumed run
+    appends its own checkpoints).  ``every=NT``: only the final checkpoint
+    is written, so a case times the resumed half-run, not the archive
+    writer."""
+    shutil.copytree(ckpt, private, dirs_exist_ok=True)
+    return {
+        "checkpoint": CheckpointConfig(directory=private, every=ntiles),
+        "resume": True,
+    }
 
 
 class _KillAt:
@@ -101,7 +137,20 @@ def diff_case(request, tmp_path_factory):
             checkpoint=CheckpointConfig(directory=ckpt, every=2),
         )
     assert list(ckpt.glob("ckpt-*.json"))
-    return base, ref, ref_report, ckpt
+    # Pool buffers the one-worker core leaves checked out, fresh and
+    # resumed from that checkpoint: what the ranks' merged pool
+    # statistics must add up to (the audit itself runs on the core).
+    live = {}
+    for resumed in (False, True):
+        kwargs = {}
+        if resumed:
+            copy = tmp_path_factory.mktemp(f"ckpt-copy-b{request.param}")
+            kwargs = _resume_from(ckpt, copy, base.ntiles)
+        m = base.copy()
+        rep = execute_graph(_graph_for(m), m, **kwargs)
+        _assert_pool_consistent(rep, m)
+        live[resumed] = rep.pool.live_count
+    return base, ref, ref_report, ckpt, live
 
 
 class TestDifferential:
@@ -114,21 +163,10 @@ class TestDifferential:
     def test_core_matches_reference_loops(
         self, diff_case, tmp_path, n_workers, batch, scheduler, resumed
     ):
-        base, ref, ref_report, ckpt = diff_case
+        base, ref, ref_report, ckpt, _ = diff_case
         m = base.copy()
         graph = _graph_for(m)
-        kwargs = {}
-        if resumed:
-            # Private copy: the resumed run appends its own checkpoints.
-            shutil.copytree(ckpt, tmp_path / "ckpt")
-            # ``every=NT``: only the final checkpoint is written, so the
-            # case times the resumed half-run, not the archive writer.
-            kwargs = {
-                "checkpoint": CheckpointConfig(
-                    directory=tmp_path / "ckpt", every=base.ntiles
-                ),
-                "resume": True,
-            }
+        kwargs = _resume_from(ckpt, tmp_path, base.ntiles) if resumed else {}
         rep = execute_graph_parallel(
             graph, m, n_workers=n_workers, batch=batch, scheduler=scheduler,
             **kwargs,
@@ -140,13 +178,65 @@ class TestDifferential:
         if resumed:
             assert 0 < rep.tasks_resumed < graph.n_tasks
             return
-        want = ref_report.counter
-        assert rep.counter.per_class_count == want.per_class_count
-        assert rep.counter.per_class.keys() == want.per_class.keys()
-        for kind, flops in want.per_class.items():
-            assert rep.counter.per_class[kind] == pytest.approx(flops, rel=1e-12)
-        assert rep.rank_growth_events == ref_report.rank_growth_events
-        assert rep.max_rank_seen == ref_report.max_rank_seen
+        _assert_same_accounting(rep, ref_report)
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_ranks_match_reference_loops(
+        self, diff_case, tmp_path, ranks, resumed
+    ):
+        """The processes arm: every rank is one inline worker of the
+        core, fresh and resumed from the ONE-worker core's checkpoint."""
+        base, ref, ref_report, ckpt, live = diff_case
+        m = base.copy()
+        graph = _graph_for(m)
+        kwargs = _resume_from(ckpt, tmp_path, base.ntiles) if resumed else {}
+        rep = execute_graph_distributed(
+            graph, m, n_ranks=ranks, collect_trace=True, _inline=True,
+            **kwargs,
+        )
+        _assert_factors_bitwise(m, ref)
+        assert isinstance(rep, ExecutionReport)
+        assert rep.tasks_resumed + rep.tasks_executed == graph.n_tasks
+        # Every task that ran, ran exactly once, on the rank that owns it.
+        ran = collections.Counter(rec[0] for rec in rep.trace)
+        assert set(ran.values()) == {1} and len(ran) == rep.tasks_executed
+        assert all(rep.placement[rec[0]] == rec[1] for rec in rep.trace)
+        # Pool audit after the gather, on the merged statistics.
+        stats = rep.pool.stats
+        assert stats.allocations + stats.reuses - stats.releases == live[resumed]
+        if resumed:
+            assert 0 < rep.tasks_resumed < graph.n_tasks
+            return
+        assert live[resumed] > 0
+        _assert_same_accounting(rep, ref_report)
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_core_resumes_a_ranks_checkpoint(self, diff_case, tmp_path, ranks):
+        """The reverse direction: a run on real rank processes loses rank
+        0 two thirds in; the one-worker core finishes it from the
+        controller-merged checkpoint."""
+        base, ref = diff_case[:2]
+        graph = _graph_for(base)
+        dist = BandDistribution(
+            ProcessGrid.squarest(ranks), band_size=graph.band_size
+        )
+        owned = collections.Counter(placement_of(graph, dist).values())
+        with pytest.raises(RuntimeSystemError, match="lost rank"):
+            execute_graph_distributed(
+                graph, base.copy(), n_ranks=ranks,
+                checkpoint=CheckpointConfig(tmp_path, every=1),
+                max_restarts=0, _chaos_kill=(0, 2 * owned[0] // 3),
+            )
+        m = base.copy()
+        rep = execute_graph(
+            graph, m, resume=True,
+            checkpoint=CheckpointConfig(tmp_path, every=base.ntiles),
+        )
+        _assert_factors_bitwise(m, ref)
+        _assert_pool_consistent(rep, m)
+        assert 0 < rep.tasks_resumed < graph.n_tasks
+        assert rep.tasks_resumed + rep.tasks_executed == graph.n_tasks
 
     def test_batching_actually_groups(self, diff_case):
         """The batched runs above are not vacuous: some claims are wide."""
@@ -192,6 +282,75 @@ class TestOneCore:
 
         execute_graph(_graph_for(small_tlr), small_tlr.copy(), faults=Spy())
         assert seen == {threading.current_thread()}
+
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_each_rank_is_one_call_into_the_core(
+        self, small_tlr, monkeypatch, ranks
+    ):
+        """A rank enters ``execute_graph_parallel`` exactly once, at one
+        inline worker, and only the core runs and commits tasks."""
+        entered, callers = [], set()
+        core = executor_mod.execute_graph_parallel
+        compute = executor_mod._compute_task
+
+        def spy_core(graph, matrix, **kwargs):
+            entered.append((threading.current_thread().name, kwargs["n_workers"]))
+            return core(graph, matrix, **kwargs)
+
+        def spy_compute(*args):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return compute(*args)
+
+        monkeypatch.setattr(distributed_mod, "execute_graph_parallel", spy_core)
+        monkeypatch.setattr(executor_mod, "_compute_task", spy_compute)
+        g = _graph_for(small_tlr)
+        rep = execute_graph_distributed(g, small_tlr, n_ranks=ranks, _inline=True)
+        assert rep.tasks_executed == g.n_tasks
+        assert sorted(entered) == [(f"repro-rank-{r}", 1) for r in range(ranks)]
+        assert callers == {"repro.runtime.executor"}
+        for name in ("_compute_task", "_commit_task", "build_manager"):
+            assert not hasattr(distributed_mod, name)
+
+    def test_distributed_report_is_the_core_report(self):
+        """The ranks' report adds communication fields to the one report
+        type and re-declares nothing of it."""
+        assert issubclass(DistributedExecutionReport, ExecutionReport)
+        own = {n for n in vars(DistributedExecutionReport) if n[:2] != "__"}
+        base = {n for n in vars(ExecutionReport) if n[:2] != "__"}
+        fields = set(DistributedExecutionReport.__annotations__)
+        assert fields == {
+            "comm", "dataflow", "wire_messages", "wire_bytes", "placement",
+            "rank_restarts", "shard_merge",
+        }
+        assert own <= fields and not fields & (base | set(ExecutionReport.__annotations__))
+
+
+#: How a task's exception reaches the caller: unchanged where no boundary
+#: is crossed, wrapped (original chained) across a thread or a process.
+FAILURE_PATHS = {
+    "loops": ({}, False),
+    "inline-core": ({"executor": "sequential"}, False),
+    "threads": ({"n_workers": 2}, True),
+    "processes": ({"executor": "processes", "n_ranks": 2}, True),
+}
+
+
+class TestFailureRule:
+    @pytest.mark.parametrize("path", sorted(FAILURE_PATHS))
+    def test_not_positive_definite_keeps_its_type(self, small_tlr, path):
+        how, wrapped = FAILURE_PATHS[path]
+        k = small_tlr.ntiles // 2
+        diag = small_tlr.tile(k, k).data
+        diag[...] = -np.eye(*diag.shape)
+        with pytest.raises(Exception) as info:
+            tlr_cholesky(small_tlr, **how)
+        exc = info.value
+        if wrapped:
+            assert type(exc) is RuntimeSystemError
+            exc = exc.__cause__
+        assert type(exc) is NotPositiveDefiniteError
+        assert exc.tile_index == (k, k)
 
 
 def _add_back_edge(graph, dst, src):
