@@ -5,26 +5,35 @@ solvers with adaptive randomized approximation (ARA) and reports that
 this is the key to high-performance factorization at scale.  This bench
 measures the same substitution in our backend layer on the paper's
 st-3D-exp workload: for each accuracy in the Fig. 13 sweep it compresses
-every off-band tile of one NT = 16 matrix with both backends, then runs
-the full rsvd-assembled BAND-DENSE-TLR factorization, and finally times
-parallel matrix assembly at 1/2/4 workers.
+every off-band tile of one matrix exactly, with the blind sampler and
+with the sampler told each tile's own rank (``rank_hint``, what a wide
+rounding passes), buckets the per-tile times by rank, then runs the full
+rsvd-assembled BAND-DENSE-TLR factorization, and finally times parallel
+matrix assembly at 1/2/4 workers.
 
 Reproduction targets:
 
-* correctness at every scale: both reconstructions stay within the ε
-  bound, and the rsvd-built factorization's backward error matches the
-  svd-built one to within an order of magnitude (both ~ε);
-* the rsvd-over-svd compression speedup is recorded, not asserted
-  (``REPRO_BENCH_COMPRESSION_FULL=1`` pins the full N=4000/b=250 scale
-  for it).  The crossover is a *tile-size and ε* effect: the blocked
+* correctness at every scale: every reconstruction — exact, sampled,
+  hinted — stays within the ε bound (3·ε for the probabilistic
+  certificate), and the rsvd-built factorization's backward error
+  matches the svd-built one to within an order of magnitude (both ~ε);
+* the speedups are recorded, not asserted, hinted against unhinted
+  included (``REPRO_BENCH_COMPRESSION_FULL=1`` pins the full N=4000 /
+  b=250 scale).  The crossover is a *tile-size, ε and rank* effect: the
   range finder costs O(b²·r) against the exact SVD's O(b³), so its
   advantage needs b large enough, and r small enough, to amortize
   sampling.  With BLAS pinned to one thread (NT = 12 st-3D-exp, this
-  2-core host) rsvd over svd reads 0.88x / 1.17x / 1.62x / 1.75x /
-  2.68x at b = 100 / 150 / 200 / 250 / 400 for ε = 1e-4, 0.72x / 0.87x
-  / 1.02x / 1.23x / 1.56x for ε = 1e-6, and 0.67x-1.02x (never a win)
-  for ε = 1e-8.  The ≥ 2x gate this bench once carried came from
-  unpinned-BLAS runs and does not hold pinned;
+  2-core host, fixed 16-column blocks) unhinted rsvd over svd reads
+  1.31x / 1.54x / 2.14x / 2.43x / 2.93x at b = 100 / 150 / 200 / 250 /
+  400 for ε = 1e-4, 0.84x / 0.95x / 1.09x / 1.20x / 1.31x for ε = 1e-6,
+  and 0.76x-0.95x (never a win) for ε = 1e-8; hinted, where a hint from
+  b/3 up goes straight to ``gesdd``, 1.41x-3.11x, 1.02x-1.54x and
+  1.00x-1.14x.  By rank at b = 200 the hinted sampler takes 1.0 / 1.6 /
+  3.5 / 4.0 / 4.6 / 5.4 / 7.3 ms per tile in the rank / b buckets
+  < .1 / .1-.2 / .2-.3 / .3-1/3 / 1/3-.4 / .4-.5 / > .5 against a flat
+  5.7-6.3 ms exact: the b/3 rule of ``RsvdConfig.fallback_fraction``
+  sits a third under break-even.  These are the tables in
+  ``AutoBackend``'s docstring;
 * parallel assembly must produce bitwise-identical matrices for every
   worker count (speedup is recorded, not asserted — CI exposes 1 core).
 
@@ -47,7 +56,7 @@ import numpy as np
 from repro import TruncationRule, st_3d_exp_problem
 from repro.analysis import format_series, write_csv
 from repro.core import tlr_cholesky
-from repro.linalg import RandomizedSVDBackend, SVDBackend
+from repro.linalg import RandomizedSVDBackend, RsvdConfig, SVDBackend
 from repro.matrix import BandTLRMatrix, TileDescriptor
 
 # Defaults give NT = 16 at the acceptance scale (b = 250); CI's
@@ -72,6 +81,21 @@ def _offband_tiles(problem, desc_matrix):
     ]
 
 
+#: Rank buckets of the by-rank crossover, as fractions of the tile size.
+RANK_BUCKETS = [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.5, 1.0]
+
+
+def _per_tile_ms(fn, items, repeats=3):
+    """Best-of-``repeats`` milliseconds of ``fn(index, item)`` per item."""
+    best = np.full(len(items), np.inf)
+    for _ in range(repeats):
+        for i, item in enumerate(items):
+            t0 = time.perf_counter()
+            fn(i, item)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best * 1e3
+
+
 def test_ablation_compression(benchmark, results_dir, perf_timer):
     prob = st_3d_exp_problem(N, B, seed=2021, nugget=1e-4)
     geometry = BandTLRMatrix(
@@ -80,8 +104,14 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
     blocks = _offband_tiles(prob, geometry)
     svd = SVDBackend()
     rsvd = RandomizedSVDBackend(seed=2021)
+    # the by-rank study samples at every rank, also where the default
+    # configuration would already have handed the tile to gesdd
+    always = RandomizedSVDBackend(
+        seed=2021, config=RsvdConfig(fallback_fraction=1.0)
+    )
 
     rows = []
+    by_rank = []  # (rank / b, exact ms, hinted always-sampled ms) per tile
     record = {"n": N, "b": B, "band": BAND, "tiles": len(blocks), "sweep": []}
     cfg = {"n": N, "b": B, "band": BAND}
     for eps in EPS_SWEEP:
@@ -100,23 +130,42 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
         tiles_rsvd = [
             rsvd.compress(a, rule, seed=i) for i, a in enumerate(blocks)
         ]
-        err_svd = max(
-            np.linalg.norm(a - t.to_dense(), 2)
-            for a, t in zip(blocks, tiles_svd)
+        # hinted: the sampler is told the tile's own (exact) rank, as a
+        # rounding is told the rank the tile had before the update
+
+        def hinted(backend, i, a):
+            return backend.compress(
+                a, rule, seed=i, rank_hint=tiles_svd[i].rank
+            )
+
+        t_hint = perf_timer(
+            f"ablation_compress_rsvd_hinted_eps{eps:g}",
+            lambda: [hinted(rsvd, i, a) for i, a in enumerate(blocks)],
+            config={**cfg, "eps": eps},
+        ).median_s
+        tiles_hint = [hinted(rsvd, i, a) for i, a in enumerate(blocks)]
+        by_rank += zip(
+            [t.rank / B for t in tiles_svd],
+            _per_tile_ms(lambda i, a: svd.compress(a, rule), blocks),
+            _per_tile_ms(lambda i, a: hinted(always, i, a), blocks),
         )
-        err_rsvd = max(
-            np.linalg.norm(a - t.to_dense(), 2)
-            for a, t in zip(blocks, tiles_rsvd)
+        err_svd, err_rsvd, err_hint = (
+            max(np.linalg.norm(a - t.to_dense(), 2) for a, t in zip(blocks, tiles))
+            for tiles in (tiles_svd, tiles_rsvd, tiles_hint)
         )
         speedup = t_svd / max(t_rsvd, 1e-12)
+        speedup_hint = t_svd / max(t_hint, 1e-12)
         rows.append(
             (
                 f"{eps:g}",
                 round(t_svd, 3),
                 round(t_rsvd, 3),
+                round(t_hint, 3),
                 round(speedup, 2),
+                round(speedup_hint, 2),
                 f"{err_svd:.2e}",
                 f"{err_rsvd:.2e}",
+                f"{err_hint:.2e}",
             )
         )
         record["sweep"].append(
@@ -124,19 +173,25 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
                 "eps": eps,
                 "t_svd": t_svd,
                 "t_rsvd": t_rsvd,
+                "t_rsvd_hinted": t_hint,
                 "speedup": speedup,
+                "speedup_hinted": speedup_hint,
                 "maxerr_svd": err_svd,
                 "maxerr_rsvd": err_rsvd,
+                "maxerr_rsvd_hinted": err_hint,
             }
         )
-        # Both backends honour the ε bound (rsvd's certificate is
+        # Every sampled path honours the ε bound (the certificate is
         # probabilistic: allow a small slack factor).  Correctness is
-        # asserted at every scale — it has no size crossover.
+        # asserted at every scale — it has no size crossover; hinted
+        # against unhinted time is recorded above, not asserted.
         assert err_svd <= eps
         assert err_rsvd <= 3.0 * eps
+        assert err_hint <= 3.0 * eps
 
     headers = [
-        "eps", "t_svd_s", "t_rsvd_s", "speedup", "maxerr_svd", "maxerr_rsvd",
+        "eps", "t_svd_s", "t_rsvd_s", "t_hinted_s", "speedup", "speedup_hinted",
+        "maxerr_svd", "maxerr_rsvd", "maxerr_hinted",
     ]
     print()
     print(
@@ -145,6 +200,33 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
             headers[1:],
             rows,
             title=f"Ablation (N={N}, b={B}): svd vs rsvd tile compression",
+        )
+    )
+
+    # --- the by-rank crossover behind the fallback_fraction = 1/3 rule ---
+    fractions, exact_ms, sampled_ms = (np.array(col) for col in zip(*by_rank))
+    rank_rows = []
+    for lo, hi in zip(RANK_BUCKETS, RANK_BUCKETS[1:]):
+        inside = (fractions >= lo) & (fractions < hi)
+        if inside.any():
+            rank_rows.append(
+                (
+                    f"[{lo:.2f}, {hi:.2f})",
+                    int(inside.sum()),
+                    round(float(np.median(exact_ms[inside])), 2),
+                    round(float(np.median(sampled_ms[inside])), 2),
+                )
+            )
+    record["by_rank"] = [
+        dict(zip(("rank_over_b", "tiles", "exact_ms", "sampled_ms"), row))
+        for row in rank_rows
+    ]
+    print(
+        format_series(
+            "rank / b",
+            ["tiles", "exact_ms", "hinted_sampled_ms"],
+            rank_rows,
+            title=f"per-tile median by rank at b={B} (all eps pooled)",
         )
     )
 

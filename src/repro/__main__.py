@@ -957,10 +957,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factorize on the execution core with N workers "
                         "(also parallelizes matrix assembly)")
     d.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default="auto",
+                   default=None,
                    help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (exact below the "
-                        "crossover tile size, randomized above)")
+                        "randomized SVD, or auto (sampled or exact per "
+                        "tile by size, accuracy and predicted rank); "
+                        "default: repro.linalg.default_backend()")
     d.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
                    default="fp64",
                    help="off-band low-rank storage precision: fp64, "
@@ -1078,10 +1079,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-kernel median durations measured from the "
                         "--obs directory of a real run")
     e.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default="auto",
+                   default=None,
                    help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (exact below the "
-                        "crossover tile size, randomized above)")
+                        "randomized SVD, or auto (sampled or exact per "
+                        "tile by size, accuracy and predicted rank); "
+                        "default: repro.linalg.default_backend()")
     e.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
                    default="fp64",
                    help="off-band low-rank storage precision: fp64, "
@@ -1181,10 +1183,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--band", type=_band_arg, default="auto",
                    help="dense band width: 'auto' (Algorithm 1) or an int")
     v.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default="auto",
+                   default=None,
                    help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (exact below the "
-                        "crossover tile size, randomized above)")
+                        "randomized SVD, or auto (sampled or exact per "
+                        "tile by size, accuracy and predicted rank); "
+                        "default: repro.linalg.default_backend()")
     v.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
                    default="fp64",
                    help="off-band low-rank storage precision; part of "
@@ -1287,6 +1290,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "compression", "") is None:
+        # resolved once, so banners and recorded run metadata name it
+        from repro.linalg import default_backend
+
+        args.compression = default_backend().name
     handlers = {
         "info": _cmd_info,
         "demo": _cmd_demo,

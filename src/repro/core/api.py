@@ -89,9 +89,10 @@ class TLRSolver:
             Optional hard rank cap for compressions (HiCMA-Prev's static
             descriptor uses ``b/2``); ``None`` = uncapped dynamic ranks.
         compression:
-            Compression backend: ``"svd"`` (exact, default), ``"rsvd"``
-            (adaptive randomized), ``"auto"`` (exact below the measured
-            crossover tile size, randomized above), or a
+            Compression backend: ``None`` (the registry default of
+            :mod:`repro.linalg.backends`, ``"auto"``: sampled or exact
+            per tile by size, ε and predicted rank), ``"svd"`` (exact),
+            ``"rsvd"`` (adaptive randomized), or a
             :class:`~repro.linalg.backends.CompressionBackend` instance.
             Remembered by the matrix, so factorization recompressions use
             the same numerics.

@@ -7,19 +7,19 @@ Every (re)compression in the library routes through a
 touching the tile algorithms:
 
 * :class:`SVDBackend` (``"svd"``) — deterministic truncated ``gesdd``,
-  the paper's baseline and the library's historical behaviour;
+  the paper's baseline and the exact oracle of the test suite;
 * :class:`RandomizedSVDBackend` (``"rsvd"``) — *adaptive randomized
-  approximation* (ARA) in the H2OPUS-TLR style: a blocked Gaussian range
-  finder grows the sample space until the ε tolerance of the
+  approximation* (ARA) in the H2OPUS-TLR style: a Gaussian range finder
+  grows the sample space in fixed blocks — the first one seeded by the
+  caller's ``rank_hint`` when there is one — until the ε tolerance of the
   :class:`~repro.linalg.compression.TruncationRule` is certified, then a
   small SVD of the projected tile produces the truncated factors.  Tiles
-  whose rank approaches the tile size fall back to the exact SVD (the
+  whose rank approaches a third of the tile size take the exact SVD (the
   randomized scheme has no advantage there);
-* :class:`AutoBackend` (``"auto"``) — per-tile dispatch between the two:
-  tiles with ``min(m, n)`` below a crossover (200) take the exact SVD,
-  larger tiles ARA (measurements in :class:`AutoBackend`).  The CLI and
-  the solver service default to it; the library default
-  (``get_backend(None)``) is ``"svd"``.
+* :class:`AutoBackend` (``"auto"``) — per-tile dispatch between the two
+  on the measured (tile size, ε, predicted rank) surface tabulated in its
+  docstring.  It is the one default of library, CLI and service
+  (:data:`_default`, ``get_backend(None)``).
 
 The ε certificate is two-stage.  The Frobenius residual
 ``||A - QQᵀA||_F² = ||A||_F² - ||B||_F²`` is tracked exactly and accepts
@@ -36,7 +36,8 @@ Recompression rounds ``C - Σ_j A_j B_jᵀ`` once per low-rank tile
 (:meth:`CompressionBackend.recompress_update`): as stacked factors —
 QR-QR-SVD, rank-deterministic and shared by all backends — while the
 accumulated width stays below half the tile, else as the dense sum handed
-to the backend's own :meth:`~CompressionBackend.compress`.  The stacks
+to the backend's own :meth:`~CompressionBackend.compress` with the tile's
+rank before the update as ``rank_hint``.  The stacks
 live in a reusable workspace instead of fresh ``hstack`` allocations —
 the Section VII-B memory designation applied to the kernel transients,
 not just the tile storage.  The stacked rounding calls LAPACK directly
@@ -53,7 +54,7 @@ parallel matrix assembly is reproducible across worker counts.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -149,7 +150,7 @@ def _svd_compress(a: np.ndarray, rule: TruncationRule) -> LowRankTile:
         raise CompressionError(f"SVD failed during compression: {exc}") from exc
     k = truncation_rank(s, rule)
     if k == 0:
-        return LowRankTile.zero(*a.shape)
+        return LowRankTile.zero(*a.shape, dtype=a.dtype)
     root = np.sqrt(s[:k])
     return LowRankTile(u[:, :k] * root, vt[:k].T * root)
 
@@ -300,12 +301,14 @@ class CompressionBackend:
 
     # -- compression ---------------------------------------------------
     def compress(
-        self, a: np.ndarray, rule: TruncationRule, *, seed=None
+        self, a: np.ndarray, rule: TruncationRule, *, seed=None, rank_hint=None
     ) -> LowRankTile:
         """Compress a dense block to a :class:`LowRankTile` under ``rule``.
 
         ``seed`` (an int or :class:`numpy.random.SeedSequence`) pins the
-        randomness of stochastic backends; deterministic backends ignore it.
+        randomness of stochastic backends; ``rank_hint`` is the rank the
+        caller expects (a rounding passes the tile's rank before the
+        update) and sizes their first sample.  Exact backends ignore both.
         """
         raise NotImplementedError
 
@@ -353,8 +356,9 @@ class CompressionBackend:
           elements, packed into the reusable workspace: QR-QR-SVD in
           place on it;
         * otherwise — the dense ``m x n`` sum, handed to the backend's own
-          :meth:`compress` (exact SVD or ARA; ``seed`` pins the latter,
-          callers pass :func:`tile_seed` of the destination).
+          :meth:`compress` with ``rank_hint=c.rank`` (exact SVD or ARA;
+          ``seed`` pins the latter, callers pass :func:`tile_seed` of the
+          destination).
 
         The rounding runs in the *destination tile's* storage dtype: an
         fp32 tile is packed or summed, and returned, in single precision
@@ -379,8 +383,8 @@ class CompressionBackend:
                 u_upd.astype(dtype, copy=False)
                 @ v_upd.astype(dtype, copy=False).T
             )
-            tile = self.compress(dense, rule, seed=seed)
-            if tile.dtype != dtype:
+            tile = self.compress(dense, rule, seed=seed, rank_hint=kc)
+            if tile.dtype != dtype:  # the exact oracle rounds fp32 in fp64
                 tile = tile.astype(dtype)
             result = RecompressionResult(
                 tile, rank_before=r, rank_after=tile.rank,
@@ -433,7 +437,7 @@ class SVDBackend(CompressionBackend):
     name = "svd"
 
     def compress(
-        self, a: np.ndarray, rule: TruncationRule, *, seed=None
+        self, a: np.ndarray, rule: TruncationRule, *, seed=None, rank_hint=None
     ) -> LowRankTile:
         a = check_matrix("a", a)
         with obs.span("compress", "compress", backend=self.name):
@@ -449,15 +453,11 @@ class RsvdConfig:
     Attributes
     ----------
     block_size:
-        Columns sampled per adaptive round; the first round's size.
-    block_growth:
-        Geometric growth of the round size (fewer passes for high-rank
-        tiles at the cost of mild over-sampling).
-    max_block:
-        Cap on the per-round sample size.
+        Columns sampled per adaptive round.  With a ``rank_hint`` the
+        first round samples ``rank_hint + block_size // 2`` instead.
     fallback_fraction:
-        When the sampled rank reaches this fraction of ``min(m, n)`` the
-        tile is near full rank and the exact SVD takes over.
+        When the hinted or sampled rank reaches this fraction of
+        ``min(m, n)`` the exact SVD takes over (see :class:`AutoBackend`).
     min_exact_dim:
         Tiles with ``min(m, n)`` at or below this skip the randomized
         path entirely (LAPACK wins on small tiles).
@@ -468,24 +468,15 @@ class RsvdConfig:
         tight on the flat Matérn tails).
     """
 
-    block_size: int = 32
-    block_growth: float = 1.5
-    max_block: int = 64
-    fallback_fraction: float = 0.5
+    block_size: int = 16
+    fallback_fraction: float = 1.0 / 3.0
     min_exact_dim: int = 64
     probes: int = 3
     probe_iters: int = 2
 
     def __post_init__(self) -> None:
-        if self.block_size < 1 or self.max_block < self.block_size:
-            raise ConfigurationError(
-                f"need 1 <= block_size <= max_block, got "
-                f"{self.block_size}/{self.max_block}"
-            )
-        if self.block_growth < 1.0:
-            raise ConfigurationError(
-                f"block_growth must be >= 1, got {self.block_growth}"
-            )
+        if self.block_size < 1:
+            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
         if not (0.0 < self.fallback_fraction <= 1.0):
             raise ConfigurationError(
                 f"fallback_fraction must be in (0, 1], got "
@@ -496,13 +487,14 @@ class RsvdConfig:
 class RandomizedSVDBackend(CompressionBackend):
     """Adaptive randomized SVD (H2OPUS-style ARA) with exact fallback.
 
-    The blocked Gaussian range finder samples ``Y = A @ Ω`` one block at a
-    time, orthogonalizes against the basis built so far, and appends; the
-    projected tile ``B = Qᵀ A`` is maintained incrementally so both the
+    The Gaussian range finder samples ``Y = A @ Ω`` one fixed-size block
+    at a time, orthogonalizes against the basis built so far, and appends;
+    the projected tile ``B = Qᵀ A`` is maintained incrementally so both the
     Frobenius certificate and the final small SVD are cheap.  Rank grows
     until the rule's ε is certified (module docstring), the rule's
-    ``maxrank`` is reached, or the tile proves near-full-rank and the
-    exact path takes over.
+    ``maxrank`` is reached, or the rank reaches a third of the tile and
+    the exact path takes over.  The sampler runs in the input's dtype: a
+    float32 block goes through ``sgeqrf``/``sgesdd`` and comes back float32.
     """
 
     name = "rsvd"
@@ -512,70 +504,81 @@ class RandomizedSVDBackend(CompressionBackend):
         self.seed = seed
         self.config = config or RsvdConfig()
 
+    def _max_rank(self, mn: int) -> int:
+        """The hinted or sampled rank at which a tile of side ``mn`` goes exact."""
+        cfg = self.config
+        small = mn <= cfg.min_exact_dim
+        return 0 if small else max(int(cfg.fallback_fraction * mn), 1)
+
     def compress(
-        self, a: np.ndarray, rule: TruncationRule, *, seed=None
+        self, a: np.ndarray, rule: TruncationRule, *, seed=None, rank_hint=None
     ) -> LowRankTile:
-        a = check_matrix("a", a)
+        single = getattr(a, "dtype", None) == np.float32
+        a = check_matrix("a", a, dtype=np.float32 if single else np.float64)
         with obs.span("compress", "compress", backend=self.name):
-            tile = self._compress_ara(a, rule, seed)
+            if (rank_hint or 0) < self._max_rank(min(a.shape)):
+                tile = self._compress_ara(a, rule, seed, rank_hint)
+            else:
+                tile = _svd_compress(a, rule)
         obs.histogram_observe("tile_rank", tile.rank, stage="compress")
         return tile
 
     def _compress_ara(
-        self, a: np.ndarray, rule: TruncationRule, seed
+        self, a: np.ndarray, rule: TruncationRule, seed, rank_hint
     ) -> LowRankTile:
         """The adaptive range-finder body (see class docstring)."""
         cfg = self.config
         m, n = a.shape
         mn = min(m, n)
-        if mn <= cfg.min_exact_dim:
-            return _svd_compress(a, rule)
-        max_rank = max(int(cfg.fallback_fraction * mn), 1)
+        dtype = a.dtype
+        geqrf, orgqr, gesdd = _LAPACK_BY_DTYPE[dtype.char]
+        max_rank = self._max_rank(mn)
         rank_cap = mn if rule.maxrank is None else min(rule.maxrank, mn)
         rng = np.random.default_rng(self.seed if seed is None else seed)
 
-        fro2 = float(np.einsum("ij,ij->", a, a))
+        fro2 = float(np.einsum("ij,ij->", a, a, dtype=np.float64))
         if fro2 == 0.0:
-            return LowRankTile.zero(m, n)
-        # Threshold in the rule's own norm; the relative variant scales by
-        # the running σ₁ estimate from the projected tile.
-        tol_abs = rule.eps
+            return LowRankTile.zero(m, n, dtype=dtype)
+        floor = 4.0 * np.sqrt(np.finfo(dtype).eps * fro2)  # of the gate below
 
-        kcap = min(max_rank + cfg.max_block, mn)
-        q_basis = np.empty((m, kcap))
-        b_proj = np.empty((kcap, n))
+        # First block: the hinted rank plus half a block of oversampling
+        # (a certified basis needs a few columns past the truncation rank).
+        p = cfg.block_size
+        if rank_hint is not None:
+            p = max(min(rank_hint, rank_cap) + p // 2, 1)
+        kcap = min(max(max_rank, p) + cfg.block_size, mn)
+        q_basis = np.empty((kcap, m), dtype=dtype).T  # F-order: column blocks
+        b_proj = np.empty((kcap, n), dtype=dtype)
         captured2 = 0.0
         k = 0
-        p = cfg.block_size
         while True:
             p_eff = min(p, kcap - k)
-            omega = rng.standard_normal((n, p_eff))
+            omega = rng.standard_normal((n, p_eff), dtype=dtype)
             y = a @ omega
             if k:
                 qk, bk = q_basis[:, :k], b_proj[:k]
                 y -= qk @ (bk @ omega)  # (I - QQᵀ)AΩ via the projected tile
                 y -= qk @ (qk.T @ y)  # re-orthogonalize against roundoff
-            qb, _ = sla.qr(y, mode="economic", check_finite=False, overwrite_a=True)
+            qb, _ = _econ_qr(y, geqrf, orgqr, True)
             bb = qb.T @ a
             q_basis[:, k : k + p_eff] = qb
             b_proj[k : k + p_eff] = bb
-            captured2 += float(np.einsum("ij,ij->", bb, bb))
+            captured2 += float(np.einsum("ij,ij->", bb, bb, dtype=np.float64))
             k += p_eff
 
-            tol = tol_abs
+            tol = rule.eps  # in the rule's own norm
             if rule.relative:
                 # σ₁(B) ↑ σ₁(A); cheap on the small projected tile.
-                tol = tol_abs * float(np.linalg.norm(b_proj[:k], 2))
+                tol *= float(np.linalg.norm(b_proj[:k], 2))
             # ||A - QB||_F² = ||A||_F² - ||B||_F² in exact arithmetic, but
             # the subtraction cancels catastrophically once the tail falls
             # below ~sqrt(eps_mach)·||A||_F, so it is only a cheap *gate*:
             # acceptance always goes through a cancellation-free check
             # (implicit-residual probes for the spectral rule, an explicit
             # residual for the Frobenius rule).  The gate opens at the
-            # rule's own threshold or at the cancellation floor, whichever
-            # is larger — below the floor the subtracted value is noise.
+            # rule's threshold or at the dtype's cancellation floor, below
+            # which the subtracted value is noise — whichever is larger.
             resid_f = float(np.sqrt(max(fro2 - captured2, 0.0)))
-            floor = 4.0e-8 * np.sqrt(fro2)
             if rule.norm == "spectral":
                 # sqrt(mn-k)·tol is where a spectral residual of tol first
                 # becomes possible for this Frobenius tail.
@@ -592,29 +595,27 @@ class RandomizedSVDBackend(CompressionBackend):
             if k >= rank_cap:
                 break  # rule.maxrank saturated: accuracy cap is void anyway
             if k >= max_rank:
-                return _svd_compress(a, rule)  # near full rank
-            p = min(int(p * cfg.block_growth), cfg.max_block)
+                return _svd_compress(a, rule)  # near a third of full rank
+            p = cfg.block_size
 
-        ub, s, vt = sla.svd(
-            b_proj[:k],
-            full_matrices=False,
-            lapack_driver="gesdd",
-            check_finite=False,
+        # SVD of Bᵀ: the C-order (k, n) projection *is* an F-order (n, k)
+        # array, the tall orientation gesdd handles fastest, copy-free.
+        vb, s, ubt, info = gesdd(
+            b_proj[:k].T, compute_uv=True, full_matrices=False,
+            lwork=_gesdd_lwork(dtype.char, n, k), overwrite_a=True,
         )
+        if info != 0:  # pragma: no cover - gesdd rarely fails
+            raise CompressionError(f"SVD failed during compression (info={info})")
         kk = truncation_rank(s, rule)
         if kk == 0:
-            return LowRankTile.zero(m, n)
+            return LowRankTile.zero(m, n, dtype=dtype)
         root = np.sqrt(s[:kk])
         return LowRankTile(
-            (q_basis[:, :k] @ ub[:, :kk]) * root, vt[:kk].T * root
+            (q_basis[:, :k] @ ubt[:kk].T) * root, vb[:, :kk] * root
         )
 
     def _spectral_estimate(
-        self,
-        a: np.ndarray,
-        q_basis: np.ndarray,
-        b_proj: np.ndarray,
-        rng: np.random.Generator,
+        self, a: np.ndarray, q_basis: np.ndarray, b_proj: np.ndarray, rng
     ) -> float:
         """Power-probe estimate of ``||A - QB||_2``.
 
@@ -628,7 +629,7 @@ class RandomizedSVDBackend(CompressionBackend):
         anyway).
         """
         cfg = self.config
-        x = rng.standard_normal((a.shape[1], cfg.probes))
+        x = rng.standard_normal((a.shape[1], cfg.probes), dtype=a.dtype)
         x = a @ x - q_basis @ (b_proj @ x)
         est = 0.0
         for _ in range(cfg.probe_iters):
@@ -643,68 +644,65 @@ class RandomizedSVDBackend(CompressionBackend):
 
 
 class AutoBackend(CompressionBackend):
-    """Per-tile svd/rsvd dispatch around a tile-size crossover.
+    """Per-tile svd/rsvd dispatch: a pure function of shape, rule and hint.
 
-    Below a tile size the blocked range finder's extra passes and Python
-    dispatch cost more than the ``gesdd`` they save.  With BLAS pinned to
-    one thread (NT = 12 st-3D-exp, a 2-core host, all off-band tiles)
-    ``rsvd`` over ``svd`` measures, by tile size b:
+    Measured by ``benchmarks/bench_ablation_compression.py``, BLAS pinned
+    to one thread (NT = 12 st-3D-exp).  Unhinted ``rsvd`` over ``svd``::
 
-    ========  =====  =====  =====  =====  =====
-    ε         100    150    200    250    400
-    ========  =====  =====  =====  =====  =====
-    1e-4      0.88x  1.17x  1.62x  1.75x  2.68x
-    1e-6      0.72x  0.87x  1.02x  1.23x  1.56x
-    1e-8      0.67x  0.76x  0.78x  0.85x  1.02x
-    ========  =====  =====  =====  =====  =====
+        ε      b=100  150    200    250    400
+        1e-4   1.31x  1.54x  2.14x  2.43x  2.93x
+        1e-6   0.84x  0.95x  1.09x  1.20x  1.31x
+        1e-8   0.76x  0.81x  0.84x  0.88x  0.95x
 
-    ``auto`` applies a single threshold to that surface: blocks whose
-    ``min(m, n)`` is under :attr:`crossover` (200) take the exact SVD,
-    larger blocks the adaptive randomized path — a win at loose ε, a
-    wash at ε = 1e-6 and a loss at ε = 1e-8 until b ≈ 400.  Very tight
-    tolerances (ε ≤ :attr:`exact_eps`) pin the exact path outright:
-    ranks approach the tile size there and ARA would fall back anyway,
-    after paying for the sampling.
+    An initial compression has no hint and follows :attr:`SAMPLE_FROM`,
+    that surface cut where sampling wins by 15 %: ε ≥ 1e-4 from b = 100,
+    ε ≥ 1e-6 from b = 250, tighter ε always exact.  A rounding carries
+    the tile's rank as hint and follows predicted rank over tile size;
+    per-tile median ms at b = 200, hint = the exact rank, by rank / b::
 
-    The stacked QR-QR-SVD rounding is backend-independent, so below half
-    a tile's width ``auto`` only changes initial compression; a wide
-    accumulated update is rounded through :meth:`compress` and follows
-    the same dispatch (:meth:`CompressionBackend.recompress_update`).
-    The CLI and :class:`~repro.service.cache.FactorRecipe` default to
-    ``"auto"``; the library default (``get_backend(None)``) is ``"svd"``.
+        rank/b   <.1   .1-.2  .2-.3  .3-1/3  1/3-.4  .4-.5  >.5
+        exact    6.2   6.2    6.3    6.0     5.7     5.8    5.9
+        sampled  1.0   1.6    3.5    4.0     4.6     5.4    7.3
+
+    Break-even is near b/2 for a perfect hint; the rule is b/3
+    (:attr:`RsvdConfig.fallback_fraction`), where sampling still wins by
+    a third, because a rounding's hint overshoots its output rank by up
+    to 26 and a blind sample grown to b/3 has spent most of a ``gesdd``.
+    Tiles of ``min(m, n)`` ≤ :attr:`RsvdConfig.min_exact_dim` are exact.
     """
 
     name = "auto"
 
-    def __init__(
-        self,
-        crossover: int = 200,
-        seed: int = 2021,
-        config: RsvdConfig | None = None,
-        exact_eps: float = 1e-10,
-    ) -> None:
+    #: ``(ε, b)`` rows: an unhinted block is sampled when some row has
+    #: ``rule.eps >= ε`` and ``min(m, n) >= b``.
+    SAMPLE_FROM = ((1e-4, 100), (1e-6, 250))
+
+    def __init__(self, seed: int = 2021, config: RsvdConfig | None = None) -> None:
         super().__init__()
-        if crossover < 1:
-            raise ConfigurationError(f"crossover must be >= 1, got {crossover}")
-        self.crossover = crossover
-        self.exact_eps = exact_eps
         self.seed = seed
         self._svd = SVDBackend()
         self._rsvd = RandomizedSVDBackend(seed=seed, config=config)
 
-    def select(self, shape: tuple[int, int], rule: TruncationRule) -> str:
+    def select(
+        self, shape: tuple[int, int], rule: TruncationRule, rank_hint=None
+    ) -> str:
         """Name of the backend a block of ``shape`` would be routed to."""
-        if min(shape) >= self.crossover and rule.eps > self.exact_eps:
-            return self._rsvd.name
-        return self._svd.name
+        mn = min(shape)
+        if rank_hint is None:
+            sample = any(rule.eps >= e and mn >= b for e, b in self.SAMPLE_FROM)
+        else:
+            sample = rank_hint < self._rsvd._max_rank(mn)
+        return self._rsvd.name if sample else self._svd.name
 
     def compress(
-        self, a: np.ndarray, rule: TruncationRule, *, seed=None
+        self, a: np.ndarray, rule: TruncationRule, *, seed=None, rank_hint=None
     ) -> LowRankTile:
-        a = check_matrix("a", a)
-        if self.select(a.shape, rule) == self._rsvd.name:
-            return self._rsvd.compress(a, rule, seed=seed)
-        return self._svd.compress(a, rule, seed=seed)
+        a = np.asarray(a)  # dtype untouched: the sampler keeps float32
+        exact = a.ndim != 2 or (
+            self.select(a.shape, rule, rank_hint) == self._svd.name
+        )
+        backend = self._svd if exact else self._rsvd
+        return backend.compress(a, rule, seed=seed, rank_hint=rank_hint)
 
 
 # ----------------------------------------------------------------------
@@ -716,7 +714,8 @@ _BACKENDS: dict[str, type[CompressionBackend]] = {
     AutoBackend.name: AutoBackend,
 }
 _instances: dict[str, CompressionBackend] = {}
-_default: list[str] = ["svd"]
+#: The one place that names the default backend of library, CLI and service.
+_default: list[str] = [AutoBackend.name]
 
 
 def get_backend(
@@ -724,8 +723,9 @@ def get_backend(
 ) -> CompressionBackend:
     """Resolve a backend spec: an instance, a registry name, or ``None``.
 
-    ``None`` resolves to the process default (``"svd"`` unless changed by
-    :func:`set_default_backend`).  Named lookups return a shared instance.
+    ``None`` resolves to the process default (:data:`_default` unless
+    changed by :func:`set_default_backend`).  Named lookups return a
+    shared instance.
     """
     if spec is None:
         spec = _default[0]

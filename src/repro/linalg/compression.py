@@ -21,9 +21,9 @@ post-recompression ranks so the memory pool can be driven faithfully.
 The numerics behind both operations live in pluggable *backends*
 (:mod:`repro.linalg.backends`): ``"svd"`` is the deterministic truncated
 SVD described above, ``"rsvd"`` an adaptive randomized SVD that certifies
-the same ε.  :func:`compress_block`, :func:`compress_tile` and
-:func:`recompress` dispatch to a backend (default ``"svd"``), so existing
-call sites keep their exact historical behaviour.
+the same ε, ``"auto"`` the per-tile choice between them.
+:func:`compress_block`, :func:`compress_tile` and :func:`recompress`
+dispatch to a backend (``None``: the registry default).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def compress_block(
 
     Dispatches to a :class:`~repro.linalg.backends.CompressionBackend`
     (an instance, a registry name like ``"rsvd"``, or ``None`` for the
-    default exact SVD).  The singular values are folded symmetrically
+    registry default).  The singular values are folded symmetrically
     into both factors (``U = U_s * sqrt(s)``, ``V = V_s * sqrt(s)``) to
     balance their norms — this keeps downstream QR recompressions
     well-conditioned.  ``seed`` pins the randomness of stochastic

@@ -54,7 +54,8 @@ class BandTLRMatrix:
     backend:
         Compression backend used for off-band tiles (and remembered so
         :meth:`with_band_size` and factorizations recompress with the
-        same numerics); ``None`` means the process default (exact SVD).
+        same numerics); ``None`` means the process default
+        (:func:`~repro.linalg.backends.get_backend`).
     precision:
         Storage-dtype policy for off-band low-rank tiles (see
         :class:`~repro.linalg.precision.PrecisionPolicy`); ``None``

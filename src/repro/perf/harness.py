@@ -283,8 +283,8 @@ def default_suite(*, smoke: bool = False) -> list[dict]:
     Each entry is ``{"name", "config", "setup", "fn"}`` consumable by
     :func:`run_suite`.  ``--smoke`` sizes finish in seconds on a laptop
     CI runner; full sizes match the ablation benchmarks.  Note the
-    compression benches measure *backend* cost (rsvd is slower than svd
-    below the crossover near tile size 200 — see
+    compression benches measure *backend* cost (unhinted rsvd is slower
+    than svd on small tiles at tight ε — the table in
     ``benchmarks/bench_ablation_compression.py``), so a smoke-scale
     rsvd-slower-than-svd reading is expected, not a regression.
 
@@ -292,7 +292,7 @@ def default_suite(*, smoke: bool = False) -> list[dict]:
     configuration — the ``auto`` compression backend plus batched kernel
     dispatch (``batch=True``) — so the history tracks what users
     actually get; the per-backend compression benches keep svd and rsvd
-    separately comparable across the crossover.
+    separately comparable.
     """
     from .. import TLRSolver, st_3d_exp_problem
     from ..linalg.backends import get_backend

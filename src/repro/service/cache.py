@@ -149,7 +149,7 @@ class FactorRecipe:
     problem: CovarianceProblem
     accuracy: float = 1e-8
     band_size: int | str = "auto"
-    compression: str | None = "auto"
+    compression: str | None = None
     precision: object = None
     maxrank: int | None = None
     n_workers: int | None = None

@@ -446,7 +446,7 @@ class SolverService:
         *,
         accuracy: float = 1e-8,
         band_size: int | str = "auto",
-        compression: str | None = "auto",
+        compression: str | None = None,
         precision=None,
         maxrank: int | None = None,
         n_workers: int | None = None,

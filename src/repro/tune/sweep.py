@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.autotuner import band_candidates, tune_band_size
+from ..linalg.backends import default_backend
 from ..runtime.graph import build_cholesky_graph
 from ..runtime.simulator import DISTRIBUTION_NAMES, simulate_schedule
 from ..runtime.workpool import parallel_map
@@ -204,7 +205,7 @@ class TuneResult:
             "band": w.band_size,
             "accuracy": float(p.get("accuracy", 1e-8)),
             "seed": int(p.get("seed", 0)),
-            "compression": p.get("compression", "auto"),
+            "compression": p.get("compression", default_backend().name),
             "precision": p.get("precision", "fp64"),
             "executor": "threads" if w.ranks == 1 else "processes",
             "workers": w.cores,
@@ -368,7 +369,7 @@ def sweep(
         "ntiles": nt,
         "accuracy": meta.get("accuracy", 1e-8),
         "seed": meta.get("seed", 0),
-        "compression": meta.get("compression", "auto"),
+        "compression": meta.get("compression", default_backend().name),
         "precision": meta.get("precision", "fp64"),
         "batch": meta.get("batch", True),
     }

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro import st_3d_exp_problem
 from repro.linalg import (
+    AutoBackend,
+    LowRankTile,
     RandomizedSVDBackend,
     RsvdConfig,
     SVDBackend,
@@ -44,16 +46,16 @@ class TestRegistry:
         b = RandomizedSVDBackend(seed=7)
         assert get_backend(b) is b
 
-    def test_default_is_svd(self):
-        assert get_backend(None).name == "svd"
+    def test_default_is_auto(self):
+        assert get_backend(None).name == "auto"
 
     def test_set_default_backend_roundtrip(self):
         try:
             set_default_backend("rsvd")
             assert get_backend(None).name == "rsvd"
         finally:
-            set_default_backend("svd")
-        assert get_backend(None).name == "svd"
+            set_default_backend("auto")
+        assert get_backend(None).name == "auto"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -64,10 +66,6 @@ class TestRsvdConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RsvdConfig(block_size=0)
-        with pytest.raises(ConfigurationError):
-            RsvdConfig(block_size=32, max_block=16)
-        with pytest.raises(ConfigurationError):
-            RsvdConfig(block_growth=0.5)
         with pytest.raises(ConfigurationError):
             RsvdConfig(fallback_fraction=0.0)
 
@@ -150,6 +148,175 @@ class TestRsvdAccuracy:
         assert tile.rank <= k
         err = np.linalg.norm(a - tile.to_dense(), 2)
         assert err <= 1e-6 * np.linalg.norm(a, 2)
+
+
+class TestRankHint:
+    """``compress(..., rank_hint=)``: the first sample block and the
+    sample-or-exact choice, on the sampler itself and through ``auto``."""
+
+    B = 160
+    RULE = TruncationRule(eps=1e-6)
+
+    @pytest.fixture(scope="class")
+    def tile(self):
+        a = _matern_tile(8 * self.B, self.B, 7, 0, seed=11)
+        return a, SVDBackend().compress(a, self.RULE)
+
+    @pytest.mark.parametrize("backend", ["rsvd", "auto"])
+    @pytest.mark.parametrize("hint", [0, 3, "rank", "rank+9"])
+    def test_any_hint_certifies_eps(self, tile, backend, hint):
+        """A hint of zero, one far below the true rank (the sampler must
+        grow past it) and one at or above it all reach the rule's ε."""
+        a, exact = tile
+        assert 3 * (exact.rank + 9) < self.B  # every hint here is sampled
+        hints = {"rank": exact.rank, "rank+9": exact.rank + 9}
+        got = get_backend(backend).compress(
+            a, self.RULE, seed=5, rank_hint=hints.get(hint, hint)
+        )
+        assert np.linalg.norm(a - got.to_dense(), 2) <= 3.0 * self.RULE.eps
+        assert abs(got.rank - exact.rank) <= 2
+
+    @pytest.mark.parametrize("backend", ["rsvd", "auto"])
+    def test_hint_from_a_third_of_the_tile_is_the_exact_path(self, tile, backend):
+        a, exact = tile
+        below, at = self.B // 3 - 1, self.B // 3
+        got = get_backend(backend).compress(a, self.RULE, seed=5, rank_hint=at)
+        np.testing.assert_array_equal(got.u, exact.u)
+        np.testing.assert_array_equal(got.v, exact.v)
+        sampled = get_backend(backend).compress(
+            a, self.RULE, seed=5, rank_hint=below
+        )
+        assert not np.array_equal(sampled.u, exact.u)
+
+    def test_maxrank_below_the_hint(self, tile):
+        a, exact = tile
+        rule = self.RULE.with_maxrank(6)
+        got = get_backend("rsvd").compress(a, rule, seed=5, rank_hint=exact.rank)
+        assert got.rank == 6
+        # the cap voids the ε guarantee, not the quality of what is kept
+        best = np.linalg.svd(a, compute_uv=False)[6]
+        assert np.linalg.norm(a - got.to_dense(), 2) <= 1.5 * best
+
+    def test_frobenius_rule(self, tile):
+        a, _ = tile
+        rule = TruncationRule(eps=1e-6, norm="frobenius")
+        exact = SVDBackend().compress(a, rule)
+        got = get_backend("rsvd").compress(a, rule, seed=5, rank_hint=exact.rank)
+        assert np.linalg.norm(a - got.to_dense()) <= 3e-6
+        assert abs(got.rank - exact.rank) <= 2
+
+    def test_same_input_seed_and_hint_same_bits(self, tile):
+        a, exact = tile
+        runs = [
+            get_backend("rsvd").compress(
+                a, self.RULE, seed=tile_seed(2021, 7, 0), rank_hint=hint
+            )
+            for hint in (exact.rank, exact.rank, exact.rank + 1)
+        ]
+        np.testing.assert_array_equal(runs[0].u, runs[1].u)
+        np.testing.assert_array_equal(runs[0].v, runs[1].v)
+        assert runs[2].u.shape != runs[0].u.shape or not np.array_equal(
+            runs[2].u, runs[0].u
+        )  # the hint is part of what is drawn
+
+    @pytest.mark.parametrize("hint", [None, 20])
+    def test_float32_in_float32_out(self, tile, hint):
+        """ε = 1e-4 clears the precision policy's fp32 floor (1e-7): the
+        single-precision sampler stays inside the same 3·ε budget."""
+        a, _ = tile
+        rule = TruncationRule(eps=1e-4)
+        a32 = a.astype(np.float32)
+        got = get_backend("rsvd").compress(a32, rule, seed=5, rank_hint=hint)
+        assert got.dtype == np.float32
+        assert np.linalg.norm(a - got.to_dense(), 2) <= 3.0 * rule.eps
+        assert abs(got.rank - SVDBackend().compress(a, rule).rank) <= 2
+
+    @pytest.mark.parametrize("backend", ["svd", "rsvd"])
+    def test_float32_zero_tiles_keep_their_dtype(self, backend):
+        be = get_backend(backend)
+        rule = TruncationRule(eps=1e-4)
+        zeros = np.zeros((128, 128), np.float32)
+        tiny = np.full((128, 128), 1e-9, np.float32)  # truncated to rank 0
+        c = LowRankTile(
+            np.ones((128, 70), np.float32), np.zeros((128, 70), np.float32)
+        )  # a zero tile of width 70: the rounding takes the dense sum
+        for a in (zeros, tiny):
+            res = be.recompress_update(c, a[:, :1], a[:, :1], rule)
+            assert res.rank_after == 0 and res.tile.dtype == np.float32
+            direct = be.compress(a, rule)
+            assert direct.rank == 0
+            if backend == "rsvd":  # the exact oracle rounds fp32 in fp64
+                assert direct.dtype == np.float32
+
+    def test_wide_rounding_passes_the_tiles_rank(self):
+        seen = []
+
+        class Spy(SVDBackend):
+            def compress(self, a, rule, *, seed=None, rank_hint=None):
+                seen.append(rank_hint)
+                return super().compress(a, rule, seed=seed)
+
+        rng = np.random.default_rng(0)
+        c = compress_block(_lowrank_matrix(64, 64, 9, seed=1), self.RULE)
+        u, v = rng.standard_normal((2, 64, 30))
+        Spy().recompress_update(c, u, v, self.RULE)
+        assert seen == [c.rank]
+
+
+class TestAutoDispatch:
+    """``AutoBackend.select`` is the documented surface and nothing else."""
+
+    @pytest.mark.parametrize(
+        "eps,sampled_from",
+        [(1e-2, 100), (1e-4, 100), (1e-5, 250), (1e-6, 250), (1e-7, None),
+         (1e-8, None), (1e-12, None)],
+    )
+    def test_unhinted_surface(self, eps, sampled_from):
+        auto = AutoBackend()
+        for b in (32, 64, 99, 100, 150, 200, 249, 250, 400, 1000):
+            want = "rsvd" if sampled_from and b >= sampled_from else "svd"
+            assert auto.select((b, b), TruncationRule(eps=eps)) == want, b
+            # ragged blocks read their short side
+            assert auto.select((b, 4 * b), TruncationRule(eps=eps)) == want
+
+    @pytest.mark.parametrize("b", [32, 64, 65, 100, 200, 400])
+    def test_hinted_rule_is_rank_over_size_whatever_the_eps(self, b):
+        auto = AutoBackend()
+        for eps in (1e-2, 1e-8, 1e-12):
+            rule = TruncationRule(eps=eps)
+            for hint in (0, 1, b // 3 - 1, b // 3, b // 2, b):
+                want = "rsvd" if b > 64 and hint < b // 3 else "svd"
+                assert auto.select((b, b), rule, hint) == want, (eps, hint)
+
+    def test_reads_nothing_but_shape_rule_and_hint(self):
+        """Two backends with different seeds and histories, blocks of
+        different content: same shape, rule and hint, same route."""
+        fresh, used = AutoBackend(seed=1), AutoBackend(seed=2)
+        rule = TruncationRule(eps=1e-4)
+        for k in (3, 40):
+            used.compress(_lowrank_matrix(128, 128, k, seed=k), rule, seed=k)
+        grid = [((b, b), h) for b in (64, 128, 256) for h in (None, 0, 50, 90)]
+        assert [fresh.select(s, rule, h) for s, h in grid] == [
+            used.select(s, rule, h) for s, h in grid
+        ]
+
+    def test_compress_takes_the_route_select_names(self, monkeypatch):
+        auto = AutoBackend()
+        calls = []
+        for be in (auto._svd, auto._rsvd):
+            monkeypatch.setattr(
+                be, "compress",
+                lambda a, rule, *, seed=None, rank_hint=None, _n=be.name: (
+                    calls.append(_n)
+                ),
+            )
+        rule = TruncationRule(eps=1e-4)
+        cases = [((128, 128), None), ((96, 96), None), ((128, 128), 10),
+                 ((128, 128), 60), ((60, 200), 5)]
+        for shape, hint in cases:
+            auto.compress(np.zeros(shape), rule, rank_hint=hint)
+        assert calls == [auto.select(s, rule, h) for s, h in cases]
+        assert calls == ["rsvd", "svd", "rsvd", "svd", "svd"]
 
 
 class TestBackendRecompression:

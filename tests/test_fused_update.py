@@ -32,6 +32,7 @@ from repro.linalg import (
     DenseTile,
     KernelClass,
     LowRankTile,
+    RandomizedSVDBackend,
     SVDBackend,
     gemm_auto,
     gemm_lr,
@@ -181,6 +182,46 @@ def test_one_rounding_per_updated_tile(case):
     )
 
 
+def test_default_backend_at_the_size_it_samples(monkeypatch):
+    """b = 200, ε = 1e-4, band 2, no backend named: assembly and the wide
+    roundings take the sampler, and (a) and (b) hold as they do for the
+    exact oracle — one factor from loops, two workers and two ranks;
+    backward error within 10·ε; ranks within max(2, 5 %) of ``svd``'s."""
+    eps = 1e-4
+    big = st_3d_exp_problem(1200, 200, seed=3)
+    dense = big.dense()
+    sampled = []
+    ara = RandomizedSVDBackend._compress_ara
+
+    def counting(self, a, rule, seed, rank_hint):
+        sampled.append(rank_hint)
+        return ara(self, a, rule, seed, rank_hint)
+
+    monkeypatch.setattr(RandomizedSVDBackend, "_compress_ara", counting)
+    base = BandTLRMatrix.from_problem(big, TruncationRule(eps=eps), 2)
+    assembled = len(sampled)
+    assert assembled == 10  # every off-band tile of NT = 6 at band 2
+    ref = base.copy()
+    tlr_cholesky(ref)
+    assert any(hint is not None for hint in sampled[assembled:])
+
+    threads, ranks = base.copy(), base.copy()
+    execute_graph_parallel(graph_for_matrix(threads), threads, n_workers=2)
+    get_executor("processes", n_ranks=2).execute(graph_for_matrix(ranks), ranks)
+    assert_bitwise(threads, ref)
+    assert_bitwise(ranks, ref)
+
+    oracle = BandTLRMatrix.from_problem(
+        big, TruncationRule(eps=eps), 2, backend="svd"
+    )
+    tlr_cholesky(oracle)
+    assert backward_error(ref, dense) <= 10 * eps
+    for ij, t in ref.tiles.items():
+        if isinstance(t, LowRankTile):
+            k = oracle.tile(*ij).rank
+            assert t.rank <= k + max(2, 0.05 * k), ij
+
+
 # ----------------------------------------------------------------------
 # (b) the dense oracle and the per-update oracle
 # ----------------------------------------------------------------------
@@ -285,9 +326,9 @@ class CountingSVD(SVDBackend):
         super().__init__()
         self.compressed = []
 
-    def compress(self, a, rule, *, seed=None):
+    def compress(self, a, rule, *, seed=None, rank_hint=None):
         self.compressed.append(a.shape)
-        return super().compress(a, rule, seed=seed)
+        return super().compress(a, rule, seed=seed, rank_hint=rank_hint)
 
 
 class TestWidthRule:
