@@ -29,7 +29,7 @@ import numpy as np
 
 from repro import TruncationRule, st_3d_exp_problem
 from repro.analysis import format_series, write_csv
-from repro.distribution import BandDistribution, ProcessGrid
+from repro.distribution import default_distribution
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     build_cholesky_graph,
@@ -76,9 +76,7 @@ def test_ablation_distributed_executor(benchmark, results_dir, perf_timer):
 
     rows = [("threads-2", round(t_thr.median_s, 3), "-", "-", "-")]
     for ranks in RANK_COUNTS:
-        dist = BandDistribution(
-            ProcessGrid.squarest(ranks), band_size=BAND
-        )
+        dist = default_distribution(graph, ranks)
         flow = classify_dataflow(graph, dist)
         last: dict = {}
 

@@ -343,7 +343,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     from repro.core import tune_band_size
     from repro.obs import gantt
-    from repro.distribution import BandDistribution, ProcessGrid
+    from repro.distribution import default_distribution
     from repro.runtime import MachineSpec, build_cholesky_graph, simulate
 
     model = paper_rank_model(args.tile, accuracy=args.accuracy)
@@ -355,7 +355,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = MachineSpec(
         nodes=args.nodes, cores_per_node=args.cores, gpus_per_node=args.gpus
     )
-    dist = BandDistribution(ProcessGrid.squarest(args.nodes), band_size=band)
+    dist = default_distribution(g, args.nodes)
     res = simulate(
         g, dist, machine,
         scheduler=args.scheduler,
@@ -368,6 +368,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         [
             ("tasks", g.n_tasks),
             ("tuned band", band),
+            ("process grid (by per-panel work)",
+             f"{dist.grid.p}x{dist.grid.q}"),
             ("makespan (s)", round(res.makespan, 3)),
             ("mean occupancy", round(s.mean_occupancy, 3)),
             ("imbalance", round(s.imbalance, 3)),
@@ -398,6 +400,7 @@ def _run_execute(args: argparse.Namespace) -> int:
     from repro import TruncationRule, st_3d_exp_problem
     from repro.analysis import format_table, occupancy_summary
     from repro.core import tlr_cholesky
+    from repro.distribution import default_distribution
     from repro.obs import gantt, write_chrome_trace
     from repro.matrix import BandTLRMatrix
     from repro.runtime import get_executor, graph_for_matrix
@@ -464,7 +467,13 @@ def _run_execute(args: argparse.Namespace) -> int:
     ]
     if args.executor == "processes":
         c = res.comm
+        grid = default_distribution(graph, res.n_workers).grid
         rows += [
+            ("launch / run / gather (s)", " / ".join(
+                f"{part:.3f}"
+                for part in (res.launch_s, res.run_s, res.gather_s)
+            )),
+            ("process grid (by per-panel work)", f"{grid.p}x{grid.q}"),
             ("LOCAL edges", c.local_edges),
             ("REMOTE edges", c.remote_edges),
             ("messages (modelled)", c.messages),
@@ -537,6 +546,7 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
     """
     from repro import obs
     from repro.analysis import format_table
+    from repro.distribution import default_distribution
     from repro.obs import gantt
     from repro.runtime import MachineSpec, SimExecutor, rates_from_run
     from repro.runtime.task import task_name
@@ -557,6 +567,7 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
     ex = SimExecutor(n_ranks=args.ranks, machine=machine,
                      scheduler=args.scheduler)
     res = ex.execute(graph, None, collect_trace=True).report
+    grid = default_distribution(graph, args.ranks).grid
 
     # Replay the predicted schedule as spans so --obs yields a trace the
     # analytics layer (and `repro compare`) reads like a realized one.
@@ -580,6 +591,7 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
         [
             ("tasks", graph.n_tasks),
             ("ranks", args.ranks),
+            ("process grid (by per-panel work)", f"{grid.p}x{grid.q}"),
             ("predicted makespan (s)", round(res.makespan, 3)),
             ("mean occupancy", round(float(res.occupancy.mean()), 3)),
             ("LOCAL edges", res.comm.local_edges),

@@ -5,6 +5,7 @@ from .distributions import (
     Distribution,
     OneDBlockCyclic,
     TwoDBlockCyclic,
+    default_distribution,
     load_per_process,
 )
 from .process_grid import ProcessGrid
@@ -15,5 +16,6 @@ __all__ = [
     "TwoDBlockCyclic",
     "OneDBlockCyclic",
     "BandDistribution",
+    "default_distribution",
     "load_per_process",
 ]

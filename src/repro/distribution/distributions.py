@@ -32,6 +32,7 @@ __all__ = [
     "TwoDBlockCyclic",
     "OneDBlockCyclic",
     "BandDistribution",
+    "default_distribution",
     "load_per_process",
 ]
 
@@ -143,6 +144,33 @@ class BandDistribution(Distribution):
             key = i if self.uplo == "lower" else j
             return key % self.grid.size
         return self.grid.rank_of(i, j)
+
+
+def default_distribution(graph, n_ranks: int) -> BandDistribution:
+    """The placement used wherever none is given: the hybrid band layout
+    on the ``P x Q = n_ranks`` grid minimising the *per-panel work bound*
+    ``sum_panel max_rank sum(task.flops)`` under owner-computes placement.
+
+    A panel's tasks become ready together, so its busiest rank bounds its
+    time: the fused graph (a tile column's GEMMs are one panel) wants tall
+    grids, ``P x 1``; the right-looking PTG keeps the paper's wide one.
+    Bounds within 2 % tie towards the squarer grid (fewer messages),
+    ``P <= Q`` first.  Pure in its arguments, O(tasks) per candidate.
+    """
+    n_ranks = check_positive_int("n_ranks", n_ranks)
+    bounds = {}
+    for p in (p for p in range(1, n_ranks + 1) if n_ranks % p == 0):
+        dist = BandDistribution(ProcessGrid(p, n_ranks // p), graph.band_size)
+        panels: dict[int, list[float]] = {}
+        for task in graph.tasks.values():
+            work = panels.setdefault(task.panel, [0.0] * n_ranks)
+            work[dist.owner(*task.out_tile)] += task.flops
+        bounds[dist] = sum(map(max, panels.values()))
+    best = min(bounds.values())
+    return min(
+        (d for d, bound in bounds.items() if bound <= 1.02 * best),
+        key=lambda d: (abs(d.grid.p - d.grid.q), d.grid.p),
+    )
 
 
 def load_per_process(

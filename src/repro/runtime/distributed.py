@@ -23,12 +23,15 @@ does differently:
   the same rank — the PTG chain edges) or REMOTE, released when the
   producer's tile *arrives* in the rank's inbox;
 * a rank with nothing ready and arrivals outstanding blocks on its inbox,
-  checking the controller's abort flag and the run's deadline — an input
+  woken by the controller's stop and bounded by the run's deadline — an input
   that never arrives is a typed error, never a hang;
 * a rank that commits a task whose output has remote consumers sends
   the tile once per consumer rank, routed down a binomial tree whose
-  interior nodes are consumer ranks (each forwards to its subtree), and
-  on a closed panel ships its frontier shard to the controller.
+  interior nodes are consumer ranks (each forwards to its subtree),
+  ships a tile to the controller the moment its final write commits (the
+  gather overlaps the run), and on a closed panel its frontier shard —
+  all over one pickled pipe per (sender, receiver) pair, so a process
+  that dies mid-message is EOF on its own pipes, never a peer's hang.
 
 Correctness rests on a property of the Cholesky PTG under
 owner-computes placement: every remote edge originates from a POTRF or
@@ -49,8 +52,8 @@ per-rank frontier shards into standard
 :class:`~repro.runtime.resilience.Checkpointer` archives that the other
 executors can resume, and vice versa.  If a rank process dies mid-run,
 the controller relaunches the run from the latest checkpoint (or from
-scratch — its own tile state is untouched until the final gather) and
-counts a recovery.  A task exception on a rank crosses the process
+scratch — streamed tiles reach its matrix only once a run completes)
+and counts a recovery.  A task exception on a rank crosses the process
 boundary as the thread boundary is crossed: wrapped in
 :class:`RuntimeSystemError` with the original exception chained.
 
@@ -76,19 +79,18 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 
 import numpy as np
 
 from .. import obs
-from ..distribution.distributions import BandDistribution, Distribution
-from ..distribution.process_grid import ProcessGrid
+from ..distribution.distributions import Distribution, default_distribution
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
 from ..linalg.tiles import LowRankTile
 from ..matrix.memory import MemoryTracker
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError, RuntimeSystemError
-from ..utils.validation import check_positive_int
 from .dataflow import DataflowBreakdown
 from .executor import (
     ExecutionReport,
@@ -99,7 +101,7 @@ from .executor import (
 from .graph import TaskGraph
 from .resilience import ResilienceReport, as_checkpointer
 from .simulator import CommStats
-from .task import TaskId, task_name
+from .task import TaskId, TaskKind, task_name
 
 __all__ = [
     "DistributedExecutionReport",
@@ -163,9 +165,9 @@ class _RankStore:
     """A rank's private tile store, quacking like the matrix for kernels.
 
     ``tiles`` holds the tiles this rank owns — all it ever writes,
-    accounts, checkpoints or returns; ``remote`` the read-only snapshots
-    received from peers.  A missing tile is a protocol error, not a
-    KeyError.
+    accounts, checkpoints or ships to the controller; ``remote`` the
+    read-only snapshots received from peers.  A missing tile is a
+    protocol error, not a KeyError.
     """
 
     def __init__(self, tiles: dict[tuple[int, int], object]):
@@ -209,20 +211,93 @@ class _RankConfig:
 
 
 class _Aborted(Exception):
-    """Internal: the controller said stop (or abort); exit quietly."""
+    """Internal: the controller said stop; exit quietly."""
 
 
-def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
+class _PipeSender:
+    """``put`` onto one pipe: pickled here, written by a feeder thread, so
+    two ranks sending each other tiles larger than the pipe buffer cannot
+    deadlock, and a send stalls the task loop only while ``depth``
+    messages wait (0: never)."""
+
+    def __init__(self, conn, depth: int = 0):
+        self._q = _queue.Queue(depth)
+        self._thread = threading.Thread(
+            target=self._feed, args=(conn,), daemon=True
+        )
+        self._thread.start()
+
+    def put(self, msg) -> None:
+        self._q.put(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+
+    def _feed(self, conn) -> None:
+        for buf in iter(self._q.get, None):
+            try:
+                conn.send_bytes(buf)
+            except OSError:  # the reader is gone (stopped or dead)
+                pass
+
+    def flush(self) -> None:
+        self._q.put(None)
+        self._thread.join()
+
+
+class _PipeInbox:
+    """``get`` over one pipe per sender: a sender that died mid-message
+    is EOF on its own pipe and is dropped (a truncated message in one
+    queue shared by all senders hung its reader instead)."""
+
+    def __init__(self, conns):
+        self._conns = list(conns)
+
+    def get(self, timeout: float):
+        for conn in wait_readable(self._conns, timeout):
+            try:
+                return conn.recv()
+            except (EOFError, OSError):
+                self._conns.remove(conn)
+        raise _queue.Empty
+
+
+def _own_pipe_ends(pipes, me: int) -> tuple[list, dict]:
+    """Process ``me``'s ends of ``pipes[sender, receiver]``: what it
+    reads, and what it writes by receiver.  Every other copy is closed —
+    a dead writer is EOF only once nobody else holds its write end."""
+    for (s, d), (recv_end, send_end) in pipes.items():
+        if d != me:
+            recv_end.close()
+        if s != me:
+            send_end.close()
+    return (
+        [ends[0] for (_, d), ends in pipes.items() if d == me],
+        {d: ends[1] for (s, d), ends in pipes.items() if s == me},
+    )
+
+
+def _rank_process(cfg: _RankConfig, pipes) -> None:
+    """Process entry: the rank on its own pipe ends.  The controller is
+    process ``nprocs``; the rank runs at most four messages ahead of it
+    (a frontier shard copies every owned tile: a checkpointed run must
+    neither hoard them nor outrun its checkpoints)."""
+    inbox, outbox = _own_pipe_ends(pipes, cfg.rank)
+    results = _PipeSender(outbox.pop(cfg.dist.nprocs), depth=4)
+    outboxes = {d: _PipeSender(end) for d, end in outbox.items()}
+    try:
+        _rank_main(cfg, _PipeInbox(inbox), outboxes, results.put)
+    finally:
+        results.flush()
+
+
+def _rank_main(cfg: _RankConfig, inbox, outboxes, emit) -> None:
     """Top-level worker body (one per rank; process or thread).
 
-    Communicates only through the objects it was handed, so the same
-    function runs on ``multiprocessing`` queues in real processes and on
-    ``queue.Queue`` in the in-process harness the tests use.  ``emit``
-    delivers one message to the controller: the ``send`` of this rank's
-    own result pipe (synchronous, on this thread), or the shared
-    ``queue.Queue.put`` inline.
+    Communicates only through the objects it was handed — ``inbox.get``,
+    ``outboxes[rank].put`` and ``emit`` (one message to the controller)
+    — so the same function runs on pipes in real processes
+    (:func:`_rank_process`) and on ``queue.Queue`` in the in-process
+    harness the tests use.
     """
-    link = _RankLink(cfg, inboxes, emit, abort)
+    link = _RankLink(cfg, inbox, outboxes, emit)
     try:
         payload = _rank_body(link)
         emit(("done", cfg.rank, payload))
@@ -230,7 +305,7 @@ def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
         # route a (defensive) forward through us though our tasks are done.
         while True:
             link.receive(block=True)
-    except _Aborted:  # stop or abort
+    except _Aborted:
         pass
     except BaseException as exc:
         # The exception itself crosses to the controller when it pickles
@@ -239,16 +314,7 @@ def _rank_main(cfg: _RankConfig, inboxes, emit, abort) -> None:
             pickle.loads(pickle.dumps(exc))
         except Exception:
             exc = None
-        try:
-            emit(("error", cfg.rank, exc, traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        # Tiles still queued for a stopped (or dead) peer are needed by no
-        # one now and must not hold up this process's exit.
-        for q in inboxes:
-            if hasattr(q, "cancel_join_thread"):  # not the inline queues
-                q.cancel_join_thread()
+        emit(("error", cfg.rank, exc, traceback.format_exc()))
 
 
 class _RankLink:
@@ -268,9 +334,9 @@ class _RankLink:
     the actual tree hops with actual factor sizes.
     """
 
-    def __init__(self, cfg: _RankConfig, inboxes, emit, abort):
+    def __init__(self, cfg: _RankConfig, inbox, outboxes, emit):
         self.cfg, self.store = cfg, _RankStore(dict(cfg.tiles))
-        self.inboxes, self.emit, self.abort = inboxes, emit, abort
+        self.inbox, self.outboxes, self.emit = inbox, outboxes, emit
         self.placement = placement_of(cfg.graph, cfg.dist)
         self.owned = {
             tid for tid, r in self.placement.items() if r == cfg.rank
@@ -299,7 +365,7 @@ class _RankLink:
     def _post(self, src_tid, ij, tile, dests: list[int]) -> None:
         """Send ``tile`` down the binomial tree over ``dests``."""
         for child, sub in binomial_children(dests):
-            self.inboxes[child].put(("tile", src_tid, ij, tile, sub))
+            self.outboxes[child].put(("tile", src_tid, ij, tile, sub))
             self.wire_messages += 1
             self.wire_bytes += _tile_nbytes(tile)
             if self.cfg.shard_dir is not None:
@@ -311,17 +377,14 @@ class _RankLink:
     def receive(self, block: bool) -> list[TaskId]:
         """Drain the inbox (``block``: wait up to 0.2 s for a first
         message).  Arriving tiles are stored and forwarded down their
-        subtrees; returns their producer tasks.  An empty inbox checks the
-        controller's abort flag and the run's deadline."""
+        subtrees; returns their producer tasks.  The controller's stop
+        raises ``_Aborted``; an empty inbox checks the run's deadline."""
         cfg = self.cfg
-        inbox = self.inboxes[cfg.rank]
         got: list[TaskId] = []
         while True:
             try:
-                msg = inbox.get(timeout=0.2) if block else inbox.get_nowait()
+                msg = self.inbox.get(timeout=0.2 if block else 0)
             except _queue.Empty:
-                if self.abort is not None and self.abort.is_set():
-                    raise _Aborted() from None
                 if cfg.deadline is not None and time.time() > cfg.deadline:
                     raise RuntimeSystemError(
                         f"rank {cfg.rank} exceeded the "
@@ -330,7 +393,7 @@ class _RankLink:
                     ) from None
                 return got
             block = False
-            if msg[0] == "stop":  # only sent once we reported done
+            if msg[0] == "stop":
                 raise _Aborted()
             if msg[0] == "sync_reply":
                 _, t_echo, t_ctrl = msg
@@ -368,8 +431,9 @@ class _RankLink:
 
     def committed(self, tid: TaskId, completed: set, panel_closed: bool):
         """The core committed ``tid``: account its realized dataflow,
-        send its output on, and on a closed panel ship the frontier
-        shard the controller merges into a global checkpoint."""
+        send its output on (a POTRF/TRSM output is its tile's final
+        version: to the controller too), and on a closed panel ship the
+        frontier shard the controller merges into a global checkpoint."""
         cfg = self.cfg
         if self.kill_budget is not None:
             self.kill_budget -= 1
@@ -388,6 +452,9 @@ class _RankLink:
                 self.df_bytes[kinds] = (
                     self.df_bytes.get(kinds, 0) + e.elements * 8
                 )
+        if task.kind in (TaskKind.POTRF, TaskKind.TRSM):
+            ij = task.out_tile
+            self.emit(("final", cfg.rank, ij, self.store.tile(*ij)))
         self.send_output(tid)
         if panel_closed and cfg.ckpt_every is not None:
             # The owned-tile state and completed set are a consistent
@@ -435,17 +502,12 @@ def _rank_body(link: _RankLink) -> dict:
     )
     if cfg.shard_dir is not None:
         _write_shard(cfg, report, link)
-    # The peers' snapshots are dead weight from here on; drop them before
-    # the payload is pickled (the rank's memory peak).
-    link.store.remote.clear()
-
     # The report's accounting objects hold locks and pool buffers;
     # their plain, picklable contents go back to the controller.
     counter, tracker = FlopCounter(), MemoryTracker()
     counter.merge(report.counter)
     _add_fields(tracker, report.tracker, _TRACKED)
     return {
-        "tiles": link.store.tiles,
         "counter": counter,
         "pool_stats": report.pool.stats,
         "tracker": tracker,
@@ -534,6 +596,10 @@ class DistributedExecutionReport(ExecutionReport):
     rank_restarts:
         Times the controller relaunched the run after losing a rank
         process.
+    launch_s / run_s / gather_s:
+        The controller's wall-clock, partitioned: call to first task
+        start, first task start to last task end, last task end to
+        return; they sum to ``makespan``.
     shard_merge:
         The :class:`repro.obs.merge.MergeReport` from the automatic
         cross-rank trace merge when the run was launched with
@@ -546,6 +612,9 @@ class DistributedExecutionReport(ExecutionReport):
     wire_bytes: int = 0
     placement: dict = field(default_factory=dict)
     rank_restarts: int = 0
+    launch_s: float = 0.0
+    run_s: float = 0.0
+    gather_s: float = 0.0
     shard_merge: object | None = None
 
 
@@ -595,9 +664,10 @@ def execute_graph_distributed(
     n_ranks:
         Rank (process) count; defaults to the distribution's size, or 2.
     distribution:
-        Tile-to-rank placement; defaults to the paper's hybrid
-        :class:`~repro.distribution.BandDistribution` on the squarest
-        process grid.  ``distribution.nprocs`` must equal ``n_ranks``.
+        Tile-to-rank placement; defaults to :func:`~repro.distribution
+        .default_distribution` — the paper's hybrid band layout on the
+        process grid chosen from the graph's per-panel modelled work.
+        ``distribution.nprocs`` must equal ``n_ranks``.
     faults / recovery:
         Per-rank retry/rollback engine; ``faults`` must be a spec string
         or :class:`~repro.testing.faults.FaultPlan` (a live injector
@@ -611,9 +681,10 @@ def execute_graph_distributed(
         a stuck rank fails the run instead of hanging it.
     max_restarts:
         Relaunch budget when a rank process dies mid-run: the run
-        restarts from the latest checkpoint when one exists (the
-        controller's matrix is untouched until the final gather, so a
-        from-scratch restart is equally safe).
+        restarts from the latest checkpoint when one exists (final
+        tiles stream to the controller during a run but reach ``matrix``
+        only when the run completes, so a from-scratch restart is
+        equally safe).
     shard_dir:
         Directory for cross-rank obs shards.  When set, each rank
         performs a clock-offset handshake with the controller, records
@@ -628,6 +699,7 @@ def execute_graph_distributed(
         controller's lost-rank recovery path.
     _inline:
         Run ranks on threads with plain queues instead of processes
+        and pipes
         (identical code path; used by tests so coverage instruments the
         worker loop, and per-rank tile stores are deep-copied to
         preserve address-space isolation semantics).
@@ -637,20 +709,15 @@ def execute_graph_distributed(
     DistributedExecutionReport
     """
     if distribution is None:
-        if n_ranks is None:
-            n_ranks = 2
-        check_positive_int("n_ranks", n_ranks)
-        distribution = BandDistribution(
-            ProcessGrid.squarest(n_ranks), band_size=graph.band_size
+        distribution = default_distribution(
+            graph, 2 if n_ranks is None else n_ranks
         )
-    else:
-        if n_ranks is None:
-            n_ranks = distribution.nprocs
-        elif distribution.nprocs != n_ranks:
-            raise ConfigurationError(
-                f"distribution targets {distribution.nprocs} ranks but "
-                f"n_ranks={n_ranks}"
-            )
+    elif n_ranks not in (None, distribution.nprocs):
+        raise ConfigurationError(
+            f"distribution targets {distribution.nprocs} ranks but "
+            f"n_ranks={n_ranks}"
+        )
+    n_ranks = distribution.nprocs
     _check_graph(graph, matrix)
     if faults is not None and not isinstance(faults, str):
         from ..testing.faults import FaultPlan
@@ -799,16 +866,17 @@ def _run_once(
         )
 
     payloads: dict[int, dict] = {}
+    finals: dict[tuple[int, int], object] = {}  # streamed final tiles
     lost: list[int] = []
-    readers: dict[object, int] = {}  # live result pipe -> rank
+    readers: dict[object, int] = {}  # live pipe from a rank -> that rank
     if inline:
         inboxes = [_queue.Queue() for _ in range(n_ranks)]
+        to_rank = [q.put for q in inboxes]
         results = _queue.Queue()
-        abort: object = threading.Event()
         workers = [
             threading.Thread(
                 target=_rank_main,
-                args=(make_cfg(r), inboxes, results.put, abort),
+                args=(make_cfg(r), inboxes[r], inboxes, results.put),
                 name=f"repro-rank-{r}",
             )
             for r in range(n_ranks)
@@ -817,32 +885,31 @@ def _run_once(
             w.start()
     else:
         import multiprocessing as mp
-        from multiprocessing.connection import wait as wait_readable
 
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context("spawn")
-        inboxes = [ctx.Queue() for _ in range(n_ranks)]
-        abort = ctx.Event()
-        workers = []
-        for r in range(n_ranks):
-            # One result pipe per rank, created just before its process,
-            # the controller's copy of the write end closed right after:
-            # the rank is then the pipe's only writer, so its death reads
-            # as EOF here.  (One queue shared by all ranks hung instead: a
-            # rank killed while its feeder thread was mid-``put`` left a
-            # truncated message that the surviving writers kept open.)
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            w = ctx.Process(
-                target=_rank_main,
-                args=(make_cfg(r), inboxes, send_end.send, abort),
+        # One pipe per (sender, receiver) pair, the controller being
+        # process ``n_ranks``: every pipe has one writing process, whose
+        # death reads as EOF — here and at its peers.
+        everyone = range(n_ranks + 1)
+        pipes = {
+            (s, d): ctx.Pipe(duplex=False)
+            for s in everyone for d in everyone if s != d
+        }
+        workers = [
+            ctx.Process(
+                target=_rank_process, args=(make_cfg(r), pipes),
                 name=f"repro-rank-{r}",
             )
+            for r in range(n_ranks)
+        ]
+        for w in workers:
             w.start()
-            send_end.close()
-            readers[recv_end] = r
-            workers.append(w)
+        inbox, outbox = _own_pipe_ends(pipes, n_ranks)
+        readers = dict(zip(inbox, range(n_ranks)))
+        to_rank = [outbox[r].send for r in range(n_ranks)]
 
     def poll() -> list:
         """Messages arriving within 0.25 s.  A pipe at EOF (or cut short)
@@ -881,7 +948,9 @@ def _run_once(
                 ]
             for msg in msgs:
                 kind = msg[0]
-                if kind == "done":
+                if kind == "final":
+                    finals[msg[2]] = msg[3]
+                elif kind == "done":
                     payloads[msg[1]] = msg[2]
                 elif kind == "error":
                     error = msg[1:]
@@ -889,7 +958,7 @@ def _run_once(
                     # Clock handshake: echo the rank's send timestamp with
                     # the controller clock; the rank midpoints the
                     # exchange into its shard's offset estimate.
-                    inboxes[msg[1]].put(("sync_reply", msg[2], time.time()))
+                    to_rank[msg[1]](("sync_reply", msg[2], time.time()))
                 elif kind == "panel" and ckptr is not None:
                     latest_shard[msg[1]] = msg[3]
                     union = set(completed0)
@@ -909,14 +978,16 @@ def _run_once(
                             rrep.checkpoints_written += 1
                         last_saved_panels = panels_done
     finally:
-        abort_now = error is not None or lost or len(payloads) < n_ranks
-        if abort_now:
-            abort.set()
-        for r in range(n_ranks):
+        for put in to_rank:  # done, failed or lost: everybody leaves
+
             try:
-                inboxes[r].put(("stop",))
-            except Exception:
+                put(("stop",))
+            except OSError:  # that rank is dead
                 pass
+        # Nothing more is read: a rank still streaming tiles into a full
+        # pipe must see it break, not wait for a reader.
+        for conn in readers:
+            conn.close()
         for w in workers:
             w.join(timeout=2.0)
         if not inline:
@@ -924,15 +995,8 @@ def _run_once(
                 if w.is_alive():  # pragma: no cover - stuck rank
                     w.terminate()
                     w.join(timeout=2.0)
-            for conn in readers:
-                conn.close()
-            # Unblock queue feeder threads so interpreter shutdown does
-            # not wait on undelivered messages.
-            for q in inboxes:
-                try:
-                    q.cancel_join_thread()
-                except Exception:
-                    pass
+            for end in outbox.values():
+                end.close()
 
     if error is not None:
         # The thread-boundary rule of the core, at the process boundary.
@@ -942,12 +1006,10 @@ def _run_once(
     if lost:
         raise _RankDied(lost)
 
-    makespan = time.time() - t0_wall
-
-    # Gather: each rank returns the final state of the tiles it owns.
-    for payload in payloads.values():
-        for ij, tile in payload["tiles"].items():
-            matrix.set_tile(*ij, tile)
+    # Gather: every owned tile's final version arrived while the ranks
+    # were computing; the run completed, so the matrix takes them now.
+    for ij, tile in finals.items():
+        matrix.set_tile(*ij, tile)
 
     # Merge the ranks' core reports.  Pool and tracker figures add up
     # (owned tiles are disjoint and every rank is its own address space,
@@ -976,9 +1038,13 @@ def _run_once(
         if payload["resilience"] is not None and rrep is not None:
             _add_fields(rrep, payload["resilience"])
 
-    report.makespan = makespan
     report.busy = busy
     report.trace = sorted(trace, key=lambda rec: (rec[1], rec[2]))
+    report.launch_s = min((rec[2] for rec in trace), default=0.0)
+    last_end = max((rec[3] for rec in trace), default=report.launch_s)
+    report.run_s = last_end - report.launch_s
+    report.makespan = time.time() - t0_wall
+    report.gather_s = report.makespan - last_end
 
     if obs.enabled():
         for tid, r, start, end in report.trace:

@@ -58,8 +58,8 @@ worker of this loop, handed an internal *link* (``_link``; not an option)
 for the three things a rank does differently.  It runs only the tasks it
 owns, and a dependency whose producer lives on another rank is released by
 that tile's *arrival*, not by a local commit; with nothing ready, nothing
-in flight and arrivals outstanding it blocks on its inbox (which checks
-the controller's abort flag and the deadline) instead of declaring a
+in flight and arrivals outstanding it blocks on its inbox (which obeys
+the controller's stop and checks the deadline) instead of declaring a
 deadlock; and a commit is followed by the send to the consumer ranks and,
 on a closed panel, the frontier shard to the controller, instead of a
 quiesced checkpoint.  Everything else — ready set, scheduler policy,
@@ -510,7 +510,7 @@ def execute_graph_parallel(
                     if not state["inflight"]:
                         if awaited:
                             # A rank with inputs still to come: block on
-                            # the inbox (which checks abort and deadline)
+                            # the inbox (which checks stop and deadline)
                             # instead of calling it a deadlock.
                             for src in link.receive(block=True):
                                 release(src)

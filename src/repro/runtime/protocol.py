@@ -210,17 +210,13 @@ class SimExecutor(Executor):
                 "the sim executor predicts a run; faults/recovery/"
                 "checkpoint/resume only apply to numerical executors"
             )
-        from ..distribution.distributions import BandDistribution
-        from ..distribution.process_grid import ProcessGrid
+        from ..distribution.distributions import default_distribution
         from .machine import SHAHEEN_II_LIKE
         from .simulator import simulate
 
         dist = self.distribution
         if dist is None:
-            ranks = self.n_ranks or 2
-            dist = BandDistribution(
-                ProcessGrid.squarest(ranks), band_size=graph.band_size
-            )
+            dist = default_distribution(graph, self.n_ranks or 2)
         machine = self.machine
         if machine is None:
             machine = dataclasses.replace(

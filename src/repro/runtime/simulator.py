@@ -450,19 +450,19 @@ def simulate_schedule(
     """Sweep-friendly front end to :func:`simulate`.
 
     Builds the distribution and machine from scalar sweep coordinates —
-    a named distribution variant (``"band"``: the paper's hybrid band +
-    2DBCDD at the graph's band size; ``"2d"``: plain 2DBCDD; ``"1d"``:
-    row-wise 1DBCDD), a process/core count, and an optional rates object
+    a named distribution variant (``"band"``: the executors' default
+    placement, :func:`~repro.distribution.default_distribution`;
+    ``"2d"``: plain 2DBCDD on the same grid; ``"1d"``: row-wise
+    1DBCDD), a process/core count, and an optional rates object
     (:class:`~repro.runtime.calibration.MeasuredRates` or a
     :class:`~repro.runtime.machine.KernelRateModel`) — so an autotuner
     can evaluate one candidate per call without repeating the plumbing.
     """
     from ..distribution.distributions import (
-        BandDistribution,
         OneDBlockCyclic,
         TwoDBlockCyclic,
+        default_distribution,
     )
-    from ..distribution.process_grid import ProcessGrid
 
     if distribution not in DISTRIBUTION_NAMES:
         raise SchedulingError(
@@ -470,11 +470,9 @@ def simulate_schedule(
             f"got {distribution!r}"
         )
     if distribution == "band":
-        dist = BandDistribution(
-            ProcessGrid.squarest(ranks), band_size=graph.band_size
-        )
+        dist = default_distribution(graph, ranks)
     elif distribution == "2d":
-        dist = TwoDBlockCyclic(ProcessGrid.squarest(ranks))
+        dist = TwoDBlockCyclic(default_distribution(graph, ranks).grid)
     else:
         dist = OneDBlockCyclic(ranks, axis="row")
     if rates is None:

@@ -6,13 +6,23 @@ count, and survives rank loss via checkpoint/restart — all behind the
 unified Executor protocol."""
 
 import dataclasses
+import multiprocessing
+import os
+import queue
 import threading
+import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
 
+from repro import st_3d_exp_problem
 from repro.core import TLRSolver, tlr_cholesky
-from repro.distribution import BandDistribution, ProcessGrid
+from repro.distribution import (
+    BandDistribution,
+    ProcessGrid,
+    default_distribution,
+)
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     SHAHEEN_II_LIKE,
@@ -30,8 +40,22 @@ from repro.runtime import (
     get_executor,
     placement_of,
     simulate,
+    simulate_schedule,
 )
 from repro.utils import ConfigurationError, RuntimeSystemError
+
+
+@pytest.fixture(autouse=True)
+def nothing_outlives_a_run():
+    """No rank process, rank or feeder thread, or pipe end survives the
+    call that created it."""
+    resource_tracker.ensure_running()  # its pipe is opened once, lazily
+    threads = set(threading.enumerate())
+    fds = set(os.listdir("/proc/self/fd"))
+    yield
+    assert not multiprocessing.active_children()
+    assert set(threading.enumerate()) <= threads
+    assert set(os.listdir("/proc/self/fd")) <= fds
 
 
 def _graph_for(matrix, band):
@@ -39,15 +63,14 @@ def _graph_for(matrix, band):
     return graph_for_matrix(matrix)
 
 
-#: Rank 0 owns 46 of the 100 tasks of the fused NT=8/band-2 graph on two
-#: ranks; dying after 41 of them leaves a late checkpoint frontier.
-_KILL_AFTER = 41
+#: Rank 0 owns 43 of the 100 tasks of the fused NT=8/band-2 graph on two
+#: ranks (the default 2x1 grid); dying after 40 of them leaves a late
+#: checkpoint frontier (72 tasks).
+_KILL_AFTER = 40
 
 
 def _dist_for(graph, ranks):
-    return BandDistribution(
-        ProcessGrid.squarest(ranks), band_size=graph.band_size
-    )
+    return default_distribution(graph, ranks)
 
 
 @pytest.fixture()
@@ -76,6 +99,30 @@ class TestPlacement:
         g = _graph_for(band2, 2)
         rep = execute_graph_distributed(g, band2, n_ranks=2, _inline=True)
         assert rep.placement == placement_of(g, _dist_for(g, 2))
+
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_simulator_and_executor_resolve_the_same_default(
+        self, band2, ranks
+    ):
+        """What keeps realized comm == simulated comm without a special
+        case: "no distribution given" means one placement everywhere."""
+        g = _graph_for(band2, 2)
+        sim = simulate_schedule(g, ranks=ranks, collect_trace=True)
+        predicted = SimExecutor(n_ranks=ranks).execute(g, band2).report
+        rep = execute_graph_distributed(g, band2, n_ranks=ranks, _inline=True)
+        assert {rec[0]: rec[1] for rec in sim.trace} == rep.placement
+        assert sim.comm == predicted.comm == rep.comm
+
+    def test_explicit_distribution_is_never_overridden(self, band2):
+        g = _graph_for(band2, 2)
+        wide = BandDistribution(ProcessGrid(1, 2), band_size=2)
+        assert default_distribution(g, 2) != wide
+        rep = execute_graph_distributed(
+            g, band2, distribution=wide, _inline=True
+        )
+        assert rep.placement == placement_of(g, wide)
+        sim = SimExecutor(distribution=wide).execute(g, band2).report
+        assert sim.comm == rep.comm
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
     def test_binomial_children_cover_dests_once(self, n):
@@ -165,6 +212,35 @@ class TestDeterminism:
             band2.to_dense(lower_only=True), band2_factor
         )
 
+    @pytest.mark.parametrize("ranks,inline", [(6, False), (7, True)])
+    def test_more_ranks_than_tile_rows(self, rule8, ranks, inline):
+        """Tall default grids make ranks that own no tile and no task
+        ordinary: they finish idle instead of waiting on their inbox."""
+        problem = st_3d_exp_problem(256, 64, seed=42)  # NT = 4
+        m = BandTLRMatrix.from_problem(problem, rule8, band_size=2)
+        ref = m.copy()
+        tlr_cholesky(ref)
+        g = _graph_for(m, 2)
+        rep = execute_graph_distributed(
+            g, m, n_ranks=ranks, collect_trace=True, _inline=inline,
+            timeout_s=20.0,
+        )
+        assert np.array_equal(
+            m.to_dense(lower_only=True), ref.to_dense(lower_only=True)
+        )
+        worked = {rec[1] for rec in rep.trace}
+        idle = set(range(ranks)) - worked
+        assert idle and worked == set(rep.placement.values())
+        assert all(rep.busy[r] == 0.0 for r in idle)
+        assert rep.tasks_executed == g.n_tasks
+
+    def test_launch_run_gather_partition_the_makespan(self, band2):
+        g = _graph_for(band2, 2)
+        rep = execute_graph_distributed(g, band2, n_ranks=2)
+        parts = (rep.launch_s, rep.run_s, rep.gather_s)
+        assert all(part > 0.0 for part in parts)
+        assert sum(parts) == pytest.approx(rep.makespan, abs=5e-3)
+
     def test_flops_and_stats_match_threads(self, small_problem, rule8):
         a = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         b = a.copy()
@@ -225,6 +301,50 @@ class TestResilience:
             band2.to_dense(lower_only=True), band2_factor
         )
 
+    def test_survivors_do_not_wait_for_a_killed_peer(self, rule8,
+                                                     monkeypatch):
+        """Rank 0 dies with tiles for both peers in its feeders: each
+        survivor reads EOF on rank 0's pipe alone and leaves on the
+        controller's stop.  (A truncated message in a shared inbox queue
+        held the survivor until the 2 s join timeout and a terminate.)"""
+        terminated = []
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "terminate",
+            lambda self: terminated.append(self.name),
+        )
+        problem = st_3d_exp_problem(600, 50, seed=42)
+        m = BandTLRMatrix.from_problem(problem, rule8, band_size=2)
+        g = _graph_for(m, 2)
+        start = time.perf_counter()
+        execute_graph_distributed(g, m.copy(), n_ranks=3)
+        clean = time.perf_counter() - start
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(RuntimeSystemError, match="lost rank"):
+                execute_graph_distributed(
+                    g, m.copy(), n_ranks=3, max_restarts=0,
+                    _chaos_kill=(0, 30),
+                )
+            assert time.perf_counter() - start < clean + 1.0
+        assert not terminated
+
+    def test_truncated_message_is_the_dead_peers_loss(self):
+        """The mechanism, deterministically: a peer that died mid-message
+        is dropped from the inbox; the other senders still get through."""
+        from repro.runtime.distributed import _PipeInbox
+
+        dead_r, dead_w = multiprocessing.Pipe(duplex=False)
+        live_r, live_w = multiprocessing.Pipe(duplex=False)
+        os.write(dead_w.fileno(), (1 << 20).to_bytes(4, "big") + b"cut")
+        dead_w.close()
+        inbox = _PipeInbox([dead_r, live_r])
+        live_w.send(("stop",))
+        assert inbox.get(timeout=1.0) == ("stop",)
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.05)
+        for end in (dead_r, live_r, live_w):
+            end.close()
+
     def test_exhausted_restarts_then_manual_resume(self, small_problem,
                                                    rule8, band2_factor,
                                                    tmp_path):
@@ -237,6 +357,9 @@ class TestResilience:
                 max_restarts=0, _chaos_kill=(0, _KILL_AFTER),
             )
         m2 = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
+        # Most final tiles had streamed to the controller when rank 0
+        # died; none of them reached the caller's matrix.
+        assert np.array_equal(m.to_dense(), m2.to_dense())
         rep = execute_graph_distributed(
             g, m2, n_ranks=2, checkpoint=ckpt, resume=True
         )

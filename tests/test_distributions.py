@@ -1,16 +1,24 @@
 """Unit + property tests for process grids and data distributions."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TruncationRule, st_3d_exp_problem
 from repro.distribution import (
     BandDistribution,
     OneDBlockCyclic,
     ProcessGrid,
     TwoDBlockCyclic,
+    default_distribution,
     load_per_process,
+)
+from repro.matrix import BandTLRMatrix
+from repro.runtime import (
+    MachineSpec,
+    build_cholesky_graph,
+    graph_for_matrix,
+    simulate,
 )
 from repro.utils import ConfigurationError, DistributionError
 
@@ -162,3 +170,68 @@ def test_load_per_process_with_weight():
     d = TwoDBlockCyclic(ProcessGrid(1, 1))
     load = load_per_process(d, 4, weight=lambda i, j: i + j)
     assert load[0] == sum(i + j for i in range(4) for j in range(i + 1))
+
+
+#: name -> (NT, tile, seed, eps, slack on the DES minimum).  "bench" is
+#: the e2e ``factor_ranks2`` shape; on it the chooser's pick is the DES
+#: argmin outright.  On the toy it is too, except where every rank holds
+#: one tile row (6 ranks, fused): the per-panel bound cannot tell 3x2
+#: from 6x1 there and the DES separates them by 1.8 %.
+CHOOSER_SHAPES = {
+    "bench": (16, 200, 2021, 1e-4, 1.0),
+    "toy": (6, 64, 42, 1e-8, 1.02),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHOOSER_SHAPES))
+def chooser_graphs(request):
+    """Fused and right-looking graphs over one measured rank grid."""
+    nt, b, seed, eps, slack = CHOOSER_SHAPES[request.param]
+    matrix = BandTLRMatrix.from_problem(
+        st_3d_exp_problem(nt * b, b, seed=seed), TruncationRule(eps=eps), 2
+    )
+    grid = matrix.rank_grid()
+    right_looking = build_cholesky_graph(
+        nt, 2, b, lambda i, j: int(max(grid[i, j], 1))
+    )
+    return {"fused": graph_for_matrix(matrix), "rl": right_looking}, slack
+
+
+class TestDefaultDistribution:
+    @pytest.mark.parametrize("form", ["fused", "rl"])
+    @pytest.mark.parametrize("ranks", [2, 3, 4, 6])
+    def test_pick_is_the_des_argmin(self, chooser_graphs, form, ranks):
+        graphs, slack = chooser_graphs
+        graph = graphs[form]
+        makespan = {}
+        for p in (p for p in range(1, ranks + 1) if ranks % p == 0):
+            dist = BandDistribution(ProcessGrid(p, ranks // p), band_size=2)
+            machine = MachineSpec(nodes=ranks, cores_per_node=1)
+            makespan[dist] = simulate(graph, dist, machine).makespan
+        pick = default_distribution(graph, ranks)
+        assert makespan[pick] <= slack * min(makespan.values())
+
+    def test_fused_graph_goes_tall(self, chooser_graphs):
+        """A column's fused GEMMs are one panel: rows on different ranks."""
+        for ranks in (2, 3, 4):
+            pick = default_distribution(chooser_graphs[0]["fused"], ranks)
+            assert pick.grid == ProcessGrid(ranks, 1)
+
+    def test_pure_in_graph_and_rank_count(self, chooser_graphs):
+        graphs, _ = chooser_graphs
+        first = default_distribution(graphs["fused"], 4)
+        assert first == default_distribution(graphs["fused"], 4)
+        assert first.band_size == 2 and first.nprocs == 4
+
+    @pytest.mark.parametrize(
+        "ranks,p,q", [(1, 1, 1), (2, 1, 2), (4, 2, 2), (6, 2, 3), (7, 1, 7)]
+    )
+    def test_ties_go_to_the_squarer_grid(self, ranks, p, q):
+        """One POTRF costs the same on every grid."""
+        graph = build_cholesky_graph(1, 1, 8, lambda i, j: 1)
+        pick = default_distribution(graph, ranks).grid
+        assert pick == ProcessGrid(p, q) == ProcessGrid.squarest(ranks)
+
+    def test_rejects_a_bad_rank_count(self, chooser_graphs):
+        with pytest.raises(ConfigurationError):
+            default_distribution(chooser_graphs[0]["fused"], 0)

@@ -19,7 +19,7 @@ import pytest
 
 from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
-from repro.distribution import BandDistribution, ProcessGrid
+from repro.distribution import default_distribution
 from repro.linalg import DenseTile, LowRankTile
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
@@ -181,7 +181,7 @@ class TestDifferential:
         _assert_same_accounting(rep, ref_report)
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-    @pytest.mark.parametrize("ranks", [2, 3])
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
     def test_ranks_match_reference_loops(
         self, diff_case, tmp_path, ranks, resumed
     ):
@@ -218,9 +218,7 @@ class TestDifferential:
         controller-merged checkpoint."""
         base, ref = diff_case[:2]
         graph = _graph_for(base)
-        dist = BandDistribution(
-            ProcessGrid.squarest(ranks), band_size=graph.band_size
-        )
+        dist = default_distribution(graph, ranks)
         owned = collections.Counter(placement_of(graph, dist).values())
         with pytest.raises(RuntimeSystemError, match="lost rank"):
             execute_graph_distributed(
@@ -313,15 +311,16 @@ class TestOneCore:
             assert not hasattr(distributed_mod, name)
 
     def test_distributed_report_is_the_core_report(self):
-        """The ranks' report adds communication fields to the one report
-        type and re-declares nothing of it."""
+        """The ranks' report adds communication fields and the
+        controller's launch/run/gather partition to the one report type
+        and re-declares nothing of it."""
         assert issubclass(DistributedExecutionReport, ExecutionReport)
         own = {n for n in vars(DistributedExecutionReport) if n[:2] != "__"}
         base = {n for n in vars(ExecutionReport) if n[:2] != "__"}
         fields = set(DistributedExecutionReport.__annotations__)
         assert fields == {
             "comm", "dataflow", "wire_messages", "wire_bytes", "placement",
-            "rank_restarts", "shard_merge",
+            "rank_restarts", "launch_s", "run_s", "gather_s", "shard_merge",
         }
         assert own <= fields and not fields & (base | set(ExecutionReport.__annotations__))
 

@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
-from repro.distribution import BandDistribution, ProcessGrid
+from repro.distribution import default_distribution
 from repro.linalg import (
     DenseTile,
     KernelClass,
@@ -534,10 +534,8 @@ class TestFusedGraph:
     def test_realized_comm_equals_simulated_comm(self, problem, ranks):
         m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-4), 2)
         g = graph_for_matrix(m)
-        dist = BandDistribution(ProcessGrid.squarest(ranks), band_size=2)
-        rep = execute_graph_distributed(
-            g, m, n_ranks=ranks, distribution=dist, _inline=True
-        )
+        dist = default_distribution(g, ranks)
+        rep = execute_graph_distributed(g, m, n_ranks=ranks, _inline=True)
         sim = simulate(g, dist, MachineSpec(nodes=ranks, cores_per_node=1))
         for field in (
             "local_edges", "remote_edges", "messages", "bytes_sent",
