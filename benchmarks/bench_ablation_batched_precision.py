@@ -32,11 +32,10 @@ Reproduction targets:
 * per-kernel-class GFLOP/s is recorded per arm (flops are identical
   across arms by the bitwise invariant, so the uplift is pure time).
 
-Timings go through :mod:`repro.perf` (the ``perf_timer`` fixture), so
-each run appends comparable median/IQR records to
-``BENCH_history.jsonl``.  Writes
-``benchmarks/results/ablation_batched_precision.csv`` and the
-perf-trajectory record ``BENCH_batched.json`` at the repo root.
+Timings are the median of three runs (the ``perf_timer`` fixture).
+Writes ``benchmarks/results/ablation_batched_precision.csv`` and the
+ablation snapshot ``BENCH_batched.json`` at the repo root; neither is a
+trajectory — a speed claim goes through ``tools/bench_pairs.py``.
 """
 
 from __future__ import annotations
@@ -115,16 +114,7 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
             holder["m"] = build(cfg)
             return holder["m"]
 
-        timing = perf_timer(
-            f"ablation_batched_{name}",
-            lambda m, cfg=cfg: factorize(cfg, m),
-            setup=setup,
-            config={
-                **base_cfg,
-                "batch": cfg["batch"],
-                "precision": cfg["precision"] or "fp64",
-            },
-        )
+        timing = perf_timer(lambda m, cfg=cfg: factorize(cfg, m), setup=setup)
         times[name] = timing.median_s
         m = holder["m"]
         report = factorize(cfg, build(cfg))  # fresh run for accounting

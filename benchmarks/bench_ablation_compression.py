@@ -37,11 +37,10 @@ Reproduction targets:
 * parallel assembly must produce bitwise-identical matrices for every
   worker count (speedup is recorded, not asserted — CI exposes 1 core).
 
-Timings go through :mod:`repro.perf` (the ``perf_timer`` fixture), so
-each run also appends comparable median/IQR records to
-``BENCH_history.jsonl``.  Writes
-``benchmarks/results/ablation_compression.csv`` and the perf-trajectory
-record ``BENCH_compression.json`` at the repo root.
+Timings are the median of three runs (the ``perf_timer`` fixture).
+Writes ``benchmarks/results/ablation_compression.csv`` and the ablation
+snapshot ``BENCH_compression.json`` at the repo root; neither is a
+trajectory — a speed claim goes through ``tools/bench_pairs.py``.
 """
 
 from __future__ import annotations
@@ -113,18 +112,13 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
     rows = []
     by_rank = []  # (rank / b, exact ms, hinted always-sampled ms) per tile
     record = {"n": N, "b": B, "band": BAND, "tiles": len(blocks), "sweep": []}
-    cfg = {"n": N, "b": B, "band": BAND}
     for eps in EPS_SWEEP:
         rule = TruncationRule(eps=eps)
         t_svd = perf_timer(
-            f"ablation_compress_svd_eps{eps:g}",
-            lambda: [svd.compress(a, rule) for a in blocks],
-            config={**cfg, "eps": eps},
+            lambda: [svd.compress(a, rule) for a in blocks]
         ).median_s
         t_rsvd = perf_timer(
-            f"ablation_compress_rsvd_eps{eps:g}",
-            lambda: [rsvd.compress(a, rule, seed=i) for i, a in enumerate(blocks)],
-            config={**cfg, "eps": eps},
+            lambda: [rsvd.compress(a, rule, seed=i) for i, a in enumerate(blocks)]
         ).median_s
         tiles_svd = [svd.compress(a, rule) for a in blocks]
         tiles_rsvd = [
@@ -139,9 +133,7 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
             )
 
         t_hint = perf_timer(
-            f"ablation_compress_rsvd_hinted_eps{eps:g}",
-            lambda: [hinted(rsvd, i, a) for i, a in enumerate(blocks)],
-            config={**cfg, "eps": eps},
+            lambda: [hinted(rsvd, i, a) for i, a in enumerate(blocks)]
         ).median_s
         tiles_hint = [hinted(rsvd, i, a) for i, a in enumerate(blocks)]
         by_rank += zip(

@@ -11,15 +11,13 @@ this traffic shape: one factorization, thousands of solves.
 Measured: a closed-loop load run (factorize outside the window) against
 two service arms that differ *only* in ``max_batch`` — 1 (solo) versus
 16 (batched) — on a single worker, so batching is the whole delta.
-p50/p95/p99 client-observed latencies go to the CSV and to the shared
-``BENCH_history.jsonl`` (samples = raw latencies, so ``python -m repro
-compare`` gates serving latency with the same noise-aware dual rule as
-every other bench).
+p50/p95/p99 client-observed latencies go to the CSV.
 
 Correctness is asserted at every scale: a solve served through the
-batched concurrent pipeline must match the dense reference.  The
->= 1.5x p50 acceptance gate only arms under ``REPRO_BENCH_SERVICE_FULL``
-(latency ratios on loaded CI runners are too noisy to gate by default).
+batched concurrent pipeline must match the dense reference, every
+request completes, and batching engages in the batched arm only.  The
+p50 ratio is recorded, not asserted: warm serving latency cannot be
+gated on a shared host (``benchmarks/e2e/README.md``).
 
 Scale knobs: ``REPRO_BENCH_SERVICE_N`` / ``_B`` / ``_CLIENTS`` /
 ``_REQUESTS``.
@@ -28,25 +26,18 @@ Scale knobs: ``REPRO_BENCH_SERVICE_N`` / ``_B`` / ``_CLIENTS`` /
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
-from repro import perf, st_3d_exp_problem
+from repro import st_3d_exp_problem
 from repro.analysis import format_table, write_csv
-from repro.service import (
-    ServiceConfig,
-    SolverService,
-    records_from_load,
-    run_load,
-)
+from repro.service import ServiceConfig, SolverService, run_load
 
 N = int(os.environ.get("REPRO_BENCH_SERVICE_N", "2048"))
 B = int(os.environ.get("REPRO_BENCH_SERVICE_B", "128"))
 CLIENTS = int(os.environ.get("REPRO_BENCH_SERVICE_CLIENTS", "8"))
 REQUESTS = int(os.environ.get("REPRO_BENCH_SERVICE_REQUESTS", "10"))
 EPS = 1e-6
-FULL = bool(os.environ.get("REPRO_BENCH_SERVICE_FULL"))
 
 
 def _arm(problem, max_batch: int):
@@ -99,18 +90,6 @@ def test_ablation_service_batching(benchmark, results_dir):
               f"(N={N}, b={B}, eps={EPS:g}; p50 ratio {ratio:.2f}x)"))
     write_csv(results_dir / "ablation_service.csv", headers, rows)
 
-    # raw latency samples into the shared history: median == p50, so the
-    # compare dual gate protects serving latency like any other bench
-    shared = {"n": N, "tile": B, "clients": CLIENTS, "requests": REQUESTS}
-    records = [
-        records_from_load(solo, name="service_solve_solo",
-                          config={**shared, "max_batch": 1}),
-        records_from_load(batched, name="service_solve_batched",
-                          config={**shared, "max_batch": 16}),
-    ]
-    path = perf.append_history(records, Path(__file__).resolve().parent.parent)
-    print(f"[perf] 2 serving-latency records appended to {path}")
-
     benchmark.pedantic(
         lambda: _arm(problem, max_batch=16), rounds=1, iterations=1,
     )
@@ -122,8 +101,3 @@ def test_ablation_service_batching(benchmark, results_dir):
     assert solo.failed == batched.failed == 0
     # batching engaged in the batched arm only
     assert batched.mean_batch_width > 1.0
-    if FULL:
-        assert ratio >= 1.5, (
-            f"batched p50 must beat one-at-a-time by >= 1.5x at "
-            f"{CLIENTS} clients; measured {ratio:.2f}x"
-        )

@@ -17,16 +17,17 @@ reduced scale (see DESIGN.md's experiment index).  Conventions:
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro import TruncationRule, perf, st_3d_exp_problem
+from repro import TruncationRule, st_3d_exp_problem
 from repro.matrix import BandTLRMatrix
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The scaled stand-ins for the paper's two reference matrix sizes
 #: (N = 1.08M and 2.16M with b = 2400 -> NT = 450/900).  We keep the
@@ -48,32 +49,17 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def perf_timer():
-    """Median/IQR timing through :mod:`repro.perf`, persisted to history.
-
-    Yields ``timer(name, fn, *, config=None, repeats=3, warmup=0)`` →
-    :class:`repro.perf.Timing`.  Every measurement taken through it is
-    appended to the repo-root ``BENCH_history.jsonl`` when the session
-    ends, under one ``ablation-<utc>`` run label — so ablation benches
-    and ``python -m repro bench`` feed the same comparable trajectory.
-    """
-    records: list[perf.BenchRecord] = []
-    run = "ablation-" + time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    ts = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-    def timer(name, fn, *, config=None, repeats=3, warmup=0, setup=None):
-        timing = perf.measure(fn, warmup=warmup, repeats=repeats, setup=setup)
-        records.append(
-            perf.BenchRecord(
-                name=name, run=run, timing=timing,
-                config=dict(config or {}), ts=ts, warmup=warmup,
-            )
-        )
-        return timing
-
-    yield timer
-    if records:
-        path = perf.append_history(records, REPO_ROOT)
-        print(f"\n[perf] {len(records)} records appended to {path} (run {run})")
+    """Median of ``repeats`` timed calls; ``setup()`` runs untimed before
+    each one and its result is passed to ``fn``."""
+    def timer(fn, *, repeats=3, setup=None):
+        times = []
+        for _ in range(repeats):
+            args = () if setup is None else (setup(),)
+            t0 = time.perf_counter()
+            fn(*args)
+            times.append(time.perf_counter() - t0)
+        return SimpleNamespace(median_s=statistics.median(times))
+    return timer
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine focused commands mirroring the library's main entry points:
+Twelve commands mirroring the library's main entry points:
 
 * ``info``      — version and subsystem inventory;
 * ``demo``      — compress → auto-tune → factorize → solve, with a report;
@@ -13,17 +13,19 @@ Nine focused commands mirroring the library's main entry points:
 * ``report``    — render the telemetry of a ``--obs`` run as a text report;
 * ``analyze``   — trace analytics on a ``--obs`` run: realized critical
   path, per-worker occupancy, per-kernel achieved GFLOP/s;
-* ``bench``     — run the standing benchmark suite and append
-  median/IQR records to ``BENCH_history.jsonl``;
-* ``compare``   — noise-aware regression gate between two bench runs or
-  two ``--obs`` trace directories (exit 1 on a gated regression);
+* ``compare``   — noise-aware structural diff of two ``--obs`` trace
+  directories (exit 1 on a gated regression);
 * ``serve``     — run the factorize-once/solve-many solver service
   against generated closed-loop traffic and print the serving report
   (latency percentiles, batch widths, cache + queue outcomes);
-* ``bench-service`` — the batched-vs-one-at-a-time serving latency
-  benchmark: two load-generator arms against the same problem, p50/p95/
-  p99 recorded to the bench history (full gate behind
-  ``REPRO_BENCH_SERVICE_FULL=1``).
+* ``top``       — live terminal dashboard for a ``serve --listen`` run;
+* ``obs-merge`` — merge per-rank observation shards into one trace;
+* ``bench-service`` — the batched-vs-one-at-a-time serving load tool:
+  two load-generator arms against the same problem, p50/p95/p99 printed
+  side by side.
+
+Timing the repository itself is not a subcommand: ``benchmarks/e2e/run.py``
+prints a number, ``tools/bench_pairs.py`` decides a claim.
 
 ``demo`` and ``execute`` accept ``--obs DIR``: the run executes under an
 active :mod:`repro.obs` observation and writes the standard artifacts
@@ -236,7 +238,6 @@ def _run_tune_sweep(args: argparse.Namespace) -> int:
     """``tune --from-run``: the simulator-guided calibrate/sweep/verify loop."""
     from pathlib import Path
 
-    from repro import perf
     from repro.analysis import format_table
     from repro.obs.analytics import load_run, render_prediction
     from repro.tune import (
@@ -328,10 +329,6 @@ def _run_tune_sweep(args: argparse.Namespace) -> int:
     if args.report:
         path = result.write(args.report)
         print(f"ranked tune report written to {path}")
-    if args.out:
-        records = perf.records_from_tune(result)
-        path = perf.append_history(records, args.out)
-        print(f"{len(records)} tune record(s) appended to {path}")
     return rc
 
 
@@ -627,30 +624,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import perf
-
-    kind = "smoke" if args.smoke else "full"
-    print(f"running {kind} benchmark suite "
-          f"(warmup={args.warmup}, repeats={args.repeats})")
-    records = perf.run_suite(
-        smoke=args.smoke,
-        warmup=args.warmup,
-        repeats=args.repeats,
-        label=args.label,
-        name_filter=args.filter,
-        progress=print,
-    )
-    if not records:
-        print("no benchmarks matched --filter")
-        return 1
-    path = perf.append_history(records, args.out)
-    print(f"{len(records)} records appended to {path} "
-          f"(run '{records[0].run}', schema v{perf.SCHEMA_VERSION})")
-    print(f"gate with: python -m repro compare BASE.jsonl {path}")
-    return 0
-
-
 def _is_obs_dir(path: str) -> bool:
     from pathlib import Path
 
@@ -658,32 +631,18 @@ def _is_obs_dir(path: str) -> bool:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.obs.analytics import load_run, render_diff, trace_diff
 
-    if _is_obs_dir(args.base) and _is_obs_dir(args.head):
-        from repro.obs.analytics import load_run, render_diff, trace_diff
-
-        diff = trace_diff(
-            load_run(args.base), load_run(args.head),
-            threshold=args.threshold,
-        )
-        print(render_diff(diff))
-        return 1 if diff.has_regression else 0
-
-    from repro import perf
-
-    base_p, head_p = Path(args.base), Path(args.head)
-    for p in (base_p, head_p):
-        if not (p.is_file() or (p.is_dir() and (p / perf.HISTORY_FILE).exists())):
-            print(f"error: {p} is neither an --obs run directory nor a "
-                  f"bench history (.jsonl / directory containing "
-                  f"{perf.HISTORY_FILE})", file=sys.stderr)
+    for path in (args.base, args.head):
+        if not _is_obs_dir(path):
+            print(f"error: {path} is not an --obs run directory "
+                  f"(no events.jsonl)", file=sys.stderr)
             return 2
-    base = perf.latest_run(perf.load_history(base_p))
-    head = perf.latest_run(perf.load_history(head_p))
-    result = perf.compare_records(base, head, threshold=args.threshold)
-    print(perf.render_compare(result))
-    return 1 if result.has_regression else 0
+    diff = trace_diff(
+        load_run(args.base), load_run(args.head), threshold=args.threshold,
+    )
+    print(render_diff(diff))
+    return 1 if diff.has_regression else 0
 
 
 def _band_arg(value: str):
@@ -821,16 +780,9 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_service(args: argparse.Namespace) -> int:
-    import os
-
-    from repro import perf, st_3d_exp_problem
+    from repro import st_3d_exp_problem
     from repro.analysis import format_table
-    from repro.service import (
-        ServiceConfig,
-        SolverService,
-        records_from_load,
-        run_load,
-    )
+    from repro.service import ServiceConfig, SolverService, run_load
 
     n = 512 if args.smoke else args.n
     tile = 64 if args.smoke else args.tile
@@ -860,17 +812,6 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     batched = arm(args.max_batch)
     ratio = solo.p50_ms / batched.p50_ms if batched.p50_ms > 0 else 0.0
 
-    run = args.label or ("svc-" + time.strftime("%Y%m%dT%H%M%SZ",
-                                                time.gmtime()))
-    shared = {"n": n, "tile": tile, "accuracy": args.accuracy,
-              "smoke": args.smoke}
-    records = [
-        records_from_load(solo, name="service_solve_solo", run=run,
-                          config={**shared, "max_batch": 1}),
-        records_from_load(batched, name="service_solve_batched", run=run,
-                          config={**shared, "max_batch": args.max_batch}),
-    ]
-    path = perf.append_history(records, args.out)
     print(format_table(
         ["arm", "p50 ms", "p95 ms", "p99 ms", "req/s", "mean width"],
         [
@@ -883,14 +824,6 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
         title=f"serving latency at {args.clients} clients "
               f"(p50 ratio {ratio:.2f}x)",
     ))
-    print(f"2 records appended to {path} (run '{run}')")
-    if os.environ.get("REPRO_BENCH_SERVICE_FULL"):
-        if ratio < 1.5:
-            print(f"FAIL: batched p50 must beat one-at-a-time by >= 1.5x "
-                  f"at {args.clients} clients; measured {ratio:.2f}x",
-                  file=sys.stderr)
-            return 1
-        print(f"full gate passed: {ratio:.2f}x >= 1.5x")
     return 0
 
 
@@ -1043,9 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --verify: write predicted/ and realized/ "
                         "--obs artifact directories under DIR for "
                         "standalone 'repro compare'")
-    t.add_argument("--out", type=str, default=None, metavar="PATH",
-                   help="append tune records (predicted + realized "
-                        "makespan) to this bench history")
 
     s = sub.add_parser("simulate", help="replay a Cholesky DAG on the simulator")
     s.add_argument("--nt", type=int, default=48)
@@ -1150,35 +1080,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--buckets", type=int, default=60,
                    help="time buckets of the occupancy timeline")
 
-    b = sub.add_parser(
-        "bench",
-        help="run the standing benchmark suite and append median/IQR "
-             "records to the history file",
-    )
-    b.add_argument("--smoke", action="store_true",
-                   help="small sizes for CI runners (seconds, not minutes)")
-    b.add_argument("--out", type=str, default="BENCH_history.jsonl",
-                   metavar="PATH",
-                   help="history file (or directory) to append to")
-    b.add_argument("--repeats", type=int, default=5,
-                   help="timed repetitions per benchmark")
-    b.add_argument("--warmup", type=int, default=1,
-                   help="untimed warmup runs per benchmark")
-    b.add_argument("--label", type=str, default=None,
-                   help="run label recorded with every record "
-                        "(default: UTC timestamp)")
-    b.add_argument("--filter", type=str, default=None, metavar="SUBSTR",
-                   help="only run benchmarks whose name contains SUBSTR")
-
     c = sub.add_parser(
         "compare",
-        help="noise-aware regression gate between two bench runs or two "
-             "--obs trace directories (exit 1 on regression)",
+        help="noise-aware structural diff of two --obs trace "
+             "directories (exit 1 on regression, 2 on anything else)",
     )
-    c.add_argument("base", help="baseline: bench history (.jsonl) or --obs "
-                                "run directory; the latest run in a history "
-                                "is used")
-    c.add_argument("head", help="candidate: same forms as BASE")
+    c.add_argument("base", help="baseline --obs run directory")
+    c.add_argument("head", help="candidate --obs run directory")
     c.add_argument("--threshold", type=float, default=0.25,
                    help="relative slowdown that may gate; a delta must "
                         "also exceed the measured IQR to count")
@@ -1271,8 +1179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bs = sub.add_parser(
         "bench-service",
-        help="batched vs one-at-a-time serving latency benchmark; "
-             "appends p50/p95/p99 records to the bench history",
+        help="batched vs one-at-a-time serving load tool; prints "
+             "p50/p95/p99 of both arms",
     )
     bs.add_argument("--n", type=int, default=2048)
     bs.add_argument("--tile", type=int, default=128)
@@ -1281,21 +1189,13 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--band", type=_band_arg, default=1,
                     help="dense band width: 'auto' (Algorithm 1) or an int")
     bs.add_argument("--clients", type=int, default=8,
-                    help="closed-loop client threads (the acceptance "
-                         "gate is stated at 8)")
+                    help="closed-loop client threads")
     bs.add_argument("--requests", type=int, default=10,
                     help="solve requests per client per arm")
     bs.add_argument("--max-batch", type=int, default=16,
                     help="batch width of the batched arm")
     bs.add_argument("--smoke", action="store_true",
-                    help="small sizes for CI runners; the >=1.5x gate "
-                         "arms only under REPRO_BENCH_SERVICE_FULL=1")
-    bs.add_argument("--label", type=str, default=None,
-                    help="run label recorded with both arms' records "
-                         "(default: UTC timestamp)")
-    bs.add_argument("--out", type=str, default="BENCH_history.jsonl",
-                    metavar="PATH",
-                    help="history file (or directory) to append to")
+                    help="small sizes for CI runners")
     return p
 
 
@@ -1315,7 +1215,6 @@ def main(argv: list[str] | None = None) -> int:
         "execute": _cmd_execute,
         "report": _cmd_report,
         "analyze": _cmd_analyze,
-        "bench": _cmd_bench,
         "compare": _cmd_compare,
         "serve": _cmd_serve,
         "top": _cmd_top,

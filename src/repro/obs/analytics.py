@@ -498,9 +498,10 @@ def trace_diff(
 
     A kernel class is flagged *regressed* only when its median task
     duration grew by more than ``threshold`` (relative) **and** the
-    absolute growth exceeds both runs' inter-quartile ranges — the same
-    two-condition gate ``python -m repro compare`` applies to benchmark
-    records, so scheduler jitter on one noisy task never trips it.
+    absolute growth exceeds both runs' inter-quartile ranges, so
+    scheduler jitter on one noisy task never trips it.  This is the one
+    implementation of that two-condition rule: ``python -m repro
+    compare`` and ``tune --verify`` both call it.
     """
     base_names = {t.name for t in base.tasks}
     head_names = {t.name for t in head.tasks}

@@ -15,7 +15,7 @@ This package is that serving layer:
   threads, multi-RHS batching via stacked
   :func:`~repro.core.solve.solve_many` calls, deadlines, backpressure;
 * :mod:`~repro.service.loadgen` — closed-loop load generator reporting
-  p50/p95/p99 serving latency into the shared perf history.
+  p50/p95/p99 serving latency.
 
 Quickstart::
 
@@ -26,7 +26,7 @@ Quickstart::
         x = session.solve(rhs)
 
 CLI: ``python -m repro serve`` (demo traffic + report) and
-``python -m repro bench-service`` (batched-vs-solo latency benchmark).
+``python -m repro bench-service`` (batched-vs-solo load tool).
 """
 
 from .cache import (
@@ -38,7 +38,7 @@ from .cache import (
     geometry_hash,
 )
 from .database import EVENTS, ServiceDatabase
-from .loadgen import LoadReport, records_from_load, run_load
+from .loadgen import LoadReport, run_load
 from .server import (
     ServiceConfig,
     ServiceSession,
@@ -65,5 +65,4 @@ __all__ = [
     "percentiles",
     "LoadReport",
     "run_load",
-    "records_from_load",
 ]

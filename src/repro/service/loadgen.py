@@ -20,15 +20,14 @@ not an anecdote.  This module is that harness:
   also folded into a :class:`~repro.obs.sketch.LogHistogram`
   (``report.sketch``) and — when the service carries a live aggregator —
   streamed as ``client_latency_s``, so long-running load keeps a live
-  p50/p95/p99 without the raw list being required for them (the raw
-  ``times_s`` path stays, for ``BenchRecord``/``repro compare``
-  compatibility);
-* **history records**: :func:`records_from_load` converts a report into
-  :class:`repro.perf.BenchRecord` rows whose ``times_s`` are the raw
-  latency samples, so the median *is* the p50 and the IQR travels with
-  the record — the same noise-aware dual gate (`python -m repro
-  compare`) that protects every other benchmark protects the serving
-  path too.
+  p50/p95/p99 without the raw list being required for them
+  (``report.latencies_s`` keeps the raw samples the exact percentiles of
+  the printed table are taken from).
+
+This is a load tool, not the repo's ruler: serving latency on a shared
+host cannot be gated (``benchmarks/e2e/README.md``), so a serving claim
+goes through the ``svc_cold`` workload of ``benchmarks/e2e/run.py`` and
+``tools/bench_pairs.py`` like every other.
 """
 
 from __future__ import annotations
@@ -43,10 +42,7 @@ from ..obs.sketch import LogHistogram
 from ..utils.exceptions import DeadlineExceededError, QueueFullError
 from .server import ServiceSession, percentiles
 
-__all__ = ["LoadReport", "run_load", "records_from_load"]
-
-#: Cap on latency samples persisted per record (history rows stay small).
-MAX_RECORD_SAMPLES = 1000
+__all__ = ["LoadReport", "run_load"]
 
 
 @dataclass
@@ -169,48 +165,3 @@ def run_load(
     report.warm_starts = cache.warm_starts
     return report
 
-
-def records_from_load(
-    report: LoadReport,
-    *,
-    name: str,
-    run: str | None = None,
-    config: dict | None = None,
-    warmup: int = 0,
-):
-    """One :class:`~repro.perf.BenchRecord` whose samples are latencies.
-
-    ``timing.median_s`` is then exactly the run's p50, and the IQR is
-    the latency spread — so ``python -m repro compare`` applies its
-    dual (relative + noise) gate to serving latency unchanged.  Samples
-    are capped at :data:`MAX_RECORD_SAMPLES` by even subsampling to
-    keep history rows bounded.
-    """
-    from .. import perf
-
-    samples = list(report.latencies_s)
-    if len(samples) > MAX_RECORD_SAMPLES:
-        idx = np.linspace(0, len(samples) - 1, MAX_RECORD_SAMPLES)
-        samples = [samples[int(i)] for i in idx]
-    if not samples:
-        samples = [0.0]
-    cfg = {
-        "clients": report.clients,
-        "requests_per_client": report.requests_per_client,
-        "completed": report.completed,
-        "rejected": report.rejected,
-        "dropped": report.dropped,
-        "mean_batch_width": round(report.mean_batch_width, 3),
-        "p95_ms": round(report.p95_ms, 3),
-        "p99_ms": round(report.p99_ms, 3),
-        "throughput_rps": round(report.throughput_rps, 3),
-    }
-    cfg.update(config or {})
-    return perf.BenchRecord(
-        name=name,
-        run=run or ("service-" + time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())),
-        timing=perf.Timing(times_s=tuple(samples)),
-        config=cfg,
-        ts=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        warmup=warmup,
-    )

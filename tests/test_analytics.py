@@ -237,6 +237,16 @@ class TestTraceDiff:
         assert grow <= max(gemm.base.iqr_s, gemm.head.iqr_s)
         assert not gemm.regressed
 
+    def test_below_threshold_and_improvement_never_gate(self):
+        """Growth beyond the (zero) IQR but under the threshold is not a
+        regression; a 3x speed-up is reported as improved, not gated."""
+        slower = trace_diff(_kernel_run(), _kernel_run(gemm_scale=1.2))
+        assert not slower.has_regression
+        faster = trace_diff(_kernel_run(gemm_scale=3.0), _kernel_run())
+        assert not faster.has_regression
+        gemm = next(d for d in faster.kernels if d.kernel == "(6)-GEMM")
+        assert gemm.improved
+
     def test_structural_diff(self):
         base = _diamond_run()
         head = _diamond_run()
@@ -431,3 +441,17 @@ class TestCLI:
     def test_compare_cli_bad_paths(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "x"), str(tmp_path / "y")])
         assert rc == 2
+        # a file is not an --obs directory either: same exit code, one
+        # typed message and nothing on stdout, whichever side it is on
+        run = self._write_run(tmp_path / "run")
+        hist = tmp_path / "a.jsonl"
+        hist.write_text('{"name": "factorize_seq", "median_s": 0.05}\n')
+        capsys.readouterr()
+        for pair in ((hist, hist), (run, hist), (hist, run)):
+            assert main(["compare", *map(str, pair)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {hist} is not an --obs run directory "
+                f"(no events.jsonl)\n"
+            )

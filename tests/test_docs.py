@@ -106,7 +106,7 @@ def test_service_flags_agree_with_docs():
             "--cache-mb", "--warm-dir", "--deadline-ms",
             "--clients", "--requests"} <= spec["serve"]
     assert {"--clients", "--requests", "--max-batch",
-            "--smoke", "--label", "--out"} <= spec["bench-service"]
+            "--smoke"} <= spec["bench-service"]
 
     # ...every user-facing flag of both commands appears in the docs
     corpus = "\n".join(p.read_text() for p in DOC_FILES)
@@ -130,7 +130,7 @@ def test_tune_flags_agree_with_docs():
     # the sweep-specific knobs exist on the parser...
     assert {"--from-run", "--grid", "--target-nt", "--verify",
             "--tolerance", "--smoke", "--workers", "--emit", "--report",
-            "--verify-obs", "--out"} <= spec["tune"]
+            "--verify-obs"} <= spec["tune"]
     # ...and the config hand-off exists on both consumers
     assert "--config" in spec["execute"]
     assert "--config" in spec["demo"]

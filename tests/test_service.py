@@ -42,7 +42,6 @@ from repro.service import (
     SolverService,
     geometry_hash,
     percentiles,
-    records_from_load,
     run_load,
 )
 from repro.utils.exceptions import (
@@ -532,20 +531,6 @@ class TestLoadgen:
         assert 0 < report.p50_ms <= report.p95_ms <= report.p99_ms
         assert report.throughput_rps > 0
 
-    def test_records_carry_latencies_as_samples(self, small_problem):
-        with SolverService(ServiceConfig(n_workers=1)) as svc:
-            session = svc.session(small_problem, accuracy=1e-6, band_size=1)
-            report = run_load(
-                session, clients=2, requests_per_client=3, seed=1
-            )
-        record = records_from_load(report, name="svc", run="r1")
-        # the record's median IS the run's p50 -> the compare dual gate
-        # applies to serving latency unchanged
-        assert record.timing.median_s * 1e3 == pytest.approx(report.p50_ms)
-        assert record.timing.times_s == report.latencies_s
-        assert record.config["completed"] == 6
-        assert record.config["clients"] == 2
-
     def test_sketch_tracks_exact_median(self, small_problem):
         """The streaming sketch sees every client latency, and its p50
         stays within one bucket's relative error of the exact median
@@ -615,19 +600,11 @@ class TestServiceCLI:
         assert "p50 latency (ms)" in out
         assert "factorizations" in out
 
-    def test_bench_service_smoke_appends_records(self, capsys, tmp_path):
-        out_path = tmp_path / "hist.jsonl"
+    def test_bench_service_smoke(self, capsys):
         rc = main([
             "bench-service", "--smoke", "--clients", "4", "--requests", "3",
-            "--label", "t1", "--out", str(out_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "p50 ratio" in out
-        import json
-
-        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
-        assert [r["name"] for r in rows] == [
-            "service_solve_solo", "service_solve_batched",
-        ]
-        assert all(r["run"] == "t1" for r in rows)
+        assert "one-at-a-time" in out and "batched" in out

@@ -7,11 +7,9 @@ runs ``--pairs`` (ten) pairs of ``benchmarks/e2e/run.py --workload W
 --trace 0``, each checkout's own copy, both sides of a pair on one seed
 and the side that goes first alternating.  For every end-to-end metric
 it prints each side's median and quartiles, the change's wins and ties,
-and the verdict of the ``choosing-metrics`` guide (section 8): a gain
-counts only when the change wins at least nine tenths of the pairs and
-the medians differ by more than the distance between the parent's own
-quartiles.  The result is appended to ``BENCH_e2e.json`` in the current
-directory (``--out``), the repository's end-to-end trajectory.
+and the verdict of :func:`judge` against the metric's ``bound`` in
+``BENCHMARK.json``.  The result is appended to ``BENCH_e2e.json`` in the
+current directory (``--out``), the repository's end-to-end trajectory.
 """
 
 from __future__ import annotations
@@ -48,6 +46,43 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def judge(parent, change, better, bound, failed_parent=0, failed_change=0):
+    """One metric's record entry from both sides' per-pair values.
+
+    Its ``verdict`` is the rule of the ``choosing-metrics`` (6-8) and
+    ``simplicity-review`` guides.  ``gain``: the change wins at least
+    nine tenths of the pairs (a tie counts for neither side), the medians
+    differ by more than the distance between the parent's own quartiles,
+    and no more operations fail.  ``regressed``: the change's median is
+    worse than the parent's by more than ``bound`` (a fraction of it).
+    ``unresolved``: the parent's runs spread wider than that bound, unless
+    every run of the change beats every run of the parent.  Otherwise
+    ``no-regression``.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p, c = quartiles(parent), quartiles(change)
+    spread = p["q3"] - p["q1"]
+    beyond = abs(c["median"] - p["median"]) > spread
+    allowed = bound * abs(p["median"])
+    if wins >= 0.9 * len(parent) and beyond and failed_change <= failed_parent:
+        verdict = "gain"
+    elif sign * (p["median"] - c["median"]) > allowed:
+        verdict = "regressed"
+    elif spread > allowed and not (
+        min(sign * v for v in change) > max(sign * v for v in parent)
+    ):
+        verdict = "unresolved"
+    else:
+        verdict = "no-regression"
+    return {
+        "parent": p, "change": c, "wins": wins, "ties": ties,
+        "gap_exceeds_parent_iqr": beyond, "verdict": verdict,
+        "change_over_parent": c["median"] / p["median"],
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -62,7 +97,6 @@ def main() -> int:
         ap.error("quartiles need at least two pairs")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     contract = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -85,29 +119,25 @@ def main() -> int:
         "metrics": {},
     }
     print(f"\n{args.workload}: {args.pairs} pairs, failed {record['failed']}")
-    for name, direction in better.items():
-        sign = -1.0 if direction == "lower" else 1.0
-        parent, change = (
-            [r["metrics"][name]["value"] for r in runs[side]]
-            for side in ("parent", "change")
-        )
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        ties = sum(c == p for p, c in zip(parent, change))
-        p, c = quartiles(parent), quartiles(change)
-        beyond = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
-        gain = wins >= 0.9 * args.pairs and beyond and (
-            record["failed"]["change"] <= record["failed"]["parent"]
-        )
-        record["metrics"][name] = {
-            "parent": p, "change": c, "wins": wins, "ties": ties,
-            "gap_exceeds_parent_iqr": beyond, "gain_by_the_rule": gain,
-            "change_over_parent": c["median"] / p["median"],
+    for metric in contract["end_to_end"]:
+        name = metric["name"]
+        values = {
+            side: [r["metrics"][name]["value"] for r in runs[side]]
+            for side in runs
         }
+        entry = record["metrics"][name] = judge(
+            values["parent"], values["change"],
+            metric["better"], metric["bound"],
+            record["failed"]["parent"], record["failed"]["change"],
+        )
+        p, c = entry["parent"], entry["change"]
         print(
             f"  {name:<12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-            f"  x{c['median'] / p['median']:.3f}  wins {wins}/{args.pairs}"
-            f" ties {ties}  beyond parent IQR: {beyond}  gain: {gain}"
+            f"  x{entry['change_over_parent']:.3f}"
+            f"  wins {entry['wins']}/{args.pairs} ties {entry['ties']}"
+            f"  beyond parent IQR: {entry['gap_exceeds_parent_iqr']}"
+            f"  verdict: {entry['verdict']}"
         )
 
     history = json.loads(args.out.read_text()) if args.out.exists() else []
