@@ -214,6 +214,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.matrix import BandTLRMatrix
 
     problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
+    # The table shows every sub-diagonal's true max rank: full band-1 grid.
     matrix = BandTLRMatrix.from_problem(
         problem, TruncationRule(eps=args.accuracy), band_size=1
     )
@@ -927,10 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser(
         "tune",
-        help="BAND_SIZE auto-tuner: Algorithm 1's cost table, or — with "
-             "--from-run — the simulator-guided calibrate/sweep/verify "
-             "loop over band, scheduler, distribution and rank/core "
-             "counts",
+        help="BAND_SIZE auto-tuner: Algorithm 1's cost table (the Fig. 6c "
+             "view: it wants every sub-diagonal's true max rank, so it "
+             "assembles at band 1 — unlike band 'auto' builds, which tune "
+             "during assembly and skip the band's compressions), or — "
+             "with --from-run — the simulator-guided "
+             "calibrate/sweep/verify loop over band, scheduler, "
+             "distribution and rank/core counts",
     )
     t.add_argument("--n", type=int, default=4050)
     t.add_argument("--tile", type=int, default=270)

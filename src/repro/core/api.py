@@ -27,6 +27,7 @@ from ..matrix.memory import MemoryReport, footprint_report
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
+from ..utils.validation import check_band_size
 from .autotuner import BandSizeDecision, autotune_matrix
 from .factorize import FactorizationReport, tlr_cholesky
 from .mle import log_likelihood
@@ -81,8 +82,11 @@ class TLRSolver:
             Compression threshold ε (the paper's experiments use 1e-8
             down to 1e-3).
         band_size:
-            ``"auto"`` runs Algorithm 1 (generate at band 1 → tune →
-            regenerate); an integer forces that band width.
+            ``"auto"`` runs Algorithm 1 during assembly
+            (:func:`~repro.core.autotuner.autotune_matrix`: the matrix
+            of the paper's generate at band 1 → tune → regenerate
+            pipeline, without compressing the band it discards); an
+            integer forces that band width.
         fluctuation:
             Auto-tuner densification threshold (paper window [0.67, 1]).
         maxrank:
@@ -108,6 +112,7 @@ class TLRSolver:
             :meth:`factorize`.  Results are bitwise identical either way.
         """
         rule = TruncationRule(eps=accuracy, maxrank=maxrank)
+        band_size = check_band_size(band_size)
         with obs.span(
             "from_problem",
             "phase",
@@ -116,33 +121,17 @@ class TLRSolver:
             accuracy=accuracy,
             band_size=band_size,
         ):
-            if band_size == "auto":
-                matrix = BandTLRMatrix.from_problem(
-                    problem,
-                    rule,
-                    band_size=1,
-                    backend=compression,
-                    precision=precision,
-                    n_workers=n_workers,
-                )
-                with obs.span("autotune_band", "phase"):
-                    matrix, decision = autotune_matrix(
-                        matrix, problem, fluctuation=fluctuation
-                    )
-                return cls(matrix=matrix, problem=problem, decision=decision)
-            if not isinstance(band_size, int):
-                raise ConfigurationError(
-                    f"band_size must be 'auto' or an int, got {band_size!r}"
-                )
-            matrix = BandTLRMatrix.from_problem(
-                problem,
-                rule,
-                band_size=band_size,
-                backend=compression,
-                precision=precision,
-                n_workers=n_workers,
+            how = dict(
+                backend=compression, precision=precision, n_workers=n_workers
             )
-            return cls(matrix=matrix, problem=problem)
+            if band_size == "auto":
+                matrix, decision = autotune_matrix(
+                    problem, rule, fluctuation=fluctuation, **how
+                )
+            else:
+                matrix = BandTLRMatrix.from_problem(problem, rule, band_size, **how)
+                decision = None
+            return cls(matrix=matrix, problem=problem, decision=decision)
 
     # ------------------------------------------------------------------
     @property

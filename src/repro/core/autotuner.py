@@ -25,6 +25,9 @@ In the paper the tuning itself is parallelized with an artificial 1DBCDD
 so every process evaluates a slice of each sub-diagonal; here the model is
 a closed-form sum per sub-diagonal, microseconds of work (its cost is
 reported by the Fig. 6d benchmark).
+
+:func:`tune_band_size` decides from a rank grid; :func:`autotune_matrix`
+decides *during* assembly, compressing only what the decision reads.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..linalg.flops import (
     flops_gemm_dense,
     flops_gemm_lr,
     flops_trsm_dense,
     flops_trsm_lr,
 )
+from ..matrix.descriptor import TileDescriptor
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
@@ -94,7 +99,10 @@ class BandSizeDecision:
     fluctuation:
         The factor used for the decision.
     costs:
-        Per-sub-diagonal cost table (for Fig. 6c style reporting).
+        Per-sub-diagonal cost table (for Fig. 6c style reporting).  From
+        :func:`autotune_matrix`, ``maxrank`` of a sub-diagonal *inside*
+        the band is the running max rank that decided it dense, not the
+        max over tiles that were never compressed.
     band_size_range:
         ``(min, max)`` band size over the paper's fluctuation window
         [0.67, 1] — the rectangular boxes of Figs. 6a/6b.
@@ -115,51 +123,89 @@ def subdiagonal_maxranks(rank_grid: np.ndarray) -> list[int]:
     band) report −1 and are skipped by the cost model.
     """
     nt = rank_grid.shape[0]
-    out = []
-    for d in range(1, nt):
-        vals = [rank_grid[j + d, j] for j in range(nt - d)]
-        vals = [v for v in vals if v >= 0]
-        out.append(int(max(vals)) if vals else -1)
-    return out
+    return [int(np.diagonal(rank_grid, -d).max()) for d in range(1, nt)]
+
+
+def _subdiagonal_cost(d: int, k: int, nt: int, b: int) -> SubdiagonalCost:
+    """Cost of sub-diagonal ``d`` at max rank ``k`` (``k < 0``: already dense).
+
+    Tile ``(j + d, j)`` receives ``j`` GEMM updates and one TRSM:
+    ``Σ_j j = (NT-d)(NT-d-1)/2`` GEMMs and ``NT - d`` TRSMs in all.
+    """
+    ntile = nt - d
+    n_gemm = ntile * (ntile - 1) // 2
+    dense = n_gemm * flops_gemm_dense(b) + ntile * flops_trsm_dense(b)
+    tlr = dense  # already dense: the dense cost on both sides
+    if k >= 0:
+        rank = max(k, 1)
+        tlr = n_gemm * flops_gemm_lr(b, rank) + ntile * flops_trsm_lr(b, rank)
+    return SubdiagonalCost(
+        band_id=d + 1, maxrank=max(k, 0), ntile=ntile, dense_flops=dense, tlr_flops=tlr
+    )
 
 
 def subdiagonal_costs(
     maxranks: list[int], ntiles: int, tile_size: int
 ) -> list[SubdiagonalCost]:
-    """Dense-vs-TLR factorization flops per sub-diagonal.
-
-    A tile at position ``j`` of sub-diagonal ``d`` (i.e. tile
-    ``(j + d, j)``) receives ``j`` GEMM updates and one TRSM, so the
-    sub-diagonal receives ``Σ_j j = (NT-d)(NT-d-1)/2`` GEMMs and
-    ``NT - d`` TRSMs.
-    """
+    """Dense-vs-TLR factorization flops per sub-diagonal ``d = 1 .. NT-1``."""
     nt = check_positive_int("ntiles", ntiles)
     b = check_positive_int("tile_size", tile_size)
-    costs: list[SubdiagonalCost] = []
-    for d in range(1, nt):
-        k = maxranks[d - 1] if d - 1 < len(maxranks) else -1
-        ntile = nt - d
-        n_gemm = ntile * (ntile - 1) // 2
-        dense = n_gemm * flops_gemm_dense(b) + ntile * flops_trsm_dense(b)
-        if k < 0:
-            # Sub-diagonal already dense; report the dense cost on both
-            # sides so it never drives the decision.
-            tlr = dense
-            k = 0
-        else:
-            tlr = n_gemm * flops_gemm_lr(b, max(k, 1)) + ntile * flops_trsm_lr(
-                b, max(k, 1)
-            )
-        costs.append(
-            SubdiagonalCost(
-                band_id=d + 1,
-                maxrank=k,
-                ntile=ntile,
-                dense_flops=dense,
-                tlr_flops=tlr,
-            )
+    return [
+        _subdiagonal_cost(
+            d, maxranks[d - 1] if d - 1 < len(maxranks) else -1, nt, b
         )
-    return costs
+        for d in range(1, nt)
+    ]
+
+
+def _walk_outward(
+    tile_rank, nt: int, b: int, fluctuation: float, max_band: int | None
+) -> tuple[dict[float, int], list[int]]:
+    """Algorithm 1's decision loop, reading ranks one tile at a time.
+
+    ``tile_rank(i, j)`` is the rank of tile ``(i, j)``, or −1 for a tile
+    that is already dense (an all-dense sub-diagonal stays in the band).
+    Both costs grow with the rank, so the test is taken on the *running*
+    max rank: the first tile that satisfies it for the smallest
+    undecided threshold decides the sub-diagonal dense — for that
+    threshold and every larger one — and the rest of it is never read.
+    A sub-diagonal read to its end fixes the band of each threshold it
+    fails.  Returns the band per threshold (``fluctuation`` and both ends
+    of the paper's window) and the max rank seen per walked sub-diagonal.
+    """
+    if not (0.0 < fluctuation <= 1.0):
+        raise ConfigurationError(f"fluctuation must be in (0, 1], got {fluctuation}")
+    if max_band is not None:
+        check_positive_int("max_band", max_band)
+    cap = nt if max_band is None else min(max_band, nt)
+    alive = sorted({fluctuation, *FLUCTUATION_RANGE})
+    bands = dict.fromkeys(alive, cap)
+    maxranks: list[int] = []
+    for d in range(1, cap):
+        k, cost = -1, None
+        for j in range(nt - d):
+            r = int(tile_rank(j + d, j))
+            if r > k:
+                k, cost = r, _subdiagonal_cost(d, r, nt, b)
+                if cost.dense_flops <= alive[0] * cost.tlr_flops:
+                    break
+        else:
+            failed = [
+                f for f in alive if cost and cost.dense_flops > f * cost.tlr_flops
+            ]
+            bands.update(dict.fromkeys(failed, d))
+            alive = alive[len(failed):]
+        maxranks.append(k)
+        if not alive:
+            break
+    return bands, maxranks
+
+
+def _decision(bands, fluctuation: float, costs) -> BandSizeDecision:
+    lo, hi = FLUCTUATION_RANGE
+    return BandSizeDecision(
+        bands[fluctuation], fluctuation, tuple(costs), (bands[lo], bands[hi])
+    )
 
 
 def tune_band_size(
@@ -174,44 +220,24 @@ def tune_band_size(
     Parameters
     ----------
     rank_grid:
-        Post-compression rank grid (band-1 layout: every off-diagonal tile
-        compressed).
+        Post-compression rank grid, normally of the band-1 layout (every
+        off-diagonal tile compressed); a grid whose inner sub-diagonals
+        are already dense (−1) gives the same decision as long as that
+        band does not exceed the tuned one.
     tile_size:
         Tile dimension ``b``.
     fluctuation:
         Densification threshold in (0, 1]; the paper's default is the
         conservative end 0.67 of its [0.67, 1] window.
     max_band:
-        Optional cap (defaults to ``NT``).
+        Optional cap >= 1 (defaults to ``NT``).
     """
-    if not (0.0 < fluctuation <= 1.0):
-        raise ConfigurationError(
-            f"fluctuation must be in (0, 1], got {fluctuation}"
-        )
     nt = rank_grid.shape[0]
-    cap = nt if max_band is None else min(max_band, nt)
-    maxranks = subdiagonal_maxranks(rank_grid)
-    costs = subdiagonal_costs(maxranks, nt, tile_size)
-
-    def decide(f: float) -> int:
-        band = 1
-        for c in costs:
-            if c.band_id > cap:
-                break
-            if c.dense_flops <= f * c.tlr_flops:
-                band = c.band_id
-            else:
-                break
-        return band
-
-    lo = decide(FLUCTUATION_RANGE[0])
-    hi = decide(FLUCTUATION_RANGE[1])
-    return BandSizeDecision(
-        band_size=decide(fluctuation),
-        fluctuation=fluctuation,
-        costs=tuple(costs),
-        band_size_range=(min(lo, hi), max(lo, hi)),
+    bands, _ = _walk_outward(
+        lambda i, j: rank_grid[i, j], nt, tile_size, fluctuation, max_band
     )
+    costs = subdiagonal_costs(subdiagonal_maxranks(rank_grid), nt, tile_size)
+    return _decision(bands, fluctuation, costs)
 
 
 def band_candidates(decision: BandSizeDecision) -> tuple[int, ...]:
@@ -280,24 +306,47 @@ def sweep_band_by_flops(
 
 
 def autotune_matrix(
-    matrix: BandTLRMatrix,
     problem,
+    rule,
     *,
     fluctuation: float = FLUCTUATION_RANGE[0],
     max_band: int | None = None,
+    backend=None,
+    precision=None,
+    n_workers: int | None = None,
 ) -> tuple[BandTLRMatrix, BandSizeDecision]:
-    """The full Section VIII-B pipeline on an already-compressed matrix.
+    """Assemble ``problem`` at the band Algorithm 1 picks, tuning on the way.
 
-    (1) the matrix was generated with ``band_size = 1``; (2) tune; (3)
-    regenerate the tiles inside the tuned band in dense format.  Returns
-    the re-banded matrix and the tuning decision.
+    Section VIII-B generates at band 1, tunes, and regenerates the band
+    dense.  Here the tuner *is* the assembly: :func:`_walk_outward`
+    compresses the tiles it reads (same compression and per-tile seed as
+    :meth:`BandTLRMatrix.from_problem`), then everything else is
+    assembled once at the band it found, reusing the probe's off-band
+    tiles.  The matrix, ``band_size`` and ``band_size_range`` are,
+    bitwise, what the three-step pipeline produces; only tiles
+    compressed before their sub-diagonal was decided dense are wasted.
     """
-    decision = tune_band_size(
-        matrix.rank_grid(),
-        matrix.desc.tile_size,
-        fluctuation=fluctuation,
-        max_band=max_band,
+    how = dict(backend=backend, precision=precision)
+    probe = BandTLRMatrix(
+        TileDescriptor(problem.n, problem.tile_size), 1, rule, **how
     )
-    if decision.band_size == matrix.band_size:
-        return matrix, decision
-    return matrix.with_band_size(decision.band_size, problem), decision
+
+    def tile_rank(i: int, j: int) -> int:
+        tile = probe.tiles[i, j] = probe._compress(problem.tile(i, j), i, j)
+        return tile.rank
+
+    nt, b = probe.ntiles, problem.tile_size
+    with obs.span("autotune_band", "phase") as span:
+        bands, walked = _walk_outward(tile_rank, nt, b, fluctuation, max_band)
+        band = bands[fluctuation]
+        kept = {ij: t for ij, t in probe.tiles.items() if ij[0] - ij[1] >= band}
+        probed = len(probe.tiles)
+        span.set(
+            band_size=band, tiles_probed=probed, tiles_discarded=probed - len(kept)
+        )
+    matrix = BandTLRMatrix.from_problem(
+        problem, rule, band, n_workers=n_workers, reuse=kept, **how
+    )
+    maxranks = subdiagonal_maxranks(matrix.rank_grid())
+    maxranks[: band - 1] = walked[: band - 1]
+    return matrix, _decision(bands, fluctuation, subdiagonal_costs(maxranks, nt, b))

@@ -109,6 +109,7 @@ class BandTLRMatrix:
         backend: CompressionBackend | str | None = None,
         precision: PrecisionPolicy | str | None = None,
         n_workers: int | None = None,
+        reuse: dict[tuple[int, int], LowRankTile] | None = None,
     ) -> "BandTLRMatrix":
         """Generate + compress a covariance problem into tile storage.
 
@@ -118,19 +119,14 @@ class BandTLRMatrix:
         dense matrix.  Tiles are independent, so generation + compression
         fans out over ``n_workers`` threads; per-tile compression seeds
         make the result bitwise identical for every worker count.
+        ``reuse`` holds off-band tiles already compressed from this
+        problem under the same rule, backend and precision (the
+        auto-tuner's probe); they are taken as they are.
         """
         desc = TileDescriptor(problem.n, problem.tile_size)
         mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
                   precision=precision)
-
-        def build(ij: tuple[int, int]) -> Tile:
-            i, j = ij
-            block = problem.tile(i, j)
-            if desc.on_band(i, j, band_size):
-                return DenseTile(block)
-            return mat._compress(block, i, j)
-
-        mat._assemble(build, n_workers)
+        mat._assemble(problem.tile, n_workers, reuse)
         return mat
 
     @classmethod
@@ -152,28 +148,34 @@ class BandTLRMatrix:
         desc = TileDescriptor(a.shape[0], tile_size)
         mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
                   precision=precision)
-
-        def build(ij: tuple[int, int]) -> Tile:
-            i, j = ij
-            block = a[desc.tile_slice(i), desc.tile_slice(j)].copy()
-            if desc.on_band(i, j, band_size):
-                return DenseTile(block)
-            return mat._compress(block, i, j)
-
-        mat._assemble(build, n_workers)
+        mat._assemble(
+            lambda i, j: a[desc.tile_slice(i), desc.tile_slice(j)].copy(), n_workers
+        )
         return mat
 
-    def _assemble(self, build, n_workers: int | None) -> None:
-        """Fill ``self.tiles`` by mapping ``build`` over the lower triangle.
+    def _assemble(self, block_of, n_workers: int | None, reuse=None) -> None:
+        """Fill ``self.tiles`` over the lower triangle from ``block_of(i, j)``.
 
-        With an active :mod:`repro.obs` observation the assembly is one
-        ``"assemble"`` span, every tile build is a nested span, and the
-        post-assembly rank spectrum (the auto-tuner's input) lands in the
+        On-band blocks are kept dense, off-band ones compressed; a tile
+        found in ``reuse`` is taken as it is and its block never
+        generated.  With an active :mod:`repro.obs` observation the
+        assembly is one ``"assemble"`` span, every tile build is a nested
+        span, and the post-assembly rank spectrum lands in the
         ``tile_rank`` histogram under ``stage="assembly"``.
         """
         # Lazy import: repro.runtime's package init pulls in modules that
         # import this one.
         from ..runtime.workpool import parallel_map
+
+        reuse = reuse or {}
+
+        def build(ij: tuple[int, int]) -> Tile:
+            if ij in reuse:
+                return reuse[ij]
+            block = block_of(*ij)
+            if self.desc.on_band(*ij, self.band_size):
+                return DenseTile(block)
+            return self._compress(block, *ij)
 
         coords = list(self.desc.lower_tiles())
         with obs.span(

@@ -84,13 +84,16 @@ class RunTrace:
     ``graph`` the dependency document captured by
     :func:`repro.obs.graph_observed` (``None`` when the run carried no
     DAG — e.g. a sequential-loop factorization), ``wall_s`` the observed
-    wall clock, and ``meta`` whatever the observation's creator attached.
+    wall clock, ``meta`` whatever the observation's creator attached, and
+    ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
+    per ``band_size="auto"`` assembly (its ``autotune_band`` span).
     """
 
     tasks: list[TaskSpan] = field(default_factory=list)
     graph: dict | None = None
     wall_s: float = 0.0
     meta: dict = field(default_factory=dict)
+    tunings: list[dict] = field(default_factory=list)
 
     @property
     def workers(self) -> list[str]:
@@ -141,6 +144,11 @@ def run_from_observation(observation) -> RunTrace:
         graph=observation.graph,
         wall_s=observation.wall_s,
         meta=dict(observation.meta),
+        tunings=[
+            {"seconds": rec.end - rec.start, **rec.attrs}
+            for rec in observation.tracer.spans
+            if rec.name == "autotune_band"
+        ],
     )
 
 
@@ -159,14 +167,18 @@ def load_run(path: str | Path) -> RunTrace:
             f"no events.jsonl under {path}; record a run with "
             "'python -m repro execute --obs DIR' or Observation.write()"
         )
-    tasks = []
+    tasks, tunings = [], []
     for line in events.read_text().splitlines():
         if not line.strip():
             continue
         rec = json.loads(line)
-        if rec.get("type") != "span" or rec.get("cat") != "task":
+        if rec.get("type") != "span":
             continue
         attrs = rec.get("attrs", {})
+        if rec.get("name") == "autotune_band":
+            tunings.append({"seconds": rec["end"] - rec["start"], **attrs})
+        if rec.get("cat") != "task":
+            continue
         flops = attrs.get("flops", 0.0)
         try:
             flops = float(flops)
@@ -193,7 +205,9 @@ def load_run(path: str | Path) -> RunTrace:
         summary = json.loads(summary_path.read_text())
         wall_s = float(summary.get("wall_s", wall_s))
         meta = summary.get("meta", {})
-    return RunTrace(tasks=tasks, graph=graph, wall_s=wall_s, meta=meta)
+    return RunTrace(
+        tasks=tasks, graph=graph, wall_s=wall_s, meta=meta, tunings=tunings
+    )
 
 
 # ----------------------------------------------------------------------
@@ -654,6 +668,12 @@ def render_analysis(run: RunTrace, *, width: int = 80, buckets: int = 60) -> str
     lines.append(f"{'wall clock':<16} {run.wall_s:.3f} s")
     lines.append(f"{'task spans':<16} {len(run.tasks)}")
     lines.append(f"{'workers':<16} {run.n_workers}")
+    for t in run.tunings:
+        lines.append(
+            f"{'band tuning':<16} band {t.get('band_size')} in "
+            f"{t['seconds']:.3f} s: {t.get('tiles_probed')} tiles probed, "
+            f"{t.get('tiles_discarded')} compressions discarded"
+        )
 
     # -- critical path -------------------------------------------------
     lines += ["", "critical path", "-------------"]

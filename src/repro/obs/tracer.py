@@ -102,6 +102,10 @@ class _Span:
         self._start = self._tracer.now()
         return self
 
+    def set(self, **attrs) -> None:
+        """Attach attributes only known once the block has run."""
+        self._attrs.update(attrs)
+
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = self._tracer.now()
         stack = self._tracer._stack()
@@ -227,7 +231,10 @@ class _NullSpan:
 
     __slots__ = ()
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def set(self, **attrs) -> None:
         return None
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -57,6 +57,7 @@ from ..linalg.precision import identity_compatible, precision_identity
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
+from ..utils.validation import check_band_size
 
 __all__ = [
     "geometry_hash",
@@ -118,7 +119,7 @@ class FactorKey:
             kernel="matern",
             theta=problem.params.as_tuple(),
             eps=float(accuracy),
-            band_size=band_size,
+            band_size=check_band_size(band_size),
             precision=precision_identity(precision, accuracy),
             maxrank=maxrank,
         )

@@ -10,6 +10,7 @@ the (possibly normalized) value on success, which keeps call sites terse::
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from typing import Any
 
@@ -20,6 +21,7 @@ from .exceptions import ConfigurationError
 __all__ = [
     "check_positive_int",
     "check_nonnegative_int",
+    "check_band_size",
     "check_positive_float",
     "check_probability",
     "check_in",
@@ -31,7 +33,7 @@ __all__ = [
 
 def check_positive_int(name: str, value: Any) -> int:
     """Validate that ``value`` is an integer ``>= 1`` and return it as int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < 1:
@@ -39,9 +41,20 @@ def check_positive_int(name: str, value: Any) -> int:
     return value
 
 
+def check_band_size(value: Any) -> int | str:
+    """Validate a dense-band request: ``"auto"`` or an integer ``>= 1``.
+
+    Integers come back as a Python ``int``, so ``2`` and ``np.int64(2)``
+    name the same band (and the same cached factor).
+    """
+    if isinstance(value, str) and value == "auto":
+        return value
+    return check_positive_int("band_size ('auto' or an int)", value)
+
+
 def check_nonnegative_int(name: str, value: Any) -> int:
     """Validate that ``value`` is an integer ``>= 0`` and return it as int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < 0:

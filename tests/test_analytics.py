@@ -285,6 +285,19 @@ class TestRoundTrip:
         run = load_run(tmp_path / "events.jsonl")
         assert len(run.tasks) == 1
 
+    def test_band_tuning_cost_survives_the_round_trip(self, tmp_path):
+        ob = obs.Observation()
+        with ob.tracer.span("autotune_band", "phase") as span:
+            span.set(band_size=3, tiles_probed=9, tiles_discarded=4)
+        ob.write(tmp_path)
+        for run in (load_run(tmp_path), run_from_observation(ob)):
+            (tuning,) = run.tunings
+            assert tuning["band_size"] == 3 and tuning["seconds"] >= 0.0
+            assert (
+                "band 3 in 0.000 s: 9 tiles probed, 4 compressions discarded"
+                in render_analysis(run)
+            )
+
     def test_load_run_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="events.jsonl"):
             load_run(tmp_path)

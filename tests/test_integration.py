@@ -28,9 +28,7 @@ class TestFullPipeline:
         """End-to-end with auto-tuning at a loose, rank-heterogeneous eps."""
         prob = st_3d_exp_problem(2000, 125, seed=11, nugget=1e-3)
         rule = TruncationRule(eps=1e-5)
-        m1 = BandTLRMatrix.from_problem(prob, rule, band_size=1)
-        m, decision = autotune_matrix(m1, prob)
-        m = m.copy()
+        m, decision = autotune_matrix(prob, rule)
         tlr_cholesky(m)
 
         a = prob.dense()
