@@ -21,6 +21,16 @@ run; its backward error stays within 10·ε of the dense oracle and within
 ``build_cholesky_graph``'s default, executed through the same kernel);
 and no final rank exceeds the per-update one by more than max(2, 5 %).
 
+An MLE step goes one further: it never looks at the unfactorized matrix,
+so ``BandTLRMatrix.from_problem`` with ``defer`` leaves every off-band tile
+of columns ``j >= 1`` pending and the fused update compresses the
+*expression* ``A_mn − Σ_j L_mj L_njᵀ`` once, with the generated kernel
+block as ``A_mn`` — compression after the update, not before it and again
+at the wide rounding.  The loops and the in-process core consume pending
+tiles natively (bitwise alike at any worker count); the branches that
+ship, persist or stack tiles ``realize()`` the matrix first and are then
+the eager call, bit for bit.
+
 Beyond the paper's static layouts, ``adaptive_threshold`` implements the
 *online* densification Section V-B sketches as future work ("an adaptive
 online auto-tuning that densifies ... the tiles on-demand"): whenever a
@@ -256,6 +266,8 @@ def tlr_cholesky(
         policy = matrix.precision
     if policy is not None:
         apply_precision(matrix, policy)
+    if adaptive_threshold is not None:
+        matrix.realize()  # online densification reads the tiles it rolls back
     with obs.span(
         "tlr_cholesky",
         "phase",
@@ -298,7 +310,8 @@ def _tlr_cholesky_sequential(
     Fig. 4; a low-rank destination ``(m, n)`` is skipped by the trailing
     updates and takes every panel product ``j < n`` in one fused GEMM
     just before its TRSM.  The panel tiles it reads are final by then,
-    so nothing is held pending.
+    so no update is held back; a tile still pending generation
+    (a deferred assembly) is generated and compressed by that same GEMM.
     """
     nt = matrix.ntiles
     report = FactorizationReport()
@@ -342,7 +355,7 @@ def _tlr_cholesky_sequential(
             matrix.tile(k, k), counter=report.counter, tile_index=(k, k)
         )
         for m in range(k + 1, nt):
-            if k > 0 and isinstance(matrix.tile(m, k), LowRankTile):
+            if k > 0 and not isinstance(matrix.tile(m, k), DenseTile):
                 update(m, k, range(k))
             out = hcore.trsm_auto(
                 matrix.tile(k, k), matrix.tile(m, k), counter=report.counter
@@ -408,6 +421,8 @@ def _tlr_cholesky_graph(
             "--executor sim`) directly for predictions"
         )
 
+    if ex.name == "processes" or batch or checkpoint is not None:
+        matrix.realize()  # pending tiles are not shipped, stacked or persisted
     run = ex.execute(
         graph_for_matrix(matrix), matrix,
         rule=rule, backend=backend, batch=batch, faults=faults,

@@ -11,8 +11,11 @@ Each likelihood evaluation assembles the covariance at the candidate
 ``θ``, compresses it, runs the TLR Cholesky, and reads off
 ``log|Σ| = 2 Σ log L_ii`` and ``Z^T Σ^{-1} Z = ||L^{-1} Z||²`` — exactly
 the pipeline the paper accelerates (the factorization *is* the MLE inner
-loop).  The optimizer is a Nelder-Mead search over log-parameters, the
-standard derivative-free choice for the 2-3 dimensional Matérn problem.
+loop).  Nothing here reads the unfactorized matrix, so the assembly is
+deferred (``from_problem(defer=True)``): each off-band tile is generated
+at its fused update and compressed once, after it.  The optimizer is a
+Nelder-Mead search over log-parameters, the standard derivative-free
+choice for the 2-3 dimensional Matérn problem.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from ..linalg.compression import TruncationRule
 from ..statistics.matern import MaternParams
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError, NotPositiveDefiniteError
+from ..utils.validation import check_matrix
 from ..matrix.tlr_matrix import BandTLRMatrix
 from .factorize import tlr_cholesky
 from .solve import forward_solve, log_det
@@ -89,6 +93,19 @@ class LikelihoodEvaluator:
     smoothness: float = 0.5
     evaluations: list[tuple[float, float, float]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Checked once, here: a bad input would otherwise cost a full
+        # assemble + factorize before it shows (or return nan silently).
+        self.points = check_matrix("points", self.points)
+        self.z = np.asarray(self.z, dtype=np.float64)
+        if self.z.shape != (len(self.points),):
+            raise ConfigurationError(
+                f"z must be a length-{len(self.points)} vector, got shape "
+                f"{self.z.shape}"
+            )
+        if not (np.isfinite(self.points).all() and np.isfinite(self.z).all()):
+            raise ConfigurationError("points and z must be finite (no NaN/inf)")
+
     def __call__(self, variance: float, correlation_length: float) -> float:
         """Log-likelihood at ``(θ1, θ2)``; −inf for infeasible candidates."""
         try:
@@ -105,7 +122,9 @@ class LikelihoodEvaluator:
             tile_size=self.tile_size,
             nugget=self.nugget,
         )
-        matrix = BandTLRMatrix.from_problem(problem, self.rule, self.band_size)
+        matrix = BandTLRMatrix.from_problem(
+            problem, self.rule, self.band_size, defer=True
+        )
         try:
             tlr_cholesky(matrix)
         except NotPositiveDefiniteError:

@@ -42,6 +42,7 @@ def tlr_matvec(matrix: BandTLRMatrix, x: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"x has {x.shape[0]} rows but the matrix is {matrix.n}x{matrix.n}"
         )
+    matrix.require_realized("tlr_matvec")
     desc = matrix.desc
     y = np.zeros_like(x)
     for (i, j), tile in matrix.tiles.items():

@@ -48,6 +48,7 @@ def _apply_t(tile: Tile, x: np.ndarray) -> np.ndarray:
 
 
 def _check_rhs(factor: BandTLRMatrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    factor.require_realized("a triangular solve")  # a pending tile is rank 0
     rhs = np.asarray(rhs, dtype=np.float64)
     squeeze = rhs.ndim == 1
     if squeeze:

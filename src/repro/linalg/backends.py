@@ -68,7 +68,7 @@ from .compression import (
     TruncationRule,
     truncation_rank,
 )
-from .tiles import LowRankTile
+from .tiles import LowRankTile, PendingTile
 
 __all__ = [
     "CompressionBackend",
@@ -338,7 +338,7 @@ class CompressionBackend:
 
     def recompress_update(
         self,
-        c: LowRankTile,
+        c: LowRankTile | PendingTile,
         u_upd: np.ndarray,
         v_upd: np.ndarray,
         rule: TruncationRule,
@@ -366,29 +366,41 @@ class CompressionBackend:
         certified ε of an fp32 tile sits above fp32 roundoff by policy
         (:mod:`repro.linalg.precision`), so the lower-precision rounding
         stays within the tile's error budget.
+
+        A :class:`~repro.linalg.tiles.PendingTile` ``c`` takes the dense
+        path whatever the width, with its generated block (float64) in
+        place of ``c.u @ c.v.T`` and no hint: the tile's one and only
+        compression, cast to its storage dtype; never a rank growth.
         """
+        pending = isinstance(c, PendingTile)
         kc, ku = c.rank, u_upd.shape[1]
         r = kc + ku
         m, n = c.shape
         dtype = c.dtype
-        if r == 0:
+        if r == 0 and not pending:
             return RecompressionResult(
                 LowRankTile.zero(m, n, dtype=dtype), 0, 0, grew=False
             )
-        if 2 * r >= min(m, n):
+        if pending or 2 * r >= min(m, n):
             # Wide: the dense sum is the smaller representation, formed
             # directly (no workspace — it would be at least as large).
-            dense = c.u @ c.v.T
+            if pending:
+                with obs.span("generate", "assembly"):
+                    dense = c.to_dense()
+            else:
+                dense = c.u @ c.v.T
             dense -= (
-                u_upd.astype(dtype, copy=False)
-                @ v_upd.astype(dtype, copy=False).T
+                u_upd.astype(dense.dtype, copy=False)
+                @ v_upd.astype(dense.dtype, copy=False).T
             )
-            tile = self.compress(dense, rule, seed=seed, rank_hint=kc)
+            tile = self.compress(
+                dense, rule, seed=seed, rank_hint=None if pending else kc
+            )
             if tile.dtype != dtype:  # the exact oracle rounds fp32 in fp64
                 tile = tile.astype(dtype)
             result = RecompressionResult(
                 tile, rank_before=r, rank_after=tile.rank,
-                grew=tile.rank > kc,
+                grew=not pending and tile.rank > kc,
             )
         else:
             if self._workspace is None:

@@ -369,7 +369,7 @@ def gemm_auto(
     ``tile_index`` (the destination's coordinates) seeds it where it is
     randomized.
     """
-    if isinstance(c, LowRankTile):
+    if not isinstance(c, DenseTile):  # low-rank, or pending its one compression
         return _gemm_lr(a, b, c, rule, counter, backend, tile_index)
     if isinstance(a, DenseTile) and isinstance(b, DenseTile):
         return gemm_dense(a, b, c, counter=counter), KernelClass.GEMM_DENSE, None

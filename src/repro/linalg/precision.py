@@ -282,19 +282,18 @@ def apply_precision(matrix, policy: PrecisionPolicy) -> MixedPrecisionReport:
 
     Promotes as well as demotes — applying the ``"fp64"`` policy to a
     mixed matrix restores all-double storage.  Dense tiles are never
-    touched.  Returns the post-cast byte accounting.
+    touched; a pending tile takes the dtype it will be compressed to.
+    Returns the post-cast byte accounting.
     """
     eps = matrix.rule.eps
     for (i, j), tile in matrix.tiles.items():
-        if not isinstance(tile, LowRankTile):
+        if isinstance(tile, DenseTile):
             continue
         target = policy.storage_dtype(
             eps=eps, distance=i - j, band_size=matrix.band_size
         )
         if tile.dtype != target:
-            matrix.tiles[(i, j)] = LowRankTile(
-                tile.u.astype(target), tile.v.astype(target)
-            )
+            matrix.tiles[(i, j)] = tile.astype(target)
     matrix.precision = policy
     return mixed_precision_report(matrix, mode=policy.mode)
 

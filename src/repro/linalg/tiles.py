@@ -1,4 +1,5 @@
-"""Tile data structures: dense tiles and low-rank (U·Vᵀ) tiles.
+"""Tile data structures: dense tiles, low-rank (U·Vᵀ) tiles, and tiles
+still pending generation.
 
 HiCMA's TLR format stores each compressed tile as two tall-and-skinny
 factors ``U`` (m×k) and ``V`` (n×k) with ``tile = U @ V.T`` — ``k`` is the
@@ -17,18 +18,23 @@ Low-rank factors may be stored in float32 when a precision policy
 (:mod:`repro.linalg.precision`) certifies the tile's ε-budget exceeds
 single-precision roundoff; dense tiles — the band and the Cholesky
 factors themselves — always stay float64.
+
+A third state, :class:`PendingTile`, is an off-band tile an MLE step has
+not generated yet: the recipe of its dense block, compressed once — after
+its fused update — by ``recompress_update``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Any
 
 import numpy as np
 
 from ..utils.exceptions import KernelError
 
-__all__ = ["TileFormat", "DenseTile", "LowRankTile", "Tile"]
+__all__ = ["TileFormat", "DenseTile", "LowRankTile", "PendingTile", "Tile"]
 
 
 class TileFormat(Enum):
@@ -36,6 +42,7 @@ class TileFormat(Enum):
 
     DENSE = "dense"
     LOW_RANK = "low_rank"
+    PENDING = "pending"
 
 
 @dataclass
@@ -184,5 +191,46 @@ class LowRankTile:
         return f"LowRankTile(shape={self.shape}, rank={self.rank})"
 
 
-#: Union type of the two tile flavours.
-Tile = DenseTile | LowRankTile
+@dataclass(frozen=True, eq=False)
+class PendingTile:
+    """An off-band tile not generated yet: ``problem.tile(i, j)`` on demand.
+
+    It stores nothing (rank 0, no bytes), so it is its own copy and
+    pickles as its recipe; ``dtype`` is the storage dtype the compressed
+    tile will take.  :meth:`CompressionBackend.recompress_update
+    <repro.linalg.backends.CompressionBackend.recompress_update>` and
+    :meth:`BandTLRMatrix.realize <repro.matrix.BandTLRMatrix.realize>`
+    are the two places that turn one into a :class:`LowRankTile`.
+    """
+
+    problem: Any  # a CovarianceProblem (linalg never imports statistics)
+    i: int
+    j: int
+    shape: tuple[int, int]
+    dtype: np.dtype = np.dtype(np.float64)
+    format = TileFormat.PENDING
+    rank = 0
+
+    def astype(self, dtype) -> "PendingTile":
+        """The same recipe under another storage dtype."""
+        return replace(self, dtype=np.dtype(dtype))
+
+    def to_dense(self) -> np.ndarray:
+        """Generate the dense block (float64); nothing is cached."""
+        return self.problem.tile(self.i, self.j)
+
+    def memory_elements(self, maxrank: int | None = None) -> int:
+        return 0
+
+    def memory_bytes(self) -> int:
+        return 0
+
+    def copy(self) -> "PendingTile":
+        return self
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"PendingTile({self.i}, {self.j}, shape={self.shape})"
+
+
+#: Union type of the three tile states.
+Tile = DenseTile | LowRankTile | PendingTile

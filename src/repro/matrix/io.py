@@ -33,6 +33,7 @@ _FORMAT_VERSION = 1
 
 def save_matrix(matrix: BandTLRMatrix, path: str | Path) -> Path:
     """Write a matrix (compressed or factorized) to ``path`` (.npz)."""
+    matrix.require_realized("save_matrix")
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")

@@ -78,6 +78,7 @@ def footprint_report(
         Static rank cap of the Prev scheme; defaults to HiCMA's competitive
         limit ``b / 2``.
     """
+    matrix.require_realized("footprint_report")
     b = matrix.desc.tile_size
     if maxrank is None:
         maxrank = b // 2

@@ -9,7 +9,10 @@ One container covers the paper's three operating points:
 
 Only the lower triangle is stored (the matrix is symmetric; the paper's
 Fig. 3a).  On-band tiles are :class:`DenseTile`; off-band tiles are
-:class:`LowRankTile` compressed to the container's truncation rule.
+:class:`LowRankTile` compressed to the container's truncation rule — or,
+in a matrix assembled with ``defer`` set, for one factorization, still
+:class:`PendingTile` recipes that the fused update generates and
+compresses once (:meth:`BandTLRMatrix.realize` makes them ordinary).
 
 The container also implements the *densification/regeneration* step of the
 BAND_SIZE auto-tuning pipeline (Section VIII-B): after tuning picks a wider
@@ -28,7 +31,7 @@ from .. import obs
 from ..linalg.backends import CompressionBackend, get_backend, tile_seed
 from ..linalg.compression import TruncationRule
 from ..linalg.precision import PrecisionPolicy, resolve_precision
-from ..linalg.tiles import DenseTile, LowRankTile, Tile
+from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
@@ -88,13 +91,16 @@ class BandTLRMatrix:
         tile = backend.compress(
             block, self.rule, seed=tile_seed(backend.seed, i, j)
         )
-        if self.precision is not None:
-            target = self.precision.storage_dtype(
-                eps=self.rule.eps, distance=i - j, band_size=self.band_size
-            )
-            if tile.dtype != target:
-                tile = tile.astype(target)
-        return tile
+        target = self._storage_dtype(i, j)
+        return tile if tile.dtype == target else tile.astype(target)
+
+    def _storage_dtype(self, i: int, j: int) -> np.dtype:
+        """Storage dtype of off-band tile ``(i, j)`` under the policy."""
+        if self.precision is None:
+            return np.dtype(np.float64)
+        return self.precision.storage_dtype(
+            eps=self.rule.eps, distance=i - j, band_size=self.band_size
+        )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -110,6 +116,7 @@ class BandTLRMatrix:
         precision: PrecisionPolicy | str | None = None,
         n_workers: int | None = None,
         reuse: dict[tuple[int, int], LowRankTile] | None = None,
+        defer: bool = False,
     ) -> "BandTLRMatrix":
         """Generate + compress a covariance problem into tile storage.
 
@@ -122,11 +129,18 @@ class BandTLRMatrix:
         ``reuse`` holds off-band tiles already compressed from this
         problem under the same rule, backend and precision (the
         auto-tuner's probe); they are taken as they are.
+
+        With ``defer`` every off-band tile that a factorization updates
+        before it reads it (column ``j >= 1``) is left a
+        :class:`~repro.linalg.tiles.PendingTile` — neither generated nor
+        compressed — for :func:`~repro.core.factorize.tlr_cholesky` to
+        compress once, after the update; :meth:`realize` turns such a
+        matrix into the eager one, bit for bit.
         """
         desc = TileDescriptor(problem.n, problem.tile_size)
         mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
                   precision=precision)
-        mat._assemble(problem.tile, n_workers, reuse)
+        mat._assemble(problem.tile, n_workers, reuse, problem if defer else None)
         return mat
 
     @classmethod
@@ -153,35 +167,50 @@ class BandTLRMatrix:
         )
         return mat
 
-    def _assemble(self, block_of, n_workers: int | None, reuse=None) -> None:
+    def _assemble(
+        self, block_of, n_workers: int | None, reuse=None, defer_from=None
+    ) -> None:
         """Fill ``self.tiles`` over the lower triangle from ``block_of(i, j)``.
 
         On-band blocks are kept dense, off-band ones compressed; a tile
         found in ``reuse`` is taken as it is and its block never
-        generated.  With an active :mod:`repro.obs` observation the
-        assembly is one ``"assemble"`` span, every tile build is a nested
-        span, and the post-assembly rank spectrum lands in the
-        ``tile_rank`` histogram under ``stage="assembly"``.
+        generated, and with ``defer_from`` (the problem) off-band tiles
+        of columns ``j >= 1`` are left pending.  With an active
+        :mod:`repro.obs` observation the assembly is one ``"assemble"``
+        span, every tile build is a nested span, and the post-assembly
+        rank spectrum lands in the ``tile_rank`` histogram under
+        ``stage="assembly"``.
         """
         # Lazy import: repro.runtime's package init pulls in modules that
         # import this one.
         from ..runtime.workpool import parallel_map
 
         reuse = reuse or {}
+        coords = list(self.desc.lower_tiles())
+        deferred = set() if defer_from is None else {
+            (i, j) for i, j in coords
+            if j >= 1 and (i, j) not in reuse
+            and not self.desc.on_band(i, j, self.band_size)
+        }
 
         def build(ij: tuple[int, int]) -> Tile:
             if ij in reuse:
                 return reuse[ij]
+            if ij in deferred:
+                return PendingTile(
+                    defer_from, *ij, self.desc.tile_shape(*ij),
+                    self._storage_dtype(*ij),
+                )
             block = block_of(*ij)
             if self.desc.on_band(*ij, self.band_size):
                 return DenseTile(block)
             return self._compress(block, *ij)
 
-        coords = list(self.desc.lower_tiles())
         with obs.span(
             "assemble",
             "assembly",
             tiles=len(coords),
+            tiles_deferred=len(deferred),
             band_size=self.band_size,
             workers=n_workers,
         ):
@@ -191,15 +220,37 @@ class BandTLRMatrix:
         for ij, tile in zip(coords, built):
             self.tiles[ij] = tile
         if obs.enabled():
-            dense = lowrank = 0
+            lowrank = 0
             for tile in built:
                 if isinstance(tile, LowRankTile):
                     lowrank += 1
                     obs.histogram_observe("tile_rank", tile.rank, stage="assembly")
-                else:
-                    dense += 1
+            dense = len(built) - lowrank - len(deferred)
             obs.counter_add("assembly_tiles", dense, format="dense")
             obs.counter_add("assembly_tiles", lowrank, format="lowrank")
+            if deferred:
+                obs.counter_add("assembly_tiles", len(deferred), format="pending")
+
+    def realize(self) -> "BandTLRMatrix":
+        """Generate and compress every pending tile, in place.
+
+        Afterwards the matrix is bitwise what the eager ``from_problem``
+        builds; the branches of ``tlr_cholesky`` that ship, persist or
+        stack tiles call it first.  Returns ``self``.
+        """
+        for (i, j), tile in self.tiles.items():
+            if isinstance(tile, PendingTile):
+                self.tiles[(i, j)] = self._compress(tile.to_dense(), i, j)
+        return self
+
+    def require_realized(self, reader: str) -> None:
+        """Raise unless no tile is pending (for readers of tile data)."""
+        if any(isinstance(t, PendingTile) for t in self.tiles.values()):
+            raise ConfigurationError(
+                f"{reader} reads tile data, but this matrix was assembled "
+                "deferred and still holds pending tiles: call realize() "
+                "first (tlr_cholesky consumes them itself)"
+            )
 
     # ------------------------------------------------------------------
     # Access
@@ -308,7 +359,7 @@ class BandTLRMatrix:
         )
         for (i, j), tile in self.tiles.items():
             now_banded = self.desc.on_band(i, j, band_size)
-            if now_banded and isinstance(tile, LowRankTile):
+            if now_banded and not isinstance(tile, DenseTile):
                 out.tiles[(i, j)] = DenseTile(problem.tile(i, j))
             elif not now_banded and isinstance(tile, DenseTile):
                 out.tiles[(i, j)] = out._compress(tile.data, i, j)

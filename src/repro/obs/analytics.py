@@ -86,7 +86,11 @@ class RunTrace:
     DAG — e.g. a sequential-loop factorization), ``wall_s`` the observed
     wall clock, ``meta`` whatever the observation's creator attached, and
     ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
-    per ``band_size="auto"`` assembly (its ``autotune_band`` span).
+    per ``band_size="auto"`` assembly (its ``autotune_band`` span), and
+    ``deferred`` what a deferred assembly (``defer``) moved into the
+    factorization: ``{tiles, generated, generate_s}`` — tiles the
+    ``assemble`` spans left pending, and the ``generate`` spans (count,
+    seconds) nested in the GEMM tasks that built them.
     """
 
     tasks: list[TaskSpan] = field(default_factory=list)
@@ -94,6 +98,7 @@ class RunTrace:
     wall_s: float = 0.0
     meta: dict = field(default_factory=dict)
     tunings: list[dict] = field(default_factory=list)
+    deferred: dict = field(default_factory=dict)
 
     @property
     def workers(self) -> list[str]:
@@ -125,6 +130,18 @@ class RunTrace:
         return max(t.end for t in self.tasks) - min(t.start for t in self.tasks)
 
 
+def _deferred(spans) -> dict:
+    """:attr:`RunTrace.deferred` from ``(name, seconds, attrs)`` spans."""
+    out = {"tiles": 0, "generated": 0, "generate_s": 0.0}
+    for name, seconds, attrs in spans:
+        if name == "assemble":
+            out["tiles"] += int(attrs.get("tiles_deferred") or 0)
+        elif name == "generate":
+            out["generated"] += 1
+            out["generate_s"] += seconds
+    return out
+
+
 def run_from_observation(observation) -> RunTrace:
     """Build a :class:`RunTrace` from a live :class:`~repro.obs.Observation`."""
     tasks = [
@@ -149,6 +166,10 @@ def run_from_observation(observation) -> RunTrace:
             for rec in observation.tracer.spans
             if rec.name == "autotune_band"
         ],
+        deferred=_deferred(
+            (rec.name, rec.end - rec.start, rec.attrs)
+            for rec in observation.tracer.spans
+        ),
     )
 
 
@@ -167,7 +188,7 @@ def load_run(path: str | Path) -> RunTrace:
             f"no events.jsonl under {path}; record a run with "
             "'python -m repro execute --obs DIR' or Observation.write()"
         )
-    tasks, tunings = [], []
+    tasks, tunings, spans = [], [], []
     for line in events.read_text().splitlines():
         if not line.strip():
             continue
@@ -175,6 +196,7 @@ def load_run(path: str | Path) -> RunTrace:
         if rec.get("type") != "span":
             continue
         attrs = rec.get("attrs", {})
+        spans.append((rec.get("name"), rec["end"] - rec["start"], attrs))
         if rec.get("name") == "autotune_band":
             tunings.append({"seconds": rec["end"] - rec["start"], **attrs})
         if rec.get("cat") != "task":
@@ -206,7 +228,8 @@ def load_run(path: str | Path) -> RunTrace:
         wall_s = float(summary.get("wall_s", wall_s))
         meta = summary.get("meta", {})
     return RunTrace(
-        tasks=tasks, graph=graph, wall_s=wall_s, meta=meta, tunings=tunings
+        tasks=tasks, graph=graph, wall_s=wall_s, meta=meta, tunings=tunings,
+        deferred=_deferred(spans),
     )
 
 
@@ -673,6 +696,13 @@ def render_analysis(run: RunTrace, *, width: int = 80, buckets: int = 60) -> str
             f"{'band tuning':<16} band {t.get('band_size')} in "
             f"{t['seconds']:.3f} s: {t.get('tiles_probed')} tiles probed, "
             f"{t.get('tiles_discarded')} compressions discarded"
+        )
+    if run.deferred.get("tiles"):
+        d = run.deferred
+        lines.append(
+            f"{'deferred tiles':<16} {d['tiles']} left pending at assembly; "
+            f"{d['generated']} generated inside GEMM tasks in "
+            f"{d['generate_s']:.3f} s (not GEMM time)"
         )
 
     # -- critical path -------------------------------------------------

@@ -82,7 +82,7 @@ from ..linalg.backends import get_backend
 from ..linalg.batched import BatchItem, BatchPlanner, run_batch
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
-from ..linalg.tiles import LowRankTile
+from ..linalg.tiles import DenseTile, LowRankTile
 from ..matrix.memory import MemoryTracker
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import RuntimeSystemError, SchedulingError
@@ -775,8 +775,9 @@ def _compute_task(tid, task, matrix, rule, backend, counter):
     (_, m, n, _) = tid
     a, b = _gemm_operands(task, matrix)
     c = matrix.tile(m, n)
-    if isinstance(c, LowRankTile):
-        # Every panel product at once, one rounding.
+    if not isinstance(c, DenseTile):
+        # Every panel product at once, one rounding (of a pending tile:
+        # its one compression).
         out, _, recomp = hcore.gemm_auto(
             a, b, c, rule,
             counter=counter, backend=backend, tile_index=(m, n),

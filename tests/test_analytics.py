@@ -298,6 +298,38 @@ class TestRoundTrip:
                 in render_analysis(run)
             )
 
+    def test_deferred_generation_is_booked_apart_from_gemm(self, tmp_path):
+        """A ``defer=True`` assembly moves tile generation into the GEMM
+        tasks: each gets its own ``generate`` span under the task's, the
+        ``assemble`` span says how many tiles it left, and the report
+        prints both."""
+        from repro import TruncationRule, st_3d_exp_problem
+        from repro.core import tlr_cholesky
+        from repro.matrix import BandTLRMatrix
+
+        problem = st_3d_exp_problem(400, 100, seed=3)
+        with obs.observe() as ob:
+            m = BandTLRMatrix.from_problem(
+                problem, TruncationRule(eps=1e-4), 1, defer=True
+            )
+            tlr_cholesky(m, n_workers=2)
+        generate = [s for s in ob.tracer.spans if s.name == "generate"]
+        assert {s.category for s in generate} == {"assembly"}
+        assert sorted(s.parent for s in generate) == [
+            "GEMM_2_1_0", "GEMM_3_1_0", "GEMM_3_2_1"
+        ]
+        assert {
+            c.labels["format"]: c.value
+            for c in ob.metrics.find("assembly_tiles")
+        } == {"dense": 4, "lowrank": 3, "pending": 3}
+        ob.write(tmp_path)
+        for run in (load_run(tmp_path), run_from_observation(ob)):
+            assert run.deferred["tiles"] == run.deferred["generated"] == 3
+            assert (
+                "3 left pending at assembly; 3 generated inside GEMM tasks in"
+                in render_analysis(run)
+            )
+
     def test_load_run_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="events.jsonl"):
             load_run(tmp_path)

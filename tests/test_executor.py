@@ -236,6 +236,27 @@ class TestDifferential:
         assert 0 < rep.tasks_resumed < graph.n_tasks
         assert rep.tasks_resumed + rep.tasks_executed == graph.n_tasks
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_core_consumes_pending_tiles(self, n_workers):
+        """A deferred assembly (what an MLE step factorizes): the fused
+        GEMM generates and compresses each pending tile, in the loops and
+        in the core alike."""
+        n, seed, band, eps = DIFF_CASES[100]
+        problem = st_3d_exp_problem(n, 100, seed=seed)
+
+        def deferred():
+            return BandTLRMatrix.from_problem(
+                problem, TruncationRule(eps=eps), band, defer=True
+            )
+
+        ref = deferred()
+        ref_report = tlr_cholesky(ref)
+        m = deferred()
+        rep = execute_graph_parallel(_graph_for(m), m, n_workers=n_workers)
+        _assert_factors_bitwise(m, ref)
+        _assert_pool_consistent(rep, m)
+        _assert_same_accounting(rep, ref_report)
+
     def test_batching_actually_groups(self, diff_case):
         """The batched runs above are not vacuous: some claims are wide."""
         base = diff_case[0]

@@ -16,7 +16,12 @@ the right-looking one.  What replaces that promise, and is tested here:
 (e) online densification around the single rounding;
 (f) realized communication equals simulated communication on the fused
     graph (``tune verify``'s tolerance gate runs on it in
-    ``tests/test_tune.py``).
+    ``tests/test_tune.py``);
+(g) a deferred assembly (``from_problem(defer=True)``, what an MLE step
+    factorizes): pending tiles are generated and compressed once, by the
+    fused update — ``realize()`` is the eager matrix, the loops are the
+    core at any worker count, and the branches that realize first are
+    the eager call.
 """
 
 import shutil
@@ -26,16 +31,25 @@ import pytest
 import scipy.linalg as sla
 
 from repro import TruncationRule, st_3d_exp_problem
-from repro.core import tlr_cholesky
+from repro.core import (
+    forward_solve,
+    log_likelihood,
+    solve_spd,
+    tlr_cholesky,
+    tlr_matvec,
+)
 from repro.distribution import default_distribution
 from repro.linalg import (
     DenseTile,
     KernelClass,
     LowRankTile,
+    PendingTile,
     RandomizedSVDBackend,
     SVDBackend,
+    apply_precision,
     gemm_auto,
     gemm_lr,
+    resolve_precision,
 )
 from repro.linalg.batched import BatchItem, BatchPlanner, run_batch
 from repro.linalg.flops import (
@@ -43,7 +57,7 @@ from repro.linalg.flops import (
     flops_gemm_lr_fused,
     flops_gemm_lr_general,
 )
-from repro.matrix import BandTLRMatrix
+from repro.matrix import BandTLRMatrix, footprint_report, save_matrix
 from repro.runtime import (
     CheckpointConfig,
     MachineSpec,
@@ -57,7 +71,8 @@ from repro.runtime import (
     simulate,
 )
 from repro.runtime.task import TaskKind
-from repro.utils import KernelError
+from repro.statistics.problem import CovarianceProblem
+from repro.utils import ConfigurationError, KernelError
 
 from .test_executor import (
     _assert_factors_bitwise as assert_bitwise,
@@ -549,3 +564,182 @@ class TestFusedGraph:
             src for (src, _dst, loc) in rep.dataflow.edges if loc == "remote"
         }
         assert remote_sources <= {TaskKind.POTRF, TaskKind.TRSM}
+
+
+# ----------------------------------------------------------------------
+# (g) compress once, after the update
+# ----------------------------------------------------------------------
+def n_pending(matrix):
+    return sum(isinstance(t, PendingTile) for t in matrix.tiles.values())
+
+
+class TestDeferred:
+    RULE = TruncationRule(eps=1e-4)
+
+    def build(self, problem, defer=True, rule=None, band=2, **kwargs):
+        return BandTLRMatrix.from_problem(
+            problem, rule or self.RULE, band, defer=defer, **kwargs
+        )
+
+    @pytest.mark.parametrize("n_workers", [None, 2])
+    @pytest.mark.parametrize("precision", [None, "adaptive"])
+    @pytest.mark.parametrize("backend", ["svd", "rsvd", "auto"])
+    def test_realize_is_the_eager_matrix(
+        self, problem, backend, precision, n_workers
+    ):
+        kwargs = dict(backend=backend, precision=precision, n_workers=n_workers)
+        deferred = self.build(problem, **kwargs)
+        # NT = 8 at band 2: 21 off-band tiles, 15 of them in columns >= 1
+        assert n_pending(deferred) == 15
+        assert deferred.copy().tile(7, 1) is deferred.tile(7, 1)
+        assert deferred.rank_grid()[7, 1] == -1
+        assert deferred.realize() is deferred and n_pending(deferred) == 0
+        assert_bitwise(deferred, self.build(problem, defer=False, **kwargs))
+
+    @pytest.mark.parametrize("precision", [None, "adaptive"])
+    def test_loops_are_the_core_and_repeat(self, problem, precision):
+        ref = self.build(problem, precision=precision)
+        ref_report = tlr_cholesky(ref)
+        assert n_pending(ref) == 0
+        assert ref_report.rank_growth_events == 0  # a first compression
+        again = self.build(problem, precision=precision)
+        tlr_cholesky(again)
+        assert_bitwise(again, ref)
+        for n_workers in (1, 2, 3):
+            m = self.build(problem, precision=precision)
+            report = tlr_cholesky(m, n_workers=n_workers)
+            assert_bitwise(m, ref)
+            assert (
+                report.counter.per_class_count
+                == ref_report.counter.per_class_count
+            )
+            assert report.max_rank_seen == ref_report.max_rank_seen
+
+    @pytest.mark.parametrize(
+        "how", ["processes", "checkpoint", "batch", "adaptive_threshold"]
+    )
+    def test_realizing_branches_are_the_eager_call(
+        self, problem, tmp_path, how
+    ):
+        kwargs = {
+            "processes": dict(executor="processes", n_ranks=2),
+            "checkpoint": dict(
+                checkpoint=CheckpointConfig(tmp_path / "d", every=8)
+            ),
+            "batch": dict(n_workers=2, batch=True),
+            "adaptive_threshold": dict(adaptive_threshold=0.2),
+        }[how]
+        eager, deferred = self.build(problem, defer=False), self.build(problem)
+        if how == "checkpoint":
+            tlr_cholesky(
+                eager, checkpoint=CheckpointConfig(tmp_path / "e", every=8)
+            )
+        else:
+            tlr_cholesky(eager, **kwargs)
+        tlr_cholesky(deferred, **kwargs)
+        assert_bitwise(deferred, eager)
+        if how == "checkpoint":  # the finished run, restored
+            resumed = self.build(problem)
+            report = tlr_cholesky(resumed, resume=True, **kwargs)
+            assert report.tasks_resumed > 0
+            assert_bitwise(resumed, eager)
+
+    def test_faults_roll_back_to_the_pending_tile(self, problem):
+        """The recovery engine runs on the deferred matrix itself: a
+        pending tile is its own snapshot."""
+        ref, chaotic = self.build(problem), self.build(problem)
+        tlr_cholesky(ref)
+        report = tlr_cholesky(chaotic, faults="nan:gemm:0.3")
+        assert report.resilience.retries > 0
+        assert_bitwise(chaotic, ref)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_accuracy(self, problem, eps):
+        rule = TruncationRule(eps=eps)
+        dense = problem.dense()
+        eager = self.build(problem, defer=False, rule=rule)
+        deferred = self.build(problem, rule=rule)
+        oracle = self.build(problem, defer=False, rule=rule, backend="svd")
+        for m in (eager, deferred, oracle):
+            tlr_cholesky(m)
+        err = backward_error(deferred, dense)
+        assert err <= 10 * eps
+        assert err <= 1.5 * backward_error(eager, dense)
+        for ij, t in deferred.tiles.items():
+            if isinstance(t, LowRankTile):
+                k = oracle.tile(*ij).rank
+                assert t.rank <= k + max(2, 0.05 * k), ij
+
+    def test_one_compression_and_one_generation_per_tile(
+        self, problem, monkeypatch
+    ):
+        compressed, generated = [], []
+        compress, tile = SVDBackend.compress, CovarianceProblem.tile
+
+        def counting_compress(self, a, rule, **kwargs):
+            compressed.append(kwargs.get("rank_hint"))
+            return compress(self, a, rule, **kwargs)
+
+        def counting_tile(self, i, j):
+            generated.append((i, j))
+            return tile(self, i, j)
+
+        monkeypatch.setattr(SVDBackend, "compress", counting_compress)
+        monkeypatch.setattr(CovarianceProblem, "tile", counting_tile)
+        m = self.build(problem, backend="svd")
+        assert len(compressed) == 6 and len(generated) == 15 + 6
+        tlr_cholesky(m)
+        assert compressed == [None] * 21  # never a second, hinted rounding
+        assert sorted(generated) == sorted(m.tiles)
+
+    @pytest.mark.parametrize(
+        "n,band,eps,pending",
+        [
+            (100, 1, 1e-4, 0),   # NT = 1
+            (200, 1, 1e-4, 0),   # NT = 2: column 0 only
+            (400, 4, 1e-4, 0),   # band >= NT: all dense
+            (350, 1, 1e-4, 3),   # ragged last tile (50 rows)
+            (400, 1, 1.0, 3),    # rank-0 tiles, rank-0 updates
+            (400, 1, 1e-8, 3),
+        ],
+    )
+    def test_edges(self, n, band, eps, pending):
+        small = st_3d_exp_problem(n, 100, seed=3)
+        rule = TruncationRule(eps=eps)
+        loops = self.build(small, rule=rule, band=band)
+        assert n_pending(loops) == pending
+        tlr_cholesky(loops)
+        core = self.build(small, rule=rule, band=band)
+        tlr_cholesky(core, n_workers=2)
+        assert_bitwise(core, loops)
+        if eps < 1.0:
+            assert backward_error(loops, small.dense()) <= 10 * eps
+        else:
+            assert loops.rank_stats()[0] == 0
+
+    def test_readers_handle_pending_tiles_or_say_what_to_call(
+        self, problem, tmp_path
+    ):
+        m = self.build(problem)
+        x = np.ones(m.n)
+        for reader in (
+            lambda: forward_solve(m, x),
+            lambda: solve_spd(m, x),
+            lambda: log_likelihood(m, x),
+            lambda: tlr_matvec(m, x),
+            lambda: save_matrix(m, tmp_path / "m.npz"),
+            lambda: footprint_report(m),
+        ):
+            with pytest.raises(ConfigurationError, match=r"realize\(\)"):
+                reader()
+        # handled: the exact block stands in for a tile not compressed yet
+        eager = self.build(problem, defer=False)
+        assert np.linalg.norm(m.to_dense() - eager.to_dense()) <= 1e-3
+        wider = m.with_band_size(3, problem)
+        assert isinstance(wider.tile(3, 1), DenseTile)
+        assert wider.tile(4, 1) is m.tile(4, 1)
+        apply_precision(m, resolve_precision("adaptive"))
+        assert m.tile(7, 1).dtype == np.float32
+        assert_bitwise(
+            m.realize(), self.build(problem, defer=False, precision="adaptive")
+        )

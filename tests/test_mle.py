@@ -11,6 +11,7 @@ from repro.core import (
     log_likelihood,
     tlr_cholesky,
 )
+from repro.linalg import AutoBackend
 from repro.utils import ConfigurationError
 
 
@@ -62,6 +63,53 @@ class TestLikelihoodEvaluator:
             points=mle_problem.points, z=mle_z, tile_size=49
         )
         assert ev(-1.0, 0.1) == float("-inf")
+
+    def test_deferred_step_against_the_dense_oracle(self, monkeypatch):
+        """b = 200, ε = 1e-4, band 2 — the size the default backend
+        samples: each of the 10 off-band tiles is compressed once (those
+        of columns >= 1 after their update, so never rounded again with
+        a hint), and Eq. (1) holds to the accuracy threshold."""
+        hints = []
+        compress = AutoBackend.compress
+
+        def counting(self, a, rule, **kwargs):
+            hints.append(kwargs.get("rank_hint"))
+            return compress(self, a, rule, **kwargs)
+
+        monkeypatch.setattr(AutoBackend, "compress", counting)
+        problem = st_3d_exp_problem(1200, 200, seed=5)
+        z = problem.sample_measurements(seed=6)
+        ev = LikelihoodEvaluator(
+            points=problem.points, z=z, tile_size=200,
+            rule=TruncationRule(eps=1e-4), band_size=2,
+            nugget=problem.nugget,
+        )
+        ll = ev(problem.params.variance, problem.params.correlation_length)
+        a = problem.dense()
+        _, logdet = np.linalg.slogdet(a)
+        ref = -0.5 * (
+            problem.n * np.log(2 * np.pi) + logdet + z @ np.linalg.solve(a, z)
+        )
+        assert abs(ll - ref) <= 1e-4 * abs(ref)
+        assert hints == [None] * 10
+
+    @pytest.mark.parametrize(
+        "spoil,match",
+        [
+            (lambda p, z: (p, np.where(np.arange(z.size) == 3, np.nan, z)),
+             "finite"),
+            (lambda p, z: (p, z[:-1]), "length-343"),
+            (lambda p, z: (np.where(p == p[0, 0], np.nan, p), z), "finite"),
+            (lambda p, z: (p[:, 0], z), "2-D"),
+        ],
+        ids=["nan-in-z", "short-z", "nan-point", "flat-points"],
+    )
+    def test_bad_inputs_are_refused_at_construction(
+        self, mle_problem, mle_z, spoil, match
+    ):
+        points, z = spoil(mle_problem.points, mle_z)
+        with pytest.raises(ConfigurationError, match=match):
+            LikelihoodEvaluator(points=points, z=z, tile_size=49)
 
     def test_evaluations_logged(self, mle_problem, mle_z):
         ev = LikelihoodEvaluator(
