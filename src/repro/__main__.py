@@ -240,24 +240,12 @@ def _run_tune_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import format_table
-    from repro.obs.analytics import load_run, render_prediction
-    from repro.tune import (
-        Calibration,
-        parse_grid,
-        sweep,
-        verify_prediction,
-    )
+    from repro.obs.analytics import render_prediction
+    from repro.tune import parse_grid, sweep, verify_prediction
     from repro.utils.exceptions import ConfigurationError
 
-    runs = []
-    for src in args.from_run:
-        if not (Path(src) / "events.jsonl").exists():
-            print(f"error: {src} is not an --obs run directory "
-                  f"(no events.jsonl)", file=sys.stderr)
-            return 2
-        runs.append(load_run(src))
     try:
-        cal = Calibration.from_runs(runs, sources=tuple(args.from_run))
+        cal = _calibration(args.from_run)
         grid = parse_grid(args.grid) if args.grid else None
         result = sweep(
             cal,
@@ -283,9 +271,8 @@ def _run_tune_sweep(args: argparse.Namespace) -> int:
          "critpath_ms", "occupancy", "MiB_sent", "msgs"],
         rows,
         title=f"simulated sweep over {len(result.candidates)} candidates "
-              f"({result.rates_mode} rates, "
-              f"{cal.task_overhead_s * 1e6:.0f} us/task overhead, "
-              f"calibrated from {len(runs)} run(s))",
+              f"({cal.task_overhead_s * 1e6:.0f} us/task overhead, "
+              f"calibrated from {len(cal.sources)} run(s))",
     ))
     w = result.winner.candidate
     print(f"tuned BAND_SIZE = {w.band_size} via simulated makespan "
@@ -538,29 +525,33 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
     the predicted schedule into the active observation, so the ``--obs``
     directory holds the same artifact shapes as a real run — feed both to
     ``python -m repro compare`` for the predicted-vs-realized trace diff.
-    With ``--calibrate-from REALDIR`` the simulator's kernel costs are
-    the median measured durations of the real run's trace, isolating
-    scheduling/communication model error from kernel-rate error.
+    With ``--calibrate-from REALDIR`` the simulator is priced by the
+    same :class:`~repro.tune.Calibration` ``tune`` uses: per-class mean
+    task durations and the per-task runtime overhead of the real run.
     """
     from repro import obs
     from repro.analysis import format_table
     from repro.distribution import default_distribution
     from repro.obs import gantt
-    from repro.runtime import MachineSpec, SimExecutor, rates_from_run
-    from repro.runtime.task import task_name
+    from repro.runtime import MachineSpec, SimExecutor
+    from repro.tune.verify import predicted_run, record_run
+    from repro.utils.exceptions import ConfigurationError
 
     if args.verify:
         print("error: --verify needs a factorized matrix; the sim "
               "executor only predicts the run", file=sys.stderr)
         return 2
 
-    machine = None
+    machine = MachineSpec(nodes=args.ranks, cores_per_node=1)
     if args.calibrate_from is not None:
-        from repro.obs.analytics import load_run
-
+        try:
+            cal = _calibration([args.calibrate_from])
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         machine = MachineSpec(
-            nodes=args.ranks, cores_per_node=1,
-            rates=rates_from_run(load_run(args.calibrate_from)),
+            nodes=args.ranks, cores_per_node=1, rates=cal.rates,
+            task_overhead_s=cal.task_overhead_s,
         )
     ex = SimExecutor(n_ranks=args.ranks, machine=machine,
                      scheduler=args.scheduler)
@@ -570,16 +561,7 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
     # Replay the predicted schedule as spans so --obs yields a trace the
     # analytics layer (and `repro compare`) reads like a realized one.
     if obs.enabled():
-        obs.graph_observed(graph, task_name)
-        t0 = obs.clock()
-        for tid, proc, start, end in res.trace:
-            task = graph.tasks[tid]
-            obs.record_span(
-                task_name(tid), "task",
-                start=t0 + start, end=t0 + end,
-                thread=f"rank-{proc}", worker=proc,
-                kernel=task.kernel.value, flops=task.flops,
-            )
+        record_run(predicted_run(graph, res), obs.active(), t0=obs.clock())
         obs.gauge_set("makespan_s", res.makespan, executor="sim")
         obs.gauge_set("remote_messages", res.comm.messages)
         obs.gauge_set("remote_bytes", res.comm.bytes_sent)
@@ -597,8 +579,9 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
             ("messages", res.comm.messages),
             ("MiB sent", round(res.comm.bytes_sent / 2**20, 3)),
             ("broadcasts", res.comm.broadcasts),
-            ("kernel rates", "measured" if machine is not None
+            ("kernel rates", "measured" if args.calibrate_from is not None
              else "Shaheen-II-like"),
+            ("task overhead (us)", round(machine.task_overhead_s * 1e6, 1)),
         ],
         title=f"predicted execution [sim]: n={args.n}, b={args.tile}, "
               f"band={args.band}, ranks={args.ranks}",
@@ -625,23 +608,39 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_obs_dir(path: str) -> bool:
+def _load_runs(paths) -> list:
+    """Load ``--obs`` run directories; a path that is not one raises
+    :class:`ConfigurationError` (every caller exits 2 on it)."""
     from pathlib import Path
 
-    return (Path(path) / "events.jsonl").exists()
+    from repro.obs.analytics import load_run
+    from repro.utils.exceptions import ConfigurationError
+
+    for path in paths:
+        if not (Path(path) / "events.jsonl").exists():
+            raise ConfigurationError(
+                f"{path} is not an --obs run directory (no events.jsonl)"
+            )
+    return [load_run(path) for path in paths]
+
+
+def _calibration(paths):
+    """The one calibration ``tune`` and ``execute --executor sim`` read."""
+    from repro.tune import Calibration
+
+    return Calibration.from_runs(_load_runs(paths), sources=tuple(paths))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.obs.analytics import load_run, render_diff, trace_diff
+    from repro.obs.analytics import render_diff, trace_diff
+    from repro.utils.exceptions import ConfigurationError
 
-    for path in (args.base, args.head):
-        if not _is_obs_dir(path):
-            print(f"error: {path} is not an --obs run directory "
-                  f"(no events.jsonl)", file=sys.stderr)
-            return 2
-    diff = trace_diff(
-        load_run(args.base), load_run(args.head), threshold=args.threshold,
-    )
+    try:
+        base, head = _load_runs((args.base, args.head))
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    diff = trace_diff(base, head, threshold=args.threshold)
     print(render_diff(diff))
     return 1 if diff.has_regression else 0
 
@@ -955,8 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "rank, recorded worker count)")
     t.add_argument("--target-nt", type=int, default=None, metavar="NT",
                    help="sweep a different tile count than recorded "
-                        "(rank model extrapolates; rates switch to "
-                        "per-class GFLOP/s)")
+                        "(the rank model extrapolates; a task costs its "
+                        "class's recorded mean duration, as at the "
+                        "recorded count)")
     t.add_argument("--verify", action="store_true",
                    help="execute the winning config for real and gate "
                         "predicted-vs-realized makespan through the "
@@ -1021,9 +1021,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(tiles placed by the hybrid band distribution)")
     e.add_argument("--calibrate-from", type=str, default=None,
                    metavar="DIR",
-                   help="with --executor sim: drive the simulator with "
-                        "per-kernel median durations measured from the "
-                        "--obs directory of a real run")
+                   help="with --executor sim: price the simulator by "
+                        "the per-class mean task durations and per-task "
+                        "overhead of a real run's --obs directory (the "
+                        "calibration tune --from-run uses)")
     e.add_argument("--compression", choices=["svd", "rsvd", "auto"],
                    default=None,
                    help="compression backend: exact SVD, adaptive "

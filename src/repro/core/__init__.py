@@ -8,7 +8,6 @@ from .autotuner import (
     band_candidates,
     subdiagonal_costs,
     subdiagonal_maxranks,
-    sweep_band_by_flops,
     tie_break_band,
     tune_band_size,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "autotune_matrix",
     "band_candidates",
     "tie_break_band",
-    "sweep_band_by_flops",
     "subdiagonal_costs",
     "subdiagonal_maxranks",
     "FactorizationReport",

@@ -56,7 +56,6 @@ __all__ = [
     "BandSizeDecision",
     "band_candidates",
     "tie_break_band",
-    "sweep_band_by_flops",
 ]
 
 #: The paper's fluctuation window.
@@ -262,47 +261,13 @@ def tie_break_band(bands) -> int:
     ranks grow during the factorization and near-band TRSM/SYRK flops
     increase when densifying, so on a tie the less-densified (smaller)
     band is preferred.  This function is the single place that rule
-    lives; :func:`sweep_band_by_flops` and :mod:`repro.tune` both call
-    it (the simulated sweep via its ascending ``band_size`` sort key).
+    lives; :mod:`repro.tune`'s simulated sweep applies it through its
+    ascending ``band_size`` sort key.
     """
     bands = tuple(bands)
     if not bands:
         raise ConfigurationError("tie_break_band needs at least one band")
     return min(bands)
-
-
-def sweep_band_by_flops(
-    rank_grid: np.ndarray,
-    tile_size: int,
-    bands=None,
-    *,
-    max_band: int | None = None,
-) -> int:
-    """The band minimizing Algorithm 1's modelled *total* flops.
-
-    Where :func:`tune_band_size` applies the marginal per-sub-diagonal
-    test, this evaluates the full factorization cost of each candidate
-    band — the same objective a simulated sweep minimizes when the
-    machine model makes every task's duration proportional to its flops
-    (one rank, one core, uniform rates).  At small N both are exact, so
-    the two deciders must agree there; ties resolve through
-    :func:`tie_break_band`.
-    """
-    decision = tune_band_size(rank_grid, tile_size, max_band=max_band)
-    if bands is None:
-        bands = band_candidates(decision)
-    costs = decision.costs
-
-    def total_flops(band: int) -> float:
-        # Sub-diagonals 1..band-1 run dense, the rest stay compressed;
-        # POTRF cost is band-independent and omitted from the sum.
-        total = 0.0
-        for c in costs:
-            total += c.dense_flops if c.band_id <= band else c.tlr_flops
-        return total
-
-    best = min(total_flops(b) for b in bands)
-    return tie_break_band(b for b in bands if total_flops(b) == best)
 
 
 def autotune_matrix(

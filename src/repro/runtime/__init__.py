@@ -1,12 +1,9 @@
 """The task runtime (PaRSEC substitute): graphs, executor, simulator."""
 
 from .calibration import (
-    MeasuredRates,
     calibrate_machine,
     measure_dense_gflops,
     measure_lr_efficiency,
-    rates_from_run,
-    rates_from_runs,
 )
 from .dataflow import DataflowBreakdown, classify_dataflow, to_dot
 from .distributed import (
@@ -22,7 +19,7 @@ from .graph import (
     classify_gemm,
     graph_for_matrix,
 )
-from .machine import SHAHEEN_II_LIKE, KernelRateModel, MachineSpec
+from .machine import SHAHEEN_II_LIKE, KernelRateModel, MachineSpec, MeasuredRates
 from .memory_pool import MemoryPool, PoolStats
 from .parallel import (
     ThreadSafeFlopCounter,
@@ -58,9 +55,6 @@ __all__ = [
     "calibrate_machine",
     "measure_dense_gflops",
     "measure_lr_efficiency",
-    "MeasuredRates",
-    "rates_from_run",
-    "rates_from_runs",
     "DistributedExecutionReport",
     "binomial_children",
     "execute_graph_distributed",
@@ -81,6 +75,7 @@ __all__ = [
     "execute_graph",
     "MachineSpec",
     "KernelRateModel",
+    "MeasuredRates",
     "SHAHEEN_II_LIKE",
     "MemoryPool",
     "PoolStats",

@@ -5,13 +5,13 @@ on *this* machine, :func:`calibrate_machine` measures the host's actual
 dense-GEMM throughput and TLR-GEMM efficiency curve (the Fig. 2a
 quantities) and builds a :class:`KernelRateModel` from them — closing the
 loop between the measured single-core benchmarks and the simulated
-distributed runs.
+distributed runs.  Rates measured from a *recorded run* are
+:meth:`repro.tune.Calibration.from_runs`'s job.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,6 @@ __all__ = [
     "measure_dense_gflops",
     "measure_lr_efficiency",
     "calibrate_machine",
-    "MeasuredRates",
-    "rates_from_run",
-    "rates_from_runs",
 ]
 
 
@@ -95,125 +92,3 @@ def calibrate_machine(
         nodes=nodes, cores_per_node=cores_per_node, rates=rates, **machine_kwargs
     )
 
-
-#: Table-I classes that run the same kernel on the same destination format
-#: and differ only in one operand's format.  A recording that exercised
-#: one of a pair prices the other: the fused low-rank-destination GEMM is
-#: labelled (5) or (6) by its first panel alone, and a band-1 recording
-#: holds only (6) while every candidate band above 1 also holds (5).
-_SIBLING_CLASS = {
-    "(5)-GEMM": "(6)-GEMM",
-    "(6)-GEMM": "(5)-GEMM",
-    "(3)-GEMM": "(3)-SYRK",
-    "(3)-SYRK": "(3)-GEMM",
-}
-
-
-@dataclass
-class MeasuredRates:
-    """Kernel durations replayed from a recorded run's task spans.
-
-    Where :class:`~repro.runtime.machine.KernelRateModel` is an analytic
-    throughput curve, this rates object answers ``seconds(...)`` with the
-    *median measured duration* of that kernel class in a real trace — the
-    DES then replays the measured per-task costs over the modelled
-    network, which is exactly the "predicted vs realized" reconciliation
-    a trace diff wants: per-kernel medians agree by construction, and any
-    residual disagreement isolates scheduling/communication modelling
-    error rather than kernel-rate error.
-    """
-
-    durations: dict[str, float] = field(default_factory=dict)
-    fallback_gflops: float = 10.0
-    class_gflops: dict[str, float] = field(default_factory=dict)
-    extrapolate: bool = False
-
-    def seconds(self, kernel, flops: float, b: int, k: int) -> float:
-        """Measured duration of ``kernel``, else of its sibling class
-        (:data:`_SIBLING_CLASS`), else the aggregate flops rate."""
-        name = getattr(kernel, "value", str(kernel))
-        for cls in (name, _SIBLING_CLASS.get(name)):
-            if self.extrapolate:
-                g = self.class_gflops.get(cls)
-                if g and g > 0.0 and flops > 0.0:
-                    return flops / (g * 1e9)
-            d = self.durations.get(cls)
-            if d is not None:
-                return d
-        if flops <= 0.0:
-            return 0.0
-        return flops / (self.fallback_gflops * 1e9)
-
-
-def rates_from_run(
-    run, *, extrapolate: bool = False, stat: str = "median"
-) -> MeasuredRates:
-    """Build :class:`MeasuredRates` from a loaded run trace.
-
-    ``run`` is an :class:`~repro.obs.analytics.RunTrace` (from
-    :func:`repro.obs.load_run` or :func:`repro.obs.run_from_observation`)
-    whose task spans carry ``kernel`` annotations — any graph-executor
-    run recorded under :func:`repro.obs.observe` qualifies.
-    """
-    return rates_from_runs([run], extrapolate=extrapolate, stat=stat)
-
-
-def rates_from_runs(
-    runs, *, extrapolate: bool = False, stat: str = "median"
-) -> MeasuredRates:
-    """Pool several recorded runs into one :class:`MeasuredRates`.
-
-    Per-kernel-class durations from all runs are merged before taking
-    the summary statistic, and per-class GFLOP/s (``class_gflops``) is
-    computed from the pooled flops/seconds totals.  With
-    ``extrapolate=False`` (the default) ``seconds`` replays the pooled
-    per-class duration — the right mode when the sweep targets the
-    *recorded* geometry.  With ``extrapolate=True`` the per-class
-    throughput scales durations with each task's modelled flops — the
-    right mode when tuning for a *different* N or tile size than was
-    recorded.
-
-    ``stat`` selects the replayed statistic: ``"median"`` (default)
-    makes predicted and realized per-kernel *medians* agree by
-    construction — what a trace diff compares; ``"mean"`` makes the
-    simulated *aggregate busy time* match the recorded one — what a
-    makespan prediction needs, because measured task durations are
-    right-skewed (preemption and cache pollution only ever slow a task
-    down), so Σ medians undershoots Σ durations by the skew factor.
-    The autotuner calibrates with ``"mean"`` for exactly that reason
-    (see docs/tuning.md).
-    """
-    from ..obs.analytics import flop_attribution
-
-    if not runs:
-        raise ValueError("rates_from_runs needs at least one run")
-    if stat not in ("median", "mean"):
-        raise ValueError(f"stat must be 'median' or 'mean', got {stat!r}")
-    pooled_durations: dict[str, list[float]] = {}
-    pooled_flops: dict[str, float] = {}
-    pooled_secs: dict[str, float] = {}
-    for run in runs:
-        for kernel, r in flop_attribution(run).items():
-            pooled_durations.setdefault(kernel, []).extend(r.durations)
-            pooled_flops[kernel] = pooled_flops.get(kernel, 0.0) + r.flops
-            pooled_secs[kernel] = pooled_secs.get(kernel, 0.0) + r.seconds
-    summarize = np.median if stat == "median" else np.mean
-    durations = {
-        kernel: float(summarize(ds))
-        for kernel, ds in pooled_durations.items()
-        if ds
-    }
-    class_gflops = {
-        kernel: pooled_flops[kernel] / pooled_secs[kernel] / 1e9
-        for kernel in pooled_flops
-        if pooled_secs.get(kernel, 0.0) > 0.0 and pooled_flops[kernel] > 0.0
-    }
-    total_flops = sum(pooled_flops.values())
-    total_secs = sum(pooled_secs.values())
-    fallback = total_flops / total_secs / 1e9 if total_secs > 0 else 10.0
-    return MeasuredRates(
-        durations=durations,
-        fallback_gflops=fallback,
-        class_gflops=class_gflops,
-        extrapolate=extrapolate,
-    )

@@ -25,7 +25,7 @@ from ..linalg.flops import KernelClass
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_in, check_positive_float, check_positive_int
 
-__all__ = ["KernelRateModel", "MachineSpec", "SHAHEEN_II_LIKE"]
+__all__ = ["KernelRateModel", "MeasuredRates", "MachineSpec", "SHAHEEN_II_LIKE"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,53 @@ class KernelRateModel:
             return 0.0
         rate = self.dense_gflops * 1e9 * self.efficiency(kernel, b, k)
         return flops / rate
+
+
+#: Table-I classes that run the same kernel on the same destination format
+#: and differ only in one operand's format.  A recording that exercised
+#: one of a pair prices the other: the fused low-rank-destination GEMM is
+#: labelled (5) or (6) by its first panel alone, and a band-1 recording
+#: holds only (6) while every candidate band above 1 also holds (5).
+_SIBLING_CLASS = {
+    "(5)-GEMM": "(6)-GEMM",
+    "(6)-GEMM": "(5)-GEMM",
+    "(3)-GEMM": "(3)-SYRK",
+    "(3)-SYRK": "(3)-GEMM",
+}
+
+
+@dataclass
+class MeasuredRates:
+    """Kernel costs replayed from recorded task spans.
+
+    Where :class:`KernelRateModel` is an analytic throughput curve, this
+    rates object prices a task by one rule: the mean recorded duration of
+    its Table-I class, else of its sibling class (:data:`_SIBLING_CLASS`),
+    else its flops at ``fallback_gflops`` (the recordings' aggregate
+    rate).  Means, not medians: ``n`` tasks of a class at its mean sum to
+    the class's recorded busy time, where medians undershoot it
+    (durations are right-skewed).  A duration, not ``flops / rate``: at
+    b = 64-100 a task is mostly call latency, and scaling by flops
+    under-prices the small tasks a wider band or another tile count runs
+    (measured in docs/tuning.md).  :meth:`repro.tune.Calibration
+    .from_runs` fits it; with no durations every task costs its flops at
+    one rate — Algorithm 1's flop model.
+    """
+
+    durations: dict[str, float] = field(default_factory=dict)
+    fallback_gflops: float = 10.0
+
+    def seconds(self, kernel, flops: float, b: int, k: int) -> float:
+        """Recorded mean duration of ``kernel`` or its sibling class, else
+        ``flops`` at the aggregate rate."""
+        name = getattr(kernel, "value", str(kernel))
+        for cls in (name, _SIBLING_CLASS.get(name)):
+            d = self.durations.get(cls)
+            if d is not None:
+                return d
+        if flops <= 0.0:
+            return 0.0
+        return flops / (self.fallback_gflops * 1e9)
 
 
 @dataclass(frozen=True)

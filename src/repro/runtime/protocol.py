@@ -183,8 +183,8 @@ class SimExecutor(Executor):
     Shaheen-II-like network, which is the lane layout the numerical
     executors report (``nodes = ranks``, ``cores_per_node = 1``) — pass
     ``machine`` (e.g. from :func:`~repro.runtime.calibration
-    .calibrate_machine` or with :class:`~repro.runtime.calibration
-    .MeasuredRates`) to predict with this host's kernel costs.
+    .calibrate_machine` or with :class:`~repro.tune.Calibration`'s
+    rates and overhead) to predict with measured kernel costs.
     """
 
     name = "sim"

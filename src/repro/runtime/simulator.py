@@ -454,7 +454,7 @@ def simulate_schedule(
     placement, :func:`~repro.distribution.default_distribution`;
     ``"2d"``: plain 2DBCDD on the same grid; ``"1d"``: row-wise
     1DBCDD), a process/core count, and an optional rates object
-    (:class:`~repro.runtime.calibration.MeasuredRates` or a
+    (:class:`~repro.runtime.machine.MeasuredRates` or a
     :class:`~repro.runtime.machine.KernelRateModel`) — so an autotuner
     can evaluate one candidate per call without repeating the plumbing.
     """

@@ -10,16 +10,18 @@ predict *other* configurations of the same problem family:
 * the recovered grid fits a :class:`~repro.analysis.ranks.RankModel`
   (rank as a power law of sub-diagonal distance) for extrapolating the
   rank structure to tile counts never measured;
-* the task spans calibrate :class:`~repro.runtime.calibration
-  .MeasuredRates` — median replay for same-geometry sweeps, per-class
-  GFLOP/s extrapolation when the target size differs;
+* the task spans calibrate :class:`~repro.runtime.machine.MeasuredRates`
+  — the mean task duration of each kernel class, and the aggregate
+  GFLOP/s for classes no recording exercised;
 * the idle gaps between a worker's consecutive task spans calibrate the
   simulated machine's per-task runtime overhead
   (:attr:`~repro.runtime.machine.MachineSpec.task_overhead_s`).
 
 Several runs of the same geometry pool into one :class:`Calibration`
 (element-wise max of rank grids — conservative, like Algorithm 1's
-per-sub-diagonal maxrank — and pooled kernel durations).
+per-sub-diagonal maxrank — and pooled task spans).  This is the only
+code that turns recordings into simulator inputs: ``tune`` and
+``execute --executor sim --calibrate-from`` both read it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.ranks import RankModel, paper_rank_model
-from ..runtime.calibration import MeasuredRates, rates_from_runs
+from ..runtime.machine import MeasuredRates
 from ..utils.exceptions import ConfigurationError
 
 __all__ = ["Calibration", "ranks_from_run"]
@@ -72,6 +74,25 @@ def ranks_from_run(run) -> np.ndarray:
         k = int(round(float(info["flops"]) / (b * b)))
         grid[i, j] = max(grid[i, j], k)
     return grid
+
+
+def _measured_rates(runs) -> MeasuredRates:
+    """Pooled per-class mean task seconds and the aggregate GFLOP/s."""
+    from ..obs.analytics import flop_attribution
+
+    durations: dict[str, list[float]] = {}
+    flops = secs = 0.0
+    for run in runs:
+        for kernel, r in flop_attribution(run).items():
+            durations.setdefault(kernel, []).extend(r.durations)
+            flops += r.flops
+            secs += r.seconds
+    return MeasuredRates(
+        durations={k: float(np.mean(ds)) for k, ds in durations.items()},
+        fallback_gflops=(
+            flops / secs / 1e9 if flops > 0.0 and secs > 0.0 else 10.0
+        ),
+    )
 
 
 def _task_overhead(runs) -> float:
@@ -121,8 +142,8 @@ class Calibration:
         All runs must agree on ``(ntiles, tile_size)``; their rank grids
         merge element-wise max (conservative, matching Algorithm 1's
         per-sub-diagonal maxrank) and their task spans pool into one
-        :class:`MeasuredRates`.  Raises :class:`ConfigurationError` on
-        geometry mismatch.
+        :class:`MeasuredRates` and one per-task overhead.  Raises
+        :class:`ConfigurationError` on geometry mismatch.
 
         The runs may differ in *band size* — deliberately.  A band-1
         run exposes every tile's initial rank but exercises no dense
@@ -130,7 +151,7 @@ class Calibration:
         those classes from the flops fallback (badly: dense BLAS-3
         sustains far higher GFLOP/s than rank-k updates).  Pooling the
         band-1 run with one recorded at the tuned band covers both
-        regimes: ranks from the former, dense-class medians from the
+        regimes: ranks from the former, dense-class durations from the
         latter.  See docs/tuning.md's refinement loop.
         """
         if not runs:
@@ -172,11 +193,7 @@ class Calibration:
             band_size=band if band else 1,
             rank_grid=grid,
             rank_model=model,
-            # Means, not medians: the sweep predicts *makespan*, and the
-            # simulated aggregate busy time only matches the recorded one
-            # when each class replays its mean (durations are
-            # right-skewed).  The verify gate still compares medians.
-            rates=rates_from_runs(runs, stat="mean"),
+            rates=_measured_rates(runs),
             n_workers=max(run.n_workers for run in runs),
             meta=dict(runs[0].meta),
             sources=tuple(sources),

@@ -101,9 +101,13 @@ def parse_grid(spec: str) -> TuneGrid:
 
     Axes: ``band`` (ints), ``scheduler`` (priority/fifo/lifo), ``dist``
     (band/2d/1d), ``ranks`` (ints), ``cores`` (ints).  Omitted axes keep
-    their defaults; unknown axes or values raise
+    their defaults; unknown axes or values, a non-integer where integers
+    are expected, and an axis given twice raise
     :class:`ConfigurationError`.
     """
+    axes = {"band": "bands", "scheduler": "schedulers",
+            "dist": "distributions", "ranks": "ranks", "cores": "cores"}
+    names = {"scheduler": SCHEDULERS, "dist": DISTRIBUTION_NAMES}
     kwargs: dict = {}
     for part in spec.split(";"):
         part = part.strip()
@@ -118,32 +122,26 @@ def parse_grid(spec: str) -> TuneGrid:
         items = tuple(v.strip() for v in vals.split(",") if v.strip())
         if not items:
             raise ConfigurationError(f"grid axis {key!r} has no values")
-        if key == "band":
-            kwargs["bands"] = tuple(int(v) for v in items)
-        elif key == "scheduler":
-            for v in items:
-                if v not in SCHEDULERS:
-                    raise ConfigurationError(
-                        f"unknown scheduler {v!r} (choose from {SCHEDULERS})"
-                    )
-            kwargs["schedulers"] = items
-        elif key == "dist":
-            for v in items:
-                if v not in DISTRIBUTION_NAMES:
-                    raise ConfigurationError(
-                        f"unknown distribution {v!r} "
-                        f"(choose from {DISTRIBUTION_NAMES})"
-                    )
-            kwargs["distributions"] = items
-        elif key == "ranks":
-            kwargs["ranks"] = tuple(int(v) for v in items)
-        elif key == "cores":
-            kwargs["cores"] = tuple(int(v) for v in items)
-        else:
+        if key not in axes:
             raise ConfigurationError(
-                f"unknown grid axis {key!r} "
-                "(axes: band, scheduler, dist, ranks, cores)"
+                f"unknown grid axis {key!r} (axes: {', '.join(axes)})"
             )
+        if axes[key] in kwargs:
+            raise ConfigurationError(f"grid axis {key!r} is given twice")
+        if key in names:
+            for v in items:
+                if v not in names[key]:
+                    raise ConfigurationError(
+                        f"unknown {key} {v!r} (choose from {names[key]})"
+                    )
+        else:
+            try:
+                items = tuple(int(v) for v in items)
+            except ValueError:
+                raise ConfigurationError(
+                    f"grid axis {key!r} takes integers, got {vals.strip()!r}"
+                ) from None
+        kwargs[axes[key]] = items
     return TuneGrid(**kwargs)
 
 
@@ -188,7 +186,6 @@ class TuneResult:
     fluctuation_window: tuple[int, int]
     problem: dict = field(default_factory=dict)
     calibrated_from: tuple[str, ...] = ()
-    rates_mode: str = "mean-replay"
     verify: dict | None = None
 
     @property
@@ -222,7 +219,6 @@ class TuneResult:
                 "fluctuation_window": list(self.fluctuation_window),
                 "problem": self.problem,
                 "calibrated_from": list(self.calibrated_from),
-                "rates_mode": self.rates_mode,
                 "verify": self.verify,
             },
             indent=2,
@@ -237,7 +233,6 @@ class TuneResult:
             fluctuation_window=tuple(d["fluctuation_window"]),
             problem=d.get("problem", {}),
             calibrated_from=tuple(d.get("calibrated_from", ())),
-            rates_mode=d.get("rates_mode", "mean-replay"),
             verify=d.get("verify"),
         )
 
@@ -279,11 +274,11 @@ def sweep(
     """Evaluate the candidate grid through the DES; rank by makespan.
 
     ``ntiles`` targets a different problem size than recorded (the rank
-    model extrapolates and the rates switch to per-class GFLOP/s
-    extrapolation); by default the sweep targets the recorded geometry,
-    where median replay makes per-kernel medians agree with a realized
-    run by construction.  ``workers`` bounds the sweep's own evaluation
-    parallelism (the PR-1 workpool); ``smoke`` trims the grid for CI.
+    model extrapolates); by default the sweep targets the recorded
+    geometry.  Either way a task costs its class's recorded mean duration
+    (:class:`~repro.runtime.machine.MeasuredRates`).  ``workers`` bounds
+    the sweep's own evaluation parallelism (the PR-1 workpool);
+    ``smoke`` trims the grid for CI.
     """
     grid = grid or TuneGrid()
     nt = ntiles or calibration.ntiles
@@ -299,15 +294,6 @@ def sweep(
     if smoke:
         bands = bands[:3]
         schedulers = tuple(s for s in schedulers if s in ("priority", "fifo"))
-
-    rates = calibration.rates
-    if nt != calibration.ntiles and rates.class_gflops:
-        from dataclasses import replace
-
-        rates = replace(rates, extrapolate=True)
-        rates_mode = "extrapolate"
-    else:
-        rates_mode = "mean-replay"
 
     rank_fn = calibration.rank_fn(nt)
     graphs = {
@@ -338,7 +324,7 @@ def sweep(
             graph,
             ranks=cand.ranks,
             cores=cand.cores,
-            rates=rates,
+            rates=calibration.rates,
             scheduler=cand.scheduler,
             distribution=cand.distribution,
             collect_trace=True,
@@ -379,5 +365,4 @@ def sweep(
         fluctuation_window=decision.band_size_range,
         problem=problem,
         calibrated_from=calibration.sources,
-        rates_mode=rates_mode,
     )

@@ -40,6 +40,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "VerifyReport",
     "predicted_run",
+    "record_run",
     "factor_digest",
     "verify_prediction",
 ]
@@ -141,22 +142,28 @@ class VerifyReport:
         }
 
 
-def _write_trace_dir(run: RunTrace, outdir, meta: dict) -> None:
-    """Persist a RunTrace as standard --obs artifacts (for repro compare)."""
-    from .. import obs
-
-    ob = obs.Observation(meta=meta)
+def record_run(run: RunTrace, ob, *, t0: float = 0.0) -> None:
+    """Replay ``run``'s task spans (shifted by ``t0``) and graph document
+    into the :class:`~repro.obs.Observation` ``ob``."""
     ob.graph = run.graph
     for t in run.tasks:
         ob.tracer.record(
             t.name,
             "task",
-            t.start,
-            t.end,
+            t0 + t.start,
+            t0 + t.end,
             thread=t.thread,
             kernel=t.kernel,
             flops=t.flops,
         )
+
+
+def _write_trace_dir(run: RunTrace, outdir, meta: dict) -> None:
+    """Persist a RunTrace as standard --obs artifacts (for repro compare)."""
+    from .. import obs
+
+    ob = obs.Observation(meta=meta)
+    record_run(run, ob)
     ob._wall = max(run.wall_s, run.window_s)
     ob.write(outdir)
 

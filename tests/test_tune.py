@@ -1,11 +1,11 @@
 """Tests for the simulator-guided autotuner (``repro.tune``).
 
 Covers the full calibrate → sweep → verify loop: exact rank recovery
-from recorded runs, kernel-rate fitting (median replay and per-class
-GFLOP/s extrapolation), sweep determinism and winner dominance, the
-shared smallest-band tie-break, config JSON round-trips through
-``execute --config``, and the CLI's exit-code contract (2 on bad
-paths/config, 1 on a failed verify gate).
+from recorded runs, kernel-cost fitting (one rule: a task replays its
+class's mean recorded duration), sweep determinism and winner
+dominance, the shared smallest-band tie-break, config JSON round-trips
+through ``execute --config``, and the CLI's exit-code contract (2 on
+bad paths/config, 1 on a failed verify gate).
 
 The module-scope ``recorded`` fixture executes one real band-1 run of a
 256-point problem and writes standard ``--obs`` artifacts; everything
@@ -14,7 +14,6 @@ downstream calibrates from that directory exactly like a user would.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -26,11 +25,10 @@ from hypothesis import strategies as st
 from repro import TruncationRule, obs, st_3d_exp_problem
 from repro.__main__ import main
 from repro.analysis.ranks import paper_rank_model
-from repro.core import sweep_band_by_flops, tie_break_band, tune_band_size
+from repro.core import tie_break_band, tune_band_size
 from repro.matrix import BandTLRMatrix
 from repro.obs.analytics import load_run, occupancy
-from repro.runtime import build_cholesky_graph, get_executor
-from repro.runtime.calibration import MeasuredRates, rates_from_runs
+from repro.runtime import MeasuredRates, build_cholesky_graph, get_executor
 from repro.runtime.simulator import simulate_schedule
 from repro.tune import (
     Calibration,
@@ -84,8 +82,9 @@ def calibration(recorded, run):
 
 
 def synthetic_calibration(nt, tile, ranks_by_d, *, gflops=1.0):
-    """A Calibration with constant rank per sub-diagonal and flat rates
-    (every task's simulated duration proportional to its flops)."""
+    """A Calibration with constant rank per sub-diagonal and no
+    measurements: every task costs its flops at ``gflops`` — Algorithm
+    1's flop model."""
     grid = np.full((nt, nt), -1, dtype=np.int64)
     for d in range(1, nt):
         for j in range(nt - d):
@@ -96,7 +95,7 @@ def synthetic_calibration(nt, tile, ranks_by_d, *, gflops=1.0):
         band_size=1,
         rank_grid=grid,
         rank_model=paper_rank_model(tile, accuracy=1e-8),
-        rates=MeasuredRates(durations={}, fallback_gflops=gflops),
+        rates=MeasuredRates(fallback_gflops=gflops),
         n_workers=2,
         meta={"n": nt * tile, "tile": tile, "accuracy": 1e-8, "seed": 0},
     )
@@ -130,19 +129,27 @@ class TestRanksFromRun:
 
 
 class TestRates:
-    def test_median_replay_matches_recorded_medians(self, run):
-        rates = rates_from_runs([run])
-        by_class: dict[str, list[float]] = {}
+    def test_recorded_geometry_replays_recorded_busy_time(self, run, calibration):
+        """n_c tasks at the class mean sum to S_c: at the recorded
+        geometry each class's simulated busy time is its recorded Σ
+        durations."""
+        graph = build_cholesky_graph(
+            calibration.ntiles, BAND, TILE,
+            calibration.rank_fn(calibration.ntiles),
+        )
+        sim = simulate_schedule(graph, rates=calibration.rates)
+        recorded: dict[str, float] = {}
         for t in run.tasks:
-            if t.kernel:
-                by_class.setdefault(t.kernel, []).append(t.duration)
-        assert by_class
-        for kernel, durs in by_class.items():
-            got = rates.seconds(kernel, 1e9, TILE, 8)
-            assert got == pytest.approx(float(np.median(durs)))
+            if t.kernel and t.flops > 0.0:
+                recorded[t.kernel] = recorded.get(t.kernel, 0.0) + t.duration
+        assert recorded
+        busy = {k.value: s for k, s in sim.busy_by_kernel.items()}
+        assert set(busy) == set(recorded)
+        for kernel, secs in recorded.items():
+            assert busy[kernel] == pytest.approx(secs, rel=1e-9)
 
-    def test_unknown_class_falls_back_to_flops(self, run):
-        rates = rates_from_runs([run])
+    def test_unknown_class_falls_back_to_flops(self, calibration):
+        rates = calibration.rates
         got = rates.seconds("(9)-NOSUCH", 2e9, TILE, 8)
         assert got == pytest.approx(2e9 / (rates.fallback_gflops * 1e9))
 
@@ -158,25 +165,20 @@ class TestRates:
         assert rates.seconds("(5)-GEMM", 1e9, TILE, 8) == 2e-3
         assert rates.seconds("(3)-GEMM", 1e9, TILE, 8) == 1e-4
         assert rates.seconds("(1)-GEMM", 1e9, TILE, 8) == pytest.approx(1.0)
-        both = dataclasses.replace(
-            rates, durations={**rates.durations, "(5)-GEMM": 7e-4}
+        both = MeasuredRates(
+            durations={**rates.durations, "(5)-GEMM": 7e-4},
+            fallback_gflops=1.0,
         )
         assert both.seconds("(5)-GEMM", 1e9, TILE, 8) == 7e-4
         assert both.seconds("(6)-GEMM", 1e9, TILE, 8) == 2e-3
 
-    def test_extrapolate_uses_class_gflops(self, run):
-        rates = dataclasses.replace(rates_from_runs([run]), extrapolate=True)
-        kernel = next(t.kernel for t in run.tasks if t.kernel)
-        g = rates.class_gflops[kernel]
-        assert g > 0.0
-        assert rates.seconds(kernel, 3e9, TILE, 8) == pytest.approx(
-            3e9 / (g * 1e9)
-        )
-
-    def test_pooling_identical_runs_keeps_medians(self, run):
-        single = rates_from_runs([run])
-        pooled = rates_from_runs([run, run])
-        assert pooled.durations == single.durations
+    def test_pooling_identical_runs_keeps_durations(self, run):
+        single = Calibration.from_runs([run]).rates
+        pooled = Calibration.from_runs([run, run]).rates
+        assert pooled.durations.keys() == single.durations.keys()
+        for kernel, d in single.durations.items():
+            assert pooled.durations[kernel] == pytest.approx(d)
+        assert pooled.fallback_gflops == pytest.approx(single.fallback_gflops)
 
 
 class TestCalibration:
@@ -247,20 +249,31 @@ class TestTieBreak:
         with pytest.raises(ConfigurationError):
             tie_break_band([])
 
+    @staticmethod
+    def flop_winner(cal, bands=None) -> int:
+        """Algorithm 1's total-flop objective: the sweep over a
+        calibration with no measurements, on one rank and one core."""
+        grid = TuneGrid(bands=bands, schedulers=("priority",), cores=(1,))
+        return sweep(cal, grid=grid).winner.candidate.band_size
+
     def test_known_grid_pins_band_two(self):
         """Regression: this grid must keep choosing band 2 — by
         Algorithm 1, by the full flop sweep, and over any band set."""
-        _, grid = synthetic_calibration(6, 64, self.KNOWN_RANKS)
+        cal, grid = synthetic_calibration(6, 64, self.KNOWN_RANKS)
         assert tune_band_size(grid, 64).band_size == 2
         assert tune_band_size(grid, 64).band_size_range == (2, 2)
-        assert sweep_band_by_flops(grid, 64) == 2
-        assert sweep_band_by_flops(grid, 64, bands=list(range(1, 7))) == 2
+        assert self.flop_winner(cal) == 2
+        assert self.flop_winner(cal, tuple(range(1, 7))) == 2
 
     def test_equal_cost_bands_resolve_to_smallest(self):
-        """Bands beyond the last sub-diagonal cost the same total; the
-        shared rule resolves the tie downward."""
-        _, grid = synthetic_calibration(6, 64, self.KNOWN_RANKS)
-        assert sweep_band_by_flops(grid, 64, bands=[5, 6]) == 5
+        """With a core per ready task, bands 5 and 6 both run at the
+        length of the same critical path, so their predicted makespans
+        tie exactly; the shared rule resolves the tie downward."""
+        cal, _ = synthetic_calibration(6, 64, self.KNOWN_RANKS)
+        grid = TuneGrid(bands=(5, 6), schedulers=("priority",), cores=(16,))
+        res = sweep(cal, grid=grid)
+        assert res.candidates[0].makespan_s == res.candidates[1].makespan_s
+        assert res.winner.candidate.band_size == 5
 
     def test_simulated_sort_key_applies_same_rule(self):
         """Equal-makespan candidates rank ascending by band — the sort
@@ -292,7 +305,6 @@ class TestFlopSimulatedAgreement:
         bands = tuple(range(1, 6))
         _, winner = self._winner(cal, bands)
         assert winner == 1
-        assert sweep_band_by_flops(grid, 64, bands=list(bands)) == 1
         assert tune_band_size(grid, 64).band_size == 1
 
     def test_paper_regime_agrees_on_band_two(self):
@@ -300,7 +312,6 @@ class TestFlopSimulatedAgreement:
         bands = tuple(range(1, 7))
         res, winner = self._winner(cal, bands)
         assert winner == 2
-        assert sweep_band_by_flops(grid, 64, bands=list(bands)) == 2
         assert res.algorithm1_band == 2
 
     def test_single_core_makespan_is_total_work(self):
@@ -351,16 +362,23 @@ class TestSweepDeterminism:
         assert res.problem["n"] == N
         assert res.problem["tile"] == TILE
         assert res.problem["accuracy"] == EPS
-        assert res.rates_mode == "mean-replay"
 
     def test_target_ntiles_switches_to_extrapolation(self, calibration):
+        """Another tile count sweeps the rank model's extrapolated graph,
+        priced by the same per-class durations."""
+        nt = calibration.ntiles + 2
         res = sweep(
             calibration,
-            ntiles=calibration.ntiles + 2,
+            ntiles=nt,
             grid=TuneGrid(bands=(1, 2), schedulers=("priority",)),
         )
-        assert res.rates_mode == "extrapolate"
-        assert res.problem["n"] == (calibration.ntiles + 2) * TILE
+        assert res.problem["n"] == nt * TILE
+        graph = build_cholesky_graph(
+            nt, 1, TILE, calibration.rank_fn(nt), fused=True
+        )
+        band1 = next(c for c in res.candidates if c.candidate.band_size == 1)
+        assert band1.n_tasks == graph.n_tasks
+        assert band1.total_flops == pytest.approx(graph.total_flops())
 
 
 class TestWinnerDominance:
@@ -432,6 +450,15 @@ class TestParseGrid:
         with pytest.raises(ConfigurationError):
             parse_grid("band=")
 
+    @pytest.mark.parametrize("spec", ["band=1,x", "ranks=two", "cores=2.5"])
+    def test_non_integer_value_raises(self, spec):
+        with pytest.raises(ConfigurationError, match="integers"):
+            parse_grid(spec)
+
+    def test_repeated_axis_raises(self):
+        with pytest.raises(ConfigurationError, match="twice"):
+            parse_grid("band=1;band=2")
+
 
 class TestSerialization:
     def test_candidate_round_trip(self):
@@ -452,6 +479,12 @@ class TestSerialization:
         clone = TuneResult.from_json(res.to_json())
         assert clone.to_json() == res.to_json()
         assert clone.winner.candidate == res.winner.candidate
+
+    def test_from_json_ignores_retired_rates_mode(self, calibration):
+        doc = json.loads(sweep(calibration, smoke=True).to_json())
+        doc["rates_mode"] = "mean-replay"
+        clone = TuneResult.from_json(json.dumps(doc))
+        assert "rates_mode" not in clone.to_json()
 
     def test_config_names_every_execute_parameter(self, calibration):
         cfg = sweep(calibration, smoke=True).config()
@@ -563,6 +596,48 @@ class TestCLI:
         ])
         capsys.readouterr()
         assert rc == 2
+
+    def test_non_integer_grid_exits_2(self, recorded, capsys):
+        outdir, _ = recorded
+        rc = main([
+            "tune", "--from-run", str(outdir), "--grid", "band=1,x",
+        ])
+        assert "integers" in capsys.readouterr().err
+        assert rc == 2
+
+    def test_sim_calibrate_from_non_run_dir_exits_2(self, tmp_path, capsys):
+        """The same check and message as ``tune --from-run``."""
+        rc = main([
+            "execute", "--n", "256", "--tile", "64", "--band", "1",
+            "--executor", "sim", "--calibrate-from", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{tmp_path} is not an --obs run directory" in err
+
+    def test_sim_calibrate_from_prices_with_the_calibration(
+        self, recorded, calibration, tmp_path, capsys
+    ):
+        """``execute --executor sim --calibrate-from`` simulates with the
+        calibration's durations *and* overhead and records its schedule
+        as a standard trace of one span per task."""
+        outdir, _ = recorded
+        sim_dir = tmp_path / "sim"
+        rc = main([
+            "execute", "--n", str(N), "--tile", str(TILE), "--band", "1",
+            "--executor", "sim", "--ranks", "1", "--calibrate-from",
+            str(outdir), "--obs", str(sim_dir),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = next(ln for ln in out.splitlines() if "task overhead" in ln)
+        assert float(line.split("|")[1]) == pytest.approx(
+            calibration.task_overhead_s * 1e6, abs=0.1
+        )
+        predicted = load_run(sim_dir)
+        assert len(predicted.tasks) == predicted.graph["n_tasks"] > 0
+        assert main(["compare", str(sim_dir), str(outdir)]) in (0, 1)
+        capsys.readouterr()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["execute", "--config", str(tmp_path / "none.json")])
