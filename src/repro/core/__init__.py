@@ -11,11 +11,6 @@ from .autotuner import (
     tie_break_band,
     tune_band_size,
 )
-from .densify import (
-    TileDensificationPlan,
-    apply_densification,
-    plan_tile_densification,
-)
 from .factorize import FactorizationReport, tlr_cholesky
 from .refine import RefinementResult, refined_solve, tlr_matvec
 from .kriging import KrigingResult, krige
@@ -35,9 +30,6 @@ __all__ = [
     "subdiagonal_maxranks",
     "FactorizationReport",
     "tlr_cholesky",
-    "TileDensificationPlan",
-    "plan_tile_densification",
-    "apply_densification",
     "LikelihoodEvaluator",
     "MLEResult",
     "fit_mle",

@@ -4,7 +4,9 @@ The tile algorithm of Fig. 4, executed as straight loops — the numerical
 ground truth the runtime's execution core is validated against.  One code
 path covers all the paper's layouts through the matrix's per-tile
 formats: pure TLR (band 1), BAND-DENSE-TLR (band B), fully dense
-(band NT), and the tile-based densification of :mod:`repro.core.densify`.
+(band NT), and any per-tile dense/low-rank map (§IX's tile-based
+generalization, which a deferred assembly decides where each tile is
+born).
 
 Where this departs from the paper: HCORE_DGEMM rounds a low-rank tile
 once per (tile, panel) pair — O(NT³) roundings for O(NT²) tiles, 68-83 %
@@ -23,21 +25,18 @@ and no final rank exceeds the per-update one by more than max(2, 5 %).
 
 An MLE step goes one further: it never looks at the unfactorized matrix,
 so ``BandTLRMatrix.from_problem`` with ``defer`` leaves every off-band tile
-of columns ``j >= 1`` pending and the fused update compresses the
-*expression* ``A_mn − Σ_j L_mj L_njᵀ`` once, with the generated kernel
-block as ``A_mn`` — compression after the update, not before it and again
-at the wide rounding.  The loops and the in-process core consume pending
-tiles natively (bitwise alike at any worker count); the branches that
-ship, persist or stack tiles ``realize()`` the matrix first and are then
-the eager call, bit for bit.
-
-Beyond the paper's static layouts, ``adaptive_threshold`` implements the
-*online* densification Section V-B sketches as future work ("an adaptive
-online auto-tuning that densifies ... the tiles on-demand"): whenever a
-recompression pushes a tile's rank above the threshold fraction of the
-tile size, the tile is rolled back to dense on the spot, and destinations
-whose both operands have become dense are densified before the update
-(the closure rule of :func:`repro.core.densify.plan_tile_densification`).
+of columns ``j >= 1`` pending, and the fused update forms the
+*expression* ``A_mn − Σ_j L_mj L_njᵀ`` with the generated kernel block as
+``A_mn``.  That block is where the tile's format is decided
+(:func:`~repro.linalg.tiles.keep_dense`, rank ≥ ⌈b/3⌉ stays dense): a
+tile the previous step's factor marks dense keeps it without a
+compression, any other is compressed once — compression after the
+update, not before it and again at the wide rounding.  A low-rank tile
+whose panel operands are both dense takes them as width-``b`` factors, so
+every dense/low-rank map is valid.  The loops and the in-process core
+consume pending tiles natively (bitwise alike at any worker count); the
+branches that ship, persist or stack tiles ``realize()`` the matrix first
+and are then the eager call on the same formats, bit for bit.
 
 The factor overwrites the matrix: dense tiles hold dense ``L`` blocks
 (diagonal tiles lower-triangular), compressed tiles hold compressed
@@ -59,7 +58,7 @@ from ..linalg.precision import (
     mixed_precision_report,
     resolve_precision,
 )
-from ..linalg.tiles import DenseTile, LowRankTile
+from ..linalg.tiles import DenseTile, LowRankTile, PendingTile
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError
 
@@ -82,7 +81,10 @@ class FactorizationReport:
         Recompressions whose output rank exceeded the destination's
         previous rank (each would trigger a pool reallocation).
     max_rank_seen:
-        Largest compressed-tile rank observed (final maxrank, Fig. 1).
+        Largest compressed-tile rank observed (final maxrank, Fig. 1); a
+        tile born dense has no rank and does not count.
+    tiles_densified_online:
+        Pending tiles of a deferred assembly that were born dense.
     tasks_resumed:
         Tasks skipped because a restored checkpoint had completed them
         (0 unless ``resume=True`` found a checkpoint).
@@ -116,7 +118,6 @@ def tlr_cholesky(
     matrix: BandTLRMatrix,
     *,
     rule: TruncationRule | None = None,
-    adaptive_threshold: float | None = None,
     n_workers: int | None = None,
     executor=None,
     n_ranks: int | None = None,
@@ -154,9 +155,9 @@ def tlr_cholesky(
         identical to the unbatched run.  The default path is the plain
         reference loops, which have nothing to batch — there the flag
         changes nothing (it never changed a factor, and on a pinned CPU
-        it buys no time either).  Incompatible with
-        ``adaptive_threshold`` and the processes/sim executors, and
-        silently disabled while the recovery engine is active.
+        it buys no time either).  Incompatible with the processes/sim
+        executors, and silently disabled while the recovery engine is
+        active.
     precision:
         Storage/compute precision for off-band low-rank tiles: a mode
         name (``"fp64"``, ``"adaptive"``, ``"fp32"``) or a
@@ -165,11 +166,6 @@ def tlr_cholesky(
         none).  The policy is applied to the tiles before
         factorization and the report's ``precision_report`` holds the
         post-factorization byte accounting.
-    adaptive_threshold:
-        When set (a fraction of the tile size, e.g. ``0.5``), a compressed
-        tile whose rank exceeds ``adaptive_threshold * b`` after a
-        recompression is densified on demand, and so is any low-rank
-        destination whose both GEMM operands are (or became) dense.
     n_workers:
         When set, the factorization runs through the dependency-driven
         execution core (:mod:`repro.runtime.executor`) on that many
@@ -177,9 +173,7 @@ def tlr_cholesky(
         the sequential loops — the fused DAG
         (:func:`~repro.runtime.graph.graph_for_matrix`) is built from the
         matrix's measured ranks and the factor is bitwise identical to
-        the loops' for any worker count.  Incompatible with
-        ``adaptive_threshold`` (online densification rewrites the graph
-        mid-flight).
+        the loops' for any worker count.
     executor:
         A :class:`~repro.runtime.protocol.Executor` instance or registry
         name (``"sequential"``, ``"threads"``, ``"processes"``) selecting
@@ -220,29 +214,10 @@ def tlr_cholesky(
     """
     rule = rule or matrix.rule
     backend = backend if backend is not None else matrix.backend
-    if adaptive_threshold is not None and not (0.0 < adaptive_threshold <= 1.0):
-        raise ConfigurationError(
-            f"adaptive_threshold must be in (0, 1], got {adaptive_threshold}"
-        )
-    if n_workers is not None and adaptive_threshold is not None:
-        raise ConfigurationError(
-            "adaptive_threshold requires the sequential path; "
-            "it cannot be combined with n_workers"
-        )
-    if batch and adaptive_threshold is not None:
-        raise ConfigurationError(
-            "adaptive_threshold rewrites tiles mid-flight; it cannot "
-            "be combined with kernel batching"
-        )
     if executor is not None and n_workers is not None:
         raise ConfigurationError(
             "n_workers is shorthand for executor='threads'; "
             "pass one or the other, not both"
-        )
-    if executor is not None and adaptive_threshold is not None:
-        raise ConfigurationError(
-            "adaptive_threshold requires the sequential path; "
-            "it cannot be combined with an executor"
         )
     if n_ranks is not None and executor is None:
         raise ConfigurationError("n_ranks requires an executor name")
@@ -252,11 +227,6 @@ def tlr_cholesky(
         or checkpoint is not None
         or resume
     )
-    if resilient and adaptive_threshold is not None:
-        raise ConfigurationError(
-            "adaptive_threshold rewrites the task graph mid-flight; it "
-            "cannot be combined with faults/recovery/checkpoint/resume"
-        )
     if resume and checkpoint is None:
         raise ConfigurationError("resume=True requires a checkpoint directory")
     policy = None
@@ -266,15 +236,16 @@ def tlr_cholesky(
         policy = matrix.precision
     if policy is not None:
         apply_precision(matrix, policy)
-    if adaptive_threshold is not None:
-        matrix.realize()  # online densification reads the tiles it rolls back
+    pending = [
+        ij for ij, tile in matrix.tiles.items() if isinstance(tile, PendingTile)
+    ]
     with obs.span(
         "tlr_cholesky",
         "phase",
         nt=matrix.ntiles,
         band_size=matrix.band_size,
         workers=n_workers,
-    ):
+    ) as span:
         if executor is not None or n_workers is not None or resilient:
             report = _tlr_cholesky_graph(
                 matrix, rule, n_workers, backend,
@@ -282,9 +253,11 @@ def tlr_cholesky(
                 executor=executor, n_ranks=n_ranks, batch=batch,
             )
         else:
-            report = _tlr_cholesky_sequential(
-                matrix, rule, adaptive_threshold, backend
-            )
+            report = _tlr_cholesky_sequential(matrix, rule, backend)
+        report.tiles_densified_online = sum(
+            isinstance(matrix.tiles[ij], DenseTile) for ij in pending
+        )
+        span.set(tiles_born_dense=report.tiles_densified_online)
     if policy is not None:
         report.precision_report = mixed_precision_report(
             matrix, mode=policy.mode
@@ -301,7 +274,6 @@ def tlr_cholesky(
 def _tlr_cholesky_sequential(
     matrix: BandTLRMatrix,
     rule: TruncationRule,
-    adaptive_threshold: float | None,
     backend,
 ) -> FactorizationReport:
     """The reference loops (body of :func:`tlr_cholesky`).
@@ -311,27 +283,16 @@ def _tlr_cholesky_sequential(
     updates and takes every panel product ``j < n`` in one fused GEMM
     just before its TRSM.  The panel tiles it reads are final by then,
     so no update is held back; a tile still pending generation
-    (a deferred assembly) is generated and compressed by that same GEMM.
+    (a deferred assembly) is generated by that same GEMM, and born
+    compressed or dense.
     """
     nt = matrix.ntiles
     report = FactorizationReport()
-
-    def densify(i: int, j: int) -> None:
-        tile = matrix.tile(i, j)
-        if isinstance(tile, LowRankTile):
-            matrix.set_tile(i, j, DenseTile(tile.to_dense()))
-            report.tiles_densified_online += 1
 
     def update(m: int, n: int, panels) -> None:
         """``(m, n) -= Σ_{j in panels} (m, j) (n, j)ᵀ``."""
         a = [matrix.tile(m, j) for j in panels]
         b = [matrix.tile(n, j) for j in panels]
-        if adaptive_threshold is not None and any(
-            isinstance(aj, DenseTile) and isinstance(bj, DenseTile)
-            for aj, bj in zip(a, b)
-        ):
-            # Closure rule: a full-rank update needs a dense C.
-            densify(m, n)
         c = matrix.tile(m, n)
         if isinstance(c, DenseTile):
             for aj, bj in zip(a, b):
@@ -345,10 +306,6 @@ def _tlr_cholesky_sequential(
             report.rank_growth_events += 1
         report.max_rank_seen = max(report.max_rank_seen, recomp.rank_after)
         matrix.set_tile(m, n, out)
-        if adaptive_threshold is not None:
-            b_min = min(matrix.desc.tile_shape(m, n))
-            if recomp.rank_after > adaptive_threshold * b_min:
-                densify(m, n)
 
     for k in range(nt):
         hcore.potrf_dense(

@@ -12,10 +12,15 @@ Each likelihood evaluation assembles the covariance at the candidate
 ``log|Σ| = 2 Σ log L_ii`` and ``Z^T Σ^{-1} Z = ||L^{-1} Z||²`` — exactly
 the pipeline the paper accelerates (the factorization *is* the MLE inner
 loop).  Nothing here reads the unfactorized matrix, so the assembly is
-deferred (``from_problem(defer=True)``): each off-band tile is generated
-at its fused update and compressed once, after it.  The optimizer is a
-Nelder-Mead search over log-parameters, the standard derivative-free
-choice for the 2-3 dimensional Matérn problem.
+deferred (``from_problem(defer=...)``): each off-band tile is generated
+at its fused update and born in its format there — compressed once, after
+the update, or kept dense.  The first evaluation decides each format by
+:func:`~repro.linalg.tiles.keep_dense` on the rank the tile's compression
+finds; every later one reads it from the previous factor's
+:meth:`~repro.matrix.BandTLRMatrix.dense_map` (tile ranks move little
+between nearby ``θ``) and skips the compression of every tile it marks
+dense.  The optimizer is a Nelder-Mead search over log-parameters, the
+standard derivative-free choice for the 2-3 dimensional Matérn problem.
 """
 
 from __future__ import annotations
@@ -66,7 +71,9 @@ class LikelihoodEvaluator:
     Attributes
     ----------
     points:
-        Spatial locations (already Morton-ordered).
+        Spatial locations, in the order the covariance is tiled (the
+        ``points`` of an ``st_3d_exp_problem`` are Morton-ordered; the
+        evaluator does not reorder them).
     z:
         Measurement vector.
     tile_size:
@@ -92,6 +99,8 @@ class LikelihoodEvaluator:
     nugget: float = 1e-6
     smoothness: float = 0.5
     evaluations: list[tuple[float, float, float]] = field(default_factory=list)
+    #: The last factor's dense/low-rank map (``None`` before the first).
+    _dense_map: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Checked once, here: a bad input would otherwise cost a full
@@ -123,12 +132,14 @@ class LikelihoodEvaluator:
             nugget=self.nugget,
         )
         matrix = BandTLRMatrix.from_problem(
-            problem, self.rule, self.band_size, defer=True
+            problem, self.rule, self.band_size,
+            defer=True if self._dense_map is None else self._dense_map,
         )
         try:
             tlr_cholesky(matrix)
         except NotPositiveDefiniteError:
             return float("-inf")
+        self._dense_map = matrix.dense_map()
         ll = log_likelihood(matrix, self.z)
         self.evaluations.append((variance, correlation_length, ll))
         return ll

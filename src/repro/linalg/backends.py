@@ -369,8 +369,11 @@ class CompressionBackend:
 
         A :class:`~repro.linalg.tiles.PendingTile` ``c`` takes the dense
         path whatever the width, with its generated block (float64) in
-        place of ``c.u @ c.v.T`` and no hint: the tile's one and only
-        compression, cast to its storage dtype; never a rank growth.
+        place of ``c.u @ c.v.T``, and is born from the updated block
+        (:meth:`PendingTile.born <repro.linalg.tiles.PendingTile.born>`):
+        compressed once, unhinted and cast to its storage dtype, or kept
+        as a :class:`~repro.linalg.tiles.DenseTile` (``rank_after`` 0:
+        nothing was truncated); never a rank growth.
         """
         pending = isinstance(c, PendingTile)
         kc, ku = c.rank, u_upd.shape[1]
@@ -393,13 +396,18 @@ class CompressionBackend:
                 u_upd.astype(dense.dtype, copy=False)
                 @ v_upd.astype(dense.dtype, copy=False).T
             )
-            tile = self.compress(
-                dense, rule, seed=seed, rank_hint=None if pending else kc
-            )
-            if tile.dtype != dtype:  # the exact oracle rounds fp32 in fp64
-                tile = tile.astype(dtype)
+
+            def compress(block):
+                tile = self.compress(
+                    block, rule, seed=seed, rank_hint=None if pending else kc
+                )
+                # the exact oracle rounds fp32 in fp64
+                return tile if tile.dtype == dtype else tile.astype(dtype)
+
+            tile = c.born(dense, compress) if pending else compress(dense)
+            lowrank = isinstance(tile, LowRankTile)
             result = RecompressionResult(
-                tile, rank_before=r, rank_after=tile.rank,
+                tile, rank_before=r, rank_after=tile.rank if lowrank else 0,
                 grew=not pending and tile.rank > kc,
             )
         else:
@@ -423,7 +431,7 @@ class CompressionBackend:
                     )
             finally:
                 ws.release(buf)
-        if obs.enabled():
+        if obs.enabled() and isinstance(result.tile, LowRankTile):
             obs.histogram_observe("tile_rank", kc, stage="recompress_pre")
             obs.histogram_observe(
                 "tile_rank", result.rank_after, stage="recompress_post"

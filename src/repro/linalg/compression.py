@@ -142,7 +142,8 @@ class RecompressionResult:
     Attributes
     ----------
     tile:
-        The rounded low-rank tile.
+        The rounded low-rank tile (a :class:`DenseTile` when a pending
+        tile is born dense, with ``rank_after`` 0).
     rank_before:
         Storage rank of the *stacked* representation entering the QR stage
         (= k_c + k_update); this is the transient memory high-water mark.
@@ -154,7 +155,7 @@ class RecompressionResult:
         reallocates and re-associates the tile's memory.
     """
 
-    tile: LowRankTile
+    tile: LowRankTile | DenseTile
     rank_before: int
     rank_after: int
     grew: bool

@@ -193,7 +193,7 @@ def flops_gemm_lr_dense_general(b: int, kc: int, ka: int) -> float:
     return 2.0 * b * b * ka + 9.0 * b * r * r + (157.0 / 8.0) * r**3
 
 
-def flops_gemm_lr_fused(b: int, kc: int, pairs) -> float:
+def flops_gemm_lr_fused(b: int, kc: int, pairs, rounded: bool = True) -> float:
     """Cost of the fused update ``C - Σ_j A_j B_jᵀ`` of a low-rank tile.
 
     ``pairs`` holds one ``(ka, kb)`` per panel, ``kb=None`` for a dense
@@ -207,6 +207,8 @@ def flops_gemm_lr_fused(b: int, kc: int, pairs) -> float:
     <repro.linalg.backends.CompressionBackend.recompress_update>`.
     With one pair below the width rule this is exactly
     :func:`flops_gemm_lr_general` / :func:`flops_gemm_lr_dense_general`.
+    ``rounded=False`` prices a pending tile kept dense: its dense sum is
+    formed and never rounded.
     """
     formation = 0.0
     w = kc
@@ -218,6 +220,8 @@ def flops_gemm_lr_fused(b: int, kc: int, pairs) -> float:
             k_upd = min(ka, kb)
             formation += 2.0 * b * ka * kb + 2.0 * b * ka * k_upd
             w += k_upd
+    if not rounded:
+        return formation + 2.0 * b * b * w
     if 2 * w < b:
         return formation + 9.0 * b * w * w + (157.0 / 8.0) * w**3
     return formation + 2.0 * b * b * w + 22.0 * b**3

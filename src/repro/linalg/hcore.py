@@ -51,7 +51,7 @@ from .flops import (
     flops_trsm_dense,
     flops_trsm_lr,
 )
-from .tiles import DenseTile, LowRankTile, Tile
+from .tiles import DenseTile, LowRankTile, PendingTile, Tile
 
 __all__ = [
     "potrf_dense",
@@ -199,8 +199,9 @@ def gemm_dense_lrd(
 ) -> DenseTile:
     """(2)-GEMM — dense C, exactly one low-rank operand.
 
-    ``C <- C - U_A (B V_A)^T`` when A is low-rank (the Cholesky case, since
-    ``A dense ⇒ B dense``), or symmetrically ``C <- C - (A V_B) U_B^T``.
+    ``C <- C - U_A (B V_A)^T`` when A is low-rank, or symmetrically
+    ``C <- C - (A V_B) U_B^T`` (a band never issues it; a per-tile format
+    map does).
     """
     if isinstance(a, LowRankTile) and isinstance(b, DenseTile):
         if a.rank > 0:
@@ -247,10 +248,11 @@ def _lr_product(a: Tile, b: Tile):
     operand on either side).
 
     The product is formed at the thinner of the two operand ranks:
-    ``U_A (B V_A)ᵀ`` against a dense B, ``(A V_B) U_Bᵀ`` against a dense A
-    (the upper-triangular mirror, which a banded Cholesky never issues),
-    and for two low-rank operands ``U_A (U_B (V_Bᵀ V_A))ᵀ`` when
-    ``k_A < k_B``, else ``(U_A (V_Aᵀ V_B)) U_Bᵀ``.
+    ``U_A (B V_A)ᵀ`` against a dense B, ``(A V_B) U_Bᵀ`` against a dense A,
+    for two low-rank operands ``U_A (U_B (V_Bᵀ V_A))ᵀ`` when
+    ``k_A < k_B``, else ``(U_A (V_Aᵀ V_B)) U_Bᵀ``, and for two dense
+    operands (tiles of a per-tile format map) ``A`` and ``B`` themselves,
+    width ``b``: the sum then takes the dense path, so any map is valid.
     """
     a_lr, b_lr = isinstance(a, LowRankTile), isinstance(b, LowRankTile)
     if a_lr and b_lr:
@@ -261,10 +263,7 @@ def _lr_product(a: Tile, b: Tile):
         return a.u, b.data @ a.v, (a.rank, None)
     if b_lr:
         return a.data @ b.v, b.u, (b.rank, None)
-    raise KernelError(
-        "unsupported GEMM operand combination: dense A and B with a "
-        "low-rank C cannot arise in a banded Cholesky"
-    )
+    return a.data, b.data, (a.shape[1], None)
 
 
 def _gemm_lr(
@@ -284,7 +283,9 @@ def _gemm_lr(
         if any(kb is not None for _, kb in ranks)
         else KernelClass.GEMM_LR_DENSE
     )
-    _count(counter, kind, flops_gemm_lr_fused(c.shape[0], kc, ranks))
+    # a pending tile decided dense is never rounded
+    rounded = not (isinstance(c, PendingTile) and c.dense)
+    _count(counter, kind, flops_gemm_lr_fused(c.shape[0], kc, ranks, rounded))
     return res.tile, kind, res
 
 

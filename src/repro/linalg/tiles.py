@@ -20,8 +20,9 @@ single-precision roundoff; dense tiles — the band and the Cholesky
 factors themselves — always stay float64.
 
 A third state, :class:`PendingTile`, is an off-band tile an MLE step has
-not generated yet: the recipe of its dense block, compressed once — after
-its fused update — by ``recompress_update``.
+not generated yet: the recipe of its dense block, which its fused update
+(``recompress_update``) either compresses once or keeps dense.
+:func:`keep_dense` is the one rule that picks the format.
 """
 
 from __future__ import annotations
@@ -34,7 +35,20 @@ import numpy as np
 
 from ..utils.exceptions import KernelError
 
-__all__ = ["TileFormat", "DenseTile", "LowRankTile", "PendingTile", "Tile"]
+__all__ = [
+    "TileFormat", "DenseTile", "LowRankTile", "PendingTile", "Tile", "keep_dense",
+]
+
+
+def keep_dense(rank: int, shape: tuple[int, int]) -> bool:
+    """The dense/low-rank rule: a tile of rank ≥ ⌈min(m, n)/3⌉ stays dense.
+
+    Past a third of the tile the factor pair is slower to apply than the
+    dense block, so a tile born at that rank is not worth its SVD (paper
+    §IX: decide the format per tile, not per band).  A dense tile (rank
+    ``min(m, n)``) satisfies it by convention.
+    """
+    return 3 * rank >= min(shape)
 
 
 class TileFormat(Enum):
@@ -196,11 +210,15 @@ class PendingTile:
     """An off-band tile not generated yet: ``problem.tile(i, j)`` on demand.
 
     It stores nothing (rank 0, no bytes), so it is its own copy and
-    pickles as its recipe; ``dtype`` is the storage dtype the compressed
-    tile will take.  :meth:`CompressionBackend.recompress_update
+    pickles as its recipe; ``dtype`` is the storage dtype a compressed
+    tile will take.  ``dense`` is the format decision: ``True`` keeps the
+    block dense without compressing it, ``False`` compresses it, and
+    ``None`` (no earlier factor to read it from) compresses it and then
+    applies :func:`keep_dense` to the rank found.  :meth:`born` is the one
+    place the decision is carried out; :meth:`CompressionBackend.recompress_update
     <repro.linalg.backends.CompressionBackend.recompress_update>` and
     :meth:`BandTLRMatrix.realize <repro.matrix.BandTLRMatrix.realize>`
-    are the two places that turn one into a :class:`LowRankTile`.
+    call it.
     """
 
     problem: Any  # a CovarianceProblem (linalg never imports statistics)
@@ -208,6 +226,7 @@ class PendingTile:
     j: int
     shape: tuple[int, int]
     dtype: np.dtype = np.dtype(np.float64)
+    dense: bool | None = None
     format = TileFormat.PENDING
     rank = 0
 
@@ -218,6 +237,20 @@ class PendingTile:
     def to_dense(self) -> np.ndarray:
         """Generate the dense block (float64); nothing is cached."""
         return self.problem.tile(self.i, self.j)
+
+    def born(self, block: np.ndarray, compress) -> "DenseTile | LowRankTile":
+        """The tile this recipe becomes from its final dense ``block``.
+
+        ``compress(block)`` returns the block's :class:`LowRankTile` in
+        the storage dtype; it is not called for a tile decided dense, and
+        it must leave ``block`` intact.
+        """
+        if self.dense:
+            return DenseTile(block)
+        tile = compress(block)
+        if self.dense is None and keep_dense(tile.rank, self.shape):
+            return DenseTile(block)
+        return tile
 
     def memory_elements(self, maxrank: int | None = None) -> int:
         return 0

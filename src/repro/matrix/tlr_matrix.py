@@ -10,9 +10,12 @@ One container covers the paper's three operating points:
 Only the lower triangle is stored (the matrix is symmetric; the paper's
 Fig. 3a).  On-band tiles are :class:`DenseTile`; off-band tiles are
 :class:`LowRankTile` compressed to the container's truncation rule — or,
-in a matrix assembled with ``defer`` set, for one factorization, still
-:class:`PendingTile` recipes that the fused update generates and
-compresses once (:meth:`BandTLRMatrix.realize` makes them ordinary).
+in a matrix assembled with ``defer`` set, for one factorization, each
+off-band tile takes its format where it is born (§IX's per-tile
+generalization of the band): column 0 at assembly, the rest as
+:class:`PendingTile` recipes that the fused update generates and either
+compresses once or keeps dense (:meth:`BandTLRMatrix.realize` makes them
+ordinary).
 
 The container also implements the *densification/regeneration* step of the
 BAND_SIZE auto-tuning pipeline (Section VIII-B): after tuning picks a wider
@@ -31,7 +34,7 @@ from .. import obs
 from ..linalg.backends import CompressionBackend, get_backend, tile_seed
 from ..linalg.compression import TruncationRule
 from ..linalg.precision import PrecisionPolicy, resolve_precision
-from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile
+from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile, keep_dense
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
@@ -116,7 +119,7 @@ class BandTLRMatrix:
         precision: PrecisionPolicy | str | None = None,
         n_workers: int | None = None,
         reuse: dict[tuple[int, int], LowRankTile] | None = None,
-        defer: bool = False,
+        defer: bool | np.ndarray = False,
     ) -> "BandTLRMatrix":
         """Generate + compress a covariance problem into tile storage.
 
@@ -134,13 +137,28 @@ class BandTLRMatrix:
         before it reads it (column ``j >= 1``) is left a
         :class:`~repro.linalg.tiles.PendingTile` — neither generated nor
         compressed — for :func:`~repro.core.factorize.tlr_cholesky` to
-        compress once, after the update; :meth:`realize` turns such a
-        matrix into the eager one, bit for bit.
+        generate at its fused update, and every off-band tile decides its
+        format where it is born.  ``defer=True`` applies
+        :func:`~repro.linalg.tiles.keep_dense` to the rank each tile's own
+        compression finds (column 0 here, the others after their update);
+        ``defer=`` an ``NT x NT`` boolean map (a previous factor's
+        :meth:`dense_map`) keeps the tiles it marks dense, never
+        compressing them, and compresses the others.  :meth:`realize`
+        carries the same decisions out without the updates.
         """
         desc = TileDescriptor(problem.n, problem.tile_size)
         mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
                   precision=precision)
-        mat._assemble(problem.tile, n_workers, reuse, problem if defer else None)
+        dense_map = None
+        if not isinstance(defer, (bool, np.bool_)):
+            dense_map = np.asarray(defer, dtype=bool)
+            if dense_map.shape != (desc.ntiles, desc.ntiles):
+                raise ConfigurationError(
+                    f"defer map must be {desc.ntiles} x {desc.ntiles}, "
+                    f"got {dense_map.shape}"
+                )
+        defer_from = problem if dense_map is not None or defer else None
+        mat._assemble(problem.tile, n_workers, reuse, defer_from, dense_map)
         return mat
 
     @classmethod
@@ -168,18 +186,22 @@ class BandTLRMatrix:
         return mat
 
     def _assemble(
-        self, block_of, n_workers: int | None, reuse=None, defer_from=None
+        self, block_of, n_workers: int | None, reuse=None, defer_from=None,
+        dense_map=None,
     ) -> None:
         """Fill ``self.tiles`` over the lower triangle from ``block_of(i, j)``.
 
         On-band blocks are kept dense, off-band ones compressed; a tile
         found in ``reuse`` is taken as it is and its block never
         generated, and with ``defer_from`` (the problem) off-band tiles
-        of columns ``j >= 1`` are left pending.  With an active
-        :mod:`repro.obs` observation the assembly is one ``"assemble"``
-        span, every tile build is a nested span, and the post-assembly
-        rank spectrum lands in the ``tile_rank`` histogram under
-        ``stage="assembly"``.
+        of columns ``j >= 1`` are left pending and column 0 is born here,
+        each with the format decision of ``dense_map`` (``None``: by the
+        rule, after its compression).  With an active :mod:`repro.obs`
+        observation the assembly is one ``"assemble"`` span (its
+        ``tiles_deferred`` and ``tiles_born_dense`` attributes count the
+        tiles left pending and the off-band tiles born dense here), every
+        tile build is a nested span, and the post-assembly rank spectrum
+        lands in the ``tile_rank`` histogram under ``stage="assembly"``.
         """
         # Lazy import: repro.runtime's package init pulls in modules that
         # import this one.
@@ -187,35 +209,40 @@ class BandTLRMatrix:
 
         reuse = reuse or {}
         coords = list(self.desc.lower_tiles())
-        deferred = set() if defer_from is None else {
-            (i, j) for i, j in coords
-            if j >= 1 and (i, j) not in reuse
-            and not self.desc.on_band(i, j, self.band_size)
-        }
 
         def build(ij: tuple[int, int]) -> Tile:
             if ij in reuse:
                 return reuse[ij]
-            if ij in deferred:
-                return PendingTile(
-                    defer_from, *ij, self.desc.tile_shape(*ij),
-                    self._storage_dtype(*ij),
-                )
-            block = block_of(*ij)
             if self.desc.on_band(*ij, self.band_size):
-                return DenseTile(block)
-            return self._compress(block, *ij)
+                return DenseTile(block_of(*ij))
+            if defer_from is None:
+                return self._compress(block_of(*ij), *ij)
+            pending = PendingTile(
+                defer_from, *ij, self.desc.tile_shape(*ij),
+                self._storage_dtype(*ij),
+                None if dense_map is None else bool(dense_map[ij]),
+            )
+            # column 0 takes no update: it is born from its generated block
+            return pending if ij[1] >= 1 else self._born(pending)
 
         with obs.span(
             "assemble",
             "assembly",
             tiles=len(coords),
-            tiles_deferred=len(deferred),
             band_size=self.band_size,
             workers=n_workers,
-        ):
+        ) as span:
             built = parallel_map(
                 build, coords, n_workers, label="build_tile", category="assembly"
+            )
+            n_pending = sum(isinstance(t, PendingTile) for t in built)
+            span.set(
+                tiles_deferred=n_pending,
+                tiles_born_dense=sum(
+                    isinstance(t, DenseTile)
+                    and not self.desc.on_band(*ij, self.band_size)
+                    for ij, t in zip(coords, built)
+                ),
             )
         for ij, tile in zip(coords, built):
             self.tiles[ij] = tile
@@ -225,23 +252,44 @@ class BandTLRMatrix:
                 if isinstance(tile, LowRankTile):
                     lowrank += 1
                     obs.histogram_observe("tile_rank", tile.rank, stage="assembly")
-            dense = len(built) - lowrank - len(deferred)
+            dense = len(built) - lowrank - n_pending
             obs.counter_add("assembly_tiles", dense, format="dense")
             obs.counter_add("assembly_tiles", lowrank, format="lowrank")
-            if deferred:
-                obs.counter_add("assembly_tiles", len(deferred), format="pending")
+            if n_pending:
+                obs.counter_add("assembly_tiles", n_pending, format="pending")
+
+    def _born(self, tile: PendingTile) -> Tile:
+        """What a pending tile becomes from its block, without an update."""
+        return tile.born(
+            tile.to_dense(), lambda block: self._compress(block, tile.i, tile.j)
+        )
 
     def realize(self) -> "BandTLRMatrix":
-        """Generate and compress every pending tile, in place.
+        """Generate every pending tile and give it its format, in place.
 
-        Afterwards the matrix is bitwise what the eager ``from_problem``
-        builds; the branches of ``tlr_cholesky`` that ship, persist or
+        A tile decided dense keeps its generated block, any other is
+        compressed (undecided: then kept dense if the rule says so), so
+        every tile is bitwise the eager ``from_problem``'s or the dense
+        block.  The branches of ``tlr_cholesky`` that ship, persist or
         stack tiles call it first.  Returns ``self``.
         """
-        for (i, j), tile in self.tiles.items():
+        for ij, tile in self.tiles.items():
             if isinstance(tile, PendingTile):
-                self.tiles[(i, j)] = self._compress(tile.to_dense(), i, j)
+                self.tiles[ij] = self._born(tile)
         return self
+
+    def dense_map(self) -> np.ndarray:
+        """``NT x NT`` boolean map of the tiles to be born dense next time.
+
+        True where a stored tile is dense or, by
+        :func:`~repro.linalg.tiles.keep_dense`, of too high a rank to stay
+        low-rank; what a deferred assembly of the next, nearby problem
+        takes as ``defer`` (ranks move little between MLE steps).
+        """
+        out = np.zeros((self.ntiles, self.ntiles), dtype=bool)
+        for ij, tile in self.tiles.items():
+            out[ij] = keep_dense(tile.rank, tile.shape)
+        return out
 
     def require_realized(self, reader: str) -> None:
         """Raise unless no tile is pending (for readers of tile data)."""

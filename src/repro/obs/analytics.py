@@ -88,9 +88,12 @@ class RunTrace:
     ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
     per ``band_size="auto"`` assembly (its ``autotune_band`` span), and
     ``deferred`` what a deferred assembly (``defer``) moved into the
-    factorization: ``{tiles, generated, generate_s}`` — tiles the
-    ``assemble`` spans left pending, and the ``generate`` spans (count,
-    seconds) nested in the GEMM tasks that built them.
+    factorization: ``{tiles, born_dense, assembled_dense, generated,
+    generate_s}`` — tiles the ``assemble`` spans left pending, how many of
+    them the factorizations (``tlr_cholesky`` spans) kept dense instead of
+    compressing, off-band tiles the assemblies themselves built dense,
+    and the ``generate`` spans (count, seconds) nested in the GEMM tasks
+    that built pending tiles.
     """
 
     tasks: list[TaskSpan] = field(default_factory=list)
@@ -132,10 +135,16 @@ class RunTrace:
 
 def _deferred(spans) -> dict:
     """:attr:`RunTrace.deferred` from ``(name, seconds, attrs)`` spans."""
-    out = {"tiles": 0, "generated": 0, "generate_s": 0.0}
+    out = {
+        "tiles": 0, "born_dense": 0, "assembled_dense": 0,
+        "generated": 0, "generate_s": 0.0,
+    }
     for name, seconds, attrs in spans:
         if name == "assemble":
             out["tiles"] += int(attrs.get("tiles_deferred") or 0)
+            out["assembled_dense"] += int(attrs.get("tiles_born_dense") or 0)
+        elif name == "tlr_cholesky":
+            out["born_dense"] += int(attrs.get("tiles_born_dense") or 0)
         elif name == "generate":
             out["generated"] += 1
             out["generate_s"] += seconds
@@ -699,11 +708,17 @@ def render_analysis(run: RunTrace, *, width: int = 80, buckets: int = 60) -> str
         )
     if run.deferred.get("tiles"):
         d = run.deferred
+        born = d["born_dense"]
         lines.append(
-            f"{'deferred tiles':<16} {d['tiles']} left pending at assembly; "
-            f"{d['generated']} generated inside GEMM tasks in "
-            f"{d['generate_s']:.3f} s (not GEMM time)"
+            f"{'deferred tiles':<16} {d['tiles']} pending: {born} born dense, "
+            f"{d['tiles'] - born} compressed; {d['generated']} generated "
+            f"inside GEMM tasks in {d['generate_s']:.3f} s (not GEMM time)"
         )
+        if d["assembled_dense"]:
+            lines.append(
+                f"{'':<16} {d['assembled_dense']} more born dense at assembly "
+                "(column 0)"
+            )
 
     # -- critical path -------------------------------------------------
     lines += ["", "critical path", "-------------"]

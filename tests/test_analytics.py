@@ -301,8 +301,9 @@ class TestRoundTrip:
     def test_deferred_generation_is_booked_apart_from_gemm(self, tmp_path):
         """A ``defer=True`` assembly moves tile generation into the GEMM
         tasks: each gets its own ``generate`` span under the task's, the
-        ``assemble`` span says how many tiles it left, and the report
-        prints both."""
+        ``assemble`` span says how many tiles it left and how many of
+        column 0 it built dense, the ``tlr_cholesky`` span how many of the
+        pending ones were born dense, and the report prints all three."""
         from repro import TruncationRule, st_3d_exp_problem
         from repro.core import tlr_cholesky
         from repro.matrix import BandTLRMatrix
@@ -321,14 +322,43 @@ class TestRoundTrip:
         assert {
             c.labels["format"]: c.value
             for c in ob.metrics.find("assembly_tiles")
-        } == {"dense": 4, "lowrank": 3, "pending": 3}
+        } == {"dense": 6, "lowrank": 1, "pending": 3}  # (1, 0), (2, 0) born dense
         ob.write(tmp_path)
         for run in (load_run(tmp_path), run_from_observation(ob)):
             assert run.deferred["tiles"] == run.deferred["generated"] == 3
+            assert run.deferred["born_dense"] == 2
+            assert run.deferred["assembled_dense"] == 2
+            text = render_analysis(run)
             assert (
-                "3 left pending at assembly; 3 generated inside GEMM tasks in"
-                in render_analysis(run)
+                "3 pending: 2 born dense, 1 compressed; 3 generated inside "
+                "GEMM tasks in" in text
             )
+            assert "2 more born dense at assembly (column 0)" in text
+
+    def test_born_dense_count_matches_the_factorization_report(self):
+        """A step under the previous factor's map: the pending tiles it
+        marks are born dense without a compression, and the span, the
+        trace and ``FactorizationReport.tiles_densified_online`` agree."""
+        from repro import TruncationRule, st_3d_exp_problem
+        from repro.core import tlr_cholesky
+        from repro.matrix import BandTLRMatrix
+
+        problem = st_3d_exp_problem(400, 100, seed=3)
+        rule = TruncationRule(eps=1e-4)
+        first = BandTLRMatrix.from_problem(problem, rule, 1, defer=True)
+        tlr_cholesky(first)
+        with obs.observe() as ob:
+            m = BandTLRMatrix.from_problem(
+                problem, rule, 1, defer=first.dense_map()
+            )
+            report = tlr_cholesky(m)
+        assert report.tiles_densified_online == 2
+        (assemble,) = [s for s in ob.tracer.spans if s.name == "assemble"]
+        assert assemble.attrs["tiles_deferred"] == 3
+        assert assemble.attrs["tiles_born_dense"] == 2
+        (factorize,) = [s for s in ob.tracer.spans if s.name == "tlr_cholesky"]
+        assert factorize.attrs["tiles_born_dense"] == 2
+        assert run_from_observation(ob).deferred["born_dense"] == 2
 
     def test_load_run_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="events.jsonl"):

@@ -256,11 +256,6 @@ class TestFactorizationBitwise:
         )
         assert factors_equal(m1, m2)
 
-    def test_batch_with_adaptive_threshold_rejected(self, problem, rule):
-        m = build(problem, rule)
-        with pytest.raises(ConfigurationError):
-            tlr_cholesky(m, batch=True, adaptive_threshold=0.5)
-
     def test_processes_executor_rejects_batch(self, problem, rule):
         m = build(problem, rule)
         with pytest.raises(ConfigurationError):

@@ -206,14 +206,6 @@ class TestFactorizeRouting:
         with pytest.raises(ConfigurationError):
             tlr_cholesky(base_matrix.copy(), resume=True)
 
-    def test_resilience_rejects_adaptive_threshold(self, base_matrix):
-        with pytest.raises(ConfigurationError):
-            tlr_cholesky(
-                base_matrix.copy(),
-                faults="transient:*:0.1",
-                adaptive_threshold=0.5,
-            )
-
     def test_checkpoint_via_solver_api(self, small_problem, tmp_path):
         from repro.core.api import TLRSolver
 

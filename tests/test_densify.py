@@ -1,147 +1,114 @@
-"""Unit tests for tile-based and adaptive online densification
-(the paper's Section IX / Section V-B future-work features)."""
+"""Tile-based densification (the paper's Section IX future work): every
+off-band tile of a deferred assembly takes its format where it is born,
+by one rule (``keep_dense``: rank ≥ ⌈b/3⌉ stays dense) — read from a
+previous factor's ``dense_map``, or decided online after the tile's own
+compression when there is none."""
 
 import numpy as np
 import pytest
 
 from repro import TruncationRule, st_3d_exp_problem
-from repro.core import (
-    apply_densification,
-    plan_tile_densification,
-    tlr_cholesky,
-)
+from repro.core import tlr_cholesky
 from repro.linalg import DenseTile, LowRankTile
-from repro.matrix import BandTLRMatrix
+from repro.matrix import BandTLRMatrix, TileDescriptor
 from repro.utils import ConfigurationError
 
 
-def spiky_grid(nt, b, spike_d, base=8, spike=None):
-    """A rank grid with low base ranks and one high-rank sub-diagonal."""
+def spiky(nt, b, spike_d, base=8, spike=None):
+    """Band-1 tiles of low base rank and one high-rank sub-diagonal."""
     spike = spike or b // 2
-    g = np.full((nt, nt), -1, dtype=np.int64)
+    m = BandTLRMatrix(
+        desc=TileDescriptor(nt * b, b), band_size=1, rule=TruncationRule()
+    )
     for i in range(nt):
+        m.tiles[(i, i)] = DenseTile(np.eye(b))
         for j in range(i):
-            g[i, j] = spike if (i - j) == spike_d else base
-    return g
+            k = spike if i - j == spike_d else base
+            m.tiles[(i, j)] = LowRankTile(np.ones((b, k)), np.ones((b, k)))
+    return m
 
 
 class TestPlan:
+    """The map a factor hands the next assembly."""
+
     def test_diagonal_always_dense(self):
-        plan = plan_tile_densification(spiky_grid(8, 128, 3), 128)
-        assert all(plan.dense_mask[i, i] for i in range(8))
+        mask = spiky(8, 128, 3).dense_map()
+        assert all(mask[i, i] for i in range(8))
 
     def test_captures_far_spike_without_band(self):
-        """The key advantage over band-basis: an isolated high-rank
-        sub-diagonal far from the diagonal gets densified alone."""
-        nt, b = 12, 128
-        plan = plan_tile_densification(spiky_grid(nt, b, spike_d=6), b)
-        # Spike tiles (with enough updates to amortize) are densified...
-        assert plan.dense_mask[10, 4]
-        # ...while the low-rank tiles in between stay compressed.
-        assert not plan.dense_mask[10, 7]
+        """An isolated high-rank sub-diagonal far from the diagonal is
+        marked alone; the low-rank tiles in between stay compressed."""
+        mask = spiky(12, 128, spike_d=6).dense_map()
+        assert mask[10, 4]
+        assert not mask[10, 7]
 
     def test_low_rank_everywhere_keeps_tlr(self):
-        nt, b = 10, 256
-        g = np.full((nt, nt), -1, dtype=np.int64)
-        for i in range(nt):
-            for j in range(i):
-                g[i, j] = 4
-        plan = plan_tile_densification(g, b)
-        assert plan.n_policy == 0
+        mask = spiky(10, 256, spike_d=20, base=4).dense_map()
+        assert not np.tril(mask, -1).any()
 
     def test_high_rank_everywhere_densifies(self):
-        nt, b = 8, 64
-        g = np.full((nt, nt), -1, dtype=np.int64)
-        for i in range(nt):
-            for j in range(i):
-                g[i, j] = 60
-        plan = plan_tile_densification(g, b)
-        # All tiles with at least one update are densified.
-        assert plan.dense_mask[5, 2]
+        mask = spiky(8, 64, spike_d=20, base=60).dense_map()
+        assert mask[np.tril_indices(8, -1)].all()
 
-    def test_closure_enforced(self):
-        """If (m,k) and (n,k) are dense then (m,n) must be dense."""
-        plan = plan_tile_densification(spiky_grid(12, 128, 2, base=8), 128)
-        mask = plan.dense_mask
-        nt = 12
-        for m in range(nt):
-            for n in range(m):
-                for k in range(n):
-                    if mask[m, k] and mask[n, k]:
-                        assert mask[m, n], (m, n, k)
 
-    def test_rejects_bad_fluctuation(self):
-        with pytest.raises(ConfigurationError):
-            plan_tile_densification(spiky_grid(4, 64, 1), 64, fluctuation=2.0)
+@pytest.fixture(scope="module")
+def problem():
+    return st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
 
 
 class TestApplyAndFactorize:
-    @pytest.fixture(scope="class")
-    def problem(self):
-        return st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
+    RULE = TruncationRule(eps=1e-5)
 
     def test_apply_respects_plan(self, problem):
-        rule = TruncationRule(eps=1e-5)
-        m1 = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        plan = plan_tile_densification(m1.rank_grid(), 125)
-        m = apply_densification(m1, problem, plan)
+        first = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
+        tlr_cholesky(first)
+        mask = first.dense_map()
+        assert 0 < np.tril(mask, -1).sum() < 28
+        m = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=mask)
+        m.realize()
         for (i, j), tile in m.tiles.items():
-            if plan.dense_mask[i, j]:
-                assert isinstance(tile, DenseTile), (i, j)
-            else:
-                assert isinstance(tile, LowRankTile), (i, j)
+            assert isinstance(tile, DenseTile) == bool(mask[i, j]), (i, j)
 
     def test_factorization_correct_after_densification(self, problem):
-        rule = TruncationRule(eps=1e-5)
-        m1 = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        plan = plan_tile_densification(m1.rank_grid(), 125)
-        m = apply_densification(m1, problem, plan)
+        first = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
+        tlr_cholesky(first)
+        m = BandTLRMatrix.from_problem(
+            problem, self.RULE, 1, defer=first.dense_map()
+        )
         tlr_cholesky(m)
         a = problem.dense()
         l = m.to_dense(lower_only=True)
         assert np.linalg.norm(l @ l.T - a) / np.linalg.norm(a) < 1e-3
 
     def test_geometry_mismatch_rejected(self, problem):
-        rule = TruncationRule(eps=1e-5)
-        m1 = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        bad = plan_tile_densification(spiky_grid(4, 125, 1), 125)
-        with pytest.raises(ConfigurationError):
-            apply_densification(m1, problem, bad)
+        with pytest.raises(ConfigurationError, match="defer map"):
+            BandTLRMatrix.from_problem(
+                problem, self.RULE, 1, defer=spiky(4, 125, 1).dense_map()
+            )
 
 
 class TestAdaptiveOnline:
-    @pytest.fixture(scope="class")
-    def problem(self):
-        return st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
+    """No map: each tile is compressed once and kept dense by the rule."""
+
+    RULE = TruncationRule(eps=1e-8)
 
     def test_adaptive_densifies_high_rank_tiles(self, problem):
-        rule = TruncationRule(eps=1e-8)
-        m = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        rep = tlr_cholesky(m, adaptive_threshold=0.3)
+        m = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
+        rep = tlr_cholesky(m)
         assert rep.tiles_densified_online > 0
-        # Some tiles ended up dense even though band_size is 1.
+        # pending tiles (columns >= 1) born dense although band_size is 1
         dense_offdiag = sum(
             1 for (i, j), t in m.tiles.items()
-            if i != j and isinstance(t, DenseTile)
+            if i != j and j >= 1 and isinstance(t, DenseTile)
         )
         assert dense_offdiag == rep.tiles_densified_online
+        for t in m.tiles.values():
+            if isinstance(t, LowRankTile):
+                assert 3 * t.rank < 125
 
     def test_adaptive_factor_is_correct(self, problem):
-        rule = TruncationRule(eps=1e-8)
-        m = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        tlr_cholesky(m, adaptive_threshold=0.3)
+        m = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
+        tlr_cholesky(m)
         a = problem.dense()
         l = m.to_dense(lower_only=True)
         assert np.linalg.norm(l @ l.T - a) / np.linalg.norm(a) < 1e-6
-
-    def test_threshold_one_never_densifies(self, problem):
-        rule = TruncationRule(eps=1e-5)
-        m = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        rep = tlr_cholesky(m, adaptive_threshold=1.0)
-        assert rep.tiles_densified_online == 0
-
-    def test_rejects_bad_threshold(self, problem):
-        rule = TruncationRule(eps=1e-5)
-        m = BandTLRMatrix.from_problem(problem, rule, band_size=1)
-        with pytest.raises(ConfigurationError):
-            tlr_cholesky(m, adaptive_threshold=0.0)

@@ -496,8 +496,6 @@ class TestFactorizeWiring:
             tlr_cholesky(m, executor="sequential", n_ranks=2)
         with pytest.raises(ConfigurationError):
             tlr_cholesky(m, executor="sim")
-        with pytest.raises(ConfigurationError):
-            tlr_cholesky(m, executor="processes", adaptive_threshold=0.5)
 
 
 class TestGuards:

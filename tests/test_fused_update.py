@@ -13,15 +13,21 @@ the right-looking one.  What replaces that promise, and is tested here:
     operand pair per task;
 (c) a fused task with one pair *is* the per-update kernel, bitwise;
 (d) the representation rule of ``recompress_update`` and its edges;
-(e) online densification around the single rounding;
+(e) per-tile formats decided where tiles are born (``defer=`` a map):
+    under any dense/low-rank map — none, every off-band tile, or one
+    where both panel operands of a low-rank tile are dense — the loops,
+    the core and fault rollback agree bitwise, the branches that realize
+    first are the eager call on the same map, the backward error tracks ε,
+    and the empty map is the compress-everything factor;
 (f) realized communication equals simulated communication on the fused
     graph (``tune verify``'s tolerance gate runs on it in
     ``tests/test_tune.py``);
-(g) a deferred assembly (``from_problem(defer=True)``, what an MLE step
-    factorizes): pending tiles are generated and compressed once, by the
-    fused update — ``realize()`` is the eager matrix, the loops are the
-    core at any worker count, and the branches that realize first are
-    the eager call.
+(g) a deferred assembly (``from_problem(defer=True)``, an MLE step's
+    first): pending tiles are generated and compressed once, by the
+    fused update, and kept dense where ``keep_dense`` says so —
+    ``realize()`` is the eager matrix with those tiles dense, the loops
+    are the core at any worker count, and the branches that realize
+    first are the eager call.
 """
 
 import shutil
@@ -49,6 +55,7 @@ from repro.linalg import (
     apply_precision,
     gemm_auto,
     gemm_lr,
+    keep_dense,
     resolve_precision,
 )
 from repro.linalg.batched import BatchItem, BatchPlanner, run_batch
@@ -456,45 +463,171 @@ class TestWidthRule:
 
 
 # ----------------------------------------------------------------------
-# (e) online densification around the single rounding
+# (e) per-tile formats, decided where each tile is born
 # ----------------------------------------------------------------------
-class TestAdaptiveThreshold:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        problem = st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
-        base = BandTLRMatrix.from_problem(
-            problem, TruncationRule(eps=1e-8), band_size=1
-        )
-        return problem.dense(), base
+MAPS = ["empty", "off-band", "random"]
 
-    def test_growth_is_checked_after_the_rounding(self, setup):
-        dense, base = setup
-        plain, adaptive = base.copy(), base.copy()
+
+def format_map(nt, kind):
+    """A band-1 format map: nothing, every off-band tile, or a random
+    third of them that includes the case a banded factorization never
+    meets — both panel operands of the low-rank tile (2, 1) dense."""
+    off = np.tril(np.ones((nt, nt), dtype=bool), -1)
+    if kind == "empty":
+        return np.zeros_like(off)
+    if kind == "off-band":
+        return off
+    mask = off & (np.random.default_rng(0).random((nt, nt)) < 0.35)
+    mask[1, 0] = mask[2, 0] = True
+    mask[2, 1] = False
+    return mask
+
+
+def eager_on(problem, rule, mask, band=1, **kwargs):
+    """The eager matrix with the tiles ``mask`` marks as generated blocks."""
+    m = BandTLRMatrix.from_problem(problem, rule, band, **kwargs)
+    for i, j in zip(*np.nonzero(mask)):
+        if not m.is_dense(i, j):
+            m.set_tile(int(i), int(j), DenseTile(problem.tile(i, j)))
+    return m
+
+
+def ruled(problem, rule, band=1, **kwargs):
+    """What ``defer=True`` realizes: the eager matrix with the tiles whose
+    compression ``keep_dense`` rejects as generated blocks."""
+    eager = BandTLRMatrix.from_problem(problem, rule, band, **kwargs)
+    return eager_on(problem, rule, eager.dense_map(), band, **kwargs)
+
+
+class TestBornDense:
+    RULE = TruncationRule(eps=1e-4)
+
+    def build(self, problem, kind, rule=None):
+        defer = True if kind == "rule" else format_map(problem.ntiles, kind)
+        return BandTLRMatrix.from_problem(
+            problem, rule or self.RULE, 1, defer=defer
+        )
+
+    @pytest.mark.parametrize("kind", MAPS + ["rule"])
+    def test_loops_core_and_rollback_agree(self, problem, kind):
+        ref = self.build(problem, kind)
+        assert_bitwise(ref.copy().realize(), (
+            ruled(problem, self.RULE) if kind == "rule"
+            else eager_on(problem, self.RULE, format_map(problem.ntiles, kind))
+        ))
+        ref_report = tlr_cholesky(ref)
+        if kind != "rule":
+            mask = format_map(problem.ntiles, kind)
+            for (i, j), tile in ref.tiles.items():
+                assert isinstance(tile, DenseTile) == (i == j or mask[i, j])
+            # the pending tiles (columns >= 1) the map marks
+            assert ref_report.tiles_densified_online == mask[:, 1:].sum()
+        for n_workers in (1, 2, 3):
+            m = self.build(problem, kind)
+            report = tlr_cholesky(m, n_workers=n_workers)
+            assert_bitwise(m, ref)
+            assert report.counter.per_class == ref_report.counter.per_class
+            assert report.max_rank_seen == ref_report.max_rank_seen
+            assert (
+                report.tiles_densified_online
+                == ref_report.tiles_densified_online
+            )
+        chaotic = self.build(problem, kind)
+        report = tlr_cholesky(chaotic, faults="nan:gemm:0.3")
+        assert report.resilience.retries > 0
+        assert_bitwise(chaotic, ref)
+
+    @pytest.mark.parametrize("how", ["processes", "checkpoint", "batch"])
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_realizing_branches_are_the_eager_call_on_the_map(
+        self, problem, tmp_path, kind, how
+    ):
+        mask = format_map(problem.ntiles, kind)
+        kwargs = {
+            "processes": dict(executor="processes", n_ranks=2),
+            "checkpoint": dict(
+                checkpoint=CheckpointConfig(tmp_path / "d", every=8)
+            ),
+            "batch": dict(n_workers=2, batch=True),
+        }[how]
+        eager = eager_on(problem, self.RULE, mask)
+        tlr_cholesky(eager, **(
+            dict(checkpoint=CheckpointConfig(tmp_path / "e", every=8))
+            if how == "checkpoint" else kwargs
+        ))
+        deferred = self.build(problem, kind)
+        tlr_cholesky(deferred, **kwargs)
+        assert_bitwise(deferred, eager)
+        if how == "checkpoint":  # the finished run, restored
+            resumed = self.build(problem, kind)
+            report = tlr_cholesky(resumed, resume=True, **kwargs)
+            assert report.tasks_resumed > 0
+            assert_bitwise(resumed, eager)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    @pytest.mark.parametrize("kind", MAPS + ["rule"])
+    def test_backward_error_tracks_eps(self, problem, kind, eps):
+        m = self.build(problem, kind, TruncationRule(eps=eps))
+        tlr_cholesky(m)
+        assert backward_error(m, problem.dense()) <= 10 * eps
+
+    def test_empty_map_is_the_compress_everything_factor(
+        self, problem, monkeypatch
+    ):
+        empty = self.build(problem, "empty")
+        tlr_cholesky(empty)
+        # every pending tile compressed, none kept dense: the deferred
+        # factor before formats were decided per tile
+        monkeypatch.setattr(
+            PendingTile, "born", lambda self, block, compress: compress(block)
+        )
+        everything = self.build(problem, "rule")
+        tlr_cholesky(everything)
+        assert_bitwise(empty, everything)
+
+    def test_max_rank_does_not_count_dense_births(self, problem):
+        dense = self.build(problem, "off-band", TruncationRule(eps=1e-8))
+        report = tlr_cholesky(dense)
+        assert report.tiles_densified_online == 21  # NT = 8, columns >= 1
+        assert report.max_rank_seen == 0
+        m = self.build(problem, "rule")
+        report = tlr_cholesky(m)
+        assert report.tiles_densified_online > 0
+        ranks = [
+            t.rank for (i, j), t in m.tiles.items()
+            if j >= 1 and isinstance(t, LowRankTile)
+        ]
+        assert report.max_rank_seen == max(ranks)
+        assert not keep_dense(report.max_rank_seen, (100, 100))
+
+    def test_rule_is_a_third_of_the_tile(self):
+        assert not keep_dense(33, (100, 100)) and keep_dense(34, (100, 100))
+        assert keep_dense(17, (50, 100))  # a ragged tile reads min(m, n)
+        assert keep_dense(100, (100, 100)) and not keep_dense(0, (1, 1))
+
+
+class TestAdaptiveThreshold:
+    """No map: the rule is applied to each pending tile after its one
+    compression, at the fused update."""
+
+    def test_growth_is_checked_after_the_rounding(self):
+        problem = st_3d_exp_problem(1000, 125, seed=9, nugget=1e-3)
+        dense, rule = problem.dense(), TruncationRule(eps=1e-8)
+        plain = BandTLRMatrix.from_problem(problem, rule, band_size=1)
+        adaptive = BandTLRMatrix.from_problem(problem, rule, 1, defer=True)
         tlr_cholesky(plain)
-        report = tlr_cholesky(adaptive, adaptive_threshold=0.3)
+        report = tlr_cholesky(adaptive)
         assert report.tiles_densified_online > 0
         for (i, j), tile in adaptive.tiles.items():
-            # column 0 is never updated, hence never rounded or checked
+            # column 0 is assembled eagerly, never pending, never checked
             if i == j or j == 0 or isinstance(tile, DenseTile):
                 continue
-            # a rounded tile that stayed low-rank is under the threshold
-            assert tile.rank <= 0.3 * 125, (i, j)
+            # a compressed tile that stayed low-rank is under the rule
+            assert not keep_dense(tile.rank, (125, 125)), (i, j)
         assert backward_error(adaptive, dense) <= 10 * 1e-8
         assert backward_error(adaptive, dense) <= 1.5 * backward_error(
             plain, dense
         )
-
-    def test_closure_rule_densifies_the_destination_first(self, setup):
-        """Panel 0 of tile (2, 1) has two dense operands: a full-rank
-        update, which no rounding should be asked to absorb."""
-        dense, base = setup
-        m = base.copy()
-        for ij in ((1, 0), (2, 0)):
-            m.set_tile(*ij, DenseTile(m.tile(*ij).to_dense()))
-        report = tlr_cholesky(m, adaptive_threshold=1.0)
-        assert isinstance(m.tile(2, 1), DenseTile)
-        assert report.tiles_densified_online >= 1
-        assert backward_error(m, dense) <= 10 * 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +727,7 @@ class TestDeferred:
         assert deferred.copy().tile(7, 1) is deferred.tile(7, 1)
         assert deferred.rank_grid()[7, 1] == -1
         assert deferred.realize() is deferred and n_pending(deferred) == 0
-        assert_bitwise(deferred, self.build(problem, defer=False, **kwargs))
+        assert_bitwise(deferred, ruled(problem, self.RULE, 2, **kwargs))
 
     @pytest.mark.parametrize("precision", [None, "adaptive"])
     def test_loops_are_the_core_and_repeat(self, problem, precision):
@@ -615,9 +748,7 @@ class TestDeferred:
             )
             assert report.max_rank_seen == ref_report.max_rank_seen
 
-    @pytest.mark.parametrize(
-        "how", ["processes", "checkpoint", "batch", "adaptive_threshold"]
-    )
+    @pytest.mark.parametrize("how", ["processes", "checkpoint", "batch"])
     def test_realizing_branches_are_the_eager_call(
         self, problem, tmp_path, how
     ):
@@ -627,9 +758,8 @@ class TestDeferred:
                 checkpoint=CheckpointConfig(tmp_path / "d", every=8)
             ),
             "batch": dict(n_workers=2, batch=True),
-            "adaptive_threshold": dict(adaptive_threshold=0.2),
         }[how]
-        eager, deferred = self.build(problem, defer=False), self.build(problem)
+        eager, deferred = ruled(problem, self.RULE, 2), self.build(problem)
         if how == "checkpoint":
             tlr_cholesky(
                 eager, checkpoint=CheckpointConfig(tmp_path / "e", every=8)
@@ -741,5 +871,5 @@ class TestDeferred:
         apply_precision(m, resolve_precision("adaptive"))
         assert m.tile(7, 1).dtype == np.float32
         assert_bitwise(
-            m.realize(), self.build(problem, defer=False, precision="adaptive")
+            m.realize(), ruled(problem, self.RULE, 2, precision="adaptive")
         )

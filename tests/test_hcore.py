@@ -234,14 +234,15 @@ class TestGemmAuto:
         assert kind is expected
         assert recomp is not None
 
-    def test_lr_c_dense_ab_rejected(self, rng):
-        with pytest.raises(KernelError):
-            gemm_auto(
-                DenseTile(np.eye(B)),
-                DenseTile(np.eye(B)),
-                LowRankTile.zero(B, B),
-                RULE,
-            )
+    def test_lr_c_dense_ab_is_a_full_width_update(self, rng):
+        """Dense A and B under a low-rank C (a per-tile format map's case):
+        the product enters at width b, and the dense sum is rounded."""
+        a, b = rng.standard_normal((B, B)), rng.standard_normal((B, B))
+        tc, c0 = lowrank(rng, k=2)
+        out, kind, recomp = gemm_auto(DenseTile(a), DenseTile(b), tc, RULE)
+        assert kind is KernelClass.GEMM_LR_DENSE
+        assert recomp.rank_before == 2 + B
+        np.testing.assert_allclose(out.to_dense(), c0 - a @ b.T, atol=1e-7)
 
     def test_mirror_case_numerics(self, rng):
         """A dense, B low-rank, C low-rank (upper-triangular variants)."""

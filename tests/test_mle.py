@@ -93,6 +93,33 @@ class TestLikelihoodEvaluator:
         assert abs(ll - ref) <= 1e-4 * abs(ref)
         assert hints == [None] * 10
 
+    def test_same_theta_twice_is_bitwise_the_same(self, monkeypatch):
+        """Step 1 decides each tile's format after its compression, by the
+        rule step 2 applies before it (from step 1's factor): at the same
+        θ both give the same bits, and step 2 compresses exactly the tiles
+        step 1 kept low-rank."""
+        calls = []
+        compress = AutoBackend.compress
+
+        def counting(self, a, rule, **kwargs):
+            calls.append(a.shape)
+            return compress(self, a, rule, **kwargs)
+
+        monkeypatch.setattr(AutoBackend, "compress", counting)
+        problem = st_3d_exp_problem(1200, 200, seed=5)
+        ev = LikelihoodEvaluator(
+            points=problem.points, z=problem.sample_measurements(seed=6),
+            tile_size=200, rule=TruncationRule(eps=1e-4),
+            nugget=problem.nugget,
+        )
+        first = ev(1.0, 0.1)
+        step1 = len(calls)
+        born_dense = int(np.tril(ev._dense_map, -1).sum())
+        assert step1 == 15 and 0 < born_dense < 15  # NT = 6 at band 1
+        again = ev(1.0, 0.1)
+        assert again == first
+        assert len(calls) - step1 == step1 - born_dense
+
     @pytest.mark.parametrize(
         "spoil,match",
         [
@@ -134,6 +161,27 @@ class TestFitMle:
         assert 0.3 < res.variance < 3.0
         assert 0.03 < res.correlation_length < 0.4
         assert res.n_evaluations > 5
+
+    def test_fit_matches_the_dense_oracle_optimum(self):
+        """b = 200, ε = 1e-4, band 1: with some tiles born dense and the
+        rest compressed, Nelder-Mead lands where it lands on the dense
+        likelihood (the all-dense layout, exact to roundoff) — the
+        optimum within 1e-4 relative, each parameter within 1 %."""
+        problem = st_3d_exp_problem(1200, 200, seed=5)
+        z = problem.sample_measurements(seed=6)
+        common = dict(points=problem.points, z=z, tile_size=200,
+                      nugget=problem.nugget)
+        tlr = LikelihoodEvaluator(rule=TruncationRule(eps=1e-4), **common)
+        dense = LikelihoodEvaluator(band_size=problem.ntiles, **common)
+        got, want = (
+            fit_mle(ev, initial=(0.5, 0.05), max_iterations=80)
+            for ev in (tlr, dense)
+        )
+        assert 0 < np.tril(tlr._dense_map, -1).sum() < 15
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-4)
+        for a, b in ((got.variance, want.variance),
+                     (got.correlation_length, want.correlation_length)):
+            assert abs(np.log(a / b)) <= 1e-2
 
     def test_rejects_bad_initial(self, mle_problem, mle_z):
         ev = LikelihoodEvaluator(points=mle_problem.points, z=mle_z, tile_size=49)

@@ -168,10 +168,6 @@ class TestFactorizeIntegration:
         assert rep_p.counter.total > 0
         assert rep_p.max_rank_seen == rep_s.max_rank_seen
 
-    def test_adaptive_threshold_conflict(self, small_tlr):
-        with pytest.raises(ConfigurationError, match="adaptive_threshold"):
-            tlr_cholesky(small_tlr, adaptive_threshold=0.5, n_workers=2)
-
     def test_solver_facade(self, small_problem, small_dense):
         solver = TLRSolver.from_problem(small_problem, accuracy=1e-8)
         solver.factorize(n_workers=2)
