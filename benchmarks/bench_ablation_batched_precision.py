@@ -1,36 +1,37 @@
-"""Ablation — batched kernel dispatch + adaptive mixed-precision TLR.
+"""Ablation — batched kernel dispatch, on a single-precision TLR factor.
 
 H2OPUS-TLR owes its throughput to marshaling same-shape low-rank
 operations into batched kernel calls, and the adaptive-precision TLR
 lineage (Cao et al., PAPERS.md) shows fp32 factors are numerically free
-whenever a tile's ε-budget sits above single-precision roundoff.  This
-bench measures both levers on the paper's st-3D-exp workload at the
-b = 100 CI scale, against the ``direct`` arm — exact-SVD backend, the
-reference loops, all-fp64 storage.
+whenever a tile's ε-budget sits above single-precision roundoff — which
+is why off-band low-rank tiles are float32 wherever ε ≥ 1e-7
+(:mod:`repro.linalg.precision`), with no option to turn it off.  This
+bench measures batching on the paper's st-3D-exp workload at the
+b = 100 CI scale, at ε = 1e-4 (so every off-band tile is fp32), against
+the ``direct`` arm — exact-SVD backend, the reference loops.
 
 Arms (factorization only; assembly is identical across arms):
 
-* ``direct``   — svd backend, reference loops, fp64;
+* ``direct``   — svd backend, reference loops;
 * ``batched``  — auto backend, the execution core at one inline worker
-  with ``batch=True`` (batching only exists where a graph core runs),
-  fp64;
-* ``new``      — as ``batched`` plus adaptive precision.
+  with ``batch=True`` (batching only exists where a graph core runs).
 
 Reproduction targets:
 
 * correctness at every scale: batched execution is *bitwise identical*
-  to unbatched on the same configuration; the adaptive arm's backward
-  error stays within 10x of the fp64 arm at ε = 1e-4; adaptive halves
-  the off-band low-rank footprint;
-* the ``new``-over-``direct`` factorization ratio is recorded, not
+  to unbatched on the same configuration, at ε = 1e-4 (fp32 off-band
+  tiles) and at ε = 1e-8 (fp64); the fp32 factors' backward error stays
+  within 10·ε of the dense matrix; fp32 storage halves the off-band
+  low-rank footprint;
+* the ``batched``-over-``direct`` factorization ratio is recorded, not
   asserted (``REPRO_BENCH_BATCH_FULL=1`` pins the full n = 1600 /
-  b = 100 scale for it): the ≥ 1.3x gate it once carried was against
-  the deleted PR-6 scipy-wrapper rounding arm.  With BLAS pinned to one
-  thread ``batch=True`` is never faster than ``batch=False`` beyond
-  noise, and since the fused update rounds once per tile the core at
-  one worker reads 0.85x the plain loops here (docs/performance.md);
-* per-kernel-class GFLOP/s is recorded per arm (flops are identical
-  across arms by the bitwise invariant, so the uplift is pure time).
+  b = 100 scale for it).  With BLAS pinned to one thread ``batch=True``
+  is never faster than ``batch=False`` beyond noise, and the core at one
+  worker is slower than the plain loops (docs/performance.md); the ratio
+  carries the backends too — the exact oracle of ``direct`` rounds fp32
+  tiles in fp64, the sampler of ``batched`` in fp32;
+* GFLOP/s is recorded per arm (the two backends find ranks a few
+  columns apart, so the modelled flops differ slightly).
 
 Timings are the median of three runs (the ``perf_timer`` fixture).
 Writes ``benchmarks/results/ablation_batched_precision.csv`` and the
@@ -85,21 +86,18 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
     dense_norm = np.linalg.norm(dense)
 
     arms = {
-        "direct": dict(backend="svd", batch=False, precision=None),
-        "batched": dict(backend="auto", batch=True, precision=None),
-        "new": dict(backend="auto", batch=True, precision="adaptive"),
+        "direct": dict(backend="svd", batch=False),
+        "batched": dict(backend="auto", batch=True),
     }
 
-    def build(cfg):
+    def build(cfg, rule=rule):
         return BandTLRMatrix.from_problem(
-            prob, rule, band_size=BAND,
-            backend=cfg["backend"], precision=cfg["precision"],
+            prob, rule, band_size=BAND, backend=cfg["backend"]
         )
 
     def factorize(cfg, m):
         return tlr_cholesky(
-            m, batch=cfg["batch"], precision=cfg["precision"],
-            backend=cfg["backend"],
+            m, batch=cfg["batch"], backend=cfg["backend"],
             executor="sequential" if cfg["batch"] else None,
         )
 
@@ -126,12 +124,11 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
             "backward_error": berr,
             "gflops": gflops,
             "flops": report.counter.total,
-        }
-        if report.precision_report is not None:
-            arm_rec["offband_saving_factor"] = (
+            "offband_saving_factor": (
                 report.precision_report.offband_saving_factor
-            )
-            arm_rec["demoted_tiles"] = report.precision_report.demoted_tiles
+            ),
+            "fp32_tiles": report.precision_report.demoted_tiles,
+        }
         record["arms"][name] = arm_rec
         rows.append(
             (
@@ -143,8 +140,6 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
             )
         )
 
-    headline = times["direct"] / max(times["new"], 1e-12)
-    record["speedup_new_over_direct"] = headline
     record["speedup_batched_over_direct"] = times["direct"] / max(
         times["batched"], 1e-12
     )
@@ -156,39 +151,32 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
             ["t_factorize_s", "speedup_vs_direct", "backward_err", "gflops"],
             rows,
             title=(
-                f"Ablation (N={N}, b={B}, eps={EPS:g}): "
-                "batched + adaptive precision vs the fp64 loops"
+                f"Ablation (N={N}, b={B}, eps={EPS:g}, fp32 off-band "
+                "tiles): batched core vs the loops"
             ),
         )
     )
 
     # --- correctness: asserted at every scale ---------------------------
-    # 1. batched bitwise == unbatched, fp64 and adaptive alike.
-    for precision in (None, "adaptive"):
-        m_b = BandTLRMatrix.from_problem(
-            prob, rule, band_size=BAND, backend="auto", precision=precision
-        )
-        tlr_cholesky(
-            m_b, executor="sequential", batch=True, precision=precision
-        )
-        m_u = BandTLRMatrix.from_problem(
-            prob, rule, band_size=BAND, backend="auto", precision=precision
-        )
-        tlr_cholesky(m_u, batch=False, precision=precision)
+    # 1. batched bitwise == unbatched, in fp32 (ε = 1e-4) and fp64 (1e-8).
+    for eps in (EPS, 1e-8):
+        tight = TruncationRule(eps=eps)
+        m_b = build(arms["batched"], tight)
+        tlr_cholesky(m_b, executor="sequential", batch=True)
+        m_u = build(arms["batched"], tight)
+        tlr_cholesky(m_u, batch=False)
         assert _tiles_bitwise_equal(m_b, m_u), (
-            f"batched factor differs from unbatched (precision={precision})"
+            f"batched factor differs from unbatched (eps={eps:g})"
         )
 
-    # 2. adaptive accuracy within 10x of fp64 at eps=1e-4.
-    err64 = record["arms"]["direct"]["backward_error"]
-    errad = record["arms"]["new"]["backward_error"]
-    assert errad < 10 * max(err64, EPS), (
-        f"adaptive backward error {errad:.2e} vs fp64 {err64:.2e}"
-    )
-
-    # 3. adaptive halves the off-band low-rank footprint.
-    saving = record["arms"]["new"]["offband_saving_factor"]
-    assert saving > 1.9, f"off-band saving {saving:.2f}x < 1.9x"
+    for name, arm in record["arms"].items():
+        # 2. the fp32 factors stay within 10·ε of the dense matrix.
+        assert arm["backward_error"] <= 10 * EPS, (
+            f"{name}: backward error {arm['backward_error']:.2e}"
+        )
+        # 3. fp32 storage halves the off-band low-rank footprint.
+        saving = arm["offband_saving_factor"]
+        assert saving > 1.9, f"{name}: off-band saving {saving:.2f}x < 1.9x"
 
     write_csv(
         results_dir / "ablation_batched_precision.csv",
@@ -202,9 +190,7 @@ def test_ablation_batched_precision(benchmark, results_dir, perf_timer):
     # one representative unit for --benchmark-only tables: the hot path.
     # tlr_cholesky factorizes in place, so each round gets a fresh build.
     benchmark.pedantic(
-        lambda m: tlr_cholesky(
-            m, executor="sequential", batch=True, precision="adaptive"
-        ),
-        setup=lambda: ((build(arms["new"]),), {}),
+        lambda m: tlr_cholesky(m, executor="sequential", batch=True),
+        setup=lambda: ((build(arms["batched"]),), {}),
         rounds=3,
     )

@@ -45,9 +45,10 @@ def main() -> None:
 
         # Factorize once, up front — every request below is a cache hit.
         entry = session.warm()
+        pr = entry.report.precision_report
         print(f"factor resident: {entry.nbytes / 2**20:.1f} MiB under key "
-              f"{session.key.digest()} "
-              f"(precision {entry.realized_precision})")
+              f"{session.key.digest()} ({pr.demoted_tiles} of "
+              f"{pr.lowrank_tiles} low-rank tiles fp32)")
 
         errors: list[float] = []
         lock = threading.Lock()

@@ -114,6 +114,11 @@ def _print_resilience(rep) -> None:
     print("resilience: " + ", ".join(parts))
 
 
+def _fp32_tiles(pr) -> str:
+    """How many low-rank tiles the ε rule stored in single precision."""
+    return f"{pr.demoted_tiles} of {pr.lowrank_tiles} low-rank tiles fp32"
+
+
 def _apply_config(args: argparse.Namespace) -> int:
     """Overlay an emitted ``tune`` config.json onto the parsed namespace.
 
@@ -167,13 +172,11 @@ def _run_demo(args: argparse.Namespace) -> int:
         problem,
         accuracy=args.accuracy,
         compression=args.compression,
-        precision=args.precision,
         n_workers=args.workers,
     )
     mn, avg, mx = solver.matrix.rank_stats()
-    print(f"compressed at eps={args.accuracy:g} [{args.compression}] "
-          f"precision={args.precision}: band={solver.band_size}, "
-          f"ranks {mn}/{avg:.1f}/{mx}")
+    print(f"compressed at eps={args.accuracy:g} [{args.compression}]: "
+          f"band={solver.band_size}, ranks {mn}/{avg:.1f}/{mx}")
 
     t0 = time.perf_counter()
     rep = solver.factorize(
@@ -187,9 +190,8 @@ def _run_demo(args: argparse.Namespace) -> int:
     print(f"factorized in {time.perf_counter() - t0:.2f}s{how} "
           f"({rep.counter.total / 1e9:.2f} modelled Gflop)")
     pr = rep.precision_report
-    if pr is not None and pr.mode != "fp64":
-        print(f"mixed precision [{pr.mode}]: {pr.demoted_tiles} fp32 tiles, "
-              f"off-band bytes {pr.offband_saving_factor:.2f}x smaller")
+    print(f"precision: {_fp32_tiles(pr)}, off-band bytes "
+          f"{pr.offband_saving_factor:.2f}x smaller")
     _print_resilience(rep)
 
     rng = np.random.default_rng(args.seed)
@@ -386,6 +388,7 @@ def _run_execute(args: argparse.Namespace) -> int:
     from repro.analysis import format_table, occupancy_summary
     from repro.core import tlr_cholesky
     from repro.distribution import default_distribution
+    from repro.linalg import mixed_precision_report
     from repro.obs import gantt, write_chrome_trace
     from repro.matrix import BandTLRMatrix
     from repro.runtime import get_executor, graph_for_matrix
@@ -397,13 +400,8 @@ def _run_execute(args: argparse.Namespace) -> int:
         rule,
         band_size=args.band,
         backend=args.compression,
-        precision=args.precision,
         n_workers=args.workers,
     )
-    if matrix.precision is not None:
-        from repro.linalg import apply_precision
-
-        apply_precision(matrix, matrix.precision)
     graph = graph_for_matrix(matrix)
 
     if args.executor == "sim":
@@ -448,7 +446,7 @@ def _run_execute(args: argparse.Namespace) -> int:
         ("max rank seen", res.max_rank_seen),
         ("pool hit rate", round(res.pool.stats.hit_rate, 3)),
         ("batched", "on" if use_batch else "off"),
-        ("precision", args.precision),
+        ("precision", _fp32_tiles(mixed_precision_report(matrix))),
     ]
     if args.executor == "processes":
         c = res.comm
@@ -712,8 +710,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         ),
     )
     print(f"serving st-3D-exp n={args.n}, b={args.tile} at "
-          f"eps={args.accuracy:g} [{args.compression}] "
-          f"precision={args.precision}: {config.n_workers} workers, "
+          f"eps={args.accuracy:g} [{args.compression}]: "
+          f"{config.n_workers} workers, "
           f"queue<={config.max_queue_depth}, batch<={config.max_batch}")
     try:
         with SolverService(config, live=live) as svc:
@@ -722,14 +720,13 @@ def _run_serve(args: argparse.Namespace) -> int:
                 accuracy=args.accuracy,
                 band_size=args.band,
                 compression=args.compression,
-                precision=args.precision,
             )
             t0 = time.perf_counter()
             entry = session.warm()
             print(f"factor resident in {time.perf_counter() - t0:.2f}s "
                   f"({entry.nbytes / 2**20:.1f} MiB, key "
-                  f"{session.key.digest()}, precision "
-                  f"{entry.realized_precision})")
+                  f"{session.key.digest()}, "
+                  f"{_fp32_tiles(entry.report.precision_report)})")
             report = run_load(
                 session,
                 clients=args.clients,
@@ -907,11 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "randomized SVD, or auto (sampled or exact per "
                         "tile by size, accuracy and predicted rank); "
                         "default: repro.linalg.default_backend()")
-    d.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
-                   default="fp64",
-                   help="off-band low-rank storage precision: fp64, "
-                        "adaptive (fp32 when the accuracy threshold "
-                        "permits), or fp32 (forced)")
     d.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="with --workers/--checkpoint: run ready same-shape "
@@ -1031,11 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "randomized SVD, or auto (sampled or exact per "
                         "tile by size, accuracy and predicted rank); "
                         "default: repro.linalg.default_backend()")
-    e.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
-                   default="fp64",
-                   help="off-band low-rank storage precision: fp64, "
-                        "adaptive (fp32 when the accuracy threshold "
-                        "permits), or fp32 (forced)")
     e.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="run ready same-shape SYRK/GEMM tasks as one "
@@ -1113,11 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "randomized SVD, or auto (sampled or exact per "
                         "tile by size, accuracy and predicted rank); "
                         "default: repro.linalg.default_backend()")
-    v.add_argument("--precision", choices=["fp64", "adaptive", "fp32"],
-                   default="fp64",
-                   help="off-band low-rank storage precision; part of "
-                        "the factor's cache identity (an fp32-adaptive "
-                        "factor never serves an fp64-strict session)")
     v.add_argument("--service-workers", type=int, default=2,
                    help="solver worker threads (= factor shards)")
     v.add_argument("--max-queue", type=int, default=64,

@@ -69,7 +69,6 @@ class TLRSolver:
         fluctuation: float = 0.67,
         maxrank: int | None = None,
         compression=None,
-        precision=None,
         n_workers: int | None = None,
     ) -> "TLRSolver":
         """Compress a covariance problem, auto-tuning the dense band.
@@ -100,12 +99,6 @@ class TLRSolver:
             :class:`~repro.linalg.backends.CompressionBackend` instance.
             Remembered by the matrix, so factorization recompressions use
             the same numerics.
-        precision:
-            Storage/compute precision for off-band low-rank tiles: a
-            mode name (``"fp64"``, ``"adaptive"``, ``"fp32"``) or a
-            :class:`~repro.linalg.precision.PrecisionPolicy`;
-            remembered by the matrix and honoured by
-            :meth:`factorize`.
         n_workers:
             Thread count for *assembly* (tile generation + compression);
             independent of the worker count later passed to
@@ -121,9 +114,7 @@ class TLRSolver:
             accuracy=accuracy,
             band_size=band_size,
         ):
-            how = dict(
-                backend=compression, precision=precision, n_workers=n_workers
-            )
+            how = dict(backend=compression, n_workers=n_workers)
             if band_size == "auto":
                 matrix, decision = autotune_matrix(
                     problem, rule, fluctuation=fluctuation, **how
@@ -150,7 +141,6 @@ class TLRSolver:
         executor=None,
         n_ranks: int | None = None,
         batch: bool = False,
-        precision=None,
         faults=None,
         recovery=None,
         checkpoint=None,
@@ -172,9 +162,7 @@ class TLRSolver:
         ``executor`` or a resilience option): ready tasks of one kernel
         class and shape run as one stacked ``matmul``, and the factor
         stays bitwise identical to the unbatched one; the reference
-        loops have nothing to batch.  ``precision`` selects the
-        mixed-precision storage policy (defaults to the matrix's own)
-        — see :func:`~repro.core.factorize.tlr_cholesky`.
+        loops have nothing to batch.
 
         ``faults``/``recovery``/``checkpoint``/``resume`` pass through to
         :func:`~repro.core.factorize.tlr_cholesky`'s resilience engine:
@@ -189,7 +177,6 @@ class TLRSolver:
             executor=executor,
             n_ranks=n_ranks,
             batch=batch,
-            precision=precision,
             faults=faults,
             recovery=recovery,
             checkpoint=checkpoint,
@@ -225,12 +212,8 @@ class TLRSolver:
         The :class:`~repro.service.cache.FactorKey` under which
         :meth:`SolverService.register_solver
         <repro.service.server.SolverService.register_solver>` would
-        install this factor: geometry hash, kernel θ, ε, band width,
-        and the ε-resolved precision identity (taken from
-        :attr:`report.precision_report
-        <repro.core.factorize.FactorizationReport.precision_report>`
-        when factorized, so the key always describes what the factor
-        *actually* stores).
+        install this factor: geometry hash, kernel θ, ε (which also
+        fixes the factor's precision), band width and rank cap.
         """
         if self.problem is None:
             raise ConfigurationError(
@@ -238,15 +221,10 @@ class TLRSolver:
             )
         from ..service.cache import FactorKey
 
-        pr = self.report.precision_report if self.report else None
-        precision = pr.mode if pr is not None and pr.mode else None
-        if precision is None and self.matrix.precision is not None:
-            precision = self.matrix.precision
         return FactorKey.from_problem(
             self.problem,
             accuracy=self.matrix.rule.eps,
             band_size=self.matrix.band_size,
-            precision=precision,
             maxrank=self.matrix.rule.maxrank,
         )
 

@@ -277,7 +277,6 @@ def autotune_matrix(
     fluctuation: float = FLUCTUATION_RANGE[0],
     max_band: int | None = None,
     backend=None,
-    precision=None,
     n_workers: int | None = None,
 ) -> tuple[BandTLRMatrix, BandSizeDecision]:
     """Assemble ``problem`` at the band Algorithm 1 picks, tuning on the way.
@@ -291,9 +290,8 @@ def autotune_matrix(
     bitwise, what the three-step pipeline produces; only tiles
     compressed before their sub-diagonal was decided dense are wasted.
     """
-    how = dict(backend=backend, precision=precision)
     probe = BandTLRMatrix(
-        TileDescriptor(problem.n, problem.tile_size), 1, rule, **how
+        TileDescriptor(problem.n, problem.tile_size), 1, rule, backend=backend
     )
 
     def tile_rank(i: int, j: int) -> int:
@@ -310,7 +308,7 @@ def autotune_matrix(
             band_size=band, tiles_probed=probed, tiles_discarded=probed - len(kept)
         )
     matrix = BandTLRMatrix.from_problem(
-        problem, rule, band, n_workers=n_workers, reuse=kept, **how
+        problem, rule, band, backend=backend, n_workers=n_workers, reuse=kept
     )
     maxranks = subdiagonal_maxranks(matrix.rank_grid())
     maxranks[: band - 1] = walked[: band - 1]

@@ -31,7 +31,10 @@ of columns ``j >= 1`` pending, and the fused update forms the
 (:func:`~repro.linalg.tiles.keep_dense`, rank ≥ ⌈b/3⌉ stays dense): a
 tile the previous step's factor marks dense keeps it without a
 compression, any other is compressed once — compression after the
-update, not before it and again at the wide rounding.  A low-rank tile
+update, not before it and again at the wide rounding.  Where ε clears
+:data:`~repro.linalg.precision.FP32_EPS_FLOOR` a tile that is to be
+compressed is cast to float32 once after its generation, and updated and
+compressed in single precision; dense tiles stay float64.  A low-rank tile
 whose panel operands are both dense takes them as width-``b`` factors, so
 every dense/low-rank map is valid.  The loops and the in-process core
 consume pending tiles natively (bitwise alike at any worker count); the
@@ -52,12 +55,7 @@ from .. import obs
 from ..linalg import hcore
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
-from ..linalg.precision import (
-    MixedPrecisionReport,
-    apply_precision,
-    mixed_precision_report,
-    resolve_precision,
-)
+from ..linalg.precision import MixedPrecisionReport, mixed_precision_report
 from ..linalg.tiles import DenseTile, LowRankTile, PendingTile
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError
@@ -99,7 +97,7 @@ class FactorizationReport:
         process executor, whose ranks exchange tiles explicitly).
     precision_report:
         Post-factorization byte accounting of the factor's storage
-        dtypes (``None`` unless a precision policy was active); see
+        dtypes (off-band low-rank tiles are float32 when ε allows); see
         :class:`~repro.linalg.precision.MixedPrecisionReport`.
     """
 
@@ -123,7 +121,6 @@ def tlr_cholesky(
     n_ranks: int | None = None,
     backend=None,
     batch: bool = False,
-    precision=None,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -158,14 +155,6 @@ def tlr_cholesky(
         it buys no time either).  Incompatible with the processes/sim
         executors, and silently disabled while the recovery engine is
         active.
-    precision:
-        Storage/compute precision for off-band low-rank tiles: a mode
-        name (``"fp64"``, ``"adaptive"``, ``"fp32"``) or a
-        :class:`~repro.linalg.precision.PrecisionPolicy`.  ``None``
-        keeps the matrix's own policy (or all-float64 when it has
-        none).  The policy is applied to the tiles before
-        factorization and the report's ``precision_report`` holds the
-        post-factorization byte accounting.
     n_workers:
         When set, the factorization runs through the dependency-driven
         execution core (:mod:`repro.runtime.executor`) on that many
@@ -229,13 +218,6 @@ def tlr_cholesky(
     )
     if resume and checkpoint is None:
         raise ConfigurationError("resume=True requires a checkpoint directory")
-    policy = None
-    if precision is not None:
-        policy = resolve_precision(precision)
-    elif matrix.precision is not None:
-        policy = matrix.precision
-    if policy is not None:
-        apply_precision(matrix, policy)
     pending = [
         ij for ij, tile in matrix.tiles.items() if isinstance(tile, PendingTile)
     ]
@@ -257,10 +239,11 @@ def tlr_cholesky(
         report.tiles_densified_online = sum(
             isinstance(matrix.tiles[ij], DenseTile) for ij in pending
         )
-        span.set(tiles_born_dense=report.tiles_densified_online)
-    if policy is not None:
-        report.precision_report = mixed_precision_report(
-            matrix, mode=policy.mode
+        pr = report.precision_report = mixed_precision_report(matrix)
+        span.set(
+            tiles_born_dense=report.tiles_densified_online,
+            lowrank_tiles=pr.lowrank_tiles,
+            fp32_tiles=pr.demoted_tiles,
         )
     if obs.enabled():
         obs.gauge_set("rank_growth_events", report.rank_growth_events)

@@ -362,18 +362,18 @@ class CompressionBackend:
 
         The rounding runs in the *destination tile's* storage dtype: an
         fp32 tile is packed or summed, and returned, in single precision
-        (the update factors are cast), an fp64 tile in double.  The
-        certified ε of an fp32 tile sits above fp32 roundoff by policy
-        (:mod:`repro.linalg.precision`), so the lower-precision rounding
-        stays within the tile's error budget.
+        (the update factors are cast), an fp64 tile in double.  A tile is
+        fp32 only when its ε clears :data:`~repro.linalg.precision.FP32_EPS_FLOOR`,
+        so the lower-precision rounding stays within its error budget.
 
         A :class:`~repro.linalg.tiles.PendingTile` ``c`` takes the dense
-        path whatever the width, with its generated block (float64) in
-        place of ``c.u @ c.v.T``, and is born from the updated block
+        path whatever the width, with its generated block in place of
+        ``c.u @ c.v.T``, and is born from the updated block
         (:meth:`PendingTile.born <repro.linalg.tiles.PendingTile.born>`):
-        compressed once, unhinted and cast to its storage dtype, or kept
-        as a :class:`~repro.linalg.tiles.DenseTile` (``rank_after`` 0:
-        nothing was truncated); never a rank growth.
+        generated in float64 and cast once to the dtype it is formed in,
+        then updated and compressed once, unhinted, in its storage dtype,
+        or kept as a float64 :class:`~repro.linalg.tiles.DenseTile`
+        (``rank_after`` 0: nothing was truncated); never a rank growth.
         """
         pending = isinstance(c, PendingTile)
         kc, ku = c.rank, u_upd.shape[1]
@@ -387,15 +387,11 @@ class CompressionBackend:
         if pending or 2 * r >= min(m, n):
             # Wide: the dense sum is the smaller representation, formed
             # directly (no workspace — it would be at least as large).
-            if pending:
-                with obs.span("generate", "assembly"):
-                    dense = c.to_dense()
-            else:
-                dense = c.u @ c.v.T
-            dense -= (
-                u_upd.astype(dense.dtype, copy=False)
-                @ v_upd.astype(dense.dtype, copy=False).T
-            )
+            def updated(block):
+                """``block - u_upd @ v_upd.T``, in place, in the block's dtype."""
+                dt = block.dtype
+                block -= u_upd.astype(dt, copy=False) @ v_upd.astype(dt, copy=False).T
+                return block
 
             def compress(block):
                 tile = self.compress(
@@ -404,7 +400,14 @@ class CompressionBackend:
                 # the exact oracle rounds fp32 in fp64
                 return tile if tile.dtype == dtype else tile.astype(dtype)
 
-            tile = c.born(dense, compress) if pending else compress(dense)
+            if pending:
+                with obs.span("generate", "assembly"):
+                    generated = c.to_dense()
+                tile = c.born(
+                    lambda dt: updated(generated.astype(dt, copy=False)), compress
+                )
+            else:
+                tile = compress(updated(c.u @ c.v.T))
             lowrank = isinstance(tile, LowRankTile)
             result = RecompressionResult(
                 tile, rank_before=r, rank_after=tile.rank if lowrank else 0,

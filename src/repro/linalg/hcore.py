@@ -21,12 +21,15 @@ fused left-looking update, one rounding per tile).
 Every kernel can record its Table I modelled cost into a
 :class:`~repro.linalg.flops.FlopCounter`.
 
-Mixed precision: low-rank operands may be stored in float32 (see
+Mixed precision: low-rank tiles are float32 wherever ε allows it (ε ≥
+:data:`~repro.linalg.precision.FP32_EPS_FLOOR`; see
 :mod:`repro.linalg.precision`).  Kernels preserve each *destination*
 tile's storage dtype — an fp32 low-rank tile stays fp32 through TRSM and
-recompression (run by the single-precision LAPACK drivers), while dense
-destinations are always float64, so accumulations against fp32 operands
-promote naturally: fp32 storage, fp64 accumulate.
+recompression (run by the single-precision LAPACK drivers; a pending
+tile is updated in fp32 too), while dense destinations are always
+float64, so accumulations against fp32 operands promote naturally: fp32
+storage, fp64 accumulate.  Low-rank TRSM still solves against the fp64
+diagonal tile and casts back.
 """
 
 from __future__ import annotations

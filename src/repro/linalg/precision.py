@@ -1,36 +1,34 @@
-"""Adaptive mixed-precision TLR storage *and compute* (paper Section IX).
+"""Single precision wherever ε allows (paper Section IX).
 
 The paper closes by proposing to "combine [BAND-DENSE-TLR] with
-mixed-precision algorithms": off-band compressed tiles already carry an
-O(ε) approximation error, so storing their factors in single precision
-(unit roundoff ≈ 6e-8) costs nothing numerically whenever ε ≳ 1e-7 —
-while halving the off-band memory footprint and communication volume.
+mixed-precision algorithms": an off-band compressed tile already carries
+an O(ε) approximation error, so storing *and computing* its factors in
+single precision (unit roundoff ≈ 6e-8) costs nothing numerically
+whenever ε ≳ 1e-7, while halving the off-band memory footprint and
+communication volume and running its compressions on the ``s``-prefixed
+LAPACK drivers.
 
-This module is the policy layer of a real mixed-precision compute path
-(not just storage modeling, its original scope):
+That is the behaviour, not an option: :func:`lowrank_dtype` is the rule
+(an off-band low-rank tile is float32 iff ``rule.eps >=``
+:data:`FP32_EPS_FLOOR`), and :meth:`BandTLRMatrix._storage_dtype
+<repro.matrix.BandTLRMatrix._storage_dtype>` is the one place tiles get
+their dtype from it.  Dense tiles — the band, tiles born dense and the
+Cholesky factors themselves — are always float64.  A factor's precision
+is therefore a function of ε alone.
 
-* :class:`PrecisionPolicy` — per-tile dtype selection.  ``"adaptive"``
-  stores off-band low-rank tiles in float32 when the certified ε of the
-  :class:`~repro.linalg.compression.TruncationRule` clears the
-  :attr:`~PrecisionPolicy.fp32_eps_floor` (default 1e-7, safely above
-  fp32 roundoff) and falls back to float64 otherwise; ``"fp32"`` forces
-  single precision on every low-rank tile; ``"fp64"`` is the historical
-  all-double behaviour.  Dense tiles — the band and the Cholesky factors
-  themselves — are always float64.
-* :func:`apply_precision` — cast a matrix's tiles to the policy in place
-  and return a :class:`MixedPrecisionReport` with exact byte accounting.
-* Downstream, the hcore kernels preserve each destination tile's storage
-  dtype (fp32 tiles are TRSM-solved and QR-SVD-recompressed by the
-  single-precision LAPACK drivers; dense accumulations against fp32
-  operands promote to fp64 — fp32 storage, fp64 accumulate), so an
-  adaptive factorization really runs its off-band flops in single
-  precision.  See :meth:`CompressionBackend.recompress_update
-  <repro.linalg.backends.CompressionBackend.recompress_update>`.
+Downstream, the hcore kernels preserve each destination tile's storage
+dtype (fp32 tiles are TRSM-solved and compressed or QR-SVD-rounded by
+the single-precision drivers; dense accumulations against fp32 operands
+promote to fp64 — fp32 storage, fp64 accumulate); see
+:meth:`CompressionBackend.recompress_update
+<repro.linalg.backends.CompressionBackend.recompress_update>`.
+:func:`mixed_precision_report` is the byte accounting of a factor's
+actual dtypes.
 
-The original storage-only modeling helpers (:func:`quantize_tile`,
-:func:`demote_matrix`) are kept: they answer "what would dtype-storage
-cost numerically" on an otherwise double-precision matrix, which remains
-useful for float16 what-ifs the compute path does not support.
+The storage-only modeling helpers (:func:`quantize_tile`,
+:func:`demote_matrix`) answer "what would dtype storage cost
+numerically" on an otherwise double-precision matrix, which stays useful
+for float16 what-ifs the compute path does not support.
 """
 
 from __future__ import annotations
@@ -43,13 +41,8 @@ from ..utils.exceptions import ConfigurationError
 from .tiles import DenseTile, LowRankTile, Tile
 
 __all__ = [
-    "PRECISION_MODES",
-    "PRECISION_IDENTITIES",
-    "PrecisionPolicy",
-    "resolve_precision",
-    "precision_identity",
-    "identity_compatible",
-    "apply_precision",
+    "FP32_EPS_FLOOR",
+    "lowrank_dtype",
     "mixed_precision_report",
     "quantize_tile",
     "demote_matrix",
@@ -58,123 +51,15 @@ __all__ = [
 
 _SUPPORTED = (np.float32, np.float16)
 
-#: Recognized precision mode names (CLI ``--precision`` choices).
-PRECISION_MODES = ("fp64", "adaptive", "fp32")
-
-#: ε-resolved precision identities (what a factor's storage *actually*
-#: is, as opposed to the mode that was requested).  ``"adaptive"`` never
-#: appears here: once ε is known, adaptive resolves to either
-#: ``"fp32-adaptive"`` (the floor cleared, off-band tiles demoted) or
-#: ``"fp64"`` (floor not cleared, nothing demoted — the factor is
-#: bitwise an fp64 factor).
-PRECISION_IDENTITIES = ("fp64", "fp32-adaptive", "fp32")
+#: Smallest truncation ε at which an off-band low-rank tile is float32:
+#: safely above single-precision roundoff, so the fp32 error stays inside
+#: the tile's ε budget.
+FP32_EPS_FLOOR = 1e-7
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Per-tile storage/compute dtype selection.
-
-    Attributes
-    ----------
-    mode:
-        ``"fp64"`` (everything double), ``"adaptive"`` (float32 off-band
-        low-rank tiles when ε clears the floor), or ``"fp32"`` (float32
-        on every low-rank tile, regardless of ε — a user override for
-        experiments).
-    fp32_eps_floor:
-        Minimum truncation ε for which adaptive mode certifies float32
-        storage.  Below it (e.g. ε = 1e-10) single-precision roundoff
-        would dominate the tile's error budget, so the fp64 fallback
-        engages.
-    """
-
-    mode: str = "fp64"
-    fp32_eps_floor: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if self.mode not in PRECISION_MODES:
-            raise ConfigurationError(
-                f"precision mode must be one of {PRECISION_MODES}, "
-                f"got {self.mode!r}"
-            )
-        if self.fp32_eps_floor <= 0:
-            raise ConfigurationError(
-                f"fp32_eps_floor must be positive, got {self.fp32_eps_floor}"
-            )
-
-    def storage_dtype(
-        self, *, eps: float, distance: int, band_size: int
-    ) -> np.dtype:
-        """Storage dtype for a *low-rank* tile.
-
-        Parameters
-        ----------
-        eps:
-            The truncation rule's certified tolerance.
-        distance:
-            Sub-diagonal distance ``i - j`` of the tile.
-        band_size:
-            The matrix's dense band width; tiles with
-            ``distance < band_size`` are on the band and (being dense)
-            never reach this policy, but the guard keeps the rule total.
-        """
-        if self.mode == "fp32":
-            return np.dtype(np.float32)
-        if (
-            self.mode == "adaptive"
-            and eps >= self.fp32_eps_floor
-            and distance >= band_size
-        ):
-            return np.dtype(np.float32)
-        return np.dtype(np.float64)
-
-
-def resolve_precision(
-    spec: str | PrecisionPolicy | None,
-) -> PrecisionPolicy:
-    """Resolve a precision spec: a policy, a mode name, or ``None`` (fp64)."""
-    if spec is None:
-        return PrecisionPolicy()
-    if isinstance(spec, PrecisionPolicy):
-        return spec
-    if isinstance(spec, str):
-        return PrecisionPolicy(mode=spec)
-    raise ConfigurationError(
-        f"precision must be a mode name {PRECISION_MODES}, a "
-        f"PrecisionPolicy, or None; got {type(spec).__name__}"
-    )
-
-
-def precision_identity(spec: str | PrecisionPolicy | None, eps: float) -> str:
-    """The ε-resolved storage identity a precision spec denotes.
-
-    ``"adaptive"`` is a *request*, not a storage fact: what a factor
-    actually holds depends on whether ε clears the policy's
-    :attr:`~PrecisionPolicy.fp32_eps_floor`.  This function is the one
-    place that resolution lives — :class:`MixedPrecisionReport.identity`
-    reports the same identity from the realized side, and the service's
-    factor-cache keys use this function on the request side, so the two
-    can never disagree on what "the same precision" means (an
-    fp32-adaptive factor must never be served to an fp64-strict
-    request).
-    """
-    policy = resolve_precision(spec)
-    if policy.mode == "adaptive":
-        return "fp32-adaptive" if eps >= policy.fp32_eps_floor else "fp64"
-    return policy.mode
-
-
-def identity_compatible(requested: str, realized: str) -> bool:
-    """May a factor with storage identity ``realized`` serve ``requested``?
-
-    Exact matches always serve.  The one permitted substitution is a
-    **pure-fp64 factor serving a request that allowed fp32**: full
-    precision is a strict superset of what the request asked for.  The
-    reverse — any fp32-touched factor (``"fp32"`` or
-    ``"fp32-adaptive"``) answering an ``"fp64"``-strict request — is
-    never compatible.
-    """
-    return requested == realized or realized == "fp64"
+def lowrank_dtype(eps: float) -> np.dtype:
+    """Storage and compute dtype of a low-rank tile compressed to ``eps``."""
+    return np.dtype(np.float32 if eps >= FP32_EPS_FLOOR else np.float64)
 
 
 def quantize_tile(tile: Tile, dtype=np.float32) -> Tile:
@@ -211,12 +96,10 @@ class MixedPrecisionReport:
     offband_bytes_full:
         Off-band low-rank footprint with everything in float64.
     offband_bytes_mixed:
-        Off-band low-rank footprint at the actual storage dtypes —
-        adaptive mode halves this relative to ``offband_bytes_full``
-        when every off-band tile is certified for float32.
-    mode:
-        The policy mode that produced this accounting (``""`` for the
-        storage-only :func:`demote_matrix` modeling path).
+        Off-band low-rank footprint at the actual storage dtypes — half
+        of ``offband_bytes_full`` when ε clears :data:`FP32_EPS_FLOOR`.
+    lowrank_tiles:
+        Number of low-rank tiles (the tiles that may be demoted).
     """
 
     demoted_tiles: int
@@ -224,23 +107,7 @@ class MixedPrecisionReport:
     bytes_mixed: int
     offband_bytes_full: int = 0
     offband_bytes_mixed: int = 0
-    mode: str = ""
-
-    @property
-    def identity(self) -> str:
-        """ε-resolved storage identity of the factor this report describes.
-
-        The realized-side counterpart of :func:`precision_identity`: an
-        ``"adaptive"``-mode factorization that demoted nothing *is* an
-        fp64 factor (bitwise), so it reports ``"fp64"``; one that
-        demoted tiles reports ``"fp32-adaptive"``.  A missing/empty mode
-        (the storage-only modeling path, or no policy at all) reports
-        ``"fp64"``.  Cache lookups compare this against the request's
-        :func:`precision_identity` via :func:`identity_compatible`.
-        """
-        if self.mode == "adaptive":
-            return "fp32-adaptive" if self.demoted_tiles else "fp64"
-        return self.mode or "fp64"
+    lowrank_tiles: int = 0
 
     @property
     def saving_factor(self) -> float:
@@ -252,9 +119,9 @@ class MixedPrecisionReport:
         return self.offband_bytes_full / max(self.offband_bytes_mixed, 1)
 
 
-def mixed_precision_report(matrix, mode: str = "") -> MixedPrecisionReport:
+def mixed_precision_report(matrix) -> MixedPrecisionReport:
     """Byte accounting of a matrix's *actual* tile storage dtypes."""
-    demoted = 0
+    demoted = lowrank = 0
     bytes_full = bytes_mixed = 0
     off_full = off_mixed = 0
     for tile in matrix.tiles.values():
@@ -263,6 +130,7 @@ def mixed_precision_report(matrix, mode: str = "") -> MixedPrecisionReport:
         actual = tile.memory_bytes()
         bytes_mixed += actual
         if isinstance(tile, LowRankTile):
+            lowrank += 1
             off_full += nbytes64
             off_mixed += actual
             if tile.dtype != np.float64:
@@ -273,29 +141,8 @@ def mixed_precision_report(matrix, mode: str = "") -> MixedPrecisionReport:
         bytes_mixed=bytes_mixed,
         offband_bytes_full=off_full,
         offband_bytes_mixed=off_mixed,
-        mode=mode,
+        lowrank_tiles=lowrank,
     )
-
-
-def apply_precision(matrix, policy: PrecisionPolicy) -> MixedPrecisionReport:
-    """Cast a matrix's low-rank tiles to ``policy`` in place.
-
-    Promotes as well as demotes — applying the ``"fp64"`` policy to a
-    mixed matrix restores all-double storage.  Dense tiles are never
-    touched; a pending tile takes the dtype it will be compressed to.
-    Returns the post-cast byte accounting.
-    """
-    eps = matrix.rule.eps
-    for (i, j), tile in matrix.tiles.items():
-        if isinstance(tile, DenseTile):
-            continue
-        target = policy.storage_dtype(
-            eps=eps, distance=i - j, band_size=matrix.band_size
-        )
-        if tile.dtype != target:
-            matrix.tiles[(i, j)] = tile.astype(target)
-    matrix.precision = policy
-    return mixed_precision_report(matrix, mode=policy.mode)
 
 
 def demote_matrix(
@@ -309,8 +156,8 @@ def demote_matrix(
     Storage-only *modeling*: demoted tiles pass through ``dtype`` but are
     returned as float64 payloads, so downstream double-precision kernels
     see exactly the value error a ``dtype`` store would incur, without
-    changing any compute.  For the real mixed compute path use
-    :func:`apply_precision` / ``tlr_cholesky(precision=...)``.
+    changing any compute.  The real compute path needs no call: it is
+    the ε rule of :func:`lowrank_dtype`.
 
     Parameters
     ----------

@@ -14,10 +14,10 @@ distinction between
 Both accounting schemes are exposed here (:meth:`LowRankTile.memory_elements`)
 so the memory benchmarks (Fig. 8) can compare them on identical rank data.
 
-Low-rank factors may be stored in float32 when a precision policy
-(:mod:`repro.linalg.precision`) certifies the tile's ε-budget exceeds
-single-precision roundoff; dense tiles — the band and the Cholesky
-factors themselves — always stay float64.
+Low-rank factors are stored in float32 when the tile's ε budget exceeds
+single-precision roundoff (:func:`repro.linalg.precision.lowrank_dtype`);
+dense tiles — the band and the Cholesky factors themselves — always stay
+float64.
 
 A third state, :class:`PendingTile`, is an off-band tile an MLE step has
 not generated yet: the recipe of its dense block, which its fused update
@@ -27,7 +27,7 @@ not generated yet: the recipe of its dense block, which its fused update
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -125,7 +125,7 @@ class LowRankTile:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        # float32 storage is allowed (mixed-precision policies); any other
+        # float32 storage is allowed (the ε rule of .precision); any other
         # dtype — ints, float16 payloads, object arrays — is coerced to the
         # float64 default.  Mixed-precision factors are upcast to a common
         # dtype so ``u`` and ``v`` always agree.
@@ -211,10 +211,11 @@ class PendingTile:
 
     It stores nothing (rank 0, no bytes), so it is its own copy and
     pickles as its recipe; ``dtype`` is the storage dtype a compressed
-    tile will take.  ``dense`` is the format decision: ``True`` keeps the
-    block dense without compressing it, ``False`` compresses it, and
-    ``None`` (no earlier factor to read it from) compresses it and then
-    applies :func:`keep_dense` to the rank found.  :meth:`born` is the one
+    tile will take, and the dtype it is updated and compressed in.
+    ``dense`` is the format decision: ``True`` keeps the block dense
+    without compressing it, ``False`` compresses it, and ``None`` (no
+    earlier factor to read it from) compresses it and then applies
+    :func:`keep_dense` to the rank found.  :meth:`born` is the one
     place the decision is carried out; :meth:`CompressionBackend.recompress_update
     <repro.linalg.backends.CompressionBackend.recompress_update>` and
     :meth:`BandTLRMatrix.realize <repro.matrix.BandTLRMatrix.realize>`
@@ -230,25 +231,29 @@ class PendingTile:
     format = TileFormat.PENDING
     rank = 0
 
-    def astype(self, dtype) -> "PendingTile":
-        """The same recipe under another storage dtype."""
-        return replace(self, dtype=np.dtype(dtype))
-
     def to_dense(self) -> np.ndarray:
         """Generate the dense block (float64); nothing is cached."""
         return self.problem.tile(self.i, self.j)
 
-    def born(self, block: np.ndarray, compress) -> "DenseTile | LowRankTile":
-        """The tile this recipe becomes from its final dense ``block``.
+    def born(self, final, compress) -> "DenseTile | LowRankTile":
+        """The tile this recipe becomes from its final dense block.
 
-        ``compress(block)`` returns the block's :class:`LowRankTile` in
-        the storage dtype; it is not called for a tile decided dense, and
-        it must leave ``block`` intact.
+        ``final(dtype)`` forms that block in ``dtype`` (the generated
+        float64 block, cast once, then updated) and is called at most once
+        per dtype; ``compress(block)`` returns the block's
+        :class:`LowRankTile` in the storage dtype and must leave ``block``
+        intact.  A tile decided dense is formed in float64 and never
+        compressed; any other is formed and compressed in its storage
+        dtype, and an undecided one the rule keeps dense keeps the float64
+        block.
         """
         if self.dense:
-            return DenseTile(block)
+            return DenseTile(final(np.float64))
+        block = final(self.dtype)
         tile = compress(block)
         if self.dense is None and keep_dense(tile.rank, self.shape):
+            if block.dtype != np.float64:
+                block = final(np.float64)
             return DenseTile(block)
         return tile
 

@@ -33,7 +33,7 @@ import numpy as np
 from .. import obs
 from ..linalg.backends import CompressionBackend, get_backend, tile_seed
 from ..linalg.compression import TruncationRule
-from ..linalg.precision import PrecisionPolicy, resolve_precision
+from ..linalg.precision import lowrank_dtype
 from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile, keep_dense
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
@@ -62,11 +62,9 @@ class BandTLRMatrix:
         :meth:`with_band_size` and factorizations recompress with the
         same numerics); ``None`` means the process default
         (:func:`~repro.linalg.backends.get_backend`).
-    precision:
-        Storage-dtype policy for off-band low-rank tiles (see
-        :class:`~repro.linalg.precision.PrecisionPolicy`); ``None``
-        keeps the historical all-float64 behaviour.  A mode name
-        (``"adaptive"``, ``"fp32"``) is resolved on construction.
+
+    Off-band low-rank tiles are stored and computed in float32 when the
+    rule's ε allows it (:meth:`_storage_dtype`), dense tiles in float64.
     """
 
     desc: TileDescriptor
@@ -74,36 +72,35 @@ class BandTLRMatrix:
     rule: TruncationRule
     tiles: dict[tuple[int, int], Tile] = field(default_factory=dict)
     backend: CompressionBackend | None = None
-    precision: PrecisionPolicy | None = None
 
     def __post_init__(self) -> None:
         check_positive_int("band_size", self.band_size)
         if self.backend is not None:
             self.backend = get_backend(self.backend)
-        if self.precision is not None:
-            self.precision = resolve_precision(self.precision)
 
     def _compress(self, block: np.ndarray, i: int, j: int) -> LowRankTile:
         """Compress one off-band block with the matrix's backend.
 
+        The block is cast once to the storage dtype and compressed in it.
         The seed is derived from the tile coordinates alone, so parallel
         assembly with a randomized backend stays bitwise reproducible
         across worker counts.
         """
         backend = get_backend(self.backend)
+        target = self._storage_dtype()
         tile = backend.compress(
-            block, self.rule, seed=tile_seed(backend.seed, i, j)
+            block.astype(target, copy=False), self.rule,
+            seed=tile_seed(backend.seed, i, j),
         )
-        target = self._storage_dtype(i, j)
         return tile if tile.dtype == target else tile.astype(target)
 
-    def _storage_dtype(self, i: int, j: int) -> np.dtype:
-        """Storage dtype of off-band tile ``(i, j)`` under the policy."""
-        if self.precision is None:
-            return np.dtype(np.float64)
-        return self.precision.storage_dtype(
-            eps=self.rule.eps, distance=i - j, band_size=self.band_size
-        )
+    def _storage_dtype(self) -> np.dtype:
+        """Storage and compute dtype of the off-band low-rank tiles.
+
+        The one place tiles get their dtype: float32 iff the rule's ε is
+        at least :data:`~repro.linalg.precision.FP32_EPS_FLOOR`.
+        """
+        return lowrank_dtype(self.rule.eps)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -116,7 +113,6 @@ class BandTLRMatrix:
         band_size: int = 1,
         *,
         backend: CompressionBackend | str | None = None,
-        precision: PrecisionPolicy | str | None = None,
         n_workers: int | None = None,
         reuse: dict[tuple[int, int], LowRankTile] | None = None,
         defer: bool | np.ndarray = False,
@@ -130,8 +126,8 @@ class BandTLRMatrix:
         fans out over ``n_workers`` threads; per-tile compression seeds
         make the result bitwise identical for every worker count.
         ``reuse`` holds off-band tiles already compressed from this
-        problem under the same rule, backend and precision (the
-        auto-tuner's probe); they are taken as they are.
+        problem under the same rule and backend (the auto-tuner's
+        probe); they are taken as they are.
 
         With ``defer`` every off-band tile that a factorization updates
         before it reads it (column ``j >= 1``) is left a
@@ -147,8 +143,7 @@ class BandTLRMatrix:
         carries the same decisions out without the updates.
         """
         desc = TileDescriptor(problem.n, problem.tile_size)
-        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
-                  precision=precision)
+        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend)
         dense_map = None
         if not isinstance(defer, (bool, np.bool_)):
             dense_map = np.asarray(defer, dtype=bool)
@@ -170,7 +165,6 @@ class BandTLRMatrix:
         band_size: int = 1,
         *,
         backend: CompressionBackend | str | None = None,
-        precision: PrecisionPolicy | str | None = None,
         n_workers: int | None = None,
     ) -> "BandTLRMatrix":
         """Tile + compress an explicit dense symmetric matrix (tests, demos)."""
@@ -178,8 +172,7 @@ class BandTLRMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigurationError(f"matrix must be square, got {a.shape}")
         desc = TileDescriptor(a.shape[0], tile_size)
-        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend,
-                  precision=precision)
+        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend)
         mat._assemble(
             lambda i, j: a[desc.tile_slice(i), desc.tile_slice(j)].copy(), n_workers
         )
@@ -219,7 +212,7 @@ class BandTLRMatrix:
                 return self._compress(block_of(*ij), *ij)
             pending = PendingTile(
                 defer_from, *ij, self.desc.tile_shape(*ij),
-                self._storage_dtype(*ij),
+                self._storage_dtype(),
                 None if dense_map is None else bool(dense_map[ij]),
             )
             # column 0 takes no update: it is born from its generated block
@@ -260,8 +253,10 @@ class BandTLRMatrix:
 
     def _born(self, tile: PendingTile) -> Tile:
         """What a pending tile becomes from its block, without an update."""
+        block = tile.to_dense()
         return tile.born(
-            tile.to_dense(), lambda block: self._compress(block, tile.i, tile.j)
+            lambda dtype: block.astype(dtype, copy=False),
+            lambda cast: self._compress(cast, tile.i, tile.j),
         )
 
     def realize(self) -> "BandTLRMatrix":
@@ -403,7 +398,6 @@ class BandTLRMatrix:
             band_size=band_size,
             rule=self.rule,
             backend=self.backend,
-            precision=self.precision,
         )
         for (i, j), tile in self.tiles.items():
             now_banded = self.desc.on_band(i, j, band_size)
@@ -441,7 +435,6 @@ class BandTLRMatrix:
             band_size=self.band_size,
             rule=self.rule,
             backend=self.backend,
-            precision=self.precision,
         )
         out.tiles = {ij: t.copy() for ij, t in self.tiles.items()}
         return out

@@ -87,13 +87,14 @@ class RunTrace:
     wall clock, ``meta`` whatever the observation's creator attached, and
     ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
     per ``band_size="auto"`` assembly (its ``autotune_band`` span), and
-    ``deferred`` what a deferred assembly (``defer``) moved into the
-    factorization: ``{tiles, born_dense, assembled_dense, generated,
-    generate_s}`` — tiles the ``assemble`` spans left pending, how many of
-    them the factorizations (``tlr_cholesky`` spans) kept dense instead of
-    compressing, off-band tiles the assemblies themselves built dense,
-    and the ``generate`` spans (count, seconds) nested in the GEMM tasks
-    that built pending tiles.
+    ``tiles`` the tile counts of assemblies and factorizations:
+    ``{deferred, born_dense, assembled_dense, generated, generate_s,
+    lowrank, fp32}`` — tiles the ``assemble`` spans left pending (a
+    deferred assembly), how many of them the factorizations
+    (``tlr_cholesky`` spans) kept dense instead of compressing, off-band
+    tiles the assemblies themselves built dense, the ``generate`` spans
+    (count, seconds) nested in the GEMM tasks that built pending tiles,
+    and the factors' low-rank tiles and how many of them are float32.
     """
 
     tasks: list[TaskSpan] = field(default_factory=list)
@@ -101,7 +102,7 @@ class RunTrace:
     wall_s: float = 0.0
     meta: dict = field(default_factory=dict)
     tunings: list[dict] = field(default_factory=list)
-    deferred: dict = field(default_factory=dict)
+    tiles: dict = field(default_factory=dict)
 
     @property
     def workers(self) -> list[str]:
@@ -133,18 +134,20 @@ class RunTrace:
         return max(t.end for t in self.tasks) - min(t.start for t in self.tasks)
 
 
-def _deferred(spans) -> dict:
-    """:attr:`RunTrace.deferred` from ``(name, seconds, attrs)`` spans."""
+def _tile_counts(spans) -> dict:
+    """:attr:`RunTrace.tiles` from ``(name, seconds, attrs)`` spans."""
     out = {
-        "tiles": 0, "born_dense": 0, "assembled_dense": 0,
-        "generated": 0, "generate_s": 0.0,
+        "deferred": 0, "born_dense": 0, "assembled_dense": 0,
+        "generated": 0, "generate_s": 0.0, "lowrank": 0, "fp32": 0,
     }
     for name, seconds, attrs in spans:
         if name == "assemble":
-            out["tiles"] += int(attrs.get("tiles_deferred") or 0)
+            out["deferred"] += int(attrs.get("tiles_deferred") or 0)
             out["assembled_dense"] += int(attrs.get("tiles_born_dense") or 0)
         elif name == "tlr_cholesky":
             out["born_dense"] += int(attrs.get("tiles_born_dense") or 0)
+            out["lowrank"] += int(attrs.get("lowrank_tiles") or 0)
+            out["fp32"] += int(attrs.get("fp32_tiles") or 0)
         elif name == "generate":
             out["generated"] += 1
             out["generate_s"] += seconds
@@ -175,7 +178,7 @@ def run_from_observation(observation) -> RunTrace:
             for rec in observation.tracer.spans
             if rec.name == "autotune_band"
         ],
-        deferred=_deferred(
+        tiles=_tile_counts(
             (rec.name, rec.end - rec.start, rec.attrs)
             for rec in observation.tracer.spans
         ),
@@ -238,7 +241,7 @@ def load_run(path: str | Path) -> RunTrace:
         meta = summary.get("meta", {})
     return RunTrace(
         tasks=tasks, graph=graph, wall_s=wall_s, meta=meta, tunings=tunings,
-        deferred=_deferred(spans),
+        tiles=_tile_counts(spans),
     )
 
 
@@ -706,19 +709,28 @@ def render_analysis(run: RunTrace, *, width: int = 80, buckets: int = 60) -> str
             f"{t['seconds']:.3f} s: {t.get('tiles_probed')} tiles probed, "
             f"{t.get('tiles_discarded')} compressions discarded"
         )
-    if run.deferred.get("tiles"):
-        d = run.deferred
+    d = run.tiles
+    if d.get("deferred"):
         born = d["born_dense"]
         lines.append(
-            f"{'deferred tiles':<16} {d['tiles']} pending: {born} born dense, "
-            f"{d['tiles'] - born} compressed; {d['generated']} generated "
-            f"inside GEMM tasks in {d['generate_s']:.3f} s (not GEMM time)"
+            f"{'deferred tiles':<16} {d['deferred']} pending: {born} born "
+            f"dense, {d['deferred'] - born} compressed; {d['generated']} "
+            f"generated inside GEMM tasks in {d['generate_s']:.3f} s (not "
+            "GEMM time)"
         )
         if d["assembled_dense"]:
             lines.append(
                 f"{'':<16} {d['assembled_dense']} more born dense at assembly "
                 "(column 0)"
             )
+    if d.get("lowrank"):
+        # imported here: this module needs nothing beyond the stdlib to load
+        from ..linalg.precision import FP32_EPS_FLOOR
+
+        lines.append(
+            f"{'precision':<16} {d['fp32']} of {d['lowrank']} low-rank tiles "
+            f"fp32 (ε ≥ {FP32_EPS_FLOOR:g})"
+        )
 
     # -- critical path -------------------------------------------------
     lines += ["", "critical path", "-------------"]

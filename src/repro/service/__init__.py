@@ -6,7 +6,7 @@ factorizations (the Matérn-estimation traffic of PAPERS.md 2402.09356).
 This package is that serving layer:
 
 * :mod:`~repro.service.cache` — :class:`FactorCache`: factors keyed by
-  (geometry hash, kernel, θ, ε, band, precision identity), LRU-by-bytes
+  (geometry hash, kernel, θ, ε, band, rank cap), LRU-by-bytes
   eviction, single-flight builds, checkpoint warm-start;
 * :mod:`~repro.service.database` — :class:`ServiceDatabase`: request
   lifecycle bookkeeping with update handlers and atomic bounded

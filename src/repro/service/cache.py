@@ -18,19 +18,11 @@ determine the factor's numerical content:
 * the truncation **ε** and optional rank cap;
 * the dense **band** width (``"auto"`` is part of the identity — the
   tuner's choice is deterministic for a given problem, but an explicit
-  band is a different request even when the integers coincide);
-* the ε-resolved **precision identity** (see below).
+  band is a different request even when the integers coincide).
 
-Precision is the subtle field.  ``"adaptive"`` is a request, not a
-storage fact — what the factor holds depends on ε versus the policy
-floor.  Both sides of the cache resolve through the *same* function
-(:func:`repro.linalg.precision.precision_identity` on the request side,
-:attr:`MixedPrecisionReport.identity
-<repro.linalg.precision.MixedPrecisionReport.identity>` on the realized
-side), and :meth:`FactorCache.install` refuses any entry whose realized
-identity is incompatible with its key — so an fp32-adaptive factor can
-never be served to an fp64-strict request, by construction rather than
-by convention.
+Precision needs no field of its own: a factor's off-band tiles are
+float32 exactly when ε clears
+:data:`~repro.linalg.precision.FP32_EPS_FLOOR`, so ε already fixes it.
 
 Eviction is LRU by resident bytes (factors are large and few; counting
 entries would let one dense-band giant evict everything).  A warm-start
@@ -53,7 +45,6 @@ import numpy as np
 from .. import obs
 from ..core.api import TLRSolver
 from ..core.factorize import FactorizationReport
-from ..linalg.precision import identity_compatible, precision_identity
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
@@ -88,12 +79,10 @@ def geometry_hash(problem: CovarianceProblem) -> str:
 
 @dataclass(frozen=True)
 class FactorKey:
-    """One factor identity: (geometry hash, kernel, θ, ε, band, precision).
+    """One factor identity: (geometry hash, kernel, θ, ε, band, rank cap).
 
     Hashable and order-stable — the cache keys on it directly.  Build
-    one with :meth:`from_problem` (or through a :class:`FactorRecipe`),
-    which resolves the precision spec to its ε-resolved identity via
-    :func:`~repro.linalg.precision.precision_identity`.
+    one with :meth:`from_problem` (or through a :class:`FactorRecipe`).
     """
 
     geometry: str
@@ -101,7 +90,6 @@ class FactorKey:
     theta: tuple[float, ...]
     eps: float
     band_size: int | str
-    precision: str
     maxrank: int | None = None
 
     @classmethod
@@ -111,7 +99,6 @@ class FactorKey:
         *,
         accuracy: float,
         band_size: int | str = "auto",
-        precision=None,
         maxrank: int | None = None,
     ) -> "FactorKey":
         return cls(
@@ -120,7 +107,6 @@ class FactorKey:
             theta=problem.params.as_tuple(),
             eps=float(accuracy),
             band_size=check_band_size(band_size),
-            precision=precision_identity(precision, accuracy),
             maxrank=maxrank,
         )
 
@@ -129,7 +115,7 @@ class FactorKey:
         h = hashlib.sha256()
         h.update(repr((
             self.geometry, self.kernel, self.theta, self.eps,
-            self.band_size, self.precision, self.maxrank,
+            self.band_size, self.maxrank,
         )).encode())
         return h.hexdigest()[:length]
 
@@ -143,15 +129,13 @@ class FactorRecipe:
     backend, assembly/factorization worker counts, and ``batch`` — which
     only takes effect where a graph core runs, i.e. with ``n_workers``
     or a warm-start checkpoint; the default build is the reference
-    loops) and the original precision *spec* (the key holds only its
-    ε-resolved identity, but the build needs the policy itself).
+    loops).
     """
 
     problem: CovarianceProblem
     accuracy: float = 1e-8
     band_size: int | str = "auto"
     compression: str | None = None
-    precision: object = None
     maxrank: int | None = None
     n_workers: int | None = None
     batch: bool = True
@@ -161,7 +145,6 @@ class FactorRecipe:
             self.problem,
             accuracy=self.accuracy,
             band_size=self.band_size,
-            precision=self.precision,
             maxrank=self.maxrank,
         )
 
@@ -175,7 +158,6 @@ class FactorRecipe:
             band_size=self.band_size,
             maxrank=self.maxrank,
             compression=self.compression,
-            precision=self.precision,
             n_workers=self.n_workers,
         )
         report = solver.factorize(
@@ -196,13 +178,6 @@ class CacheEntry:
     report: FactorizationReport | None
     nbytes: int
     hits: int = 0
-
-    @property
-    def realized_precision(self) -> str:
-        """ε-resolved identity of what the factor actually stores."""
-        if self.report is not None and self.report.precision_report is not None:
-            return self.report.precision_report.identity
-        return "fp64"
 
 
 @dataclass(frozen=True)
@@ -306,26 +281,13 @@ class FactorCache:
         matrix: BandTLRMatrix,
         report: FactorizationReport | None = None,
     ) -> CacheEntry:
-        """Insert a factorized matrix under ``key`` (most-recent position).
-
-        Refuses entries whose realized precision identity is
-        incompatible with the key — the satellite invariant: a factor
-        whose :attr:`FactorizationReport.precision_report` says fp32
-        storage was used can never sit behind an fp64-strict key.
-        """
+        """Insert a factorized matrix under ``key`` (most-recent position)."""
         entry = CacheEntry(
             key=key,
             matrix=matrix,
             report=report,
             nbytes=self.factor_nbytes(matrix),
         )
-        if not identity_compatible(key.precision, entry.realized_precision):
-            raise ConfigurationError(
-                f"factor precision identity {entry.realized_precision!r} "
-                f"cannot serve cache key precision {key.precision!r}: an "
-                f"fp32-touched factor must never answer an fp64-strict "
-                f"request"
-            )
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

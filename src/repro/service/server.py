@@ -447,7 +447,6 @@ class SolverService:
         accuracy: float = 1e-8,
         band_size: int | str = "auto",
         compression: str | None = None,
-        precision=None,
         maxrank: int | None = None,
         n_workers: int | None = None,
         batch: bool = True,
@@ -458,7 +457,6 @@ class SolverService:
             accuracy=accuracy,
             band_size=band_size,
             compression=compression,
-            precision=precision,
             maxrank=maxrank,
             n_workers=n_workers,
             batch=batch,
@@ -471,9 +469,8 @@ class SolverService:
         """Adopt an already-factorized :class:`TLRSolver` into the cache.
 
         The factorize-anywhere/serve-here path: the solver's factor is
-        installed under its derived key (precision identity taken from
-        its :attr:`FactorizationReport.precision_report`), so sessions
-        on the same identity start cache-warm with zero service-side
+        installed under its derived key, so sessions on the same
+        identity start cache-warm with zero service-side
         factorizations.
         """
         if not solver.is_factorized:
@@ -485,15 +482,10 @@ class SolverService:
                 "register_solver needs solver.problem for the geometry key"
             )
         matrix = solver.matrix
-        pr = solver.report.precision_report if solver.report else None
-        precision = pr.mode if pr is not None and pr.mode else None
-        if precision is None and matrix.precision is not None:
-            precision = matrix.precision
         recipe = FactorRecipe(
             problem=solver.problem,
             accuracy=matrix.rule.eps,
             band_size=matrix.band_size,
-            precision=precision,
             maxrank=matrix.rule.maxrank,
         )
         key = recipe.key()  # == solver.factor_key() by construction

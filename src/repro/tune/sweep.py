@@ -203,7 +203,6 @@ class TuneResult:
             "accuracy": float(p.get("accuracy", 1e-8)),
             "seed": int(p.get("seed", 0)),
             "compression": p.get("compression", default_backend().name),
-            "precision": p.get("precision", "fp64"),
             "executor": "threads" if w.ranks == 1 else "processes",
             "workers": w.cores,
             "ranks": w.ranks,
@@ -227,11 +226,13 @@ class TuneResult:
     @classmethod
     def from_json(cls, text: str) -> "TuneResult":
         d = json.loads(text)
+        problem = d.get("problem", {})
+        problem.pop("precision", None)  # retired: ε fixes a factor's precision
         return cls(
             candidates=[CandidateReport.from_dict(c) for c in d["candidates"]],
             algorithm1_band=d["algorithm1_band"],
             fluctuation_window=tuple(d["fluctuation_window"]),
-            problem=d.get("problem", {}),
+            problem=problem,
             calibrated_from=tuple(d.get("calibrated_from", ())),
             verify=d.get("verify"),
         )
@@ -356,7 +357,6 @@ def sweep(
         "accuracy": meta.get("accuracy", 1e-8),
         "seed": meta.get("seed", 0),
         "compression": meta.get("compression", default_backend().name),
-        "precision": meta.get("precision", "fp64"),
         "batch": meta.get("batch", True),
     }
     return TuneResult(

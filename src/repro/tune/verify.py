@@ -202,7 +202,6 @@ def verify_prediction(
         TruncationRule(eps=cfg["accuracy"]),
         band_size=cfg["band"],
         backend=cfg["compression"],
-        precision=cfg["precision"],
         n_workers=cfg["workers"],
     )
     graph = graph_for_matrix(matrix)

@@ -325,9 +325,9 @@ class TestRoundTrip:
         } == {"dense": 6, "lowrank": 1, "pending": 3}  # (1, 0), (2, 0) born dense
         ob.write(tmp_path)
         for run in (load_run(tmp_path), run_from_observation(ob)):
-            assert run.deferred["tiles"] == run.deferred["generated"] == 3
-            assert run.deferred["born_dense"] == 2
-            assert run.deferred["assembled_dense"] == 2
+            assert run.tiles["deferred"] == run.tiles["generated"] == 3
+            assert run.tiles["born_dense"] == 2
+            assert run.tiles["assembled_dense"] == 2
             text = render_analysis(run)
             assert (
                 "3 pending: 2 born dense, 1 compressed; 3 generated inside "
@@ -358,7 +358,35 @@ class TestRoundTrip:
         assert assemble.attrs["tiles_born_dense"] == 2
         (factorize,) = [s for s in ob.tracer.spans if s.name == "tlr_cholesky"]
         assert factorize.attrs["tiles_born_dense"] == 2
-        assert run_from_observation(ob).deferred["born_dense"] == 2
+        assert run_from_observation(ob).tiles["born_dense"] == 2
+
+    @pytest.mark.parametrize("eps,fp32", [(1e-4, 21), (1e-8, 0)])
+    def test_fp32_tiles_are_visible_from_one_run(self, tmp_path, eps, fp32):
+        """The ``tlr_cholesky`` span counts the factor's low-rank tiles and
+        the fp32 ones among them (all of them at ε = 1e-4, none below the
+        floor), ``FactorizationReport.precision_report`` agrees, and the
+        report prints the split with the rule."""
+        from repro import TruncationRule, st_3d_exp_problem
+        from repro.core import tlr_cholesky
+        from repro.matrix import BandTLRMatrix
+
+        problem = st_3d_exp_problem(800, 100, seed=3)
+        m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), 2)
+        with obs.observe() as ob:
+            report = tlr_cholesky(m)
+        (span,) = [s for s in ob.tracer.spans if s.name == "tlr_cholesky"]
+        assert (span.attrs["fp32_tiles"], span.attrs["lowrank_tiles"]) == (
+            fp32, 21
+        )
+        pr = report.precision_report
+        assert (pr.demoted_tiles, pr.lowrank_tiles) == (fp32, 21)
+        ob.write(tmp_path)
+        for run in (load_run(tmp_path), run_from_observation(ob)):
+            assert (run.tiles["fp32"], run.tiles["lowrank"]) == (fp32, 21)
+            assert (
+                f"{fp32} of 21 low-rank tiles fp32 (ε ≥ 1e-07)"
+                in render_analysis(run)
+            )
 
     def test_load_run_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="events.jsonl"):

@@ -236,11 +236,11 @@ def _problem(n, tile):
 
 
 @functools.lru_cache(maxsize=None)
-def _band_one(n, tile, eps, backend, precision):
+def _band_one(n, tile, eps, backend):
     """Step 1 of the paper's pipeline, shared by every case that reads it."""
     return BandTLRMatrix.from_problem(
         _problem(n, tile), TruncationRule(eps=eps), band_size=1,
-        backend=backend, precision=precision,
+        backend=backend,
     )
 
 
@@ -259,10 +259,11 @@ def _assert_bitwise_equal(got, want):
 
 
 class TestOutwardProbe:
-    def _check(self, geometry, backend, precision, n_workers, fluctuation):
-        n, tile, eps, max_band = GEOMETRIES[geometry]
+    def _check(self, geometry, backend, n_workers, fluctuation, eps=None):
+        n, tile, geometry_eps, max_band = GEOMETRIES[geometry]
+        eps = eps or geometry_eps
         problem = _problem(n, tile)
-        m1 = _band_one(n, tile, eps, backend, precision)
+        m1 = _band_one(n, tile, eps, backend)
         want = tune_band_size(
             m1.rank_grid(), tile, fluctuation=fluctuation, max_band=max_band
         )
@@ -270,15 +271,14 @@ class TestOutwardProbe:
 
         got, decision = autotune_matrix(
             problem, TruncationRule(eps=eps), fluctuation=fluctuation,
-            max_band=max_band, backend=backend, precision=precision,
-            n_workers=n_workers,
+            max_band=max_band, backend=backend, n_workers=n_workers,
         )
         assert decision.band_size == want.band_size
         assert decision.band_size_range == want.band_size_range
         _assert_bitwise_equal(got, reference)
         # Outside the band the cost table is the band-1 one.
         assert decision.costs[want.band_size - 1:] == want.costs[want.band_size - 1:]
-        return decision
+        return got, decision
 
     @pytest.mark.parametrize("fluctuation", [0.5, 0.67, 1.0])
     @pytest.mark.parametrize("n_workers", [None, 2])
@@ -287,12 +287,18 @@ class TestOutwardProbe:
     def test_same_matrix_as_the_three_step_pipeline(
         self, backend, precision, n_workers, fluctuation
     ):
-        self._check("base", backend, precision, n_workers, fluctuation)
+        # an ε at which the rule picks that precision for off-band tiles
+        eps = 1e-4 if precision else 1e-8
+        got, _ = self._check("base", backend, n_workers, fluctuation, eps)
+        want = np.float32 if precision == "adaptive" else np.float64
+        assert {
+            t.dtype for t in got.tiles.values() if isinstance(t, LowRankTile)
+        } <= {np.dtype(want)}
 
     @pytest.mark.parametrize("fluctuation", [0.5, 0.67, 1.0])
     @pytest.mark.parametrize("geometry", sorted(set(GEOMETRIES) - {"base"}))
     def test_geometries(self, geometry, fluctuation):
-        decision = self._check(geometry, None, None, None, fluctuation)
+        _, decision = self._check(geometry, None, None, fluctuation)
         if geometry == "one_tile":
             assert decision.band_size == 1 and decision.costs == ()
         if geometry == "loose_eps_band_one":

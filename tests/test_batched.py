@@ -36,10 +36,8 @@ def rule():
     return TruncationRule(eps=1e-4)
 
 
-def build(problem, rule, precision=None, band=2):
-    return BandTLRMatrix.from_problem(
-        problem, rule, band, backend="auto", precision=precision
-    )
+def build(problem, rule, band=2):
+    return BandTLRMatrix.from_problem(problem, rule, band, backend="auto")
 
 
 def factors_equal(m1, m2):
@@ -230,15 +228,16 @@ class TestStackedKernelsMatchSolo:
 
 class TestFactorizationBitwise:
     @pytest.mark.parametrize("precision", [None, "adaptive"])
-    def test_sequential_batched_matches_unbatched(
-        self, problem, rule, precision
-    ):
-        m1 = build(problem, rule, precision)
-        r1 = tlr_cholesky(
-            m1, executor="sequential", batch=True, precision=precision
+    def test_sequential_batched_matches_unbatched(self, problem, precision):
+        # an ε at which the rule picks that precision for off-band tiles
+        rule = TruncationRule(eps=1e-4 if precision else 1e-8)
+        m1 = build(problem, rule)
+        r1 = tlr_cholesky(m1, executor="sequential", batch=True)
+        m2 = build(problem, rule)
+        r2 = tlr_cholesky(m2, batch=False)
+        assert r2.precision_report.demoted_tiles == (
+            r2.precision_report.lowrank_tiles if precision else 0
         )
-        m2 = build(problem, rule, precision)
-        r2 = tlr_cholesky(m2, batch=False, precision=precision)
         assert factors_equal(m1, m2)
         assert r1.counter.total == r2.counter.total
         assert r1.rank_growth_events == r2.rank_growth_events
@@ -248,12 +247,10 @@ class TestFactorizationBitwise:
     def test_parallel_batched_matches_sequential(
         self, problem, rule, n_workers
     ):
-        m1 = build(problem, rule, "adaptive")
-        tlr_cholesky(m1, batch=False, precision="adaptive")
-        m2 = build(problem, rule, "adaptive")
-        tlr_cholesky(
-            m2, batch=True, precision="adaptive", n_workers=n_workers
-        )
+        m1 = build(problem, rule)
+        tlr_cholesky(m1, batch=False)
+        m2 = build(problem, rule)
+        tlr_cholesky(m2, batch=True, n_workers=n_workers)
         assert factors_equal(m1, m2)
 
     def test_processes_executor_rejects_batch(self, problem, rule):

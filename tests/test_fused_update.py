@@ -6,7 +6,8 @@ the right-looking one.  What replaces that promise, and is tested here:
 
 (a) determinism: the reference loops, the execution core at any worker
     count and the process executor produce the same bits, fresh or
-    resumed from a checkpoint, for every precision and backend;
+    resumed from a checkpoint, at both precisions the ε rule picks (fp32
+    off-band tiles at ε = 1e-4, fp64 at 1e-8) and for every backend;
 (b) accuracy against the dense ``scipy`` factor, and against the
     *per-update oracle* — the paper's right-looking graph (the default
     of ``build_cholesky_graph``) executed through the same kernel, one
@@ -52,11 +53,9 @@ from repro.linalg import (
     PendingTile,
     RandomizedSVDBackend,
     SVDBackend,
-    apply_precision,
     gemm_auto,
     gemm_lr,
     keep_dense,
-    resolve_precision,
 )
 from repro.linalg.batched import BatchItem, BatchPlanner, run_batch
 from repro.linalg.flops import (
@@ -104,6 +103,10 @@ def backward_error(factor, dense):
     return np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
 
 
+#: An ε at which the rule picks each precision for off-band tiles.
+EPS_FOR = {None: 1e-8, "fp64": 1e-8, "adaptive": 1e-4}
+
+
 def lowrank(rng, m, n, k, dtype=np.float64):
     return LowRankTile(
         rng.standard_normal((m, k)).astype(dtype),
@@ -132,8 +135,7 @@ def case(request, problem, tmp_path_factory):
     """Base matrix, the loops' factor and report, a mid-run checkpoint."""
     precision, backend = request.param
     base = BandTLRMatrix.from_problem(
-        problem, TruncationRule(eps=1e-4), 2,
-        backend=backend, precision=precision,
+        problem, TruncationRule(eps=EPS_FOR[precision]), 2, backend=backend
     )
     ref = base.copy()
     ref_report = tlr_cholesky(ref)
@@ -516,6 +518,12 @@ class TestBornDense:
             else eager_on(problem, self.RULE, format_map(problem.ntiles, kind))
         ))
         ref_report = tlr_cholesky(ref)
+        # ε = 1e-4: low-rank tiles fp32, dense ones (born dense too) fp64
+        for tile in ref.tiles.values():
+            if isinstance(tile, LowRankTile):
+                assert tile.dtype == np.float32
+            else:
+                assert tile.data.dtype == np.float64
         if kind != "rule":
             mask = format_map(problem.ntiles, kind)
             for (i, j), tile in ref.tiles.items():
@@ -579,7 +587,8 @@ class TestBornDense:
         # every pending tile compressed, none kept dense: the deferred
         # factor before formats were decided per tile
         monkeypatch.setattr(
-            PendingTile, "born", lambda self, block, compress: compress(block)
+            PendingTile, "born",
+            lambda self, final, compress: compress(final(self.dtype)),
         )
         everything = self.build(problem, "rule")
         tlr_cholesky(everything)
@@ -720,26 +729,28 @@ class TestDeferred:
     def test_realize_is_the_eager_matrix(
         self, problem, backend, precision, n_workers
     ):
-        kwargs = dict(backend=backend, precision=precision, n_workers=n_workers)
-        deferred = self.build(problem, **kwargs)
+        rule = TruncationRule(eps=EPS_FOR[precision])
+        kwargs = dict(backend=backend, n_workers=n_workers)
+        deferred = self.build(problem, rule=rule, **kwargs)
         # NT = 8 at band 2: 21 off-band tiles, 15 of them in columns >= 1
         assert n_pending(deferred) == 15
         assert deferred.copy().tile(7, 1) is deferred.tile(7, 1)
         assert deferred.rank_grid()[7, 1] == -1
         assert deferred.realize() is deferred and n_pending(deferred) == 0
-        assert_bitwise(deferred, ruled(problem, self.RULE, 2, **kwargs))
+        assert_bitwise(deferred, ruled(problem, rule, 2, **kwargs))
 
     @pytest.mark.parametrize("precision", [None, "adaptive"])
     def test_loops_are_the_core_and_repeat(self, problem, precision):
-        ref = self.build(problem, precision=precision)
+        rule = TruncationRule(eps=EPS_FOR[precision])
+        ref = self.build(problem, rule=rule)
         ref_report = tlr_cholesky(ref)
         assert n_pending(ref) == 0
         assert ref_report.rank_growth_events == 0  # a first compression
-        again = self.build(problem, precision=precision)
+        again = self.build(problem, rule=rule)
         tlr_cholesky(again)
         assert_bitwise(again, ref)
         for n_workers in (1, 2, 3):
-            m = self.build(problem, precision=precision)
+            m = self.build(problem, rule=rule)
             report = tlr_cholesky(m, n_workers=n_workers)
             assert_bitwise(m, ref)
             assert (
@@ -868,8 +879,5 @@ class TestDeferred:
         wider = m.with_band_size(3, problem)
         assert isinstance(wider.tile(3, 1), DenseTile)
         assert wider.tile(4, 1) is m.tile(4, 1)
-        apply_precision(m, resolve_precision("adaptive"))
-        assert m.tile(7, 1).dtype == np.float32
-        assert_bitwise(
-            m.realize(), ruled(problem, self.RULE, 2, precision="adaptive")
-        )
+        assert m.tile(7, 1).dtype == np.float32  # what it is compressed in
+        assert_bitwise(m.realize(), ruled(problem, self.RULE, 2))

@@ -1,4 +1,5 @@
-"""Unit tests for mixed-precision storage (paper future work)."""
+"""Single precision wherever ε allows (paper §IX), and the storage-only
+modeling helpers."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
 from repro.linalg import DenseTile, LowRankTile
 from repro.linalg.precision import (
-    PrecisionPolicy,
-    apply_precision,
+    FP32_EPS_FLOOR,
     demote_matrix,
+    lowrank_dtype,
     quantize_tile,
-    resolve_precision,
 )
 from repro.matrix import BandTLRMatrix
 from repro.utils import ConfigurationError
@@ -95,79 +95,93 @@ class TestDemoteMatrix:
 
 
 class TestAdaptiveComputePath:
-    """The adaptive mixed-precision factorization path (PR 7 tentpole)."""
+    """Single precision wherever ε allows: off-band low-rank tiles are
+    float32 iff ε >= ``FP32_EPS_FLOOR``, dense tiles always float64."""
 
     @staticmethod
-    def _factorize(problem, eps, precision, **kw):
-        m = BandTLRMatrix.from_problem(
-            problem, TruncationRule(eps=eps), 2, precision=precision
-        )
-        report = tlr_cholesky(m, precision=precision, **kw)
+    def _factorize(problem, eps, **kw):
+        m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), 2)
+        report = tlr_cholesky(m, **kw)
         return m, report
+
+    def test_the_rule_resolves_by_eps(self):
+        assert FP32_EPS_FLOOR == 1e-7
+        assert lowrank_dtype(1e-7) == np.float32
+        assert lowrank_dtype(1e-4) == np.float32
+        assert lowrank_dtype(np.nextafter(1e-7, 0)) == np.float64
+        assert lowrank_dtype(1e-10) == np.float64
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6])
     def test_adaptive_accuracy_within_10x_of_fp64(self, problem, eps):
+        """The fp32 factor against the same matrix factorized in fp64
+        (its low-rank tiles cast up first: the kernels keep each tile's
+        dtype) and against the dense oracle."""
         a = problem.dense()
 
         def backward(m):
             l = m.to_dense(lower_only=True)
             return np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
 
-        m64, _ = self._factorize(problem, eps, None)
-        mad, rep = self._factorize(problem, eps, "adaptive")
+        base = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), 2)
+        m64 = base.copy()
+        for ij, tile in m64.tiles.items():
+            if isinstance(tile, LowRankTile):
+                m64.tiles[ij] = tile.astype(np.float64)
+        tlr_cholesky(m64)
+        mad = base.copy()
+        rep = tlr_cholesky(mad)
         err64, errad = backward(m64), backward(mad)
+        assert errad <= 10 * eps
         assert errad < 10 * max(err64, eps)
-        assert rep.precision_report is not None
-        assert rep.precision_report.mode == "adaptive"
+        pr = rep.precision_report
+        assert pr.demoted_tiles == pr.lowrank_tiles > 0
 
     def test_adaptive_halves_offband_bytes(self, problem):
-        _, rep = self._factorize(problem, 1e-4, "adaptive")
+        _, rep = self._factorize(problem, 1e-4)
         pr = rep.precision_report
         assert pr.demoted_tiles > 0
         assert pr.offband_saving_factor == pytest.approx(2.0, rel=0.05)
 
     def test_tight_eps_falls_back_to_fp64(self, problem):
-        """Below the fp32 ε floor the adaptive policy must not demote."""
-        m, rep = self._factorize(problem, 1e-10, "adaptive")
+        """Below the fp32 ε floor nothing is demoted."""
+        m, rep = self._factorize(problem, 1e-10)
         pr = rep.precision_report
-        assert pr.demoted_tiles == 0
+        assert pr.demoted_tiles == 0 < pr.lowrank_tiles
         assert pr.offband_saving_factor == pytest.approx(1.0)
         for tile in m.tiles.values():
             if isinstance(tile, LowRankTile):
                 assert tile.dtype == np.float64
 
-    def test_fp32_mode_demotes_unconditionally(self, problem):
-        m, rep = self._factorize(problem, 1e-10, "fp32")
-        assert rep.precision_report.demoted_tiles > 0
-
     def test_adaptive_with_batching_and_threads(self, problem):
         a = problem.dense()
-        m, _ = self._factorize(problem, 1e-4, "adaptive", batch=True, n_workers=2)
+        m, _ = self._factorize(problem, 1e-4, batch=True, n_workers=2)
         l = m.to_dense(lower_only=True)
         err = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
         assert err < 1e-3
 
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            PrecisionPolicy(mode="fp16")
-        with pytest.raises(ConfigurationError):
-            PrecisionPolicy(fp32_eps_floor=0.0)
-        with pytest.raises(ConfigurationError):
-            resolve_precision(42)
-
-    def test_apply_precision_round_trip(self, problem):
-        m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-4), 1)
-        before = {k: t.to_dense().copy() for k, t in m.tiles.items()}
-        apply_precision(m, PrecisionPolicy(mode="adaptive"))
-        assert any(
-            isinstance(t, LowRankTile) and t.dtype == np.float32
-            for t in m.tiles.values()
-        )
-        apply_precision(m, PrecisionPolicy(mode="fp64"))
-        for k, t in m.tiles.items():
-            if isinstance(t, LowRankTile):
-                assert t.dtype == np.float64
-            # fp32 round-trip loses the low bits, but stays at fp32 noise
-            ref = before[k]
-            scale = max(np.abs(ref).max(), 1e-30)
-            assert np.abs(t.to_dense() - ref).max() / scale < 1e-5
+    @pytest.mark.parametrize("defer", ["eager", "rule", "map"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_every_path_stores_by_the_rule(self, problem, defer, eps):
+        """Eager, ``defer=True`` and ``defer=`` a map: low-rank tiles take
+        the rule's dtype (fp32 at 1e-4, fp64 at 1e-8), dense ones —
+        band or born dense — float64, before and after the factorization."""
+        rule = TruncationRule(eps=eps)
+        nt = problem.ntiles
+        mask = np.tril(np.ones((nt, nt), dtype=bool), -2)
+        mask[::2] = False  # the odd block rows born dense
+        how = {"eager": False, "rule": True, "map": mask}[defer]
+        m = BandTLRMatrix.from_problem(problem, rule, 2, defer=how)
+        want = np.float32 if eps >= 1e-7 else np.float64
+        assert {  # low-rank and pending tiles alike
+            t.dtype for t in m.tiles.values() if not isinstance(t, DenseTile)
+        } <= {np.dtype(want)}
+        report = tlr_cholesky(m)
+        lowrank = [t for t in m.tiles.values() if isinstance(t, LowRankTile)]
+        dense = [t for t in m.tiles.values() if isinstance(t, DenseTile)]
+        assert len(dense) >= 2 * nt - 1
+        assert lowrank or (eps < 1e-7 and defer == "rule")  # all high-rank
+        assert {t.dtype for t in lowrank} <= {np.dtype(want)}
+        assert {t.data.dtype for t in dense} == {np.dtype(np.float64)}
+        pr = report.precision_report
+        assert pr.lowrank_tiles == len(lowrank)
+        assert pr.demoted_tiles == (len(lowrank) if eps >= 1e-7 else 0)

@@ -3,14 +3,11 @@
 The claims under test are the serving-layer ones:
 
 * a factor identity is the full tuple (geometry, kernel θ, ε, band,
-  ε-resolved precision identity) — perturb any piece and the cache
-  treats it as a different factor;
+  rank cap) — perturb any piece and the cache treats it as a different
+  factor; ε also fixes the factor's precision;
 * a cache-warm identity **never refactorizes**, no matter how many
   concurrent requests race the miss (single-flight), and the hit-rate
   counters prove it;
-* an fp32-touched factor can never be installed behind — and therefore
-  never served to — an fp64-strict key (the precision-identity
-  invariant), while an fp64 factor may serve an fp32-adaptive request;
 * solves served through the concurrent, batched pipeline match the
   dense scipy reference to factorization accuracy;
 * admission control rejects explicitly at the configured depth,
@@ -27,11 +24,8 @@ from repro import TLRSolver, obs, st_3d_exp_problem
 from repro.__main__ import build_parser, main
 from repro.core.solve import solve_many
 from repro.linalg.batched import split_solution, stack_rhs
-from repro.linalg.precision import (
-    MixedPrecisionReport,
-    identity_compatible,
-    precision_identity,
-)
+from repro.linalg import LowRankTile
+from repro.linalg.precision import lowrank_dtype
 from repro.service import (
     EVENTS,
     FactorCache,
@@ -69,52 +63,27 @@ def _recipe(problem, **kw):
 # precision identity
 # ---------------------------------------------------------------------------
 class TestPrecisionIdentity:
-    def test_plain_modes_resolve_to_themselves(self):
-        assert precision_identity(None, 1e-8) == "fp64"
-        assert precision_identity("fp64", 1e-3) == "fp64"
-        assert precision_identity("fp32", 1e-12) == "fp32"
+    """A factor's precision is a function of ε, which the key holds."""
 
-    def test_adaptive_resolves_by_eps(self):
-        # above the fp32 floor (1e-7) adaptive may demote -> its own identity
-        assert precision_identity("adaptive", 1e-4) == "fp32-adaptive"
-        # below the floor adaptive certifies nothing -> an fp64 factor
-        assert precision_identity("adaptive", 1e-9) == "fp64"
-
-    def test_compatibility_is_exact_or_fp64_superset(self):
-        assert identity_compatible("fp64", "fp64")
-        assert identity_compatible("fp32-adaptive", "fp32-adaptive")
-        # an fp64 factor is valid for any request (strict superset)
-        assert identity_compatible("fp32-adaptive", "fp64")
-        assert identity_compatible("fp32", "fp64")
-        # but an fp32-touched factor never serves an fp64-strict request
-        assert not identity_compatible("fp64", "fp32-adaptive")
-        assert not identity_compatible("fp64", "fp32")
-
-    def test_report_identity_mirrors_request_side(self):
-        demoted = MixedPrecisionReport(
-            demoted_tiles=5, bytes_full=100, bytes_mixed=60, mode="adaptive"
-        )
-        clean = MixedPrecisionReport(
-            demoted_tiles=0, bytes_full=100, bytes_mixed=100, mode="adaptive"
-        )
-        assert demoted.identity == "fp32-adaptive"
-        # adaptive that demoted nothing IS an fp64 factor (bitwise)
-        assert clean.identity == "fp64"
-        assert MixedPrecisionReport(0, 1, 1, mode="").identity == "fp64"
-        assert MixedPrecisionReport(0, 1, 1, mode="fp64").identity == "fp64"
+    def test_adaptive_resolves_by_eps(self, tiny_problem):
+        # the key holds ε, and ε resolves the off-band precision: single
+        # above the fp32 floor (1e-7), double below it
+        for eps, want in [(1e-4, np.float32), (1e-9, np.float64)]:
+            key = FactorKey.from_problem(tiny_problem, accuracy=eps)
+            assert lowrank_dtype(key.eps) == want
 
     def test_request_and_realized_sides_agree_end_to_end(self, tiny_problem):
-        """Satellite fix: the two resolution paths can never disagree."""
-        for spec, eps in [(None, 1e-6), ("adaptive", 1e-4),
-                          ("adaptive", 1e-9), ("fp64", 1e-4)]:
-            matrix, report = _recipe(
-                tiny_problem, accuracy=eps, precision=spec
-            ).build()
-            assert identity_compatible(
-                precision_identity(spec, eps),
-                report.precision_report.identity
-                if report.precision_report is not None else "fp64",
-            )
+        """What a key's ε asks for is what its factor stores."""
+        for eps in (1e-6, 1e-4, 1e-9):
+            recipe = _recipe(tiny_problem, accuracy=eps)
+            matrix, report = recipe.build()
+            lowrank = [
+                t for t in matrix.tiles.values() if isinstance(t, LowRankTile)
+            ]
+            assert lowrank
+            assert {t.dtype for t in lowrank} == {lowrank_dtype(recipe.key().eps)}
+            pr = report.precision_report
+            assert pr.demoted_tiles == (len(lowrank) if eps >= 1e-7 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +111,6 @@ class TestFactorKey:
         )
         assert base != FactorKey.from_problem(
             tiny_problem, accuracy=1e-6, band_size=1, maxrank=16
-        )
-        assert base != FactorKey.from_problem(
-            tiny_problem, accuracy=1e-6, band_size=1, precision="fp32"
         )
 
     def test_geometry_hash_sees_the_points(self, tiny_problem):
@@ -206,27 +172,6 @@ class TestFactorCache:
         cache.install(key, matrix, report)
         assert cache.get(key) is not None       # oversized but resident
         assert cache.stats().evictions == 0
-
-    def test_install_refuses_precision_mismatch(self, tiny_problem):
-        """The satellite invariant, enforced at the install boundary."""
-        matrix, report = _recipe(
-            tiny_problem, accuracy=1e-4, precision="adaptive"
-        ).build()
-        assert report.precision_report.identity == "fp32-adaptive"
-        strict_key = FactorKey.from_problem(
-            tiny_problem, accuracy=1e-4, band_size=1, precision="fp64"
-        )
-        with pytest.raises(ConfigurationError, match="fp64-strict"):
-            FactorCache().install(strict_key, matrix, report)
-
-    def test_fp64_factor_may_serve_adaptive_key(self, tiny_problem):
-        matrix, report = _recipe(tiny_problem, accuracy=1e-4).build()
-        adaptive_key = FactorKey.from_problem(
-            tiny_problem, accuracy=1e-4, band_size=1, precision="adaptive"
-        )
-        assert adaptive_key.precision == "fp32-adaptive"
-        entry = FactorCache().install(adaptive_key, matrix, report)
-        assert entry.realized_precision == "fp64"
 
     def test_concurrent_misses_factorize_exactly_once(self, tiny_problem):
         cache = FactorCache()
@@ -390,18 +335,17 @@ class TestSolverService:
     def test_distinct_precision_identities_get_distinct_factors(
         self, tiny_problem
     ):
-        """fp64-strict traffic never touches the fp32-adaptive factor."""
+        """Two ε on either side of the fp32 floor: two identities, two
+        factors, one single and one double."""
         with SolverService(ServiceConfig(n_workers=1)) as svc:
-            strict = svc.session(tiny_problem, accuracy=1e-4, band_size=1)
-            loose = svc.session(
-                tiny_problem, accuracy=1e-4, band_size=1,
-                precision="adaptive",
-            )
+            strict = svc.session(tiny_problem, accuracy=1e-8, band_size=1)
+            loose = svc.session(tiny_problem, accuracy=1e-4, band_size=1)
             assert strict.key != loose.key
             e_strict, e_loose = strict.warm(), loose.warm()
         assert e_strict is not e_loose
-        assert e_strict.realized_precision == "fp64"
-        assert e_loose.realized_precision == "fp32-adaptive"
+        assert e_strict.report.precision_report.demoted_tiles == 0
+        pr = e_loose.report.precision_report
+        assert pr.demoted_tiles == pr.lowrank_tiles > 0
         assert svc.stats().cache.factorizations == 2
 
     def test_backpressure_rejects_at_depth(self, small_problem):

@@ -490,10 +490,26 @@ class TestSerialization:
         cfg = sweep(calibration, smoke=True).config()
         assert set(cfg) >= {
             "n", "tile", "band", "accuracy", "seed", "compression",
-            "precision", "executor", "workers", "ranks", "scheduler",
-            "batch",
+            "executor", "workers", "ranks", "scheduler", "batch",
         }
         assert cfg["n"] == N and cfg["tile"] == TILE
+
+    def test_a_record_with_a_retired_precision_field_still_loads(
+        self, recorded, calibration
+    ):
+        """ε alone fixes a factor's precision: a recorded run or a result
+        that still carries a ``precision`` field is read past it, and
+        nothing writes one."""
+        meta = json.loads((recorded[0] / "summary.json").read_text())["meta"]
+        assert meta["precision"] == "fp64"  # the recording under test
+        res = sweep(calibration, smoke=True)
+        assert "precision" not in res.problem
+        assert "precision" not in res.config()
+        doc = json.loads(res.to_json())
+        doc["problem"]["precision"] = "adaptive"
+        clone = TuneResult.from_json(json.dumps(doc))
+        assert clone.config() == res.config()
+        assert "precision" not in clone.to_json()
 
 
 # ---------------------------------------------------------------------------
