@@ -301,6 +301,7 @@ def _tlr_cholesky_sequential(
                 matrix.tile(k, k), matrix.tile(m, k), counter=report.counter
             )
             matrix.set_tile(m, k, out)
+        matrix.tile(k, k).inverse = None  # the panel's TRSMs are done
         for n in range(k + 1, nt):
             hcore.syrk_auto(
                 matrix.tile(n, k), matrix.tile(n, n), counter=report.counter

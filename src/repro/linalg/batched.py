@@ -16,16 +16,19 @@ marshaling layer for the Table-I kernels:
   GEMM/SYRK variants.
 
 What is guaranteed: a factorization is bitwise identical with batching
-on or off, because only the ``matmul`` classes are stacked.  A batched
-``matmul`` runs one ``gemm`` per slice on that slice's data alone, so
-each tile gets bit-for-bit the result of a solo call.  The triangular
-solves are deliberately **not** stacked: a multi-RHS ``trtrs`` does not
-treat right-hand-side columns independently (OpenBLAS blocks TRSM over
-the columns, so a tile's solution depends on its neighbours in the
-stack — 113 tiles differed by up to 2e-15 at N=1600/b=50/band 2 when a
-panel's TRSMs were solved as one stack).  The differential test in
-``tests/test_executor.py`` enforces the identity across worker counts,
-schedulers, batch modes and resumed runs.
+on or off, because only the ``matmul`` classes (SYRK, and GEMM with a
+low-rank operand) are stacked.  A batched ``matmul`` runs one ``gemm``
+per slice on that slice's data alone, so each tile gets bit-for-bit the
+result of a solo call.  The triangular solves are deliberately **not** stacked: a
+multi-RHS ``trtrs`` does not treat right-hand-side columns independently
+(OpenBLAS blocks TRSM over the columns, so a tile's solution depends on
+its neighbours in the stack — 113 tiles differed by up to 2e-15 at
+N=1600/b=50/band 2 when a panel's TRSMs were solved as one stack).  Nor
+is the all-dense GEMM: it accumulates into its tile in place
+(:func:`~repro.linalg.hcore.gemm_dense`), which a stacked product and a
+subtraction would match only while the BLAS K-block covers b.  The
+differential test in ``tests/test_executor.py`` enforces the identity
+across worker counts, schedulers, batch modes and resumed runs.
 
 What it buys: nothing on a pinned CPU.  With BLAS at one thread
 (N=3200/b=200/eps=1e-4/band 2, best of 5) the reference loops take
@@ -44,7 +47,7 @@ POTRF            never batched (one per panel, on the critical path)
 TRSM             never batched (a stacked ``trtrs`` is not bitwise)
 SYRK (dense A)   A shape
 SYRK (lr A)      A shape + rank + dtype
-GEMM (all-dense) A/B shapes
+GEMM (all-dense) never batched — one in-place ``dgemm`` into the tile
 GEMM (lr,lr→d)   A/B shapes + ranks + dtypes
 GEMM (lr,d→d)    shapes + lr side + rank + dtype
 GEMM (→ lr C)    never batched — a fused low-rank-destination GEMM is
@@ -71,7 +74,6 @@ from .compression import RecompressionResult, TruncationRule
 from .flops import (
     FlopCounter,
     KernelClass,
-    flops_gemm_dense,
     flops_gemm_dense_lrd,
     flops_gemm_dense_lrlr,
     flops_syrk_dense,
@@ -162,8 +164,8 @@ class BatchPlanner:
 
         Keys encode everything the stacked formulations require to be
         uniform: kernel class, operand shapes, low-rank ranks, storage
-        dtypes.  POTRF and TRSM always run solo (a stacked triangular
-        solve is not bitwise the per-tile one).
+        dtypes.  POTRF, TRSM and the all-dense GEMM always run solo (the
+        module docstring says why).
         """
         op, tiles = item.op, item.tiles
         cap = self.max_copy_bytes
@@ -187,9 +189,7 @@ class BatchPlanner:
                 return None
             a_lr, b_lr = isinstance(a, LowRankTile), isinstance(b, LowRankTile)
             if not a_lr and not b_lr:
-                if a.data.nbytes + b.data.nbytes > cap:
-                    return None
-                return ("gemm_ddd", a.shape, b.shape)
+                return None
             if a_lr and b_lr:
                 if (
                     a.u.nbytes + a.v.nbytes + b.u.nbytes + b.v.nbytes
@@ -272,19 +272,6 @@ def _batch_syrk_lr(items, counter) -> None:
         for i, item in enumerate(items):
             item.tiles[1].data -= upd[i]
     _count(counter, KernelClass.SYRK_LR, total, count=len(items))
-
-
-def _batch_gemm_dense(items, counter) -> None:
-    """Stacked all-dense ``C_i -= A_i B_i^T``."""
-    a_stack = np.stack([item.tiles[0].data for item in items])
-    b_stack = np.stack([item.tiles[1].data for item in items])
-    upd = np.matmul(a_stack, b_stack.transpose(0, 2, 1))
-    total = 0.0
-    for i, item in enumerate(items):
-        c = item.tiles[2]
-        c.data -= upd[i]
-        total += flops_gemm_dense(c.shape[0])
-    _count(counter, KernelClass.GEMM_DENSE, total, count=len(items))
 
 
 def _batch_gemm_dense_lrlr(items, counter) -> None:
@@ -389,9 +376,7 @@ def run_batch(
     if op == "gemm":
         a, b, _c = group[0].tiles
         a_lr, b_lr = isinstance(a, LowRankTile), isinstance(b, LowRankTile)
-        if not a_lr and not b_lr:
-            _batch_gemm_dense(group, counter)
-        elif a_lr and b_lr:
+        if a_lr and b_lr:
             _batch_gemm_dense_lrlr(group, counter)
         else:
             _batch_gemm_dense_lrd(group, a_lr, counter)

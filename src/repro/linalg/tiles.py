@@ -27,7 +27,7 @@ not generated yet: the recipe of its dense block, which its fused update
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -67,14 +67,25 @@ class DenseTile:
     ----------
     data:
         The tile entries, C-contiguous float64.
+    inverse:
+        ``L⁻¹`` of a factored diagonal tile, held from its POTRF until
+        its panel's TRSMs are done (:func:`~repro.linalg.hcore.potrf_dense`),
+        else ``None``.  Scratch of the process holding the tile: never
+        copied, pickled, saved or counted in :meth:`memory_bytes`.
     """
 
     data: np.ndarray
+    inverse: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise KernelError(f"dense tile must be 2-D, got shape {self.data.shape}")
+
+    def __getstate__(self) -> dict:
+        return {"data": self.data}
 
     @property
     def format(self) -> TileFormat:

@@ -583,6 +583,8 @@ def execute_graph_parallel(
                     panel = graph.tasks[t2].panel
                     panel_remaining[panel] -= 1
                     closed = panel_remaining[panel] == 0
+                    if closed:
+                        _drop_inverse(matrix, panel)
                     if link is not None:
                         # Tile to its consumer ranks; on a closed panel
                         # the frontier shard to the controller, which
@@ -704,6 +706,16 @@ def _restore_latest(ckptr, graph, matrix):
         for ij, tile in ck.matrix.tiles.items():
             matrix.set_tile(*ij, tile)
     return ck
+
+
+def _drop_inverse(matrix, k: int) -> None:
+    """Panel ``k`` closed in this process: no TRSM is left to read the
+    ``L⁻¹`` its POTRF left on the diagonal tile (a rank that never held
+    that tile has nothing to drop)."""
+    try:
+        matrix.tile(k, k).inverse = None
+    except RuntimeSystemError:
+        pass
 
 
 def _batch_item(tid, task, matrix) -> BatchItem:

@@ -4,7 +4,8 @@ The invariant throughout: a batched factorization is *bitwise identical*
 to an unbatched one — same factor, same flop totals, for every worker
 count.  Only the ``matmul`` classes are stacked (one ``gemm`` per slice);
 the triangular solves always run per tile, because a multi-RHS ``trtrs``
-is not bitwise the per-tile solve.  The cross-executor differential test
+is not bitwise the per-tile solve, and so does the all-dense GEMM, which
+accumulates into its tile in place.  The cross-executor differential test
 lives in ``tests/test_executor.py``.
 """
 
@@ -93,6 +94,18 @@ class TestPlanner:
         c = LowRankTile(rng.standard_normal((20, 2)), rng.standard_normal((20, 2)))
         item = BatchItem(0, "gemm", (a, a, c))
         assert planner.key(item) is None
+
+    def test_all_dense_gemm_runs_solo(self):
+        """It accumulates into its tile in place (``hcore.gemm_dense``):
+        nothing to stack, however small the tiles."""
+        planner = BatchPlanner(max_copy_bytes=1 << 30)
+        a, b = DenseTile(np.ones((8, 8))), DenseTile(np.eye(8))
+        items = [
+            BatchItem(i, "gemm", (a, b, DenseTile(np.zeros((8, 8)))))
+            for i in range(4)
+        ]
+        assert all(planner.key(item) is None for item in items)
+        assert all(len(g) == 1 for g in planner.partition(items))
 
     def test_max_batch_chunks(self):
         planner = BatchPlanner(max_batch=4)
