@@ -181,7 +181,6 @@ def _run_demo(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     rep = solver.factorize(
         n_workers=args.workers,
-        batch=args.batch,
         faults=_fault_plan(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -423,14 +422,9 @@ def _run_execute(args: argparse.Namespace) -> int:
         ex = get_executor(
             "threads", n_workers=args.workers, scheduler=args.scheduler
         )
-    # Batching needs shared-memory tiles: only the in-process core
-    # supports it, so the flag is dropped for the processes backend
-    # instead of erroring on the default.
-    use_batch = args.batch and args.executor == "threads"
     res = ex.execute(
         graph, matrix,
         collect_trace=want_trace,
-        batch=use_batch,
         faults=_fault_plan(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -445,7 +439,6 @@ def _run_execute(args: argparse.Namespace) -> int:
         ("modelled Gflop", round(res.counter.total / 1e9, 2)),
         ("max rank seen", res.max_rank_seen),
         ("pool hit rate", round(res.pool.stats.hit_rate, 3)),
-        ("batched", "on" if use_batch else "off"),
         ("precision", _fp32_tiles(mixed_precision_report(matrix))),
     ]
     if args.executor == "processes":
@@ -904,11 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "randomized SVD, or auto (sampled or exact per "
                         "tile by size, accuracy and predicted rank); "
                         "default: repro.linalg.default_backend()")
-    d.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="with --workers/--checkpoint: run ready same-shape "
-                        "SYRK/GEMM tasks as one stacked matmul (bitwise-"
-                        "identical factor; --no-batch disables)")
     d.add_argument("--obs", type=str, default=None, metavar="DIR",
                    help="record spans + metrics and write trace/summary/"
                         "Prometheus artifacts into DIR")
@@ -1023,11 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "randomized SVD, or auto (sampled or exact per "
                         "tile by size, accuracy and predicted rank); "
                         "default: repro.linalg.default_backend()")
-    e.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="run ready same-shape SYRK/GEMM tasks as one "
-                        "stacked matmul (threads executor only; bitwise-"
-                        "identical factor; --no-batch disables)")
     e.add_argument("--scheduler", choices=["priority", "fifo", "lifo"],
                    default="priority")
     e.add_argument("--compare-sequential", action="store_true",

@@ -140,7 +140,6 @@ class TLRSolver:
         n_workers: int | None = None,
         executor=None,
         n_ranks: int | None = None,
-        batch: bool = False,
         faults=None,
         recovery=None,
         checkpoint=None,
@@ -158,12 +157,6 @@ class TLRSolver:
         distribution (again the same factor, bitwise, at any rank
         count); see :func:`~repro.core.factorize.tlr_cholesky`.
 
-        ``batch=True`` applies where a graph core runs (``n_workers``,
-        ``executor`` or a resilience option): ready tasks of one kernel
-        class and shape run as one stacked ``matmul``, and the factor
-        stays bitwise identical to the unbatched one; the reference
-        loops have nothing to batch.
-
         ``faults``/``recovery``/``checkpoint``/``resume`` pass through to
         :func:`~repro.core.factorize.tlr_cholesky`'s resilience engine:
         fault injection (chaos testing), the retry/rollback recovery
@@ -176,7 +169,6 @@ class TLRSolver:
             n_workers=n_workers,
             executor=executor,
             n_ranks=n_ranks,
-            batch=batch,
             faults=faults,
             recovery=recovery,
             checkpoint=checkpoint,

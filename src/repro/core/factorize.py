@@ -38,8 +38,8 @@ compressed in single precision; dense tiles stay float64.  A low-rank tile
 whose panel operands are both dense takes them as width-``b`` factors, so
 every dense/low-rank map is valid.  The loops and the in-process core
 consume pending tiles natively (bitwise alike at any worker count); the
-branches that ship, persist or stack tiles ``realize()`` the matrix first
-and are then the eager call on the same formats, bit for bit.
+branches that ship or persist tiles ``realize()`` the matrix first and are
+then the eager call on the same formats, bit for bit.
 
 The factor overwrites the matrix: dense tiles hold dense ``L`` blocks
 (diagonal tiles lower-triangular), compressed tiles hold compressed
@@ -120,7 +120,6 @@ def tlr_cholesky(
     executor=None,
     n_ranks: int | None = None,
     backend=None,
-    batch: bool = False,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -143,18 +142,6 @@ def tlr_cholesky(
         QR-QR-SVD while the accumulated width is below half a tile, the
         backend's own ``compress`` of the dense sum beyond it, seeded by
         the tile's coordinates.
-    batch:
-        Where a graph core runs (``n_workers``, ``executor`` or a
-        resilience option), a worker that claims a ready task also
-        claims every ready task of the same kernel class, shapes and
-        ranks and runs them as one stacked ``matmul`` call
-        (:mod:`repro.linalg.batched`).  The factor stays bitwise
-        identical to the unbatched run.  The default path is the plain
-        reference loops, which have nothing to batch — there the flag
-        changes nothing (it never changed a factor, and on a pinned CPU
-        it buys no time either).  Incompatible with the processes/sim
-        executors, and silently disabled while the recovery engine is
-        active.
     n_workers:
         When set, the factorization runs through the dependency-driven
         execution core (:mod:`repro.runtime.executor`) on that many
@@ -232,7 +219,7 @@ def tlr_cholesky(
             report = _tlr_cholesky_graph(
                 matrix, rule, n_workers, backend,
                 faults, recovery, checkpoint, resume,
-                executor=executor, n_ranks=n_ranks, batch=batch,
+                executor=executor, n_ranks=n_ranks,
             )
         else:
             report = _tlr_cholesky_sequential(matrix, rule, backend)
@@ -324,7 +311,6 @@ def _tlr_cholesky_graph(
     *,
     executor=None,
     n_ranks: int | None = None,
-    batch: bool = False,
 ) -> FactorizationReport:
     """Run the factorization through a graph executor.
 
@@ -362,11 +348,11 @@ def _tlr_cholesky_graph(
             "--executor sim`) directly for predictions"
         )
 
-    if ex.name == "processes" or batch or checkpoint is not None:
-        matrix.realize()  # pending tiles are not shipped, stacked or persisted
+    if ex.name == "processes" or checkpoint is not None:
+        matrix.realize()  # pending tiles are not shipped or persisted
     run = ex.execute(
         graph_for_matrix(matrix), matrix,
-        rule=rule, backend=backend, batch=batch, faults=faults,
+        rule=rule, backend=backend, faults=faults,
         recovery=recovery, checkpoint=checkpoint, resume=resume,
     )
     return FactorizationReport(

@@ -282,16 +282,10 @@ class FlopCounter:
     per_class: dict[KernelClass, float] = field(default_factory=dict)
     per_class_count: dict[KernelClass, int] = field(default_factory=dict)
 
-    def add(self, kind: KernelClass, flops: float, count: int = 1) -> None:
-        """Record ``flops`` under kernel class ``kind``.
-
-        ``count`` is the number of *logical* kernel invocations this call
-        represents: a batched execution of ``k`` same-shape kernels reports
-        their summed flops with ``count=k`` so per-class invocation counts
-        (and hence per-task GFLOP/s) stay comparable across batch modes.
-        """
+    def add(self, kind: KernelClass, flops: float) -> None:
+        """Record one invocation of kernel class ``kind`` and its ``flops``."""
         self.per_class[kind] = self.per_class.get(kind, 0.0) + flops
-        self.per_class_count[kind] = self.per_class_count.get(kind, 0) + count
+        self.per_class_count[kind] = self.per_class_count.get(kind, 0) + 1
 
     @property
     def total(self) -> float:

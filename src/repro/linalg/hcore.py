@@ -88,17 +88,12 @@ __all__ = [
 ]
 
 
-def _count(
-    counter: FlopCounter | None,
-    kind: KernelClass,
-    flops: float,
-    count: int = 1,
-) -> None:
+def _count(counter: FlopCounter | None, kind: KernelClass, flops: float) -> None:
     if counter is not None:
-        counter.add(kind, flops, count)
+        counter.add(kind, flops)
     # Feeds the per-region invocation/flop counters of repro.obs; a no-op
     # (one None check) unless an observation is active.
-    kernel_observed(kind.value, flops, count)
+    kernel_observed(kind.value, flops)
 
 
 def _blas_nogil(name: str, n_args: int):

@@ -331,17 +331,12 @@ def sample(name: str, value: float, **labels) -> None:
         ob.metrics.series(name, **labels).sample(value)
 
 
-def kernel_observed(kernel: str, flops: float, count: int = 1) -> None:
-    """Record kernel invocations (Table I class) and their flops.
-
-    ``count`` is the number of logical invocations this record covers —
-    a batched kernel call reporting ``k`` fused tasks passes ``count=k``
-    so invocation counters stay comparable across batch modes.
-    """
+def kernel_observed(kernel: str, flops: float) -> None:
+    """Record one kernel invocation (Table I class) and its flops."""
     ob = active()
     if ob is not None:
         ob.metrics.counter("kernel_flops", kernel=kernel).inc(flops)
-        ob.metrics.counter("kernel_invocations", kernel=kernel).inc(count)
+        ob.metrics.counter("kernel_invocations", kernel=kernel).inc()
 
 
 def graph_document(graph, task_name) -> dict:

@@ -17,12 +17,13 @@ dataflow edges (the LOCAL chains of the PTG), and every read is ordered
 against the tile's final write, so the computed factor is *bitwise
 identical* to the reference loops of :mod:`repro.core.factorize` for any
 worker count, scheduler policy (``priority``/``fifo``/``lifo``, matching
-:func:`repro.runtime.simulator.simulate`), batch mode and interleaving.
+:func:`repro.runtime.simulator.simulate`) and interleaving.  A worker
+claims, runs and commits one task at a time.
 
 Deadlock: the loop has one rule — ready set empty, nothing in flight and
 tasks left means no task can ever become ready, and the run raises
 :class:`SchedulingError` (a cyclic or otherwise unsatisfiable graph) for
-every worker count and batch mode.
+every worker count.
 
 The report quacks like a :class:`~repro.runtime.simulator.SimResult`
 (``trace``, ``makespan``, ``busy``, ``occupancy``) so the analysis
@@ -79,7 +80,6 @@ import numpy as np
 from .. import obs
 from ..linalg import hcore
 from ..linalg.backends import get_backend
-from ..linalg.batched import BatchItem, BatchPlanner, run_batch
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
 from ..linalg.tiles import DenseTile, LowRankTile
@@ -185,7 +185,6 @@ def execute_graph_parallel(
     scheduler: str = "priority",
     collect_trace: bool = False,
     backend=None,
-    batch: bool = False,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -220,22 +219,10 @@ def execute_graph_parallel(
     collect_trace:
         Record per-task ``(tid, worker, start, end)`` tuples in seconds
         relative to launch — consumable by ``obs.gantt`` and
-        ``obs.write_chrome_trace`` exactly like a simulator trace.  A
-        batched window is apportioned to its member tasks by modelled
-        flops.
+        ``obs.write_chrome_trace`` exactly like a simulator trace.
     backend:
         Compression backend for GEMM recompressions; defaults to the
         matrix's backend.
-    batch:
-        When a worker claims a task, it also claims every other *ready*
-        task with the same batch key (same kernel class, shapes, ranks,
-        dtypes — see :mod:`repro.linalg.batched`) and runs the bucket as
-        one stacked ``matmul`` call.  The factor stays bitwise identical
-        to unbatched execution for any worker count; the scheduler policy
-        still picks *which* bucket goes first, batching only widens the
-        claim.  Ignored (forced off) when the recovery engine is active —
-        retry/rollback wraps individual task attempts, which batching
-        would fuse.
     faults:
         Fault-injection source: a spec string (see
         :mod:`repro.testing.faults` for the grammar), a ``FaultPlan``, or
@@ -344,45 +331,6 @@ def execute_graph_parallel(
             return (-arrival_seq,)
         return task_sort_key(graph.tasks[tid])
 
-    # --- batching state (caller holds ``cond`` for all mutations) -----
-    # A task's batch key is computable the moment it becomes ready (its
-    # input tiles are final), so buckets are maintained alongside the
-    # heap: claiming one task claims its whole bucket, and stale heap
-    # entries of co-claimed tasks are skipped on pop.
-    batching = batch and manager is None
-    planner = BatchPlanner() if batching else None
-    bucket_of: dict[tuple, tuple | None] = {}
-    buckets: dict[tuple, list[tuple]] = {}
-    claimed: set[tuple] = set()
-
-    def register_ready(tid: tuple) -> None:
-        heapq.heappush(ready, (ready_key(tid), tid))
-        if batching:
-            kb = planner.key(_batch_item(tid, graph.tasks[tid], matrix))
-            bucket_of[tid] = kb
-            if kb is not None:
-                buckets.setdefault(kb, []).append(tid)
-
-    def claim_group(tid: tuple) -> list[tuple]:
-        """The bucket ``tid`` leads, capped at the planner's max batch."""
-        group = [tid]
-        if batching:
-            kb = bucket_of.get(tid)
-            if kb is not None:
-                members = [
-                    t for t in buckets.pop(kb, []) if t not in claimed
-                ]
-                if members:
-                    members.sort(
-                        key=lambda t: task_sort_key(graph.tasks[t])
-                    )
-                    group = members[: planner.max_batch]
-                    rest = members[planner.max_batch :]
-                    if rest:
-                        buckets[kb] = rest
-        claimed.update(group)
-        return group
-
     def release(src: tuple) -> int:
         """``src``'s output exists (committed here, or arrived from its
         rank): count down its consumers; returns how many became ready."""
@@ -391,13 +339,13 @@ def execute_graph_parallel(
         for succ in succs[src]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
-                register_ready(succ)
+                heapq.heappush(ready, (ready_key(succ), succ))
                 released += 1
         return released
 
     for tid in pending:
         if indeg[tid] == 0:
-            register_ready(tid)
+            heapq.heappush(ready, (ready_key(tid), tid))
 
     n_tasks = len(pending)
     state = {"executed": 0, "inflight": 0, "failed": None}
@@ -418,50 +366,25 @@ def execute_graph_parallel(
             tile, report, pooled, stats_lock
         )
 
-    def commit(tid, out, recomp) -> None:
-        _commit_task(
-            tid, graph.tasks[tid], out, recomp, matrix, report, pooled,
-            use_pool, stats_lock,
-        )
+    def run_task(tid: tuple) -> None:
+        """Compute and commit one task under its write lock (through the
+        recovery engine when one is active)."""
+        task = graph.tasks[tid]
 
-    def run_group(tids: list[tuple]) -> None:
-        """Compute and commit a claimed group under its write locks: a
-        singleton through the ordinary per-tile kernel (under the
-        recovery engine when one is active), a larger group as one
-        stacked kernel call."""
-        if len(tids) == 1:
-            (tid,) = tids
-            task = graph.tasks[tid]
+        def compute():
+            return _compute_task(
+                tid, task, matrix, rule, backend, report.counter
+            )
 
-            def compute():
-                return _compute_task(
-                    tid, task, matrix, rule, backend, report.counter
-                )
-
-            with tile_locks[task.out_tile]:
-                if manager is not None:
-                    commit(tid, *manager.run(task, matrix, compute))
-                else:
-                    commit(tid, *compute())
-            return
-        # Ready tasks always have distinct output tiles, so the write
-        # locks form a disjoint set; acquiring them in sorted order keeps
-        # lock acquisition deadlock-free against the singleton path.
-        items = [_batch_item(t, graph.tasks[t], matrix) for t in tids]
-        out_locks = [
-            tile_locks[ij]
-            for ij in sorted({graph.tasks[t].out_tile for t in tids})
-        ]
-        for lk in out_locks:
-            lk.acquire()
-        try:
-            for res in run_batch(
-                items, rule, counter=report.counter, backend=backend
-            ):
-                commit(res.ref, res.out, res.recomp)
-        finally:
-            for lk in reversed(out_locks):
-                lk.release()
+        with tile_locks[task.out_tile]:
+            out, recomp = (
+                manager.run(task, matrix, compute)
+                if manager is not None else compute()
+            )
+            _commit_task(
+                tid, task, out, recomp, matrix, report, pooled,
+                use_pool, stats_lock,
+            )
 
     busy = np.zeros(n_workers)
     traces: list[list[tuple]] = [[] for _ in range(n_workers)]
@@ -471,7 +394,6 @@ def execute_graph_parallel(
     # Ranks time against the controller's launch so their traces share
     # one axis.
     t0 = time.perf_counter() if link is None else link.t0
-    span_t0 = obs.clock()  # the tracer-clock reading of ``t0``
 
     def worker(wid: int) -> None:
         while True:
@@ -498,12 +420,7 @@ def execute_graph_parallel(
                         cond.notify_all()
                     if ready:
                         _, tid = heapq.heappop(ready)
-                        if tid in claimed:
-                            # Stale heap entry: this task already ran as
-                            # a co-claimed member of an earlier batch.
-                            continue
-                        group = claim_group(tid)
-                        state["inflight"] += len(group)
+                        state["inflight"] += 1
                         if observing:
                             obs.sample("ready_queue_depth", len(ready))
                         break
@@ -522,19 +439,19 @@ def execute_graph_parallel(
                         return
                     cond.wait(timeout=0.05)
             start = time.perf_counter() - t0
+            task = graph.tasks[tid]
             try:
-                if observing and len(group) == 1:
-                    task = graph.tasks[group[0]]
+                if observing:
                     with obs.span(
-                        task_name(group[0]),
+                        task_name(tid),
                         "task",
                         worker=wid,
                         kernel=task.kernel.value,
                         flops=task.flops,
                     ):
-                        run_group(group)
+                        run_task(tid)
                 else:
-                    run_group(group)
+                    run_task(tid)
             except BaseException as exc:
                 # Hand the failure to the caller.  KeyboardInterrupt /
                 # SystemExit additionally drain the ready queue so peers
@@ -544,62 +461,37 @@ def execute_graph_parallel(
                         state["failed"] = exc
                     if not isinstance(exc, Exception):
                         ready.clear()
-                    state["inflight"] -= len(group)
+                    state["inflight"] -= 1
                     cond.notify_all()
                 return
             end = time.perf_counter() - t0
             busy[wid] += end - start
-            if collect_trace or (observing and len(group) > 1):
-                # One fused call ran the whole group: apportion its window
-                # to the member tasks by modelled flops, contiguous and
-                # non-overlapping, so the analytics critical-path/GFLOP/s
-                # join keeps working on batched runs.
-                weights = [max(graph.tasks[t].flops, 1.0) for t in group]
-                scale = (end - start) / sum(weights)
-                cursor = start
-                for t2, w in zip(group, weights):
-                    t_end = cursor + w * scale
-                    if collect_trace:
-                        traces[wid].append((t2, wid, cursor, t_end))
-                    if observing and len(group) > 1:
-                        task = graph.tasks[t2]
-                        obs.record_span(
-                            task_name(t2),
-                            "task",
-                            start=span_t0 + cursor,
-                            end=span_t0 + t_end,
-                            worker=wid,
-                            kernel=task.kernel.value,
-                            flops=task.flops,
-                            batched=len(group),
-                        )
-                    cursor = t_end
+            if collect_trace:
+                traces[wid].append((tid, wid, start, end))
             with cond:
-                state["inflight"] -= len(group)
-                state["executed"] += len(group)
-                released = 0
-                for t2 in group:
-                    completed.add(t2)
-                    panel = graph.tasks[t2].panel
-                    panel_remaining[panel] -= 1
-                    closed = panel_remaining[panel] == 0
-                    if closed:
-                        _drop_inverse(matrix, panel)
-                    if link is not None:
-                        # Tile to its consumer ranks; on a closed panel
-                        # the frontier shard to the controller, which
-                        # writes the checkpoints of a distributed run.
-                        link.committed(t2, completed, closed)
-                    elif closed:
-                        panels["done"] += 1
-                        panels["since"] += 1
-                        if (
-                            ckptr is not None
-                            and panels["since"] >= ckptr.config.every
-                            and state["executed"] < n_tasks
-                        ):
-                            panels["due"] = True
-                    released += release(t2)
+                state["inflight"] -= 1
+                state["executed"] += 1
+                completed.add(tid)
+                panel = task.panel
+                panel_remaining[panel] -= 1
+                closed = panel_remaining[panel] == 0
+                if closed:
+                    _drop_inverse(matrix, panel)
+                if link is not None:
+                    # Tile to its consumer ranks; on a closed panel the
+                    # frontier shard to the controller, which writes the
+                    # checkpoints of a distributed run.
+                    link.committed(tid, completed, closed)
+                elif closed:
+                    panels["done"] += 1
+                    panels["since"] += 1
+                    if (
+                        ckptr is not None
+                        and panels["since"] >= ckptr.config.every
+                        and state["executed"] < n_tasks
+                    ):
+                        panels["due"] = True
+                released = release(tid)
                 if awaited:  # keep arrivals and tree forwards moving
                     for src in link.receive(block=False):
                         released += release(src)
@@ -716,30 +608,6 @@ def _drop_inverse(matrix, k: int) -> None:
         matrix.tile(k, k).inverse = None
     except RuntimeSystemError:
         pass
-
-
-def _batch_item(tid, task, matrix) -> BatchItem:
-    """Wrap a ready task and its operand tiles for the batching layer.
-
-    Safe to build at ready time: a task's input tiles are final once its
-    dependencies committed, and nothing rewrites them afterwards (panel
-    tiles are final after their TRSM; trailing-tile updates are chained).
-    """
-    kind = task.kind
-    if kind is TaskKind.POTRF:
-        (_, k) = tid
-        return BatchItem(tid, "potrf", (matrix.tile(k, k),), index=(k, k))
-    if kind is TaskKind.TRSM:
-        (_, m, k) = tid
-        return BatchItem(tid, "trsm", (matrix.tile(k, k), matrix.tile(m, k)))
-    if kind is TaskKind.SYRK:
-        (_, n, k) = tid
-        return BatchItem(tid, "syrk", (matrix.tile(n, k), matrix.tile(n, n)))
-    (_, m, n, _) = tid
-    a, b = _gemm_operands(task, matrix)
-    if len(a) == 1:
-        a, b = a[0], b[0]
-    return BatchItem(tid, "gemm", (a, b, matrix.tile(m, n)), index=(m, n))
 
 
 def _gemm_operands(task, matrix) -> tuple[list, list]:

@@ -36,9 +36,9 @@ class ThreadSafeFlopCounter(FlopCounter):
         super().__init__()
         self._lock = threading.Lock()
 
-    def add(self, kind, flops, count: int = 1) -> None:
+    def add(self, kind, flops) -> None:
         with self._lock:
-            super().add(kind, flops, count)
+            super().add(kind, flops)
 
 
 class ThreadSafeMemoryPool(MemoryPool):

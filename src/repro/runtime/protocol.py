@@ -91,7 +91,6 @@ class Executor(ABC):
         rule=None,
         use_pool: bool = True,
         backend=None,
-        batch: bool = False,
         collect_trace: bool = False,
         faults=None,
         recovery=None,
@@ -114,15 +113,14 @@ class ThreadExecutor(Executor):
         self.scheduler = scheduler
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, batch=False, collect_trace=False, faults=None,
+                backend=None, collect_trace=False, faults=None,
                 recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
         from .executor import execute_graph_parallel
 
         report = execute_graph_parallel(
             graph, matrix, n_workers=self.n_workers, rule=rule,
             use_pool=use_pool, scheduler=self.scheduler,
-            collect_trace=collect_trace, backend=backend, batch=batch,
-            faults=faults, recovery=recovery, checkpoint=checkpoint,
+            collect_trace=collect_trace, backend=backend, faults=faults, recovery=recovery, checkpoint=checkpoint,
             resume=resume,
         )
         return ExecutorRun(executor=self.name, report=report)
@@ -153,13 +151,8 @@ class ProcessExecutor(Executor):
         self.shard_dir = shard_dir
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, batch=False, collect_trace=False, faults=None,
+                backend=None, collect_trace=False, faults=None,
                 recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
-        if batch:
-            raise ConfigurationError(
-                "kernel batching requires shared-memory tiles; the "
-                "processes executor does not support batch=True"
-            )
         from .distributed import execute_graph_distributed
 
         report = execute_graph_distributed(
@@ -197,13 +190,8 @@ class SimExecutor(Executor):
         self.scheduler = scheduler
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, batch=False, collect_trace=False, faults=None,
+                backend=None, collect_trace=False, faults=None,
                 recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
-        if batch:
-            raise ConfigurationError(
-                "the sim executor predicts a run; kernel batching only "
-                "applies to the in-process executors"
-            )
         if faults is not None or recovery is not None \
                 or checkpoint is not None or resume:
             raise ConfigurationError(

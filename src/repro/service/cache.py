@@ -126,10 +126,7 @@ class FactorRecipe:
 
     The key identifies the factor's numerical content; the recipe adds
     the build-only knobs that change cost but not identity (compression
-    backend, assembly/factorization worker counts, and ``batch`` — which
-    only takes effect where a graph core runs, i.e. with ``n_workers``
-    or a warm-start checkpoint; the default build is the reference
-    loops).
+    backend and assembly/factorization worker counts).
     """
 
     problem: CovarianceProblem
@@ -138,7 +135,6 @@ class FactorRecipe:
     compression: str | None = None
     maxrank: int | None = None
     n_workers: int | None = None
-    batch: bool = True
 
     def key(self) -> FactorKey:
         return FactorKey.from_problem(
@@ -162,7 +158,6 @@ class FactorRecipe:
         )
         report = solver.factorize(
             n_workers=self.n_workers,
-            batch=self.batch,
             checkpoint=checkpoint,
             resume=resume,
         )

@@ -449,7 +449,6 @@ class SolverService:
         compression: str | None = None,
         maxrank: int | None = None,
         n_workers: int | None = None,
-        batch: bool = True,
     ) -> ServiceSession:
         """Open a session for a problem (same knobs as ``TLRSolver``)."""
         recipe = FactorRecipe(
@@ -459,7 +458,6 @@ class SolverService:
             compression=compression,
             maxrank=maxrank,
             n_workers=n_workers,
-            batch=batch,
         )
         with self._recipes_lock:
             self._recipes.setdefault(recipe.key(), recipe)

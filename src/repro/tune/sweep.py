@@ -207,7 +207,6 @@ class TuneResult:
             "workers": w.cores,
             "ranks": w.ranks,
             "scheduler": w.scheduler,
-            "batch": bool(p.get("batch", True)),
         }
 
     def to_json(self) -> str:
@@ -227,7 +226,10 @@ class TuneResult:
     def from_json(cls, text: str) -> "TuneResult":
         d = json.loads(text)
         problem = d.get("problem", {})
-        problem.pop("precision", None)  # retired: ε fixes a factor's precision
+        # Retired keys: ε fixes a factor's precision; kernels run one task
+        # at a time.
+        problem.pop("precision", None)
+        problem.pop("batch", None)
         return cls(
             candidates=[CandidateReport.from_dict(c) for c in d["candidates"]],
             algorithm1_band=d["algorithm1_band"],
@@ -357,7 +359,6 @@ def sweep(
         "accuracy": meta.get("accuracy", 1e-8),
         "seed": meta.get("seed", 0),
         "compression": meta.get("compression", default_backend().name),
-        "batch": meta.get("batch", True),
     }
     return TuneResult(
         candidates=reports,

@@ -220,14 +220,12 @@ def verify_prediction(
 
     if cfg["executor"] == "processes":
         ex = get_executor("processes", n_ranks=w.ranks)
-        use_batch = False  # batching needs shared-memory tiles
     else:
         ex = get_executor(
             "threads", n_workers=w.cores, scheduler=w.scheduler
         )
-        use_batch = bool(cfg["batch"])
     with obs.observe(meta={"verify": True, **cfg}) as ob:
-        ex.execute(graph, matrix, batch=use_batch)
+        ex.execute(graph, matrix)
     realized = run_from_observation(ob)
 
     if obs_out is not None:

@@ -3,8 +3,8 @@
 ``execute_graph`` is ``execute_graph_parallel`` at one inline worker and
 every rank of the process executor is one inline worker of the same loop,
 so one differential test covers every way to run a graph: the reference
-loops against the core (on the fused graph) across worker counts, batch
-modes, scheduler policies, rank counts and fresh/resumed runs — bitwise.
+loops against the core (on the fused graph) across worker counts,
+scheduler policies, rank counts and fresh/resumed runs — bitwise.
 The guards, the failure rule, the single deadlock rule and the reporting
 surface are tested here once instead of once per executor name.
 """
@@ -110,9 +110,8 @@ class _KillAt:
         return False
 
 
-#: tile size -> (N, seed, band, eps).  The b=50 case is the smallest one
-#: found where a stacked TRSM is not bitwise the per-tile solve (57 tiles
-#: of the batched factor differed before TRSM stopped batching).
+#: tile size -> (N, seed, band, eps): a wide band of small tiles and a
+#: narrow band of larger ones.
 DIFF_CASES = {50: (1000, 2021, 8, 1e-3), 100: (800, 3, 2, 1e-4)}
 
 
@@ -158,18 +157,16 @@ class TestDifferential:
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
     @pytest.mark.parametrize("scheduler", ["priority", "fifo", "lifo"])
-    @pytest.mark.parametrize("batch", [False, True], ids=["plain", "batched"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_core_matches_reference_loops(
-        self, diff_case, tmp_path, n_workers, batch, scheduler, resumed
+        self, diff_case, tmp_path, n_workers, scheduler, resumed
     ):
         base, ref, ref_report, ckpt, _ = diff_case
         m = base.copy()
         graph = _graph_for(m)
         kwargs = _resume_from(ckpt, tmp_path, base.ntiles) if resumed else {}
         rep = execute_graph_parallel(
-            graph, m, n_workers=n_workers, batch=batch, scheduler=scheduler,
-            **kwargs,
+            graph, m, n_workers=n_workers, scheduler=scheduler, **kwargs
         )
         _assert_factors_bitwise(m, ref)
         _assert_pool_consistent(rep, m)
@@ -256,17 +253,6 @@ class TestDifferential:
         _assert_factors_bitwise(m, ref)
         _assert_pool_consistent(rep, m)
         _assert_same_accounting(rep, ref_report)
-
-    def test_batching_actually_groups(self, diff_case):
-        """The batched runs above are not vacuous: some claims are wide."""
-        base = diff_case[0]
-        m = base.copy()
-        rep = execute_graph(_graph_for(m), m, batch=True, collect_trace=True)
-        # Members of one fused window are laid end to end in the trace:
-        # only there does a task start exactly where another one ended.
-        starts = {rec[2] for rec in rep.trace}
-        ends = {rec[3] for rec in rep.trace}
-        assert starts & ends
 
 
 class TestOneCore:
@@ -383,14 +369,11 @@ def _add_back_edge(graph, dst, src):
 
 class TestDeadlockRule:
     """Ready empty, nothing in flight, tasks left => SchedulingError —
-    for every worker count and batch mode, promptly."""
+    for every worker count, promptly."""
 
     @pytest.mark.parametrize("first_panel", [0, 1], ids=["at-start", "mid-run"])
-    @pytest.mark.parametrize("batch", [False, True], ids=["plain", "batched"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_unsatisfiable_graph_raises(
-        self, small_tlr, n_workers, batch, first_panel
-    ):
+    def test_unsatisfiable_graph_raises(self, small_tlr, n_workers, first_panel):
         m = small_tlr.copy()
         graph = _graph_for(m)
         _add_back_edge(
@@ -402,9 +385,7 @@ class TestDeadlockRule:
 
         def run():
             try:
-                execute_graph_parallel(
-                    graph, m, n_workers=n_workers, batch=batch
-                )
+                execute_graph_parallel(graph, m, n_workers=n_workers)
             except BaseException as exc:  # noqa: BLE001 - recorded below
                 outcome.append(exc)
 

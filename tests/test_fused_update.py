@@ -57,7 +57,7 @@ from repro.linalg import (
     gemm_lr,
     keep_dense,
 )
-from repro.linalg.batched import BatchItem, BatchPlanner, run_batch
+from repro.linalg.batched import BatchItem, run_batch
 from repro.linalg.flops import (
     flops_gemm_lr_dense_general,
     flops_gemm_lr_fused,
@@ -370,16 +370,15 @@ def test_single_pair_is_the_per_update_kernel(rng, b_dense):
 
 
 def test_fused_item_through_run_batch(rng):
-    """A fused item never stacks (``BatchPlanner.key`` is ``None``); run
-    solo through ``run_batch`` it is the kernel call the execution core
-    makes — seeded by the destination's coordinates — and list operands
-    with a dense destination are refused, not mis-dispatched."""
+    """A fused item run through ``run_batch`` is the kernel call the
+    execution core makes — seeded by the destination's coordinates — and
+    list operands with a dense destination are refused, not
+    mis-dispatched."""
     rule = TruncationRule(eps=1e-6)
     a = [lowrank(rng, 80, 80, 30), lowrank(rng, 80, 80, 25)]
     b = [lowrank(rng, 80, 80, 28), DenseTile(rng.standard_normal((80, 80)))]
     c = lowrank(rng, 80, 80, 9)  # W = 9 + 28 + 25 >= 40: the seeded path
     item = BatchItem("ref", "gemm", (a, b, c), index=(5, 2))
-    assert BatchPlanner().key(item) is None
     (res,) = run_batch([item], rule, backend="rsvd")
     want, _, _ = gemm_auto(a, b, c, rule, backend="rsvd", tile_index=(5, 2))
     assert np.array_equal(res.out.u, want.u)
@@ -619,7 +618,7 @@ class TestBornDense:
         assert report.resilience.retries > 0
         assert_bitwise(chaotic, ref)
 
-    @pytest.mark.parametrize("how", ["processes", "checkpoint", "batch"])
+    @pytest.mark.parametrize("how", ["processes", "checkpoint"])
     @pytest.mark.parametrize("kind", MAPS)
     def test_realizing_branches_are_the_eager_call_on_the_map(
         self, problem, tmp_path, kind, how
@@ -630,7 +629,6 @@ class TestBornDense:
             "checkpoint": dict(
                 checkpoint=CheckpointConfig(tmp_path / "d", every=8)
             ),
-            "batch": dict(n_workers=2, batch=True),
         }[how]
         eager = eager_on(problem, self.RULE, mask)
         tlr_cholesky(eager, **(
@@ -751,16 +749,6 @@ class TestFusedGraph:
             nt * (nt - 1) * (nt - 2) // 6
         )
 
-    def test_batch_planner_leaves_fused_tasks_alone(self, rng):
-        from repro.linalg import BatchItem, BatchPlanner
-
-        planner = BatchPlanner()
-        a, b = lowrank(rng, 64, 64, 4), lowrank(rng, 64, 64, 4)
-        lr_c, dense_c = lowrank(rng, 64, 64, 4), DenseTile(np.eye(64))
-        assert planner.key(BatchItem(0, "gemm", ([a, a], [b, b], lr_c))) is None
-        assert planner.key(BatchItem(1, "gemm", ([a, a], [b, b], dense_c))) is None
-        assert planner.key(BatchItem(2, "gemm", (a, b, dense_c))) is not None
-
     @pytest.mark.parametrize("ranks", [2, 3, 4])
     def test_realized_comm_equals_simulated_comm(self, problem, ranks):
         m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-4), 2)
@@ -833,7 +821,7 @@ class TestDeferred:
             )
             assert report.max_rank_seen == ref_report.max_rank_seen
 
-    @pytest.mark.parametrize("how", ["processes", "checkpoint", "batch"])
+    @pytest.mark.parametrize("how", ["processes", "checkpoint"])
     def test_realizing_branches_are_the_eager_call(
         self, problem, tmp_path, how
     ):
@@ -842,7 +830,6 @@ class TestDeferred:
             "checkpoint": dict(
                 checkpoint=CheckpointConfig(tmp_path / "d", every=8)
             ),
-            "batch": dict(n_workers=2, batch=True),
         }[how]
         eager, deferred = ruled(problem, self.RULE, 2), self.build(problem)
         if how == "checkpoint":

@@ -1,7 +1,7 @@
 """Unit tests: the execution core on several worker threads conserves
 tasks, propagates failures, and feeds the trace/occupancy analysis
-pipeline.  (Bitwise identity across worker counts, batch modes and
-scheduler policies is ``tests/test_executor.py``'s differential test.)"""
+pipeline.  (Bitwise identity across worker counts and scheduler
+policies is ``tests/test_executor.py``'s differential test.)"""
 
 import json
 import threading

@@ -65,7 +65,7 @@ def recorded(tmp_path_factory):
         "batch": True,
     }
     with obs.observe(meta=meta) as ob:
-        ex.execute(graph, matrix, batch=True)
+        ex.execute(graph, matrix)
     outdir = tmp_path_factory.mktemp("tune") / "run"
     ob.write(outdir)
     return outdir, grid
@@ -490,7 +490,7 @@ class TestSerialization:
         cfg = sweep(calibration, smoke=True).config()
         assert set(cfg) >= {
             "n", "tile", "band", "accuracy", "seed", "compression",
-            "executor", "workers", "ranks", "scheduler", "batch",
+            "executor", "workers", "ranks", "scheduler",
         }
         assert cfg["n"] == N and cfg["tile"] == TILE
 
@@ -510,6 +510,28 @@ class TestSerialization:
         clone = TuneResult.from_json(json.dumps(doc))
         assert clone.config() == res.config()
         assert "precision" not in clone.to_json()
+
+    def test_a_record_with_a_retired_batch_field_still_loads(
+        self, recorded, calibration, tmp_path, capsys
+    ):
+        """Kernels run one task at a time: a recorded run, a result or an
+        emitted config that still carries ``batch`` is read past it, and
+        nothing writes one."""
+        meta = json.loads((recorded[0] / "summary.json").read_text())["meta"]
+        assert meta["batch"] is True  # the recording under test
+        res = sweep(calibration, smoke=True)
+        assert "batch" not in res.problem
+        assert "batch" not in res.config()
+        doc = json.loads(res.to_json())
+        doc["problem"]["batch"] = True
+        clone = TuneResult.from_json(json.dumps(doc))
+        assert clone.config() == res.config()
+        assert "batch" not in clone.to_json()
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**res.config(), "batch": True}))
+        assert main(["execute", "--config", str(cfg)]) == 0
+        assert main(["demo", "--config", str(cfg)]) == 0
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
