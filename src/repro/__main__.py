@@ -987,7 +987,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--accuracy", type=float, default=1e-8)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: cpu count); with "
+                   help="worker threads (default: cores / BLAS "
+                        "threads); with "
                         "--executor processes this only parallelizes "
                         "matrix assembly")
     e.add_argument("--executor", choices=["threads", "processes", "sim"],

@@ -58,7 +58,11 @@ from ..linalg.flops import FlopCounter
 from ..linalg.precision import MixedPrecisionReport, mixed_precision_report
 from ..linalg.tiles import DenseTile, LowRankTile, PendingTile
 from ..matrix.tlr_matrix import BandTLRMatrix
-from ..utils.exceptions import ConfigurationError
+from ..utils.exceptions import (
+    ConfigurationError,
+    NotPositiveDefiniteError,
+    RuntimeSystemError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..runtime.resilience import ResilienceReport
@@ -145,7 +149,8 @@ def tlr_cholesky(
     n_workers:
         When set, the factorization runs through the dependency-driven
         execution core (:mod:`repro.runtime.executor`) on that many
-        workers (one worker runs inline, more run on threads) instead of
+        workers (worker 0 on the calling thread, the others on threads of
+        their own) instead of
         the sequential loops — the fused DAG
         (:func:`~repro.runtime.graph.graph_for_matrix`) is built from the
         matrix's measured ranks and the factor is bitwise identical to
@@ -186,7 +191,10 @@ def tlr_cholesky(
     ------
     NotPositiveDefiniteError
         When a diagonal tile loses positive definiteness (accuracy
-        threshold too loose relative to the matrix's conditioning).
+        threshold too loose relative to the matrix's conditioning) —
+        however the factorization runs: from a worker thread or a rank it
+        is re-raised as itself, the executor's
+        :class:`~repro.utils.exceptions.RuntimeSystemError` chained.
     """
     rule = rule or matrix.rule
     backend = backend if backend is not None else matrix.backend
@@ -350,11 +358,19 @@ def _tlr_cholesky_graph(
 
     if ex.name == "processes" or checkpoint is not None:
         matrix.realize()  # pending tiles are not shipped or persisted
-    run = ex.execute(
-        graph_for_matrix(matrix), matrix,
-        rule=rule, backend=backend, faults=faults,
-        recovery=recovery, checkpoint=checkpoint, resume=resume,
-    )
+    try:
+        run = ex.execute(
+            graph_for_matrix(matrix), matrix,
+            rule=rule, backend=backend, faults=faults,
+            recovery=recovery, checkpoint=checkpoint, resume=resume,
+        )
+    except RuntimeSystemError as exc:
+        # A matrix that is not SPD is the caller's to handle (an MLE step
+        # scores it −inf), not a runtime failure, on any worker or rank.
+        npd = exc.__cause__
+        if isinstance(npd, NotPositiveDefiniteError):
+            raise NotPositiveDefiniteError(str(npd), npd.tile_index) from exc
+        raise
     return FactorizationReport(
         counter=run.counter,
         rank_growth_events=run.rank_growth_events,

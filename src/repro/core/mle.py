@@ -21,6 +21,15 @@ finds; every later one reads it from the previous factor's
 between nearby ``θ``) and skips the compression of every tile it marks
 dense.  The optimizer is a Nelder-Mead search over log-parameters, the
 standard derivative-free choice for the 2-3 dimensional Matérn problem.
+
+The factorization runs on the in-process execution core
+(:mod:`repro.runtime.executor`) at
+:func:`~repro.runtime.workpool.default_workers` workers — cores ÷ BLAS
+threads, so a host whose BLAS is pinned to one thread runs one worker
+per core and one whose BLAS already spans every core runs one.  That is
+a rule, not an option: the factor, hence the likelihood, is bitwise the
+reference loops' at every worker count, and a candidate that is not
+numerically SPD scores −inf on any of them.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError, NotPositiveDefiniteError
 from ..utils.validation import check_matrix
 from ..matrix.tlr_matrix import BandTLRMatrix
+from ..runtime.workpool import default_workers
 from .factorize import tlr_cholesky
 from .solve import forward_solve, log_det
 
@@ -116,7 +126,16 @@ class LikelihoodEvaluator:
             raise ConfigurationError("points and z must be finite (no NaN/inf)")
 
     def __call__(self, variance: float, correlation_length: float) -> float:
-        """Log-likelihood at ``(θ1, θ2)``; −inf for infeasible candidates."""
+        """Log-likelihood at ``(θ1, θ2)``; −inf for infeasible candidates.
+
+        Assembles the candidate's covariance deferred, factorizes it on
+        the execution core at :func:`~repro.runtime.workpool.default_workers`
+        workers (bitwise the reference loops' factor at any count), and
+        evaluates Eq. (1).  Infeasible means invalid Matérn parameters, or
+        a covariance whose factorization raises
+        :class:`~repro.utils.exceptions.NotPositiveDefiniteError` — from
+        whichever worker ran the failing POTRF.
+        """
         try:
             params = MaternParams(
                 variance=variance,
@@ -136,7 +155,7 @@ class LikelihoodEvaluator:
             defer=True if self._dense_map is None else self._dense_map,
         )
         try:
-            tlr_cholesky(matrix)
+            tlr_cholesky(matrix, n_workers=default_workers())
         except NotPositiveDefiniteError:
             return float("-inf")
         self._dense_map = matrix.dense_map()

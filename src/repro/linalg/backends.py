@@ -68,9 +68,11 @@ from .compression import (
     TruncationRule,
     truncation_rank,
 )
+from .blas import sub_abt
 from .tiles import LowRankTile, PendingTile
 
 __all__ = [
+    "ColumnBlocks",
     "CompressionBackend",
     "SVDBackend",
     "RandomizedSVDBackend",
@@ -230,8 +232,61 @@ def _qr_svd_recompress(
     return RecompressionResult(tile, rank_before=r, rank_after=k, grew=k > prev)
 
 
+def _subtract_products(block, us, vs, ws: "_StackWorkspace") -> np.ndarray:
+    """``block -= Σ_j us[j] @ vs[j].T`` in place, in the block's dtype.
+
+    Every GEMM is in place (:func:`~repro.linalg.blas.sub_abt`): a product
+    as wide as the tile goes in on its own factors, and consecutive
+    narrower ones are packed side by side into one workspace buffer of at
+    most ``min(m, n)`` columns per GEMM — one narrow GEMM per product
+    would re-read and re-write the whole block for a few columns.
+    """
+    m, n = block.shape
+    cap = min(m, n)
+    buf, packed = None, 0
+    try:
+        for u, v in zip(us, vs):
+            w = u.shape[1]
+            if w >= cap:
+                sub_abt(block, u, v)
+                continue
+            if buf is None:
+                buf = ws.acquire((m + n) * cap, block.dtype)
+                # F-ordered, so the packed leading columns are contiguous
+                pu = buf[: m * cap].reshape(cap, m).T
+                pv = buf[m * cap : (m + n) * cap].reshape(cap, n).T
+            if packed + w > cap:
+                sub_abt(block, pu[:, :packed], pv[:, :packed])
+                packed = 0
+            pu[:, packed : packed + w] = u
+            pv[:, packed : packed + w] = v
+            packed += w
+        if packed:
+            sub_abt(block, pu[:, :packed], pv[:, :packed])
+    finally:
+        if buf is not None:
+            ws.release(buf)
+    return block
+
+
+class ColumnBlocks(tuple):
+    """The column blocks ``(X_1, …, X_p)`` of an update factor, standing
+    for ``np.hstack`` of them (whose ``shape`` it reports) without forming
+    it: the factors of every panel product of a fused update."""
+
+    @classmethod
+    def of(cls, factor) -> "ColumnBlocks":
+        """``factor`` itself, or a one-block view of an array."""
+        return factor if isinstance(factor, cls) else cls((factor,))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self[0].shape[0], sum(x.shape[1] for x in self)
+
+
 class _StackWorkspace:
-    """Grow-only scratch buffers for the recompression stacks.
+    """Grow-only scratch buffers for the recompression stacks (and the
+    packed products of a dense sum).
 
     One flat buffer serves both stacks of a rounding, viewed at the
     width that rounding needs.  An idle buffer is reused when it is
@@ -339,8 +394,8 @@ class CompressionBackend:
     def recompress_update(
         self,
         c: LowRankTile | PendingTile,
-        u_upd: np.ndarray,
-        v_upd: np.ndarray,
+        u_upd: np.ndarray | ColumnBlocks,
+        v_upd: np.ndarray | ColumnBlocks,
         rule: TruncationRule,
         *,
         seed=None,
@@ -349,16 +404,25 @@ class CompressionBackend:
 
         ``u_upd``/``v_upd`` hold every pending update of the tile side by
         side (one panel product or all of them — the kernel does not
-        care), so the accumulated width is ``W = c.rank + u_upd.shape[1]``.
-        The sum is rounded in whichever form has fewer elements:
+        care): arrays, or :class:`ColumnBlocks` of the products' factors
+        that stand for their ``hstack`` without forming it.  The
+        accumulated width is ``W = c.rank + u_upd.shape[1]``, and the sum
+        is rounded in whichever form has fewer elements:
 
         * ``W < min(m, n) / 2`` — the stacked factors, ``(m + n)·W``
-          elements, packed into the reusable workspace: QR-QR-SVD in
-          place on it;
+          elements, packed block by block into the reusable workspace:
+          QR-QR-SVD in place on it;
         * otherwise — the dense ``m x n`` sum, handed to the backend's own
           :meth:`compress` with ``rank_hint=c.rank`` (exact SVD or ARA;
           ``seed`` pins the latter, callers pass :func:`tile_seed` of the
-          destination).
+          destination).  The sum is accumulated into the tile's block by
+          in-place ``dgemm``/``sgemm`` calls with the interpreter lock
+          released (:func:`~repro.linalg.blas.sub_abt`): a product as
+          wide as the tile on its own factors, narrower ones packed up to
+          ``min(m, n)`` columns per call into a workspace buffer.  No
+          stack of all the products, no product temporary; a factor is
+          cast to the block's dtype while it is packed, or on its own
+          when it is as wide as the tile.
 
         The rounding runs in the *destination tile's* storage dtype: an
         fp32 tile is packed or summed, and returned, in single precision
@@ -376,22 +440,22 @@ class CompressionBackend:
         (``rank_after`` 0: nothing was truncated); never a rank growth.
         """
         pending = isinstance(c, PendingTile)
-        kc, ku = c.rank, u_upd.shape[1]
-        r = kc + ku
+        us_upd, vs_upd = ColumnBlocks.of(u_upd), ColumnBlocks.of(v_upd)
+        kc = c.rank
+        r = kc + us_upd.shape[1]
         m, n = c.shape
         dtype = c.dtype
         if r == 0 and not pending:
             return RecompressionResult(
                 LowRankTile.zero(m, n, dtype=dtype), 0, 0, grew=False
             )
+        if self._workspace is None:
+            self._workspace = _StackWorkspace()
+        ws = self._workspace
         if pending or 2 * r >= min(m, n):
-            # Wide: the dense sum is the smaller representation, formed
-            # directly (no workspace — it would be at least as large).
+            # Wide: the dense sum is the smaller representation.
             def updated(block):
-                """``block - u_upd @ v_upd.T``, in place, in the block's dtype."""
-                dt = block.dtype
-                block -= u_upd.astype(dt, copy=False) @ v_upd.astype(dt, copy=False).T
-                return block
+                return _subtract_products(block, us_upd, vs_upd, ws)
 
             def compress(block):
                 tile = self.compress(
@@ -414,9 +478,6 @@ class CompressionBackend:
                 grew=not pending and tile.rank > kc,
             )
         else:
-            if self._workspace is None:
-                self._workspace = _StackWorkspace()
-            ws = self._workspace
             buf = ws.acquire((m + n) * r, dtype)
             # Viewed transposed so the stacks are F-contiguous: the
             # in-place geqrf/orgqr calls then factor the workspace
@@ -425,9 +486,13 @@ class CompressionBackend:
             vs = buf[m * r : (m + n) * r].reshape(r, n).T
             try:
                 us[:, :kc] = c.u
-                us[:, kc:] = u_upd
                 vs[:, :kc] = c.v
-                np.multiply(v_upd, -1.0, out=vs[:, kc:])
+                col = kc
+                for u, v in zip(us_upd, vs_upd):
+                    w = u.shape[1]
+                    us[:, col : col + w] = u
+                    np.multiply(v, -1.0, out=vs[:, col : col + w])
+                    col += w
                 with obs.span("recompress", "recompress", backend=self.name):
                     result = _qr_svd_recompress(
                         us, vs, rule, kc, overwrite=True

@@ -16,8 +16,9 @@ factor once (``dtrtri``) and leaves ``L⁻¹`` on the diagonal tile
 each dense TRSM of the panel is one in-place ``dtrmm`` against it, and a
 dense GEMM accumulates into its tile with one ``dgemm`` (α = −1, β = 1)
 and no temporary.  Both call BLAS on the tiles' memory as the Fortran
-views ``Cᵀ`` with the interpreter lock released (:func:`_blas_nogil`), so
-two threads overlap them as they overlap ``matmul``, and both raise
+views ``Cᵀ`` with the interpreter lock released
+(:mod:`~repro.linalg.blas`), so two threads overlap them as they overlap
+``matmul``, and both raise
 :class:`KernelError` unless every operand is C-contiguous float64.  The
 inverse is dropped when the panel closes, by whoever runs the loop.
 The Table-I modelled flops stay the paper's: POTRF's span includes the
@@ -51,11 +52,12 @@ import ctypes
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import cython_blas, lapack
+from scipy.linalg import lapack
 
 from ..obs import kernel_observed
 from ..utils.exceptions import KernelError, NotPositiveDefiniteError
-from .backends import get_backend, tile_seed
+from .backends import ColumnBlocks, get_backend, tile_seed
+from .blas import DTRMM, c_int, raw, sub_abt
 from .compression import RecompressionResult, TruncationRule
 from .flops import (
     FlopCounter,
@@ -71,6 +73,8 @@ from .flops import (
     flops_trsm_lr,
 )
 from .tiles import DenseTile, LowRankTile, PendingTile, Tile
+
+_ONE = ctypes.c_double(1.0)
 
 __all__ = [
     "potrf_dense",
@@ -94,46 +98,6 @@ def _count(counter: FlopCounter | None, kind: KernelClass, flops: float) -> None
     # Feeds the per-region invocation/flop counters of repro.obs; a no-op
     # (one None check) unless an observation is active.
     kernel_observed(kind.value, flops)
-
-
-def _blas_nogil(name: str, n_args: int):
-    """BLAS routine ``name`` of :mod:`scipy.linalg.cython_blas`, called
-    through ``ctypes``, which releases the interpreter lock around every
-    foreign call (the f2py wrappers of :mod:`scipy.linalg.blas` hold it for
-    the whole call).  Same library routine, so the same bits; every
-    argument is a pointer (the Fortran convention)."""
-    capsule = cython_blas.__pyx_capi__[name]
-    # fresh prototypes: ctypes.pythonapi's own function objects are shared
-    # by everything in the process that sets their argtypes
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-    )(("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
-
-
-_DGEMM = _blas_nogil("dgemm", 13)
-_DTRMM = _blas_nogil("dtrmm", 11)
-_ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)
-
-
-def _int(i: int):
-    return ctypes.byref(ctypes.c_int(i))
-
-
-def _raw(kernel: str, *arrays: np.ndarray) -> list[int]:
-    """Addresses of ``arrays``, which BLAS reads and writes as raw memory:
-    anything but C-contiguous float64 would be misread, so it is refused."""
-    for d in arrays:
-        if not (d.flags.c_contiguous and d.dtype == np.float64):
-            raise KernelError(
-                f"{kernel} runs in place and needs C-contiguous float64 "
-                f"data, got {d.dtype} with strides {d.strides}"
-            )
-    return [d.ctypes.data for d in arrays]
 
 
 # ----------------------------------------------------------------------
@@ -208,11 +172,11 @@ def trsm_dense(
             f"TRSM: inverse {inv.shape} of an older L than {l_tile.shape}"
         )
     m, n = c.shape
-    c_ptr, inv_ptr = _raw("TRSM", c.data, inv)
+    c_ptr, inv_ptr = raw("TRSM", c.data, inv)
     # Fortran views: inv is upper L⁻ᵀ, applied transposed to Cᵀ (n x m)
-    _DTRMM(
-        b"L", b"U", b"T", b"N", _int(n), _int(m), ctypes.byref(_ONE),
-        inv_ptr, _int(max(n, 1)), c_ptr, _int(max(n, 1)),
+    DTRMM(
+        b"L", b"U", b"T", b"N", c_int(n), c_int(m), ctypes.byref(_ONE),
+        inv_ptr, c_int(max(n, 1)), c_ptr, c_int(max(n, 1)),
     )
     _count(counter, KernelClass.TRSM_DENSE, flops_trsm_dense(c.shape[0]))
     return c
@@ -284,14 +248,8 @@ def gemm_dense(
         raise KernelError(
             f"GEMM shape mismatch: A {a.shape}, B {b.shape}, C {c.shape}"
         )
-    (m, k), n = a.shape, b.shape[0]
-    c_ptr, a_ptr, b_ptr = _raw("GEMM", c.data, a.data, b.data)
-    # Fortran views: Bᵀ (k x n) applied transposed, Aᵀ (k x m), Cᵀ (n x m)
-    _DGEMM(
-        b"T", b"N", _int(n), _int(m), _int(k), ctypes.byref(_MINUS_ONE),
-        b_ptr, _int(max(k, 1)), a_ptr, _int(max(k, 1)),
-        ctypes.byref(_ONE), c_ptr, _int(max(n, 1)),
-    )
+    raw("GEMM", c.data, a.data, b.data)  # the guard: C-contiguous float64
+    sub_abt(c.data, a.data, b.data)
     _count(counter, KernelClass.GEMM_DENSE, flops_gemm_dense(c.shape[0]))
     return c
 
@@ -377,12 +335,12 @@ def _gemm_lr(
     """Body of :func:`gemm_lr`; also reports the kernel class that ran."""
     pairs = list(zip(a, b)) if isinstance(a, (list, tuple)) else [(a, b)]
     us, vs, ranks = zip(*(_lr_product(aj, bj) for aj, bj in pairs))
-    u_upd = us[0] if len(us) == 1 else np.hstack(us)
-    v_upd = vs[0] if len(vs) == 1 else np.hstack(vs)
     kc = c.rank
     backend = get_backend(backend)
     seed = None if tile_index is None else tile_seed(backend.seed, *tile_index)
-    res = backend.recompress_update(c, u_upd, v_upd, rule, seed=seed)
+    res = backend.recompress_update(
+        c, ColumnBlocks(us), ColumnBlocks(vs), rule, seed=seed
+    )
     kind = (
         KernelClass.GEMM_LR
         if any(kb is not None for _, kb in ranks)
@@ -410,11 +368,15 @@ def gemm_lr(
     per-update kernel) or equal-length sequences of them (the fused
     left-looking update: every panel product of the tile at once).  Each
     product is formed at the thinner of its operand ranks
-    (:func:`_lr_product`), the factors are laid side by side, and
+    (:func:`_lr_product`; two dense operands are their own factors) and
     :meth:`CompressionBackend.recompress_update
     <repro.linalg.backends.CompressionBackend.recompress_update>` rounds
-    the sum in one go.  The returned :class:`RecompressionResult` carries
-    the rank-growth flag that drives the dynamic memory pool;
+    the sum in one go, handed the products' factors as
+    :class:`~repro.linalg.backends.ColumnBlocks`: it packs them into its
+    workspace for a stacked rounding, or accumulates them into the tile's
+    block for a dense one, and never stacks them otherwise.  The returned
+    :class:`RecompressionResult` carries the rank-growth flag that drives
+    the dynamic memory pool;
     ``tile_index``, the destination's coordinates, seeds a randomized
     backend's wide roundings (:func:`~repro.linalg.backends.tile_seed`).
 

@@ -46,7 +46,7 @@ from .resilience import (
 from .simulator import CommStats, SimResult, simulate, simulate_schedule
 from .solve_graph import SolveKind, build_solve_graph
 from .task import Edge, EdgeKind, Task, TaskKind, task_sort_key
-from .workpool import parallel_map
+from .workpool import default_workers, parallel_map
 
 __all__ = [
     "DataflowBreakdown",
@@ -99,5 +99,6 @@ __all__ = [
     "Edge",
     "EdgeKind",
     "task_sort_key",
+    "default_workers",
     "parallel_map",
 ]

@@ -7,8 +7,9 @@ model), per-tile write locks so independent GEMMs update disjoint tiles
 at the same time, and every HCORE kernel actually performed on a
 :class:`~repro.matrix.BandTLRMatrix`.  ``n_workers=1`` runs the loop
 inline on the calling thread (no thread is started and nothing ever
-blocks); ``n_workers=N`` runs the same loop on N threads.  NumPy/SciPy
-release the GIL inside BLAS/LAPACK calls, so the kernels — where
+blocks); ``n_workers=N`` runs the same loop on the calling thread and
+N − 1 threads started for the run and joined before it returns.
+NumPy/SciPy release the GIL inside BLAS/LAPACK calls, so the kernels — where
 virtually all the time goes — genuinely overlap.
 :func:`execute_graph` is the core at one worker.
 
@@ -47,12 +48,15 @@ flight — trivially true at one worker), so every archive is a consistent
 dataflow cut; ``resume=True`` restarts from the latest one, under any
 worker count.
 
-Failures: an exception raised by a task on a worker *thread* — or on a
-rank *process* — reaches the caller wrapped in :class:`RuntimeSystemError`
-(original chained); at one inline worker there is no boundary and it
-propagates unchanged.  ``KeyboardInterrupt``/``SystemExit`` are never
-wrapped: the run drains the ready queue, releases every pool-owned factor
-buffer, and re-raises them.
+Failures: an exception raised by a task of a run on several workers —
+or on a rank *process* — reaches the caller wrapped in
+:class:`RuntimeSystemError` (original chained), whichever worker raised
+it; at one inline worker there is no boundary and it propagates
+unchanged (:func:`~repro.core.factorize.tlr_cholesky` re-raises a
+:class:`~repro.utils.exceptions.NotPositiveDefiniteError` as itself).
+``KeyboardInterrupt``/``SystemExit`` are never wrapped: the run drains
+the ready queue, releases every pool-owned factor buffer, and re-raises
+them.
 
 Ranks: each process of :mod:`repro.runtime.distributed` is one inline
 worker of this loop, handed an internal *link* (``_link``; not an option)
@@ -70,7 +74,6 @@ recovery engine, pool, accounting, trace — is the code above.
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -96,6 +99,7 @@ from .parallel import (
 )
 from .resilience import ResilienceReport, as_checkpointer, build_manager
 from .task import TaskKind, task_name, task_sort_key
+from .workpool import default_workers
 
 __all__ = ["ExecutionReport", "execute_graph", "execute_graph_parallel"]
 
@@ -204,8 +208,10 @@ def execute_graph_parallel(
         The compressed matrix to factorize; mutated into its Cholesky
         factor (lower triangle), bitwise the reference loops' factor.
     n_workers:
-        Worker count; defaults to ``os.cpu_count()``.  One worker runs
-        inline on the calling thread.
+        Worker count; defaults to
+        :func:`~repro.runtime.workpool.default_workers` (cores ÷ BLAS
+        threads).  Worker 0 runs on the calling thread, the others on
+        threads of their own.
     rule:
         Truncation rule for recompressions; defaults to the matrix's rule.
     use_pool:
@@ -253,15 +259,15 @@ def execute_graph_parallel(
         graph: ready set empty, nothing in flight, tasks left.
     RuntimeSystemError
         On graph/matrix mismatch, an expanded graph, or when a task
-        raised on a worker thread (the original exception is chained; at
-        one inline worker it propagates unchanged).
+        raised on a run of several workers (the original exception is
+        chained; at one inline worker it propagates unchanged).
     """
     if scheduler not in ("priority", "fifo", "lifo"):
         raise SchedulingError(
             f"scheduler must be 'priority', 'fifo' or 'lifo', got {scheduler!r}"
         )
     if n_workers is None:
-        n_workers = os.cpu_count() or 1
+        n_workers = default_workers()
     check_positive_int("n_workers", n_workers)
     link = _link  # a rank's transport (module docstring); None in-process
     if link is None:
@@ -500,21 +506,25 @@ def execute_graph_parallel(
                 if released or panels["due"] or not state["inflight"]:
                     cond.notify_all()
 
+    # The caller is worker 0; the others get threads of their own.
+    threads = [
+        threading.Thread(target=worker, args=(w,), name=f"repro-worker-{w}")
+        for w in range(1, n_workers)
+    ]
     try:
-        if n_workers == 1:
+        for t in threads:
+            t.start()
+        try:
             worker(0)
-        else:
-            threads = [
-                threading.Thread(
-                    target=worker, args=(w,), name=f"repro-worker-{w}"
-                )
-                for w in range(n_workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        except BaseException as exc:  # raised between tasks (an interrupt)
+            with cond:
+                if state["failed"] is None:
+                    state["failed"] = exc
+                ready.clear()
+                cond.notify_all()
     finally:
+        for t in threads:
+            t.join()
         if manager is not None:
             manager.close()
 
@@ -697,12 +707,25 @@ def _commit_task(
     if kind in (TaskKind.POTRF, TaskKind.SYRK):
         return  # in-place kernels already updated the stored tile
     dest = task.out_tile
-    # Any out-of-place commit displaces the stored tile; factors the pool
-    # still owns there must go back to the free lists (a TRSM overwriting
-    # a GEMM-recompressed tile would otherwise leak them — the chaos
-    # suite's pool audit checks exactly this).  Factors the new tile still
-    # references stay live: trsm_lr only solves V and reuses the U array.
     old = matrix.tile(*dest)
+    if (
+        kind is TaskKind.TRSM
+        and isinstance(out, LowRankTile)
+        and out.u is old.u
+        and id(old.v) in pooled
+        and out.v.shape == old.v.shape
+        and out.v.dtype == old.v.dtype
+    ):
+        # trsm_lr solved V only: the solution goes back into the pool
+        # buffer it replaces (an in-place TRSM, as PaRSEC's), which would
+        # otherwise sit on a free list for the rest of the run.
+        old.v[...] = out.v
+        out = old
+    # Any other out-of-place commit displaces the stored tile; factors the
+    # pool still owns there must go back to the free lists (a TRSM
+    # overwriting a GEMM-recompressed tile would otherwise leak them — the
+    # chaos suite's pool audit checks exactly this).  Factors the new tile
+    # still references stay live: trsm_lr reuses the U array.
     if out is not old:
         kept = (
             {id(out.u), id(out.v)} if isinstance(out, LowRankTile) else ()

@@ -53,6 +53,11 @@ class TaskKind(Enum):
     SYRK = "SYRK"
     GEMM = "GEMM"
 
+    # Members are singletons, so identity hashes them.  ``Enum``'s own
+    # ``__hash__`` is Python code, and every task id hashes its kind: the
+    # execution core's bookkeeping made ~100k such calls per step.
+    __hash__ = object.__hash__
+
 
 #: Task identity: ``(TaskKind, *indices)`` — POTRF(k), TRSM(m,k),
 #: SYRK(n,k), GEMM(m,n,k).

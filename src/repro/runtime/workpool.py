@@ -15,13 +15,64 @@ the caller's job: work submitted here must not depend on execution order
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import threading
 from collections.abc import Callable, Sequence
+
+import numpy as np
+import scipy
 
 from .. import obs
 from ..utils.exceptions import TransientFaultError
 
-__all__ = ["parallel_map"]
+__all__ = ["blas_threads", "default_workers", "parallel_map"]
+
+#: The OpenBLAS each package bundles, and the symbol that reports its
+#: thread count.
+_BUNDLED_BLAS = (
+    (np, "scipy_openblas_get_num_threads64_"),
+    (scipy, "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_getters() -> tuple:
+    """The thread-count getters of the bundled OpenBLAS libraries (the
+    process loaded them already; ``CDLL`` returns the same handle)."""
+    getters = []
+    for package, symbol in _BUNDLED_BLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(
+            os.path.join(site, f"{package.__name__}.libs", "*openblas*")
+        ):
+            try:
+                get = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            get.restype = ctypes.c_int
+            getters.append(get)
+    return tuple(getters)
+
+
+def blas_threads() -> int | None:
+    """Threads a BLAS call runs on: the most that numpy's and scipy's
+    bundled OpenBLAS libraries report, or ``None`` when neither can be
+    read (another BLAS, or none bundled)."""
+    counts = [get() for get in _blas_thread_getters()]
+    return max(counts) if counts else None
+
+
+def default_workers() -> int:
+    """The worker count of the execution core when none is given, and of
+    every MLE step: ``cores ÷ BLAS threads``, at least 1, so workers ×
+    BLAS threads never exceeds the cores this process may run on.  A BLAS whose thread count cannot be
+    read is taken to use every core (one worker)."""
+    cores = len(os.sched_getaffinity(0))
+    per_call = blas_threads() or cores
+    return max(1, cores // per_call)
 
 
 def parallel_map(

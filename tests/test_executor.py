@@ -332,8 +332,10 @@ class TestOneCore:
         assert own <= fields and not fields & (base | set(ExecutionReport.__annotations__))
 
 
-#: How a task's exception reaches the caller: unchanged where no boundary
-#: is crossed, wrapped (original chained) across a thread or a process.
+#: How a task's NotPositiveDefiniteError reaches the caller of
+#: tlr_cholesky: unchanged where no boundary is crossed, re-raised as
+#: itself with the executor's RuntimeSystemError (original chained) as
+#: its cause across a thread or a process.
 FAILURE_PATHS = {
     "loops": ({}, False),
     "inline-core": ({"executor": "sequential"}, False),
@@ -352,11 +354,13 @@ class TestFailureRule:
         with pytest.raises(Exception) as info:
             tlr_cholesky(small_tlr, **how)
         exc = info.value
-        if wrapped:
-            assert type(exc) is RuntimeSystemError
-            exc = exc.__cause__
         assert type(exc) is NotPositiveDefiniteError
         assert exc.tile_index == (k, k)
+        if wrapped:
+            assert type(exc.__cause__) is RuntimeSystemError
+            exc = exc.__cause__.__cause__
+            assert type(exc) is NotPositiveDefiniteError
+            assert exc.tile_index == (k, k)
 
 
 def _add_back_edge(graph, dst, src):

@@ -32,6 +32,7 @@ the right-looking one.  What replaces that promise, and is tested here:
 """
 
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from repro.core import (
 )
 from repro.distribution import default_distribution
 from repro.linalg import (
+    ColumnBlocks,
     DenseTile,
     KernelClass,
     LowRankTile,
@@ -535,6 +537,114 @@ class TestWidthRule:
         np.testing.assert_allclose(
             out.to_dense(), c.to_dense() - a.data @ b.to_dense().T, atol=1e-6
         )
+
+
+class _Capturing(SVDBackend):
+    """Keeps a copy of the dense sum it is handed to compress."""
+
+    def compress(self, a, rule, *, seed=None, rank_hint=None):
+        self.block = a.copy()
+        return super().compress(a, rule, seed=seed, rank_hint=rank_hint)
+
+
+class _Blocks:
+    """A pending tile's generator: a random block, the same per ``(i, j)``."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def tile(self, i, j):
+        return np.random.default_rng((i, j)).standard_normal((self.b, self.b))
+
+
+class TestInPlaceSum:
+    """A dense sum accumulates each panel product into the tile's block
+    with one in-place GEMM, instead of multiplying out their stack."""
+
+    RULE = TruncationRule(eps=1e-3)
+
+    @staticmethod
+    def products(rng, b, dtype):
+        """Low-rank products in both dtypes and orders, and a dense pair."""
+        us = [rng.standard_normal((b, 7)).astype(dtype) for _ in range(3)]
+        vs = [rng.standard_normal((b, 7)) for _ in range(3)]
+        us.append(np.asfortranarray(rng.standard_normal((b, 5))))
+        vs.append(rng.standard_normal((b, 5)).astype(dtype))
+        us.append(rng.standard_normal((b, b)))
+        vs.append(rng.standard_normal((b, b)))
+        return us, vs
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_stacked_sum_to_rounding(self, rng, dtype):
+        b = 64
+        c = lowrank(rng, b, b, 6, dtype)
+        us, vs = self.products(rng, b, dtype)
+        backend = _Capturing()
+        res = backend.recompress_update(
+            c, ColumnBlocks(us), ColumnBlocks(vs), self.RULE
+        )
+        assert res.rank_before == 6 + 3 * 7 + 5 + b
+        stacked = c.u @ c.v.T - (
+            np.hstack(us).astype(dtype) @ np.hstack(vs).astype(dtype).T
+        )
+        got = backend.block
+        assert got.dtype == dtype
+        eps = np.finfo(dtype).eps
+        assert np.linalg.norm(got - stacked) <= 100 * eps * np.linalg.norm(
+            stacked
+        )
+
+    def test_pending_tile_matches_the_stacked_sum(self, rng):
+        b = 64
+        us, vs = self.products(rng, b, np.float64)
+        c = PendingTile(_Blocks(b), 3, 2, (b, b), dense=True)
+        res = SVDBackend().recompress_update(
+            c, ColumnBlocks(us), ColumnBlocks(vs), self.RULE
+        )
+        want = c.to_dense() - np.hstack(us) @ np.hstack(vs).T
+        assert isinstance(res.tile, DenseTile)
+        np.testing.assert_allclose(res.tile.data, want, rtol=0, atol=1e-12)
+
+    def test_stacked_rounding_packs_the_blocks(self, rng):
+        """A narrow update packs its blocks into the workspace: the same
+        bits as the stack handed over whole."""
+        c = lowrank(rng, 128, 128, 6)
+        us = [rng.standard_normal((128, k)) for k in (3, 5, 9)]
+        vs = [rng.standard_normal((128, k)) for k in (3, 5, 9)]
+        got = SVDBackend().recompress_update(
+            c, ColumnBlocks(us), ColumnBlocks(vs), self.RULE
+        )
+        want = SVDBackend().recompress_update(
+            c, np.hstack(us), np.hstack(vs), self.RULE
+        )
+        assert got.rank_before == want.rank_before == 6 + 17
+        assert np.array_equal(got.tile.u, want.tile.u)
+        assert np.array_equal(got.tile.v, want.tile.v)
+
+    @pytest.mark.parametrize(
+        "dtype,dense,blocks",
+        [(np.float64, True, 2), (np.float32, None, 10)],
+        ids=["fp64-kept-dense", "fp32-compressed"],
+    )
+    def test_pending_update_holds_no_stack(self, rng, dtype, dense, blocks):
+        """NT = 16, b = 200: tile (15, 14) takes 14 products of dense
+        panel operands.  Its peak memory is a few b x b blocks (``blocks``
+        of float64, compression included), where a stack of the products
+        is 2·b·(14·b) elements, 28 blocks."""
+        b, n = 200, 14
+        a = [DenseTile(rng.standard_normal((b, b))) for _ in range(n)]
+        bt = [DenseTile(rng.standard_normal((b, b))) for _ in range(n)]
+        c = PendingTile(_Blocks(b), 15, n, (b, b), np.dtype(dtype), dense)
+        tracemalloc.start()
+        try:
+            out, _, _ = gemm_auto(
+                a, bt, c, self.RULE, backend="svd", tile_index=(15, n)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(out, DenseTile)  # random blocks are full rank
+        assert peak < blocks * b * b * 8
 
 
 # ----------------------------------------------------------------------

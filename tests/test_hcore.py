@@ -29,6 +29,7 @@ from repro.linalg import (
     trsm_dense,
     trsm_lr,
 )
+from repro.linalg.blas import sub_abt
 from repro.matrix import BandTLRMatrix
 from repro.statistics.matern import MaternParams
 from repro.statistics.problem import st_2d_exp_problem
@@ -312,6 +313,44 @@ class TestInPlaceGuard:
         l.data = np.tril(sla.cholesky(spd(rng, B // 2), lower=True))
         with pytest.raises(KernelError, match="inverse"):
             trsm_dense(l, DenseTile(np.ones((B, B // 2))))
+
+
+class TestSubABt:
+    """``blas.sub_abt``, the in-place ``c -= a @ b.T`` under (1)-GEMM and
+    the dense sum of a fused update: operands in any layout and dtype,
+    the destination C-contiguous float32/float64."""
+
+    LAYOUTS = {
+        "C": lambda x: x,
+        "F": np.asfortranarray,
+        "strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout_a", sorted(LAYOUTS))
+    @pytest.mark.parametrize("layout_b", sorted(LAYOUTS))
+    def test_any_operand_layout(self, rng, dtype, layout_a, layout_b):
+        c = rng.standard_normal((B, B - 3)).astype(dtype)
+        a = self.LAYOUTS[layout_a](rng.standard_normal((B, 7)))
+        b = self.LAYOUTS[layout_b](rng.standard_normal((B - 3, 7)))
+        want = c - (a.astype(dtype) @ b.astype(dtype).T)
+        sub_abt(c, a, b)
+        assert c.dtype == dtype
+        tol = 50 * np.finfo(dtype).eps * np.abs(want).max()
+        assert np.abs(c - want).max() <= tol
+
+    def test_dense_gemm_is_this_call(self, rng):
+        c, a, b = (rng.standard_normal((B, B)) for _ in range(3))
+        want = c.copy()
+        gemm_dense(DenseTile(a), DenseTile(b), DenseTile(want))
+        sub_abt(c, a, b)
+        assert np.array_equal(c, want)
+
+    def test_refuses_a_destination_it_cannot_overwrite(self, rng):
+        a = b = np.ones((B, 2))
+        for c in (np.ones((B, B), order="F"), np.ones((B, B), dtype=np.int64)):
+            with pytest.raises(KernelError, match="C-contiguous"):
+                sub_abt(c, a, b)
 
 
 class TestSyrk:

@@ -11,8 +11,20 @@ from repro.core import (
     log_likelihood,
     tlr_cholesky,
 )
+from repro.core import mle
 from repro.linalg import AutoBackend
-from repro.utils import ConfigurationError
+from repro.statistics import CovarianceProblem, MaternParams
+from repro.utils import (
+    ConfigurationError,
+    NotPositiveDefiniteError,
+    RuntimeSystemError,
+)
+
+
+def on_workers(monkeypatch, n):
+    """Run the evaluator's factorizations on ``n`` workers of the core,
+    whatever this host's cores and BLAS threads say."""
+    monkeypatch.setattr(mle, "default_workers", lambda: n)
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +78,11 @@ class TestLikelihoodEvaluator:
 
     def test_deferred_step_against_the_dense_oracle(self, monkeypatch):
         """b = 200, ε = 1e-4, band 2 — the size the default backend
-        samples: each of the 10 off-band tiles is compressed once (those
-        of columns >= 1 after their update, so never rounded again with
-        a hint), and Eq. (1) holds to the accuracy threshold."""
+        samples — on two workers of the core: each of the 10 off-band
+        tiles is compressed once (those of columns >= 1 after their
+        update, so never rounded again with a hint), and Eq. (1) holds to
+        the accuracy threshold."""
+        on_workers(monkeypatch, 2)
         hints = []
         compress = AutoBackend.compress
 
@@ -97,7 +111,8 @@ class TestLikelihoodEvaluator:
         """Step 1 decides each tile's format after its compression, by the
         rule step 2 applies before it (from step 1's factor): at the same
         θ both give the same bits, and step 2 compresses exactly the tiles
-        step 1 kept low-rank."""
+        step 1 kept low-rank (two workers of the core)."""
+        on_workers(monkeypatch, 2)
         calls = []
         compress = AutoBackend.compress
 
@@ -144,6 +159,88 @@ class TestLikelihoodEvaluator:
         )
         ev(1.0, 0.1)
         assert len(ev.evaluations) == 1
+
+
+#: layout -> (ε, band): fp32 low-rank tiles, fp64 ones, every tile dense.
+LAYOUTS = {"band2-fp32": (1e-4, 2), "band2-fp64": (1e-8, 2), "dense": (1e-4, None)}
+
+
+class TestOnTheCore:
+    """The evaluator factorizes on the execution core, at the worker count
+    :func:`~repro.runtime.workpool.default_workers` gives."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return st_3d_exp_problem(800, 100, seed=3)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_loglik_bitwise_at_any_worker_count(
+        self, problem, monkeypatch, layout
+    ):
+        """Two steps (formats decided by the first, read by the second):
+        bitwise the same at 1, 2 and 3 workers and on the reference
+        loops, the same pipeline by hand."""
+        eps, band = LAYOUTS[layout]
+        band = band or problem.ntiles
+        z = problem.sample_measurements(seed=4)
+        thetas = [(1.0, 0.1), (1.2, 0.12)]
+        got = {}
+        for n in (1, 2, 3):
+            on_workers(monkeypatch, n)
+            ev = LikelihoodEvaluator(
+                points=problem.points, z=z, tile_size=100,
+                rule=TruncationRule(eps=eps), band_size=band,
+                nugget=problem.nugget,
+            )
+            got[n] = [ev(*theta) for theta in thetas]
+        loops, dense_map = [], None
+        for variance, length in thetas:
+            candidate = CovarianceProblem(
+                points=problem.points,
+                params=MaternParams(variance, length, 0.5),
+                tile_size=100, nugget=problem.nugget,
+            )
+            m = BandTLRMatrix.from_problem(
+                candidate, TruncationRule(eps=eps), band,
+                defer=True if dense_map is None else dense_map,
+            )
+            tlr_cholesky(m)
+            dense_map = m.dense_map()
+            loops.append(log_likelihood(m, z))
+        assert np.isfinite(loops).all()
+        assert got[1] == got[2] == got[3] == loops
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_not_spd_candidate_scores_minus_inf(self, monkeypatch, n_workers):
+        """ℓ = 1e6 without a nugget is numerically singular: POTRF fails
+        on some task, and the step is −inf on any worker count."""
+        on_workers(monkeypatch, n_workers)
+        problem = st_3d_exp_problem(800, 100, seed=1)
+        ev = LikelihoodEvaluator(
+            points=problem.points, z=problem.sample_measurements(seed=2),
+            tile_size=100, rule=TruncationRule(eps=1e-4), nugget=0.0,
+        )
+        assert ev(1.0, 1e6) == float("-inf")
+        assert ev.evaluations == []
+        assert np.isfinite(ev(1.0, 0.1))
+
+    def test_not_spd_reaches_the_caller_as_itself(self):
+        """The same candidate factorized on two workers: the POTRF failure
+        is re-raised as itself, the worker failure chained to it."""
+        problem = st_3d_exp_problem(800, 100, seed=1)
+        candidate = CovarianceProblem(
+            points=problem.points, params=MaternParams(1.0, 1e6, 0.5),
+            tile_size=100, nugget=0.0,
+        )
+        m = BandTLRMatrix.from_problem(
+            candidate, TruncationRule(eps=1e-4), 1, defer=True
+        )
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            tlr_cholesky(m, n_workers=2)
+        worker = info.value.__cause__
+        assert type(worker) is RuntimeSystemError
+        assert type(worker.__cause__) is NotPositiveDefiniteError
+        assert info.value.tile_index == worker.__cause__.tile_index
 
 
 class TestFitMle:

@@ -4,7 +4,11 @@ pipeline.  (Bitwise identity across worker counts and scheduler
 policies is ``tests/test_executor.py``'s differential test.)"""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from repro.analysis import occupancy_summary
 from repro.obs import gantt, write_chrome_trace
 from repro.core import TLRSolver, tlr_cholesky
+from repro.linalg import LowRankTile
 from repro.linalg.flops import KernelClass
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
@@ -21,6 +26,7 @@ from repro.runtime import (
     execute_graph,
     execute_graph_parallel,
 )
+from repro.runtime import executor, workpool
 from repro.utils import ConfigurationError, RuntimeSystemError, SchedulingError
 
 
@@ -102,6 +108,22 @@ class TestConservation:
         assert np.all(rep.occupancy <= 1.0 + 1e-9)
 
 
+class TestPool:
+    def test_low_rank_trsm_keeps_its_pool_buffer(self, small_tlr):
+        """A low-rank TRSM writes V back into the pool buffer it replaces:
+        on the fused graph (one rounding per tile) no buffer is ever
+        parked on a free list."""
+        g = _graph_for(small_tlr, 1)
+        rep = execute_graph_parallel(g, small_tlr, n_workers=2)
+        # every low-rank tile past column 0 took one rounding
+        updated = sum(
+            isinstance(t, LowRankTile) and j > 0
+            for (_, j), t in small_tlr.tiles.items()
+        )
+        assert rep.pool.stats.allocations == rep.pool.live_count == 2 * updated
+        assert rep.pool.stats.releases == 0 and rep.pool.free_bytes == 0
+
+
 class TestGuards:
     def test_bad_scheduler_rejected(self, small_tlr):
         g = _graph_for(small_tlr, 1)
@@ -151,6 +173,80 @@ class TestAnalysisPipeline:
         s = occupancy_summary(rep)
         assert 0.0 < s.mean_occupancy <= 1.0
         assert s.busy_per_process.shape == (2,)
+
+
+class TestCallerIsWorkerZero:
+    def test_n_workers_start_one_thread_fewer(self, small_tlr, monkeypatch):
+        started, ran_on = [], set()
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        def observed(compute):
+            def run(*args, **kwargs):
+                ran_on.add(threading.current_thread().name)
+                return compute(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(executor.threading, "Thread", Counted)
+        monkeypatch.setattr(
+            executor, "_compute_task", observed(executor._compute_task)
+        )
+        g = _graph_for(small_tlr, 1)
+        rep = execute_graph_parallel(g, small_tlr, n_workers=3)
+        assert started == ["repro-worker-1", "repro-worker-2"]
+        assert rep.tasks_executed == len(g.tasks)
+        assert ran_on <= {threading.current_thread().name, *started}
+        assert not any(t.name in started for t in threading.enumerate())
+
+
+class TestDefaultWorkers:
+    """``default_workers()``: cores ÷ BLAS threads, at least one."""
+
+    def test_pinned_blas_gives_one_worker_per_core(self, monkeypatch):
+        monkeypatch.setattr(workpool, "blas_threads", lambda: 1)
+        assert workpool.default_workers() == len(os.sched_getaffinity(0))
+
+    def test_blas_on_every_core_gives_one_worker(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(workpool, "blas_threads", lambda: cores)
+        assert workpool.default_workers() == 1
+
+    def test_unreadable_blas_counts_as_every_core(self, monkeypatch):
+        monkeypatch.setattr(workpool, "_blas_thread_getters", lambda: ())
+        assert workpool.blas_threads() is None
+        assert workpool.default_workers() == 1
+
+    def test_reads_the_pin_of_this_suite(self):
+        """``conftest.py`` pins OpenBLAS to one thread before numpy loads:
+        one worker per core."""
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert workpool.blas_threads() == 1
+        assert workpool.default_workers() == len(os.sched_getaffinity(0))
+
+    def test_reads_blas_on_every_core(self):
+        """A fresh interpreter whose OpenBLAS spans every core: one worker."""
+        cores = len(os.sched_getaffinity(0))
+        src = Path(workpool.__file__).parents[2]  # .../src/repro/runtime
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=str(cores), PYTHONPATH=str(src)
+        )
+        code = (
+            "from repro.runtime.workpool import blas_threads, default_workers;"
+            "print(blas_threads(), default_workers())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert out == [str(cores), "1"]
+
+    def test_core_default_uses_the_rule(self, small_tlr, monkeypatch):
+        monkeypatch.setattr(executor, "default_workers", lambda: 3)
+        rep = execute_graph_parallel(_graph_for(small_tlr, 1), small_tlr)
+        assert rep.n_workers == 3
 
 
 class TestFactorizeIntegration:
