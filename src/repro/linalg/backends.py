@@ -40,11 +40,13 @@ to the backend's own :meth:`~CompressionBackend.compress` with the tile's
 rank before the update as ``rank_hint``.  The stacks
 live in a reusable workspace instead of fresh ``hstack`` allocations —
 the Section VII-B memory designation applied to the kernel transients,
-not just the tile storage.  The stacked rounding calls LAPACK directly
-(``geqrf``/``orgqr``/``gesdd``) rather than the ``scipy.linalg``
-wrappers: at TLR stack sizes (b ≈ 100, r ≈ 2k) wrapper overhead is a
-measurable fraction of the call, and the direct path is dtype-generic —
-float32 stacks run the single-precision drivers.
+not just the tile storage.  Every QR and SVD here — the stacked
+rounding's ``geqrf``/``orgqr``/``gesdd``, the sampler's, the exact
+SVD's — goes through :mod:`repro.linalg.blas`: the same LAPACK routines
+the ``scipy.linalg`` wrappers call, with the same arguments and bits,
+but with the interpreter lock released, so two workers overlap their
+compressions.  The calls are dtype-generic: float32 stacks run the
+single-precision drivers.
 
 Determinism: a :class:`RandomizedSVDBackend` seeded per tile (see
 :func:`tile_seed`) produces bit-identical factors for a given input, so
@@ -57,8 +59,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack as _lapack
 
 from .. import obs
 from ..utils.exceptions import CompressionError, ConfigurationError
@@ -68,7 +68,7 @@ from .compression import (
     TruncationRule,
     truncation_rank,
 )
-from .blas import sub_abt
+from .blas import geqrf, gesdd, orgqr, sub_abt
 from .tiles import LowRankTile, PendingTile
 
 __all__ = [
@@ -84,39 +84,11 @@ __all__ = [
     "tile_seed",
 ]
 
-#: Direct LAPACK drivers keyed by dtype char: (geqrf, orgqr, gesdd).
-_LAPACK_BY_DTYPE = {
-    "d": (_lapack.dgeqrf, _lapack.dorgqr, _lapack.dgesdd),
-    "f": (_lapack.sgeqrf, _lapack.sorgqr, _lapack.sgesdd),
-}
-
-#: Optimal gesdd workspace sizes keyed by (dtype char, m, n).  gesdd's
-#: default (minimal) LWORK selects a different internal blocking than the
-#: optimal size scipy's wrapper queries — measurably slower and *bitwise
-#: different* around n≈35 — so the direct path caches and passes the
-#: optimal value.  GIL-atomic dict ops; a racing duplicate query is benign.
-_GESDD_LWORK_CACHE: dict[tuple[str, int, int], int] = {}
-
 #: Strictly-lower-triangle masks (and dtype-matched zeros) so the R
 #: extraction can skip ``np.tri`` mask construction on every call.
 #: ``np.where(mask, zero, a)`` is exactly ``np.triu``'s implementation.
 _TRIU_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _ZERO_BY_CHAR = {"d": np.zeros(1, np.float64), "f": np.zeros(1, np.float32)}
-
-
-def _gesdd_lwork(char: str, m: int, n: int) -> int:
-    key = (char, m, n)
-    lwork = _GESDD_LWORK_CACHE.get(key)
-    if lwork is None:
-        from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
-
-        probe = np.empty((1, 1), dtype=np.dtype(char))
-        (lwork_fn,) = get_lapack_funcs(("gesdd_lwork",), (probe,))
-        lwork = _compute_lwork(
-            lwork_fn, m, n, compute_uv=True, full_matrices=False
-        )
-        _GESDD_LWORK_CACHE[key] = lwork
-    return lwork
 
 
 def _triu_of(a: np.ndarray) -> np.ndarray:
@@ -144,12 +116,7 @@ def tile_seed(base: int, i: int, j: int) -> np.random.SeedSequence:
 # ----------------------------------------------------------------------
 def _svd_compress(a: np.ndarray, rule: TruncationRule) -> LowRankTile:
     """Exact truncated SVD of a dense block (the ``gesdd`` fast path)."""
-    try:
-        u, s, vt = sla.svd(
-            a, full_matrices=False, lapack_driver="gesdd", check_finite=False
-        )
-    except sla.LinAlgError as exc:  # pragma: no cover - gesdd rarely fails
-        raise CompressionError(f"SVD failed during compression: {exc}") from exc
+    u, s, vt = gesdd(a)
     k = truncation_rank(s, rule)
     if k == 0:
         return LowRankTile.zero(*a.shape, dtype=a.dtype)
@@ -157,10 +124,8 @@ def _svd_compress(a: np.ndarray, rule: TruncationRule) -> LowRankTile:
     return LowRankTile(u[:, :k] * root, vt[:k].T * root)
 
 
-def _econ_qr(
-    a: np.ndarray, geqrf, orgqr, overwrite: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Economic QR ``a = Q R`` via direct LAPACK calls.
+def _econ_qr(a: np.ndarray, overwrite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Economic QR ``a = Q R``: ``geqrf``, then ``orgqr`` in place.
 
     Handles the wide case (stacked rank exceeding the tile side): with
     ``a`` of shape ``(m, r)`` and ``k = min(m, r)``, returns ``Q`` of
@@ -168,17 +133,12 @@ def _econ_qr(
     """
     m, r = a.shape
     k = min(m, r)
-    qr_, tau, _, info = geqrf(a, overwrite_a=overwrite)
-    if info != 0:  # pragma: no cover - geqrf only fails on bad arguments
-        raise CompressionError(f"geqrf failed during recompression (info={info})")
+    qr_, tau = geqrf(a, overwrite)
     rmat = _triu_of(qr_[:k, :])
     # R is extracted and ``qr_`` is ours (the caller's buffer under
     # ``overwrite``, geqrf's fresh copy otherwise), so orgqr may expand Q
     # over the factored columns in place.
-    q, _, info = orgqr(qr_[:, :k], tau, overwrite_a=True)
-    if info != 0:  # pragma: no cover
-        raise CompressionError(f"orgqr failed during recompression (info={info})")
-    return q, rmat
+    return orgqr(qr_[:, :k], tau, overwrite=True), rmat
 
 
 def _qr_svd_recompress(
@@ -192,8 +152,8 @@ def _qr_svd_recompress(
     """QR-QR-SVD rounding of ``u_stack @ v_stack.T`` (all backends).
 
     Dtype-generic: float64 stacks run the ``d``-prefixed LAPACK drivers
-    (bitwise identical to the historical ``scipy.linalg`` wrapper path),
-    float32 stacks the ``s``-prefixed ones, and the rounded tile keeps
+    (bitwise identical to the ``scipy.linalg`` wrapper path), float32
+    stacks the ``s``-prefixed ones, and the rounded tile keeps
     the stack's storage dtype.  With ``overwrite`` the QR factorizations
     are allowed to destroy the stacked factors — safe when they live in a
     pooled workspace buffer that is released right after.
@@ -204,24 +164,9 @@ def _qr_svd_recompress(
     if r == 0:
         tile = LowRankTile.zero(m, n, dtype=dtype)
         return RecompressionResult(tile, 0, 0, grew=False)
-    try:
-        geqrf, orgqr, gesdd = _LAPACK_BY_DTYPE[dtype.char]
-    except KeyError:  # pragma: no cover - stacks are always f32/f64
-        raise CompressionError(
-            f"unsupported recompression dtype {dtype}"
-        ) from None
-    qu, ru = _econ_qr(u_stack, geqrf, orgqr, overwrite)
-    qv, rv = _econ_qr(v_stack, geqrf, orgqr, overwrite)
-    core = ru @ rv.T
-    # Optimal LWORK (cached): the minimal default is slower *and* selects
-    # a different blocking — scipy's wrapper passes the optimal size, and
-    # bitwise parity with the reference rounding depends on matching it.
-    lwork = _gesdd_lwork(dtype.char, core.shape[0], core.shape[1])
-    uc, s, vct, info = gesdd(
-        core, compute_uv=True, full_matrices=False, lwork=lwork, overwrite_a=True
-    )
-    if info != 0:  # pragma: no cover - gesdd rarely fails
-        raise CompressionError(f"SVD failed during recompression (info={info})")
+    qu, ru = _econ_qr(u_stack, overwrite)
+    qv, rv = _econ_qr(v_stack, overwrite)
+    uc, s, vct = gesdd(ru @ rv.T, overwrite=True)
     k = truncation_rank(s, rule)
     if k == 0:
         tile = LowRankTile.zero(m, n, dtype=dtype)
@@ -619,7 +564,6 @@ class RandomizedSVDBackend(CompressionBackend):
         m, n = a.shape
         mn = min(m, n)
         dtype = a.dtype
-        geqrf, orgqr, gesdd = _LAPACK_BY_DTYPE[dtype.char]
         max_rank = self._max_rank(mn)
         rank_cap = mn if rule.maxrank is None else min(rule.maxrank, mn)
         rng = np.random.default_rng(self.seed if seed is None else seed)
@@ -647,7 +591,7 @@ class RandomizedSVDBackend(CompressionBackend):
                 qk, bk = q_basis[:, :k], b_proj[:k]
                 y -= qk @ (bk @ omega)  # (I - QQᵀ)AΩ via the projected tile
                 y -= qk @ (qk.T @ y)  # re-orthogonalize against roundoff
-            qb, _ = _econ_qr(y, geqrf, orgqr, True)
+            qb, _ = _econ_qr(y, True)
             bb = qb.T @ a
             q_basis[:, k : k + p_eff] = qb
             b_proj[k : k + p_eff] = bb
@@ -688,12 +632,7 @@ class RandomizedSVDBackend(CompressionBackend):
 
         # SVD of Bᵀ: the C-order (k, n) projection *is* an F-order (n, k)
         # array, the tall orientation gesdd handles fastest, copy-free.
-        vb, s, ubt, info = gesdd(
-            b_proj[:k].T, compute_uv=True, full_matrices=False,
-            lwork=_gesdd_lwork(dtype.char, n, k), overwrite_a=True,
-        )
-        if info != 0:  # pragma: no cover - gesdd rarely fails
-            raise CompressionError(f"SVD failed during compression (info={info})")
+        vb, s, ubt = gesdd(b_proj[:k].T, overwrite=True)
         kk = truncation_rank(s, rule)
         if kk == 0:
             return LowRankTile.zero(m, n, dtype=dtype)

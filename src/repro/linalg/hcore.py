@@ -22,7 +22,10 @@ views ``Cᵀ`` with the interpreter lock released
 :class:`KernelError` unless every operand is C-contiguous float64.  The
 inverse is dropped when the panel closes, by whoever runs the loop.
 The Table-I modelled flops stay the paper's: POTRF's span includes the
-inversion, TRSM's is the cheaper multiply.
+inversion, TRSM's is the cheaper multiply.  POTRF, its ``dtrtri`` and
+the low-rank TRSM's ``dtrsm`` take the same lock-free route, as every
+QR and SVD of the compressor does: no kernel holds the interpreter lock
+inside LAPACK.
 
 The low-rank-output kernel returns a *new* :class:`LowRankTile` together
 with a :class:`~repro.linalg.compression.RecompressionResult` because the
@@ -51,13 +54,11 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from ..obs import kernel_observed
-from ..utils.exceptions import KernelError, NotPositiveDefiniteError
+from ..utils.exceptions import KernelError
 from .backends import ColumnBlocks, get_backend, tile_seed
-from .blas import DTRMM, c_int, raw, sub_abt
+from .blas import DTRMM, c_int, potrf, raw, sub_abt, trsm, trtri
 from .compression import RecompressionResult, TruncationRule
 from .flops import (
     FlopCounter,
@@ -121,16 +122,9 @@ def potrf_dense(
     NotPositiveDefiniteError
         If the tile is not numerically positive definite.
     """
-    try:
-        l = sla.cholesky(c.data, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"POTRF failed on tile {tile_index}: {exc}", tile_index
-        ) from exc
-    # LAPACK's potrf already leaves the other triangle zeroed in scipy's
-    # copy, so a plain assignment suffices — np.tril(l) here would build a
-    # full b x b temporary on the critical path for nothing.
-    c.data[...] = l
+    # potrf returns L with the other triangle zeroed, so a plain assignment
+    # suffices — np.tril here would build a b x b temporary for nothing.
+    c.data[...] = potrf(c.data, tile_index)
     c.inverse = _lower_inverse(c.data)
     _count(counter, KernelClass.POTRF_DENSE, flops_potrf_dense(c.shape[0]))
     return c
@@ -139,10 +133,7 @@ def potrf_dense(
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
     """``L⁻¹`` of a lower-triangular ``L``, C-contiguous: ``dtrtri`` of the
     Fortran view ``Lᵀ`` (upper) returns ``L⁻ᵀ`` in Fortran order."""
-    inv_t, info = lapack.dtrtri(l.T, lower=0)
-    if info:
-        raise KernelError(f"TRTRI: the factor is singular (info={info})")
-    return inv_t.T
+    return trtri(l.T).T
 
 
 def trsm_dense(
@@ -196,9 +187,7 @@ def trsm_lr(
             f"TRSM shape mismatch: L {l_tile.shape} vs C {c.shape}"
         )
     if c.rank > 0:
-        v = sla.solve_triangular(
-            l_tile.data, c.v, lower=True, trans="N", check_finite=False
-        )
+        v = trsm(l_tile.data, c.v)
         # The solve promotes fp32 V against the fp64 band tile; cast back
         # so the tile keeps its policy-assigned storage dtype.
         if v.dtype != c.dtype:

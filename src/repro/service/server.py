@@ -57,6 +57,7 @@ from ..utils.exceptions import (
     QueueFullError,
     ServiceClosedError,
 )
+from ..utils.validation import check_finite
 from .cache import FactorCache, FactorKey, FactorRecipe
 from .database import ServiceDatabase
 
@@ -500,6 +501,7 @@ class SolverService:
         *,
         deadline_s: float | None = None,
     ) -> SolveTicket:
+        rhs = check_finite("rhs", rhs)  # a NaN would come back as a NaN solution
         if self._stopping:
             raise ServiceClosedError("service is stopped")
         budget = (
@@ -510,7 +512,7 @@ class SolverService:
         with self._id_lock:
             self._next_id += 1
             rid = self._next_id
-        ticket = SolveTicket(rid, session.key, np.asarray(rhs), deadline)
+        ticket = SolveTicket(rid, session.key, rhs, deadline)
         if not self.db.admit(ticket):
             raise QueueFullError(
                 f"queue at max depth {self.config.max_queue_depth}; "

@@ -24,7 +24,7 @@ import numpy as np
 from ..geometry.distance import block_distances
 from ..geometry.grids import generate_locations
 from ..utils.exceptions import ConfigurationError, ProblemError
-from ..utils.validation import check_positive_int
+from ..utils.validation import check_finite, check_positive_int
 from .matern import ST_3D_EXP, MaternParams, matern
 
 __all__ = ["CovarianceProblem", "st_3d_exp_problem", "st_2d_exp_problem"]
@@ -55,7 +55,7 @@ class CovarianceProblem:
     nugget: float = 1e-6
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
+        self.points = check_finite("points", self.points)
         if self.points.ndim != 2:
             raise ConfigurationError(
                 f"points must be (n, d), got shape {self.points.shape}"

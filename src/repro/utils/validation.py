@@ -26,6 +26,7 @@ __all__ = [
     "check_probability",
     "check_in",
     "check_matrix",
+    "check_finite",
     "check_square_matrix",
     "check_index",
 ]
@@ -99,6 +100,17 @@ def check_matrix(name: str, a: Any, dtype=np.float64) -> np.ndarray:
     if arr.ndim != 2:
         raise ConfigurationError(f"{name} must be 2-D, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def check_finite(name: str, a: Any) -> np.ndarray:
+    """Coerce ``a`` to a float64 ndarray with no NaN or infinite entry."""
+    try:
+        arr = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be numeric") from None
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} must be finite (no NaN/inf)")
+    return arr
 
 
 def check_square_matrix(name: str, a: Any, dtype=np.float64) -> np.ndarray:

@@ -50,6 +50,14 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             s.factorize()
 
+    def test_non_finite_rhs_rejected(self, api_problem):
+        s = TLRSolver.from_problem(api_problem, accuracy=1e-8, band_size=2)
+        s.factorize()
+        rhs = np.ones(512)
+        rhs[-1] = np.inf
+        with pytest.raises(ConfigurationError, match="finite"):
+            s.solve(rhs)
+
     def test_solve_before_factorize_rejected(self, api_problem):
         s = TLRSolver.from_problem(api_problem, accuracy=1e-8)
         with pytest.raises(ConfigurationError):

@@ -140,11 +140,13 @@ class TestLikelihoodEvaluator:
         [
             (lambda p, z: (p, np.where(np.arange(z.size) == 3, np.nan, z)),
              "finite"),
+            (lambda p, z: (p, np.where(np.arange(z.size) == 5, np.inf, z)),
+             "finite"),
             (lambda p, z: (p, z[:-1]), "length-343"),
             (lambda p, z: (np.where(p == p[0, 0], np.nan, p), z), "finite"),
             (lambda p, z: (p[:, 0], z), "2-D"),
         ],
-        ids=["nan-in-z", "short-z", "nan-point", "flat-points"],
+        ids=["nan-in-z", "inf-in-z", "short-z", "nan-point", "flat-points"],
     )
     def test_bad_inputs_are_refused_at_construction(
         self, mle_problem, mle_z, spoil, match

@@ -29,6 +29,14 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             st_3d_exp_problem(100, 128)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_point(self, small_problem, bad):
+        """Refused before any tile is generated, not deep in the compressor."""
+        points = small_problem.points.copy()
+        points[5, 1] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            CovarianceProblem(points=points, tile_size=64)
+
 
 class TestAssembly:
     def test_tiles_assemble_to_dense(self, small_problem, small_dense):

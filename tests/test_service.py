@@ -378,6 +378,17 @@ class TestSolverService:
         assert stats.dropped == 1
         assert stats.completed == 1
 
+    def test_non_finite_rhs_refused_at_submit(self, small_problem):
+        """Raised by submit itself: no ticket, no queued work."""
+        rhs = np.ones(small_problem.n)
+        rhs[0] = np.nan
+        with SolverService(ServiceConfig(n_workers=1)) as svc:
+            session = svc.session(small_problem, accuracy=1e-6, band_size=1)
+            with pytest.raises(ConfigurationError, match="finite"):
+                session.submit(rhs)
+            stats = svc.stats()
+        assert stats.cache.factorizations == 0
+
     def test_submit_after_stop_is_closed(self, small_problem):
         svc = SolverService(ServiceConfig(n_workers=1)).start()
         session = svc.session(small_problem, accuracy=1e-6, band_size=1)

@@ -59,6 +59,14 @@ class TestForwardSolve:
         with pytest.raises(ConfigurationError):
             forward_solve(factored, np.zeros(100))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, factored, bad):
+        """Not a silent non-finite solution."""
+        b = np.ones(512)
+        b[7] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_spd(factored, b)
+
 
 class TestBackwardSolve:
     def test_matches_dense(self, factored, dense_l, rng):
