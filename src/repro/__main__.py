@@ -165,6 +165,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro import TLRSolver, st_3d_exp_problem
+    from repro.runtime import default_workers
 
     print(f"generating st-3D-exp problem: n={args.n}, tile={args.tile}")
     problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
@@ -174,20 +175,20 @@ def _run_demo(args: argparse.Namespace) -> int:
         compression=args.compression,
         n_workers=args.workers,
     )
-    mn, avg, mx = solver.matrix.rank_stats()
-    print(f"compressed at eps={args.accuracy:g} [{args.compression}]: "
-          f"band={solver.band_size}, ranks {mn}/{avg:.1f}/{mx}")
-
+    workers = args.workers or default_workers()
     t0 = time.perf_counter()
     rep = solver.factorize(
-        n_workers=args.workers,
+        n_workers=workers,
         faults=_fault_plan(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    how = f" on {args.workers} workers" if args.workers else ""
-    print(f"factorized in {time.perf_counter() - t0:.2f}s{how} "
+    print(f"factorized in {time.perf_counter() - t0:.2f}s on {workers} workers "
           f"({rep.counter.total / 1e9:.2f} modelled Gflop)")
+    # read after factorize(): the assembly leaves tiles pending until then
+    mn, avg, mx = solver.matrix.rank_stats()
+    print(f"factor at eps={args.accuracy:g} [{args.compression}]: "
+          f"band={solver.band_size}, ranks {mn}/{avg:.1f}/{mx}")
     pr = rep.precision_report
     print(f"precision: {_fp32_tiles(pr)}, off-band bytes "
           f"{pr.offband_saving_factor:.2f}x smaller")
@@ -890,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--workers", type=int, default=None,
                    help="factorize on the execution core with N workers "
-                        "(also parallelizes matrix assembly)")
+                        "(default: cores / BLAS threads); also "
+                        "parallelizes matrix assembly")
     d.add_argument("--compression", choices=["svd", "rsvd", "auto"],
                    default=None,
                    help="compression backend: exact SVD, adaptive "

@@ -10,6 +10,7 @@ from .autotuner import (
     subdiagonal_maxranks,
     tie_break_band,
     tune_band_size,
+    walk_band_size,
 )
 from .factorize import FactorizationReport, tlr_cholesky
 from .refine import RefinementResult, refined_solve, tlr_matvec
@@ -24,6 +25,7 @@ __all__ = [
     "SubdiagonalCost",
     "tune_band_size",
     "autotune_matrix",
+    "walk_band_size",
     "band_candidates",
     "tie_break_band",
     "subdiagonal_costs",

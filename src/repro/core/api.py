@@ -7,7 +7,7 @@ smallest possible surface::
 
     problem = st_3d_exp_problem(n=4096, tile_size=256)
     solver = TLRSolver.from_problem(problem, accuracy=1e-8)   # auto-tunes BAND_SIZE
-    solver.factorize()
+    solver.factorize()                                         # on default_workers()
     x = solver.solve(b)
     ll = solver.log_likelihood(z)
 
@@ -25,10 +25,11 @@ from .. import obs
 from ..linalg.compression import TruncationRule
 from ..matrix.memory import MemoryReport, footprint_report
 from ..matrix.tlr_matrix import BandTLRMatrix
+from ..runtime.workpool import default_workers
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_band_size
-from .autotuner import BandSizeDecision, autotune_matrix
+from .autotuner import BandSizeDecision, walk_band_size
 from .factorize import FactorizationReport, tlr_cholesky
 from .mle import log_likelihood
 from .solve import log_det, solve_spd
@@ -44,6 +45,11 @@ class TLRSolver:
     ----------
     matrix:
         The compressed (and, after :meth:`factorize`, factorized) matrix.
+        It is assembled deferred: until :meth:`factorize`, the off-band
+        tiles of columns ``j >= 1`` that the tuner did not read are
+        pending (rank 0, no bytes), so rank statistics and
+        :meth:`memory_report` read only the tiles compressed at
+        assembly.
     problem:
         The generating covariance problem (needed for band regeneration).
     decision:
@@ -81,11 +87,16 @@ class TLRSolver:
             Compression threshold ε (the paper's experiments use 1e-8
             down to 1e-3).
         band_size:
-            ``"auto"`` runs Algorithm 1 during assembly
-            (:func:`~repro.core.autotuner.autotune_matrix`: the matrix
-            of the paper's generate at band 1 → tune → regenerate
-            pipeline, without compressing the band it discards); an
-            integer forces that band width.
+            ``"auto"`` runs Algorithm 1's walk first
+            (:func:`~repro.core.autotuner.walk_band_size`: the band of the
+            paper's generate at band 1 → tune → regenerate pipeline,
+            compressing only the tiles the decision reads); an integer
+            forces that band width.  Either way the matrix is assembled
+            deferred (:meth:`BandTLRMatrix.from_problem
+            <repro.matrix.BandTLRMatrix.from_problem>` with ``defer``):
+            the walk's off-band tiles are taken as they are, and every
+            other off-band tile of columns ``j >= 1`` is born in its fused
+            update during :meth:`factorize`, compressed once or kept dense.
         fluctuation:
             Auto-tuner densification threshold (paper window [0.67, 1]).
         maxrank:
@@ -114,14 +125,16 @@ class TLRSolver:
             accuracy=accuracy,
             band_size=band_size,
         ):
-            how = dict(backend=compression, n_workers=n_workers)
+            decision, reuse = None, None
             if band_size == "auto":
-                matrix, decision = autotune_matrix(
-                    problem, rule, fluctuation=fluctuation, **how
+                decision, reuse = walk_band_size(
+                    problem, rule, fluctuation=fluctuation, backend=compression
                 )
-            else:
-                matrix = BandTLRMatrix.from_problem(problem, rule, band_size, **how)
-                decision = None
+                band_size = decision.band_size
+            matrix = BandTLRMatrix.from_problem(
+                problem, rule, band_size, backend=compression,
+                n_workers=n_workers, reuse=reuse, defer=True,
+            )
             return cls(matrix=matrix, problem=problem, decision=decision)
 
     # ------------------------------------------------------------------
@@ -147,10 +160,11 @@ class TLRSolver:
     ) -> FactorizationReport:
         """Run the BAND-DENSE-TLR Cholesky in place.
 
-        With ``n_workers`` the factorization executes on the
-        dependency-driven execution core (one worker inline, more on
-        threads; same factor, bitwise, for any worker count); without
-        it, the sequential reference loops run.
+        The factorization executes on the dependency-driven execution
+        core at ``n_workers`` workers — by default
+        :func:`~repro.runtime.workpool.default_workers` (cores ÷ BLAS
+        threads) — one inline, the others on threads; the factor is the
+        reference loops', bitwise, at any worker count.
         ``executor``/``n_ranks`` select a backend explicitly instead —
         e.g. ``executor="processes", n_ranks=4`` runs the distributed
         multi-process executor with tiles placed by the hybrid band
@@ -164,6 +178,8 @@ class TLRSolver:
         """
         if self._factorized:
             raise ConfigurationError("matrix is already factorized")
+        if n_workers is None and executor is None:
+            n_workers = default_workers()
         self.report = tlr_cholesky(
             self.matrix,
             n_workers=n_workers,
@@ -195,7 +211,11 @@ class TLRSolver:
         return log_det(self.matrix)
 
     def memory_report(self, maxrank: int | None = None) -> MemoryReport:
-        """Static-vs-dynamic footprint comparison (Fig. 8)."""
+        """Static-vs-dynamic footprint comparison (Fig. 8).
+
+        Before :meth:`factorize` the pending off-band tiles count as 0
+        elements: the report covers what assembly stored, not the factor.
+        """
         return footprint_report(self.matrix, maxrank=maxrank)
 
     def factor_key(self):

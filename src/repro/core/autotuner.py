@@ -26,13 +26,14 @@ so every process evaluates a slice of each sub-diagonal; here the model is
 a closed-form sum per sub-diagonal, microseconds of work (its cost is
 reported by the Fig. 6d benchmark).
 
-:func:`tune_band_size` decides from a rank grid; :func:`autotune_matrix`
-decides *during* assembly, compressing only what the decision reads.
+:func:`tune_band_size` decides from a rank grid; :func:`walk_band_size`
+decides from the problem, compressing only what the decision reads, and
+:func:`autotune_matrix` assembles eagerly around that walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +57,8 @@ __all__ = [
     "BandSizeDecision",
     "band_candidates",
     "tie_break_band",
+    "walk_band_size",
+    "autotune_matrix",
 ]
 
 #: The paper's fluctuation window.
@@ -101,7 +104,12 @@ class BandSizeDecision:
         Per-sub-diagonal cost table (for Fig. 6c style reporting).  From
         :func:`autotune_matrix`, ``maxrank`` of a sub-diagonal *inside*
         the band is the running max rank that decided it dense, not the
-        max over tiles that were never compressed.
+        max over tiles that were never compressed.  From
+        :func:`walk_band_size` — hence from a deferred build such as
+        :class:`~repro.core.api.TLRSolver`'s ``"auto"`` band — the table
+        covers only the sub-diagonals the walk read, each at the running
+        max rank it stopped on; the tiles beyond were never compressed
+        before their update.
     band_size_range:
         ``(min, max)`` band size over the paper's fluctuation window
         [0.67, 1] — the rectangular boxes of Figs. 6a/6b.
@@ -270,25 +278,23 @@ def tie_break_band(bands) -> int:
     return min(bands)
 
 
-def autotune_matrix(
+def walk_band_size(
     problem,
     rule,
     *,
     fluctuation: float = FLUCTUATION_RANGE[0],
     max_band: int | None = None,
     backend=None,
-    n_workers: int | None = None,
-) -> tuple[BandTLRMatrix, BandSizeDecision]:
-    """Assemble ``problem`` at the band Algorithm 1 picks, tuning on the way.
+) -> tuple[BandSizeDecision, dict]:
+    """Algorithm 1 on ``problem``'s tiles: the band, and the tiles it compressed.
 
-    Section VIII-B generates at band 1, tunes, and regenerates the band
-    dense.  Here the tuner *is* the assembly: :func:`_walk_outward`
-    compresses the tiles it reads (same compression and per-tile seed as
-    :meth:`BandTLRMatrix.from_problem`), then everything else is
-    assembled once at the band it found, reusing the probe's off-band
-    tiles.  The matrix, ``band_size`` and ``band_size_range`` are,
-    bitwise, what the three-step pipeline produces; only tiles
-    compressed before their sub-diagonal was decided dense are wasted.
+    Section VIII-B generates at band 1 and tunes on its ranks.  Here
+    :func:`_walk_outward` compresses only the tiles it reads (same
+    compression and per-tile seed as :meth:`BandTLRMatrix.from_problem`).
+    Returns the decision, whose ``costs`` cover only the sub-diagonals
+    the walk read, and the off-band tiles of the band it picked (keyed by
+    ``(i, j)``) for an assembly to take as ``reuse``.  ``band_size`` and
+    ``band_size_range`` are, bitwise, the band-1 pipeline's.
     """
     probe = BandTLRMatrix(
         TileDescriptor(problem.n, problem.tile_size), 1, rule, backend=backend
@@ -307,9 +313,37 @@ def autotune_matrix(
         span.set(
             band_size=band, tiles_probed=probed, tiles_discarded=probed - len(kept)
         )
+    costs = subdiagonal_costs(walked, nt, b)[: len(walked)]
+    return _decision(bands, fluctuation, costs), kept
+
+
+def autotune_matrix(
+    problem,
+    rule,
+    *,
+    fluctuation: float = FLUCTUATION_RANGE[0],
+    max_band: int | None = None,
+    backend=None,
+    n_workers: int | None = None,
+) -> tuple[BandTLRMatrix, BandSizeDecision]:
+    """Assemble ``problem`` at the band Algorithm 1 picks, tuning on the way.
+
+    Section VIII-B generates at band 1, tunes, and regenerates the band
+    dense.  Here :func:`walk_band_size` tunes, then everything else is
+    assembled once, eagerly, at the band it found, reusing the walk's
+    off-band tiles.  The matrix, ``band_size`` and ``band_size_range``
+    are, bitwise, what the three-step pipeline produces; only tiles
+    compressed before their sub-diagonal was decided dense are wasted.
+    Outside the band ``costs`` are the band-1 pipeline's.
+    """
+    decision, kept = walk_band_size(
+        problem, rule, fluctuation=fluctuation, max_band=max_band, backend=backend
+    )
+    band = decision.band_size
     matrix = BandTLRMatrix.from_problem(
         problem, rule, band, backend=backend, n_workers=n_workers, reuse=kept
     )
     maxranks = subdiagonal_maxranks(matrix.rank_grid())
-    maxranks[: band - 1] = walked[: band - 1]
-    return matrix, _decision(bands, fluctuation, subdiagonal_costs(maxranks, nt, b))
+    maxranks[: band - 1] = [c.maxrank for c in decision.costs[: band - 1]]
+    costs = subdiagonal_costs(maxranks, matrix.ntiles, problem.tile_size)
+    return matrix, replace(decision, costs=tuple(costs))

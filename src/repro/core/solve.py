@@ -19,7 +19,7 @@ from ..linalg.batched import split_solution, stack_rhs
 from ..linalg.tiles import DenseTile, Tile
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import ConfigurationError
-from ..utils.validation import check_finite
+from ..utils.validation import check_rhs
 
 __all__ = [
     "forward_solve",
@@ -50,7 +50,7 @@ def _apply_t(tile: Tile, x: np.ndarray) -> np.ndarray:
 
 def _check_rhs(factor: BandTLRMatrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     factor.require_realized("a triangular solve")  # a pending tile is rank 0
-    rhs = check_finite("rhs", rhs)
+    rhs = check_rhs("rhs", rhs)
     squeeze = rhs.ndim == 1
     if squeeze:
         rhs = rhs[:, None]

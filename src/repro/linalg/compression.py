@@ -53,7 +53,7 @@ class TruncationRule:
     Attributes
     ----------
     eps:
-        Accuracy threshold ε (e.g. the paper's 1e-8).
+        Accuracy threshold ε in (0, 1) (e.g. the paper's 1e-8).
     norm:
         ``"spectral"`` or ``"frobenius"`` (see module docstring).
     relative:
@@ -69,7 +69,8 @@ class TruncationRule:
     maxrank: int | None = None
 
     def __post_init__(self) -> None:
-        check_positive_float("eps", self.eps)
+        if check_positive_float("eps", self.eps) >= 1.0:
+            raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
         check_in("norm", self.norm, ("spectral", "frobenius"))
         if self.maxrank is not None and self.maxrank < 0:
             raise ConfigurationError(f"maxrank must be >= 0, got {self.maxrank}")

@@ -46,6 +46,7 @@ from .. import obs
 from ..core.api import TLRSolver
 from ..core.factorize import FactorizationReport
 from ..matrix.tlr_matrix import BandTLRMatrix
+from ..runtime.workpool import default_workers
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_band_size
@@ -126,7 +127,10 @@ class FactorRecipe:
 
     The key identifies the factor's numerical content; the recipe adds
     the build-only knobs that change cost but not identity (compression
-    backend and assembly/factorization worker counts).
+    backend and assembly/factorization worker counts).  ``n_workers=None``
+    builds at :func:`~repro.runtime.workpool.default_workers`; a
+    :class:`~repro.service.server.SolverService` session fills it in
+    with that count divided among the service's shards.
     """
 
     problem: CovarianceProblem
@@ -147,17 +151,24 @@ class FactorRecipe:
     def build(
         self, *, checkpoint=None, resume: bool = False
     ) -> tuple[BandTLRMatrix, FactorizationReport]:
-        """Compress + factorize from scratch (or resume a checkpoint)."""
+        """Compress + factorize from scratch (or resume a checkpoint).
+
+        The build is :class:`TLRSolver`'s: tuned, assembled deferred and
+        factorized on the execution core at ``n_workers`` workers.
+        """
+        n_workers = (
+            default_workers() if self.n_workers is None else self.n_workers
+        )
         solver = TLRSolver.from_problem(
             self.problem,
             accuracy=self.accuracy,
             band_size=self.band_size,
             maxrank=self.maxrank,
             compression=self.compression,
-            n_workers=self.n_workers,
+            n_workers=n_workers,
         )
         report = solver.factorize(
-            n_workers=self.n_workers,
+            n_workers=n_workers,
             checkpoint=checkpoint,
             resume=resume,
         )

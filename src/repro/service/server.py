@@ -51,13 +51,14 @@ import numpy as np
 from .. import obs
 from ..core.api import TLRSolver
 from ..core.solve import solve_many, solve_spd
+from ..runtime.workpool import default_workers
 from ..utils.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
     QueueFullError,
     ServiceClosedError,
 )
-from ..utils.validation import check_finite
+from ..utils.validation import check_rhs
 from .cache import FactorCache, FactorKey, FactorRecipe
 from .database import ServiceDatabase
 
@@ -96,7 +97,10 @@ class ServiceConfig:
     ----------
     n_workers:
         Solver worker threads = shard count.  Each factor identity is
-        owned by exactly one shard.
+        owned by exactly one shard.  A session opened without its own
+        ``n_workers`` builds at ``default_workers() // n_workers``
+        execution-core workers (at least 1), so concurrent misses on
+        different shards never oversubscribe the cores.
     max_queue_depth:
         Bounded pending depth across all shards; submissions beyond it
         raise :class:`~repro.utils.exceptions.QueueFullError`.
@@ -451,18 +455,28 @@ class SolverService:
         maxrank: int | None = None,
         n_workers: int | None = None,
     ) -> ServiceSession:
-        """Open a session for a problem (same knobs as ``TLRSolver``)."""
+        """Open a session for a problem (same knobs as ``TLRSolver``).
+
+        Without ``n_workers`` the session's builds run at
+        ``max(1, default_workers() // config.n_workers)`` workers: the
+        shards can miss at once, and together they never ask for more
+        workers than the cores the BLAS pin leaves.
+        """
         recipe = FactorRecipe(
             problem=problem,
             accuracy=accuracy,
             band_size=band_size,
             compression=compression,
             maxrank=maxrank,
-            n_workers=n_workers,
+            n_workers=self._build_workers() if n_workers is None else n_workers,
         )
         with self._recipes_lock:
             self._recipes.setdefault(recipe.key(), recipe)
         return ServiceSession(self, recipe)
+
+    def _build_workers(self) -> int:
+        """Execution-core workers of one build: the default divided by shards."""
+        return max(1, default_workers() // self.config.n_workers)
 
     def register_solver(self, solver: TLRSolver) -> ServiceSession:
         """Adopt an already-factorized :class:`TLRSolver` into the cache.
@@ -486,6 +500,7 @@ class SolverService:
             accuracy=matrix.rule.eps,
             band_size=matrix.band_size,
             maxrank=matrix.rule.maxrank,
+            n_workers=self._build_workers(),
         )
         key = recipe.key()  # == solver.factor_key() by construction
         self.cache.install(key, matrix, solver.report)
@@ -501,7 +516,7 @@ class SolverService:
         *,
         deadline_s: float | None = None,
     ) -> SolveTicket:
-        rhs = check_finite("rhs", rhs)  # a NaN would come back as a NaN solution
+        rhs = check_rhs("rhs", rhs)  # what the solve would refuse, refused here
         if self._stopping:
             raise ServiceClosedError("service is stopped")
         budget = (

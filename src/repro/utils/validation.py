@@ -27,6 +27,7 @@ __all__ = [
     "check_in",
     "check_matrix",
     "check_finite",
+    "check_rhs",
     "check_square_matrix",
     "check_index",
 ]
@@ -111,6 +112,25 @@ def check_finite(name: str, a: Any) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite (no NaN/inf)")
     return arr
+
+
+def check_rhs(name: str, a: Any) -> np.ndarray:
+    """Coerce a right-hand side to a finite 1-D or 2-D float64 ndarray.
+
+    Only real integer or floating data is accepted (integers are cast to
+    float64): a complex array would lose its imaginary part and a string
+    or object array would be converted silently, so both are refused.
+    """
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigurationError(
+            f"{name} must be a real integer or floating array, got dtype {arr.dtype}"
+        )
+    if arr.ndim not in (1, 2):
+        raise ConfigurationError(
+            f"{name} must be a vector or a matrix of columns, got {arr.ndim}-D"
+        )
+    return check_finite(name, arr)
 
 
 def check_square_matrix(name: str, a: Any, dtype=np.float64) -> np.ndarray:

@@ -27,12 +27,24 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             TLRSolver.from_problem(api_problem, band_size=2.5)
 
+    @pytest.mark.parametrize("accuracy", [1.0, 2.0])
+    def test_rejects_accuracy_of_one_or_more(self, api_problem, accuracy):
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            TLRSolver.from_problem(api_problem, accuracy=accuracy)
+
     def test_maxrank_cap_applied(self, api_problem):
         s = TLRSolver.from_problem(
             api_problem, accuracy=1e-8, band_size=1, maxrank=8
         )
         _, _, mx = s.matrix.rank_stats()
         assert mx <= 8
+
+
+@pytest.fixture(scope="module")
+def factored(api_problem):
+    s = TLRSolver.from_problem(api_problem, accuracy=1e-8, band_size=2)
+    s.factorize()
+    return s
 
 
 class TestLifecycle:
@@ -57,6 +69,27 @@ class TestLifecycle:
         rhs[-1] = np.inf
         with pytest.raises(ConfigurationError, match="finite"):
             s.solve(rhs)
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            np.ones(512, dtype=complex),
+            np.full(512, "1.0"),
+            np.ones(512, dtype=object),
+            np.ones((512, 2, 1)),
+            np.ones(512, dtype=bool),
+        ],
+        ids=["complex", "str", "object", "3-D", "bool"],
+    )
+    def test_bad_rhs_rejected(self, factored, rhs):
+        with pytest.raises(ConfigurationError, match="rhs"):
+            factored.solve(rhs)
+
+    def test_integer_rhs_is_cast_to_float(self, factored):
+        rhs = np.arange(512)
+        x = factored.solve(rhs)
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x, factored.solve(rhs.astype(float)))
 
     def test_solve_before_factorize_rejected(self, api_problem):
         s = TLRSolver.from_problem(api_problem, accuracy=1e-8)

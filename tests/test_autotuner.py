@@ -225,7 +225,7 @@ GEOMETRIES = {
     "one_tile": (100, 100, 1e-4, None),
     "ragged_last_tile": (1040, 125, 1e-4, None),
     "tight_eps_band_to_nt": (1000, 125, 1e-8, None),
-    "loose_eps_band_one": (1000, 125, 1.0, None),
+    "loose_eps_band_one": (1000, 125, 0.5, None),  # ε < 1; rank-0 tiles
     "max_band_below_tuned": (1000, 125, 1e-4, 2),
 }
 

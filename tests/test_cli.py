@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.utils import ConfigurationError
 
 
 class TestParser:
@@ -32,6 +33,11 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "solve relative error" in out
+
+    def test_demo_rejects_accuracy_of_one_or_more(self):
+        # library errors escape main() as themselves
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            main(["demo", "--n", "256", "--tile", "64", "--accuracy", "1.5"])
 
     def test_tune(self, capsys):
         rc = main(["tune", "--n", "512", "--tile", "64", "--accuracy", "1e-4"])

@@ -34,6 +34,11 @@ class TestTruncationRule:
         with pytest.raises(ConfigurationError):
             TruncationRule(eps=0.0)
 
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_rejects_eps_of_one_or_more(self, eps):
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            TruncationRule(eps=eps)
+
     def test_with_maxrank(self):
         r = TruncationRule().with_maxrank(7)
         assert r.maxrank == 7

@@ -46,7 +46,7 @@ class TestFullPipeline:
         solver.factorize()
 
         manual = BandTLRMatrix.from_problem(
-            prob, TruncationRule(eps=1e-8), band_size=2
+            prob, TruncationRule(eps=1e-8), band_size=2, defer=True
         )
         tlr_cholesky(manual)
         np.testing.assert_allclose(

@@ -299,9 +299,11 @@ class TestFactorizationTelemetry:
     def observed_run(self, small_problem):
         from repro import TLRSolver
 
+        # ε = 1e-4 keeps low-rank tiles: the deferred build births a tile
+        # of rank ≥ b/3 dense, which at 1e-8 is every off-band tile here
         with obs.observe(meta={"case": "integration"}) as run:
             solver = TLRSolver.from_problem(
-                small_problem, accuracy=1e-8, band_size=2, n_workers=2
+                small_problem, accuracy=1e-4, band_size=2, n_workers=2
             )
             solver.factorize(n_workers=2)
         return run, solver

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import TLRSolver, obs, st_3d_exp_problem
+from repro.statistics.problem import st_2d_exp_problem
 from repro.__main__ import build_parser, main
 from repro.core.solve import solve_many
 from repro.linalg.batched import split_solution, stack_rhs
@@ -72,10 +73,16 @@ class TestPrecisionIdentity:
             key = FactorKey.from_problem(tiny_problem, accuracy=eps)
             assert lowrank_dtype(key.eps) == want
 
-    def test_request_and_realized_sides_agree_end_to_end(self, tiny_problem):
-        """What a key's ε asks for is what its factor stores."""
+    def test_request_and_realized_sides_agree_end_to_end(self):
+        """What a key's ε asks for is what its factor stores.
+
+        The build births a tile of rank ≥ b/3 dense, so the problem is a
+        2D one whose factor keeps low-rank tiles on both sides of the fp32
+        floor (the 3D ``tiny_problem`` is all dense at ε = 1e-9).
+        """
+        problem = st_2d_exp_problem(512, 64, seed=3)
         for eps in (1e-6, 1e-4, 1e-9):
-            recipe = _recipe(tiny_problem, accuracy=eps)
+            recipe = _recipe(problem, accuracy=eps)
             matrix, report = recipe.build()
             lowrank = [
                 t for t in matrix.tiles.values() if isinstance(t, LowRankTile)
@@ -385,6 +392,20 @@ class TestSolverService:
         with SolverService(ServiceConfig(n_workers=1)) as svc:
             session = svc.session(small_problem, accuracy=1e-6, band_size=1)
             with pytest.raises(ConfigurationError, match="finite"):
+                session.submit(rhs)
+            stats = svc.stats()
+        assert stats.cache.factorizations == 0
+
+    @pytest.mark.parametrize(
+        "dtype, shape",
+        [(complex, None), ("U3", None), (object, None), (float, (2, 1))],
+        ids=["complex", "str", "object", "3-D"],
+    )
+    def test_bad_rhs_refused_at_submit(self, small_problem, dtype, shape):
+        rhs = np.ones((small_problem.n,) + (shape or ()), dtype=dtype)
+        with SolverService(ServiceConfig(n_workers=1)) as svc:
+            session = svc.session(small_problem, accuracy=1e-6, band_size=1)
+            with pytest.raises(ConfigurationError, match="rhs"):
                 session.submit(rhs)
             stats = svc.stats()
         assert stats.cache.factorizations == 0
