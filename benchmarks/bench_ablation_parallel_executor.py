@@ -1,12 +1,14 @@
-"""Ablation — the execution core on 1, 2 and 4 workers vs the reference loops.
+"""Ablation — the execution core on 1, 2 and 4 workers vs ``tlr_cholesky``'s default.
 
 The paper's PaRSEC runs execute the BAND-DENSE-TLR Cholesky graph with
 dependency-driven worker threads; our simulator replays the same graph
 against a machine model.  This bench closes the loop on real hardware:
 it factorizes one NT = 16 st-3D-exp matrix with ``tlr_cholesky`` driven
 by ``execute_graph_parallel`` at 1, 2 and 4 workers, records wall-clock
-and achieved Gflop/s per worker count, and validates every factor
-against the dense ``scipy.linalg.cholesky`` reference.
+and achieved Gflop/s per worker count against the default call (the
+``seq`` row: the core at one inline worker, no ``n_workers``), and
+validates every factor against the dense ``scipy.linalg.cholesky``
+reference.
 
 Reproduction targets are *correctness invariants*, not speedup: the
 factor must be bitwise identical across worker counts (all writes to a
@@ -97,7 +99,7 @@ def test_ablation_parallel_executor(benchmark, results_dir):
     # must reproduce the 1-worker factor bit for bit.
     for w in WORKER_COUNTS[1:]:
         assert np.array_equal(factors[WORKER_COUNTS[0]], factors[w])
-    # And the parallel path must match the sequential loop numerically.
+    # And the explicit worker counts must match the default call.
     assert np.allclose(factors[1], seq.to_dense(lower_only=True), atol=1e-9)
 
     # Time one representative 2-worker factorization for the benchmark table.

@@ -479,7 +479,7 @@ def _run_execute(args: argparse.Namespace) -> int:
         if res.tasks_resumed:
             rows.append(("tasks resumed", res.tasks_resumed))
     if t_seq is not None:
-        rows.append(("sequential (s)", round(t_seq, 3)))
+        rows.append(("one worker (s)", round(t_seq, 3)))
         rows.append(("speedup", round(t_seq / max(res.makespan, 1e-12), 2)))
     print(format_table(
         ["metric", "value"], rows,
@@ -1017,7 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--scheduler", choices=["priority", "fifo", "lifo"],
                    default="priority")
     e.add_argument("--compare-sequential", action="store_true",
-                   help="also time the sequential loops and report speedup")
+                   help="also time the factorization at one worker and "
+                        "report speedup")
     e.add_argument("--verify", action="store_true",
                    help="check the backward error against the dense matrix")
     e.add_argument("--gantt", action="store_true", help="print a text Gantt")

@@ -163,8 +163,8 @@ class TLRSolver:
         The factorization executes on the dependency-driven execution
         core at ``n_workers`` workers — by default
         :func:`~repro.runtime.workpool.default_workers` (cores ÷ BLAS
-        threads) — one inline, the others on threads; the factor is the
-        reference loops', bitwise, at any worker count.
+        threads) — one inline, the others on threads; the factor is
+        bitwise the same at any worker count.
         ``executor``/``n_ranks`` select a backend explicitly instead —
         e.g. ``executor="processes", n_ranks=4`` runs the distributed
         multi-process executor with tiles placed by the hybrid band

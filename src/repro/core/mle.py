@@ -28,7 +28,7 @@ The factorization runs on the in-process execution core
 threads, so a host whose BLAS is pinned to one thread runs one worker
 per core and one whose BLAS already spans every core runs one.  That is
 a rule, not an option: the factor, hence the likelihood, is bitwise the
-reference loops' at every worker count, and a candidate that is not
+same at every worker count, and a candidate that is not
 numerically SPD scores −inf on any of them.
 """
 
@@ -130,7 +130,7 @@ class LikelihoodEvaluator:
 
         Assembles the candidate's covariance deferred, factorizes it on
         the execution core at :func:`~repro.runtime.workpool.default_workers`
-        workers (bitwise the reference loops' factor at any count), and
+        workers (bitwise the same factor at any count), and
         evaluates Eq. (1).  Infeasible means invalid Matérn parameters, or
         a covariance whose factorization raises
         :class:`~repro.utils.exceptions.NotPositiveDefiniteError` — from

@@ -82,8 +82,8 @@ class RunTrace:
 
     ``tasks`` are the category-``"task"`` spans (one per executed task),
     ``graph`` the dependency document captured by
-    :func:`repro.obs.graph_observed` (``None`` when the run carried no
-    DAG — e.g. a sequential-loop factorization), ``wall_s`` the observed
+    :func:`repro.obs.graph_observed` (``None`` when the recording ran no
+    task graph — e.g. only assemblies and solves), ``wall_s`` the observed
     wall clock, ``meta`` whatever the observation's creator attached, and
     ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
     per ``band_size="auto"`` assembly (its ``autotune_band`` span), and

@@ -31,7 +31,6 @@ from .protocol import (
     Executor,
     ExecutorRun,
     ProcessExecutor,
-    SequentialExecutor,
     SimExecutor,
     ThreadExecutor,
     get_executor,
@@ -62,7 +61,6 @@ __all__ = [
     "Executor",
     "ExecutorRun",
     "EXECUTOR_NAMES",
-    "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
     "SimExecutor",

@@ -41,8 +41,8 @@ consumer rank receives exactly one version per coordinate, reads it
 read-only, and never owns a write to it.  No rank follows a prescribed
 task order; as for threads, determinism rests on the total order of
 writes per tile (the LOCAL chains) and deterministic kernels, so the
-factor is bitwise identical to the reference loops and the in-process
-core for any rank count.
+factor is bitwise identical to the in-process core (and to the oracle
+loops of :mod:`repro.testing.reference`) for any rank count.
 
 Resilience carries over wholesale: the core on each rank runs its tasks
 under its own recovery engine (fault draws depend only on
@@ -674,8 +674,8 @@ def execute_graph_distributed(
         holds unpicklable state).
     checkpoint / resume:
         Standard checkpoint archives, written by the controller from
-        per-rank frontier shards; interchangeable with the sequential
-        and thread executors' checkpoints.
+        per-rank frontier shards; interchangeable with the thread
+        executor's checkpoints.
     timeout_s:
         Wall-clock deadline for the whole execution (``None`` disables);
         a stuck rank fails the run instead of hanging it.

@@ -16,9 +16,11 @@ virtually all the time goes — genuinely overlap.
 Determinism: every write to a tile is totally ordered by the graph's
 dataflow edges (the LOCAL chains of the PTG), and every read is ordered
 against the tile's final write, so the computed factor is *bitwise
-identical* to the reference loops of :mod:`repro.core.factorize` for any
-worker count, scheduler policy (``priority``/``fifo``/``lifo``, matching
-:func:`repro.runtime.simulator.simulate`) and interleaving.  A worker
+identical* for any worker count, scheduler policy
+(``priority``/``fifo``/``lifo``, matching
+:func:`repro.runtime.simulator.simulate`) and interleaving — and to the
+straight loops of :func:`repro.testing.reference.reference_cholesky`,
+the oracle the tests hold it to.  A worker
 claims, runs and commits one task at a time.
 
 Deadlock: the loop has one rule — ready set empty, nothing in flight and
@@ -206,7 +208,7 @@ def execute_graph_parallel(
         concern — numerically the whole-tile kernel is identical).
     matrix:
         The compressed matrix to factorize; mutated into its Cholesky
-        factor (lower triangle), bitwise the reference loops' factor.
+        factor (lower triangle), bitwise the same at any worker count.
     n_workers:
         Worker count; defaults to
         :func:`~repro.runtime.workpool.default_workers` (cores ÷ BLAS
@@ -674,7 +676,7 @@ def _compute_task(tid, task, matrix, rule, backend, counter):
         )
         return out, recomp
     # A dense destination (on the band, or densified) is updated one
-    # panel at a time, in panel order: the reference loops' bits.
+    # panel at a time, in panel order: the right-looking order's bits.
     for aj, bj in zip(a, b):
         hcore.gemm_auto(aj, bj, c, rule, counter=counter)
     return c, None

@@ -1,11 +1,11 @@
 """One ``Executor`` protocol over the in-process, process, and DES backends.
 
-There are three ways to run the same Cholesky
-:class:`~repro.runtime.graph.TaskGraph` — the in-process core with real
-numerics (:mod:`repro.runtime.executor`: one worker loop, inline at one
-worker and on threads above), a true multi-process executor with
-explicit communication (:mod:`repro.runtime.distributed`), and a
-discrete-event simulator that only predicts
+Every factorization runs a Cholesky
+:class:`~repro.runtime.graph.TaskGraph` on one of two numerical
+backends — the in-process core (:mod:`repro.runtime.executor`: one worker
+loop, inline at one worker and on threads above) or a true multi-process
+executor with explicit communication (:mod:`repro.runtime.distributed`)
+— and a discrete-event simulator predicts the same graph
 (:mod:`repro.runtime.simulator`).  Their call signatures differ
 (``n_workers`` vs ``n_ranks`` vs ``dist``/``machine``), which would make
 "run the same problem on another backend" a rewrite instead of an
@@ -37,7 +37,6 @@ from .graph import TaskGraph
 __all__ = [
     "Executor",
     "ExecutorRun",
-    "SequentialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
     "SimExecutor",
@@ -53,8 +52,8 @@ class ExecutorRun:
     Attributes
     ----------
     executor:
-        The backend that produced the run (``"sequential"``,
-        ``"threads"``, ``"processes"``, ``"sim"``).
+        The backend that produced the run (``"threads"``,
+        ``"processes"``, ``"sim"``).
     report:
         The backend's native report — an
         :class:`~repro.runtime.executor.ExecutionReport`,
@@ -124,15 +123,6 @@ class ThreadExecutor(Executor):
             resume=resume,
         )
         return ExecutorRun(executor=self.name, report=report)
-
-
-class SequentialExecutor(ThreadExecutor):
-    """The thread executor at one inline worker."""
-
-    name = "sequential"
-
-    def __init__(self):
-        super().__init__(n_workers=1)
 
 
 class ProcessExecutor(Executor):
@@ -222,10 +212,8 @@ class SimExecutor(Executor):
         return ExecutorRun(executor=self.name, report=result, predicted=True)
 
 
-#: CLI-facing registry (``execute --executor ...`` choices plus the
-#: sequential reference, which the CLI reaches via ``--workers``-less
-#: ``--compare-sequential`` instead).
-EXECUTOR_NAMES = ("sequential", "threads", "processes", "sim")
+#: Registry names (the CLI's ``execute --executor`` choices).
+EXECUTOR_NAMES = ("threads", "processes", "sim")
 
 
 def get_executor(spec, **kwargs) -> Executor:
@@ -244,7 +232,6 @@ def get_executor(spec, **kwargs) -> Executor:
             )
         return spec
     classes = {
-        SequentialExecutor.name: SequentialExecutor,
         ThreadExecutor.name: ThreadExecutor,
         ProcessExecutor.name: ProcessExecutor,
         SimExecutor.name: SimExecutor,
@@ -257,7 +244,7 @@ def get_executor(spec, **kwargs) -> Executor:
         ) from None
     try:
         return cls(**kwargs)
-    except TypeError as exc:  # e.g. n_ranks for the sequential executor
+    except TypeError as exc:  # e.g. n_ranks for the thread executor
         raise ConfigurationError(
             f"executor {spec!r} does not accept {sorted(kwargs)}: {exc}"
         ) from None

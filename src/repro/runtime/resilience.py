@@ -40,6 +40,8 @@ import json
 import os
 import threading
 import time
+import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +54,7 @@ from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import (
     CheckpointError,
     CompressionError,
+    ConfigurationError,
     CorruptedOutputError,
     NotPositiveDefiniteError,
     TaskAbortedError,
@@ -500,7 +503,9 @@ class Checkpointer:
 
     # -- reading ---------------------------------------------------------
     def load_latest(self) -> CheckpointState | None:
-        """The most recent complete checkpoint, or ``None``."""
+        """The most recent complete checkpoint, or ``None``; one that
+        cannot be read is a :class:`CheckpointError` naming the file (an
+        older checkpoint is never taken in its place)."""
         from ..matrix.io import load_matrix
 
         if not self.directory.is_dir():
@@ -516,23 +521,38 @@ class Checkpointer:
         if best is None:
             return None
         seq, manifest_path = best
-        meta = json.loads(manifest_path.read_text())
-        if meta.get("version") != _MANIFEST_VERSION:
+        try:
+            meta = json.loads(manifest_path.read_text())
+            version = meta.get("version")  # AttributeError: not an object
+            if version != _MANIFEST_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint manifest version "
+                    f"{version!r} in {manifest_path}"
+                )
+            npz = self.directory / meta["matrix_file"]
+            completed = {str_to_tid(s) for s in meta["completed"]}
+            panels_done = int(meta.get("panels_done", 0))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CheckpointError(
-                f"unsupported checkpoint manifest version "
-                f"{meta.get('version')!r} in {manifest_path}"
-            )
-        npz = self.directory / meta["matrix_file"]
+                f"corrupt checkpoint manifest {manifest_path}: {exc!r}"
+            ) from exc
         if not npz.exists():
             raise CheckpointError(f"checkpoint matrix archive missing: {npz}")
-        matrix = load_matrix(npz)
-        completed = {str_to_tid(s) for s in meta["completed"]}
+        try:
+            matrix = load_matrix(npz)
+        except (
+            OSError, EOFError, ValueError, KeyError,
+            zipfile.BadZipFile, zlib.error, ConfigurationError,
+        ) as exc:
+            raise CheckpointError(
+                f"corrupt checkpoint archive {npz}: {exc!r}"
+            ) from exc
         with self._lock:
             self._seq = max(self._seq, seq)
         return CheckpointState(
             matrix=matrix,
             completed=completed,
-            panels_done=int(meta.get("panels_done", 0)),
+            panels_done=panels_done,
             seq=seq,
         )
 

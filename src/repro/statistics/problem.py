@@ -61,6 +61,7 @@ class CovarianceProblem:
                 f"points must be (n, d), got shape {self.points.shape}"
             )
         self.tile_size = check_positive_int("tile_size", self.tile_size)
+        check_finite("nugget", self.nugget)  # NaN < 0 is False
         if self.nugget < 0:
             raise ConfigurationError(f"nugget must be >= 0, got {self.nugget}")
         if self.tile_size > self.n:

@@ -485,6 +485,27 @@ class TestIntegration:
         assert run.n_workers == 1
         assert cp.length_s <= run.busy_s + 1e-9
 
+    def test_default_tlr_cholesky_is_attributable(self, tmp_path):
+        """``tlr_cholesky(m)`` with no worker count runs the graph too: it
+        records the graph document and one task span per task."""
+        from repro import TruncationRule
+        from repro.core import tlr_cholesky
+        from repro.matrix import BandTLRMatrix
+        from repro.runtime import graph_for_matrix
+
+        problem = st_3d_exp_problem(n=256, tile_size=64)
+        matrix = BandTLRMatrix.from_problem(
+            problem, TruncationRule(eps=1e-6), band_size=2
+        )
+        n_tasks = graph_for_matrix(matrix).n_tasks
+        with obs.observe() as ob:
+            tlr_cholesky(matrix)
+        ob.write(tmp_path)
+        run = load_run(tmp_path)
+        assert run.graph is not None and len(run.graph["tasks"]) == n_tasks
+        assert sorted(t.name for t in run.tasks) == sorted(run.graph["tasks"])
+        assert run.n_workers == 1
+
     def test_render_analysis_smoke(self, observed_run):
         _, outdir = observed_run
         text = render_analysis(load_run(outdir))

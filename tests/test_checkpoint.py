@@ -201,6 +201,49 @@ class TestKillAndResume:
         assert np.array_equal(m.to_dense(lower_only=True), baseline_factor)
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _rewrite_manifest(edit):
+    def corrupt(path):
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return corrupt
+
+
+#: corruption -> (file of the latest checkpoint it damages, how)
+CORRUPTIONS = {
+    "truncated-manifest": ("ckpt-2.json", _truncate),
+    "manifest-not-an-object": ("ckpt-2.json", _rewrite_manifest(
+        lambda meta: list(meta))),
+    "manifest-without-matrix-file": ("ckpt-2.json", _rewrite_manifest(
+        lambda meta: {k: v for k, v in meta.items() if k != "matrix_file"})),
+    "truncated-archive": ("ckpt-2.npz", _truncate),
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize(
+        "how", [{}, {"executor": "processes", "n_ranks": 2}],
+        ids=["core", "processes"],
+    )
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_resume_names_the_corrupt_file(
+        self, base_matrix, tmp_path, corruption, how
+    ):
+        """A damaged latest checkpoint is a CheckpointError naming the
+        file, never an older checkpoint taken in its place."""
+        ck = Checkpointer(CheckpointConfig(directory=tmp_path))
+        for panels in (1, 2):
+            ck.save(base_matrix.copy(), {(TaskKind.POTRF, 0)}, panels)
+        name, corrupt = CORRUPTIONS[corruption]
+        corrupt(tmp_path / name)
+        with pytest.raises(CheckpointError, match=name.replace(".", r"\.")):
+            tlr_cholesky(
+                base_matrix.copy(), checkpoint=tmp_path, resume=True, **how
+            )
+
+
 class TestFactorizeRouting:
     def test_resume_requires_checkpoint(self, base_matrix):
         with pytest.raises(ConfigurationError):

@@ -33,6 +33,7 @@ from repro.runtime.task import TaskKind
 from repro.service import FactorRecipe, ServiceConfig, SolverService
 from repro.service import cache as cache_module
 from repro.service import server as server_module
+from repro.testing import reference_cholesky
 
 from .test_autotuner import GEOMETRIES, _assert_bitwise_equal, _problem
 from .test_checkpoint import _KillAt
@@ -60,7 +61,7 @@ def built(request):
     the reference loops' factor of each."""
     solver = _solver("base", request.param)
     loops = solver.matrix.copy()
-    tlr_cholesky(loops)
+    reference_cholesky(loops)
     return solver, loops
 
 
@@ -248,7 +249,7 @@ class TestWorkerCounts:
 class TestRealizingBranches:
     def _realized_loops(self, solver):
         realized = solver.matrix.copy().realize()
-        tlr_cholesky(realized)
+        reference_cholesky(realized)
         return realized
 
     def test_processes_match_the_realized_loops(self):

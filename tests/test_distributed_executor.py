@@ -1,8 +1,8 @@
 """Unit tests: the multi-process distributed executor places tiles per
 the hybrid band distribution, realizes exactly the LOCAL/REMOTE dataflow
 the analytical classifier and the simulator predict, computes the factor
-bitwise-identically to the sequential/thread executors at any rank
-count, and survives rank loss via checkpoint/restart — all behind the
+bitwise-identically to the reference loops and the thread executor at
+any rank count, and survives rank loss via checkpoint/restart — all behind the
 unified Executor protocol."""
 
 import dataclasses
@@ -28,7 +28,6 @@ from repro.runtime import (
     SHAHEEN_II_LIKE,
     ExecutorRun,
     ProcessExecutor,
-    SequentialExecutor,
     SimExecutor,
     ThreadExecutor,
     binomial_children,
@@ -42,6 +41,7 @@ from repro.runtime import (
     simulate,
     simulate_schedule,
 )
+from repro.testing import reference_cholesky
 from repro.utils import ConfigurationError, RuntimeSystemError
 
 
@@ -80,9 +80,9 @@ def band2(small_problem, rule8):
 
 @pytest.fixture()
 def band2_factor(small_problem, rule8):
-    """Reference factor from the sequential graph executor."""
+    """Reference factor from the oracle loops."""
     m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-    execute_graph(_graph_for(m, 2), m)
+    reference_cholesky(m)
     return m.to_dense(lower_only=True)
 
 
@@ -219,7 +219,7 @@ class TestDeterminism:
         problem = st_3d_exp_problem(256, 64, seed=42)  # NT = 4
         m = BandTLRMatrix.from_problem(problem, rule8, band_size=2)
         ref = m.copy()
-        tlr_cholesky(ref)
+        reference_cholesky(ref)
         g = _graph_for(m, 2)
         rep = execute_graph_distributed(
             g, m, n_ranks=ranks, collect_trace=True, _inline=inline,
@@ -373,7 +373,7 @@ class TestResilience:
                                                     rule8, band2_factor,
                                                     tmp_path):
         """A checkpoint written under the process executor restores under
-        the sequential executor — the archive format is backend-neutral."""
+        the one-worker core — the archive format is backend-neutral."""
         ckpt = str(tmp_path / "ckpt")
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         g = _graph_for(m, 2)
@@ -392,7 +392,6 @@ class TestResilience:
 
 class TestExecutorProtocol:
     def test_get_executor_resolves_names(self):
-        assert isinstance(get_executor("sequential"), SequentialExecutor)
         assert isinstance(get_executor("threads"), ThreadExecutor)
         assert isinstance(get_executor("processes"), ProcessExecutor)
         assert isinstance(get_executor("sim"), SimExecutor)
@@ -421,7 +420,7 @@ class TestExecutorProtocol:
     def test_same_factor_across_all_numerical_backends(
         self, small_problem, rule8, band2_factor
     ):
-        for ex in (SequentialExecutor(), ThreadExecutor(n_workers=3),
+        for ex in (ThreadExecutor(n_workers=1), ThreadExecutor(n_workers=3),
                    ProcessExecutor(n_ranks=2)):
             m = BandTLRMatrix.from_problem(
                 small_problem, rule8, band_size=2
@@ -463,7 +462,7 @@ class TestFactorizeWiring:
         a = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         b = a.copy()
         rep = tlr_cholesky(a, executor="processes", n_ranks=2)
-        tlr_cholesky(b)
+        reference_cholesky(b)
         assert rep.executor == "processes"
         assert rep.comm is not None
         assert rep.comm.remote_edges > 0
@@ -492,8 +491,10 @@ class TestFactorizeWiring:
             tlr_cholesky(m, executor="threads", n_workers=2)
         with pytest.raises(ConfigurationError):
             tlr_cholesky(m, n_ranks=2)
-        with pytest.raises(ConfigurationError, match="sequential"):
-            tlr_cholesky(m, executor="sequential", n_ranks=2)
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            tlr_cholesky(m, executor="sequential")
+        with pytest.raises(ConfigurationError, match="instance"):
+            tlr_cholesky(m, executor=ThreadExecutor(), n_ranks=2)
         with pytest.raises(ConfigurationError):
             tlr_cholesky(m, executor="sim")
 

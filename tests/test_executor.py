@@ -9,14 +9,17 @@ The guards, the failure rule, the single deadlock rule and the reporting
 surface are tested here once instead of once per executor name.
 """
 
+import ast
 import collections
 import shutil
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
 from repro.distribution import default_distribution
@@ -26,8 +29,6 @@ from repro.runtime import (
     CheckpointConfig,
     DistributedExecutionReport,
     ExecutionReport,
-    SequentialExecutor,
-    ThreadExecutor,
     build_cholesky_graph,
     graph_for_matrix,
     execute_graph,
@@ -39,7 +40,9 @@ from repro.runtime import (
 from repro.runtime import distributed as distributed_mod
 from repro.runtime import executor as executor_mod
 from repro.runtime.task import Edge, TaskKind
+from repro.testing import reference_cholesky
 from repro.utils import (
+    ConfigurationError,
     NotPositiveDefiniteError,
     RuntimeSystemError,
     SchedulingError,
@@ -124,7 +127,7 @@ def diff_case(request, tmp_path_factory):
         problem, TruncationRule(eps=eps), band, backend="auto"
     )
     ref = base.copy()
-    ref_report = tlr_cholesky(ref)
+    ref_report = reference_cholesky(ref)
     assert ref_report.max_rank_seen > 0  # low-rank updates were rounded
     # A run killed half way at ONE worker leaves the checkpoint every
     # resumed case (at 1, 2 and 3 workers) restarts from.
@@ -247,7 +250,7 @@ class TestDifferential:
             )
 
         ref = deferred()
-        ref_report = tlr_cholesky(ref)
+        ref_report = reference_cholesky(ref)
         m = deferred()
         rep = execute_graph_parallel(_graph_for(m), m, n_workers=n_workers)
         _assert_factors_bitwise(m, ref)
@@ -256,12 +259,55 @@ class TestDifferential:
 
 
 class TestOneCore:
-    def test_sequential_is_thread_executor_at_one_worker(self):
-        seq = get_executor("sequential")
-        thr = get_executor("threads", n_workers=1)
-        assert isinstance(seq, SequentialExecutor)
-        assert type(seq).execute is type(thr).execute is ThreadExecutor.execute
-        assert seq.n_workers == thr.n_workers == 1
+    def test_sequential_is_an_unknown_executor(self):
+        """One worker of the core is ``ThreadExecutor(n_workers=1)``; it
+        has no second registry name."""
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            get_executor("sequential")
+        assert get_executor("threads", n_workers=1).n_workers == 1
+
+    def test_tlr_cholesky_defaults_to_one_inline_worker(
+        self, small_tlr, monkeypatch
+    ):
+        """``tlr_cholesky(m)`` is the core at one inline worker, bitwise
+        the oracle loops."""
+        seen = []
+        core = executor_mod.execute_graph_parallel
+
+        def spy(graph, matrix, **kwargs):
+            seen.append(kwargs["n_workers"])
+            return core(graph, matrix, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "execute_graph_parallel", spy)
+        ref, m = small_tlr.copy(), small_tlr.copy()
+        reference_cholesky(ref)
+        rep = tlr_cholesky(m)
+        assert seen == [1] and rep.executor == "threads"
+        _assert_factors_bitwise(m, ref)
+
+    def test_only_repro_testing_reaches_the_oracle(self):
+        """The loops are the tests' oracle, never a production path: no
+        module of ``repro`` outside ``repro.testing`` imports or names
+        ``reference_cholesky``."""
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            if path.relative_to(root).parts[0] == "testing":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                else:
+                    continue
+                for name in names:
+                    assert not name.endswith(
+                        ("reference_cholesky", "testing.reference")
+                    ), path
 
     def test_one_report_type(self, small_tlr):
         g = _graph_for(small_tlr)
@@ -337,8 +383,7 @@ class TestOneCore:
 #: itself with the executor's RuntimeSystemError (original chained) as
 #: its cause across a thread or a process.
 FAILURE_PATHS = {
-    "loops": ({}, False),
-    "inline-core": ({"executor": "sequential"}, False),
+    "inline-core": ({}, False),
     "threads": ({"n_workers": 2}, True),
     "processes": ({"executor": "processes", "n_ranks": 2}, True),
 }
@@ -408,7 +453,7 @@ class TestNumericalEquivalence:
     def test_matches_reference(self, small_problem, small_dense, rule8, band):
         ref = BandTLRMatrix.from_problem(small_problem, rule8, band_size=band)
         via_graph = ref.copy()
-        tlr_cholesky(ref)
+        reference_cholesky(ref)
         execute_graph(_graph_for(via_graph), via_graph)
         _assert_factors_bitwise(via_graph, ref)
 

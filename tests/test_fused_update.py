@@ -81,6 +81,7 @@ from repro.runtime import (
 )
 from repro.runtime.task import TaskKind
 from repro.statistics.problem import CovarianceProblem
+from repro.testing import reference_cholesky
 from repro.utils import (
     ConfigurationError,
     KernelError,
@@ -152,7 +153,7 @@ def case(request, problem, tmp_path_factory):
         problem, TruncationRule(eps=EPS_FOR[precision]), 2, backend=backend
     )
     ref = base.copy()
-    ref_report = tlr_cholesky(ref)
+    ref_report = reference_cholesky(ref)
     assert_no_inverse(ref)
     lowrank_tiles = [
         t for t in ref.tiles.values() if isinstance(t, LowRankTile)
@@ -241,7 +242,7 @@ def test_retried_potrf_refreshes_its_inverse(problem):
     one worker and at two."""
     base = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-8), 8)
     ref = base.copy()
-    tlr_cholesky(ref)
+    reference_cholesky(ref)
     for n_workers in (1, 2):
         m = base.copy()
         report = tlr_cholesky(
@@ -263,7 +264,7 @@ def test_each_rank_drops_the_inverses_it_held(problem, band, ranks):
     same objects, so a rank that kept an inverse shows here."""
     base = BandTLRMatrix.from_problem(problem, TruncationRule(eps=1e-8), band)
     ref = base.copy()
-    tlr_cholesky(ref)
+    reference_cholesky(ref)
     m = base.copy()
     execute_graph_distributed(
         graph_for_matrix(m), m, n_ranks=ranks, _inline=True
@@ -302,7 +303,7 @@ def test_default_backend_at_the_size_it_samples(monkeypatch):
     assembled = len(sampled)
     assert assembled == 10  # every off-band tile of NT = 6 at band 2
     ref = base.copy()
-    tlr_cholesky(ref)
+    reference_cholesky(ref)
     assert any(hint is not None for hint in sampled[assembled:])
 
     threads, ranks = base.copy(), base.copy()
@@ -396,7 +397,7 @@ def test_per_update_graph_is_the_loops_where_tiles_have_one_panel():
     small = st_3d_exp_problem(300, 100, seed=3)
     base = BandTLRMatrix.from_problem(small, TruncationRule(eps=1e-6), 1)
     loops, oracle = base.copy(), base.copy()
-    tlr_cholesky(loops)
+    reference_cholesky(loops)
     execute_graph(oracle_graph_for(oracle), oracle)
     assert_bitwise(loops, oracle)
 
@@ -700,7 +701,7 @@ class TestBornDense:
             ruled(problem, self.RULE) if kind == "rule"
             else eager_on(problem, self.RULE, format_map(problem.ntiles, kind))
         ))
-        ref_report = tlr_cholesky(ref)
+        ref_report = reference_cholesky(ref)
         # ε = 1e-4: low-rank tiles fp32, dense ones (born dense too) fp64
         for tile in ref.tiles.values():
             if isinstance(tile, LowRankTile):
@@ -915,11 +916,11 @@ class TestDeferred:
     def test_loops_are_the_core_and_repeat(self, problem, precision):
         rule = TruncationRule(eps=EPS_FOR[precision])
         ref = self.build(problem, rule=rule)
-        ref_report = tlr_cholesky(ref)
+        ref_report = reference_cholesky(ref)
         assert n_pending(ref) == 0
         assert ref_report.rank_growth_events == 0  # a first compression
         again = self.build(problem, rule=rule)
-        tlr_cholesky(again)
+        reference_cholesky(again)
         assert_bitwise(again, ref)
         for n_workers in (1, 2, 3):
             m = self.build(problem, rule=rule)
@@ -1020,7 +1021,7 @@ class TestDeferred:
         rule = TruncationRule(eps=eps)
         loops = self.build(small, rule=rule, band=band)
         assert n_pending(loops) == pending
-        tlr_cholesky(loops)
+        reference_cholesky(loops)
         core = self.build(small, rule=rule, band=band)
         tlr_cholesky(core, n_workers=2)
         assert_bitwise(core, loops)

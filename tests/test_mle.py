@@ -14,6 +14,7 @@ from repro.core import (
 from repro.core import mle
 from repro.linalg import AutoBackend
 from repro.statistics import CovarianceProblem, MaternParams
+from repro.testing import reference_cholesky
 from repro.utils import (
     ConfigurationError,
     NotPositiveDefiniteError,
@@ -206,7 +207,7 @@ class TestOnTheCore:
                 candidate, TruncationRule(eps=eps), band,
                 defer=True if dense_map is None else dense_map,
             )
-            tlr_cholesky(m)
+            reference_cholesky(m)
             dense_map = m.dense_map()
             loops.append(log_likelihood(m, z))
         assert np.isfinite(loops).all()
@@ -225,6 +226,18 @@ class TestOnTheCore:
         assert ev(1.0, 1e6) == float("-inf")
         assert ev.evaluations == []
         assert np.isfinite(ev(1.0, 0.1))
+
+    @pytest.mark.parametrize("nugget", [float("nan"), float("inf")])
+    def test_non_finite_nugget_is_refused(self, nugget):
+        """A NaN nugget used to be added as 0 (a finite log-likelihood)
+        and an infinite one scored −inf: both are configuration errors."""
+        problem = st_3d_exp_problem(400, 100, seed=1)
+        ev = LikelihoodEvaluator(
+            points=problem.points, z=problem.sample_measurements(seed=2),
+            tile_size=100, rule=TruncationRule(eps=1e-4), nugget=nugget,
+        )
+        with pytest.raises(ConfigurationError, match="nugget"):
+            ev(1.0, 0.1)
 
     def test_not_spd_reaches_the_caller_as_itself(self):
         """The same candidate factorized on two workers: the POTRF failure

@@ -27,6 +27,7 @@ from repro.runtime import (
     execute_graph_parallel,
 )
 from repro.runtime import executor, workpool
+from repro.testing import reference_cholesky
 from repro.utils import ConfigurationError, RuntimeSystemError, SchedulingError
 
 
@@ -52,9 +53,12 @@ class TestDeterminism:
 
     def test_matches_reference_loops(self, small_problem, small_dense, rule8):
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
+        ref = m.copy()
+        reference_cholesky(ref)
         g = _graph_for(m, 2)
         execute_graph_parallel(g, m, n_workers=3)
         l = m.to_dense(lower_only=True)
+        assert np.array_equal(l, ref.to_dense(lower_only=True))
         err = np.linalg.norm(l @ l.T - small_dense) / np.linalg.norm(small_dense)
         assert err < 1e-6
 
@@ -254,7 +258,7 @@ class TestFactorizeIntegration:
     def test_tlr_cholesky_n_workers(self, small_problem, rule8, workers):
         ref = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
         par = ref.copy()
-        rep_s = tlr_cholesky(ref)
+        rep_s = reference_cholesky(ref)
         rep_p = tlr_cholesky(par, n_workers=workers)
         assert np.allclose(
             ref.to_dense(lower_only=True),

@@ -29,6 +29,14 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             st_3d_exp_problem(100, 128)
 
+    @pytest.mark.parametrize("nugget", [-1e-3, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_nugget(self, small_problem, nugget):
+        """A NaN nugget would pass ``nugget < 0`` and be added as 0."""
+        with pytest.raises(ConfigurationError, match="nugget"):
+            CovarianceProblem(
+                points=small_problem.points, tile_size=64, nugget=nugget
+            )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_point(self, small_problem, bad):
         """Refused before any tile is generated, not deep in the compressor."""
