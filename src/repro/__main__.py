@@ -122,11 +122,13 @@ def _fp32_tiles(pr) -> str:
 def _apply_config(args: argparse.Namespace) -> int:
     """Overlay an emitted ``tune`` config.json onto the parsed namespace.
 
-    Only keys the subcommand actually defines are applied (``demo`` has
+    Only keys that name a flag of the subcommand are applied (``demo`` has
     no ``--band``/``--executor``, so those entries are ignored there);
     explicit command-line flags are overridden by the config — the file
-    is the single source of truth for a reproduced run.  Returns 2 on a
-    missing or unparsable path, 0 otherwise.
+    is the single source of truth for a reproduced run.  Each applied
+    value is checked as its flag would be: the flag's type and choices,
+    and ``null`` only where the flag defaults to none.  Returns 2 on a
+    missing or unparsable path or a bad value, before any work; else 0.
     """
     path = getattr(args, "config", None)
     if path is None:
@@ -148,10 +150,46 @@ def _apply_config(args: argparse.Namespace) -> int:
         print(f"error: --config {p} must hold a JSON object",
               file=sys.stderr)
         return 2
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices[args.command]
+    flags = {
+        a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS
+    }
+    values = {}
     for key, value in doc.items():
-        if hasattr(args, key):
-            setattr(args, key, value)
+        if key not in flags:
+            continue
+        problem = _config_value_problem(flags[key], value)
+        if problem:
+            print(f"error: --config {p}: {key} {problem}", file=sys.stderr)
+            return 2
+        values[key] = value
+    for key, value in values.items():
+        setattr(args, key, value)
     return 0
+
+
+def _config_value_problem(action: argparse.Action, value) -> str | None:
+    """Why ``value`` is not one the flag ``action`` would accept, or None."""
+    if value is None:
+        return None if action.default is None else "must not be null"
+    if action.nargs == 0:  # store_true
+        expected, kind = (bool,), "true or false"
+    elif action.type is int:
+        expected, kind = (int,), "an integer"
+    elif action.type is float:
+        expected, kind = (int, float), "a number"
+    else:
+        expected, kind = (str,), "a string"
+    if isinstance(value, bool) != (bool in expected) or not isinstance(
+        value, expected
+    ):
+        return f"must be {kind}, got {value!r}"
+    if action.choices is not None and value not in action.choices:
+        return f"must be one of {list(action.choices)}, got {value!r}"
+    return None
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -339,15 +377,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.nt, band, args.tile, model,
         recursive_split=args.split if args.split > 1 else None,
     )
-    machine = MachineSpec(
-        nodes=args.nodes, cores_per_node=args.cores, gpus_per_node=args.gpus
-    )
+    machine = MachineSpec(nodes=args.nodes, cores_per_node=args.cores)
     dist = default_distribution(g, args.nodes)
     res = simulate(
-        g, dist, machine,
-        scheduler=args.scheduler,
-        work_stealing=args.steal,
-        collect_trace=args.gantt,
+        g, dist, machine, scheduler=args.scheduler, collect_trace=args.gantt
     )
     s = occupancy_summary(res)
     print(format_table(
@@ -361,8 +394,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ("mean occupancy", round(s.mean_occupancy, 3)),
             ("imbalance", round(s.imbalance, 3)),
             ("achieved Gflop/s", round(res.achieved_gflops, 1)),
-            ("gpu busy (s)",
-             0.0 if res.gpu_busy is None else round(float(res.gpu_busy.sum()), 2)),
             ("messages", res.comm.messages),
             ("GiB sent", round(res.comm.bytes_sent / 2**30, 3)),
         ],
@@ -972,10 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--split", type=int, default=4)
     s.add_argument("--scheduler", choices=["priority", "fifo", "lifo"],
                    default="priority")
-    s.add_argument("--steal", action="store_true",
-                   help="enable inter-process work stealing")
-    s.add_argument("--gpus", type=int, default=0,
-                   help="accelerators per node for the dense band")
     s.add_argument("--gantt", action="store_true", help="print a text Gantt")
     s.add_argument("--width", type=int, default=100)
 

@@ -37,13 +37,17 @@ Optionally, region-(1) (all-dense band) tasks are *expanded* into their
 nested recursive sub-graphs (Section VII-D): each expanded task becomes
 ``fork -> sub-tasks -> join`` with zero-cost fork/join bookkeeping nodes,
 so external edges stay at the tile level while the simulator sees the
-extra concurrency.
+extra concurrency.  The sub-graphs are cost-only
+(:func:`recursive_task_costs`): the executors run the whole-tile kernel,
+which is numerically the same update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from ..linalg.flops import (
     KernelClass,
@@ -59,7 +63,6 @@ from ..linalg.flops import (
     flops_trsm_dense,
     flops_trsm_lr,
 )
-from ..linalg.recursive import recursive_task_costs
 from ..utils.exceptions import ConfigurationError, SchedulingError
 from ..utils.validation import check_positive_int
 from .task import Edge, Task, TaskId, TaskKind, task_sort_key
@@ -69,6 +72,8 @@ __all__ = [
     "build_cholesky_graph",
     "graph_for_matrix",
     "classify_gemm",
+    "expand_recursive",
+    "recursive_task_costs",
     "RankFn",
 ]
 
@@ -462,17 +467,17 @@ def expand_recursive(
         )
         sub_ids = [t.tid + ("sub", idx) for idx in range(len(costs))]
         dependents: set[int] = set()
-        for idx, c in enumerate(costs):
-            deps = [Edge(sub_ids[d], sub_ids[idx], t.out_tile, 0) for d in c.deps]
-            if not c.deps:
+        for idx, (kernel, flops, sub_deps) in enumerate(costs):
+            deps = [Edge(sub_ids[d], sub_ids[idx], t.out_tile, 0) for d in sub_deps]
+            if not sub_deps:
                 deps.append(Edge(fork_id, sub_ids[idx], t.out_tile, 0))
-            dependents.update(c.deps)
+            dependents.update(sub_deps)
             out.add_task(
                 Task(
                     tid=sub_ids[idx],
                     kind=t.kind,
-                    kernel=c.kind,
-                    flops=c.flops,
+                    kernel=kernel,
+                    flops=flops,
                     out_tile=t.out_tile,
                     deps=deps,
                     panel=t.panel,
@@ -491,3 +496,76 @@ def expand_recursive(
             )
         )
     return out
+
+
+def _split_ranges(b: int, split: int) -> list[slice]:
+    """Partition ``range(b)`` into ``split`` nearly equal slices."""
+    b = check_positive_int("b", b)
+    split = check_positive_int("split", split)
+    if split > b:
+        raise ConfigurationError(f"split {split} exceeds tile size {b}")
+    bounds = np.linspace(0, b, split + 1).astype(int)
+    return [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(split)]
+
+
+def recursive_task_costs(
+    kind: KernelClass, b: int, split: int
+) -> list[tuple[KernelClass, float, tuple[int, ...]]]:
+    """Nested sub-graph of one region-(1) kernel on a ``b x b`` tile.
+
+    Returns ``(kernel class, flops, deps)`` per sub-task over ``split x
+    split`` sub-tiles, where ``deps`` index earlier sub-tasks.  The graph
+    is data-flow exact: a sub-task waits for the last writer of the
+    sub-tile it updates and of each factor sub-tile it reads.
+    """
+    split = check_positive_int("split", split)
+    if not kind.is_band_kernel:
+        raise ConfigurationError(f"{kind} is not a region-(1) kernel")
+    sz = [r.stop - r.start for r in _split_ranges(b, split)]
+    s = len(sz)
+    tasks: list[tuple[KernelClass, float, tuple[int, ...]]] = []
+    writer: dict[tuple[int, int], int] = {}
+
+    def emit(cls: KernelClass, flops: float, out, *reads) -> None:
+        deps = sorted({writer[key] for key in (out, *reads) if key in writer})
+        tasks.append((cls, flops, tuple(deps)))
+        writer[out] = len(tasks) - 1
+
+    if kind is KernelClass.POTRF_DENSE:
+        # Blocked right-looking Cholesky over the sub-tiles.
+        for k in range(s):
+            emit(KernelClass.POTRF_DENSE, flops_potrf_dense(sz[k]), (k, k))
+            for m in range(k + 1, s):
+                emit(KernelClass.TRSM_DENSE, flops_trsm_dense(max(sz[m], sz[k])),
+                     (m, k), (k, k))
+            for n in range(k + 1, s):
+                emit(KernelClass.SYRK_DENSE, flops_syrk_dense(sz[n]), (n, n), (n, k))
+                for m in range(n + 1, s):
+                    emit(KernelClass.GEMM_DENSE, flops_gemm_dense(max(sz[m], sz[n])),
+                         (m, n), (m, k), (n, k))
+    elif kind is KernelClass.TRSM_DENSE:
+        # C <- C L^{-T}: column block j takes C[:, j] -= C[:, i] L[j, i]^T
+        # for every i < j, then a small TRSM with L[j, j].
+        for j in range(s):
+            for i in range(j):
+                for r in range(s):
+                    emit(KernelClass.GEMM_DENSE, flops_gemm_dense(max(sz[r], sz[j])),
+                         (r, j), (r, i))
+            for r in range(s):
+                emit(KernelClass.TRSM_DENSE, flops_trsm_dense(max(sz[r], sz[j])), (r, j))
+    elif kind is KernelClass.SYRK_DENSE:
+        # C <- C - A A^T: the k sub-updates of each lower sub-tile chain.
+        for i in range(s):
+            for j in range(i + 1):
+                for _ in range(s):
+                    if i == j:
+                        emit(KernelClass.SYRK_DENSE, flops_syrk_dense(sz[i]), (i, j))
+                    else:
+                        emit(KernelClass.GEMM_DENSE, flops_gemm_dense(sz[i]), (i, j))
+    else:
+        # C <- C - A B^T: the k sub-updates of each sub-tile chain.
+        for i in range(s):
+            for j in range(s):
+                for _ in range(s):
+                    emit(KernelClass.GEMM_DENSE, flops_gemm_dense(sz[i]), (i, j))
+    return tasks

@@ -19,11 +19,16 @@ the relative shapes (speedups, crossovers, scaling) are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..linalg.flops import KernelClass
 from ..utils.exceptions import ConfigurationError
-from ..utils.validation import check_in, check_positive_float, check_positive_int
+from ..utils.validation import (
+    check_finite,
+    check_in,
+    check_positive_float,
+    check_positive_int,
+)
 
 __all__ = ["KernelRateModel", "MeasuredRates", "MachineSpec", "SHAHEEN_II_LIKE"]
 
@@ -174,14 +179,6 @@ class MachineSpec:
         destination (the StarPU-style baseline of Section III-C).
     memory_per_node_GB:
         Capacity used for feasibility checks (128 GB on Shaheen II).
-    gpus_per_node:
-        Accelerators per process for the Section IX future-work study
-        ("accelerate the tasks on the critical path using GPU hardware
-        accelerators"): dense region-(1) kernels may run on a GPU at
-        ``gpu_dense_gflops``; low-rank kernels stay on CPU cores.
-    gpu_dense_gflops:
-        Sustained dense double-precision rate per GPU (V100-class DGEMM
-        by default).
     task_overhead_s:
         Core time the runtime spends per task outside the kernel
         (scheduling, dependency release; for the Python thread core also
@@ -197,18 +194,15 @@ class MachineSpec:
     bandwidth_Bps: float = 8.0e9
     broadcast: str = "tree"
     memory_per_node_GB: float = 128.0
-    gpus_per_node: int = 0
-    gpu_dense_gflops: float = 1300.0
     task_overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive_int("nodes", self.nodes)
         check_positive_int("cores_per_node", self.cores_per_node)
-        if self.gpus_per_node < 0:
-            raise ConfigurationError("gpus_per_node must be >= 0")
+        check_finite("task_overhead_s", self.task_overhead_s)
         if self.task_overhead_s < 0.0:
             raise ConfigurationError("task_overhead_s must be >= 0")
-        check_positive_float("gpu_dense_gflops", self.gpu_dense_gflops)
+        check_positive_float("memory_per_node_GB", self.memory_per_node_GB)
         check_positive_float("latency_s", self.latency_s)
         check_positive_float("bandwidth_Bps", self.bandwidth_Bps)
         check_in("broadcast", self.broadcast, ("tree", "flat"))
@@ -219,18 +213,7 @@ class MachineSpec:
 
     def with_nodes(self, nodes: int) -> "MachineSpec":
         """Same machine with a different node count (scaling sweeps)."""
-        return MachineSpec(
-            nodes=nodes,
-            cores_per_node=self.cores_per_node,
-            rates=self.rates,
-            latency_s=self.latency_s,
-            bandwidth_Bps=self.bandwidth_Bps,
-            broadcast=self.broadcast,
-            memory_per_node_GB=self.memory_per_node_GB,
-            gpus_per_node=self.gpus_per_node,
-            gpu_dense_gflops=self.gpu_dense_gflops,
-            task_overhead_s=self.task_overhead_s,
-        )
+        return replace(self, nodes=nodes)
 
     def transfer_seconds(self, nbytes: int) -> float:
         """Point-to-point message time: latency + size/bandwidth."""

@@ -72,11 +72,8 @@ class SimResult:
     comm:
         Communication statistics.
     busy_by_kernel:
-        Device-seconds spent per kernel class (the Fig. 10 time
+        Core-seconds spent per kernel class (the Fig. 10 time
         decomposition the simulator can report directly).
-    gpu_busy:
-        Per-process GPU busy seconds (``None`` when the machine has no
-        accelerators).
     potrf_done:
         ``potrf_done[k]`` — completion time of POTRF(k).
     panel_done:
@@ -99,7 +96,6 @@ class SimResult:
     cores_per_node: int
     trace: list[tuple] | None = None
     busy_by_kernel: dict[KernelClass, float] = field(default_factory=dict)
-    gpu_busy: np.ndarray | None = None
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -121,7 +117,6 @@ def simulate(
     zero_cost_kernels: frozenset[KernelClass] | set[KernelClass] = frozenset(),
     collect_trace: bool = False,
     scheduler: str = "priority",
-    work_stealing: bool = False,
 ) -> SimResult:
     """Simulate ``graph`` on ``machine`` under distribution ``dist``.
 
@@ -139,13 +134,6 @@ def simulate(
         (the default, PaRSEC's priority-aware behaviour for Cholesky);
         ``"fifo"`` — tasks run in become-ready order;
         ``"lifo"`` — newest-ready first (locality-greedy).
-    work_stealing:
-        Enable inter-process work stealing — the "dynamic load balancing
-        between nodes" the paper lists as future work (Section IX).  An
-        idle process steals the deepest-queued ready task from the most
-        loaded process, paying a data round-trip (inputs over, output
-        back); dataflow consistency is preserved by signalling completion
-        at the task's home process (owner-compute semantics).
     """
     if scheduler not in ("priority", "fifo", "lifo"):
         raise SchedulingError(
@@ -191,13 +179,10 @@ def simulate(
     msg_waiters: dict[tuple[int, int], list[int]] = {}
     send_plan: list[dict[int, int]] = [dict() for _ in range(n)]  # dst_proc -> elements
 
-    in_elems = np.zeros(n, dtype=np.int64)
-
     comm = CommStats()
     for tid, i in index.items():
         seen_msg_keys: set[tuple[int, int]] = set()
         for e in graph.tasks[tid].deps:
-            in_elems[i] += e.elements
             s = index[e.src]
             if proc[s] == proc[i]:
                 comm.local_edges += 1
@@ -226,21 +211,6 @@ def simulate(
     # --- event loop -----------------------------------------------------
     nprocs = machine.nodes
     free_cores = np.full(nprocs, machine.cores_per_node, dtype=np.int64)
-    free_gpus = np.full(nprocs, machine.gpus_per_node, dtype=np.int64)
-    gpu_busy = np.zeros(nprocs, dtype=np.float64)
-    # GPU durations for the dense band kernels (Section IX future work):
-    # dense Level-3 BLAS at the accelerator rate, POTRF slightly below.
-    gpu_duration = np.full(n, -1.0)
-    if machine.gpus_per_node > 0:
-        for tid, i in index.items():
-            t = graph.tasks[tid]
-            if t.kernel.is_band_kernel and duration[i] > 0.0:
-                eff = (
-                    machine.rates.potrf_fraction
-                    if t.kernel is KernelClass.POTRF_DENSE
-                    else 1.0
-                )
-                gpu_duration[i] = t.flops / (machine.gpu_dense_gflops * 1e9 * eff)
     ready: list[list] = [[] for _ in range(nprocs)]  # heaps of (key, i)
     ready_seq = 0  # become-ready order, drives fifo/lifo keys
 
@@ -258,7 +228,7 @@ def simulate(
     events: list[tuple] = []  # (time, seq, kind, payload)
     seq = 0
 
-    def push_event(time: float, kind: int, payload: int) -> None:
+    def push_event(time: float, kind: int, payload) -> None:
         nonlocal seq
         heapq.heappush(events, (time, seq, kind, payload))
         seq += 1
@@ -272,31 +242,16 @@ def simulate(
     now = 0.0
     trace: list[tuple] | None = [] if collect_trace else None
     done_time = np.full(n, -1.0)
-    running = 0
 
     def launch(p: int) -> None:
-        nonlocal running
-        skipped: list[tuple] = []
-        while ready[p] and (free_cores[p] > 0 or free_gpus[p] > 0):
-            entry = heapq.heappop(ready[p])
-            _, i = entry
-            on_gpu = gpu_duration[i] >= 0.0 and free_gpus[p] > 0
-            if on_gpu:
-                free_gpus[p] -= 1
-                dur = gpu_duration[i]
-                gpu_busy[p] += dur
-            elif free_cores[p] > 0:
-                free_cores[p] -= 1
-                dur = duration[i]
-                busy[p] += dur
-            else:
-                # Only a GPU is free and this task is CPU-only; set it
-                # aside and keep scanning for accelerator-eligible work.
-                skipped.append(entry)
-                continue
-            # The runtime's per-task overhead holds the core (or GPU
-            # stream) before the kernel; busy time and the traced span
-            # cover the kernel alone, as a recorded task span does.
+        while ready[p] and free_cores[p] > 0:
+            _, i = heapq.heappop(ready[p])
+            free_cores[p] -= 1
+            dur = duration[i]
+            busy[p] += dur
+            # The runtime's per-task overhead holds the core before the
+            # kernel; busy time and the traced span cover the kernel
+            # alone, as a recorded task span does.
             start = now
             if dur > 0.0:
                 busy_by_kernel[kernels_arr[i]] = (
@@ -306,46 +261,7 @@ def simulate(
             end = start + dur
             if trace is not None:
                 trace.append((tids[i], p, start, end))
-            push_event(end, EV_DONE, (i, None, "gpu" if on_gpu else "cpu"))
-            running += 1
-        for entry in skipped:
-            heapq.heappush(ready[p], entry)
-
-    steals = 0
-
-    def try_steal() -> None:
-        """Idle processes raid the most loaded ready queue (flag-gated)."""
-        nonlocal running, steals
-        for q in range(nprocs):
-            while free_cores[q] > 0 and not ready[q]:
-                victim = max(range(nprocs), key=lambda r: len(ready[r]))
-                if victim == q or len(ready[victim]) < 2:
-                    break
-                # Steal the *lowest-priority* entry so the victim's own
-                # critical-path work stays local.
-                worst = max(range(len(ready[victim])), key=lambda ix: ready[victim][ix][0])
-                _, i = ready[victim].pop(worst)
-                heapq.heapify(ready[victim])
-                # Data round-trip: inputs to the thief, output back home.
-                out_bytes = graph.tile_size * graph.tile_size * _BYTES
-                migration = (
-                    2.0 * machine.latency_s
-                    + (int(in_elems[i]) * _BYTES + out_bytes) / machine.bandwidth_Bps
-                )
-                free_cores[q] -= 1
-                dur = duration[i] + migration + machine.task_overhead_s
-                busy[q] += duration[i]
-                if duration[i] > 0.0:
-                    busy_by_kernel[kernels_arr[i]] = (
-                        busy_by_kernel.get(kernels_arr[i], 0.0) + duration[i]
-                    )
-                if trace is not None:
-                    trace.append((tids[i], q, now, now + dur))
-                # Completion is signalled at the home process (owner-compute
-                # consistency), so successors/messages behave as usual.
-                push_event(now + dur, EV_DONE, (i, q, "cpu"))
-                running += 1
-                steals += 1
+            push_event(end, EV_DONE, i)
 
     for p in range(nprocs):
         launch(p)
@@ -354,12 +270,9 @@ def simulate(
     while events:
         now, _, kind, payload = heapq.heappop(events)
         if kind == EV_DONE:
-            i, ran_on, device = payload
+            i = payload
             p = int(proc[i])
-            if device == "gpu":
-                free_gpus[p if ran_on is None else ran_on] += 1
-            else:
-                free_cores[p if ran_on is None else ran_on] += 1
+            free_cores[p] += 1
             done_time[i] = now
             completed += 1
             # Local successors
@@ -387,10 +300,6 @@ def simulate(
                     comm.bytes_sent += nbytes
                     push_event(arrival, EV_ARRIVE, (i, dp))
             launch(p)
-            if ran_on is not None:
-                launch(ran_on)
-            if work_stealing:
-                try_steal()
         else:  # EV_ARRIVE
             i, dp = payload
             for s in msg_waiters.get((i, dp), ()):  # type: ignore[arg-type]
@@ -398,8 +307,6 @@ def simulate(
                 if unmet[s] == 0:
                     heapq.heappush(ready[proc[s]], (ready_key(s), s))
             launch(dp)
-            if work_stealing:
-                try_steal()
 
     if completed != n:
         raise SchedulingError(
@@ -432,7 +339,6 @@ def simulate(
         cores_per_node=machine.cores_per_node,
         trace=trace,
         busy_by_kernel=busy_by_kernel,
-        gpu_busy=gpu_busy if machine.gpus_per_node > 0 else None,
     )
 
 

@@ -64,6 +64,19 @@ class CovarianceProblem:
         check_finite("nugget", self.nugget)  # NaN < 0 is False
         if self.nugget < 0:
             raise ConfigurationError(f"nugget must be >= 0, got {self.nugget}")
+        if self.nugget == 0:
+            # Two equal rows give two equal covariance rows: singular.
+            _, first, inv = np.unique(
+                self.points, axis=0, return_index=True, return_inverse=True
+            )
+            owner = first[inv.reshape(-1)]
+            dup = np.flatnonzero(owner != np.arange(self.n))
+            if dup.size:
+                j = int(dup[0])
+                raise ConfigurationError(
+                    f"points {int(owner[j])} and {j} coincide: with nugget 0 "
+                    "the covariance is singular (give a nugget > 0)"
+                )
         if self.tile_size > self.n:
             raise ConfigurationError(
                 f"tile_size {self.tile_size} exceeds problem size {self.n}"

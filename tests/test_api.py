@@ -32,6 +32,21 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
             TLRSolver.from_problem(api_problem, accuracy=accuracy)
 
+    def test_duplicate_points_without_nugget_rejected(self):
+        """Point 5 copied onto point 200 used to factorize the singular
+        matrix and return a finite log-determinant."""
+        from repro.statistics import CovarianceProblem
+
+        points = st_3d_exp_problem(400, 50, seed=0).points.copy()
+        points[200] = points[5]
+        with pytest.raises(ConfigurationError, match="points 5 and 200"):
+            s = TLRSolver.from_problem(
+                CovarianceProblem(points=points, tile_size=50, nugget=0.0),
+                accuracy=1e-8,
+            )
+            s.factorize()
+            s.log_det()
+
     def test_maxrank_cap_applied(self, api_problem):
         s = TLRSolver.from_problem(
             api_problem, accuracy=1e-8, band_size=1, maxrank=8

@@ -64,21 +64,23 @@ class TestCommands:
         assert "P=potrf" in out
 
 
-class TestSimulateFeatureFlags:
-    def test_steal_and_gpus(self, capsys):
-        rc = main(
-            ["simulate", "--nt", "10", "--nodes", "2", "--cores", "2",
-             "--split", "1", "--steal", "--gpus", "1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "gpu busy" in out
 
-    def test_gpu_busy_zero_without_gpus(self, capsys):
-        rc = main(
-            ["simulate", "--nt", "8", "--nodes", "2", "--cores", "2",
-             "--split", "1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "gpu busy" in out
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"executor": "bogus", "n": 256, "tile": 64}, "executor"),
+        ({"n": "256"}, "n"),
+        ({"tile": 64.5}, "tile"),
+    ],
+    ids=["bad-choice", "string-int", "float-int"],
+)
+def test_hostile_config_exits_2_before_work(tmp_path, capsys, doc, key):
+    """A config value is checked as its flag would be, before any work."""
+    import json
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["execute", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --config {cfg}: {key} " in captured.err
+    assert captured.out == ""

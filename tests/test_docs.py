@@ -62,9 +62,14 @@ def _fenced_blocks(text: str) -> list[str]:
 
 
 def _repro_invocations(text: str):
-    """Every ``python -m repro <sub> ...`` line in fenced blocks."""
+    """Every ``python -m repro <sub> ...`` line in fenced blocks.
+
+    An indented line that starts with ``--flag`` continues the invocation
+    above it (the aligned flag table of docs/api.md).
+    """
     for block in _fenced_blocks(text):
         joined = re.sub(r"\\\s*\n\s*", " ", block)  # backslash continuations
+        joined = re.sub(r"\n[ \t]+(?=--)", " ", joined)  # aligned flag lines
         for line in joined.splitlines():
             m = re.match(r"(?:\$\s+)?python -m repro\s+(\S+)(.*)", line.strip())
             if m:

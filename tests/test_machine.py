@@ -52,10 +52,10 @@ class TestMachineSpec:
         assert MachineSpec(nodes=4, cores_per_node=8).total_cores == 32
 
     def test_with_nodes_preserves_rest(self):
-        m = MachineSpec(nodes=4, latency_s=5e-6)
+        m = MachineSpec(nodes=4, latency_s=5e-6, task_overhead_s=4e-5)
         m2 = m.with_nodes(64)
         assert m2.nodes == 64
-        assert m2.latency_s == 5e-6
+        assert m2 == MachineSpec(nodes=64, latency_s=5e-6, task_overhead_s=4e-5)
 
     def test_transfer_seconds(self):
         m = MachineSpec(latency_s=1e-6, bandwidth_Bps=1e9)
@@ -72,6 +72,20 @@ class TestMachineSpec:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigurationError):
             MachineSpec(nodes=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("task_overhead_s", float("nan")),
+            ("task_overhead_s", float("inf")),
+            ("memory_per_node_GB", float("nan")),
+            ("memory_per_node_GB", -1.0),
+        ],
+    )
+    def test_rejects_non_finite_or_negative_costs(self, field, value):
+        """NaN passes a bare ``< 0`` check and would make the makespan NaN."""
+        with pytest.raises(ConfigurationError, match=field):
+            MachineSpec(**{field: value})
 
     def test_linpack_consistency(self):
         """Default rates reproduce the paper's ~14.3 Tflop/s on 16 nodes

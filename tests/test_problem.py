@@ -37,6 +37,16 @@ class TestGeometry:
                 points=small_problem.points, tile_size=64, nugget=nugget
             )
 
+    @pytest.mark.parametrize("src, dst", [(5, 200), (0, 399), (0, 1)])
+    def test_rejects_duplicate_points_without_nugget(self, src, dst):
+        """Coincident points make the exact covariance singular; without a
+        nugget that is refused and the pair named, whichever tiles hold it."""
+        points = st_3d_exp_problem(400, 50, seed=0).points.copy()
+        points[dst] = points[src]
+        with pytest.raises(ConfigurationError, match=f"points {src} and {dst}"):
+            CovarianceProblem(points=points, tile_size=50, nugget=0.0)
+        CovarianceProblem(points=points, tile_size=50, nugget=1e-6)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_point(self, small_problem, bad):
         """Refused before any tile is generated, not deep in the compressor."""

@@ -1,126 +1,42 @@
-"""Unit tests for the recursive (nested) dense-kernel formulations."""
+"""Unit tests for the cost-only recursive (nested) dense-kernel graphs
+the simulator expands region-(1) tasks into (Section VII-D)."""
 
-import numpy as np
 import pytest
-import scipy.linalg as sla
 
-from repro.linalg import (
-    KernelClass,
-    execute_subtasks,
-    recursive_subtasks,
-    recursive_task_costs,
-    split_ranges,
-)
+from repro.linalg import KernelClass
 from repro.linalg.flops import (
     flops_gemm_dense,
     flops_potrf_dense,
     flops_syrk_dense,
     flops_trsm_dense,
 )
-from repro.utils import ConfigurationError, NotPositiveDefiniteError
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(13)
-
-
-def spd(rng, n):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + n * np.eye(n)
+from repro.runtime.graph import _split_ranges, recursive_task_costs
+from repro.utils import ConfigurationError
 
 
 class TestSplitRanges:
     def test_even(self):
-        rs = split_ranges(12, 3)
+        rs = _split_ranges(12, 3)
         assert [(s.start, s.stop) for s in rs] == [(0, 4), (4, 8), (8, 12)]
 
     def test_uneven_covers_everything(self):
-        rs = split_ranges(10, 3)
+        rs = _split_ranges(10, 3)
         assert rs[0].start == 0 and rs[-1].stop == 10
         total = sum(s.stop - s.start for s in rs)
         assert total == 10
 
     def test_split_larger_than_b_rejected(self):
         with pytest.raises(ConfigurationError):
-            split_ranges(2, 3)
+            _split_ranges(2, 3)
 
 
 class TestRecursivePotrf:
-    @pytest.mark.parametrize("split", [1, 2, 3, 4])
-    def test_matches_lapack(self, rng, split):
-        c = spd(rng, 24)
-        ref = np.tril(sla.cholesky(c, lower=True))
-        work = c.copy()
-        execute_subtasks(recursive_subtasks(KernelClass.POTRF_DENSE, split, c=work))
-        np.testing.assert_allclose(work, ref, atol=1e-10)
-
-    def test_raises_on_indefinite(self, rng):
-        work = -np.eye(8)
-        with pytest.raises(NotPositiveDefiniteError):
-            execute_subtasks(
-                recursive_subtasks(KernelClass.POTRF_DENSE, 2, c=work)
-            )
-
     def test_flops_sum_matches_whole_kernel(self):
         for split in (2, 4):
             costs = recursive_task_costs(KernelClass.POTRF_DENSE, 240, split)
-            assert sum(t.flops for t in costs) == pytest.approx(
+            assert sum(flops for _, flops, _ in costs) == pytest.approx(
                 flops_potrf_dense(240), rel=0.05
             )
-
-
-class TestRecursiveTrsm:
-    @pytest.mark.parametrize("split", [1, 2, 3])
-    def test_matches_reference(self, rng, split):
-        l = np.tril(sla.cholesky(spd(rng, 18), lower=True))
-        c = rng.standard_normal((18, 18))
-        ref = sla.solve_triangular(l, c.T, lower=True).T
-        work = c.copy()
-        execute_subtasks(
-            recursive_subtasks(KernelClass.TRSM_DENSE, split, c=work, l_mat=l)
-        )
-        np.testing.assert_allclose(work, ref, atol=1e-9)
-
-    def test_requires_l_mat(self, rng):
-        with pytest.raises(ConfigurationError):
-            recursive_subtasks(KernelClass.TRSM_DENSE, 2, c=np.eye(8))
-
-
-class TestRecursiveSyrk:
-    @pytest.mark.parametrize("split", [1, 2, 3])
-    def test_matches_reference(self, rng, split):
-        a = rng.standard_normal((18, 18))
-        c0 = spd(rng, 18)
-        work = c0.copy()
-        execute_subtasks(
-            recursive_subtasks(KernelClass.SYRK_DENSE, split, c=work, a=a)
-        )
-        np.testing.assert_allclose(work, c0 - a @ a.T, atol=1e-9)
-
-    def test_result_symmetric(self, rng):
-        a = rng.standard_normal((12, 12))
-        work = spd(rng, 12)
-        execute_subtasks(
-            recursive_subtasks(KernelClass.SYRK_DENSE, 3, c=work, a=a)
-        )
-        np.testing.assert_allclose(work, work.T, atol=1e-12)
-
-
-class TestRecursiveGemm:
-    @pytest.mark.parametrize("split", [1, 2, 3])
-    def test_matches_reference(self, rng, split):
-        a, b = rng.standard_normal((15, 15)), rng.standard_normal((15, 15))
-        c0 = rng.standard_normal((15, 15))
-        work = c0.copy()
-        execute_subtasks(
-            recursive_subtasks(KernelClass.GEMM_DENSE, split, c=work, a=a, b=b)
-        )
-        np.testing.assert_allclose(work, c0 - a @ b.T, atol=1e-10)
-
-    def test_requires_operands(self):
-        with pytest.raises(ConfigurationError):
-            recursive_subtasks(KernelClass.GEMM_DENSE, 2, c=np.eye(8))
 
 
 class TestCostGraphs:
@@ -138,7 +54,7 @@ class TestCostGraphs:
     )
     def test_flop_conservation(self, kind, total):
         costs = recursive_task_costs(kind, 120, 3)
-        assert sum(t.flops for t in costs) == pytest.approx(total, rel=0.05)
+        assert sum(flops for _, flops, _ in costs) == pytest.approx(total, rel=0.05)
 
     def test_deps_are_topological(self):
         """Dependencies always point to earlier tasks (valid emission order)."""
@@ -149,8 +65,8 @@ class TestCostGraphs:
             KernelClass.GEMM_DENSE,
         ):
             costs = recursive_task_costs(kind, 64, 4)
-            for idx, t in enumerate(costs):
-                assert all(d < idx for d in t.deps)
+            for idx, (_, _, deps) in enumerate(costs):
+                assert all(d < idx for d in deps)
 
     def test_expansion_counts(self):
         # split-2 POTRF: POTRF(0), TRSM(1,0), SYRK(1,0), POTRF(1).
@@ -165,9 +81,9 @@ class TestCostGraphs:
 
         def cp(costs):
             dist = [0.0] * len(costs)
-            for i, t in enumerate(costs):
-                start = max((dist[d] for d in t.deps), default=0.0)
-                dist[i] = start + t.flops
+            for i, (_, flops, deps) in enumerate(costs):
+                start = max((dist[d] for d in deps), default=0.0)
+                dist[i] = start + flops
             return max(dist, default=0.0)
 
         c2 = recursive_task_costs(KernelClass.POTRF_DENSE, 240, 2)
