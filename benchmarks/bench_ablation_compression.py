@@ -3,20 +3,19 @@
 H2OPUS-TLR replaces the deterministic SVD/RRQR compressions of TLR
 solvers with adaptive randomized approximation (ARA) and reports that
 this is the key to high-performance factorization at scale.  This bench
-measures the same substitution in our backend layer on the paper's
-st-3D-exp workload: for each accuracy in the Fig. 13 sweep it compresses
-every off-band tile of one matrix exactly, with the blind sampler and
-with the sampler told each tile's own rank (``rank_hint``, what a wide
-rounding passes), buckets the per-tile times by rank, then runs the full
-rsvd-assembled BAND-DENSE-TLR factorization, and finally times parallel
-matrix assembly at 1/2/4 workers.
+measures the same substitution between the compressor's two routes on
+the paper's st-3D-exp workload: for each accuracy in the Fig. 13 sweep it
+compresses every off-band tile of one matrix exactly, with the blind
+sampler and with the sampler told each tile's own rank (``rank_hint``,
+what a wide rounding passes), buckets the per-tile times by rank, then
+runs the full BAND-DENSE-TLR factorization on the library's one
+compressor, and finally times parallel matrix assembly at 1/2/4 workers.
 
 Reproduction targets:
 
 * correctness at every scale: every reconstruction — exact, sampled,
   hinted — stays within the ε bound (3·ε for the probabilistic
-  certificate), and the rsvd-built factorization's backward error
-  matches the svd-built one to within an order of magnitude (both ~ε);
+  certificate), and the factorization's backward error stays ~ε;
 * the speedups are recorded, not asserted, hinted against unhinted
   included (``REPRO_BENCH_COMPRESSION_FULL=1`` pins the full N=4000 /
   b=250 scale).  The crossover is a *tile-size, ε and rank* effect: the
@@ -31,8 +30,9 @@ Reproduction targets:
   1.00x-1.14x.  By rank at b = 200 the hinted sampler takes 1.0 / 1.6 /
   3.5 / 4.0 / 4.6 / 5.4 / 7.3 ms per tile in the rank / b buckets
   < .1 / .1-.2 / .2-.3 / .3-1/3 / 1/3-.4 / .4-.5 / > .5 against a flat
-  5.7-6.3 ms exact: the b/3 rule of ``RsvdConfig.fallback_fraction``
-  sits a third under break-even.  These are the tables in
+  5.7-6.3 ms exact: the b/3 rule of
+  ``RandomizedSVDBackend.FALLBACK_FRACTION`` sits a third under
+  break-even.  These are the tables in
   ``AutoBackend``'s docstring;
 * parallel assembly must produce bitwise-identical matrices for every
   worker count (speedup is recorded, not asserted — CI exposes 1 core).
@@ -55,7 +55,7 @@ import numpy as np
 from repro import TruncationRule, st_3d_exp_problem
 from repro.analysis import format_series, write_csv
 from repro.core import tlr_cholesky
-from repro.linalg import RandomizedSVDBackend, RsvdConfig, SVDBackend
+from repro.linalg import get_backend
 from repro.matrix import BandTLRMatrix, TileDescriptor
 
 # Defaults give NT = 16 at the acceptance scale (b = 250); CI's
@@ -101,13 +101,7 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
         desc=TileDescriptor(N, B), band_size=BAND, rule=TruncationRule(eps=1e-6)
     )
     blocks = _offband_tiles(prob, geometry)
-    svd = SVDBackend()
-    rsvd = RandomizedSVDBackend(seed=2021)
-    # the by-rank study samples at every rank, also where the default
-    # configuration would already have handed the tile to gesdd
-    always = RandomizedSVDBackend(
-        seed=2021, config=RsvdConfig(fallback_fraction=1.0)
-    )
+    svd, rsvd = get_backend("svd"), get_backend("rsvd")
 
     rows = []
     by_rank = []  # (rank / b, exact ms, hinted always-sampled ms) per tile
@@ -127,19 +121,24 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
         # hinted: the sampler is told the tile's own (exact) rank, as a
         # rounding is told the rank the tile had before the update
 
-        def hinted(backend, i, a):
-            return backend.compress(
-                a, rule, seed=i, rank_hint=tiles_svd[i].rank
+        def hinted(i, a):
+            return rsvd.compress(a, rule, seed=i, rank_hint=tiles_svd[i].rank)
+
+        def always_sampled(i, a):
+            # the by-rank study samples at every rank, also where the
+            # b/3 rule would already have handed the tile to gesdd
+            return rsvd._compress_ara(
+                a, rule, i, tiles_svd[i].rank, _max_rank=min(a.shape)
             )
 
         t_hint = perf_timer(
-            lambda: [hinted(rsvd, i, a) for i, a in enumerate(blocks)]
+            lambda: [hinted(i, a) for i, a in enumerate(blocks)]
         ).median_s
-        tiles_hint = [hinted(rsvd, i, a) for i, a in enumerate(blocks)]
+        tiles_hint = [hinted(i, a) for i, a in enumerate(blocks)]
         by_rank += zip(
             [t.rank / B for t in tiles_svd],
             _per_tile_ms(lambda i, a: svd.compress(a, rule), blocks),
-            _per_tile_ms(lambda i, a: hinted(always, i, a), blocks),
+            _per_tile_ms(always_sampled, blocks),
         )
         err_svd, err_rsvd, err_hint = (
             max(np.linalg.norm(a - t.to_dense(), 2) for a, t in zip(blocks, tiles))
@@ -222,37 +221,30 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
         )
     )
 
-    # --- end-to-end: factorization accuracy must be backend-independent ---
+    # --- end-to-end: the one compressor's factorization tracks ε ---
     rule = TruncationRule(eps=1e-6)
     dense = prob.dense()
-    fact_rows = []
-    for name, backend in [("svd", svd), ("rsvd", rsvd)]:
-        t0 = time.perf_counter()
-        mat = BandTLRMatrix.from_problem(
-            prob, rule, band_size=BAND, backend=backend
-        )
-        t_build = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        tlr_cholesky(mat)
-        t_fact = time.perf_counter() - t0
-        l = mat.to_dense(lower_only=True)
-        berr = float(np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense))
-        fact_rows.append(
-            (name, round(t_build, 3), round(t_fact, 3), f"{berr:.2e}")
-        )
-        record[f"factorize_{name}"] = {
-            "t_build": t_build, "t_factorize": t_fact, "backward_error": berr
-        }
-        # ε = 1e-6 relative accuracy with a healthy margin.
-        assert berr <= 1e-5
+    t0 = time.perf_counter()
+    mat = BandTLRMatrix.from_problem(prob, rule, band_size=BAND)
+    t_build = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    tlr_cholesky(mat)
+    t_fact = time.perf_counter() - t0
+    l = mat.to_dense(lower_only=True)
+    berr = float(np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense))
+    record["factorize"] = {
+        "t_build": t_build, "t_factorize": t_fact, "backward_error": berr
+    }
     print(
         format_series(
-            "backend",
+            "compressor",
             ["t_build_s", "t_factorize_s", "backward_err"],
-            fact_rows,
+            [("auto", round(t_build, 3), round(t_fact, 3), f"{berr:.2e}")],
             title="build + factorize at eps=1e-6",
         )
     )
+    # ε = 1e-6 relative accuracy with a healthy margin.
+    assert berr <= 1e-5
 
     # --- parallel assembly: bitwise determinism, recorded scaling ---
     asm_rows = []
@@ -260,7 +252,7 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
     for w in WORKER_COUNTS:
         t0 = time.perf_counter()
         mat = BandTLRMatrix.from_problem(
-            prob, rule, band_size=BAND, backend=rsvd, n_workers=w
+            prob, rule, band_size=BAND, n_workers=w
         )
         dt = time.perf_counter() - t0
         if baseline is None:
@@ -277,7 +269,7 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
             "assembly",
             ["seconds", "speedup_vs_w1"],
             asm_rows,
-            title="rsvd parallel assembly (bitwise-identical output)",
+            title="parallel assembly (bitwise-identical output)",
         )
     )
 

@@ -31,12 +31,6 @@ Sub-packages:
 """
 
 from .core.api import TLRSolver
-from .linalg.backends import (
-    CompressionBackend,
-    RandomizedSVDBackend,
-    SVDBackend,
-    get_backend,
-)
 from .linalg.compression import TruncationRule
 from .statistics.matern import ST_3D_EXP, MaternParams
 from .statistics.problem import CovarianceProblem, st_3d_exp_problem
@@ -46,10 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "TLRSolver",
     "TruncationRule",
-    "CompressionBackend",
-    "SVDBackend",
-    "RandomizedSVDBackend",
-    "get_backend",
     "MaternParams",
     "ST_3D_EXP",
     "CovarianceProblem",

@@ -210,7 +210,6 @@ def _run_demo(args: argparse.Namespace) -> int:
     solver = TLRSolver.from_problem(
         problem,
         accuracy=args.accuracy,
-        compression=args.compression,
         n_workers=args.workers,
     )
     workers = args.workers or default_workers()
@@ -225,7 +224,7 @@ def _run_demo(args: argparse.Namespace) -> int:
           f"({rep.counter.total / 1e9:.2f} modelled Gflop)")
     # read after factorize(): the assembly leaves tiles pending until then
     mn, avg, mx = solver.matrix.rank_stats()
-    print(f"factor at eps={args.accuracy:g} [{args.compression}]: "
+    print(f"factor at eps={args.accuracy:g}: "
           f"band={solver.band_size}, ranks {mn}/{avg:.1f}/{mx}")
     pr = rep.precision_report
     print(f"precision: {_fp32_tiles(pr)}, off-band bytes "
@@ -430,7 +429,6 @@ def _run_execute(args: argparse.Namespace) -> int:
         problem,
         rule,
         band_size=args.band,
-        backend=args.compression,
         n_workers=args.workers,
     )
     graph = graph_for_matrix(matrix)
@@ -735,7 +733,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         ),
     )
     print(f"serving st-3D-exp n={args.n}, b={args.tile} at "
-          f"eps={args.accuracy:g} [{args.compression}]: "
+          f"eps={args.accuracy:g}: "
           f"{config.n_workers} workers, "
           f"queue<={config.max_queue_depth}, batch<={config.max_batch}")
     try:
@@ -744,7 +742,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 problem,
                 accuracy=args.accuracy,
                 band_size=args.band,
-                compression=args.compression,
             )
             t0 = time.perf_counter()
             entry = session.warm()
@@ -924,12 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factorize on the execution core with N workers "
                         "(default: cores / BLAS threads); also "
                         "parallelizes matrix assembly")
-    d.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default=None,
-                   help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (sampled or exact per "
-                        "tile by size, accuracy and predicted rank); "
-                        "default: repro.linalg.default_backend()")
     d.add_argument("--obs", type=str, default=None, metavar="DIR",
                    help="record spans + metrics and write trace/summary/"
                         "Prometheus artifacts into DIR")
@@ -1035,12 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the per-class mean task durations and per-task "
                         "overhead of a real run's --obs directory (the "
                         "calibration tune --from-run uses)")
-    e.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default=None,
-                   help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (sampled or exact per "
-                        "tile by size, accuracy and predicted rank); "
-                        "default: repro.linalg.default_backend()")
     e.add_argument("--scheduler", choices=["priority", "fifo", "lifo"],
                    default="priority")
     e.add_argument("--compare-sequential", action="store_true",
@@ -1108,12 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--band", type=_band_arg, default="auto",
                    help="dense band width: 'auto' (Algorithm 1) or an int")
-    v.add_argument("--compression", choices=["svd", "rsvd", "auto"],
-                   default=None,
-                   help="compression backend: exact SVD, adaptive "
-                        "randomized SVD, or auto (sampled or exact per "
-                        "tile by size, accuracy and predicted rank); "
-                        "default: repro.linalg.default_backend()")
     v.add_argument("--service-workers", type=int, default=2,
                    help="solver worker threads (= factor shards)")
     v.add_argument("--max-queue", type=int, default=64,
@@ -1203,11 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "compression", "") is None:
-        # resolved once, so banners and recorded run metadata name it
-        from repro.linalg import default_backend
-
-        args.compression = default_backend().name
     handlers = {
         "info": _cmd_info,
         "demo": _cmd_demo,

@@ -74,7 +74,6 @@ class TLRSolver:
         band_size: int | str = "auto",
         fluctuation: float = 0.67,
         maxrank: int | None = None,
-        compression=None,
         n_workers: int | None = None,
     ) -> "TLRSolver":
         """Compress a covariance problem, auto-tuning the dense band.
@@ -102,14 +101,6 @@ class TLRSolver:
         maxrank:
             Optional hard rank cap for compressions (HiCMA-Prev's static
             descriptor uses ``b/2``); ``None`` = uncapped dynamic ranks.
-        compression:
-            Compression backend: ``None`` (the registry default of
-            :mod:`repro.linalg.backends`, ``"auto"``: sampled or exact
-            per tile by size, ε and predicted rank), ``"svd"`` (exact),
-            ``"rsvd"`` (adaptive randomized), or a
-            :class:`~repro.linalg.backends.CompressionBackend` instance.
-            Remembered by the matrix, so factorization recompressions use
-            the same numerics.
         n_workers:
             Thread count for *assembly* (tile generation + compression);
             independent of the worker count later passed to
@@ -128,11 +119,11 @@ class TLRSolver:
             decision, reuse = None, None
             if band_size == "auto":
                 decision, reuse = walk_band_size(
-                    problem, rule, fluctuation=fluctuation, backend=compression
+                    problem, rule, fluctuation=fluctuation
                 )
                 band_size = decision.band_size
             matrix = BandTLRMatrix.from_problem(
-                problem, rule, band_size, backend=compression,
+                problem, rule, band_size,
                 n_workers=n_workers, reuse=reuse, defer=True,
             )
             return cls(matrix=matrix, problem=problem, decision=decision)

@@ -284,7 +284,6 @@ def walk_band_size(
     *,
     fluctuation: float = FLUCTUATION_RANGE[0],
     max_band: int | None = None,
-    backend=None,
 ) -> tuple[BandSizeDecision, dict]:
     """Algorithm 1 on ``problem``'s tiles: the band, and the tiles it compressed.
 
@@ -296,9 +295,7 @@ def walk_band_size(
     ``(i, j)``) for an assembly to take as ``reuse``.  ``band_size`` and
     ``band_size_range`` are, bitwise, the band-1 pipeline's.
     """
-    probe = BandTLRMatrix(
-        TileDescriptor(problem.n, problem.tile_size), 1, rule, backend=backend
-    )
+    probe = BandTLRMatrix(TileDescriptor(problem.n, problem.tile_size), 1, rule)
 
     def tile_rank(i: int, j: int) -> int:
         tile = probe.tiles[i, j] = probe._compress(problem.tile(i, j), i, j)
@@ -323,7 +320,6 @@ def autotune_matrix(
     *,
     fluctuation: float = FLUCTUATION_RANGE[0],
     max_band: int | None = None,
-    backend=None,
     n_workers: int | None = None,
 ) -> tuple[BandTLRMatrix, BandSizeDecision]:
     """Assemble ``problem`` at the band Algorithm 1 picks, tuning on the way.
@@ -337,11 +333,11 @@ def autotune_matrix(
     Outside the band ``costs`` are the band-1 pipeline's.
     """
     decision, kept = walk_band_size(
-        problem, rule, fluctuation=fluctuation, max_band=max_band, backend=backend
+        problem, rule, fluctuation=fluctuation, max_band=max_band
     )
     band = decision.band_size
     matrix = BandTLRMatrix.from_problem(
-        problem, rule, band, backend=backend, n_workers=n_workers, reuse=kept
+        problem, rule, band, n_workers=n_workers, reuse=kept
     )
     maxranks = subdiagonal_maxranks(matrix.rank_grid())
     maxranks[: band - 1] = [c.maxrank for c in decision.costs[: band - 1]]

@@ -125,7 +125,6 @@ def tlr_cholesky(
     n_workers: int | None = None,
     executor=None,
     n_ranks: int | None = None,
-    backend=None,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -141,13 +140,9 @@ def tlr_cholesky(
         Truncation rule for the low-rank updates; defaults to the
         matrix's compression rule.  Each low-rank tile is rounded under
         it once, after all of its panel updates were accumulated (module
-        docstring).
-    backend:
-        Compression backend for those roundings (instance, registry
-        name, or ``None`` to use the matrix's backend): the shared
-        QR-QR-SVD while the accumulated width is below half a tile, the
-        backend's own ``compress`` of the dense sum beyond it, seeded by
-        the tile's coordinates.
+        docstring): the stacked QR-QR-SVD while the accumulated width is
+        below half a tile, the compressor's ``compress`` of the dense sum
+        beyond it, seeded by the tile's coordinates.
     n_workers:
         Workers of the dependency-driven execution core
         (:mod:`repro.runtime.executor`) that run the fused DAG
@@ -196,7 +191,6 @@ def tlr_cholesky(
         :class:`~repro.utils.exceptions.RuntimeSystemError` chained.
     """
     rule = rule or matrix.rule
-    backend = backend if backend is not None else matrix.backend
     if executor is not None and n_workers is not None:
         raise ConfigurationError(
             "n_workers is shorthand for executor='threads'; "
@@ -237,7 +231,7 @@ def tlr_cholesky(
         try:
             run = ex.execute(
                 graph_for_matrix(matrix), matrix,
-                rule=rule, backend=backend, faults=faults,
+                rule=rule, faults=faults,
                 recovery=recovery, checkpoint=checkpoint, resume=resume,
             )
         except RuntimeSystemError as exc:

@@ -1,10 +1,11 @@
-"""Pluggable compression backends: exact SVD and adaptive randomized SVD.
+"""The tile compressor: exact SVD and adaptive randomized SVD, one rule.
 
-Every (re)compression in the library routes through a
-:class:`CompressionBackend`, so the numerical engine behind
-:func:`~repro.linalg.compression.compress_block` /
-:func:`~repro.linalg.compression.recompress` can be swapped without
-touching the tile algorithms:
+Every (re)compression in the library goes through one compressor,
+:func:`default_backend` — an :class:`AutoBackend`, which routes each
+tile to one of two internal paths by a rule of (tile size, ε, predicted
+rank) that this module alone knows (:attr:`AutoBackend.SAMPLE_FROM`, the
+b/3 fallback and :attr:`RandomizedSVDBackend.MIN_EXACT_DIM`).  Nothing
+above this module selects or tunes the route:
 
 * :class:`SVDBackend` (``"svd"``) — deterministic truncated ``gesdd``,
   the paper's baseline and the exact oracle of the test suite;
@@ -17,9 +18,10 @@ touching the tile algorithms:
   whose rank approaches a third of the tile size take the exact SVD (the
   randomized scheme has no advantage there);
 * :class:`AutoBackend` (``"auto"``) — per-tile dispatch between the two
-  on the measured (tile size, ε, predicted rank) surface tabulated in its
-  docstring.  It is the one default of library, CLI and service
-  (:data:`_default`, ``get_backend(None)``).
+  on the measured surface tabulated in its docstring.
+
+:func:`get_backend` looks the three up by name, for the tests and the
+benchmarks that measure one path against the other.
 
 The ε certificate is two-stage.  The Frobenius residual
 ``||A - QQᵀA||_F² = ||A||_F² - ||B||_F²`` is tracked exactly and accepts
@@ -34,10 +36,10 @@ carry an error of order ε rather than a hard ε guarantee.
 
 Recompression rounds ``C - Σ_j A_j B_jᵀ`` once per low-rank tile
 (:meth:`CompressionBackend.recompress_update`): as stacked factors —
-QR-QR-SVD, rank-deterministic and shared by all backends — while the
+QR-QR-SVD, rank-deterministic and shared by all three classes — while the
 accumulated width stays below half the tile, else as the dense sum handed
-to the backend's own :meth:`~CompressionBackend.compress` with the tile's
-rank before the update as ``rank_hint``.  The stacks
+to :meth:`~CompressionBackend.compress` with the tile's rank before the
+update as ``rank_hint``.  The stacks
 live in a reusable workspace instead of fresh ``hstack`` allocations —
 the Section VII-B memory designation applied to the kernel transients,
 not just the tile storage.  Every QR and SVD here — the stacked
@@ -48,20 +50,20 @@ but with the interpreter lock released, so two workers overlap their
 compressions.  The calls are dtype-generic: float32 stacks run the
 single-precision drivers.
 
-Determinism: a :class:`RandomizedSVDBackend` seeded per tile (see
-:func:`tile_seed`) produces bit-identical factors for a given input, so
-parallel matrix assembly is reproducible across worker counts.
+Determinism: the sampler seeded per tile (:func:`tile_seed` of
+:attr:`CompressionBackend.seed` and the tile's coordinates) produces
+bit-identical factors for a given input, so parallel matrix assembly is
+reproducible across worker counts.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from ..utils.exceptions import CompressionError, ConfigurationError
+from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_matrix
 from .compression import (
     RecompressionResult,
@@ -77,10 +79,8 @@ __all__ = [
     "SVDBackend",
     "RandomizedSVDBackend",
     "AutoBackend",
-    "RsvdConfig",
     "get_backend",
     "default_backend",
-    "set_default_backend",
     "tile_seed",
 ]
 
@@ -104,7 +104,8 @@ def _triu_of(a: np.ndarray) -> np.ndarray:
 def tile_seed(base: int, i: int, j: int) -> np.random.SeedSequence:
     """Deterministic per-tile seed for randomized compression.
 
-    Derived from the backend's base seed and the tile coordinates only —
+    Derived from the base seed (:attr:`CompressionBackend.seed`) and the
+    tile coordinates only —
     never from execution order — so a parallel matrix assembly produces
     bit-identical tiles for any worker count.
     """
@@ -124,8 +125,9 @@ def _svd_compress(a: np.ndarray, rule: TruncationRule) -> LowRankTile:
     return LowRankTile(u[:, :k] * root, vt[:k].T * root)
 
 
-def _econ_qr(a: np.ndarray, overwrite: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Economic QR ``a = Q R``: ``geqrf``, then ``orgqr`` in place.
+def _econ_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Economic QR ``a = Q R``: ``geqrf``, then ``orgqr``, both in place
+    (``a``, a scratch buffer of the caller's, is destroyed).
 
     Handles the wide case (stacked rank exceeding the tile side): with
     ``a`` of shape ``(m, r)`` and ``k = min(m, r)``, returns ``Q`` of
@@ -133,11 +135,9 @@ def _econ_qr(a: np.ndarray, overwrite: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     m, r = a.shape
     k = min(m, r)
-    qr_, tau = geqrf(a, overwrite)
+    qr_, tau = geqrf(a, True)
     rmat = _triu_of(qr_[:k, :])
-    # R is extracted and ``qr_`` is ours (the caller's buffer under
-    # ``overwrite``, geqrf's fresh copy otherwise), so orgqr may expand Q
-    # over the factored columns in place.
+    # R is extracted, so orgqr may expand Q over the factored columns
     return orgqr(qr_[:, :k], tau, overwrite=True), rmat
 
 
@@ -145,27 +145,22 @@ def _qr_svd_recompress(
     u_stack: np.ndarray,
     v_stack: np.ndarray,
     rule: TruncationRule,
-    previous_rank: int | None,
-    *,
-    overwrite: bool = False,
+    previous_rank: int,
 ) -> RecompressionResult:
-    """QR-QR-SVD rounding of ``u_stack @ v_stack.T`` (all backends).
+    """QR-QR-SVD rounding of ``u_stack @ v_stack.T``, in place.
 
     Dtype-generic: float64 stacks run the ``d``-prefixed LAPACK drivers
     (bitwise identical to the ``scipy.linalg`` wrapper path), float32
-    stacks the ``s``-prefixed ones, and the rounded tile keeps
-    the stack's storage dtype.  With ``overwrite`` the QR factorizations
-    are allowed to destroy the stacked factors — safe when they live in a
-    pooled workspace buffer that is released right after.
+    stacks the ``s``-prefixed ones, and the rounded tile keeps the
+    stack's storage dtype.  The QR factorizations destroy the stacked
+    factors, which live in a pooled workspace buffer released right
+    after; the stack width is never zero.
     """
     r = u_stack.shape[1]
     m, n = u_stack.shape[0], v_stack.shape[0]
     dtype = u_stack.dtype
-    if r == 0:
-        tile = LowRankTile.zero(m, n, dtype=dtype)
-        return RecompressionResult(tile, 0, 0, grew=False)
-    qu, ru = _econ_qr(u_stack, overwrite)
-    qv, rv = _econ_qr(v_stack, overwrite)
+    qu, ru = _econ_qr(u_stack)
+    qv, rv = _econ_qr(v_stack)
     uc, s, vct = gesdd(ru @ rv.T, overwrite=True)
     k = truncation_rank(s, rule)
     if k == 0:
@@ -173,8 +168,9 @@ def _qr_svd_recompress(
     else:
         root = np.sqrt(s[:k])
         tile = LowRankTile((qu @ uc[:, :k]) * root, (qv @ vct[:k].T) * root)
-    prev = r if previous_rank is None else previous_rank
-    return RecompressionResult(tile, rank_before=r, rank_after=k, grew=k > prev)
+    return RecompressionResult(
+        tile, rank_before=r, rank_after=k, grew=k > previous_rank
+    )
 
 
 def _subtract_products(block, us, vs, ws: "_StackWorkspace") -> np.ndarray:
@@ -285,16 +281,17 @@ class _StackWorkspace:
 # Backends
 # ----------------------------------------------------------------------
 class CompressionBackend:
-    """Interface every compression engine implements.
+    """What the three compressor classes share.
 
     Subclasses provide :meth:`compress`; recompression is the shared
     QR-QR-SVD rounding with a reusable stack workspace.
     """
 
-    #: Registry name (``"svd"``, ``"rsvd"``).
+    #: Name of the route (``"svd"``, ``"rsvd"``, ``"auto"``).
     name: str = "base"
-    #: Base entropy for per-tile seeding (ignored by deterministic backends).
-    seed: int = 0
+    #: Base entropy of every per-tile seed (:func:`tile_seed`); the exact
+    #: route ignores it.
+    seed: int = 2021
 
     def __init__(self) -> None:
         self._workspace: _StackWorkspace | None = None
@@ -306,36 +303,13 @@ class CompressionBackend:
         """Compress a dense block to a :class:`LowRankTile` under ``rule``.
 
         ``seed`` (an int or :class:`numpy.random.SeedSequence`) pins the
-        randomness of stochastic backends; ``rank_hint`` is the rank the
-        caller expects (a rounding passes the tile's rank before the
-        update) and sizes their first sample.  Exact backends ignore both.
+        randomness of the sampler; ``rank_hint`` is the rank the caller
+        expects (a rounding passes the tile's rank before the update) and
+        sizes its first sample.  The exact route ignores both.
         """
         raise NotImplementedError
 
     # -- recompression -------------------------------------------------
-    def recompress(
-        self,
-        u_stack: np.ndarray,
-        v_stack: np.ndarray,
-        rule: TruncationRule,
-        *,
-        previous_rank: int | None = None,
-    ) -> RecompressionResult:
-        """Round ``u_stack @ v_stack.T`` to ``rule`` (caller-owned stacks)."""
-        u_stack = check_matrix("u_stack", u_stack)
-        v_stack = check_matrix("v_stack", v_stack)
-        if v_stack.shape[1] != u_stack.shape[1]:
-            raise CompressionError(
-                f"stacked factor rank mismatch: U has {u_stack.shape[1]}, "
-                f"V has {v_stack.shape[1]}"
-            )
-        with obs.span("recompress", "recompress", backend=self.name):
-            result = _qr_svd_recompress(u_stack, v_stack, rule, previous_rank)
-        obs.histogram_observe(
-            "tile_rank", result.rank_after, stage="recompress_post"
-        )
-        return result
-
     def recompress_update(
         self,
         c: LowRankTile | PendingTile,
@@ -357,8 +331,8 @@ class CompressionBackend:
         * ``W < min(m, n) / 2`` — the stacked factors, ``(m + n)·W``
           elements, packed block by block into the reusable workspace:
           QR-QR-SVD in place on it;
-        * otherwise — the dense ``m x n`` sum, handed to the backend's own
-          :meth:`compress` with ``rank_hint=c.rank`` (exact SVD or ARA;
+        * otherwise — the dense ``m x n`` sum, handed to :meth:`compress`
+          with ``rank_hint=c.rank`` (exact SVD or ARA;
           ``seed`` pins the latter, callers pass :func:`tile_seed` of the
           destination).  The sum is accumulated into the tile's block by
           in-place ``dgemm``/``sgemm`` calls with the interpreter lock
@@ -439,9 +413,7 @@ class CompressionBackend:
                     np.multiply(v, -1.0, out=vs[:, col : col + w])
                     col += w
                 with obs.span("recompress", "recompress", backend=self.name):
-                    result = _qr_svd_recompress(
-                        us, vs, rule, kc, overwrite=True
-                    )
+                    result = _qr_svd_recompress(us, vs, rule, kc)
             finally:
                 ws.release(buf)
         if obs.enabled() and isinstance(result.tile, LowRankTile):
@@ -479,44 +451,6 @@ class SVDBackend(CompressionBackend):
         return tile
 
 
-@dataclass(frozen=True)
-class RsvdConfig:
-    """Tuning knobs of the adaptive randomized range finder.
-
-    Attributes
-    ----------
-    block_size:
-        Columns sampled per adaptive round.  With a ``rank_hint`` the
-        first round samples ``rank_hint + block_size // 2`` instead.
-    fallback_fraction:
-        When the hinted or sampled rank reaches this fraction of
-        ``min(m, n)`` the exact SVD takes over (see :class:`AutoBackend`).
-    min_exact_dim:
-        Tiles with ``min(m, n)`` at or below this skip the randomized
-        path entirely (LAPACK wins on small tiles).
-    probes:
-        Gaussian probe vectors for the spectral residual estimate.
-    probe_iters:
-        Power iterations applied to the probes (2 keeps the estimate
-        tight on the flat Matérn tails).
-    """
-
-    block_size: int = 16
-    fallback_fraction: float = 1.0 / 3.0
-    min_exact_dim: int = 64
-    probes: int = 3
-    probe_iters: int = 2
-
-    def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
-        if not (0.0 < self.fallback_fraction <= 1.0):
-            raise ConfigurationError(
-                f"fallback_fraction must be in (0, 1], got "
-                f"{self.fallback_fraction}"
-            )
-
-
 class RandomizedSVDBackend(CompressionBackend):
     """Adaptive randomized SVD (H2OPUS-style ARA) with exact fallback.
 
@@ -532,16 +466,26 @@ class RandomizedSVDBackend(CompressionBackend):
 
     name = "rsvd"
 
-    def __init__(self, seed: int = 2021, config: RsvdConfig | None = None) -> None:
-        super().__init__()
-        self.seed = seed
-        self.config = config or RsvdConfig()
+    #: Columns sampled per adaptive round.  With a ``rank_hint`` the first
+    #: round samples ``rank_hint + BLOCK_SIZE // 2`` instead.
+    BLOCK_SIZE = 16
+    #: When the hinted or sampled rank reaches this fraction of
+    #: ``min(m, n)`` the exact SVD takes over (see :class:`AutoBackend`).
+    FALLBACK_FRACTION = 1.0 / 3.0
+    #: Tiles with ``min(m, n)`` at or below this skip the sampler entirely
+    #: (LAPACK wins on small tiles).
+    MIN_EXACT_DIM = 64
+    #: Gaussian probe vectors of the spectral residual estimate.
+    PROBES = 3
+    #: Power iterations applied to the probes (2 keeps the estimate tight
+    #: on the flat Matérn tails).
+    PROBE_ITERS = 2
 
     def _max_rank(self, mn: int) -> int:
         """The hinted or sampled rank at which a tile of side ``mn`` goes exact."""
-        cfg = self.config
-        small = mn <= cfg.min_exact_dim
-        return 0 if small else max(int(cfg.fallback_fraction * mn), 1)
+        if mn <= self.MIN_EXACT_DIM:
+            return 0
+        return max(int(self.FALLBACK_FRACTION * mn), 1)
 
     def compress(
         self, a: np.ndarray, rule: TruncationRule, *, seed=None, rank_hint=None
@@ -557,14 +501,19 @@ class RandomizedSVDBackend(CompressionBackend):
         return tile
 
     def _compress_ara(
-        self, a: np.ndarray, rule: TruncationRule, seed, rank_hint
+        self, a: np.ndarray, rule: TruncationRule, seed, rank_hint,
+        _max_rank: int | None = None,
     ) -> LowRankTile:
-        """The adaptive range-finder body (see class docstring)."""
-        cfg = self.config
+        """The adaptive range-finder body (see class docstring).
+
+        ``_max_rank`` overrides the sampled rank at which the tile goes
+        exact: the compression ablation passes ``min(m, n)`` to sample at
+        every rank.
+        """
         m, n = a.shape
         mn = min(m, n)
         dtype = a.dtype
-        max_rank = self._max_rank(mn)
+        max_rank = self._max_rank(mn) if _max_rank is None else _max_rank
         rank_cap = mn if rule.maxrank is None else min(rule.maxrank, mn)
         rng = np.random.default_rng(self.seed if seed is None else seed)
 
@@ -575,10 +524,10 @@ class RandomizedSVDBackend(CompressionBackend):
 
         # First block: the hinted rank plus half a block of oversampling
         # (a certified basis needs a few columns past the truncation rank).
-        p = cfg.block_size
+        p = self.BLOCK_SIZE
         if rank_hint is not None:
             p = max(min(rank_hint, rank_cap) + p // 2, 1)
-        kcap = min(max(max_rank, p) + cfg.block_size, mn)
+        kcap = min(max(max_rank, p) + self.BLOCK_SIZE, mn)
         q_basis = np.empty((kcap, m), dtype=dtype).T  # F-order: column blocks
         b_proj = np.empty((kcap, n), dtype=dtype)
         captured2 = 0.0
@@ -591,7 +540,7 @@ class RandomizedSVDBackend(CompressionBackend):
                 qk, bk = q_basis[:, :k], b_proj[:k]
                 y -= qk @ (bk @ omega)  # (I - QQᵀ)AΩ via the projected tile
                 y -= qk @ (qk.T @ y)  # re-orthogonalize against roundoff
-            qb, _ = _econ_qr(y, True)
+            qb, _ = _econ_qr(y)
             bb = qb.T @ a
             q_basis[:, k : k + p_eff] = qb
             b_proj[k : k + p_eff] = bb
@@ -628,7 +577,7 @@ class RandomizedSVDBackend(CompressionBackend):
                 break  # rule.maxrank saturated: accuracy cap is void anyway
             if k >= max_rank:
                 return _svd_compress(a, rule)  # near a third of full rank
-            p = cfg.block_size
+            p = self.BLOCK_SIZE
 
         # SVD of Bᵀ: the C-order (k, n) projection *is* an F-order (n, k)
         # array, the tall orientation gesdd handles fastest, copy-free.
@@ -655,11 +604,10 @@ class RandomizedSVDBackend(CompressionBackend):
         accuracy — are exactly the case where every estimate is ≈ σ₁
         anyway).
         """
-        cfg = self.config
-        x = rng.standard_normal((a.shape[1], cfg.probes), dtype=a.dtype)
+        x = rng.standard_normal((a.shape[1], self.PROBES), dtype=a.dtype)
         x = a @ x - q_basis @ (b_proj @ x)
         est = 0.0
-        for _ in range(cfg.probe_iters):
+        for _ in range(self.PROBE_ITERS):
             z = a.T @ x - b_proj.T @ (q_basis.T @ x)
             x = a @ z - q_basis @ (b_proj @ z)
             nz = np.linalg.norm(z, axis=0)
@@ -692,10 +640,11 @@ class AutoBackend(CompressionBackend):
         sampled  1.0   1.6    3.5    4.0     4.6     5.4    7.3
 
     Break-even is near b/2 for a perfect hint; the rule is b/3
-    (:attr:`RsvdConfig.fallback_fraction`), where sampling still wins by
+    (:attr:`RandomizedSVDBackend.FALLBACK_FRACTION`), where sampling still wins by
     a third, because a rounding's hint overshoots its output rank by up
     to 26 and a blind sample grown to b/3 has spent most of a ``gesdd``.
-    Tiles of ``min(m, n)`` ≤ :attr:`RsvdConfig.min_exact_dim` are exact.
+    Tiles of ``min(m, n)`` ≤ :attr:`RandomizedSVDBackend.MIN_EXACT_DIM`
+    are exact.
     """
 
     name = "auto"
@@ -704,11 +653,10 @@ class AutoBackend(CompressionBackend):
     #: ``rule.eps >= ε`` and ``min(m, n) >= b``.
     SAMPLE_FROM = ((1e-4, 100), (1e-6, 250))
 
-    def __init__(self, seed: int = 2021, config: RsvdConfig | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.seed = seed
         self._svd = SVDBackend()
-        self._rsvd = RandomizedSVDBackend(seed=seed, config=config)
+        self._rsvd = RandomizedSVDBackend()
 
     def select(
         self, shape: tuple[int, int], rule: TruncationRule, rank_hint=None
@@ -741,44 +689,22 @@ _BACKENDS: dict[str, type[CompressionBackend]] = {
     AutoBackend.name: AutoBackend,
 }
 _instances: dict[str, CompressionBackend] = {}
-#: The one place that names the default backend of library, CLI and service.
-_default: list[str] = [AutoBackend.name]
 
 
-def get_backend(
-    spec: str | CompressionBackend | None = None,
-) -> CompressionBackend:
-    """Resolve a backend spec: an instance, a registry name, or ``None``.
-
-    ``None`` resolves to the process default (:data:`_default` unless
-    changed by :func:`set_default_backend`).  Named lookups return a
-    shared instance.
-    """
-    if spec is None:
-        spec = _default[0]
-    if isinstance(spec, CompressionBackend):
-        return spec
+def get_backend(name: str) -> CompressionBackend:
+    """The shared instance of the class registered under ``name``."""
     try:
-        cls = _BACKENDS[spec]
+        cls = _BACKENDS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown compression backend {spec!r}; "
+            f"unknown compression backend {name!r}; "
             f"available: {sorted(_BACKENDS)}"
         ) from None
-    if spec not in _instances:
-        _instances[spec] = cls()
-    return _instances[spec]
+    if name not in _instances:
+        _instances[name] = cls()
+    return _instances[name]
 
 
 def default_backend() -> CompressionBackend:
-    """The process-wide default backend instance."""
-    return get_backend(_default[0])
-
-
-def set_default_backend(spec: str | CompressionBackend) -> CompressionBackend:
-    """Set (and return) the process-wide default backend."""
-    backend = get_backend(spec)
-    if isinstance(spec, CompressionBackend):
-        _instances[backend.name] = backend
-    _default[0] = backend.name
-    return backend
+    """The library's one compressor: ``get_backend("auto")``'s instance."""
+    return get_backend(AutoBackend.name)

@@ -66,7 +66,6 @@ def _run_single(
     item: BatchItem,
     rule: TruncationRule,
     counter: FlopCounter | None,
-    backend,
 ) -> BatchResult:
     """Run one item through the ordinary hcore kernels."""
     op, tiles = item.op, item.tiles
@@ -86,8 +85,7 @@ def _run_single(
             "destinations take one operand pair per item"
         )
     out, _, recomp = hcore.gemm_auto(
-        a, b, c, rule,
-        counter=counter, backend=backend, tile_index=item.index,
+        a, b, c, rule, counter=counter, tile_index=item.index
     )
     return BatchResult(item.ref, out, recomp)
 
@@ -98,11 +96,10 @@ def run_batch(
     rule: TruncationRule,
     *,
     counter: FlopCounter | None = None,
-    backend=None,
 ) -> list[BatchResult]:
     """Run each item through the ordinary kernel; results align with the
     input order."""
-    return [_run_single(item, rule, counter, backend) for item in group]
+    return [_run_single(item, rule, counter) for item in group]
 
 
 # ----------------------------------------------------------------------

@@ -11,19 +11,15 @@ threshold" (paper, Section VIII-A).  Two truncation rules are provided:
 Both accept ``relative=True`` to scale ε by σ_1.
 
 Recompression (a.k.a. *rounding*) re-truncates the sum of low-rank terms
-produced by the TLR GEMM.  It is implemented with the standard
-QR-QR-SVD scheme: QR-factor the stacked U and V blocks, SVD the small
-``R_u @ R_v.T`` core, and truncate.  The paper splits the low-rank GEMM at
-exactly this recompression boundary to reallocate tile memory when the rank
-grows (Section VII-B); :func:`recompress` therefore reports the pre- and
-post-recompression ranks so the memory pool can be driven faithfully.
+produced by the TLR GEMM.  The paper splits the low-rank GEMM at exactly
+this recompression boundary to reallocate tile memory when the rank grows
+(Section VII-B); a rounding therefore reports its pre- and
+post-recompression ranks (:class:`RecompressionResult`) so the memory pool
+can be driven faithfully.
 
-The numerics behind both operations live in pluggable *backends*
-(:mod:`repro.linalg.backends`): ``"svd"`` is the deterministic truncated
-SVD described above, ``"rsvd"`` an adaptive randomized SVD that certifies
-the same ε, ``"auto"`` the per-tile choice between them.
-:func:`compress_block`, :func:`compress_tile` and :func:`recompress`
-dispatch to a backend (``None``: the registry default).
+The numerics behind both operations live in one compressor,
+:mod:`repro.linalg.backends`, which alone decides how a tile is
+compressed.
 """
 
 from __future__ import annotations
@@ -39,9 +35,6 @@ from .tiles import DenseTile, LowRankTile
 __all__ = [
     "TruncationRule",
     "truncation_rank",
-    "compress_block",
-    "compress_tile",
-    "recompress",
     "RecompressionResult",
 ]
 
@@ -72,8 +65,21 @@ class TruncationRule:
         if check_positive_float("eps", self.eps) >= 1.0:
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
         check_in("norm", self.norm, ("spectral", "frobenius"))
-        if self.maxrank is not None and self.maxrank < 0:
-            raise ConfigurationError(f"maxrank must be >= 0, got {self.maxrank}")
+        if not isinstance(self.relative, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"relative must be a bool, got {self.relative!r}"
+            )
+        if self.maxrank is not None:
+            if isinstance(self.maxrank, (bool, np.bool_)) or not isinstance(
+                self.maxrank, (int, np.integer)
+            ):
+                raise ConfigurationError(
+                    f"maxrank must be an integer or None, got {self.maxrank!r}"
+                )
+            if self.maxrank < 0:
+                raise ConfigurationError(
+                    f"maxrank must be >= 0, got {self.maxrank}"
+                )
 
     def with_maxrank(self, maxrank: int | None) -> "TruncationRule":
         """A copy of this rule with a different rank cap."""
@@ -103,39 +109,6 @@ def truncation_rank(singular_values: np.ndarray, rule: TruncationRule) -> int:
     return k
 
 
-def compress_block(
-    a: np.ndarray,
-    rule: TruncationRule,
-    *,
-    backend=None,
-    seed=None,
-) -> LowRankTile:
-    """Compress a dense block into a :class:`LowRankTile`.
-
-    Dispatches to a :class:`~repro.linalg.backends.CompressionBackend`
-    (an instance, a registry name like ``"rsvd"``, or ``None`` for the
-    registry default).  The singular values are folded symmetrically
-    into both factors (``U = U_s * sqrt(s)``, ``V = V_s * sqrt(s)``) to
-    balance their norms — this keeps downstream QR recompressions
-    well-conditioned.  ``seed`` pins the randomness of stochastic
-    backends (deterministic ones ignore it).
-    """
-    from .backends import get_backend
-
-    return get_backend(backend).compress(a, rule, seed=seed)
-
-
-def compress_tile(
-    tile: DenseTile,
-    rule: TruncationRule,
-    *,
-    backend=None,
-    seed=None,
-) -> LowRankTile:
-    """Compress a :class:`DenseTile` (convenience wrapper)."""
-    return compress_block(tile.data, rule, backend=backend, seed=seed)
-
-
 @dataclass
 class RecompressionResult:
     """Outcome of a recompression, including the memory-pool drive signals.
@@ -160,39 +133,3 @@ class RecompressionResult:
     rank_before: int
     rank_after: int
     grew: bool
-
-
-def recompress(
-    u_stack: np.ndarray,
-    v_stack: np.ndarray,
-    rule: TruncationRule,
-    *,
-    previous_rank: int | None = None,
-    backend=None,
-) -> RecompressionResult:
-    """Round a low-rank representation ``u_stack @ v_stack.T`` to ``rule``.
-
-    Parameters
-    ----------
-    u_stack, v_stack:
-        Factors of shape ``(m, r)`` and ``(n, r)``; typically horizontal
-        concatenations of the destination tile's factors and the update's
-        factors, so ``r = k_c + k_ab``.
-    rule:
-        Truncation rule.
-    previous_rank:
-        Rank of the destination tile before the update, used to flag rank
-        growth; defaults to ``r`` (never flags growth).
-    backend:
-        Compression backend (instance, registry name, or ``None`` for the
-        default); all backends share the QR-QR-SVD rounding scheme.
-
-    Returns
-    -------
-    RecompressionResult
-    """
-    from .backends import get_backend
-
-    return get_backend(backend).recompress(
-        u_stack, v_stack, rule, previous_rank=previous_rank
-    )

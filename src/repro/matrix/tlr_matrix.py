@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..linalg.backends import CompressionBackend, get_backend, tile_seed
+from ..linalg.backends import default_backend, tile_seed
 from ..linalg.compression import TruncationRule
 from ..linalg.precision import lowrank_dtype
 from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile, keep_dense
@@ -57,11 +57,6 @@ class BandTLRMatrix:
         Truncation rule used for off-band tiles.
     tiles:
         Mapping ``(i, j) -> Tile`` over the lower triangle ``i >= j``.
-    backend:
-        Compression backend used for off-band tiles (and remembered so
-        :meth:`with_band_size` and factorizations recompress with the
-        same numerics); ``None`` means the process default
-        (:func:`~repro.linalg.backends.get_backend`).
 
     Off-band low-rank tiles are stored and computed in float32 when the
     rule's ε allows it (:meth:`_storage_dtype`), dense tiles in float64.
@@ -71,22 +66,19 @@ class BandTLRMatrix:
     band_size: int
     rule: TruncationRule
     tiles: dict[tuple[int, int], Tile] = field(default_factory=dict)
-    backend: CompressionBackend | None = None
 
     def __post_init__(self) -> None:
         check_positive_int("band_size", self.band_size)
-        if self.backend is not None:
-            self.backend = get_backend(self.backend)
 
     def _compress(self, block: np.ndarray, i: int, j: int) -> LowRankTile:
-        """Compress one off-band block with the matrix's backend.
+        """Compress one off-band block with the library's compressor.
 
         The block is cast once to the storage dtype and compressed in it.
         The seed is derived from the tile coordinates alone, so parallel
-        assembly with a randomized backend stays bitwise reproducible
-        across worker counts.
+        assembly stays bitwise reproducible across worker counts where
+        the compressor samples.
         """
-        backend = get_backend(self.backend)
+        backend = default_backend()
         target = self._storage_dtype()
         tile = backend.compress(
             block.astype(target, copy=False), self.rule,
@@ -112,7 +104,6 @@ class BandTLRMatrix:
         rule: TruncationRule,
         band_size: int = 1,
         *,
-        backend: CompressionBackend | str | None = None,
         n_workers: int | None = None,
         reuse: dict[tuple[int, int], LowRankTile] | None = None,
         defer: bool | np.ndarray = False,
@@ -126,7 +117,7 @@ class BandTLRMatrix:
         fans out over ``n_workers`` threads; per-tile compression seeds
         make the result bitwise identical for every worker count.
         ``reuse`` holds off-band tiles already compressed from this
-        problem under the same rule and backend (the auto-tuner's
+        problem under the same rule (the auto-tuner's
         probe); they are taken as they are.
 
         With ``defer`` every off-band tile that a factorization updates
@@ -143,7 +134,7 @@ class BandTLRMatrix:
         carries the same decisions out without the updates.
         """
         desc = TileDescriptor(problem.n, problem.tile_size)
-        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend)
+        mat = cls(desc=desc, band_size=band_size, rule=rule)
         dense_map = None
         if not isinstance(defer, (bool, np.bool_)):
             dense_map = np.asarray(defer, dtype=bool)
@@ -164,7 +155,6 @@ class BandTLRMatrix:
         rule: TruncationRule,
         band_size: int = 1,
         *,
-        backend: CompressionBackend | str | None = None,
         n_workers: int | None = None,
     ) -> "BandTLRMatrix":
         """Tile + compress an explicit dense symmetric matrix (tests, demos)."""
@@ -172,7 +162,7 @@ class BandTLRMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigurationError(f"matrix must be square, got {a.shape}")
         desc = TileDescriptor(a.shape[0], tile_size)
-        mat = cls(desc=desc, band_size=band_size, rule=rule, backend=backend)
+        mat = cls(desc=desc, band_size=band_size, rule=rule)
         mat._assemble(
             lambda i, j: a[desc.tile_slice(i), desc.tile_slice(j)].copy(), n_workers
         )
@@ -393,12 +383,7 @@ class BandTLRMatrix:
             raise ConfigurationError(
                 "problem geometry does not match the matrix descriptor"
             )
-        out = BandTLRMatrix(
-            desc=self.desc,
-            band_size=band_size,
-            rule=self.rule,
-            backend=self.backend,
-        )
+        out = BandTLRMatrix(desc=self.desc, band_size=band_size, rule=self.rule)
         for (i, j), tile in self.tiles.items():
             now_banded = self.desc.on_band(i, j, band_size)
             if now_banded and not isinstance(tile, DenseTile):
@@ -431,10 +416,7 @@ class BandTLRMatrix:
     def copy(self) -> "BandTLRMatrix":
         """Deep copy (tiles included)."""
         out = BandTLRMatrix(
-            desc=self.desc,
-            band_size=self.band_size,
-            rule=self.rule,
-            backend=self.backend,
+            desc=self.desc, band_size=self.band_size, rule=self.rule
         )
         out.tiles = {ij: t.copy() for ij, t in self.tiles.items()}
         return out

@@ -196,7 +196,6 @@ class _RankConfig:
     dist: Distribution
     tiles: dict[tuple[int, int], object]
     rule: TruncationRule
-    backend_name: str
     use_pool: bool
     completed: frozenset
     resend: tuple
@@ -496,8 +495,7 @@ def _rank_body(link: _RankLink) -> dict:
 
     report = execute_graph_parallel(
         cfg.graph, link.store, n_workers=1, rule=cfg.rule,
-        use_pool=cfg.use_pool, collect_trace=True,
-        backend=cfg.backend_name, faults=cfg.faults,
+        use_pool=cfg.use_pool, collect_trace=True, faults=cfg.faults,
         recovery=cfg.recovery, _link=link,
     )
     if cfg.shard_dir is not None:
@@ -643,7 +641,6 @@ def execute_graph_distributed(
     rule: TruncationRule | None = None,
     use_pool: bool = True,
     collect_trace: bool = False,
-    backend=None,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -733,15 +730,6 @@ def execute_graph_distributed(
         )
 
     rule = rule or matrix.rule
-    from ..linalg.backends import get_backend
-
-    backend_obj = get_backend(backend if backend is not None else matrix.backend)
-    if type(get_backend(backend_obj.name)) is not type(backend_obj):
-        raise ConfigurationError(
-            f"backend {backend_obj!r} is not registry-resolvable by name; "
-            "the distributed executor rebuilds backends by name in each rank"
-        )
-
     placement = placement_of(graph, distribution)
     ckptr = as_checkpointer(checkpoint)
 
@@ -778,7 +766,7 @@ def execute_graph_distributed(
         try:
             _run_once(
                 graph, matrix, distribution, placement, n_ranks,
-                completed0, resend, rule, backend_obj.name, use_pool,
+                completed0, resend, rule, use_pool,
                 faults, recovery, ckptr, panel_tasks, rrep, report,
                 timeout_s, _chaos_kill, restarts, _inline, shard_dir,
             )
@@ -840,7 +828,7 @@ def execute_graph_distributed(
 
 def _run_once(
     graph, matrix, dist, placement, n_ranks, completed0, resend,
-    rule, backend_name, use_pool, faults, recovery, ckptr, panel_tasks,
+    rule, use_pool, faults, recovery, ckptr, panel_tasks,
     rrep, report, timeout_s, chaos_kill, attempt, inline, shard_dir,
 ) -> None:
     """One launch-collect-gather attempt; raises ``_RankDied`` on loss."""
@@ -856,7 +844,7 @@ def _run_once(
         }
         return _RankConfig(
             rank=r, graph=graph, dist=dist, tiles=owned,
-            rule=rule, backend_name=backend_name, use_pool=use_pool,
+            rule=rule, use_pool=use_pool,
             completed=frozenset(completed0), resend=tuple(resend[r]),
             faults=faults, recovery=recovery,
             ckpt_every=None if ckptr is None else ckptr.config.every,

@@ -84,7 +84,7 @@ import numpy as np
 
 from .. import obs
 from ..linalg import hcore
-from ..linalg.backends import get_backend
+from ..linalg.backends import default_backend
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
 from ..linalg.tiles import DenseTile, LowRankTile
@@ -190,7 +190,6 @@ def execute_graph_parallel(
     use_pool: bool = True,
     scheduler: str = "priority",
     collect_trace: bool = False,
-    backend=None,
     faults=None,
     recovery=None,
     checkpoint=None,
@@ -228,9 +227,6 @@ def execute_graph_parallel(
         Record per-task ``(tid, worker, start, end)`` tuples in seconds
         relative to launch — consumable by ``obs.gantt`` and
         ``obs.write_chrome_trace`` exactly like a simulator trace.
-    backend:
-        Compression backend for GEMM recompressions; defaults to the
-        matrix's backend.
     faults:
         Fault-injection source: a spec string (see
         :mod:`repro.testing.faults` for the grammar), a ``FaultPlan``, or
@@ -276,7 +272,6 @@ def execute_graph_parallel(
         _check_graph(graph, matrix)
 
     rule = rule or matrix.rule
-    backend = backend if backend is not None else matrix.backend
     report = ExecutionReport(
         n_workers=n_workers, total_flops=graph.total_flops()
     )
@@ -380,9 +375,7 @@ def execute_graph_parallel(
         task = graph.tasks[tid]
 
         def compute():
-            return _compute_task(
-                tid, task, matrix, rule, backend, report.counter
-            )
+            return _compute_task(tid, task, matrix, rule, report.counter)
 
         with tile_locks[task.out_tile]:
             out, recomp = (
@@ -546,7 +539,7 @@ def execute_graph_parallel(
             )
         obs.pool_observed(report.pool.stats, pool="executor")
         obs.pool_observed(
-            get_backend(backend).workspace_pool_stats, pool="workspace"
+            default_backend().workspace_pool_stats, pool="workspace"
         )
     if collect_trace:
         report.trace = sorted(
@@ -636,7 +629,7 @@ def _gemm_operands(task, matrix) -> tuple[list, list]:
     )
 
 
-def _compute_task(tid, task, matrix, rule, backend, counter):
+def _compute_task(tid, task, matrix, rule, counter):
     """Run one task's kernel; returns ``(out, recomp)`` without committing.
 
     ``out`` is the produced tile for TRSM/GEMM and ``None`` for the
@@ -671,8 +664,7 @@ def _compute_task(tid, task, matrix, rule, backend, counter):
         # Every panel product at once, one rounding (of a pending tile:
         # its one compression).
         out, _, recomp = hcore.gemm_auto(
-            a, b, c, rule,
-            counter=counter, backend=backend, tile_index=(m, n),
+            a, b, c, rule, counter=counter, tile_index=(m, n)
         )
         return out, recomp
     # A dense destination (on the band, or densified) is updated one

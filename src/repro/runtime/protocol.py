@@ -89,7 +89,6 @@ class Executor(ABC):
         *,
         rule=None,
         use_pool: bool = True,
-        backend=None,
         collect_trace: bool = False,
         faults=None,
         recovery=None,
@@ -112,15 +111,15 @@ class ThreadExecutor(Executor):
         self.scheduler = scheduler
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, collect_trace=False, faults=None,
-                recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
+                collect_trace=False, faults=None, recovery=None,
+                checkpoint=None, resume=False) -> ExecutorRun:
         from .executor import execute_graph_parallel
 
         report = execute_graph_parallel(
             graph, matrix, n_workers=self.n_workers, rule=rule,
             use_pool=use_pool, scheduler=self.scheduler,
-            collect_trace=collect_trace, backend=backend, faults=faults, recovery=recovery, checkpoint=checkpoint,
-            resume=resume,
+            collect_trace=collect_trace, faults=faults, recovery=recovery,
+            checkpoint=checkpoint, resume=resume,
         )
         return ExecutorRun(executor=self.name, report=report)
 
@@ -141,15 +140,14 @@ class ProcessExecutor(Executor):
         self.shard_dir = shard_dir
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, collect_trace=False, faults=None,
-                recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
+                collect_trace=False, faults=None, recovery=None,
+                checkpoint=None, resume=False) -> ExecutorRun:
         from .distributed import execute_graph_distributed
 
         report = execute_graph_distributed(
             graph, matrix, n_ranks=self.n_ranks,
             distribution=self.distribution, rule=rule, use_pool=use_pool,
-            collect_trace=collect_trace, backend=backend, faults=faults,
-            recovery=recovery, checkpoint=checkpoint, resume=resume,
+            collect_trace=collect_trace, faults=faults, recovery=recovery, checkpoint=checkpoint, resume=resume,
             timeout_s=self.timeout_s, max_restarts=self.max_restarts,
             shard_dir=self.shard_dir,
         )
@@ -180,8 +178,8 @@ class SimExecutor(Executor):
         self.scheduler = scheduler
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
-                backend=None, collect_trace=False, faults=None,
-                recovery=None, checkpoint=None, resume=False) -> ExecutorRun:
+                collect_trace=False, faults=None, recovery=None,
+                checkpoint=None, resume=False) -> ExecutorRun:
         if faults is not None or recovery is not None \
                 or checkpoint is not None or resume:
             raise ConfigurationError(

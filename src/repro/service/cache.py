@@ -126,8 +126,10 @@ class FactorRecipe:
     """A :class:`FactorKey` plus everything needed to *build* its factor.
 
     The key identifies the factor's numerical content; the recipe adds
-    the build-only knobs that change cost but not identity (compression
-    backend and assembly/factorization worker counts).  ``n_workers=None``
+    the one build-only knob that changes cost but not identity, the
+    assembly/factorization worker count.  Every build compresses with
+    the library's one compressor (:mod:`repro.linalg.backends`), so a
+    key names exactly one factor.  ``n_workers=None``
     builds at :func:`~repro.runtime.workpool.default_workers`; a
     :class:`~repro.service.server.SolverService` session fills it in
     with that count divided among the service's shards.
@@ -136,7 +138,6 @@ class FactorRecipe:
     problem: CovarianceProblem
     accuracy: float = 1e-8
     band_size: int | str = "auto"
-    compression: str | None = None
     maxrank: int | None = None
     n_workers: int | None = None
 
@@ -164,7 +165,6 @@ class FactorRecipe:
             accuracy=self.accuracy,
             band_size=self.band_size,
             maxrank=self.maxrank,
-            compression=self.compression,
             n_workers=n_workers,
         )
         report = solver.factorize(

@@ -451,7 +451,6 @@ class SolverService:
         *,
         accuracy: float = 1e-8,
         band_size: int | str = "auto",
-        compression: str | None = None,
         maxrank: int | None = None,
         n_workers: int | None = None,
     ) -> ServiceSession:
@@ -466,7 +465,6 @@ class SolverService:
             problem=problem,
             accuracy=accuracy,
             band_size=band_size,
-            compression=compression,
             maxrank=maxrank,
             n_workers=self._build_workers() if n_workers is None else n_workers,
         )

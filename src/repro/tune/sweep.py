@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.autotuner import band_candidates, tune_band_size
-from ..linalg.backends import default_backend
 from ..runtime.graph import build_cholesky_graph
 from ..runtime.simulator import DISTRIBUTION_NAMES, simulate_schedule
 from ..runtime.workpool import parallel_map
@@ -202,7 +201,6 @@ class TuneResult:
             "band": w.band_size,
             "accuracy": float(p.get("accuracy", 1e-8)),
             "seed": int(p.get("seed", 0)),
-            "compression": p.get("compression", default_backend().name),
             "executor": "threads" if w.ranks == 1 else "processes",
             "workers": w.cores,
             "ranks": w.ranks,
@@ -227,9 +225,9 @@ class TuneResult:
         d = json.loads(text)
         problem = d.get("problem", {})
         # Retired keys: ε fixes a factor's precision; kernels run one task
-        # at a time.
-        problem.pop("precision", None)
-        problem.pop("batch", None)
+        # at a time; one compressor serves every tile.
+        for key in ("precision", "batch", "compression"):
+            problem.pop(key, None)
         return cls(
             candidates=[CandidateReport.from_dict(c) for c in d["candidates"]],
             algorithm1_band=d["algorithm1_band"],
@@ -358,7 +356,6 @@ def sweep(
         "ntiles": nt,
         "accuracy": meta.get("accuracy", 1e-8),
         "seed": meta.get("seed", 0),
-        "compression": meta.get("compression", default_backend().name),
     }
     return TuneResult(
         candidates=reports,

@@ -181,7 +181,7 @@ def verify_prediction(
     Rebuilds the problem from the result's recorded parameters at the
     winning band, re-simulates the winner (deterministic — identical to
     the sweep's evaluation), executes the same graph on the real
-    backend the config names, and compares.  With ``obs_out`` the
+    executor the config names, and compares.  With ``obs_out`` the
     predicted and realized traces are written as standard ``--obs``
     artifact directories (``<obs_out>/predicted``, ``<obs_out>/
     realized``) so ``python -m repro compare`` can re-run the gate
@@ -201,7 +201,6 @@ def verify_prediction(
         problem,
         TruncationRule(eps=cfg["accuracy"]),
         band_size=cfg["band"],
-        backend=cfg["compression"],
         n_workers=cfg["workers"],
     )
     graph = graph_for_matrix(matrix)

@@ -7,8 +7,11 @@ fixtures — factorization tests copy the matrices they modify.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
+import threading
+import time
 
 # One BLAS thread per worker: the suite runs up to four workers on hosts
 # with two cores, and an unpinned OpenBLAS oversubscribes them.  The
@@ -24,7 +27,44 @@ import numpy as np
 import pytest
 
 from repro import TruncationRule, st_3d_exp_problem
+from repro.linalg import AutoBackend
 from repro.matrix import BandTLRMatrix
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads_or_processes():
+    """Fail a test that leaves a thread or a child process running.
+
+    A thread the test started gets one second, in all, to finish; a
+    child process must be gone when the test returns.
+    """
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    deadline = time.monotonic() + 1.0
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = [t.name for t in started if t.is_alive()]
+    children = [p.name for p in multiprocessing.active_children()]
+    if alive or children:
+        pytest.fail(
+            f"test leaked threads {alive} and child processes {children}"
+        )
+
+
+def pin_route(monkeypatch, route: str) -> None:
+    """Pin the compressor's per-tile choice to one of its two routes.
+
+    ``"svd"`` sends every tile to the exact SVD, ``"rsvd"`` to the
+    sampler (with the sampler's own exact fallback), and ``"auto"`` leaves
+    :meth:`AutoBackend.select`'s rule alone.  Suites that hold a property
+    for every route pin each one in turn.
+    """
+    if route != "auto":
+        monkeypatch.setattr(
+            AutoBackend, "select",
+            lambda self, shape, rule, rank_hint=None: route,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from repro.linalg.tiles import LowRankTile
 from repro.statistics.problem import CovarianceProblem
 from repro.utils import ConfigurationError
 
+from .conftest import pin_route
+
 
 def grid_from_model(model, nt):
     return model.to_rank_grid(nt)
@@ -236,11 +238,11 @@ def _problem(n, tile):
 
 
 @functools.lru_cache(maxsize=None)
-def _band_one(n, tile, eps, backend):
-    """Step 1 of the paper's pipeline, shared by every case that reads it."""
+def _band_one(n, tile, eps, route):
+    """Step 1 of the paper's pipeline, shared by every case that reads it
+    (built on the compressor ``route`` the caller pinned)."""
     return BandTLRMatrix.from_problem(
-        _problem(n, tile), TruncationRule(eps=eps), band_size=1,
-        backend=backend,
+        _problem(n, tile), TruncationRule(eps=eps), band_size=1
     )
 
 
@@ -259,11 +261,11 @@ def _assert_bitwise_equal(got, want):
 
 
 class TestOutwardProbe:
-    def _check(self, geometry, backend, n_workers, fluctuation, eps=None):
+    def _check(self, geometry, route, n_workers, fluctuation, eps=None):
         n, tile, geometry_eps, max_band = GEOMETRIES[geometry]
         eps = eps or geometry_eps
         problem = _problem(n, tile)
-        m1 = _band_one(n, tile, eps, backend)
+        m1 = _band_one(n, tile, eps, route)
         want = tune_band_size(
             m1.rank_grid(), tile, fluctuation=fluctuation, max_band=max_band
         )
@@ -271,7 +273,7 @@ class TestOutwardProbe:
 
         got, decision = autotune_matrix(
             problem, TruncationRule(eps=eps), fluctuation=fluctuation,
-            max_band=max_band, backend=backend, n_workers=n_workers,
+            max_band=max_band, n_workers=n_workers,
         )
         assert decision.band_size == want.band_size
         assert decision.band_size_range == want.band_size_range
@@ -283,13 +285,14 @@ class TestOutwardProbe:
     @pytest.mark.parametrize("fluctuation", [0.5, 0.67, 1.0])
     @pytest.mark.parametrize("n_workers", [None, 2])
     @pytest.mark.parametrize("precision", [None, "adaptive"])
-    @pytest.mark.parametrize("backend", ["svd", "rsvd", "auto"])
+    @pytest.mark.parametrize("route", ["svd", "rsvd", "auto"])
     def test_same_matrix_as_the_three_step_pipeline(
-        self, backend, precision, n_workers, fluctuation
+        self, monkeypatch, route, precision, n_workers, fluctuation
     ):
+        pin_route(monkeypatch, route)
         # an ε at which the rule picks that precision for off-band tiles
         eps = 1e-4 if precision else 1e-8
-        got, _ = self._check("base", backend, n_workers, fluctuation, eps)
+        got, _ = self._check("base", route, n_workers, fluctuation, eps)
         want = np.float32 if precision == "adaptive" else np.float64
         assert {
             t.dtype for t in got.tiles.values() if isinstance(t, LowRankTile)
@@ -298,7 +301,7 @@ class TestOutwardProbe:
     @pytest.mark.parametrize("fluctuation", [0.5, 0.67, 1.0])
     @pytest.mark.parametrize("geometry", sorted(set(GEOMETRIES) - {"base"}))
     def test_geometries(self, geometry, fluctuation):
-        _, decision = self._check(geometry, None, None, fluctuation)
+        _, decision = self._check(geometry, "auto", None, fluctuation)
         if geometry == "one_tile":
             assert decision.band_size == 1 and decision.costs == ()
         if geometry == "loose_eps_band_one":

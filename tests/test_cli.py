@@ -84,3 +84,17 @@ def test_hostile_config_exits_2_before_work(tmp_path, capsys, doc, key):
     captured = capsys.readouterr()
     assert f"error: --config {cfg}: {key} " in captured.err
     assert captured.out == ""
+
+
+def test_config_naming_a_compressor_still_runs(tmp_path, capsys):
+    """An ``execute --config`` document written while the compressor was
+    an option still carries ``compression``; like every key that names no
+    flag it is ignored."""
+    import json
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"n": 256, "tile": 64, "band": 1, "workers": 1, "compression": "rsvd"}
+    ))
+    assert main(["execute", "--config", str(cfg)]) == 0
+    assert "compression" not in capsys.readouterr().out

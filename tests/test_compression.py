@@ -5,18 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TLRSolver, st_3d_exp_problem
 from repro.linalg import (
+    LowRankTile,
     TruncationRule,
-    compress_block,
-    recompress,
+    default_backend,
     truncation_rank,
 )
-from repro.utils import CompressionError, ConfigurationError
+from repro.utils import ConfigurationError
 
 
 def _lowrank_matrix(m, n, k, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal((m, k)) @ rng.standard_normal((k, n)))
+
+
+def _compress(a, rule):
+    """The library's compressor on one block."""
+    return default_backend().compress(a, rule)
+
+
+def _round(u_stack, v_stack, rule, previous_rank=None):
+    """Round ``u_stack @ v_stack.T``: the first ``previous_rank`` columns
+    are the destination tile, the rest the update (its V negated, since
+    the rounding subtracts)."""
+    k = u_stack.shape[1] if previous_rank is None else previous_rank
+    c = LowRankTile(
+        np.ascontiguousarray(u_stack[:, :k]), np.ascontiguousarray(v_stack[:, :k])
+    )
+    return default_backend().recompress_update(
+        c, u_stack[:, k:], -v_stack[:, k:], rule
+    )
 
 
 class TestTruncationRule:
@@ -38,6 +57,31 @@ class TestTruncationRule:
     def test_rejects_eps_of_one_or_more(self, eps):
         with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
             TruncationRule(eps=eps)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"maxrank": 2.5},
+            {"maxrank": True},
+            {"maxrank": "3"},
+            {"maxrank": -1},
+            {"relative": "no"},
+            {"relative": 1},
+            {"relative": None},
+        ],
+    )
+    def test_rejects_bad_maxrank_and_relative(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            TruncationRule(**kwargs)
+
+    def test_accepts_numpy_integers_and_bools(self):
+        assert TruncationRule(maxrank=np.int64(3)).maxrank == 3
+        assert TruncationRule(relative=np.bool_(True)).relative
+
+    def test_solver_refuses_a_fractional_maxrank(self):
+        problem = st_3d_exp_problem(512, 128, seed=1, nugget=1e-4)
+        with pytest.raises(ConfigurationError, match="maxrank"):
+            TLRSolver.from_problem(problem, accuracy=1e-4, maxrank=2.5)
 
     def test_with_maxrank(self):
         r = TruncationRule().with_maxrank(7)
@@ -70,7 +114,7 @@ class TestTruncationRank:
 class TestCompressBlock:
     def test_exact_rank_recovery(self):
         a = _lowrank_matrix(40, 30, 5, seed=1)
-        t = compress_block(a, TruncationRule(eps=1e-10, relative=True))
+        t = _compress(a, TruncationRule(eps=1e-10, relative=True))
         assert t.rank == 5
         np.testing.assert_allclose(t.to_dense(), a, atol=1e-8)
 
@@ -78,28 +122,28 @@ class TestCompressBlock:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((50, 50))
         eps = 1e-2
-        t = compress_block(a, TruncationRule(eps=eps, relative=True))
+        t = _compress(a, TruncationRule(eps=eps, relative=True))
         err = np.linalg.norm(a - t.to_dense(), 2)
         assert err <= eps * np.linalg.norm(a, 2) * 1.001
 
     def test_zero_matrix_gives_rank_zero(self):
-        t = compress_block(np.zeros((10, 8)), TruncationRule())
+        t = _compress(np.zeros((10, 8)), TruncationRule())
         assert t.rank == 0
 
     def test_balanced_factors(self):
         a = _lowrank_matrix(30, 30, 3, seed=3, scale=100.0)
-        t = compress_block(a, TruncationRule(eps=1e-6))
+        t = _compress(a, TruncationRule(eps=1e-6))
         # sqrt(s) folding balances the factor norms.
         assert np.linalg.norm(t.u) == pytest.approx(np.linalg.norm(t.v), rel=1e-6)
 
     def test_maxrank_truncates(self):
         a = np.diag(np.arange(1, 11, dtype=float))
-        t = compress_block(a, TruncationRule(eps=1e-12, maxrank=4))
+        t = _compress(a, TruncationRule(eps=1e-12, maxrank=4))
         assert t.rank == 4
 
     def test_rectangular(self):
         a = _lowrank_matrix(20, 60, 4, seed=4)
-        t = compress_block(a, TruncationRule(eps=1e-10, relative=True))
+        t = _compress(a, TruncationRule(eps=1e-10, relative=True))
         assert t.shape == (20, 60)
         np.testing.assert_allclose(t.to_dense(), a, atol=1e-7)
 
@@ -107,9 +151,9 @@ class TestCompressBlock:
 class TestRecompress:
     def test_merges_redundant_rank(self):
         a = _lowrank_matrix(30, 25, 3, seed=5)
-        t1 = compress_block(a, TruncationRule(eps=1e-12, relative=True))
+        t1 = _compress(a, TruncationRule(eps=1e-12, relative=True))
         # Stack the same matrix twice: u_stack @ v_stack.T = 2a with rank 3.
-        res = recompress(
+        res = _round(
             np.hstack([t1.u, t1.u]),
             np.hstack([t1.v, t1.v]),
             TruncationRule(eps=1e-10, relative=True),
@@ -120,8 +164,8 @@ class TestRecompress:
 
     def test_cancellation_to_zero(self):
         a = _lowrank_matrix(20, 20, 4, seed=6)
-        t = compress_block(a, TruncationRule(eps=1e-12, relative=True))
-        res = recompress(
+        t = _compress(a, TruncationRule(eps=1e-12, relative=True))
+        res = _round(
             np.hstack([t.u, t.u]),
             np.hstack([t.v, -t.v]),
             TruncationRule(eps=1e-8),
@@ -132,9 +176,9 @@ class TestRecompress:
     def test_growth_flag(self):
         a = _lowrank_matrix(30, 30, 2, seed=7)
         b = _lowrank_matrix(30, 30, 5, seed=8)
-        ta = compress_block(a, TruncationRule(eps=1e-10, relative=True))
-        tb = compress_block(b, TruncationRule(eps=1e-10, relative=True))
-        res = recompress(
+        ta = _compress(a, TruncationRule(eps=1e-10, relative=True))
+        tb = _compress(b, TruncationRule(eps=1e-10, relative=True))
+        res = _round(
             np.hstack([ta.u, tb.u]),
             np.hstack([ta.v, tb.v]),
             TruncationRule(eps=1e-10, relative=True),
@@ -145,19 +189,15 @@ class TestRecompress:
 
     def test_no_growth_flag_when_shrinks(self):
         a = _lowrank_matrix(30, 30, 4, seed=9)
-        t = compress_block(a, TruncationRule(eps=1e-10, relative=True))
-        res = recompress(t.u, t.v, TruncationRule(eps=1e-10, relative=True),
+        t = _compress(a, TruncationRule(eps=1e-10, relative=True))
+        res = _round(t.u, t.v, TruncationRule(eps=1e-10, relative=True),
                          previous_rank=4)
         assert not res.grew
 
     def test_empty_stack(self):
-        res = recompress(np.zeros((5, 0)), np.zeros((6, 0)), TruncationRule())
+        res = _round(np.zeros((5, 0)), np.zeros((6, 0)), TruncationRule())
         assert res.rank_after == 0
         assert res.tile.shape == (5, 6)
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(CompressionError):
-            recompress(np.zeros((5, 2)), np.zeros((5, 3)), TruncationRule())
 
 
 @given(
@@ -171,7 +211,7 @@ def test_property_compression_roundtrip_error(m, n, k, seed):
     """Compression error never exceeds the (relative spectral) threshold."""
     a = _lowrank_matrix(m, n, min(k, m, n), seed=seed)
     eps = 1e-6
-    t = compress_block(a, TruncationRule(eps=eps, relative=True))
+    t = _compress(a, TruncationRule(eps=eps, relative=True))
     norm = np.linalg.norm(a, 2)
     if norm > 0:
         assert np.linalg.norm(a - t.to_dense(), 2) <= eps * norm * 1.01
@@ -185,14 +225,14 @@ def test_property_compression_roundtrip_error(m, n, k, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_recompression_is_sum(m, k1, k2, seed):
-    """recompress(U1|U2, V1|V2) approximates A1 + A2 within eps."""
+    """Rounding (U1|U2, V1|V2) approximates A1 + A2 within eps."""
     rng = np.random.default_rng(seed)
     u1, v1 = rng.standard_normal((m, k1)), rng.standard_normal((m, k1))
     u2, v2 = rng.standard_normal((m, k2)), rng.standard_normal((m, k2))
     target = u1 @ v1.T + u2 @ v2.T
-    res = recompress(
-        np.hstack([u1, u2]), np.hstack([v1, -(-v2)]),
-        TruncationRule(eps=1e-9, relative=True),
+    res = _round(
+        np.hstack([u1, u2]), np.hstack([v1, v2]),
+        TruncationRule(eps=1e-9, relative=True), previous_rank=k1,
     )
     np.testing.assert_allclose(res.tile.to_dense(), target, atol=1e-6 * (1 + np.abs(target).max()))
     # Rank minimality: never exceeds the stacked rank.

@@ -1,4 +1,4 @@
-"""Tests for the pluggable compression backends and parallel assembly."""
+"""Tests for the compressor's two routes, its rule, and parallel assembly."""
 
 import numpy as np
 import pytest
@@ -10,19 +10,22 @@ from repro.linalg import (
     AutoBackend,
     LowRankTile,
     RandomizedSVDBackend,
-    RsvdConfig,
     SVDBackend,
     TruncationRule,
-    compress_block,
+    default_backend,
     get_backend,
-    recompress,
-    set_default_backend,
     tile_seed,
 )
+from repro.linalg.backends import _qr_svd_recompress
 from repro.matrix import BandTLRMatrix
 from repro.core import tlr_cholesky
 from repro.runtime import parallel_map
-from repro.utils import CompressionError, ConfigurationError
+from repro.utils import ConfigurationError
+
+from .conftest import pin_route
+
+SVD = SVDBackend()
+RSVD = get_backend("rsvd")
 
 
 def _matern_tile(n, b, i, j, seed=0):
@@ -42,32 +45,13 @@ class TestRegistry:
         assert isinstance(get_backend("svd"), SVDBackend)
         assert isinstance(get_backend("rsvd"), RandomizedSVDBackend)
 
-    def test_instance_passthrough(self):
-        b = RandomizedSVDBackend(seed=7)
-        assert get_backend(b) is b
-
     def test_default_is_auto(self):
-        assert get_backend(None).name == "auto"
-
-    def test_set_default_backend_roundtrip(self):
-        try:
-            set_default_backend("rsvd")
-            assert get_backend(None).name == "rsvd"
-        finally:
-            set_default_backend("auto")
-        assert get_backend(None).name == "auto"
+        assert default_backend() is get_backend("auto")
+        assert isinstance(default_backend(), AutoBackend)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             get_backend("rrqr")
-
-
-class TestRsvdConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RsvdConfig(block_size=0)
-        with pytest.raises(ConfigurationError):
-            RsvdConfig(fallback_fraction=0.0)
 
 
 class TestRsvdAccuracy:
@@ -76,8 +60,8 @@ class TestRsvdAccuracy:
     def test_matches_exact_svd_within_eps_on_matern(self, b, eps):
         a = _matern_tile(4 * b, b, 3, 0, seed=2021)
         rule = TruncationRule(eps=eps)
-        exact = compress_block(a, rule)
-        rand = compress_block(a, rule, backend="rsvd")
+        exact = SVD.compress(a, rule)
+        rand = RSVD.compress(a, rule)
         # Both reconstructions honour the spectral-norm bound (the rsvd
         # certificate is probabilistic, so allow a small slack factor).
         assert np.linalg.norm(a - exact.to_dense(), 2) <= eps
@@ -88,50 +72,48 @@ class TestRsvdAccuracy:
     def test_relative_rule(self):
         a = 1e6 * _matern_tile(400, 100, 2, 0, seed=5)
         rule = TruncationRule(eps=1e-6, relative=True)
-        tile = compress_block(a, rule, backend="rsvd")
+        tile = RSVD.compress(a, rule)
         s1 = np.linalg.norm(a, 2)
         assert np.linalg.norm(a - tile.to_dense(), 2) <= 3e-6 * s1
 
     def test_frobenius_rule(self):
         a = _matern_tile(400, 100, 2, 0, seed=5)
         rule = TruncationRule(eps=1e-6, norm="frobenius")
-        tile = compress_block(a, rule, backend="rsvd")
+        tile = RSVD.compress(a, rule)
         assert np.linalg.norm(a - tile.to_dense()) <= 3e-6
 
     def test_maxrank_cap_respected(self):
         a = _matern_tile(400, 100, 2, 0, seed=5)
         rule = TruncationRule(eps=1e-12, maxrank=10)
-        tile = compress_block(a, rule, backend="rsvd")
+        tile = RSVD.compress(a, rule)
         assert tile.rank <= 10
 
     def test_full_rank_matrix_falls_back_to_exact(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((120, 120))  # no decay: must fall back
         rule = TruncationRule(eps=1e-8)
-        tile = compress_block(a, rule, backend="rsvd")
-        exact = compress_block(a, rule)
+        tile = RSVD.compress(a, rule)
+        exact = SVD.compress(a, rule)
         assert tile.rank == exact.rank
         np.testing.assert_allclose(tile.to_dense(), a, atol=1e-7)
 
     def test_small_tiles_short_circuit_to_exact(self):
         a = _lowrank_matrix(40, 40, 5, seed=1)
-        exact = compress_block(a, TruncationRule(eps=1e-8))
-        rand = compress_block(a, TruncationRule(eps=1e-8), backend="rsvd")
+        exact = SVD.compress(a, TruncationRule(eps=1e-8))
+        rand = RSVD.compress(a, TruncationRule(eps=1e-8))
         # min(m, n) <= min_exact_dim: identical code path, identical result.
         np.testing.assert_array_equal(rand.u, exact.u)
         np.testing.assert_array_equal(rand.v, exact.v)
 
     def test_zero_matrix(self):
-        tile = compress_block(
-            np.zeros((128, 128)), TruncationRule(eps=1e-8), backend="rsvd"
-        )
+        tile = RSVD.compress(np.zeros((128, 128)), TruncationRule(eps=1e-8))
         assert tile.rank == 0
 
     def test_seed_reproducibility(self):
         a = _matern_tile(400, 100, 2, 0, seed=9)
         rule = TruncationRule(eps=1e-6)
-        t1 = compress_block(a, rule, backend="rsvd", seed=42)
-        t2 = compress_block(a, rule, backend="rsvd", seed=42)
+        t1 = RSVD.compress(a, rule, seed=42)
+        t2 = RSVD.compress(a, rule, seed=42)
         np.testing.assert_array_equal(t1.u, t2.u)
         np.testing.assert_array_equal(t1.v, t2.v)
 
@@ -144,7 +126,7 @@ class TestRsvdAccuracy:
     def test_property_exactly_lowrank_inputs_recovered(self, k, seed):
         a = _lowrank_matrix(130, 110, k, seed=seed)
         rule = TruncationRule(eps=1e-8, relative=True)
-        tile = compress_block(a, rule, backend="rsvd", seed=seed)
+        tile = RSVD.compress(a, rule, seed=seed)
         assert tile.rank <= k
         err = np.linalg.norm(a - tile.to_dense(), 2)
         assert err <= 1e-6 * np.linalg.norm(a, 2)
@@ -257,7 +239,7 @@ class TestRankHint:
                 return super().compress(a, rule, seed=seed)
 
         rng = np.random.default_rng(0)
-        c = compress_block(_lowrank_matrix(64, 64, 9, seed=1), self.RULE)
+        c = SVD.compress(_lowrank_matrix(64, 64, 9, seed=1), self.RULE)
         u, v = rng.standard_normal((2, 64, 30))
         Spy().recompress_update(c, u, v, self.RULE)
         assert seen == [c.rank]
@@ -289,9 +271,9 @@ class TestAutoDispatch:
                 assert auto.select((b, b), rule, hint) == want, (eps, hint)
 
     def test_reads_nothing_but_shape_rule_and_hint(self):
-        """Two backends with different seeds and histories, blocks of
-        different content: same shape, rule and hint, same route."""
-        fresh, used = AutoBackend(seed=1), AutoBackend(seed=2)
+        """Two instances with different histories, blocks of different
+        content: same shape, rule and hint, same route."""
+        fresh, used = AutoBackend(), AutoBackend()
         rule = TruncationRule(eps=1e-4)
         for k in (3, 40):
             used.compress(_lowrank_matrix(128, 128, k, seed=k), rule, seed=k)
@@ -320,39 +302,19 @@ class TestAutoDispatch:
 
 
 class TestBackendRecompression:
-    def test_matches_legacy_recompress(self):
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal((80, 12))
-        v = rng.standard_normal((80, 12))
-        rule = TruncationRule(eps=1e-8)
-        res_fn = recompress(u, v, rule, previous_rank=5)
-        res_be = get_backend("svd").recompress(u, v, rule, previous_rank=5)
-        np.testing.assert_array_equal(res_fn.tile.u, res_be.tile.u)
-        assert res_fn.rank_before == res_be.rank_before == 12
-        assert res_fn.grew and res_be.grew
-
-    def test_rank_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(CompressionError):
-            recompress(
-                rng.standard_normal((10, 3)),
-                rng.standard_normal((10, 4)),
-                TruncationRule(),
-            )
-
     def test_recompress_update_equals_stacked_recompress(self):
         rng = np.random.default_rng(4)
         backend = SVDBackend()
         rule = TruncationRule(eps=1e-10)
-        c = compress_block(_lowrank_matrix(60, 60, 6, seed=1), rule)
+        c = SVD.compress(_lowrank_matrix(60, 60, 6, seed=1), rule)
         u_upd = rng.standard_normal((60, 4))
         v_upd = rng.standard_normal((60, 4))
         res = backend.recompress_update(c, u_upd, v_upd, rule)
-        ref = recompress(
-            np.hstack([c.u, u_upd]),
-            np.hstack([c.v, -v_upd]),
+        ref = _qr_svd_recompress(
+            np.asfortranarray(np.hstack([c.u, u_upd])),
+            np.asfortranarray(np.hstack([c.v, -v_upd])),
             rule,
-            previous_rank=c.rank,
+            c.rank,
         )
         np.testing.assert_allclose(
             res.tile.to_dense(), ref.tile.to_dense(), atol=1e-12
@@ -363,7 +325,7 @@ class TestBackendRecompression:
     def test_workspace_pool_is_reused(self):
         backend = SVDBackend()
         rule = TruncationRule(eps=1e-10)
-        c = compress_block(_lowrank_matrix(60, 60, 6, seed=1), rule)
+        c = SVD.compress(_lowrank_matrix(60, 60, 6, seed=1), rule)
         rng = np.random.default_rng(5)
         for _ in range(5):  # same shapes -> the one buffer serves rounds 2-5
             backend.recompress_update(
@@ -374,16 +336,17 @@ class TestBackendRecompression:
         assert (stats.allocations, stats.reuses) == (1, 4)
         assert stats.outstanding_bytes == 0
 
-    def test_workspace_gives_memory_back(self):
+    def test_workspace_gives_memory_back(self, monkeypatch):
         """Every distinct stack width used to pin its own buffer pair for
         the life of the process (90 MB idle after one N=3200 run); the
         workspace now idles at no more than its largest request."""
-        backend = SVDBackend()
+        backend = default_backend()
+        monkeypatch.setattr(backend, "_workspace", None)  # a fresh one
         # loose accuracy on 128-wide tiles: most accumulated widths stay
         # under b/2, the only roundings that take the workspace
         rule = TruncationRule(eps=1e-3)
         problem = st_3d_exp_problem(1536, 128, seed=5)
-        m = BandTLRMatrix.from_problem(problem, rule, 1, backend=backend)
+        m = BandTLRMatrix.from_problem(problem, rule, 1)
         tlr_cholesky(m)
         stats = backend.workspace_pool_stats
         assert stats.reuses > stats.allocations  # many widths, few buffers
@@ -412,14 +375,13 @@ class TestParallelMap:
 
 
 class TestParallelAssembly:
-    @pytest.mark.parametrize("backend", ["svd", "rsvd"])
-    def test_from_problem_bitwise_across_worker_counts(self, backend):
+    @pytest.mark.parametrize("route", ["svd", "rsvd"])
+    def test_from_problem_bitwise_across_worker_counts(self, route, monkeypatch):
+        pin_route(monkeypatch, route)
         problem = st_3d_exp_problem(600, 100, seed=2021)
         rule = TruncationRule(eps=1e-6)
         mats = [
-            BandTLRMatrix.from_problem(
-                problem, rule, band_size=2, backend=backend, n_workers=w
-            )
+            BandTLRMatrix.from_problem(problem, rule, band_size=2, n_workers=w)
             for w in (None, 2, 3)
         ]
         for other in mats[1:]:
@@ -442,21 +404,24 @@ class TestParallelAssembly:
             )
 
     def test_backend_survives_band_change_and_copy(self):
+        """A band change compresses the tiles leaving the band as the
+        assembly would (same compressor, same per-tile seed)."""
         problem = st_3d_exp_problem(600, 100, seed=1)
-        rule = TruncationRule(eps=1e-6)
-        mat = BandTLRMatrix.from_problem(problem, rule, backend="rsvd")
-        assert mat.backend is get_backend("rsvd")
-        widened = mat.with_band_size(2, problem)
-        assert widened.backend is mat.backend
-        assert mat.copy().backend is mat.backend
+        rule = TruncationRule(eps=1e-4)  # the sampled route at b = 100
+        wide = BandTLRMatrix.from_problem(problem, rule, 3)
+        for mat in (wide.with_band_size(1, problem), wide.copy()):
+            want = BandTLRMatrix.from_problem(problem, rule, mat.band_size)
+            for ij, tile in want.tiles.items():
+                np.testing.assert_array_equal(
+                    tile.to_dense(), mat.tiles[ij].to_dense(), err_msg=str(ij)
+                )
 
-    def test_rsvd_factorization_stays_within_accuracy(self):
+    def test_rsvd_factorization_stays_within_accuracy(self, monkeypatch):
+        pin_route(monkeypatch, "rsvd")
         problem = st_3d_exp_problem(600, 100, seed=2021)
         ref = problem.dense()
         rule = TruncationRule(eps=1e-6)
-        mat = BandTLRMatrix.from_problem(
-            problem, rule, band_size=2, backend="rsvd", n_workers=2
-        )
+        mat = BandTLRMatrix.from_problem(problem, rule, band_size=2, n_workers=2)
         from repro.core import tlr_cholesky
 
         tlr_cholesky(mat)
@@ -473,23 +438,23 @@ class TestParallelAssembly:
 
 
 class TestCLI:
-    def test_demo_with_rsvd(self, capsys):
+    def test_demo_with_rsvd(self, capsys, monkeypatch):
+        """``demo`` at a tile size and ε where the compressor samples."""
         from repro.__main__ import main
 
+        sampled = []
+        ara = RandomizedSVDBackend._compress_ara
+
+        def counting(self, *args, **kwargs):
+            sampled.append(args[0].shape)
+            return ara(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomizedSVDBackend, "_compress_ara", counting)
         rc = main(
-            [
-                "demo",
-                "--n",
-                "256",
-                "--tile",
-                "64",
-                "--accuracy",
-                "1e-6",
-                "--compression",
-                "rsvd",
-            ]
+            ["demo", "--n", "512", "--tile", "128", "--accuracy", "1e-4"]
         )
         assert rc == 0
+        assert sampled
         out = capsys.readouterr().out
-        assert "[rsvd]" in out
+        assert "factor at eps=0.0001: band=" in out
         assert "solve relative error" in out

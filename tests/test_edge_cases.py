@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from repro import TruncationRule, st_3d_exp_problem
 from repro.linalg import (
     DenseTile,
-    compress_block,
+    default_backend,
     gemm_dense_lrd,
     gemm_lr,
     trsm_lr,
@@ -28,21 +28,21 @@ class TestRaggedTiles:
     def test_rectangular_lr_gemm(self):
         rng = np.random.default_rng(0)
         # C is 20x32, A is 20x32, B is 32x32 (as when m is the last tile).
-        a = compress_block(
+        a = default_backend().compress(
             rng.standard_normal((20, 3)) @ rng.standard_normal((3, 32)), RULE
         )
-        b = compress_block(
+        b = default_backend().compress(
             rng.standard_normal((32, 2)) @ rng.standard_normal((2, 32)), RULE
         )
         c0 = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 32))
-        c = compress_block(c0, RULE)
+        c = default_backend().compress(c0, RULE)
         out, res = gemm_lr(a, b, c, RULE)
         ref = c0 - a.to_dense() @ b.to_dense().T
         np.testing.assert_allclose(out.to_dense(), ref, atol=1e-7)
 
     def test_rectangular_mixed_gemm(self):
         rng = np.random.default_rng(1)
-        a = compress_block(
+        a = default_backend().compress(
             rng.standard_normal((20, 2)) @ rng.standard_normal((2, 16)), RULE
         )
         bop = DenseTile(rng.standard_normal((24, 16)))
@@ -57,7 +57,7 @@ class TestRaggedTiles:
         rng = np.random.default_rng(2)
         spd = rng.standard_normal((16, 16))
         l = np.tril(sla.cholesky(spd @ spd.T + 16 * np.eye(16), lower=True))
-        c = compress_block(
+        c = default_backend().compress(
             rng.standard_normal((20, 3)) @ rng.standard_normal((3, 16)), RULE
         )
         out = trsm_lr(DenseTile(l), c)

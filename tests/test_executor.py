@@ -123,9 +123,7 @@ def diff_case(request, tmp_path_factory):
     """Base matrix, reference-loop factor and a mid-run checkpoint."""
     n, seed, band, eps = DIFF_CASES[request.param]
     problem = st_3d_exp_problem(n, request.param, seed=seed)
-    base = BandTLRMatrix.from_problem(
-        problem, TruncationRule(eps=eps), band, backend="auto"
-    )
+    base = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), band)
     ref = base.copy()
     ref_report = reference_cholesky(ref)
     assert ref_report.max_rank_seen > 0  # low-rank updates were rounded

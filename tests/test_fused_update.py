@@ -7,7 +7,8 @@ the right-looking one.  What replaces that promise, and is tested here:
 (a) determinism: the reference loops, the execution core at any worker
     count and the process executor produce the same bits, fresh or
     resumed from a checkpoint, at both precisions the ε rule picks (fp32
-    off-band tiles at ε = 1e-4, fp64 at 1e-8) and for every backend;
+    off-band tiles at ε = 1e-4, fp64 at 1e-8) and on both of the
+    compressor's routes;
 (b) accuracy against the dense ``scipy`` factor, and against the
     *per-update oracle* — the paper's right-looking graph (the default
     of ``build_cholesky_graph``) executed through the same kernel, one
@@ -52,6 +53,7 @@ from repro.linalg import (
     DenseTile,
     KernelClass,
     LowRankTile,
+    AutoBackend,
     PendingTile,
     RandomizedSVDBackend,
     SVDBackend,
@@ -88,6 +90,7 @@ from repro.utils import (
     NotPositiveDefiniteError,
 )
 
+from .conftest import pin_route
 from .test_executor import (
     _assert_factors_bitwise as assert_bitwise,
     _assert_pool_consistent,
@@ -109,6 +112,15 @@ def oracle_graph_for(matrix):
 def backward_error(factor, dense):
     l = factor.to_dense(lower_only=True)
     return np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+
+
+def assert_ranks_near_exact(factor, problem, rule):
+    """Every low-rank tile of ``factor`` within max(2, 5 %) of the exact
+    SVD's rank of the matrix tile it factors."""
+    for ij, t in factor.tiles.items():
+        if isinstance(t, LowRankTile):
+            k = SVDBackend().compress(problem.tile(*ij), rule).rank
+            assert t.rank <= k + max(2, 0.05 * k), ij
 
 
 def assert_no_inverse(factor):
@@ -140,46 +152,50 @@ def problem():
 @pytest.fixture(
     scope="module",
     params=[
-        (precision, backend)
+        (precision, route)
         for precision in ("fp64", "adaptive")
-        for backend in ("svd", "rsvd")
+        for route in ("svd", "rsvd")
     ],
     ids="{0[0]}-{0[1]}".format,
 )
 def case(request, problem, tmp_path_factory):
-    """Base matrix, the loops' factor and report, a mid-run checkpoint."""
-    precision, backend = request.param
-    base = BandTLRMatrix.from_problem(
-        problem, TruncationRule(eps=EPS_FOR[precision]), 2, backend=backend
-    )
-    ref = base.copy()
-    ref_report = reference_cholesky(ref)
-    assert_no_inverse(ref)
-    lowrank_tiles = [
-        t for t in ref.tiles.values() if isinstance(t, LowRankTile)
-    ]
-    want = np.float32 if precision == "adaptive" else np.float64
-    assert {t.dtype for t in lowrank_tiles} == {np.dtype(want)}
-    # killed half way at one worker: the checkpoint every resumed run,
-    # on threads and on ranks, restarts from
-    ckpt = tmp_path_factory.mktemp("ckpt")
-    started = base.copy()
-    with pytest.raises(KeyboardInterrupt):
-        execute_graph(
-            graph_for_matrix(started), started,
-            faults=_KillAt((TaskKind.POTRF, base.ntiles // 2)),
-            checkpoint=CheckpointConfig(directory=ckpt, every=2),
+    """Base matrix, the loops' factor and report, a mid-run checkpoint,
+    and the compressor route they were computed on."""
+    precision, route = request.param
+    with pytest.MonkeyPatch.context() as mp:
+        pin_route(mp, route)
+        base = BandTLRMatrix.from_problem(
+            problem, TruncationRule(eps=EPS_FOR[precision]), 2
         )
-    assert list(ckpt.glob("ckpt-*.json"))
-    return base, ref, ref_report, ckpt
+        ref = base.copy()
+        ref_report = reference_cholesky(ref)
+        assert_no_inverse(ref)
+        lowrank_tiles = [
+            t for t in ref.tiles.values() if isinstance(t, LowRankTile)
+        ]
+        want = np.float32 if precision == "adaptive" else np.float64
+        assert {t.dtype for t in lowrank_tiles} == {np.dtype(want)}
+        # killed half way at one worker: the checkpoint every resumed run,
+        # on threads and on ranks, restarts from
+        ckpt = tmp_path_factory.mktemp("ckpt")
+        started = base.copy()
+        with pytest.raises(KeyboardInterrupt):
+            execute_graph(
+                graph_for_matrix(started), started,
+                faults=_KillAt((TaskKind.POTRF, base.ntiles // 2)),
+                checkpoint=CheckpointConfig(directory=ckpt, every=2),
+            )
+        assert list(ckpt.glob("ckpt-*.json"))
+    return base, ref, ref_report, ckpt, route
 
 
 @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
 @pytest.mark.parametrize(
     "how", [1, 2, 3, "processes"], ids="workers{}".format
 )
-def test_one_factor_however_computed(case, tmp_path, how, resumed):
-    base, ref, ref_report, ckpt = case
+def test_one_factor_however_computed(case, tmp_path, monkeypatch, how, resumed):
+    base, ref, ref_report, ckpt, route = case
+    pin_route(monkeypatch, route)
     m = base.copy()
     graph = graph_for_matrix(m)
     kwargs = {}
@@ -276,7 +292,7 @@ def test_each_rank_drops_the_inverses_it_held(problem, band, ranks):
 def test_one_rounding_per_updated_tile(case):
     """The count the whole change is about: NT=8 at band 2 has 21
     low-rank tiles, 15 of them below the first block column."""
-    _, _, ref_report, _ = case
+    _, _, ref_report, _, _ = case
     counts = ref_report.counter.per_class_count
     assert (
         counts[KernelClass.GEMM_LR] + counts[KernelClass.GEMM_LR_DENSE] == 15
@@ -287,7 +303,8 @@ def test_default_backend_at_the_size_it_samples(monkeypatch):
     """b = 200, ε = 1e-4, band 2, no backend named: assembly and the wide
     roundings take the sampler, and (a) and (b) hold as they do for the
     exact oracle — one factor from loops, two workers and two ranks;
-    backward error within 10·ε; ranks within max(2, 5 %) of ``svd``'s."""
+    backward error within 10·ε; ranks within max(2, 5 %) of the exact
+    SVD's."""
     eps = 1e-4
     big = st_3d_exp_problem(1200, 200, seed=3)
     dense = big.dense()
@@ -312,15 +329,8 @@ def test_default_backend_at_the_size_it_samples(monkeypatch):
     assert_bitwise(threads, ref)
     assert_bitwise(ranks, ref)
 
-    oracle = BandTLRMatrix.from_problem(
-        big, TruncationRule(eps=eps), 2, backend="svd"
-    )
-    tlr_cholesky(oracle)
     assert backward_error(ref, dense) <= 10 * eps
-    for ij, t in ref.tiles.items():
-        if isinstance(t, LowRankTile):
-            k = oracle.tile(*ij).rank
-            assert t.rank <= k + max(2, 0.05 * k), ij
+    assert_ranks_near_exact(ref, big, TruncationRule(eps=eps))
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +392,8 @@ def test_fused_item_through_run_batch(rng):
     b = [lowrank(rng, 80, 80, 28), DenseTile(rng.standard_normal((80, 80)))]
     c = lowrank(rng, 80, 80, 9)  # W = 9 + 28 + 25 >= 40: the seeded path
     item = BatchItem("ref", "gemm", (a, b, c), index=(5, 2))
-    (res,) = run_batch([item], rule, backend="rsvd")
-    want, _, _ = gemm_auto(a, b, c, rule, backend="rsvd", tile_index=(5, 2))
+    (res,) = run_batch([item], rule)
+    want, _, _ = gemm_auto(a, b, c, rule, tile_index=(5, 2))
     assert np.array_equal(res.out.u, want.u)
     assert np.array_equal(res.out.v, want.v)
     dense_c = DenseTile(rng.standard_normal((80, 80)))
@@ -638,9 +648,7 @@ class TestInPlaceSum:
         c = PendingTile(_Blocks(b), 15, n, (b, b), np.dtype(dtype), dense)
         tracemalloc.start()
         try:
-            out, _, _ = gemm_auto(
-                a, bt, c, self.RULE, backend="svd", tile_index=(15, n)
-            )
+            out, _, _ = gemm_auto(a, bt, c, self.RULE, tile_index=(15, n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -898,12 +906,13 @@ class TestDeferred:
 
     @pytest.mark.parametrize("n_workers", [None, 2])
     @pytest.mark.parametrize("precision", [None, "adaptive"])
-    @pytest.mark.parametrize("backend", ["svd", "rsvd", "auto"])
+    @pytest.mark.parametrize("route", ["svd", "rsvd", "auto"])
     def test_realize_is_the_eager_matrix(
-        self, problem, backend, precision, n_workers
+        self, problem, monkeypatch, route, precision, n_workers
     ):
+        pin_route(monkeypatch, route)
         rule = TruncationRule(eps=EPS_FOR[precision])
-        kwargs = dict(backend=backend, n_workers=n_workers)
+        kwargs = dict(n_workers=n_workers)
         deferred = self.build(problem, rule=rule, **kwargs)
         # NT = 8 at band 2: 21 off-band tiles, 15 of them in columns >= 1
         assert n_pending(deferred) == 15
@@ -972,22 +981,18 @@ class TestDeferred:
         dense = problem.dense()
         eager = self.build(problem, defer=False, rule=rule)
         deferred = self.build(problem, rule=rule)
-        oracle = self.build(problem, defer=False, rule=rule, backend="svd")
-        for m in (eager, deferred, oracle):
+        for m in (eager, deferred):
             tlr_cholesky(m)
         err = backward_error(deferred, dense)
         assert err <= 10 * eps
         assert err <= 1.5 * backward_error(eager, dense)
-        for ij, t in deferred.tiles.items():
-            if isinstance(t, LowRankTile):
-                k = oracle.tile(*ij).rank
-                assert t.rank <= k + max(2, 0.05 * k), ij
+        assert_ranks_near_exact(deferred, problem, rule)
 
     def test_one_compression_and_one_generation_per_tile(
         self, problem, monkeypatch
     ):
         compressed, generated = [], []
-        compress, tile = SVDBackend.compress, CovarianceProblem.tile
+        compress, tile = AutoBackend.compress, CovarianceProblem.tile
 
         def counting_compress(self, a, rule, **kwargs):
             compressed.append(kwargs.get("rank_hint"))
@@ -997,9 +1002,9 @@ class TestDeferred:
             generated.append((i, j))
             return tile(self, i, j)
 
-        monkeypatch.setattr(SVDBackend, "compress", counting_compress)
+        monkeypatch.setattr(AutoBackend, "compress", counting_compress)
         monkeypatch.setattr(CovarianceProblem, "tile", counting_tile)
-        m = self.build(problem, backend="svd")
+        m = self.build(problem)
         assert len(compressed) == 6 and len(generated) == 15 + 6
         tlr_cholesky(m)
         assert compressed == [None] * 21  # never a second, hinted rounding

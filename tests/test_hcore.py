@@ -17,7 +17,7 @@ from repro.linalg import (
     KernelClass,
     LowRankTile,
     TruncationRule,
-    compress_block,
+    default_backend,
     gemm_auto,
     gemm_dense,
     gemm_dense_lrd,
@@ -51,7 +51,7 @@ def spd(rng, n=B):
 
 def lowrank(rng, m=B, n=B, k=4):
     a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-    return compress_block(a, RULE), a
+    return default_backend().compress(a, RULE), a
 
 
 class TestPotrf:

@@ -16,6 +16,8 @@ from repro.linalg.precision import (
 from repro.matrix import BandTLRMatrix
 from repro.utils import ConfigurationError
 
+from .conftest import pin_route
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -160,17 +162,18 @@ class TestAdaptiveComputePath:
         assert err < 1e-3
 
     @pytest.mark.parametrize(
-        "eps, backend", [(1e-4, "svd"), (1e-8, "auto")], ids=["fp32", "fp64"]
+        "eps, route", [(1e-4, "svd"), (1e-8, "auto")], ids=["fp32", "fp64"]
     )
-    def test_backward_error_within_10_eps(self, problem, eps, backend):
+    def test_backward_error_within_10_eps(
+        self, problem, monkeypatch, eps, route
+    ):
         """The cases the ε-sweep above leaves out: fp32 tiles rounded by
-        the exact compressor, and fp64 below the floor.  Either way the
+        the exact route, and fp64 below the floor.  Either way the
         factor stays within 10·ε of the dense matrix."""
+        pin_route(monkeypatch, route)
         a = problem.dense()
-        m = BandTLRMatrix.from_problem(
-            problem, TruncationRule(eps=eps), 2, backend=backend
-        )
-        tlr_cholesky(m, backend=backend)
+        m = BandTLRMatrix.from_problem(problem, TruncationRule(eps=eps), 2)
+        tlr_cholesky(m)
         l = m.to_dense(lower_only=True)
         assert np.linalg.norm(l @ l.T - a) / np.linalg.norm(a) <= 10 * eps
 

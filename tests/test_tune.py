@@ -483,13 +483,15 @@ class TestSerialization:
     def test_from_json_ignores_retired_rates_mode(self, calibration):
         doc = json.loads(sweep(calibration, smoke=True).to_json())
         doc["rates_mode"] = "mean-replay"
+        doc["problem"]["compression"] = "rsvd"  # retired with the option
         clone = TuneResult.from_json(json.dumps(doc))
         assert "rates_mode" not in clone.to_json()
+        assert "compression" not in clone.to_json()
 
     def test_config_names_every_execute_parameter(self, calibration):
         cfg = sweep(calibration, smoke=True).config()
         assert set(cfg) >= {
-            "n", "tile", "band", "accuracy", "seed", "compression",
+            "n", "tile", "band", "accuracy", "seed",
             "executor", "workers", "ranks", "scheduler",
         }
         assert cfg["n"] == N and cfg["tile"] == TILE
