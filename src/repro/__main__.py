@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Twelve commands mirroring the library's main entry points:
+Eleven commands mirroring the library's main entry points:
 
 * ``info``      — version and subsystem inventory;
 * ``demo``      — compress → auto-tune → factorize → solve, with a report;
@@ -19,7 +19,6 @@ Twelve commands mirroring the library's main entry points:
   against generated closed-loop traffic and print the serving report
   (latency percentiles, batch widths, cache + queue outcomes);
 * ``top``       — live terminal dashboard for a ``serve --listen`` run;
-* ``obs-merge`` — merge per-rank observation shards into one trace;
 * ``bench-service`` — the batched-vs-one-at-a-time serving load tool:
   two load-generator arms against the same problem, p50/p95/p99 printed
   side by side.
@@ -30,7 +29,9 @@ prints a number, ``tools/bench_pairs.py`` decides a claim.
 ``demo`` and ``execute`` accept ``--obs DIR``: the run executes under an
 active :mod:`repro.obs` observation and writes the standard artifacts
 (``trace.json``, ``events.jsonl``, ``summary.json``, ``metrics.prom``,
-plus ``graph.json`` when a graph executor ran) into ``DIR``.
+plus ``graph.json`` when a graph executor ran) into ``DIR``.  Under
+``execute --executor processes`` that trace is the run's one cross-rank
+trace: a lane per rank and a ``comm`` span per wire hop.
 """
 
 from __future__ import annotations
@@ -445,9 +446,7 @@ def _run_execute(args: argparse.Namespace) -> int:
 
     want_trace = args.gantt or args.trace is not None
     if args.executor == "processes":
-        ex = get_executor(
-            "processes", n_ranks=args.ranks, shard_dir=args.shards
-        )
+        ex = get_executor("processes", n_ranks=args.ranks)
     else:
         ex = get_executor(
             "threads", n_workers=args.workers, scheduler=args.scheduler
@@ -490,15 +489,6 @@ def _run_execute(args: argparse.Namespace) -> int:
         ]
         if res.rank_restarts:
             rows.append(("rank restarts", res.rank_restarts))
-        if res.shard_merge is not None:
-            m = res.shard_merge
-            rows += [
-                ("obs shards merged", m.n_shards),
-                ("merged spans", m.merged_spans),
-                ("span conservation",
-                 "ok" if m.conserved else "VIOLATED"),
-                ("comm edges realized", m.comm_edges),
-            ]
     if res.resilience is not None:
         rows.append(("task retries", res.resilience.retries))
         rows.append(("tasks recovered", res.resilience.recoveries))
@@ -530,12 +520,6 @@ def _run_execute(args: argparse.Namespace) -> int:
     if args.trace is not None:
         out = write_chrome_trace(res, args.trace)
         print(f"Chrome trace written to {out}")
-    if args.executor == "processes" and res.shard_merge is not None:
-        print(f"merged cross-rank trace: {res.shard_merge.out_path}")
-        if not res.shard_merge.conserved:
-            print("error: merged trace lost spans (conservation check "
-                  "failed)", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -689,11 +673,15 @@ def _parse_listen(spec: str) -> tuple[str, int]:
     if not host:
         host = "127.0.0.1"
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
         raise argparse.ArgumentTypeError(
-            f"listen address must be HOST:PORT or PORT, got {spec!r}"
-        ) from None
+            "listen address must be HOST:PORT or PORT with PORT in "
+            f"0-65535, got {spec!r}"
+        )
+    return host, number
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -711,32 +699,38 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         live = LiveAggregator(slo=slo)
-        live.start()
+
+    try:
+        if live is not None:
+            live.start()
         if args.listen is not None:
-            monitor = MonitoringServer(live, host=args.listen[0],
-                                       port=args.listen[1])
+            host, port = args.listen
+            try:
+                monitor = MonitoringServer(live, host=host, port=port)
+            except OSError as exc:
+                print(f"error: cannot listen on {host}:{port}: {exc}",
+                      file=sys.stderr)
+                return 2
             monitor.start()
             print(f"monitoring plane on {monitor.url} "
                   f"(/metrics /healthz /stats)")
-
-    problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
-    config = ServiceConfig(
-        n_workers=args.service_workers,
-        max_queue_depth=args.max_queue,
-        max_batch=args.max_batch,
-        cache_bytes=(
-            args.cache_mb * 2**20 if args.cache_mb is not None else None
-        ),
-        warm_dir=args.warm_dir,
-        default_deadline_s=(
-            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-        ),
-    )
-    print(f"serving st-3D-exp n={args.n}, b={args.tile} at "
-          f"eps={args.accuracy:g}: "
-          f"{config.n_workers} workers, "
-          f"queue<={config.max_queue_depth}, batch<={config.max_batch}")
-    try:
+        problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
+        config = ServiceConfig(
+            n_workers=args.service_workers,
+            max_queue_depth=args.max_queue,
+            max_batch=args.max_batch,
+            cache_bytes=(
+                None if args.cache_mb is None else args.cache_mb * 2**20
+            ),
+            warm_dir=args.warm_dir,
+            default_deadline_s=(
+                None if args.deadline_ms is None else args.deadline_ms / 1e3
+            ),
+        )
+        print(f"serving st-3D-exp n={args.n}, b={args.tile} at "
+              f"eps={args.accuracy:g}: "
+              f"{config.n_workers} workers, "
+              f"queue<={config.max_queue_depth}, batch<={config.max_batch}")
         with SolverService(config, live=live) as svc:
             session = svc.session(
                 problem,
@@ -855,35 +849,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         once=args.once,
     )
-
-
-def _cmd_obs_merge(args: argparse.Namespace) -> int:
-    from repro.obs import merge_shards
-
-    try:
-        report = merge_shards(args.shards, out=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    offsets = ", ".join(
-        f"rank{r}={off * 1e3:+.3f}ms" for r, off in sorted(report.offsets_s.items())
-    )
-    print(f"merged {report.n_shards} shard(s), {report.merged_spans} spans, "
-          f"{report.comm_edges} comm edges -> {report.out_path}")
-    print(f"clock offsets: {offsets}")
-    print(f"makespan (aligned): {report.makespan_s:.4f}s")
-    if report.comm_unmatched:
-        print(f"warning: {report.comm_unmatched} comm edge(s) unmatched",
-              file=sys.stderr)
-    if not report.conserved:
-        shard_total = sum(report.shard_spans.values())
-        print(f"error: span conservation violated: merged "
-              f"{report.merged_spans} != shard total {shard_total}",
-              file=sys.stderr)
-        return 1
-    print("span conservation: ok "
-          f"(merged == {sum(report.shard_spans.values())} shard spans)")
-    return 0
 
 
 def _add_resilience_args(sp: argparse.ArgumentParser) -> None:
@@ -1037,12 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--width", type=int, default=100)
     e.add_argument("--trace", type=str, default=None, metavar="PATH",
                    help="write a Chrome-tracing JSON of the real run")
-    e.add_argument("--shards", type=str, default=None, metavar="DIR",
-                   help="with --executor processes: each rank writes a "
-                        "clock-synced observation shard into DIR and the "
-                        "controller merges them into one cross-rank "
-                        "Chrome trace (trace_merged.json) with per-rank "
-                        "lanes and realized comm edges")
     e.add_argument("--obs", type=str, default=None, metavar="DIR",
                    help="record spans + metrics and write trace/summary/"
                         "Prometheus artifacts into DIR")
@@ -1147,16 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--once", action="store_true",
                     help="render a single snapshot and exit")
 
-    om = sub.add_parser(
-        "obs-merge",
-        help="merge per-rank observation shards (execute --shards DIR) "
-             "into one clock-aligned cross-rank Chrome trace",
-    )
-    om.add_argument("shards", help="directory of shard-rank*.json files")
-    om.add_argument("-o", "--out", type=str, default=None, metavar="PATH",
-                    help="merged trace path (default: "
-                         "SHARDS/trace_merged.json)")
-
     bs = sub.add_parser(
         "bench-service",
         help="batched vs one-at-a-time serving load tool; prints "
@@ -1193,7 +1142,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "serve": _cmd_serve,
         "top": _cmd_top,
-        "obs-merge": _cmd_obs_merge,
         "bench-service": _cmd_bench_service,
     }
     return handlers[args.command](args)

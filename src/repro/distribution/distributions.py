@@ -49,10 +49,6 @@ class Distribution(ABC):
     def owner(self, i: int, j: int) -> int:
         """Rank owning tile ``(i, j)`` (``i >= j``)."""
 
-    def same_owner(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        """True when two tiles are owned by the same process (LOCAL edge)."""
-        return self.owner(*a) == self.owner(*b)
-
     def _check(self, i: int, j: int) -> None:
         if i < 0 or j < 0 or i < j:
             raise DistributionError(

@@ -71,7 +71,6 @@ from .httpd import (
     snapshot_prometheus_text,
 )
 from .live import LiveAggregator, Slo, parse_slo
-from .merge import MergeReport, load_shards, merge_shards
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Series
 from .report import load_summary, render_report
 from .sketch import LogHistogram
@@ -82,6 +81,7 @@ __all__ = [
     "observe",
     "active",
     "enabled",
+    "suspended",
     "span",
     "event",
     "clock",
@@ -134,9 +134,6 @@ __all__ = [
     "parse_prometheus_text",
     "render_top",
     "run_top",
-    "MergeReport",
-    "load_shards",
-    "merge_shards",
 ]
 
 
@@ -248,6 +245,24 @@ def observe(meta: dict | None = None):
         ob.close()
         with _install_lock:
             _active.remove(ob)
+
+
+@contextmanager
+def suspended():
+    """Detach every installed observation for the enclosed block.
+
+    In-process stand-ins for worker processes (threads) run under it, so
+    that like the processes they write nothing into the caller's
+    observation: the caller replays what they timed (:func:`record_span`).
+    """
+    with _install_lock:
+        held = _active[:]
+        _active.clear()
+    try:
+        yield
+    finally:
+        with _install_lock:
+            _active[:0] = held
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,7 @@ def assign_lanes(trace) -> list[tuple[tuple, int, int, float, float]]:
 
     Returns ``(tid, proc, lane, start, end)`` rows sorted by process and
     start time; the single source of the lane scheme shared by the
-    Chrome exporter, :func:`gantt`, and the cross-rank shard merger
-    (:mod:`repro.obs.merge`).
+    Chrome exporter and :func:`gantt`.
     """
     lanes: dict[int, list[float]] = {}
     rows = []

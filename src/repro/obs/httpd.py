@@ -32,6 +32,7 @@ import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .exporters import _prom_labels, _prom_name
 from .live import LiveAggregator
 
 __all__ = [
@@ -46,10 +47,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Prometheus exposition from a live snapshot
 # ----------------------------------------------------------------------
-def _prom_name(name: str) -> str:
-    return "repro_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-
-
 _QUANTILES = ((0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99"))
 
 
@@ -77,7 +74,8 @@ def snapshot_prometheus_text(snapshot: dict) -> str:
         out.append(f"# TYPE {prom} summary")
         for p, label in _QUANTILES:
             key = f"p{p * 100:g}"
-            out.append(f'{prom}{{quantile="{label}"}} {lat.get(key, 0.0):g}')
+            quantile = _prom_labels({"quantile": label})
+            out.append(f"{prom}{quantile} {lat.get(key, 0.0):g}")
         out.append(f"{prom}_sum {lat.get('mean', 0.0) * lat.get('count', 0):g}")
         out.append(f"{prom}_count {lat.get('count', 0):g}")
 

@@ -34,6 +34,7 @@ callables and floats, same duck-typing rule as the rest of
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -166,12 +167,18 @@ def _worse(a: str, b: str) -> str:
     return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
+#: ``--slo`` keys -> :class:`Slo` fields.
+_SLO_FIELDS = {"error-rate": "error_rate", "p99-ms": "p99_ms", "window": "window_s"}
+
+
 def parse_slo(spec: str) -> Slo:
     """Parse a ``--slo`` spec: ``error-rate=0.01,p99-ms=50,window=60``.
 
-    Keys: ``error-rate`` (fraction), ``p99-ms`` (milliseconds),
-    ``window`` (seconds).  Raises :class:`ValueError` on unknown keys or
-    malformed terms so the CLI can report the offending spec.
+    Keys: ``error-rate`` (fraction in (0, 1]), ``p99-ms`` (milliseconds,
+    > 0), ``window`` (seconds, > 0).  Raises :class:`ValueError` on
+    unknown keys, malformed terms and budgets :meth:`Slo.evaluate`
+    cannot check (non-finite or out of range), so the CLI can report
+    the offending spec.
     """
     slo = Slo()
     for term in filter(None, (t.strip() for t in spec.split(","))):
@@ -183,14 +190,14 @@ def parse_slo(spec: str) -> Slo:
         except ValueError:
             raise ValueError(f"non-numeric SLO value in {term!r}") from None
         key = key.strip()
-        if key == "error-rate":
-            slo.error_rate = num
-        elif key == "p99-ms":
-            slo.p99_ms = num
-        elif key == "window":
-            slo.window_s = num
-        else:
+        name = _SLO_FIELDS.get(key)
+        if name is None:
             raise ValueError(f"unknown SLO key {key!r} in {spec!r}")
+        upper = 1.0 if name == "error_rate" else math.inf
+        if not (math.isfinite(num) and 0.0 < num <= upper):
+            span = "(0, 1]" if upper == 1.0 else "(0, inf)"
+            raise ValueError(f"SLO {key} must lie in {span}, got {term!r}")
+        setattr(slo, name, num)
     return slo
 
 

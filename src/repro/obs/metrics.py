@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 
 __all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry"]
 
@@ -207,12 +206,6 @@ class Series(_Metric):
         with self._lock:
             samples = [[round(t, 6), v] for t, v in self.samples]
         return {"name": self.name, "labels": self.labels, "samples": samples}
-
-
-@dataclass
-class _RegistryState:
-    metrics: dict
-    lock: threading.Lock
 
 
 class MetricsRegistry:

@@ -4,8 +4,8 @@ A fixed-bucket, log-scale (HDR-style) histogram with **exact-merge
 semantics** and a **bounded relative error** on every reported
 quantile.  This is the streaming replacement for retaining raw sample
 lists: the service hot path feeds one :class:`LogHistogram` per thread,
-shards merge into a service-wide view, and distributed ranks ship their
-sketch alongside the trace shard — all without ever holding samples.
+and shards merge into a service-wide view — all without ever holding
+samples.
 
 Design
 ------
@@ -26,8 +26,8 @@ bucket range instead of a collapsing one).
 
 Because buckets are fixed integer counters, :meth:`LogHistogram.merge`
 is element-wise integer addition — exactly associative and commutative,
-byte-for-byte reproducible regardless of merge order across threads,
-service shards, or distributed ranks.
+byte-for-byte reproducible regardless of merge order across threads
+or service shards.
 
 Values below ``min_value`` (including zero) land in a dedicated
 ``zero_count`` bucket reported as 0.0; values above ``max_value`` clamp

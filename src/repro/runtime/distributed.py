@@ -67,10 +67,18 @@ simulator's counting conventions (directly comparable with
 :class:`~repro.runtime.dataflow.DataflowBreakdown` that must equal
 ``classify_dataflow(graph, dist)`` on a fresh run — a tested
 reconciliation, not an assumption.
+
+Under an active :mod:`repro.obs` observation the controller replays the
+run into it: every task span on its rank's ``rank-R`` lane, and one
+category-``"comm"`` span per wire hop, from the send to the arrival, on
+a ``rank-S->rank-D`` lane.  The ranks time everything against the
+controller's launch (``_RankLink.t0``), so the one trace needs no clock
+alignment.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -206,7 +214,7 @@ class _RankConfig:
     deadline: float | None
     attempt: int
     chaos_kill: tuple[int, int] | None
-    shard_dir: str | None = None
+    observing: bool
 
 
 class _Aborted(Exception):
@@ -278,6 +286,10 @@ def _rank_process(cfg: _RankConfig, pipes) -> None:
     process ``nprocs``; the rank runs at most four messages ahead of it
     (a frontier shard copies every owned tile: a checkpointed run must
     neither hoard them nor outrun its checkpoints)."""
+    # A forked rank holds a copy of the controller's observation and
+    # writes nothing into it: the controller replays the rank's trace.
+    # (No lock: another thread of the controller may have held it.)
+    obs._active.clear()
     inbox, outbox = _own_pipe_ends(pipes, cfg.rank)
     results = _PipeSender(outbox.pop(cfg.dist.nprocs), depth=4)
     outboxes = {d: _PipeSender(end) for d, end in outbox.items()}
@@ -350,12 +362,10 @@ class _RankLink:
         self.wire_messages = self.wire_bytes = 0
         self.df_edges: dict[tuple, int] = {}
         self.df_bytes: dict[tuple, int] = {}
-        # Shard telemetry (only when the controller asked for obs
-        # shards): the NTP-style handshake result, and one event per wire
-        # hop so the merger can draw realized edges.
-        self.clock_sync: dict[str, float] = {}
-        self.sends: list[dict] = []
-        self.recvs: list[dict] = []
+        # One record per wire hop while the controller observes, on the
+        # ``t0`` axis: ``(task, dst, t)`` sent, ``(task, t)`` arrived.
+        self.sends: list[tuple] = []
+        self.recvs: list[tuple] = []
         self.kill_budget = None
         if cfg.chaos_kill is not None and cfg.attempt == 0 and \
                 cfg.chaos_kill[0] == cfg.rank:
@@ -364,14 +374,13 @@ class _RankLink:
     def _post(self, src_tid, ij, tile, dests: list[int]) -> None:
         """Send ``tile`` down the binomial tree over ``dests``."""
         for child, sub in binomial_children(dests):
+            if self.cfg.observing:
+                self.sends.append(
+                    (src_tid, child, time.perf_counter() - self.t0)
+                )
             self.outboxes[child].put(("tile", src_tid, ij, tile, sub))
             self.wire_messages += 1
             self.wire_bytes += _tile_nbytes(tile)
-            if self.cfg.shard_dir is not None:
-                self.sends.append({
-                    "task": task_name(src_tid), "dst": child,
-                    "t": time.perf_counter() - self.t0,
-                })
 
     def receive(self, block: bool) -> list[TaskId]:
         """Drain the inbox (``block``: wait up to 0.2 s for a first
@@ -394,22 +403,13 @@ class _RankLink:
             block = False
             if msg[0] == "stop":
                 raise _Aborted()
-            if msg[0] == "sync_reply":
-                _, t_echo, t_ctrl = msg
-                t_recv = time.time()
-                self.clock_sync["offset_s"] = t_ctrl - (t_echo + t_recv) / 2
-                self.clock_sync["rtt_s"] = t_recv - t_echo
-                continue
             _, src_tid, ij, tile, subtree = msg
+            if cfg.observing:
+                self.recvs.append((src_tid, time.perf_counter() - self.t0))
             self._post(src_tid, ij, tile, list(subtree))
             self.store.remote[ij] = tile
             self.arrived.add(src_tid)
             got.append(src_tid)
-            if cfg.shard_dir is not None:
-                self.recvs.append({
-                    "task": task_name(src_tid),
-                    "t": time.perf_counter() - self.t0,
-                })
 
     def send_output(self, tid: TaskId) -> None:
         """Send ``tid``'s (final) output tile once per consumer rank."""
@@ -470,22 +470,6 @@ class _RankLink:
 
 def _rank_body(link: _RankLink) -> dict:
     cfg = link.cfg
-    # Defensive under fork starts: the child must not write into the
-    # parent's (copied) observation sinks — spans are replayed by the
-    # controller from the returned trace instead.
-    try:
-        obs._active.clear()
-    except Exception:
-        pass
-
-    if cfg.shard_dir is not None:
-        # NTP-style clock handshake: the controller echoes our send
-        # timestamp with its own clock reading; the midpoint estimate
-        # puts this rank's timeline on the controller clock for the
-        # shard merger.  Tiles arriving meanwhile are kept as usual.
-        link.emit(("sync", cfg.rank, time.time()))
-        while "offset_s" not in link.clock_sync:
-            link.receive(block=True)
     # Resume: re-publish the final tile versions that restored-away
     # consumers on other ranks still need (the checkpoint frontier is a
     # per-rank-consistent cut; remote payloads are final tile versions,
@@ -498,8 +482,6 @@ def _rank_body(link: _RankLink) -> dict:
         use_pool=cfg.use_pool, collect_trace=True, faults=cfg.faults,
         recovery=cfg.recovery, _link=link,
     )
-    if cfg.shard_dir is not None:
-        _write_shard(cfg, report, link)
     # The report's accounting objects hold locks and pool buffers;
     # their plain, picklable contents go back to the controller.
     counter, tracker = FlopCounter(), MemoryTracker()
@@ -519,52 +501,9 @@ def _rank_body(link: _RankLink) -> dict:
         "wire": (link.wire_messages, link.wire_bytes),
         "df_edges": link.df_edges,
         "df_bytes": link.df_bytes,
+        "sends": link.sends,
+        "recvs": link.recvs,
     }
-
-
-def _write_shard(cfg, report, link) -> None:
-    """Write this rank's obs shard (``shard-rank<R>.json``).
-
-    Each rank persists its own telemetry — task spans with kernel/flop
-    annotations, realized per-hop comm events, the controller-clock
-    offset from the startup handshake, and a task-duration sketch — for
-    :func:`repro.obs.merge.merge_shards` to align and fuse.
-    """
-    import json
-    from pathlib import Path
-
-    from ..obs.sketch import LogHistogram
-
-    sk = LogHistogram()
-    spans = []
-    for tid, _w, start, end in report.trace:
-        task = cfg.graph.tasks[tid]
-        spans.append({
-            "name": task_name(tid),
-            "kind": task.kind.value,
-            "kernel": task.kernel.value,
-            "flops": task.flops,
-            "start": start,
-            "end": end,
-        })
-        sk.add(end - start)
-    doc = {
-        "rank": cfg.rank,
-        "n_ranks": cfg.dist.nprocs,
-        "clock": link.clock_sync,
-        "spans": spans,
-        "comm": {"sends": link.sends, "recvs": link.recvs},
-        "counters": {
-            "tasks_executed": len(spans),
-            "busy_s": float(report.busy[0]),
-            "wire_messages": link.wire_messages,
-            "wire_bytes": link.wire_bytes,
-        },
-        "sketch": sk.to_dict(),
-    }
-    outdir = Path(cfg.shard_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"shard-rank{cfg.rank}.json").write_text(json.dumps(doc))
 
 
 @dataclass
@@ -598,10 +537,6 @@ class DistributedExecutionReport(ExecutionReport):
         The controller's wall-clock, partitioned: call to first task
         start, first task start to last task end, last task end to
         return; they sum to ``makespan``.
-    shard_merge:
-        The :class:`repro.obs.merge.MergeReport` from the automatic
-        cross-rank trace merge when the run was launched with
-        ``shard_dir``; ``None`` otherwise.
     """
 
     comm: CommStats = field(default_factory=CommStats)
@@ -613,7 +548,6 @@ class DistributedExecutionReport(ExecutionReport):
     launch_s: float = 0.0
     run_s: float = 0.0
     gather_s: float = 0.0
-    shard_merge: object | None = None
 
 
 def _leading_panels_done(panel_tasks, union_completed) -> int:
@@ -647,7 +581,6 @@ def execute_graph_distributed(
     resume: bool = False,
     timeout_s: float | None = 300.0,
     max_restarts: int = 2,
-    shard_dir=None,
     _chaos_kill: tuple[int, int] | None = None,
     _inline: bool = False,
 ) -> DistributedExecutionReport:
@@ -682,14 +615,6 @@ def execute_graph_distributed(
         tiles stream to the controller during a run but reach ``matrix``
         only when the run completes, so a from-scratch restart is
         equally safe).
-    shard_dir:
-        Directory for cross-rank obs shards.  When set, each rank
-        performs a clock-offset handshake with the controller, records
-        realized comm events, and writes ``shard-rank<R>.json`` there;
-        after a successful run the controller merges the shards into
-        ``trace_merged.json`` (:func:`repro.obs.merge.merge_shards`) and
-        attaches the :class:`~repro.obs.merge.MergeReport` as
-        ``report.shard_merge``.
     _chaos_kill:
         Test hook ``(rank, after_n_tasks)``: that rank hard-exits after
         committing N tasks on the first attempt — exercises the
@@ -768,7 +693,7 @@ def execute_graph_distributed(
                 graph, matrix, distribution, placement, n_ranks,
                 completed0, resend, rule, use_pool,
                 faults, recovery, ckptr, panel_tasks, rrep, report,
-                timeout_s, _chaos_kill, restarts, _inline, shard_dir,
+                timeout_s, _chaos_kill, restarts, _inline,
             )
         except _RankDied as died:
             restarts += 1
@@ -793,20 +718,6 @@ def execute_graph_distributed(
         if rrep is not None:
             rrep.checkpoints_written += 1
 
-    if shard_dir is not None:
-        # Controller-side auto-merge: align rank clocks and fuse the
-        # shards into one Chrome trace.  Callers (and the CI smoke
-        # lane) gate on report.shard_merge.conserved.
-        from ..obs.merge import merge_shards
-
-        report.shard_merge = merge_shards(shard_dir)
-        obs.event(
-            "shards_merged", "obs",
-            n_shards=report.shard_merge.n_shards,
-            merged_spans=report.shard_merge.merged_spans,
-            conserved=report.shard_merge.conserved,
-        )
-
     if not collect_trace:
         report.trace = None
 
@@ -829,10 +740,11 @@ def execute_graph_distributed(
 def _run_once(
     graph, matrix, dist, placement, n_ranks, completed0, resend,
     rule, use_pool, faults, recovery, ckptr, panel_tasks,
-    rrep, report, timeout_s, chaos_kill, attempt, inline, shard_dir,
+    rrep, report, timeout_s, chaos_kill, attempt, inline,
 ) -> None:
     """One launch-collect-gather attempt; raises ``_RankDied`` on loss."""
     t0_wall = time.time()
+    observing = obs.enabled()
     t0_obs = obs.clock()
     deadline = None if timeout_s is None else t0_wall + timeout_s
 
@@ -849,15 +761,18 @@ def _run_once(
             faults=faults, recovery=recovery,
             ckpt_every=None if ckptr is None else ckptr.config.every,
             t0_wall=t0_wall, deadline=deadline, attempt=attempt,
-            chaos_kill=chaos_kill,
-            shard_dir=None if shard_dir is None else str(shard_dir),
+            chaos_kill=chaos_kill, observing=observing,
         )
 
     payloads: dict[int, dict] = {}
     finals: dict[tuple[int, int], object] = {}  # streamed final tiles
     lost: list[int] = []
     readers: dict[object, int] = {}  # live pipe from a rank -> that rank
+    # Inline ranks share this process's observation: like forked ranks
+    # they must not write into it until they are joined.
+    detached = contextlib.ExitStack()
     if inline:
+        detached.enter_context(obs.suspended())
         inboxes = [_queue.Queue() for _ in range(n_ranks)]
         to_rank = [q.put for q in inboxes]
         results = _queue.Queue()
@@ -942,11 +857,6 @@ def _run_once(
                     payloads[msg[1]] = msg[2]
                 elif kind == "error":
                     error = msg[1:]
-                elif kind == "sync":
-                    # Clock handshake: echo the rank's send timestamp with
-                    # the controller clock; the rank midpoints the
-                    # exchange into its shard's offset estimate.
-                    to_rank[msg[1]](("sync_reply", msg[2], time.time()))
                 elif kind == "panel" and ckptr is not None:
                     latest_shard[msg[1]] = msg[3]
                     union = set(completed0)
@@ -978,6 +888,7 @@ def _run_once(
             conn.close()
         for w in workers:
             w.join(timeout=2.0)
+        detached.close()
         if not inline:
             for w in workers:
                 if w.is_alive():  # pragma: no cover - stuck rank
@@ -1034,7 +945,7 @@ def _run_once(
     report.makespan = time.time() - t0_wall
     report.gather_s = report.makespan - last_end
 
-    if obs.enabled():
+    if observing:
         for tid, r, start, end in report.trace:
             task = graph.tasks[tid]
             obs.record_span(
@@ -1043,3 +954,19 @@ def _run_once(
                 thread=f"rank-{r}", worker=r,
                 kernel=task.kernel.value, flops=task.flops,
             )
+        # One comm span per wire hop: a tile reaches a rank once, so
+        # (producer task, receiving rank) pairs each send with its arrival;
+        # every receiving rank consumes the tile, so it arrived before the
+        # rank's payload left.
+        arrived = {
+            (tid, dst): t
+            for dst, payload in payloads.items()
+            for tid, t in payload["recvs"]
+        }
+        for src, payload in sorted(payloads.items()):
+            for tid, dst, sent in payload["sends"]:
+                obs.record_span(
+                    task_name(tid), "comm",
+                    start=t0_obs + sent, end=t0_obs + arrived[tid, dst],
+                    thread=f"rank-{src}->rank-{dst}", src=src, dst=dst,
+                )

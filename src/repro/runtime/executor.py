@@ -170,11 +170,6 @@ class ExecutionReport:
         """Modelled flops over real wall-clock (Gflop/s)."""
         return self.total_flops / max(self.makespan, 1e-300) / 1e9
 
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Aggregate busy time over makespan — parallel efficiency proxy."""
-        return float(self.busy.sum()) / max(self.makespan, 1e-300)
-
 
 def execute_graph(graph: TaskGraph, matrix: BandTLRMatrix, **kwargs):
     """:func:`execute_graph_parallel` at one inline worker."""

@@ -131,13 +131,11 @@ class ProcessExecutor(Executor):
     name = "processes"
 
     def __init__(self, n_ranks: int | None = None, distribution=None,
-                 timeout_s: float | None = 300.0, max_restarts: int = 2,
-                 shard_dir=None):
+                 timeout_s: float | None = 300.0, max_restarts: int = 2):
         self.n_ranks = n_ranks
         self.distribution = distribution
         self.timeout_s = timeout_s
         self.max_restarts = max_restarts
-        self.shard_dir = shard_dir
 
     def execute(self, graph, matrix, *, rule=None, use_pool=True,
                 collect_trace=False, faults=None, recovery=None,
@@ -149,7 +147,6 @@ class ProcessExecutor(Executor):
             distribution=self.distribution, rule=rule, use_pool=use_pool,
             collect_trace=collect_trace, faults=faults, recovery=recovery, checkpoint=checkpoint, resume=resume,
             timeout_s=self.timeout_s, max_restarts=self.max_restarts,
-            shard_dir=self.shard_dir,
         )
         return ExecutorRun(executor=self.name, report=report)
 

@@ -140,11 +140,6 @@ class ResilienceReport:
     checkpoints_written: int = 0
     tasks_resumed: int = 0
 
-    @property
-    def total_events(self) -> int:
-        return (self.retries + self.npd_shifts + self.densify_fallbacks
-                + self.watchdog_requeues)
-
 
 def _validate_finite(tile, tid: TaskId) -> None:
     """NaN/inf post-condition on a task's output tile."""

@@ -138,8 +138,3 @@ class ServiceDatabase:
     def recent(self) -> list[tuple[int, str]]:
         with self._lock:
             return list(self._recent)
-
-    def pending_requests(self) -> list:
-        """Snapshot of pending requests in FIFO order (for shutdown)."""
-        with self._lock:
-            return list(self._pending.values())

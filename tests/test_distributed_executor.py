@@ -285,6 +285,85 @@ class TestDeterminism:
         assert ranks == set(range(2))
 
 
+@pytest.fixture(scope="module")
+def observed_run():
+    """One observed 2-rank inline run: (graph, report, task spans, comm
+    spans) of the controller's observation."""
+    from repro import TruncationRule, obs
+
+    problem = st_3d_exp_problem(512, 64, seed=42)
+    matrix = BandTLRMatrix.from_problem(
+        problem, TruncationRule(eps=1e-8), band_size=1
+    )
+    graph = graph_for_matrix(matrix)
+    with obs.observe() as ob:
+        report = execute_graph_distributed(
+            graph, matrix, n_ranks=2, _inline=True
+        )
+    spans = ob.tracer.spans
+    return (
+        graph, report,
+        [s for s in spans if s.category == "task"],
+        [s for s in spans if s.category == "comm"],
+    )
+
+
+class TestObservedTrace:
+    """The controller's observation is the run's one cross-rank trace."""
+
+    def test_span_conservation(self, observed_run):
+        from repro.runtime.task import task_name
+
+        graph, _, tasks, _ = observed_run
+        assert sorted(s.name for s in tasks) == sorted(
+            task_name(tid) for tid in graph.tasks
+        )
+
+    def test_rank_lanes_do_not_overlap(self, observed_run):
+        _, _, tasks, _ = observed_run
+        lanes = {}
+        for s in tasks:
+            lanes.setdefault(s.thread, []).append((s.start, s.end))
+        assert set(lanes) == {"rank-0", "rank-1"}
+        for intervals in lanes.values():
+            intervals.sort()
+            for (_, e0), (s1, _) in zip(intervals, intervals[1:]):
+                assert s1 >= e0 - 1e-9
+
+    def test_comm_edges_realized(self, observed_run):
+        from repro.runtime.task import TaskKind, task_name
+
+        graph, report, _, comm = observed_run
+        kinds = {task_name(tid): t.kind for tid, t in graph.tasks.items()}
+        assert report.wire_messages > 0
+        assert len(comm) == report.wire_messages
+        for s in comm:
+            src, dst = s.attrs["src"], s.attrs["dst"]
+            assert src != dst
+            assert s.thread == f"rank-{src}->rank-{dst}"
+            assert s.end >= s.start - 1e-3  # arrival not before the send
+            assert kinds[s.name] in (TaskKind.POTRF, TaskKind.TRSM)
+
+    def test_no_comm_log_without_observation(self, band2, monkeypatch):
+        from repro import obs
+        from repro.runtime import distributed
+
+        links = []
+        init = distributed._RankLink.__init__
+
+        def capture(self, *args):
+            init(self, *args)
+            links.append(self)
+
+        monkeypatch.setattr(distributed._RankLink, "__init__", capture)
+        assert not obs.enabled()
+        report = execute_graph_distributed(
+            _graph_for(band2, 2), band2, n_ranks=2, _inline=True
+        )
+        assert report.wire_messages > 0 and len(links) == 2
+        assert all(not link.sends and not link.recvs for link in links)
+
+
 class TestResilience:
     def test_killed_rank_restarts_and_recovers(self, band2, band2_factor,
                                                tmp_path):

@@ -161,20 +161,17 @@ def test_tune_flags_agree_with_docs():
 
 def test_live_telemetry_flags_agree_with_docs():
     """Both directions for the live monitoring plane: the serve
-    ``--listen``/``--slo``/``--linger`` flags, the ``top`` dashboard,
-    and the ``obs-merge`` shard merger exist on the parser and appear
-    in the docs corpus, with real demonstrated invocations."""
+    ``--listen``/``--slo``/``--linger`` flags and the ``top`` dashboard
+    exist on the parser and appear in the docs corpus, with real
+    demonstrated invocations."""
     spec = _cli_spec()
     assert {"--listen", "--slo", "--linger"} <= spec["serve"]
     assert {"--interval", "--iterations", "--once"} <= spec["top"]
-    assert {"--out", "-o"} & spec["obs-merge"]
-    assert "--shards" in spec["execute"]
 
     corpus = "\n".join(p.read_text() for p in DOC_FILES)
-    for sub in ("top", "obs-merge"):
-        for flag in spec[sub] - {"-h", "--help"}:
-            assert flag in corpus, f"`repro {sub} {flag}` is undocumented"
-    for flag in ("--listen", "--slo", "--linger", "--shards"):
+    for flag in spec["top"] - {"-h", "--help"}:
+        assert flag in corpus, f"`repro top {flag}` is undocumented"
+    for flag in ("--listen", "--slo", "--linger"):
         assert flag in corpus, f"{flag} is undocumented"
 
     invoked = set()
@@ -184,7 +181,7 @@ def test_live_telemetry_flags_agree_with_docs():
             invoked.add(cmd)
             if cmd == "serve":
                 serve_flags |= set(re.findall(r"--[a-z][\w-]*", rest))
-    assert {"top", "obs-merge"} <= invoked
+    assert "top" in invoked
     assert {"--listen", "--slo"} <= serve_flags
 
 

@@ -371,7 +371,7 @@ class TestOneCore:
         fields = set(DistributedExecutionReport.__annotations__)
         assert fields == {
             "comm", "dataflow", "wire_messages", "wire_bytes", "placement",
-            "rank_restarts", "launch_s", "run_s", "gather_s", "shard_merge",
+            "rank_restarts", "launch_s", "run_s", "gather_s",
         }
         assert own <= fields and not fields & (base | set(ExecutionReport.__annotations__))
 

@@ -145,7 +145,12 @@ class TestSlo:
         assert slo.p99_ms == 50.0
         assert slo.window_s == 30.0
 
-    @pytest.mark.parametrize("bad", ["latency=1", "p99-ms", "error-rate=x"])
+    @pytest.mark.parametrize("bad", [
+        "latency=1", "p99-ms", "error-rate=x",
+        # budgets Slo.evaluate cannot check
+        "error-rate=-1", "error-rate=nan", "error-rate=0", "error-rate=1.5",
+        "p99-ms=0", "p99-ms=inf", "window=-5", "window=nan",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_slo(bad)

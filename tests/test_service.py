@@ -576,6 +576,31 @@ class TestServiceCLI:
         assert "p50 latency (ms)" in out
         assert "factorizations" in out
 
+    def test_listen_port_out_of_range_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--listen", "127.0.0.1:99999"])
+        assert exc.value.code == 2
+        assert "0-65535" in capsys.readouterr().err
+
+    def test_listen_on_a_held_port_fails_typed(self, capsys):
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            rc = main([
+                "serve", "--n", "256", "--tile", "64", "--band", "1",
+                "--listen", f"127.0.0.1:{port}",
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot listen on 127.0.0.1:{port}:" in err
+
+    def test_slo_it_cannot_evaluate_exits_2(self, capsys):
+        assert main(["serve", "--slo", "error-rate=nan"]) == 2
+        assert "error-rate" in capsys.readouterr().err
+
     def test_bench_service_smoke(self, capsys):
         rc = main([
             "bench-service", "--smoke", "--clients", "4", "--requests", "3",
