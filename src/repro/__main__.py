@@ -37,6 +37,7 @@ trace: a lane per rank and a ``comm`` span per wire hop.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -1144,7 +1145,16 @@ def main(argv: list[str] | None = None) -> int:
         "top": _cmd_top,
         "bench-service": _cmd_bench_service,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro analyze DIR | head``): stop
+        # quietly, with stdout on /dev/null so the exit-time flush of
+        # what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -45,11 +45,10 @@ class TLRSolver:
     ----------
     matrix:
         The compressed (and, after :meth:`factorize`, factorized) matrix.
-        It is assembled deferred: until :meth:`factorize`, the off-band
-        tiles of columns ``j >= 1`` that the tuner did not read are
-        pending (rank 0, no bytes), so rank statistics and
-        :meth:`memory_report` read only the tiles compressed at
-        assembly.
+        It is assembled deferred: until :meth:`factorize`, every tile the
+        tuner did not read is pending (rank 0, no bytes), so rank
+        statistics read only the tiles the tuner compressed, and
+        :meth:`memory_report` reads a realized copy.
     problem:
         The generating covariance problem (needed for band regeneration).
     decision:
@@ -94,17 +93,18 @@ class TLRSolver:
             deferred (:meth:`BandTLRMatrix.from_problem
             <repro.matrix.BandTLRMatrix.from_problem>` with ``defer``):
             the walk's off-band tiles are taken as they are, and every
-            other off-band tile of columns ``j >= 1`` is born in its fused
-            update during :meth:`factorize`, compressed once or kept dense.
+            other tile is generated during :meth:`factorize` by the task
+            that first writes it — an off-band one of columns ``j >= 1``
+            born in its fused update, compressed once or kept dense.
         fluctuation:
             Auto-tuner densification threshold (paper window [0.67, 1]).
         maxrank:
             Optional hard rank cap for compressions (HiCMA-Prev's static
             descriptor uses ``b/2``); ``None`` = uncapped dynamic ranks.
         n_workers:
-            Thread count for *assembly* (tile generation + compression);
-            independent of the worker count later passed to
-            :meth:`factorize`.  Results are bitwise identical either way.
+            Thread count for *assembly*; the deferred assembly generates
+            no tile (the factorization's tasks do), so it moves no work.
+            Results are bitwise identical either way.
         """
         rule = TruncationRule(eps=accuracy, maxrank=maxrank)
         band_size = check_band_size(band_size)
@@ -204,10 +204,13 @@ class TLRSolver:
     def memory_report(self, maxrank: int | None = None) -> MemoryReport:
         """Static-vs-dynamic footprint comparison (Fig. 8).
 
-        Before :meth:`factorize` the pending off-band tiles count as 0
-        elements: the report covers what assembly stored, not the factor.
+        Before :meth:`factorize` the matrix holds pending tiles, so the
+        report covers a realized copy — the eagerly assembled matrix on
+        the same formats — not the factor; the solver's matrix stays
+        deferred.
         """
-        return footprint_report(self.matrix, maxrank=maxrank)
+        matrix = self.matrix if self.is_factorized else self.matrix.copy()
+        return footprint_report(matrix.realize(), maxrank=maxrank)
 
     def factor_key(self):
         """This solver's factor identity in the solver service's cache.

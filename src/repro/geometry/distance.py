@@ -29,7 +29,9 @@ def _as_points(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def block_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def block_distances(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Distance matrix ``D[i, j] = ||x_i - y_j||`` between two point blocks.
 
     Parameters
@@ -38,11 +40,14 @@ def block_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         Shape ``(m, d)``.
     y:
         Shape ``(n, d)`` with the same ``d``.
+    out:
+        A C-contiguous float64 ``(m, n)`` array to evaluate into; a new
+        one when ``None``.  The result is bitwise the same either way.
 
     Returns
     -------
     numpy.ndarray
-        Shape ``(m, n)`` matrix of Euclidean distances.
+        Shape ``(m, n)`` matrix of Euclidean distances (``out`` if given).
     """
     x = _as_points("x", x)
     y = _as_points("y", y)
@@ -52,7 +57,11 @@ def block_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         )
     x2 = np.einsum("ij,ij->i", x, x)
     y2 = np.einsum("ij,ij->i", y, y)
-    sq = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
+    # (x2 + y2) - 2 x.y, rounded as written: scaling by -2 is exact and
+    # IEEE addition commutes, so only the x2 + y2 outer sum is a temporary.
+    sq = np.matmul(x, y.T, out=out)
+    sq *= -2.0
+    sq += x2[:, None] + y2[None, :]
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 

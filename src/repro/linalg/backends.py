@@ -384,8 +384,7 @@ class CompressionBackend:
                 return tile if tile.dtype == dtype else tile.astype(dtype)
 
             if pending:
-                with obs.span("generate", "assembly"):
-                    generated = c.to_dense()
+                generated = c.to_dense()
                 tile = c.born(
                     lambda dt: updated(generated.astype(dt, copy=False)), compress
                 )

@@ -19,20 +19,23 @@ single-precision roundoff (:func:`repro.linalg.precision.lowrank_dtype`);
 dense tiles — the band and the Cholesky factors themselves — always stay
 float64.
 
-A third state, :class:`PendingTile`, is an off-band tile an MLE step has
-not generated yet: the recipe of its dense block, which its fused update
-(``recompress_update``) either compresses once or keeps dense.
-:func:`keep_dense` is the one rule that picks the format.
+A third state, :class:`PendingTile`, is a tile a deferred assembly (an
+MLE step's) has not generated yet: the recipe of its dense block, which
+the task that first writes it generates — an off-band tile of column
+``j >= 1`` in its fused update (``recompress_update``), which either
+compresses it once or keeps it dense.  :func:`keep_dense` is the one rule
+that picks the format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
+from .. import obs
 from ..utils.exceptions import KernelError
 
 __all__ = [
@@ -218,19 +221,22 @@ class LowRankTile:
 
 @dataclass(frozen=True, eq=False)
 class PendingTile:
-    """An off-band tile not generated yet: ``problem.tile(i, j)`` on demand.
+    """A tile not generated yet: ``problem.tile(i, j)`` on demand.
 
-    It stores nothing (rank 0, no bytes), so it is its own copy and
-    pickles as its recipe; ``dtype`` is the storage dtype a compressed
+    It stores nothing (rank 0, no bytes), and its copy is its recipe
+    without ``out``; ``dtype`` is the storage dtype a compressed
     tile will take, and the dtype it is updated and compressed in.
     ``dense`` is the format decision: ``True`` keeps the block dense
-    without compressing it, ``False`` compresses it, and ``None`` (no
-    earlier factor to read it from) compresses it and then applies
-    :func:`keep_dense` to the rank found.  :meth:`born` is the one
-    place the decision is carried out; :meth:`CompressionBackend.recompress_update
+    without compressing it (every band tile), ``False`` compresses it,
+    and ``None`` (no earlier factor to read it from) compresses it and
+    then applies :func:`keep_dense` to the rank found.  :meth:`born` is
+    the one place the decision is carried out;
+    :meth:`CompressionBackend.recompress_update
     <repro.linalg.backends.CompressionBackend.recompress_update>` and
-    :meth:`BandTLRMatrix.realize <repro.matrix.BandTLRMatrix.realize>`
-    call it.
+    :meth:`BandTLRMatrix.generate <repro.matrix.BandTLRMatrix.generate>`
+    call it.  ``out``, when set, is recycled storage the block is
+    generated into: a float64 buffer of the tile's shape that nothing
+    else holds (a previous factor's tile, handed over by its owner).
     """
 
     problem: Any  # a CovarianceProblem (linalg never imports statistics)
@@ -239,12 +245,21 @@ class PendingTile:
     shape: tuple[int, int]
     dtype: np.dtype = np.dtype(np.float64)
     dense: bool | None = None
+    out: np.ndarray | None = field(default=None, repr=False)
     format = TileFormat.PENDING
     rank = 0
 
     def to_dense(self) -> np.ndarray:
-        """Generate the dense block (float64); nothing is cached."""
-        return self.problem.tile(self.i, self.j)
+        """Generate the dense block (float64), into ``out`` if set.
+
+        Nothing is cached; with an active :mod:`repro.obs` observation
+        the generation is one ``"generate"`` span, nested in the task
+        that generates the tile.
+        """
+        with obs.span("generate", "assembly"):
+            if self.out is None:
+                return self.problem.tile(self.i, self.j)
+            return self.problem.tile(self.i, self.j, out=self.out)
 
     def born(self, final, compress) -> "DenseTile | LowRankTile":
         """The tile this recipe becomes from its final dense block.
@@ -275,7 +290,8 @@ class PendingTile:
         return 0
 
     def copy(self) -> "PendingTile":
-        return self
+        # Two matrices must never generate into one buffer.
+        return self if self.out is None else replace(self, out=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PendingTile({self.i}, {self.j}, shape={self.shape})"

@@ -119,12 +119,16 @@ class MemoryTracker:
             self.allocate_tile((i, j), tile)
 
     def allocate_tile(self, key: tuple[int, int], tile) -> None:
-        """Record the allocation (or replacement) of a tile's buffers."""
+        """Record the allocation (or replacement) of a tile's buffers.
+
+        A resize is a reallocation; the first buffers of a tile that held
+        none (a pending tile's generation) are an allocation.
+        """
         size = tile.memory_elements()
         old = self._tile_sizes.get(key)
         if old is not None:
             self.current_elements -= old
-            if size != old:
+            if old and size != old:
                 self.reallocations += 1
         self._tile_sizes[key] = size
         self.current_elements += size

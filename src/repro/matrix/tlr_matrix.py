@@ -10,12 +10,13 @@ One container covers the paper's three operating points:
 Only the lower triangle is stored (the matrix is symmetric; the paper's
 Fig. 3a).  On-band tiles are :class:`DenseTile`; off-band tiles are
 :class:`LowRankTile` compressed to the container's truncation rule — or,
-in a matrix assembled with ``defer`` set, for one factorization, each
-off-band tile takes its format where it is born (§IX's per-tile
-generalization of the band): column 0 at assembly, the rest as
-:class:`PendingTile` recipes that the fused update generates and either
-compresses once or keeps dense (:meth:`BandTLRMatrix.realize` makes them
-ordinary).
+in a matrix assembled with ``defer`` set, for one factorization, nothing
+is generated: every tile is a :class:`PendingTile` recipe that the task
+first writing it generates (as STARS-H generates inside the PaRSEC
+dataflow), and each off-band tile takes its format where it is born
+(§IX's per-tile generalization of the band) — column 0 at its TRSM, the
+rest at the fused update, compressed once or kept dense
+(:meth:`BandTLRMatrix.realize` makes them ordinary).
 
 The container also implements the *densification/regeneration* step of the
 BAND_SIZE auto-tuning pipeline (Section VIII-B): after tuning picks a wider
@@ -120,16 +121,16 @@ class BandTLRMatrix:
         problem under the same rule (the auto-tuner's
         probe); they are taken as they are.
 
-        With ``defer`` every off-band tile that a factorization updates
-        before it reads it (column ``j >= 1``) is left a
-        :class:`~repro.linalg.tiles.PendingTile` — neither generated nor
-        compressed — for :func:`~repro.core.factorize.tlr_cholesky` to
-        generate at its fused update, and every off-band tile decides its
-        format where it is born.  ``defer=True`` applies
+        With ``defer`` nothing is generated here: every tile not in
+        ``reuse`` is left a :class:`~repro.linalg.tiles.PendingTile`, and
+        :func:`~repro.core.factorize.tlr_cholesky` generates each in the
+        task that first writes it (:meth:`generate`; an off-band tile of
+        column ``j >= 1`` at its fused update), where every off-band tile
+        decides its format.  ``defer=True`` applies
         :func:`~repro.linalg.tiles.keep_dense` to the rank each tile's own
-        compression finds (column 0 here, the others after their update);
-        ``defer=`` an ``NT x NT`` boolean map (a previous factor's
-        :meth:`dense_map`) keeps the tiles it marks dense, never
+        compression finds (column 0 at its TRSM, the others after their
+        update); ``defer=`` an ``NT x NT`` boolean map (a previous
+        factor's :meth:`dense_map`) keeps the tiles it marks dense, never
         compressing them, and compresses the others.  :meth:`realize`
         carries the same decisions out without the updates.
         """
@@ -176,13 +177,12 @@ class BandTLRMatrix:
 
         On-band blocks are kept dense, off-band ones compressed; a tile
         found in ``reuse`` is taken as it is and its block never
-        generated, and with ``defer_from`` (the problem) off-band tiles
-        of columns ``j >= 1`` are left pending and column 0 is born here,
-        each with the format decision of ``dense_map`` (``None``: by the
-        rule, after its compression).  With an active :mod:`repro.obs`
+        generated, and with ``defer_from`` (the problem) every other tile
+        is left pending: a band tile to be born dense, an off-band one
+        with the format decision of ``dense_map`` (``None``: by the rule,
+        after its compression).  With an active :mod:`repro.obs`
         observation the assembly is one ``"assemble"`` span (its
-        ``tiles_deferred`` and ``tiles_born_dense`` attributes count the
-        tiles left pending and the off-band tiles born dense here), every
+        ``tiles_deferred`` attribute counts the tiles left pending), every
         tile build is a nested span, and the post-assembly rank spectrum
         lands in the ``tile_rank`` histogram under ``stage="assembly"``.
         """
@@ -196,17 +196,20 @@ class BandTLRMatrix:
         def build(ij: tuple[int, int]) -> Tile:
             if ij in reuse:
                 return reuse[ij]
-            if self.desc.on_band(*ij, self.band_size):
+            on_band = self.desc.on_band(*ij, self.band_size)
+            if defer_from is not None:
+                if on_band:
+                    return PendingTile(
+                        defer_from, *ij, self.desc.tile_shape(*ij), dense=True
+                    )
+                return PendingTile(
+                    defer_from, *ij, self.desc.tile_shape(*ij),
+                    self._storage_dtype(),
+                    None if dense_map is None else bool(dense_map[ij]),
+                )
+            if on_band:
                 return DenseTile(block_of(*ij))
-            if defer_from is None:
-                return self._compress(block_of(*ij), *ij)
-            pending = PendingTile(
-                defer_from, *ij, self.desc.tile_shape(*ij),
-                self._storage_dtype(),
-                None if dense_map is None else bool(dense_map[ij]),
-            )
-            # column 0 takes no update: it is born from its generated block
-            return pending if ij[1] >= 1 else self._born(pending)
+            return self._compress(block_of(*ij), *ij)
 
         with obs.span(
             "assemble",
@@ -219,14 +222,7 @@ class BandTLRMatrix:
                 build, coords, n_workers, label="build_tile", category="assembly"
             )
             n_pending = sum(isinstance(t, PendingTile) for t in built)
-            span.set(
-                tiles_deferred=n_pending,
-                tiles_born_dense=sum(
-                    isinstance(t, DenseTile)
-                    and not self.desc.on_band(*ij, self.band_size)
-                    for ij, t in zip(coords, built)
-                ),
-            )
+            span.set(tiles_deferred=n_pending)
         for ij, tile in zip(coords, built):
             self.tiles[ij] = tile
         if obs.enabled():
@@ -241,26 +237,40 @@ class BandTLRMatrix:
             if n_pending:
                 obs.counter_add("assembly_tiles", n_pending, format="pending")
 
-    def _born(self, tile: PendingTile) -> Tile:
-        """What a pending tile becomes from its block, without an update."""
-        block = tile.to_dense()
-        return tile.born(
+    def generate(self, i: int, j: int) -> Tile:
+        """Generate pending tile ``(i, j)`` and store what it is born as.
+
+        Without an update: a band tile (and any tile decided dense) keeps
+        its generated block, any other is compressed (undecided: then
+        kept dense if the rule says so), so the tile is bitwise the eager
+        ``from_problem``'s or the dense block.  The task that first
+        writes a band or column-0 tile calls it; an off-band tile of
+        column ``j >= 1`` is generated by its fused update instead.  A
+        tile born compressed joins the ``tile_rank`` histogram's
+        ``stage="assembly"`` spectrum, as an eagerly assembled one does.
+        Returns the stored tile.
+        """
+        pending = self.tiles[(i, j)]
+        block = pending.to_dense()
+        tile = pending.born(
             lambda dtype: block.astype(dtype, copy=False),
-            lambda cast: self._compress(cast, tile.i, tile.j),
+            lambda cast: self._compress(cast, i, j),
         )
+        self.tiles[(i, j)] = tile
+        if isinstance(tile, LowRankTile) and obs.enabled():
+            obs.histogram_observe("tile_rank", tile.rank, stage="assembly")
+        return tile
 
     def realize(self) -> "BandTLRMatrix":
-        """Generate every pending tile and give it its format, in place.
+        """:meth:`generate` every pending tile, in place.
 
-        A tile decided dense keeps its generated block, any other is
-        compressed (undecided: then kept dense if the rule says so), so
-        every tile is bitwise the eager ``from_problem``'s or the dense
-        block.  The branches of ``tlr_cholesky`` that ship, persist or
-        stack tiles call it first.  Returns ``self``.
+        Every tile is then bitwise the eager ``from_problem``'s or the
+        dense block.  The branches of ``tlr_cholesky`` that ship or
+        persist tiles call it first.  Returns ``self``.
         """
-        for ij, tile in self.tiles.items():
+        for ij, tile in list(self.tiles.items()):
             if isinstance(tile, PendingTile):
-                self.tiles[ij] = self._born(tile)
+                self.generate(*ij)
         return self
 
     def dense_map(self) -> np.ndarray:

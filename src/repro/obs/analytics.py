@@ -88,13 +88,12 @@ class RunTrace:
     ``tunings`` one ``{seconds, band_size, tiles_probed, tiles_discarded}``
     per ``band_size="auto"`` assembly (its ``autotune_band`` span), and
     ``tiles`` the tile counts of assemblies and factorizations:
-    ``{deferred, born_dense, assembled_dense, generated, generate_s,
-    lowrank, fp32}`` — tiles the ``assemble`` spans left pending (a
-    deferred assembly), how many of them the factorizations
-    (``tlr_cholesky`` spans) kept dense instead of compressing, off-band
-    tiles the assemblies themselves built dense, the ``generate`` spans
-    (count, seconds) nested in the GEMM tasks that built pending tiles,
-    and the factors' low-rank tiles and how many of them are float32.
+    ``{deferred, born_dense, generated, generate_s, lowrank, fp32}`` —
+    tiles the ``assemble`` spans left pending (a deferred assembly), how
+    many off-band ones the factorizations (``tlr_cholesky`` spans) kept
+    dense instead of compressing, the ``generate`` spans (count, seconds)
+    nested in the tasks that generated pending tiles, and the factors'
+    low-rank tiles and how many of them are float32.
     """
 
     tasks: list[TaskSpan] = field(default_factory=list)
@@ -137,15 +136,16 @@ class RunTrace:
 def _tile_counts(spans) -> dict:
     """:attr:`RunTrace.tiles` from ``(name, seconds, attrs)`` spans."""
     out = {
-        "deferred": 0, "born_dense": 0, "assembled_dense": 0,
-        "generated": 0, "generate_s": 0.0, "lowrank": 0, "fp32": 0,
+        "deferred": 0, "born_dense": 0, "generated": 0, "generate_s": 0.0,
+        "lowrank": 0, "fp32": 0,
     }
     for name, seconds, attrs in spans:
+        if name in ("assemble", "tlr_cholesky"):
+            # older recordings book column 0's dense births on the assembly
+            out["born_dense"] += int(attrs.get("tiles_born_dense") or 0)
         if name == "assemble":
             out["deferred"] += int(attrs.get("tiles_deferred") or 0)
-            out["assembled_dense"] += int(attrs.get("tiles_born_dense") or 0)
         elif name == "tlr_cholesky":
-            out["born_dense"] += int(attrs.get("tiles_born_dense") or 0)
             out["lowrank"] += int(attrs.get("lowrank_tiles") or 0)
             out["fp32"] += int(attrs.get("fp32_tiles") or 0)
         elif name == "generate":
@@ -711,18 +711,12 @@ def render_analysis(run: RunTrace, *, width: int = 80, buckets: int = 60) -> str
         )
     d = run.tiles
     if d.get("deferred"):
-        born = d["born_dense"]
         lines.append(
-            f"{'deferred tiles':<16} {d['deferred']} pending: {born} born "
-            f"dense, {d['deferred'] - born} compressed; {d['generated']} "
-            f"generated inside GEMM tasks in {d['generate_s']:.3f} s (not "
-            "GEMM time)"
+            f"{'deferred tiles':<16} {d['deferred']} pending: "
+            f"{d['born_dense']} born dense off the band; {d['generated']} "
+            f"generated by the task that first writes them, in "
+            f"{d['generate_s']:.3f} s of its time"
         )
-        if d["assembled_dense"]:
-            lines.append(
-                f"{'':<16} {d['assembled_dense']} more born dense at assembly "
-                "(column 0)"
-            )
     if d.get("lowrank"):
         # imported here: this module needs nothing beyond the stdlib to load
         from ..linalg.precision import FP32_EPS_FLOOR

@@ -38,7 +38,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sketch import DEFAULT_REL_ERR, LogHistogram
 

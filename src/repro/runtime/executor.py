@@ -87,7 +87,7 @@ from ..linalg import hcore
 from ..linalg.backends import default_backend
 from ..linalg.compression import TruncationRule
 from ..linalg.flops import FlopCounter
-from ..linalg.tiles import DenseTile, LowRankTile
+from ..linalg.tiles import DenseTile, LowRankTile, PendingTile
 from ..matrix.memory import MemoryTracker
 from ..matrix.tlr_matrix import BandTLRMatrix
 from ..utils.exceptions import RuntimeSystemError, SchedulingError
@@ -365,14 +365,16 @@ def execute_graph_parallel(
         )
 
     def run_task(tid: tuple) -> None:
-        """Compute and commit one task under its write lock (through the
-        recovery engine when one is active)."""
+        """Generate the tile a task writes first, if pending, then compute
+        and commit the task, all under its write lock (the kernel through
+        the recovery engine when one is active)."""
         task = graph.tasks[tid]
 
         def compute():
             return _compute_task(tid, task, matrix, rule, report.counter)
 
         with tile_locks[task.out_tile]:
+            _generate_first(task, matrix, report.tracker)
             out, recomp = (
                 manager.run(task, matrix, compute)
                 if manager is not None else compute()
@@ -622,6 +624,26 @@ def _gemm_operands(task, matrix) -> tuple[list, list]:
         [matrix.tile(m, j) for j in panels],
         [matrix.tile(n, j) for j in panels],
     )
+
+
+def _generate_first(task, matrix, tracker) -> None:
+    """Generate ``task``'s output tile if it is still pending and the task
+    is its first writer: POTRF(0), TRSM(m, 0), SYRK(n, 0) or a band
+    GEMM(m, n, 0).  An off-band GEMM's pending destination is generated
+    by its fused update inside the kernel (``recompress_update``).
+
+    It runs before the recovery engine's snapshot, so a retried or
+    diagonal-shifted attempt starts from the generated block instead of
+    generating it again.
+    """
+    ij = task.out_tile
+    if not isinstance(matrix.tile(*ij), PendingTile):
+        return
+    if task.kind is TaskKind.GEMM and not matrix.desc.on_band(
+        *ij, matrix.band_size
+    ):
+        return
+    tracker.allocate_tile(ij, matrix.generate(*ij))
 
 
 def _compute_task(tid, task, matrix, rule, counter):

@@ -44,6 +44,7 @@ which is numerically the same update.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -396,15 +397,28 @@ def build_cholesky_graph(
 
 def graph_for_matrix(matrix) -> TaskGraph:
     """The graph a factorization of ``matrix`` executes: the fused form at
-    the matrix's geometry, costed from its current rank grid (dense and
-    rank-0 tiles count as rank 1)."""
-    grid = matrix.rank_grid()
-    return build_cholesky_graph(
+    the matrix's geometry, costed from its current rank grid (dense,
+    pending and rank-0 tiles count as rank 1).
+
+    Built once per exact key ``(NT, band, b, rank grid)`` and shared
+    while the last few keys stay cached: every step of a deferred MLE
+    evaluation holds nothing but pending tiles, so all of them run one
+    graph.  The returned graph is shared — treat it as immutable (copy
+    it to edit it).
+    """
+    return _fused_graph(
         matrix.ntiles,
         matrix.band_size,
         matrix.desc.tile_size,
-        lambda i, j: int(max(grid[i, j], 1)),
-        fused=True,
+        matrix.rank_grid().tobytes(),
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _fused_graph(nt: int, band_size: int, b: int, grid: bytes) -> TaskGraph:
+    ranks = np.frombuffer(grid, dtype=np.int64).reshape(nt, nt)
+    return build_cholesky_graph(
+        nt, band_size, b, lambda i, j: int(max(ranks[i, j], 1)), fused=True
     )
 
 

@@ -72,25 +72,60 @@ def matern_exponential(r: np.ndarray, variance: float, length: float) -> np.ndar
     return variance * np.exp(-r / length)
 
 
-def _matern_half_integer(r: np.ndarray, p: MaternParams) -> np.ndarray | None:
+def _matern_half_integer(
+    r: np.ndarray, p: MaternParams, out: np.ndarray
+) -> np.ndarray | None:
     """Closed forms of Eq. 2 for nu in {0.5, 1.5, 2.5}; None otherwise.
 
     These are the literal half-integer specializations of Eq. 2 (Stein's
     geostatistics convention, no sqrt(3)/sqrt(5) rescaling), so they agree
-    bit-for-bit in the limit with the general Bessel branch.
+    bit-for-bit in the limit with the general Bessel branch.  Each is
+    evaluated into ``out`` (``r`` itself allowed) in the order the
+    formula is written, so the bits do not depend on where it lands.
     """
     nu = p.smoothness
-    s = np.asarray(r, dtype=np.float64) / p.correlation_length
-    if math.isclose(nu, 0.5):
-        return p.variance * np.exp(-s)
-    if math.isclose(nu, 1.5):
-        return p.variance * (1.0 + s) * np.exp(-s)
-    if math.isclose(nu, 2.5):
-        return p.variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
-    return None
+    half = [h for h in (0.5, 1.5, 2.5) if math.isclose(nu, h)]
+    if not half:
+        return None
+    s = np.divide(r, p.correlation_length, out=out)
+    if half[0] == 0.5:  # variance * exp(-s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        return np.multiply(p.variance, s, out=s)
+    decay = np.exp(-s)
+    if half[0] == 1.5:  # variance * (1 + s) * exp(-s)
+        np.add(1.0, s, out=s)
+    else:  # variance * (1 + s + s*s/3) * exp(-s)
+        sq3 = np.multiply(s, s)
+        sq3 /= 3.0
+        np.add(1.0, s, out=s)
+        s += sq3
+    np.multiply(p.variance, s, out=s)
+    return np.multiply(s, decay, out=s)
 
 
-def matern(r: np.ndarray, params: MaternParams = ST_3D_EXP) -> np.ndarray:
+def _matern_bessel(r: np.ndarray, p: MaternParams) -> np.ndarray:
+    """Eq. 2 literally, through :func:`scipy.special.kv`."""
+    nu = p.smoothness
+    s = r / p.correlation_length
+    out = np.full(r.shape, p.variance, dtype=np.float64)
+    pos = s > 0
+    if np.any(pos):
+        sp = s[pos]
+        coeff = p.variance / (2.0 ** (nu - 1.0) * special.gamma(nu))
+        with np.errstate(over="ignore", under="ignore"):
+            vals = coeff * sp**nu * special.kv(nu, sp)
+        # K_nu underflows to 0 for large arguments: the correct limit is 0.
+        vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+        out[pos] = vals
+    return out
+
+
+def matern(
+    r: np.ndarray,
+    params: MaternParams = ST_3D_EXP,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Evaluate the Matérn kernel element-wise on a distance array.
 
     Parameters
@@ -99,11 +134,16 @@ def matern(r: np.ndarray, params: MaternParams = ST_3D_EXP) -> np.ndarray:
         Non-negative distances, any shape.
     params:
         Kernel parameters; defaults to the paper's st-3D-exp setting.
+    out:
+        A float64 array of ``r``'s shape to evaluate into — ``r`` itself
+        evaluates in place; a new one when ``None``.  The result is
+        bitwise the same either way.
 
     Returns
     -------
     numpy.ndarray
-        ``C(r; theta)`` with the exact limit ``theta1`` at ``r == 0``.
+        ``C(r; theta)`` with the exact limit ``theta1`` at ``r == 0``
+        (``out`` if given).
 
     Notes
     -----
@@ -116,21 +156,8 @@ def matern(r: np.ndarray, params: MaternParams = ST_3D_EXP) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ConfigurationError("distances must be non-negative")
-
-    closed = _matern_half_integer(r, params)
-    if closed is not None:
-        return closed
-
-    nu = params.smoothness
-    s = r / params.correlation_length
-    out = np.full(r.shape, params.variance, dtype=np.float64)
-    pos = s > 0
-    if np.any(pos):
-        sp = s[pos]
-        coeff = params.variance / (2.0 ** (nu - 1.0) * special.gamma(nu))
-        with np.errstate(over="ignore", under="ignore"):
-            vals = coeff * sp**nu * special.kv(nu, sp)
-        # K_nu underflows to 0 for large arguments: the correct limit is 0.
-        vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-        out[pos] = vals
+    if out is None:
+        out = np.empty(r.shape)
+    if _matern_half_integer(r, params, out) is None:
+        out[...] = _matern_bessel(r, params)
     return out

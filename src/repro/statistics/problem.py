@@ -115,18 +115,22 @@ class CovarianceProblem:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def tile(self, i: int, j: int) -> np.ndarray:
+    def tile(self, i: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Generate the dense ``(i, j)`` covariance tile.
 
-        Diagonal tiles (``i == j``) include the nugget term.
+        Diagonal tiles (``i == j``) include the nugget term.  The tile is
+        evaluated in one buffer — distances, then the kernel in place —
+        which is ``out`` when given (a C-contiguous float64 array of the
+        tile's shape, e.g. a previous factor's tile) and a new array
+        otherwise; the bits are the same either way.
         """
         ri, rj = self.tile_rows(i), self.tile_rows(j)
-        d = block_distances(self.points[ri], self.points[rj])
+        d = block_distances(self.points[ri], self.points[rj], out=out)
         if i == j:
             # Self-distances are exactly zero; the GEMM-based distance
             # formula leaves ~sqrt(eps) round-off there.
             np.fill_diagonal(d, 0.0)
-        tile = matern(d, self.params)
+        tile = matern(d, self.params, out=d)
         if i == j and self.nugget > 0.0:
             tile[np.diag_indices_from(tile)] += self.nugget
         return tile

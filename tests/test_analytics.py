@@ -299,11 +299,11 @@ class TestRoundTrip:
             )
 
     def test_deferred_generation_is_booked_apart_from_gemm(self, tmp_path):
-        """A ``defer=True`` assembly moves tile generation into the GEMM
-        tasks: each gets its own ``generate`` span under the task's, the
-        ``assemble`` span says how many tiles it left and how many of
-        column 0 it built dense, the ``tlr_cholesky`` span how many of the
-        pending ones were born dense, and the report prints all three."""
+        """A ``defer=True`` assembly moves tile generation into the tasks
+        that first write the tiles: each gets its own ``generate`` span
+        under the task's, the ``assemble`` span says how many tiles it
+        left, the ``tlr_cholesky`` span how many off-band ones were born
+        dense, and the report prints all three."""
         from repro import TruncationRule, st_3d_exp_problem
         from repro.core import tlr_cholesky
         from repro.matrix import BandTLRMatrix
@@ -316,24 +316,25 @@ class TestRoundTrip:
             tlr_cholesky(m, n_workers=2)
         generate = [s for s in ob.tracer.spans if s.name == "generate"]
         assert {s.category for s in generate} == {"assembly"}
-        assert sorted(s.parent for s in generate) == [
-            "GEMM_2_1_0", "GEMM_3_1_0", "GEMM_3_2_1"
-        ]
+        assert sorted(s.parent for s in generate) == sorted([
+            "POTRF_0", "TRSM_1_0", "TRSM_2_0", "TRSM_3_0",
+            "SYRK_1_0", "SYRK_2_0", "SYRK_3_0",
+            "GEMM_2_1_0", "GEMM_3_1_0", "GEMM_3_2_1",
+        ])
         assert {
             c.labels["format"]: c.value
             for c in ob.metrics.find("assembly_tiles")
-        } == {"dense": 6, "lowrank": 1, "pending": 3}  # (1, 0), (2, 0) born dense
+        } == {"dense": 0, "lowrank": 0, "pending": 10}
         ob.write(tmp_path)
         for run in (load_run(tmp_path), run_from_observation(ob)):
-            assert run.tiles["deferred"] == run.tiles["generated"] == 3
-            assert run.tiles["born_dense"] == 2
-            assert run.tiles["assembled_dense"] == 2
+            assert run.tiles["deferred"] == run.tiles["generated"] == 10
+            # (1, 0) and (2, 0) at their TRSM, two more after their update
+            assert run.tiles["born_dense"] == 4
             text = render_analysis(run)
             assert (
-                "3 pending: 2 born dense, 1 compressed; 3 generated inside "
-                "GEMM tasks in" in text
+                "10 pending: 4 born dense off the band; 10 generated by the "
+                "task that first writes them, in" in text
             )
-            assert "2 more born dense at assembly (column 0)" in text
 
     def test_born_dense_count_matches_the_factorization_report(self):
         """A step under the previous factor's map: the pending tiles it
@@ -352,13 +353,13 @@ class TestRoundTrip:
                 problem, rule, 1, defer=first.dense_map()
             )
             report = tlr_cholesky(m)
-        assert report.tiles_densified_online == 2
+        assert report.tiles_densified_online == 4  # column 0's two too
         (assemble,) = [s for s in ob.tracer.spans if s.name == "assemble"]
-        assert assemble.attrs["tiles_deferred"] == 3
-        assert assemble.attrs["tiles_born_dense"] == 2
+        assert assemble.attrs["tiles_deferred"] == 10
+        assert "tiles_born_dense" not in assemble.attrs  # it generates none
         (factorize,) = [s for s in ob.tracer.spans if s.name == "tlr_cholesky"]
-        assert factorize.attrs["tiles_born_dense"] == 2
-        assert run_from_observation(ob).tiles["born_dense"] == 2
+        assert factorize.attrs["tiles_born_dense"] == 4
+        assert run_from_observation(ob).tiles["born_dense"] == 4
 
     @pytest.mark.parametrize("eps,fp32", [(1e-4, 21), (1e-8, 0)])
     def test_fp32_tiles_are_visible_from_one_run(self, tmp_path, eps, fp32):

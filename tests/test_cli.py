@@ -98,3 +98,34 @@ def test_config_naming_a_compressor_still_runs(tmp_path, capsys):
     ))
     assert main(["execute", "--config", str(cfg)]) == 0
     assert "compression" not in capsys.readouterr().out
+
+
+def test_a_reader_that_closes_early_gets_a_quiet_exit(tmp_path, capsys):
+    """``repro analyze DIR | head``: the reader is gone before the report
+    is written, and the command ends without a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    outdir = tmp_path / "obs"
+    assert main([
+        "execute", "--n", "256", "--tile", "64", "--band", "1",
+        "--workers", "1", "--obs", str(outdir),
+    ]) == 0
+    capsys.readouterr()
+    src = Path(repro.__file__).parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write now meets a closed pipe
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(outdir)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 1

@@ -96,10 +96,10 @@ class TestAdaptiveOnline:
         m = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
         rep = tlr_cholesky(m)
         assert rep.tiles_densified_online > 0
-        # pending tiles (columns >= 1) born dense although band_size is 1
+        # off-band tiles born dense although band_size is 1
         dense_offdiag = sum(
             1 for (i, j), t in m.tiles.items()
-            if i != j and j >= 1 and isinstance(t, DenseTile)
+            if i != j and isinstance(t, DenseTile)
         )
         assert dense_offdiag == rep.tiles_densified_online
         for t in m.tiles.values():

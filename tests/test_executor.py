@@ -11,6 +11,7 @@ surface are tested here once instead of once per executor name.
 
 import ast
 import collections
+import copy
 import shutil
 import sys
 import threading
@@ -422,7 +423,7 @@ class TestDeadlockRule:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_unsatisfiable_graph_raises(self, small_tlr, n_workers, first_panel):
         m = small_tlr.copy()
-        graph = _graph_for(m)
+        graph = copy.deepcopy(_graph_for(m))  # the built graph is shared
         _add_back_edge(
             graph,
             (TaskKind.POTRF, first_panel),

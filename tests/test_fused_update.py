@@ -47,6 +47,7 @@ from repro.core import (
     tlr_cholesky,
     tlr_matvec,
 )
+from repro.core.factorize import pending_off_band
 from repro.distribution import default_distribution
 from repro.linalg import (
     ColumnBlocks,
@@ -720,8 +721,8 @@ class TestBornDense:
             mask = format_map(problem.ntiles, kind)
             for (i, j), tile in ref.tiles.items():
                 assert isinstance(tile, DenseTile) == (i == j or mask[i, j])
-            # the pending tiles (columns >= 1) the map marks
-            assert ref_report.tiles_densified_online == mask[:, 1:].sum()
+            # the off-band tiles the map marks (column 0 included)
+            assert ref_report.tiles_densified_online == mask.sum()
         for n_workers in (1, 2, 3):
             m = self.build(problem, kind)
             report = tlr_cholesky(m, n_workers=n_workers)
@@ -779,7 +780,10 @@ class TestBornDense:
         # factor before formats were decided per tile
         monkeypatch.setattr(
             PendingTile, "born",
-            lambda self, final, compress: compress(final(self.dtype)),
+            lambda self, final, compress: (
+                DenseTile(final(np.float64)) if self.dense  # the band
+                else compress(final(self.dtype))
+            ),
         )
         everything = self.build(problem, "rule")
         tlr_cholesky(everything)
@@ -788,7 +792,7 @@ class TestBornDense:
     def test_max_rank_does_not_count_dense_births(self, problem):
         dense = self.build(problem, "off-band", TruncationRule(eps=1e-8))
         report = tlr_cholesky(dense)
-        assert report.tiles_densified_online == 21  # NT = 8, columns >= 1
+        assert report.tiles_densified_online == 28  # NT = 8, off the band
         assert report.max_rank_seen == 0
         m = self.build(problem, "rule")
         report = tlr_cholesky(m)
@@ -914,8 +918,8 @@ class TestDeferred:
         rule = TruncationRule(eps=EPS_FOR[precision])
         kwargs = dict(n_workers=n_workers)
         deferred = self.build(problem, rule=rule, **kwargs)
-        # NT = 8 at band 2: 21 off-band tiles, 15 of them in columns >= 1
-        assert n_pending(deferred) == 15
+        # NT = 8 at band 2: the assembly generates none of the 36 tiles
+        assert n_pending(deferred) == 36
         assert deferred.copy().tile(7, 1) is deferred.tile(7, 1)
         assert deferred.rank_grid()[7, 1] == -1
         assert deferred.realize() is deferred and n_pending(deferred) == 0
@@ -966,6 +970,38 @@ class TestDeferred:
             assert report.tasks_resumed > 0
             assert_bitwise(resumed, eager)
 
+    @pytest.mark.parametrize("band", [1, 3])
+    def test_fully_deferred_resumed_and_two_rank_runs_are_the_eager_factor(
+        self, problem, tmp_path, band
+    ):
+        """Nothing generated at assembly — band, column 0 and the rest all
+        pending — and every pending tile to be compressed: the branches
+        that realize first factor exactly the eager matrix, a run killed
+        mid-way and resumed from its checkpoint included."""
+        nt = problem.ntiles
+        compress_all = np.zeros((nt, nt), dtype=bool)
+        eager = self.build(problem, defer=False, band=band)
+        tlr_cholesky(eager)
+
+        def deferred():
+            m = self.build(problem, defer=compress_all, band=band)
+            assert n_pending(m) == len(m.tiles)
+            return m
+
+        two_ranks = deferred()
+        tlr_cholesky(two_ranks, executor="processes", n_ranks=2)
+        assert_bitwise(two_ranks, eager)
+        ckpt = CheckpointConfig(tmp_path / "ckpt", every=1)
+        with pytest.raises(KeyboardInterrupt):
+            tlr_cholesky(
+                deferred(), faults=_KillAt((TaskKind.POTRF, nt // 2)),
+                checkpoint=ckpt,
+            )
+        resumed = deferred()
+        report = tlr_cholesky(resumed, checkpoint=ckpt, resume=True)
+        assert report.tasks_resumed > 0
+        assert_bitwise(resumed, eager)
+
     def test_faults_roll_back_to_the_pending_tile(self, problem):
         """The recovery engine runs on the deferred matrix itself: a
         pending tile is its own snapshot."""
@@ -1005,7 +1041,7 @@ class TestDeferred:
         monkeypatch.setattr(AutoBackend, "compress", counting_compress)
         monkeypatch.setattr(CovarianceProblem, "tile", counting_tile)
         m = self.build(problem)
-        assert len(compressed) == 6 and len(generated) == 15 + 6
+        assert compressed == generated == []  # the tasks generate them all
         tlr_cholesky(m)
         assert compressed == [None] * 21  # never a second, hinted rounding
         assert sorted(generated) == sorted(m.tiles)
@@ -1025,7 +1061,9 @@ class TestDeferred:
         small = st_3d_exp_problem(n, 100, seed=3)
         rule = TruncationRule(eps=eps)
         loops = self.build(small, rule=rule, band=band)
-        assert n_pending(loops) == pending
+        # every tile pending; ``pending`` of them born at a fused update
+        assert n_pending(loops) == len(loops.tiles)
+        assert sum(j >= 1 for _, j in pending_off_band(loops)) == pending
         reference_cholesky(loops)
         core = self.build(small, rule=rule, band=band)
         tlr_cholesky(core, n_workers=2)
@@ -1050,9 +1088,8 @@ class TestDeferred:
         ):
             with pytest.raises(ConfigurationError, match=r"realize\(\)"):
                 reader()
-        # handled: the exact block stands in for a tile not compressed yet
-        eager = self.build(problem, defer=False)
-        assert np.linalg.norm(m.to_dense() - eager.to_dense()) <= 1e-3
+        # handled: the exact block stands in for a tile not generated yet
+        assert np.abs(m.to_dense() - problem.dense()).max() <= 1e-12
         wider = m.with_band_size(3, problem)
         assert isinstance(wider.tile(3, 1), DenseTile)
         assert wider.tile(4, 1) is m.tile(4, 1)

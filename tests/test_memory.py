@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.linalg import DenseTile, LowRankTile
+from repro.linalg import DenseTile, LowRankTile, PendingTile
 from repro.matrix import (
     BYTES_PER_ELEMENT,
     BandTLRMatrix,
@@ -60,6 +60,13 @@ class TestMemoryTracker:
         t.allocate_tile((1, 0), LowRankTile(np.zeros((8, 5)), np.zeros((8, 5))))
         assert t.reallocations == 1
         assert t.current_elements == 16 * 5
+
+    def test_generating_a_pending_tile_is_not_a_realloc(self):
+        t = MemoryTracker()
+        t.allocate_tile((1, 0), PendingTile(None, 1, 0, (4, 4)))
+        t.allocate_tile((1, 0), DenseTile(np.zeros((4, 4))))
+        assert t.reallocations == 0
+        assert t.current_elements == 16
 
     def test_same_size_replacement_not_a_realloc(self):
         t = MemoryTracker()

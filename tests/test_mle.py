@@ -1,5 +1,7 @@
 """Unit tests for the MLE pipeline (Eq. 1)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -180,13 +182,14 @@ class TestOnTheCore:
     def test_loglik_bitwise_at_any_worker_count(
         self, problem, monkeypatch, layout
     ):
-        """Two steps (formats decided by the first, read by the second):
-        bitwise the same at 1, 2 and 3 workers and on the reference
-        loops, the same pipeline by hand."""
+        """Three steps (formats decided by the first, read by the next;
+        the second and third generated into the storage of the step
+        before): bitwise the same at 1, 2 and 3 workers and on the
+        reference loops, the same pipeline by hand in fresh memory."""
         eps, band = LAYOUTS[layout]
         band = band or problem.ntiles
         z = problem.sample_measurements(seed=4)
-        thetas = [(1.0, 0.1), (1.2, 0.12)]
+        thetas = [(1.0, 0.1), (1.2, 0.12), (0.9, 0.11)]
         got = {}
         for n in (1, 2, 3):
             on_workers(monkeypatch, n)
@@ -212,6 +215,65 @@ class TestOnTheCore:
             loops.append(log_likelihood(m, z))
         assert np.isfinite(loops).all()
         assert got[1] == got[2] == got[3] == loops
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_a_step_generates_into_the_last_factor(
+        self, problem, monkeypatch, layout
+    ):
+        """Every dense tile of a factor is the storage of the next step's
+        tile at its coordinates: the same buffer, generated into again."""
+        on_workers(monkeypatch, 2)
+        eps, band = LAYOUTS[layout]
+        ev = LikelihoodEvaluator(
+            points=problem.points, z=problem.sample_measurements(seed=4),
+            tile_size=100, rule=TruncationRule(eps=eps),
+            band_size=band or problem.ntiles, nugget=problem.nugget,
+        )
+        ev(1.0, 0.1)
+        before = dict(ev._storage)
+        assert len(before) >= 2 * problem.ntiles - 1  # the band at least
+        ev(1.0, 0.102)
+        assert ev._storage.keys() == before.keys()
+        assert all(ev._storage[ij] is buf for ij, buf in before.items())
+
+    def test_interleaved_evaluators_give_what_each_gives_alone(
+        self, problem, monkeypatch
+    ):
+        """Two evaluators on different geometries, called in turn on two
+        workers: each step is bitwise the step the evaluator takes alone,
+        so no recycled buffer is ever shared with a live factor (or
+        handed to a tile of another shape: the second has a ragged last
+        tile).  Three workers on a short switch interval stress the
+        generation that now runs inside the tasks."""
+        on_workers(monkeypatch, 3)
+        other = st_3d_exp_problem(650, 100, seed=8)
+        thetas = [(1.0, 0.1), (1.2, 0.12), (0.9, 0.11)]
+
+        def evaluators():
+            return [
+                LikelihoodEvaluator(
+                    points=p.points, z=p.sample_measurements(seed=4),
+                    tile_size=100, rule=TruncationRule(eps=eps),
+                    band_size=band or p.ntiles, nugget=p.nugget,
+                )
+                for p, (eps, band) in (
+                    (problem, LAYOUTS["dense"]), (other, LAYOUTS["band2-fp64"])
+                )
+            ]
+
+        alone = [[ev(*theta) for theta in thetas] for ev in evaluators()]
+        pair = evaluators()
+        together = [[], []]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for theta in thetas:
+                for ev, got in zip(pair, together):
+                    got.append(ev(*theta))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.isfinite(alone).all()
+        assert together == alone
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_not_spd_candidate_scores_minus_inf(self, monkeypatch, n_workers):

@@ -80,6 +80,41 @@ class TestAssembly:
             small_problem.tile(2, 5), small_problem.tile(5, 2).T, atol=1e-14
         )
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.7])
+    def test_tile_into_a_buffer_is_the_formula_as_written(self, nu):
+        """Generated in place, into a recycled buffer or a new one, a tile
+        is bitwise the out-of-place formulas: ``x2 + y2 - 2 x.y``, then
+        Eq. 2's closed form (ν = 0.7: the Bessel branch)."""
+        from repro.statistics import MaternParams, matern
+
+        base = st_3d_exp_problem(350, 100, seed=4)  # ragged last tile
+        params = MaternParams(1.3, 0.12, nu)
+        prob = CovarianceProblem(
+            points=base.points, params=params, tile_size=100, nugget=1e-3
+        )
+        for i, j in [(2, 1), (3, 0), (3, 3), (1, 1)]:
+            x, y = prob.points[prob.tile_rows(i)], prob.points[prob.tile_rows(j)]
+            x2, y2 = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+            d = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
+            d = np.sqrt(np.maximum(d, 0.0))
+            if i == j:
+                np.fill_diagonal(d, 0.0)
+            s = d / params.correlation_length
+            want = {
+                0.5: lambda: params.variance * np.exp(-s),
+                1.5: lambda: params.variance * (1.0 + s) * np.exp(-s),
+                2.5: lambda: (
+                    params.variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+                ),
+                0.7: lambda: matern(d, params),
+            }[nu]()
+            if i == j:
+                want[np.diag_indices_from(want)] += prob.nugget
+            buffer = np.full(prob.tile_shape(i, j), np.nan)
+            assert prob.tile(i, j, out=buffer) is buffer
+            assert buffer.tobytes() == want.tobytes()
+            assert prob.tile(i, j).tobytes() == want.tobytes()
+
     def test_dense_is_spd(self, small_dense):
         assert np.linalg.eigvalsh(small_dense).min() > 0
 

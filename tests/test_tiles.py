@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg import DenseTile, LowRankTile, TileFormat
+from repro.linalg import DenseTile, LowRankTile, PendingTile, TileFormat
 from repro.utils import KernelError
 
 
@@ -80,3 +80,13 @@ class TestLowRankTile:
     def test_rejects_non_2d_factors(self):
         with pytest.raises(KernelError):
             LowRankTile(np.zeros(3), np.zeros((3, 1)))
+
+
+def test_a_pending_copy_never_shares_recycled_storage():
+    """Two matrices must never generate into one buffer: a copy of a
+    pending tile is its recipe without ``out``."""
+    recycled = PendingTile(None, 1, 0, (4, 4), out=np.empty((4, 4)))
+    assert recycled.copy().out is None
+    assert recycled.copy().shape == recycled.shape
+    plain = PendingTile(None, 1, 0, (4, 4))
+    assert plain.copy() is plain
