@@ -11,15 +11,18 @@ Compared on real MLE-style steps — assembly + factorization, timed
 together because the tile arm defers its compressions into the
 factorization (defaults N = 7200, b = 450, ε = 1e-4; the
 REPRO_BENCH_ABLATION_* knobs shrink N and b, but CI's bench-smoke job
-runs the defaults: below b = 450 the flop assertion no longer holds,
+runs the defaults: below b = 300 the flop assertion no longer holds,
 see EXPERIMENTS.md):
 
 * BAND (Algorithm 1's tuned band);
 * BAND-WIDE (the band widened to cover every tile the tile arm keeps dense);
 * TILE — the library's per-tile mechanism: the ``dense_map`` of a first
   factorization (a band-1 deferred assembly, each tile decided by
-  ``keep_dense`` after its own compression), then a deferred assembly
-  under that map, as every MLE step after the first runs it.
+  ``born_dense`` after its own compression: rank ≥ ⌈b/3⌉ stays dense),
+  then a deferred assembly under that map, as every MLE step after the
+  first runs it.  The map charges each low-rank tile the compression its
+  birth would cost against the kernel time it saves over its consumers,
+  so tiles of the last columns, which feed few GEMMs, are born dense too.
 """
 
 from __future__ import annotations

@@ -209,11 +209,7 @@ def _run_demo(args: argparse.Namespace) -> int:
 
     print(f"generating st-3D-exp problem: n={args.n}, tile={args.tile}")
     problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
-    solver = TLRSolver.from_problem(
-        problem,
-        accuracy=args.accuracy,
-        n_workers=args.workers,
-    )
+    solver = TLRSolver.from_problem(problem, accuracy=args.accuracy)
     workers = args.workers or default_workers()
     t0 = time.perf_counter()
     rep = solver.factorize(

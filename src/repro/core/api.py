@@ -73,7 +73,6 @@ class TLRSolver:
         band_size: int | str = "auto",
         fluctuation: float = 0.67,
         maxrank: int | None = None,
-        n_workers: int | None = None,
     ) -> "TLRSolver":
         """Compress a covariance problem, auto-tuning the dense band.
 
@@ -101,10 +100,6 @@ class TLRSolver:
         maxrank:
             Optional hard rank cap for compressions (HiCMA-Prev's static
             descriptor uses ``b/2``); ``None`` = uncapped dynamic ranks.
-        n_workers:
-            Thread count for *assembly*; the deferred assembly generates
-            no tile (the factorization's tasks do), so it moves no work.
-            Results are bitwise identical either way.
         """
         rule = TruncationRule(eps=accuracy, maxrank=maxrank)
         band_size = check_band_size(band_size)
@@ -123,8 +118,7 @@ class TLRSolver:
                 )
                 band_size = decision.band_size
             matrix = BandTLRMatrix.from_problem(
-                problem, rule, band_size,
-                n_workers=n_workers, reuse=reuse, defer=True,
+                problem, rule, band_size, reuse=reuse, defer=True
             )
             return cls(matrix=matrix, problem=problem, decision=decision)
 

@@ -44,7 +44,9 @@ from .precision import (
     mixed_precision_report,
     quantize_tile,
 )
-from .tiles import DenseTile, LowRankTile, PendingTile, Tile, TileFormat, keep_dense
+from .tiles import (
+    DenseTile, LowRankTile, PendingTile, Tile, TileFormat, born_dense,
+)
 
 __all__ = [
     "AutoBackend",
@@ -67,7 +69,7 @@ __all__ = [
     "PendingTile",
     "Tile",
     "TileFormat",
-    "keep_dense",
+    "born_dense",
     "potrf_dense",
     "trsm_dense",
     "trsm_lr",

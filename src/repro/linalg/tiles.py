@@ -23,8 +23,11 @@ A third state, :class:`PendingTile`, is a tile a deferred assembly (an
 MLE step's) has not generated yet: the recipe of its dense block, which
 the task that first writes it generates — an off-band tile of column
 ``j >= 1`` in its fused update (``recompress_update``), which either
-compresses it once or keeps it dense.  :func:`keep_dense` is the one rule
-that picks the format.
+compresses it once or keeps it dense.  :func:`born_dense` is the one rule
+that picks the format: a price in seconds, which at a birth (the
+compression already run) is the rank ≥ ⌈b/3⌉ threshold and, for the map
+a factor hands the next MLE step, also charges the compression a
+low-rank birth would cost against the kernel time it saves downstream.
 """
 
 from __future__ import annotations
@@ -37,21 +40,92 @@ import numpy as np
 
 from .. import obs
 from ..utils.exceptions import KernelError
+from .flops import (
+    flops_gemm_dense,
+    flops_gemm_dense_lrd,
+    flops_syrk_dense,
+    flops_syrk_lr,
+    flops_trsm_dense,
+    flops_trsm_lr,
+)
 
 __all__ = [
-    "TileFormat", "DenseTile", "LowRankTile", "PendingTile", "Tile", "keep_dense",
+    "TileFormat", "DenseTile", "LowRankTile", "PendingTile", "Tile", "born_dense",
+    "COMPRESS_MS", "COMPRESS_ORDER", "KERNEL_FLOPS",
 ]
 
 
-def keep_dense(rank: int, shape: tuple[int, int]) -> bool:
-    """The dense/low-rank rule: a tile of rank ≥ ⌈min(m, n)/3⌉ stays dense.
+#: Measured time (ms) to compress one 200 x 200 Matérn tile unhinted, as
+#: a birth does, by the route :meth:`AutoBackend.select
+#: <repro.linalg.backends.AutoBackend.select>` picks and the storage
+#: dtype, per rank bucket (rank < 20, < 40, < b/3; BLAS pinned to one
+#: thread on a 2-core Xeon).  The exact route is one float64 ``gesdd``
+#: at every rank, whatever the storage dtype (it rounds a float32 block
+#: in float64); the sampler grows with the rank.  A sampled birth is
+#: always float32: both of the sampler's ε floors clear
+#: :data:`~repro.linalg.precision.FP32_EPS_FLOOR`.
+COMPRESS_MS = {
+    ("svd", "float64"): (5.5, 5.5, 5.5),
+    ("svd", "float32"): (5.5, 5.5, 5.5),
+    ("rsvd", "float32"): (1.2, 1.9, 3.0),
+}
 
-    Past a third of the tile the factor pair is slower to apply than the
-    dense block, so a tile born at that rank is not worth its SVD (paper
-    §IX: decide the format per tile, not per band).  A dense tile (rank
-    ``min(m, n)``) satisfies it by convention.
+#: How each route's cost grows with the tile side: ``(b/200) ** order``.
+#: ``gesdd`` is O(b³); the sampler's products and QRs are O(b²) at a
+#: given rank.
+COMPRESS_ORDER = {"svd": 3, "rsvd": 2}
+
+#: Rate (flop/s) at which the kernels a tile feeds are priced: the
+#: Table-I flops of :mod:`repro.linalg.flops` over this rate are the
+#: seconds they take (on the host of :data:`COMPRESS_MS` a 200 x 200
+#: ``dgemm`` runs at 50-56 Gflop/s alone and the dense GEMMs of a
+#: two-worker MLE step at 30-35 under tracing).
+KERNEL_FLOPS = 40e9
+
+
+def born_dense(
+    rank: int,
+    shape: tuple[int, int],
+    *,
+    gemms: int = 0,
+    route: str | None = None,
+    dtype=np.float64,
+) -> bool:
+    """The dense/low-rank rule: is a tile of ``rank`` better stored dense?
+
+    A tile stays low-rank only below a third of its side, ⌈b/3⌉ with
+    ``b = min(m, n)`` (past it the factor pair is slower to apply than
+    the dense block, paper §IX), and only if its compression costs no
+    more time than its low-rank form saves over the kernels that consume
+    it: its TRSM, the SYRK that reads it and ``gemms`` GEMMs, each priced
+    by Table I as the dense kernel minus the low-rank one ((1)- less
+    (4)-TRSM, (1)- less (3)-SYRK, (1)- less (2)-GEMM) at
+    :data:`KERNEL_FLOPS`.  Below b/3 that saving is positive, so
+    ``route=None`` — a birth, whose compression has already run — prices
+    the compression at zero and the rule is the threshold alone.  With
+    the ``route`` the compressor would take and the storage ``dtype``
+    the compression costs :data:`COMPRESS_MS`, scaled by
+    :data:`COMPRESS_ORDER` (ragged tiles are priced as the square tile
+    of their shorter side).
+
+    A pure function of its arguments, so a map of it is the same on
+    every worker and rank count.  A dense tile (rank ``min(m, n)``)
+    satisfies it by convention.
     """
-    return 3 * rank >= min(shape)
+    b = min(shape)
+    if 3 * rank >= b:
+        return True
+    compress_s = 0.0
+    if route is not None:
+        bucket = 0 if rank < 20 else 1 if rank < 40 else 2
+        ms = COMPRESS_MS[(route, np.dtype(dtype).name)][bucket]
+        compress_s = ms * 1e-3 * (b / 200) ** COMPRESS_ORDER[route]
+    saved = (
+        flops_trsm_dense(b) - flops_trsm_lr(b, rank)
+        + flops_syrk_dense(b) - flops_syrk_lr(b, rank)
+        + gemms * (flops_gemm_dense(b) - flops_gemm_dense_lrd(b, rank))
+    )
+    return compress_s > saved / KERNEL_FLOPS
 
 
 class TileFormat(Enum):
@@ -229,7 +303,7 @@ class PendingTile:
     ``dense`` is the format decision: ``True`` keeps the block dense
     without compressing it (every band tile), ``False`` compresses it,
     and ``None`` (no earlier factor to read it from) compresses it and
-    then applies :func:`keep_dense` to the rank found.  :meth:`born` is
+    then applies :func:`born_dense` to the rank found.  :meth:`born` is
     the one place the decision is carried out;
     :meth:`CompressionBackend.recompress_update
     <repro.linalg.backends.CompressionBackend.recompress_update>` and
@@ -277,7 +351,7 @@ class PendingTile:
             return DenseTile(final(np.float64))
         block = final(self.dtype)
         tile = compress(block)
-        if self.dense is None and keep_dense(tile.rank, self.shape):
+        if self.dense is None and born_dense(tile.rank, self.shape):
             if block.dtype != np.float64:
                 block = final(np.float64)
             return DenseTile(block)

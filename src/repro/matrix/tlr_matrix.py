@@ -35,7 +35,7 @@ from .. import obs
 from ..linalg.backends import default_backend, tile_seed
 from ..linalg.compression import TruncationRule
 from ..linalg.precision import lowrank_dtype
-from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile, keep_dense
+from ..linalg.tiles import DenseTile, LowRankTile, PendingTile, Tile, born_dense
 from ..statistics.problem import CovarianceProblem
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import check_positive_int
@@ -127,7 +127,7 @@ class BandTLRMatrix:
         task that first writes it (:meth:`generate`; an off-band tile of
         column ``j >= 1`` at its fused update), where every off-band tile
         decides its format.  ``defer=True`` applies
-        :func:`~repro.linalg.tiles.keep_dense` to the rank each tile's own
+        :func:`~repro.linalg.tiles.born_dense` to the rank each tile's own
         compression finds (column 0 at its TRSM, the others after their
         update); ``defer=`` an ``NT x NT`` boolean map (a previous
         factor's :meth:`dense_map`) keeps the tiles it marks dense, never
@@ -276,14 +276,24 @@ class BandTLRMatrix:
     def dense_map(self) -> np.ndarray:
         """``NT x NT`` boolean map of the tiles to be born dense next time.
 
-        True where a stored tile is dense or, by
-        :func:`~repro.linalg.tiles.keep_dense`, of too high a rank to stay
-        low-rank; what a deferred assembly of the next, nearby problem
-        takes as ``defer`` (ranks move little between MLE steps).
+        What a deferred assembly of the next, nearby problem takes as
+        ``defer`` (ranks move little between MLE steps).  True where a
+        stored tile is dense or where
+        :func:`~repro.linalg.tiles.born_dense` prices its rank dense with
+        the compression charged: a tile born low-rank next time is
+        compressed again — unhinted, by the route
+        :meth:`~repro.linalg.backends.AutoBackend.select` picks for it,
+        in the storage dtype — so tile ``(i, j)`` stays low-rank only if
+        that compression pays for itself over its TRSM, its SYRK and the
+        ``NT - j - 2`` GEMMs that read it.
         """
         out = np.zeros((self.ntiles, self.ntiles), dtype=bool)
-        for ij, tile in self.tiles.items():
-            out[ij] = keep_dense(tile.rank, tile.shape)
+        backend, dtype = default_backend(), self._storage_dtype()
+        for (i, j), tile in self.tiles.items():
+            out[i, j] = born_dense(
+                tile.rank, tile.shape, gemms=self.ntiles - j - 2,
+                route=backend.select(tile.shape, self.rule), dtype=dtype,
+            )
         return out
 
     def require_realized(self, reader: str) -> None:

@@ -100,7 +100,7 @@ from .parallel import (
     ThreadSafeMemoryTracker,
 )
 from .resilience import ResilienceReport, as_checkpointer, build_manager
-from .task import TaskKind, task_name, task_sort_key
+from .task import TaskKind, task_name
 from .workpool import default_workers
 
 __all__ = ["ExecutionReport", "execute_graph", "execute_graph_parallel"]
@@ -292,33 +292,41 @@ def execute_graph_parallel(
             report.tasks_resumed = rrep.tasks_resumed = len(completed)
 
     # --- dependency countdown state -----------------------------------
-    # A rank runs the tasks it owns.  A producer on another rank releases
-    # its consumers when its tile *arrives* (checkpointed or not: the
-    # owner re-sends restored tiles), a local one when it commits.
+    # The graph's countdown is derived once per graph and copied here;
+    # producers whose output already exists count down first.  A rank
+    # runs the tasks it owns.  A producer on another rank releases its
+    # consumers when its tile *arrives* (checkpointed or not: the owner
+    # re-sends restored tiles), a local one when it commits.
+    flow = graph.dataflow()
     owned = graph.tasks if link is None else link.owned
-    pending = [
-        tid for tid in graph.tasks if tid in owned and tid not in completed
-    ]
-    indeg: dict[tuple, int] = {}
-    succs: dict[tuple, list[tuple]] = {tid: [] for tid in graph.tasks}
+    indeg = dict(flow.indeg)
+    panel_remaining = dict(flow.panel_tasks)
+    pending: list[tuple] = []
+    for tid, task in graph.tasks.items():
+        if tid in owned and tid not in completed:
+            pending.append(tid)
+        else:
+            del indeg[tid]
+            panel_remaining[task.panel] -= 1
+    produced = [src for src in completed if src in owned]
+    if link is not None:
+        produced += [src for src in link.arrived if src not in owned]
+    for src in produced:
+        for succ in flow.succs[src]:
+            if succ in indeg:
+                indeg[succ] -= 1
     awaited: set[tuple] = set()  # remote producers not yet arrived
-    panel_remaining: dict[int, int] = {}
-    for tid in pending:
-        task = graph.tasks[tid]
-        sources = {
-            e.src for e in task.deps
-            if e.src not in (completed if e.src in owned else link.arrived)
-        }
-        indeg[tid] = len(sources)
-        for src in sources:
-            succs[src].append(tid)
-            if src not in owned:
-                awaited.add(src)
-        panel_remaining[task.panel] = panel_remaining.get(task.panel, 0) + 1
+    if link is not None:
+        for tid in pending:
+            awaited.update(
+                e.src for e in graph.tasks[tid].deps
+                if e.src not in owned and e.src not in link.arrived
+            )
 
     cond = threading.Condition()
     ready: list[tuple] = []  # heap of (key, tid)
     arrival_seq = 0
+    keys = flow.keys
 
     def ready_key(tid: tuple) -> tuple:
         nonlocal arrival_seq
@@ -327,14 +335,16 @@ def execute_graph_parallel(
             return (arrival_seq,)
         if scheduler == "lifo":
             return (-arrival_seq,)
-        return task_sort_key(graph.tasks[tid])
+        return keys[tid]
 
     def release(src: tuple) -> int:
         """``src``'s output exists (committed here, or arrived from its
         rank): count down its consumers; returns how many became ready."""
         awaited.discard(src)
         released = 0
-        for succ in succs[src]:
+        for succ in flow.succs[src]:
+            if succ not in indeg:
+                continue  # completed already, or another rank's
             indeg[succ] -= 1
             if indeg[succ] == 0:
                 heapq.heappush(ready, (ready_key(succ), succ))
@@ -583,12 +593,11 @@ def _check_graph(graph, matrix) -> None:
             f"graph band_size={graph.band_size} does not match "
             f"matrix band_size={matrix.band_size}"
         )
-    for tid, task in graph.tasks.items():
-        if tid != _canonical_tid(task):
-            raise RuntimeSystemError(
-                "executor received an expanded graph; build it without "
-                "recursive_split"
-            )
+    if not graph.dataflow().tile_level:
+        raise RuntimeSystemError(
+            "executor received an expanded graph; build it without "
+            "recursive_split"
+        )
 
 
 def _restore_latest(ckptr, graph, matrix):
@@ -763,14 +772,3 @@ def _commit_task(
     matrix.set_tile(*dest, out)
     if kind is TaskKind.GEMM:
         report.tracker.allocate_tile(dest, out)
-
-
-def _canonical_tid(task) -> tuple:
-    """The tile-level id a task of this kind/indices should carry."""
-    if task.kind is TaskKind.POTRF:
-        return (TaskKind.POTRF, task.out_tile[0])
-    if task.kind is TaskKind.TRSM:
-        return (TaskKind.TRSM, *task.out_tile)
-    if task.kind is TaskKind.SYRK:
-        return (TaskKind.SYRK, task.out_tile[0], task.panel)
-    return (TaskKind.GEMM, *task.out_tile, task.panel)

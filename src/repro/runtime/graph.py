@@ -69,6 +69,7 @@ from ..utils.validation import check_positive_int
 from .task import Edge, Task, TaskId, TaskKind, task_sort_key
 
 __all__ = [
+    "Dataflow",
     "TaskGraph",
     "build_cholesky_graph",
     "graph_for_matrix",
@@ -80,6 +81,45 @@ __all__ = [
 
 #: Rank accessor: ``rank_fn(i, j) -> int`` for an off-band tile ``(i, j)``.
 RankFn = Callable[[int, int], int]
+
+
+@dataclass(frozen=True)
+class Dataflow:
+    """What executing a graph needs from its edges, derived once per graph
+    (:meth:`TaskGraph.dataflow`) and shared by every run of it.
+
+    Attributes
+    ----------
+    succs:
+        ``task id -> distinct consumers``.
+    indeg:
+        ``task id -> number of distinct producers``: the dependency
+        countdown of a run that starts from nothing, which a run copies.
+    keys:
+        ``task id ->`` :func:`~repro.runtime.task.task_sort_key`.
+    panel_tasks:
+        ``panel -> number of tasks``.
+    tile_level:
+        Every task carries the tile-level id of its kind and indices
+        (the graph was not expanded by ``recursive_split``).
+    """
+
+    succs: dict
+    indeg: dict
+    keys: dict
+    panel_tasks: dict
+    tile_level: bool
+
+
+def _canonical_tid(task: Task) -> TaskId:
+    """The tile-level id a task of this kind/indices should carry."""
+    if task.kind is TaskKind.POTRF:
+        return (TaskKind.POTRF, task.out_tile[0])
+    if task.kind is TaskKind.TRSM:
+        return (TaskKind.TRSM, *task.out_tile)
+    if task.kind is TaskKind.SYRK:
+        return (TaskKind.SYRK, task.out_tile[0], task.panel)
+    return (TaskKind.GEMM, *task.out_tile, task.panel)
 
 
 @dataclass
@@ -105,17 +145,54 @@ class TaskGraph:
     tile_size: int
     tasks: dict[TaskId, Task] = field(default_factory=dict)
     succs: dict[TaskId, list[Edge]] = field(default_factory=dict)
+    _dataflow: Dataflow | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # A copy is made to be edited: it derives its own dataflow.
+        return {**self.__dict__, "_dataflow": None}
 
     def add_task(self, task: Task) -> None:
         """Insert a task and index its dependency edges."""
         if task.tid in self.tasks:
             raise SchedulingError(f"duplicate task {task.tid}")
+        self._dataflow = None
         self.tasks[task.tid] = task
         self.succs.setdefault(task.tid, [])
         for e in task.deps:
             if e.dst != task.tid:
                 raise SchedulingError(f"edge {e} does not target task {task.tid}")
             self.succs.setdefault(e.src, []).append(e)
+
+    def dataflow(self) -> Dataflow:
+        """The graph's :class:`Dataflow`, derived on first use and kept.
+
+        :meth:`add_task` drops it and a copy does not share it; a graph
+        whose tasks or edges are edited in place must be copied first.
+        """
+        flow = self._dataflow
+        if flow is None:
+            producers = {
+                tid: tuple(dict.fromkeys(e.src for e in task.deps))
+                for tid, task in self.tasks.items()
+            }
+            succs: dict[TaskId, list[TaskId]] = {tid: [] for tid in self.tasks}
+            panel_tasks: dict[int, int] = {}
+            for tid, task in self.tasks.items():
+                for src in producers[tid]:
+                    succs[src].append(tid)
+                panel_tasks[task.panel] = panel_tasks.get(task.panel, 0) + 1
+            flow = self._dataflow = Dataflow(
+                succs=succs,
+                indeg={tid: len(srcs) for tid, srcs in producers.items()},
+                keys={tid: task_sort_key(t) for tid, t in self.tasks.items()},
+                panel_tasks=panel_tasks,
+                tile_level=all(
+                    tid == _canonical_tid(t) for tid, t in self.tasks.items()
+                ),
+            )
+        return flow
 
     @property
     def n_tasks(self) -> int:

@@ -127,7 +127,7 @@ class FactorRecipe:
 
     The key identifies the factor's numerical content; the recipe adds
     the one build-only knob that changes cost but not identity, the
-    assembly/factorization worker count.  Every build compresses with
+    factorization worker count.  Every build compresses with
     the library's one compressor (:mod:`repro.linalg.backends`), so a
     key names exactly one factor.  ``n_workers=None``
     builds at :func:`~repro.runtime.workpool.default_workers`; a
@@ -165,7 +165,6 @@ class FactorRecipe:
             accuracy=self.accuracy,
             band_size=self.band_size,
             maxrank=self.maxrank,
-            n_workers=n_workers,
         )
         report = solver.factorize(
             n_workers=n_workers,

@@ -1,16 +1,22 @@
 """Tile-based densification (the paper's Section IX future work): every
 off-band tile of a deferred assembly takes its format where it is born,
-by one rule (``keep_dense``: rank ≥ ⌈b/3⌉ stays dense) — read from a
-previous factor's ``dense_map``, or decided online after the tile's own
-compression when there is none."""
+by one rule (``born_dense``: rank ≥ ⌈b/3⌉ stays dense, and a low-rank
+tile must pay for its compression) — read from a previous factor's
+``dense_map``, which charges the compression, or decided online after
+the tile's own compression when there is none."""
 
 import numpy as np
 import pytest
 
 from repro import TruncationRule, st_3d_exp_problem
 from repro.core import tlr_cholesky
-from repro.linalg import DenseTile, LowRankTile
+from repro.linalg import (
+    AutoBackend, DenseTile, LowRankTile, born_dense, lowrank_dtype,
+)
+from repro.linalg.tiles import COMPRESS_MS, COMPRESS_ORDER
 from repro.matrix import BandTLRMatrix, TileDescriptor
+from repro.runtime import TaskKind
+from repro.runtime.graph import graph_for_matrix
 from repro.utils import ConfigurationError
 
 
@@ -37,14 +43,17 @@ class TestPlan:
 
     def test_captures_far_spike_without_band(self):
         """An isolated high-rank sub-diagonal far from the diagonal is
-        marked alone; the low-rank tiles in between stay compressed."""
-        mask = spiky(12, 128, spike_d=6).dense_map()
+        marked alone; the low-rank tiles in between stay compressed (at
+        NT = 32, early enough for their compression to pay)."""
+        mask = spiky(32, 128, spike_d=6).dense_map()
         assert mask[10, 4]
         assert not mask[10, 7]
 
     def test_low_rank_everywhere_keeps_tlr(self):
-        mask = spiky(10, 256, spike_d=20, base=4).dense_map()
-        assert not np.tril(mask, -1).any()
+        """Wherever a compression pays for itself (the first 16 of 32
+        columns here), a low rank keeps the tile low-rank."""
+        mask = spiky(32, 256, spike_d=40, base=4).dense_map()
+        assert not np.tril(mask, -1)[:, :16].any()
 
     def test_high_rank_everywhere_densifies(self):
         mask = spiky(8, 64, spike_d=20, base=60).dense_map()
@@ -57,7 +66,8 @@ def problem():
 
 
 class TestApplyAndFactorize:
-    RULE = TruncationRule(eps=1e-5)
+    # the sampled route: cheap enough that the first columns stay low-rank
+    RULE = TruncationRule(eps=1e-4)
 
     def test_apply_respects_plan(self, problem):
         first = BandTLRMatrix.from_problem(problem, self.RULE, 1, defer=True)
@@ -112,3 +122,83 @@ class TestAdaptiveOnline:
         a = problem.dense()
         l = m.to_dense(lower_only=True)
         assert np.linalg.norm(l @ l.T - a) / np.linalg.norm(a) < 1e-6
+
+
+def synthetic(nt, b, rank_of, eps=1e-8, band=2):
+    """Band ``band`` of identity tiles, off-band tiles of ``rank_of(i, j)``
+    (factors shared per rank: the map reads ranks, not entries)."""
+    m = BandTLRMatrix(
+        desc=TileDescriptor(nt * b, b), band_size=band,
+        rule=TruncationRule(eps=eps),
+    )
+    eye, factors = np.eye(b), {}
+    for i in range(nt):
+        for j in range(i + 1):
+            if i - j < band:
+                m.tiles[(i, j)] = DenseTile(eye)
+                continue
+            k = rank_of(i, j)
+            if k not in factors:
+                factors[k] = np.ones((b, k))
+            m.tiles[(i, j)] = LowRankTile(factors[k], factors[k])
+    return m
+
+
+def tight_ranks(i, j):
+    """Ranks 20-66, the range ε = 1e-8 leaves below b/3 at b = 200."""
+    return 20 + (7 * i + 13 * j) % 47
+
+
+class TestPrice:
+    """``born_dense``: the ⌈b/3⌉ threshold at a birth, and a price that
+    depends on the tile's position once the compression is charged."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 3), (50, 100), (100, 37), (100, 100), (200, 200)]
+    )
+    def test_paid_compression_is_the_threshold(self, shape):
+        for rank in range(min(shape) + 1):
+            for gemms in (0, 1, 5, 62):
+                assert born_dense(rank, shape, gemms=gemms) == (
+                    3 * rank >= min(shape)
+                ), (rank, gemms)
+
+    def test_tight_eps_at_nt16_births_every_low_rank_tile_dense(self):
+        """NT = 16, b = 200, ε = 1e-8: at the ranks that ε leaves below
+        b/3 (20-66 here; 32-66 in the first factor of a 3200-point 3D
+        Matérn), an fp64 ``gesdd`` birth never pays for itself."""
+        m = synthetic(16, 200, tight_ranks)
+        assert m.dense_map()[np.tril_indices(16, -2)].all()
+
+    def test_early_columns_stay_low_rank_at_nt64(self):
+        """The same ranks at NT = 64: a tile of an early column feeds
+        enough GEMMs to pay for its compression, one of the last 16
+        columns does not — the rule is a position, not 'tight ε means
+        dense'."""
+        mask = synthetic(64, 200, tight_ranks).dense_map()
+        lower = np.tril(np.ones_like(mask), -2)
+        assert not (mask & lower)[:, :20].any()
+        assert (mask | ~lower)[:, 48:].all()
+
+    def test_gemms_are_the_fused_graph_readers(self):
+        """``dense_map`` prices tile (i, j) with NT - j - 2 GEMMs: the
+        GEMM tasks of the fused graph that read it (plus its SYRK)."""
+        nt, band = 9, 2
+        graph = graph_for_matrix(synthetic(nt, 100, lambda i, j: 5, band=band))
+        for i in range(nt):
+            for j in range(i - band + 1):
+                kinds = [
+                    t.kind for t in graph.tasks.values()
+                    if any(e.src == (TaskKind.TRSM, i, j) for e in t.deps)
+                ]
+                assert kinds.count(TaskKind.SYRK) == 1
+                assert kinds.count(TaskKind.GEMM) == nt - j - 2
+
+    def test_every_birth_route_is_priced(self):
+        """Every (route, dtype) a birth can take has a row in the table."""
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10):
+            for b in (50, 64, 100, 200, 250, 400):
+                rule = TruncationRule(eps=eps)
+                route = AutoBackend().select((b, b), rule)
+                assert (route, lowrank_dtype(eps).name) in COMPRESS_MS
+                assert route in COMPRESS_ORDER

@@ -12,6 +12,7 @@ surface are tested here once instead of once per executor name.
 import ast
 import collections
 import copy
+import dataclasses
 import shutil
 import sys
 import threading
@@ -445,6 +446,54 @@ class TestDeadlockRule:
         assert not helper.is_alive(), "executor hung on an unsatisfiable graph"
         assert len(outcome) == 1 and type(outcome[0]) is SchedulingError
         assert "deadlocked" in str(outcome[0])
+
+
+class TestSharedDataflow:
+    """The countdown, successor lists, sort keys and graph check are
+    derived once per graph and shared by every run of it."""
+
+    def test_derived_once_and_never_copied(self, small_tlr):
+        graph = _graph_for(small_tlr)
+        flow = graph.dataflow()
+        assert graph.dataflow() is flow
+        twin = copy.deepcopy(graph)
+        assert twin.dataflow() is not flow
+        assert twin.dataflow().indeg == flow.indeg
+        twin.add_task(
+            dataclasses.replace(
+                twin.tasks[(TaskKind.POTRF, 0)], tid=("extra",), deps=[]
+            )
+        )
+        assert ("extra",) in twin.dataflow().indeg
+
+    def test_concurrent_runs_of_one_graph(self, small_tlr):
+        """Two runs of two workers each share one graph at once, on a
+        short switch interval: each is bitwise the reference factor."""
+        ref = small_tlr.copy()
+        reference_cholesky(ref)
+        graph = _graph_for(small_tlr)
+        mats = [small_tlr.copy() for _ in range(2)]
+        errors = []
+
+        def run(m):
+            try:
+                execute_graph_parallel(graph, m, n_workers=2)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(m,)) for m in mats]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        for m in mats:
+            _assert_factors_bitwise(m, ref)
 
 
 class TestNumericalEquivalence:

@@ -26,7 +26,7 @@ the right-looking one.  What replaces that promise, and is tested here:
     ``tests/test_tune.py``);
 (g) a deferred assembly (``from_problem(defer=True)``, an MLE step's
     first): pending tiles are generated and compressed once, by the
-    fused update, and kept dense where ``keep_dense`` says so —
+    fused update, and kept dense where ``born_dense`` says so at a birth —
     ``realize()`` is the eager matrix with those tiles dense, the loops
     are the core at any worker count, and the branches that realize
     first are the eager call.
@@ -60,7 +60,7 @@ from repro.linalg import (
     SVDBackend,
     gemm_auto,
     gemm_lr,
-    keep_dense,
+    born_dense,
 )
 from repro.linalg.batched import BatchItem, run_batch
 from repro.linalg.flops import (
@@ -689,9 +689,12 @@ def eager_on(problem, rule, mask, band=1, **kwargs):
 
 def ruled(problem, rule, band=1, **kwargs):
     """What ``defer=True`` realizes: the eager matrix with the tiles whose
-    compression ``keep_dense`` rejects as generated blocks."""
+    compression ``born_dense`` rejects at their birth as generated blocks."""
     eager = BandTLRMatrix.from_problem(problem, rule, band, **kwargs)
-    return eager_on(problem, rule, eager.dense_map(), band, **kwargs)
+    mask = np.zeros((eager.ntiles, eager.ntiles), dtype=bool)
+    for ij, tile in eager.tiles.items():
+        mask[ij] = born_dense(tile.rank, tile.shape)
+    return eager_on(problem, rule, mask, band, **kwargs)
 
 
 class TestBornDense:
@@ -802,12 +805,12 @@ class TestBornDense:
             if j >= 1 and isinstance(t, LowRankTile)
         ]
         assert report.max_rank_seen == max(ranks)
-        assert not keep_dense(report.max_rank_seen, (100, 100))
+        assert not born_dense(report.max_rank_seen, (100, 100))
 
     def test_rule_is_a_third_of_the_tile(self):
-        assert not keep_dense(33, (100, 100)) and keep_dense(34, (100, 100))
-        assert keep_dense(17, (50, 100))  # a ragged tile reads min(m, n)
-        assert keep_dense(100, (100, 100)) and not keep_dense(0, (1, 1))
+        assert not born_dense(33, (100, 100)) and born_dense(34, (100, 100))
+        assert born_dense(17, (50, 100))  # a ragged tile reads min(m, n)
+        assert born_dense(100, (100, 100)) and not born_dense(0, (1, 1))
 
 
 class TestAdaptiveThreshold:
@@ -827,7 +830,7 @@ class TestAdaptiveThreshold:
             if i == j or j == 0 or isinstance(tile, DenseTile):
                 continue
             # a compressed tile that stayed low-rank is under the rule
-            assert not keep_dense(tile.rank, (125, 125)), (i, j)
+            assert not born_dense(tile.rank, (125, 125)), (i, j)
         assert backward_error(adaptive, dense) <= 10 * 1e-8
         assert backward_error(adaptive, dense) <= 1.5 * backward_error(
             plain, dense

@@ -14,7 +14,7 @@ from repro.core import (
     tlr_cholesky,
 )
 from repro.core import mle
-from repro.linalg import AutoBackend
+from repro.linalg import AutoBackend, tiles
 from repro.statistics import CovarianceProblem, MaternParams
 from repro.testing import reference_cholesky
 from repro.utils import (
@@ -111,10 +111,12 @@ class TestLikelihoodEvaluator:
         assert hints == [None] * 10
 
     def test_same_theta_twice_is_bitwise_the_same(self, monkeypatch):
-        """Step 1 decides each tile's format after its compression, by the
-        rule step 2 applies before it (from step 1's factor): at the same
-        θ both give the same bits, and step 2 compresses exactly the tiles
-        step 1 kept low-rank (two workers of the core)."""
+        """Step 1 decides each tile's format after its compression, when
+        the compression is paid (rank ≥ ⌈b/3⌉ alone); its factor's map
+        also charges the compression, so step 2 compresses exactly the
+        tiles the map leaves low-rank — fewer than step 1 kept.  Then the
+        map is settled: at the same θ step 3 gives step 2's bits and
+        compressions (two workers of the core)."""
         on_workers(monkeypatch, 2)
         calls = []
         compress = AutoBackend.compress
@@ -124,19 +126,24 @@ class TestLikelihoodEvaluator:
             return compress(self, a, rule, **kwargs)
 
         monkeypatch.setattr(AutoBackend, "compress", counting)
-        problem = st_3d_exp_problem(1200, 200, seed=5)
+        problem = st_3d_exp_problem(1200, 100, seed=5)
         ev = LikelihoodEvaluator(
             points=problem.points, z=problem.sample_measurements(seed=6),
-            tile_size=200, rule=TruncationRule(eps=1e-4),
+            tile_size=100, rule=TruncationRule(eps=1e-4),
             nugget=problem.nugget,
         )
-        first = ev(1.0, 0.1)
+        ev(1.0, 0.1)
         step1 = len(calls)
-        born_dense = int(np.tril(ev._dense_map, -1).sum())
-        assert step1 == 15 and 0 < born_dense < 15  # NT = 6 at band 1
-        again = ev(1.0, 0.1)
-        assert again == first
-        assert len(calls) - step1 == step1 - born_dense
+        assert step1 == 66  # NT = 12 at band 1: every off-band tile
+        born_lowrank = 78 - len(ev._storage)  # the rest are dense buffers
+        kept_lowrank = 66 - int(np.tril(ev._dense_map, -1).sum())
+        assert 0 < kept_lowrank < born_lowrank
+        second = ev(1.0, 0.1)
+        step2 = len(calls) - step1
+        assert step2 == kept_lowrank
+        third = ev(1.0, 0.1)
+        assert third == second
+        assert len(calls) - step1 - step2 == step2
 
     @pytest.mark.parametrize(
         "spoil,match",
@@ -221,7 +228,8 @@ class TestOnTheCore:
         self, problem, monkeypatch, layout
     ):
         """Every dense tile of a factor is the storage of the next step's
-        tile at its coordinates: the same buffer, generated into again."""
+        tile at its coordinates: the same buffer, generated into again (a
+        tile the priced map births dense adds its own)."""
         on_workers(monkeypatch, 2)
         eps, band = LAYOUTS[layout]
         ev = LikelihoodEvaluator(
@@ -233,8 +241,45 @@ class TestOnTheCore:
         before = dict(ev._storage)
         assert len(before) >= 2 * problem.ntiles - 1  # the band at least
         ev(1.0, 0.102)
-        assert ev._storage.keys() == before.keys()
+        assert ev._storage.keys() >= before.keys()
         assert all(ev._storage[ij] is buf for ij, buf in before.items())
+
+    def test_priced_map_is_bitwise_at_any_worker_count(self, monkeypatch):
+        """NT = 12, ε = 1e-4: step 1's map, which charges the compression,
+        births dense some tiles step 1 kept low-rank and compresses the
+        others.  Three steps are bitwise the same at 1, 2 and 3 workers,
+        and step 1 is the threshold's: the reference loops with
+        ``born_dense`` reduced to rank ≥ ⌈b/3⌉ give its bits."""
+        problem = st_3d_exp_problem(1200, 100, seed=5)
+        z = problem.sample_measurements(seed=6)
+        rule = TruncationRule(eps=1e-4)
+        thetas = [(1.0, 0.1), (1.2, 0.12), (0.9, 0.11)]
+        got = {}
+        for n in (1, 2, 3):
+            on_workers(monkeypatch, n)
+            ev = LikelihoodEvaluator(
+                points=problem.points, z=z, tile_size=100, rule=rule,
+                nugget=problem.nugget,
+            )
+            got[n] = [ev(*thetas[0])]
+            born_lowrank = 78 - len(ev._storage)  # the rest are dense
+            priced_lowrank = 66 - int(np.tril(ev._dense_map, -1).sum())
+            assert 0 < priced_lowrank < born_lowrank
+            got[n] += [ev(*theta) for theta in thetas[1:]]
+        assert got[1] == got[2] == got[3]
+
+        monkeypatch.setattr(
+            tiles, "born_dense", lambda rank, shape, **_: 3 * rank >= min(shape)
+        )
+        m = BandTLRMatrix.from_problem(
+            CovarianceProblem(
+                points=problem.points, params=MaternParams(1.0, 0.1, 0.5),
+                tile_size=100, nugget=problem.nugget,
+            ),
+            rule, 1, defer=True,
+        )
+        reference_cholesky(m)
+        assert log_likelihood(m, z) == got[1][0]
 
     def test_interleaved_evaluators_give_what_each_gives_alone(
         self, problem, monkeypatch
@@ -337,13 +382,13 @@ class TestFitMle:
         assert res.n_evaluations > 5
 
     def test_fit_matches_the_dense_oracle_optimum(self):
-        """b = 200, ε = 1e-4, band 1: with some tiles born dense and the
+        """b = 100, ε = 1e-4, band 1: with some tiles born dense and the
         rest compressed, Nelder-Mead lands where it lands on the dense
         likelihood (the all-dense layout, exact to roundoff) — the
         optimum within 1e-4 relative, each parameter within 1 %."""
-        problem = st_3d_exp_problem(1200, 200, seed=5)
+        problem = st_3d_exp_problem(1200, 100, seed=5)
         z = problem.sample_measurements(seed=6)
-        common = dict(points=problem.points, z=z, tile_size=200,
+        common = dict(points=problem.points, z=z, tile_size=100,
                       nugget=problem.nugget)
         tlr = LikelihoodEvaluator(rule=TruncationRule(eps=1e-4), **common)
         dense = LikelihoodEvaluator(band_size=problem.ntiles, **common)
@@ -351,7 +396,7 @@ class TestFitMle:
             fit_mle(ev, initial=(0.5, 0.05), max_iterations=80)
             for ev in (tlr, dense)
         )
-        assert 0 < np.tril(tlr._dense_map, -1).sum() < 15
+        assert 0 < np.tril(tlr._dense_map, -1).sum() < 66  # NT = 12
         assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-4)
         for a, b in ((got.variance, want.variance),
                      (got.correlation_length, want.correlation_length)):

@@ -303,7 +303,7 @@ class TestFactorizationTelemetry:
         # of rank ≥ b/3 dense, which at 1e-8 is every off-band tile here
         with obs.observe(meta={"case": "integration"}) as run:
             solver = TLRSolver.from_problem(
-                small_problem, accuracy=1e-4, band_size=2, n_workers=2
+                small_problem, accuracy=1e-4, band_size=2
             )
             solver.factorize(n_workers=2)
         return run, solver
