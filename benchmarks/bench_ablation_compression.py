@@ -9,7 +9,11 @@ compresses every off-band tile of one matrix exactly, with the blind
 sampler and with the sampler told each tile's own rank (``rank_hint``,
 what a wide rounding passes), buckets the per-tile times by rank, then
 runs the full BAND-DENSE-TLR factorization on the library's one
-compressor, and finally times parallel matrix assembly at 1/2/4 workers.
+compressor, times parallel matrix assembly at 1/2/4 workers, and finally
+runs the two-thread probe: 120 off-band fp32 tiles of the ``mle_lr``
+geometry (NT = 24, b = 200, ε = 1e-4), compressed unhinted and hinted by
+each tile's rank at a nearby correlation length (as an MLE step's birth
+is), on one thread and split over two.
 
 Reproduction targets:
 
@@ -35,7 +39,12 @@ Reproduction targets:
   break-even.  These are the tables in
   ``AutoBackend``'s docstring;
 * parallel assembly must produce bitwise-identical matrices for every
-  worker count (speedup is recorded, not asserted — CI exposes 1 core).
+  worker count (speedup is recorded, not asserted — CI exposes 1 core);
+* the two-thread probe reports ms per tile at one and two threads, their
+  throughput ratio and the voluntary context switches per tile
+  (``getrusage``): a reported row, never asserted — its run-to-run noise
+  exceeds any gate.  Only its factors are checked: two threads give one
+  thread's bits.
 
 Timings are the median of three runs (the ``perf_timer`` fixture).
 Writes ``benchmarks/results/ablation_compression.csv`` and the ablation
@@ -47,6 +56,8 @@ from __future__ import annotations
 
 import json
 import os
+import resource
+import threading
 import time
 from pathlib import Path
 
@@ -55,8 +66,9 @@ import numpy as np
 from repro import TruncationRule, st_3d_exp_problem
 from repro.analysis import format_series, write_csv
 from repro.core import tlr_cholesky
-from repro.linalg import get_backend
+from repro.linalg import default_backend, get_backend
 from repro.matrix import BandTLRMatrix, TileDescriptor
+from repro.statistics import CovarianceProblem, MaternParams
 
 # Defaults give NT = 16 at the acceptance scale (b = 250); CI's
 # bench-smoke job shrinks both via the REPRO_BENCH_COMPRESSION_* knobs.
@@ -67,6 +79,8 @@ B = 250 if FULL else int(os.environ.get("REPRO_BENCH_COMPRESSION_B", "250"))
 BAND = 2
 EPS_SWEEP = [1e-4, 1e-6, 1e-8]
 WORKER_COUNTS = [1, 2, 4]
+#: The two-thread probe: mle_lr's tile (or the shrunk B), NT and ε.
+PROBE_B, PROBE_NT, PROBE_TILES = min(200, B), 24, 120
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -95,6 +109,55 @@ def _per_tile_ms(fn, items, repeats=3):
     return best * 1e3
 
 
+def _probe_tiles():
+    """The probe's inputs: the first ``PROBE_TILES`` off-band (band 2)
+    tiles of the mle_lr geometry that a birth compresses (rank below b/3
+    at correlation length 0.1: the rest are born dense), as fp32 blocks at
+    0.101, and each one's rank at 0.1 — the rank the previous MLE step's
+    factor holds, its birth's hint."""
+    base = st_3d_exp_problem(PROBE_NT * PROBE_B, PROBE_B, seed=2021)
+
+    def at(length):
+        return CovarianceProblem(
+            points=base.points, params=MaternParams(1.0, length, 0.5),
+            tile_size=PROBE_B, nugget=base.nugget,
+        )
+
+    rule = TruncationRule(eps=1e-4)
+    before, now = at(0.1), at(0.101)
+    compressor = default_backend()
+    hints, tiles = [], []
+    for i in range(PROBE_NT):
+        for j in range(i - 1):
+            rank = compressor.compress(before.tile(i, j), rule).rank
+            if 3 * rank < PROBE_B and len(tiles) < PROBE_TILES:
+                hints.append(rank)
+                tiles.append(now.tile(i, j).astype(np.float32))
+    return rule, tiles, hints
+
+
+def _thread_probe(rule, tiles, hints, n_threads):
+    """Compress every tile, split round-robin over ``n_threads`` threads:
+    (ms per tile of wall time, voluntary switches per tile, the factors)."""
+    compressor = default_backend()
+    out = [None] * len(tiles)
+
+    def work(first):
+        for i in range(first, len(tiles), n_threads):
+            out[i] = compressor.compress(tiles[i], rule, rank_hint=hints[i])
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+    t0 = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    wall = time.perf_counter() - t0
+    switches = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - before
+    return 1e3 * wall / len(tiles), switches / len(tiles), out
+
+
 def test_ablation_compression(benchmark, results_dir, perf_timer):
     prob = st_3d_exp_problem(N, B, seed=2021, nugget=1e-4)
     geometry = BandTLRMatrix(
@@ -112,23 +175,21 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
             lambda: [svd.compress(a, rule) for a in blocks]
         ).median_s
         t_rsvd = perf_timer(
-            lambda: [rsvd.compress(a, rule, seed=i) for i, a in enumerate(blocks)]
+            lambda: [rsvd.compress(a, rule) for a in blocks]
         ).median_s
         tiles_svd = [svd.compress(a, rule) for a in blocks]
-        tiles_rsvd = [
-            rsvd.compress(a, rule, seed=i) for i, a in enumerate(blocks)
-        ]
+        tiles_rsvd = [rsvd.compress(a, rule) for a in blocks]
         # hinted: the sampler is told the tile's own (exact) rank, as a
         # rounding is told the rank the tile had before the update
 
         def hinted(i, a):
-            return rsvd.compress(a, rule, seed=i, rank_hint=tiles_svd[i].rank)
+            return rsvd.compress(a, rule, rank_hint=tiles_svd[i].rank)
 
         def always_sampled(i, a):
             # the by-rank study samples at every rank, also where the
             # b/3 rule would already have handed the tile to gesdd
             return rsvd._compress_ara(
-                a, rule, i, tiles_svd[i].rank, _max_rank=min(a.shape)
+                a, rule, tiles_svd[i].rank, _max_rank=min(a.shape)
             )
 
         t_hint = perf_timer(
@@ -273,6 +334,40 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
         )
     )
 
+    # --- the two-thread probe: the compressor under the interpreter lock ---
+    probe_rule, probe_tiles, probe_hints = _probe_tiles()
+    probe_rows = []
+    for label, hints in (
+        ("unhinted", [None] * len(probe_tiles)), ("hinted", probe_hints)
+    ):
+        _thread_probe(probe_rule, probe_tiles, hints, 1)  # warm the pool
+        runs = {n: _thread_probe(probe_rule, probe_tiles, hints, n) for n in (1, 2)}
+        for one, two in zip(runs[1][2], runs[2][2]):
+            assert np.array_equal(one.u, two.u) and np.array_equal(one.v, two.v)
+        (ms1, sw1, _), (ms2, sw2, _) = runs[1], runs[2]
+        probe_rows.append(
+            (label, round(ms1, 3), round(ms2, 3), round(ms1 / ms2, 2),
+             round(sw1, 1), round(sw2, 1))
+        )
+        record.setdefault("thread_probe", []).append(
+            {"births": label, "tiles": len(probe_tiles), "b": PROBE_B,
+             "ms_per_tile_1": ms1, "ms_per_tile_2": ms2,
+             "throughput_ratio": ms1 / ms2,
+             "switches_per_tile_1": sw1, "switches_per_tile_2": sw2}
+        )
+    print(
+        format_series(
+            "births",
+            ["ms/tile 1 thread", "ms/tile 2 threads", "throughput x",
+             "switches/tile 1", "switches/tile 2"],
+            probe_rows,
+            title=(
+                f"two-thread probe: {len(probe_tiles)} fp32 tiles, "
+                f"b={PROBE_B}, eps=1e-4 (reported, not asserted)"
+            ),
+        )
+    )
+
     write_csv(results_dir / "ablation_compression.csv", headers, rows)
     (REPO_ROOT / "BENCH_compression.json").write_text(
         json.dumps(record, indent=2) + "\n"
@@ -280,6 +375,4 @@ def test_ablation_compression(benchmark, results_dir, perf_timer):
 
     # Time one representative rsvd sweep for the benchmark table.
     rule_b = TruncationRule(eps=1e-6)
-    benchmark(
-        lambda: [rsvd.compress(a, rule_b, seed=i) for i, a in enumerate(blocks)]
-    )
+    benchmark(lambda: [rsvd.compress(a, rule_b) for a in blocks])

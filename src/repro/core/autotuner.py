@@ -289,7 +289,7 @@ def walk_band_size(
 
     Section VIII-B generates at band 1 and tunes on its ranks.  Here
     :func:`_walk_outward` compresses only the tiles it reads (same
-    compression and per-tile seed as :meth:`BandTLRMatrix.from_problem`).
+    compression as :meth:`BandTLRMatrix.from_problem`).
     Returns the decision, whose ``costs`` cover only the sub-diagonals
     the walk read, and the off-band tiles of the band it picked (keyed by
     ``(i, j)``) for an assembly to take as ``reuse``.  ``band_size`` and
@@ -298,7 +298,7 @@ def walk_band_size(
     probe = BandTLRMatrix(TileDescriptor(problem.n, problem.tile_size), 1, rule)
 
     def tile_rank(i: int, j: int) -> int:
-        tile = probe.tiles[i, j] = probe._compress(problem.tile(i, j), i, j)
+        tile = probe.tiles[i, j] = probe._compress(problem.tile(i, j))
         return tile.rank
 
     nt, b = probe.ntiles, problem.tile_size

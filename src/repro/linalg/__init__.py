@@ -8,7 +8,6 @@ from .backends import (
     SVDBackend,
     default_backend,
     get_backend,
-    tile_seed,
 )
 from .compression import (
     RecompressionResult,
@@ -56,7 +55,6 @@ __all__ = [
     "RandomizedSVDBackend",
     "get_backend",
     "default_backend",
-    "tile_seed",
     "TruncationRule",
     "RecompressionResult",
     "truncation_rank",

@@ -41,8 +41,7 @@ class BatchItem:
     with the destination last — ``(c,)``, ``(l, c)``, ``(a, c)``, ``(a,
     b, c)`` respectively (``a`` and ``b`` are lists of tiles for a fused
     multi-panel GEMM, whose destination is low-rank).  ``index`` carries
-    the destination tile coordinates: diagnostics, and the seed of a
-    randomized rounding.
+    the destination tile coordinates, for diagnostics.
     """
 
     ref: object
@@ -84,9 +83,7 @@ def _run_single(
             "a fused multi-panel GEMM needs a low-rank destination; dense "
             "destinations take one operand pair per item"
         )
-    out, _, recomp = hcore.gemm_auto(
-        a, b, c, rule, counter=counter, tile_index=item.index
-    )
+    out, _, recomp = hcore.gemm_auto(a, b, c, rule, counter=counter)
     return BatchResult(item.ref, out, recomp)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..obs import kernel_observed
 from ..utils.exceptions import KernelError
-from .backends import ColumnBlocks, default_backend, tile_seed
+from .backends import ColumnBlocks, default_backend
 from .blas import DTRMM, c_int, potrf, raw, sub_abt, trsm, trtri
 from .compression import RecompressionResult, TruncationRule
 from .flops import (
@@ -319,16 +319,14 @@ def _lr_product(a: Tile, b: Tile):
 
 
 def _gemm_lr(
-    a, b, c: LowRankTile, rule: TruncationRule, counter, tile_index
+    a, b, c: LowRankTile, rule: TruncationRule, counter
 ) -> tuple[LowRankTile, KernelClass, RecompressionResult]:
     """Body of :func:`gemm_lr`; also reports the kernel class that ran."""
     pairs = list(zip(a, b)) if isinstance(a, (list, tuple)) else [(a, b)]
     us, vs, ranks = zip(*(_lr_product(aj, bj) for aj, bj in pairs))
     kc = c.rank
-    backend = default_backend()
-    seed = None if tile_index is None else tile_seed(backend.seed, *tile_index)
-    res = backend.recompress_update(
-        c, ColumnBlocks(us), ColumnBlocks(vs), rule, seed=seed
+    res = default_backend().recompress_update(
+        c, ColumnBlocks(us), ColumnBlocks(vs), rule
     )
     kind = (
         KernelClass.GEMM_LR
@@ -348,7 +346,6 @@ def gemm_lr(
     rule: TruncationRule,
     *,
     counter: FlopCounter | None = None,
-    tile_index: tuple[int, int] | None = None,
 ) -> tuple[LowRankTile, RecompressionResult]:
     """(5)/(6)-GEMM — low-rank ``C <- C - Σ_j A_j B_jᵀ``, rounded once.
 
@@ -364,15 +361,13 @@ def gemm_lr(
     workspace for a stacked rounding, or accumulates them into the tile's
     block for a dense one, and never stacks them otherwise.  The returned
     :class:`RecompressionResult` carries the rank-growth flag that drives
-    the dynamic memory pool;
-    ``tile_index``, the destination's coordinates, seeds the sampled wide
-    roundings (:func:`~repro.linalg.backends.tile_seed`).
+    the dynamic memory pool.
 
     Recorded as (6)-GEMM when some pair has two low-rank operands, else
     as (5)-GEMM, at the cost of
     :func:`~repro.linalg.flops.flops_gemm_lr_fused`.
     """
-    tile, _, res = _gemm_lr(a, b, c, rule, counter, tile_index)
+    tile, _, res = _gemm_lr(a, b, c, rule, counter)
     return tile, res
 
 
@@ -410,7 +405,6 @@ def gemm_auto(
     rule: TruncationRule,
     *,
     counter: FlopCounter | None = None,
-    tile_index: tuple[int, int] | None = None,
 ) -> tuple[Tile, KernelClass, RecompressionResult | None]:
     """Dispatch ``C <- C - A B^T`` on the formats of all three tiles.
 
@@ -420,11 +414,9 @@ def gemm_auto(
     tiles — every panel product of the tile — and rounds their sum once
     (:func:`gemm_lr`); dense destinations never recompress and take one
     pair per call, so their update order (and bits) is the caller's.
-    ``tile_index`` (the destination's coordinates) seeds the rounding
-    where it samples.
     """
     if not isinstance(c, DenseTile):  # low-rank, or pending its one compression
-        return _gemm_lr(a, b, c, rule, counter, tile_index)
+        return _gemm_lr(a, b, c, rule, counter)
     if isinstance(a, DenseTile) and isinstance(b, DenseTile):
         return gemm_dense(a, b, c, counter=counter), KernelClass.GEMM_DENSE, None
     if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):

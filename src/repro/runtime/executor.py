@@ -689,9 +689,7 @@ def _compute_task(tid, task, matrix, rule, counter):
     if not isinstance(c, DenseTile):
         # Every panel product at once, one rounding (of a pending tile:
         # its one compression).
-        out, _, recomp = hcore.gemm_auto(
-            a, b, c, rule, counter=counter, tile_index=(m, n)
-        )
+        out, _, recomp = hcore.gemm_auto(a, b, c, rule, counter=counter)
         return out, recomp
     # A dense destination (on the band, or densified) is updated one
     # panel at a time, in panel order: the right-looking order's bits.

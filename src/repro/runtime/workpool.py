@@ -10,7 +10,8 @@ order, and the first worker exception is re-raised in the caller.
 NumPy/SciPy release the GIL inside BLAS/LAPACK, so tile generation and
 SVD/rsvd compression genuinely overlap across threads.  Determinism is
 the caller's job: work submitted here must not depend on execution order
-(the matrix builders achieve this with per-tile seeds).
+(the compressor draws no random numbers per call: its Gaussians come
+from a fixed pool).
 """
 
 from __future__ import annotations

@@ -322,9 +322,10 @@ class TestOutwardProbe:
             generated.append((i, j))
             return tile_fn(self, i, j)
 
-        def compress_spy(self, block, i, j):
-            compressed.append((i, j))
-            return compress_fn(self, block, i, j)
+        def compress_spy(self, block, rank_hint=None):
+            # serial: a tile is compressed right after it is generated
+            compressed.append(generated[-1])
+            return compress_fn(self, block, rank_hint)
 
         monkeypatch.setattr(CovarianceProblem, "tile", tile_spy)
         monkeypatch.setattr(BandTLRMatrix, "_compress", compress_spy)

@@ -28,6 +28,7 @@ from repro.core import api as api_module
 from repro.linalg.backends import CompressionBackend
 from repro.linalg.tiles import LowRankTile, PendingTile
 from repro.matrix import BandTLRMatrix
+from repro.statistics import CovarianceProblem
 from repro.runtime import CheckpointConfig
 from repro.runtime.task import TaskKind
 from repro.service import FactorRecipe, ServiceConfig, SolverService
@@ -119,8 +120,9 @@ def test_no_off_band_tile_is_compressed_twice(monkeypatch):
     are ever rounded; no tile is compressed at assembly and then again.
     """
     births, rounded, walked = [], [], {}
-    inside_born = threading.local()
+    inside_born, generated = threading.local(), threading.local()
     walk_fn, compress_fn = api_module.walk_band_size, BandTLRMatrix._compress
+    tile_fn = CovarianceProblem.tile
     born_fn = PendingTile.born
     round_fn = CompressionBackend.recompress_update
 
@@ -129,10 +131,15 @@ def test_no_off_band_tile_is_compressed_twice(monkeypatch):
         walked.update(kept)
         return decision, kept
 
-    def compress_spy(self, block, i, j):
+    def tile_spy(self, i, j, **kw):
+        # a tile is compressed right after its thread generates it
+        generated.ij = (i, j)
+        return tile_fn(self, i, j, **kw)
+
+    def compress_spy(self, block, rank_hint=None):
         if not getattr(inside_born, "on", False):
-            births.append((i, j))
-        return compress_fn(self, block, i, j)
+            births.append(generated.ij)
+        return compress_fn(self, block, rank_hint)
 
     def born_spy(self, final, compress):
         def counted(block):
@@ -151,6 +158,7 @@ def test_no_off_band_tile_is_compressed_twice(monkeypatch):
         return round_fn(self, c, *args, **kw)
 
     monkeypatch.setattr(api_module, "walk_band_size", walk_spy)
+    monkeypatch.setattr(CovarianceProblem, "tile", tile_spy)
     monkeypatch.setattr(BandTLRMatrix, "_compress", compress_spy)
     monkeypatch.setattr(PendingTile, "born", born_spy)
     monkeypatch.setattr(CompressionBackend, "recompress_update", round_spy)

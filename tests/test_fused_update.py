@@ -312,9 +312,9 @@ def test_default_backend_at_the_size_it_samples(monkeypatch):
     sampled = []
     ara = RandomizedSVDBackend._compress_ara
 
-    def counting(self, a, rule, seed, rank_hint):
+    def counting(self, a, rule, rank_hint):
         sampled.append(rank_hint)
-        return ara(self, a, rule, seed, rank_hint)
+        return ara(self, a, rule, rank_hint)
 
     monkeypatch.setattr(RandomizedSVDBackend, "_compress_ara", counting)
     base = BandTLRMatrix.from_problem(big, TruncationRule(eps=eps), 2)
@@ -385,16 +385,15 @@ def test_single_pair_is_the_per_update_kernel(rng, b_dense):
 
 def test_fused_item_through_run_batch(rng):
     """A fused item run through ``run_batch`` is the kernel call the
-    execution core makes — seeded by the destination's coordinates — and
-    list operands with a dense destination are refused, not
+    execution core makes, and list operands with a dense destination are refused, not
     mis-dispatched."""
     rule = TruncationRule(eps=1e-6)
     a = [lowrank(rng, 80, 80, 30), lowrank(rng, 80, 80, 25)]
     b = [lowrank(rng, 80, 80, 28), DenseTile(rng.standard_normal((80, 80)))]
-    c = lowrank(rng, 80, 80, 9)  # W = 9 + 28 + 25 >= 40: the seeded path
+    c = lowrank(rng, 80, 80, 9)  # W = 9 + 28 + 25 >= 40: the dense path
     item = BatchItem("ref", "gemm", (a, b, c), index=(5, 2))
     (res,) = run_batch([item], rule)
-    want, _, _ = gemm_auto(a, b, c, rule, tile_index=(5, 2))
+    want, _, _ = gemm_auto(a, b, c, rule)
     assert np.array_equal(res.out.u, want.u)
     assert np.array_equal(res.out.v, want.v)
     dense_c = DenseTile(rng.standard_normal((80, 80)))
@@ -437,9 +436,9 @@ class CountingSVD(SVDBackend):
         super().__init__()
         self.compressed = []
 
-    def compress(self, a, rule, *, seed=None, rank_hint=None):
+    def compress(self, a, rule, *, rank_hint=None):
         self.compressed.append(a.shape)
-        return super().compress(a, rule, seed=seed, rank_hint=rank_hint)
+        return super().compress(a, rule, rank_hint=rank_hint)
 
 
 class TestWidthRule:
@@ -554,9 +553,9 @@ class TestWidthRule:
 class _Capturing(SVDBackend):
     """Keeps a copy of the dense sum it is handed to compress."""
 
-    def compress(self, a, rule, *, seed=None, rank_hint=None):
+    def compress(self, a, rule, *, rank_hint=None):
         self.block = a.copy()
-        return super().compress(a, rule, seed=seed, rank_hint=rank_hint)
+        return super().compress(a, rule, rank_hint=rank_hint)
 
 
 class _Blocks:
@@ -649,7 +648,7 @@ class TestInPlaceSum:
         c = PendingTile(_Blocks(b), 15, n, (b, b), np.dtype(dtype), dense)
         tracemalloc.start()
         try:
-            out, _, _ = gemm_auto(a, bt, c, self.RULE, tile_index=(15, n))
+            out, _, _ = gemm_auto(a, bt, c, self.RULE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
