@@ -19,10 +19,12 @@ see EXPERIMENTS.md):
 * TILE — the library's per-tile mechanism: the ``dense_map`` of a first
   factorization (a band-1 deferred assembly, each tile decided by
   ``born_dense`` after its own compression: rank ≥ ⌈b/3⌉ stays dense),
-  then a deferred assembly under that map, as every MLE step after the
-  first runs it.  The map charges each low-rank tile the compression its
-  birth would cost against the kernel time it saves over its consumers,
-  so tiles of the last columns, which feed few GEMMs, are born dense too.
+  then a deferred assembly as that factor's next step (``defer=`` the
+  factor: its map decides the formats and its ranks hint the births), as
+  every MLE step after the first runs it.  The map charges each low-rank
+  tile the hinted compression its birth costs against the kernel time it
+  saves over its consumers, so tiles of the last columns, which feed few
+  GEMMs, are born dense too.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def test_ablation_tile_densification(benchmark, results_dir):
         "band(tuned)": (band, lambda: BandTLRMatrix.from_problem(prob, rule, band)),
         "band(wide)": (wide, lambda: BandTLRMatrix.from_problem(prob, rule, wide)),
         "tile(map)": (
-            1, lambda: BandTLRMatrix.from_problem(prob, rule, 1, defer=mask)
+            1, lambda: BandTLRMatrix.from_problem(prob, rule, 1, defer=first)
         ),
     }
 
