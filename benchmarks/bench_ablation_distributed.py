@@ -4,9 +4,10 @@ The paper's distributed runs scale the BAND-DENSE-TLR Cholesky across
 nodes with explicit tile communication; our process executor reproduces
 that topology on one host — separate address spaces, tiles placed by the
 hybrid band/off-band distribution, panel factors broadcast over binomial
-trees.  This bench factorizes one matrix at 1, 2 and 4 ranks through the
-``Executor`` protocol, records wall-time *and bytes moved* per rank
-count, and validates every factor bitwise against the thread executor.
+trees.  This bench factorizes one matrix at 1, 2 and 4 ranks with
+``execute_graph_distributed``, records wall-time *and bytes moved* per
+rank count, and validates every factor bitwise against the thread
+executor.
 
 Reproduction targets are correctness invariants plus the communication
 model: the factor must be bitwise identical at every rank count, and the
@@ -33,7 +34,7 @@ from repro.runtime import (
     build_cholesky_graph,
     classify_dataflow,
     execute_graph_distributed,
-    get_executor,
+    execute_graph_parallel,
 )
 
 # Defaults give NT = 16; CI's bench-smoke job shrinks the problem
@@ -62,12 +63,10 @@ def test_ablation_distributed_executor(benchmark, results_dir, perf_timer):
     # bitwise at every rank count.
     ref = base.copy()
     t_thr = perf_timer(
-        lambda: get_executor("threads", n_workers=2).execute(
-            graph, base.copy()
-        ),
+        lambda: execute_graph_parallel(graph, base.copy(), n_workers=2),
         repeats=2,
     )
-    get_executor("threads", n_workers=2).execute(graph, ref)
+    execute_graph_parallel(graph, ref, n_workers=2)
     ref_factor = ref.to_dense(lower_only=True)
 
     rows = [("threads-2", round(t_thr.median_s, 3), "-", "-", "-")]

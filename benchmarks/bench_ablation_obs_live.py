@@ -31,7 +31,7 @@ from repro import TruncationRule, st_3d_exp_problem
 from repro.analysis import format_table, write_csv
 from repro.matrix import BandTLRMatrix
 from repro.obs import LiveAggregator
-from repro.runtime import build_cholesky_graph, execute_graph
+from repro.runtime import build_cholesky_graph, execute_graph_parallel
 
 N = int(os.environ.get("REPRO_BENCH_OBS_N", "2000"))
 B = int(os.environ.get("REPRO_BENCH_OBS_B", "125"))
@@ -61,7 +61,7 @@ def _median_factorization_s(instrument=None) -> tuple[float, int]:
     for _ in range(REPEATS):
         graph, matrix = _fresh()
         t0 = time.perf_counter()
-        report = execute_graph(graph, matrix)
+        report = execute_graph_parallel(graph, matrix, n_workers=1)
         if instrument is not None:
             instrument(report)
         times.append(time.perf_counter() - t0)
@@ -75,7 +75,8 @@ def test_obs_live_overhead(benchmark, results_dir):
     # unit for the pytest-benchmark table.
     graph, matrix = _fresh()
     benchmark.pedantic(
-        lambda: execute_graph(*_fresh()), rounds=1, iterations=1
+        lambda: execute_graph_parallel(*_fresh(), n_workers=1),
+        rounds=1, iterations=1,
     )
 
     # Baseline and disabled re-measure: identical code path, library

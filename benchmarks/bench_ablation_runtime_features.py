@@ -21,7 +21,7 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     MachineSpec,
     build_cholesky_graph,
-    execute_graph,
+    execute_graph_parallel,
     simulate,
 )
 
@@ -169,7 +169,8 @@ def test_ablation_memory_pool(benchmark, results_dir):
     )
 
     rep = benchmark.pedantic(
-        execute_graph, args=(g, m.copy()), kwargs={"use_pool": True},
+        execute_graph_parallel, args=(g, m.copy()),
+        kwargs={"n_workers": 1, "use_pool": True},
         rounds=1, iterations=1,
     )
     stats = rep.pool.stats

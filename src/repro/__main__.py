@@ -403,10 +403,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
-    rc = _apply_config(args)
+    rc = _apply_config(args) or _refuse_unread_flags(args)
     if rc:
         return rc
     return _observed(args, lambda: _run_execute(args))
+
+
+#: ``execute`` flags that act on a factorization, which ``--executor sim``
+#: never performs.
+_FACTORIZING_FLAGS = (
+    "verify", "faults", "checkpoint", "resume", "compare_sequential", "trace",
+)
+
+
+def _refuse_unread_flags(args: argparse.Namespace) -> int:
+    """Exit 2, before any work, on a flag the chosen executor never reads."""
+    if args.executor == "sim":
+        given = [dest for dest in _FACTORIZING_FLAGS if getattr(args, dest)]
+        why = "needs a factorized matrix; the sim executor only predicts the run"
+    else:
+        given = ["calibrate_from"] if args.calibrate_from is not None else []
+        why = f"prices the sim executor; --executor {args.executor} never reads it"
+    if not given:
+        return 0
+    print(f"error: --{given[0].replace('_', '-')} {why}", file=sys.stderr)
+    return 2
 
 
 def _run_execute(args: argparse.Namespace) -> int:
@@ -419,7 +440,11 @@ def _run_execute(args: argparse.Namespace) -> int:
     from repro.linalg import mixed_precision_report
     from repro.obs import gantt, write_chrome_trace
     from repro.matrix import BandTLRMatrix
-    from repro.runtime import get_executor, graph_for_matrix
+    from repro.runtime import (
+        execute_graph_distributed,
+        execute_graph_parallel,
+        graph_for_matrix,
+    )
 
     problem = st_3d_exp_problem(args.n, args.tile, seed=args.seed)
     rule = TruncationRule(eps=args.accuracy)
@@ -441,20 +466,21 @@ def _run_execute(args: argparse.Namespace) -> int:
         tlr_cholesky(seq)
         t_seq = time.perf_counter() - t0
 
-    want_trace = args.gantt or args.trace is not None
-    if args.executor == "processes":
-        ex = get_executor("processes", n_ranks=args.ranks)
-    else:
-        ex = get_executor(
-            "threads", n_workers=args.workers, scheduler=args.scheduler
-        )
-    res = ex.execute(
-        graph, matrix,
-        collect_trace=want_trace,
+    run = dict(
+        collect_trace=args.gantt or args.trace is not None,
         faults=_fault_plan(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
-    ).report
+    )
+    if args.executor == "processes":
+        res = execute_graph_distributed(
+            graph, matrix, n_ranks=args.ranks, **run
+        )
+    else:
+        res = execute_graph_parallel(
+            graph, matrix, n_workers=args.workers, scheduler=args.scheduler,
+            **run,
+        )
     s = occupancy_summary(res)
     rows = [
         ("tasks", res.tasks_executed),
@@ -535,14 +561,9 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
     from repro.analysis import format_table
     from repro.distribution import default_distribution
     from repro.obs import gantt
-    from repro.runtime import MachineSpec, SimExecutor
+    from repro.runtime import MachineSpec, simulate
     from repro.tune.verify import predicted_run, record_run
     from repro.utils.exceptions import ConfigurationError
-
-    if args.verify:
-        print("error: --verify needs a factorized matrix; the sim "
-              "executor only predicts the run", file=sys.stderr)
-        return 2
 
     machine = MachineSpec(nodes=args.ranks, cores_per_node=1)
     if args.calibrate_from is not None:
@@ -555,10 +576,10 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
             nodes=args.ranks, cores_per_node=1, rates=cal.rates,
             task_overhead_s=cal.task_overhead_s,
         )
-    ex = SimExecutor(n_ranks=args.ranks, machine=machine,
-                     scheduler=args.scheduler)
-    res = ex.execute(graph, None, collect_trace=True).report
-    grid = default_distribution(graph, args.ranks).grid
+    dist = default_distribution(graph, args.ranks)
+    res = simulate(
+        graph, dist, machine, collect_trace=True, scheduler=args.scheduler
+    )
 
     # Replay the predicted schedule as spans so --obs yields a trace the
     # analytics layer (and `repro compare`) reads like a realized one.
@@ -573,7 +594,8 @@ def _execute_sim(args: argparse.Namespace, graph) -> int:
         [
             ("tasks", graph.n_tasks),
             ("ranks", args.ranks),
-            ("process grid (by per-panel work)", f"{grid.p}x{grid.q}"),
+            ("process grid (by per-panel work)",
+             f"{dist.grid.p}x{dist.grid.q}"),
             ("predicted makespan (s)", round(res.makespan, 3)),
             ("mean occupancy", round(float(res.occupancy.mean()), 3)),
             ("LOCAL edges", res.comm.local_edges),

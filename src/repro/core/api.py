@@ -150,11 +150,12 @@ class TLRSolver:
         :func:`~repro.runtime.workpool.default_workers` (cores ÷ BLAS
         threads) — one inline, the others on threads; the factor is
         bitwise the same at any worker count.
-        ``executor``/``n_ranks`` select a backend explicitly instead —
-        e.g. ``executor="processes", n_ranks=4`` runs the distributed
-        multi-process executor with tiles placed by the hybrid band
-        distribution (again the same factor, bitwise, at any rank
-        count); see :func:`~repro.core.factorize.tlr_cholesky`.
+        ``executor="processes", n_ranks=4`` runs the distributed
+        multi-process executor instead, with tiles placed by the hybrid
+        band distribution (again the same factor, bitwise, at any rank
+        count).  The arguments pass through to
+        :func:`~repro.core.factorize.tlr_cholesky`, which names the
+        combinations it refuses.
 
         ``faults``/``recovery``/``checkpoint``/``resume`` pass through to
         :func:`~repro.core.factorize.tlr_cholesky`'s resilience engine:

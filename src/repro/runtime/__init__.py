@@ -12,7 +12,7 @@ from .distributed import (
     execute_graph_distributed,
     placement_of,
 )
-from .executor import ExecutionReport, execute_graph, execute_graph_parallel
+from .executor import ExecutionReport, execute_graph_parallel
 from .graph import (
     TaskGraph,
     build_cholesky_graph,
@@ -25,15 +25,6 @@ from .parallel import (
     ThreadSafeFlopCounter,
     ThreadSafeMemoryPool,
     ThreadSafeMemoryTracker,
-)
-from .protocol import (
-    EXECUTOR_NAMES,
-    Executor,
-    ExecutorRun,
-    ProcessExecutor,
-    SimExecutor,
-    ThreadExecutor,
-    get_executor,
 )
 from .resilience import (
     CheckpointConfig,
@@ -58,19 +49,11 @@ __all__ = [
     "binomial_children",
     "execute_graph_distributed",
     "placement_of",
-    "Executor",
-    "ExecutorRun",
-    "EXECUTOR_NAMES",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "SimExecutor",
-    "get_executor",
     "TaskGraph",
     "build_cholesky_graph",
     "graph_for_matrix",
     "classify_gemm",
     "ExecutionReport",
-    "execute_graph",
     "MachineSpec",
     "KernelRateModel",
     "MeasuredRates",

@@ -11,7 +11,6 @@ blocks); ``n_workers=N`` runs the same loop on the calling thread and
 N − 1 threads started for the run and joined before it returns.
 NumPy/SciPy release the GIL inside BLAS/LAPACK calls, so the kernels — where
 virtually all the time goes — genuinely overlap.
-:func:`execute_graph` is the core at one worker.
 
 Determinism: every write to a tile is totally ordered by the graph's
 dataflow edges (the LOCAL chains of the PTG), and every read is ordered
@@ -103,7 +102,7 @@ from .resilience import ResilienceReport, as_checkpointer, build_manager
 from .task import TaskKind, task_name
 from .workpool import default_workers
 
-__all__ = ["ExecutionReport", "execute_graph", "execute_graph_parallel"]
+__all__ = ["ExecutionReport", "execute_graph_parallel"]
 
 
 @dataclass
@@ -169,11 +168,6 @@ class ExecutionReport:
     def achieved_gflops(self) -> float:
         """Modelled flops over real wall-clock (Gflop/s)."""
         return self.total_flops / max(self.makespan, 1e-300) / 1e9
-
-
-def execute_graph(graph: TaskGraph, matrix: BandTLRMatrix, **kwargs):
-    """:func:`execute_graph_parallel` at one inline worker."""
-    return execute_graph_parallel(graph, matrix, n_workers=1, **kwargs)
 
 
 def execute_graph_parallel(

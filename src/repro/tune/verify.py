@@ -190,7 +190,11 @@ def verify_prediction(
     from .. import obs
     from ..matrix import BandTLRMatrix
     from ..obs.analytics import run_from_observation
-    from ..runtime import get_executor, graph_for_matrix
+    from ..runtime import (
+        execute_graph_distributed,
+        execute_graph_parallel,
+        graph_for_matrix,
+    )
     from ..runtime.simulator import simulate_schedule
     from repro import TruncationRule, st_3d_exp_problem
 
@@ -217,14 +221,13 @@ def verify_prediction(
     )
     predicted = predicted_run(graph, sim)
 
-    if cfg["executor"] == "processes":
-        ex = get_executor("processes", n_ranks=w.ranks)
-    else:
-        ex = get_executor(
-            "threads", n_workers=w.cores, scheduler=w.scheduler
-        )
     with obs.observe(meta={"verify": True, **cfg}) as ob:
-        ex.execute(graph, matrix)
+        if cfg["executor"] == "processes":
+            execute_graph_distributed(graph, matrix, n_ranks=w.ranks)
+        else:
+            execute_graph_parallel(
+                graph, matrix, n_workers=w.cores, scheduler=w.scheduler
+            )
     realized = run_from_observation(ob)
 
     if obs_out is not None:

@@ -466,7 +466,7 @@ class TestIntegration:
         from repro import TruncationRule
         from repro.matrix import BandTLRMatrix
         from repro.runtime import build_cholesky_graph
-        from repro.runtime.executor import execute_graph
+        from repro.runtime.executor import execute_graph_parallel
 
         problem = st_3d_exp_problem(n=256, tile_size=64)
         matrix = BandTLRMatrix.from_problem(
@@ -478,7 +478,7 @@ class TestIntegration:
             lambda i, j: int(max(grid[i, j], 1)),
         )
         with obs.observe() as ob:
-            execute_graph(graph, matrix)
+            execute_graph_parallel(graph, matrix, n_workers=1)
         run = run_from_observation(ob)
         assert run.graph is not None
         assert len(run.tasks) == len(run.graph["tasks"])

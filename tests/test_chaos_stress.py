@@ -24,7 +24,6 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     RecoveryPolicy,
     graph_for_matrix,
-    execute_graph,
     execute_graph_parallel,
     parallel_map,
 )
@@ -59,7 +58,7 @@ def dense_a(base_matrix):
 @pytest.fixture(scope="module")
 def baseline_factor(base_matrix):
     m = base_matrix.copy()
-    execute_graph(_graph_for(m), m)
+    execute_graph_parallel(_graph_for(m), m, n_workers=1)
     return m.to_dense(lower_only=True)
 
 
@@ -78,8 +77,9 @@ def _audit_pool(report, matrix):
 class TestHeavySoak:
     def test_serial_heavy_fire(self, base_matrix, baseline_factor, dense_a):
         m = base_matrix.copy()
-        rep = execute_graph(
+        rep = execute_graph_parallel(
             _graph_for(m), m,
+            n_workers=1,
             faults=FaultPlan.parse(HEAVY, seed=1),
             recovery=DEEP,
         )

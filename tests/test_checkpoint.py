@@ -11,7 +11,6 @@ from repro.runtime import (
     CheckpointConfig,
     Checkpointer,
     graph_for_matrix,
-    execute_graph,
     execute_graph_parallel,
 )
 from repro.runtime.resilience import as_checkpointer, str_to_tid, tid_to_str
@@ -31,7 +30,7 @@ def base_matrix(small_problem, rule8):
 @pytest.fixture(scope="module")
 def baseline_factor(base_matrix):
     m = base_matrix.copy()
-    execute_graph(_graph_for(m), m)
+    execute_graph_parallel(_graph_for(m), m, n_workers=1)
     return m.to_dense(lower_only=True)
 
 
@@ -181,10 +180,12 @@ class TestKillAndResume:
         self, base_matrix, baseline_factor, tmp_path
     ):
         m = base_matrix.copy()
-        execute_graph(_graph_for(m), m, checkpoint=tmp_path)
+        execute_graph_parallel(
+            _graph_for(m), m, n_workers=1, checkpoint=tmp_path
+        )
         m2 = base_matrix.copy()
-        rep = execute_graph(
-            _graph_for(m2), m2, checkpoint=tmp_path, resume=True
+        rep = execute_graph_parallel(
+            _graph_for(m2), m2, n_workers=1, checkpoint=tmp_path, resume=True
         )
         assert rep.tasks_executed == 0
         assert rep.tasks_resumed == len(_graph_for(m2).tasks)
@@ -194,8 +195,9 @@ class TestKillAndResume:
         self, base_matrix, baseline_factor, tmp_path
     ):
         m = base_matrix.copy()
-        rep = execute_graph(
-            _graph_for(m), m, checkpoint=tmp_path / "fresh", resume=True
+        rep = execute_graph_parallel(
+            _graph_for(m), m, n_workers=1,
+            checkpoint=tmp_path / "fresh", resume=True,
         )
         assert rep.tasks_resumed == 0
         assert np.array_equal(m.to_dense(lower_only=True), baseline_factor)

@@ -86,6 +86,37 @@ def test_hostile_config_exits_2_before_work(tmp_path, capsys, doc, key):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "executor, flag, value",
+    [
+        ("sim", "--faults", "nan:*:0.5"),
+        ("sim", "--checkpoint", "{tmp}/ckpt"),
+        ("sim", "--resume", None),
+        ("sim", "--compare-sequential", None),
+        ("sim", "--trace", "{tmp}/trace.json"),
+        ("sim", "--verify", None),
+        ("threads", "--calibrate-from", "/nonexistent"),
+    ],
+    ids=["faults", "checkpoint", "resume", "compare-sequential", "trace",
+         "verify", "calibrate-from"],
+)
+def test_execute_refuses_flags_its_executor_never_reads(
+    tmp_path, capsys, executor, flag, value
+):
+    """A flag the chosen executor would silently drop exits 2 before any
+    work, with a message that names it."""
+    given = [flag] if value is None else [flag, value.format(tmp=tmp_path)]
+    rc = main([
+        "execute", "--n", "256", "--tile", "64", "--band", "1",
+        "--executor", executor, *given,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {flag} ")
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_naming_a_compressor_still_runs(tmp_path, capsys):
     """An ``execute --config`` document written while the compressor was
     an option still carries ``compression``; like every key that names no

@@ -2,10 +2,8 @@
 the hybrid band distribution, realizes exactly the LOCAL/REMOTE dataflow
 the analytical classifier and the simulator predict, computes the factor
 bitwise-identically to the reference loops and the thread executor at
-any rank count, and survives rank loss via checkpoint/restart — all behind the
-unified Executor protocol."""
+any rank count, and survives rank loss via checkpoint/restart."""
 
-import dataclasses
 import multiprocessing
 import os
 import queue
@@ -25,18 +23,12 @@ from repro.distribution import (
 )
 from repro.matrix import BandTLRMatrix
 from repro.runtime import (
-    SHAHEEN_II_LIKE,
-    ExecutorRun,
-    ProcessExecutor,
-    SimExecutor,
-    ThreadExecutor,
+    MachineSpec,
     binomial_children,
     graph_for_matrix,
     classify_dataflow,
-    execute_graph,
     execute_graph_distributed,
     execute_graph_parallel,
-    get_executor,
     placement_of,
     simulate,
     simulate_schedule,
@@ -108,7 +100,10 @@ class TestPlacement:
         case: "no distribution given" means one placement everywhere."""
         g = _graph_for(band2, 2)
         sim = simulate_schedule(g, ranks=ranks, collect_trace=True)
-        predicted = SimExecutor(n_ranks=ranks).execute(g, band2).report
+        predicted = simulate(
+            g, default_distribution(g, ranks),
+            MachineSpec(nodes=ranks, cores_per_node=1),
+        )
         rep = execute_graph_distributed(g, band2, n_ranks=ranks, _inline=True)
         assert {rec[0]: rec[1] for rec in sim.trace} == rep.placement
         assert sim.comm == predicted.comm == rep.comm
@@ -121,7 +116,7 @@ class TestPlacement:
             g, band2, distribution=wide, _inline=True
         )
         assert rep.placement == placement_of(g, wide)
-        sim = SimExecutor(distribution=wide).execute(g, band2).report
+        sim = simulate(g, wide, MachineSpec(nodes=2, cores_per_node=1))
         assert sim.comm == rep.comm
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
@@ -163,10 +158,7 @@ class TestDataflowReconciliation:
         rep = execute_graph_distributed(
             g, band2, distribution=dist, _inline=True
         )
-        machine = dataclasses.replace(
-            SHAHEEN_II_LIKE, nodes=3, cores_per_node=1
-        )
-        sim = simulate(g, dist, machine)
+        sim = simulate(g, dist, MachineSpec(nodes=3, cores_per_node=1))
         assert rep.comm.local_edges == sim.comm.local_edges
         assert rep.comm.remote_edges == sim.comm.remote_edges
         assert rep.comm.messages == sim.comm.messages
@@ -259,7 +251,7 @@ class TestDeterminism:
         b = a.copy()
         g = _graph_for(a, 2)
         rep = execute_graph_distributed(g, a, n_ranks=2)
-        core = execute_graph(g, b)
+        core = execute_graph_parallel(g, b, n_workers=1)
         got, want = rep.pool.stats, core.pool.stats
         assert got.allocations + got.reuses == want.allocations + want.reuses > 0
         assert got.releases == want.releases
@@ -462,7 +454,9 @@ class TestResilience:
                 max_restarts=0, _chaos_kill=(0, _KILL_AFTER),
             )
         m2 = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-        rep = execute_graph(g, m2, checkpoint=ckpt, resume=True)
+        rep = execute_graph_parallel(
+            g, m2, n_workers=1, checkpoint=ckpt, resume=True
+        )
         assert rep.tasks_resumed > 0
         assert np.array_equal(
             m2.to_dense(lower_only=True), band2_factor
@@ -470,70 +464,39 @@ class TestResilience:
 
 
 class TestExecutorProtocol:
-    def test_get_executor_resolves_names(self):
-        assert isinstance(get_executor("threads"), ThreadExecutor)
-        assert isinstance(get_executor("processes"), ProcessExecutor)
-        assert isinstance(get_executor("sim"), SimExecutor)
-
-    def test_get_executor_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            get_executor("mpi")
-        with pytest.raises(ConfigurationError):
-            get_executor(None)
-
-    def test_get_executor_instance_passthrough(self):
-        ex = ProcessExecutor(n_ranks=3)
-        assert get_executor(ex) is ex
-        with pytest.raises(ConfigurationError):
-            get_executor(ex, n_ranks=4)
-
-    def test_run_delegates_to_report(self, band2):
-        g = _graph_for(band2, 2)
-        run = ThreadExecutor(n_workers=2).execute(g, band2)
-        assert isinstance(run, ExecutorRun)
-        assert run.executor == "threads"
-        assert not run.predicted
-        assert run.tasks_executed == g.n_tasks  # delegated attribute
-        assert run.makespan == run.report.makespan
+    """The core and the ranks take the same call and compute the same
+    factor; the DES predicts the same graph without a matrix."""
 
     def test_same_factor_across_all_numerical_backends(
         self, small_problem, rule8, band2_factor
     ):
-        for ex in (ThreadExecutor(n_workers=1), ThreadExecutor(n_workers=3),
-                   ProcessExecutor(n_ranks=2)):
+        runs = {
+            "threads-1": lambda g, m: execute_graph_parallel(g, m, n_workers=1),
+            "threads-3": lambda g, m: execute_graph_parallel(g, m, n_workers=3),
+            "processes-2": lambda g, m: execute_graph_distributed(
+                g, m, n_ranks=2
+            ),
+        }
+        for name, run in runs.items():
             m = BandTLRMatrix.from_problem(
                 small_problem, rule8, band_size=2
             )
-            run = ex.execute(_graph_for(m, 2), m)
-            assert run.executor == ex.name
+            run(_graph_for(m, 2), m)
             assert np.array_equal(
                 m.to_dense(lower_only=True), band2_factor
-            ), f"{ex.name} diverged"
+            ), f"{name} diverged"
 
     def test_sim_executor_predicts_without_touching_matrix(self, band2):
         g = _graph_for(band2, 2)
         before = band2.to_dense(lower_only=True)
-        run = SimExecutor(n_ranks=2).execute(g, band2, collect_trace=True)
-        assert run.predicted
-        assert run.executor == "sim"
-        assert run.report.makespan > 0
-        assert run.report.comm.remote_edges > 0
-        assert np.array_equal(band2.to_dense(lower_only=True), before)
-
-    def test_sim_executor_rejects_resilience(self, band2):
-        g = _graph_for(band2, 2)
-        with pytest.raises(ConfigurationError):
-            SimExecutor(n_ranks=2).execute(g, band2, faults="nan:*:0.5")
-        with pytest.raises(ConfigurationError):
-            SimExecutor(n_ranks=2).execute(g, band2, checkpoint="/tmp/x")
-
-    def test_sim_executor_rejects_machine_rank_mismatch(self, band2):
-        g = _graph_for(band2, 2)
-        machine = dataclasses.replace(
-            SHAHEEN_II_LIKE, nodes=4, cores_per_node=1
+        res = simulate(
+            g, default_distribution(g, 2),
+            MachineSpec(nodes=2, cores_per_node=1), collect_trace=True,
         )
-        with pytest.raises(ConfigurationError):
-            SimExecutor(n_ranks=2, machine=machine).execute(g, band2)
+        assert res.makespan > 0
+        assert res.comm.remote_edges > 0
+        assert len(res.trace) == g.n_tasks
+        assert np.array_equal(band2.to_dense(lower_only=True), before)
 
 
 class TestFactorizeWiring:
@@ -549,10 +512,9 @@ class TestFactorizeWiring:
             a.to_dense(lower_only=True), b.to_dense(lower_only=True)
         )
 
-    def test_tlr_cholesky_executor_threads_via_n_ranks(self, small_problem,
-                                                       rule8):
+    def test_tlr_cholesky_executor_threads(self, small_problem, rule8):
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-        rep = tlr_cholesky(m, executor="threads", n_ranks=3)
+        rep = tlr_cholesky(m, executor="threads", n_workers=3)
         assert rep.executor == "threads"
         assert rep.comm is None
 
@@ -566,15 +528,15 @@ class TestFactorizeWiring:
 
     def test_guards(self, small_problem, rule8):
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-        with pytest.raises(ConfigurationError):
-            tlr_cholesky(m, executor="threads", n_workers=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            tlr_cholesky(m, executor="processes", n_workers=2)
+        with pytest.raises(ConfigurationError, match="n_ranks"):
             tlr_cholesky(m, n_ranks=2)
+        with pytest.raises(ConfigurationError, match="n_ranks"):
+            tlr_cholesky(m, executor="threads", n_ranks=2)
         with pytest.raises(ConfigurationError, match="unknown executor"):
             tlr_cholesky(m, executor="sequential")
-        with pytest.raises(ConfigurationError, match="instance"):
-            tlr_cholesky(m, executor=ThreadExecutor(), n_ranks=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown executor"):
             tlr_cholesky(m, executor="sim")
 
 

@@ -1,6 +1,6 @@
 """The one execution core.
 
-``execute_graph`` is ``execute_graph_parallel`` at one inline worker and
+One worker of ``execute_graph_parallel`` runs its loop inline, and
 every rank of the process executor is one inline worker of the same loop,
 so one differential test covers every way to run a graph: the reference
 loops against the core (on the fused graph) across worker counts,
@@ -33,10 +33,8 @@ from repro.runtime import (
     ExecutionReport,
     build_cholesky_graph,
     graph_for_matrix,
-    execute_graph,
     execute_graph_distributed,
     execute_graph_parallel,
-    get_executor,
     placement_of,
 )
 from repro.runtime import distributed as distributed_mod
@@ -44,7 +42,6 @@ from repro.runtime import executor as executor_mod
 from repro.runtime.task import Edge, TaskKind
 from repro.testing import reference_cholesky
 from repro.utils import (
-    ConfigurationError,
     NotPositiveDefiniteError,
     RuntimeSystemError,
     SchedulingError,
@@ -133,8 +130,9 @@ def diff_case(request, tmp_path_factory):
     # resumed case (at 1, 2 and 3 workers) restarts from.
     ckpt = tmp_path_factory.mktemp(f"ckpt-b{request.param}")
     with pytest.raises(KeyboardInterrupt):
-        execute_graph(
+        execute_graph_parallel(
             _graph_for(base), base.copy(),
+            n_workers=1,
             faults=_KillAt((TaskKind.POTRF, base.ntiles // 2)),
             checkpoint=CheckpointConfig(directory=ckpt, every=2),
         )
@@ -149,7 +147,7 @@ def diff_case(request, tmp_path_factory):
             copy = tmp_path_factory.mktemp(f"ckpt-copy-b{request.param}")
             kwargs = _resume_from(ckpt, copy, base.ntiles)
         m = base.copy()
-        rep = execute_graph(_graph_for(m), m, **kwargs)
+        rep = execute_graph_parallel(_graph_for(m), m, n_workers=1, **kwargs)
         _assert_pool_consistent(rep, m)
         live[resumed] = rep.pool.live_count
     return base, ref, ref_report, ckpt, live
@@ -227,8 +225,8 @@ class TestDifferential:
                 max_restarts=0, _chaos_kill=(0, 2 * owned[0] // 3),
             )
         m = base.copy()
-        rep = execute_graph(
-            graph, m, resume=True,
+        rep = execute_graph_parallel(
+            graph, m, n_workers=1, resume=True,
             checkpoint=CheckpointConfig(tmp_path, every=base.ntiles),
         )
         _assert_factors_bitwise(m, ref)
@@ -259,13 +257,6 @@ class TestDifferential:
 
 
 class TestOneCore:
-    def test_sequential_is_an_unknown_executor(self):
-        """One worker of the core is ``ThreadExecutor(n_workers=1)``; it
-        has no second registry name."""
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            get_executor("sequential")
-        assert get_executor("threads", n_workers=1).n_workers == 1
-
     def test_tlr_cholesky_defaults_to_one_inline_worker(
         self, small_tlr, monkeypatch
     ):
@@ -311,7 +302,9 @@ class TestOneCore:
 
     def test_one_report_type(self, small_tlr):
         g = _graph_for(small_tlr)
-        one = execute_graph(g, small_tlr.copy(), collect_trace=True)
+        one = execute_graph_parallel(
+            g, small_tlr.copy(), n_workers=1, collect_trace=True
+        )
         two = execute_graph_parallel(
             g, small_tlr.copy(), n_workers=2, collect_trace=True
         )
@@ -331,7 +324,9 @@ class TestOneCore:
             def corrupt_output(self, tid, attempt, tile):
                 return False
 
-        execute_graph(_graph_for(small_tlr), small_tlr.copy(), faults=Spy())
+        execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr.copy(), n_workers=1, faults=Spy()
+        )
         assert seen == {threading.current_thread()}
 
 
@@ -502,12 +497,12 @@ class TestNumericalEquivalence:
         ref = BandTLRMatrix.from_problem(small_problem, rule8, band_size=band)
         via_graph = ref.copy()
         reference_cholesky(ref)
-        execute_graph(_graph_for(via_graph), via_graph)
+        execute_graph_parallel(_graph_for(via_graph), via_graph, n_workers=1)
         _assert_factors_bitwise(via_graph, ref)
 
     def test_backward_error(self, small_problem, small_dense, rule8):
         m = BandTLRMatrix.from_problem(small_problem, rule8, band_size=2)
-        execute_graph(_graph_for(m), m)
+        execute_graph_parallel(_graph_for(m), m, n_workers=1)
         l = m.to_dense(lower_only=True)
         err = np.linalg.norm(l @ l.T - small_dense) / np.linalg.norm(small_dense)
         assert err < 1e-6
@@ -536,26 +531,36 @@ class TestGuards:
 class TestReporting:
     def test_task_count(self, small_tlr):
         g = _graph_for(small_tlr)
-        rep = execute_graph(g, small_tlr)
+        rep = execute_graph_parallel(g, small_tlr, n_workers=1)
         assert rep.tasks_executed == g.n_tasks
 
     def test_flops_recorded(self, small_tlr):
-        rep = execute_graph(_graph_for(small_tlr), small_tlr)
+        rep = execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr, n_workers=1
+        )
         assert rep.counter.total > 0
 
     def test_pool_active_by_default(self, small_tlr):
-        rep = execute_graph(_graph_for(small_tlr), small_tlr)
+        rep = execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr, n_workers=1
+        )
         assert rep.pool.stats.allocations + rep.pool.stats.reuses > 0
 
     def test_pool_disabled(self, small_tlr):
-        rep = execute_graph(_graph_for(small_tlr), small_tlr, use_pool=False)
+        rep = execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr, n_workers=1, use_pool=False
+        )
         assert rep.pool.stats.allocations == 0
 
     def test_memory_tracker_seeded(self, small_tlr):
         initial = small_tlr.memory_elements()
-        rep = execute_graph(_graph_for(small_tlr), small_tlr)
+        rep = execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr, n_workers=1
+        )
         assert rep.tracker.peak_elements >= initial
 
     def test_max_rank_seen(self, small_tlr):
-        rep = execute_graph(_graph_for(small_tlr), small_tlr)
+        rep = execute_graph_parallel(
+            _graph_for(small_tlr), small_tlr, n_workers=1
+        )
         assert rep.max_rank_seen > 0

@@ -75,10 +75,8 @@ from repro.runtime import (
     RecoveryPolicy,
     build_cholesky_graph,
     classify_dataflow,
-    execute_graph,
     execute_graph_distributed,
     execute_graph_parallel,
-    get_executor,
     graph_for_matrix,
     simulate,
 )
@@ -181,8 +179,9 @@ def case(request, problem, tmp_path_factory):
         ckpt = tmp_path_factory.mktemp("ckpt")
         started = base.copy()
         with pytest.raises(KeyboardInterrupt):
-            execute_graph(
+            execute_graph_parallel(
                 graph_for_matrix(started), started,
+                n_workers=1,
                 faults=_KillAt((TaskKind.POTRF, base.ntiles // 2)),
                 checkpoint=CheckpointConfig(directory=ckpt, every=2),
             )
@@ -209,9 +208,7 @@ def test_one_factor_however_computed(case, tmp_path, monkeypatch, how, resumed):
             "resume": True,
         }
     if how == "processes":
-        report = get_executor("processes", n_ranks=2).execute(
-            graph, m, **kwargs
-        ).report
+        report = execute_graph_distributed(graph, m, n_ranks=2, **kwargs)
     else:
         report = execute_graph_parallel(graph, m, n_workers=how, **kwargs)
         _assert_pool_consistent(report, m)
@@ -326,7 +323,7 @@ def test_default_backend_at_the_size_it_samples(monkeypatch):
 
     threads, ranks = base.copy(), base.copy()
     execute_graph_parallel(graph_for_matrix(threads), threads, n_workers=2)
-    get_executor("processes", n_ranks=2).execute(graph_for_matrix(ranks), ranks)
+    execute_graph_distributed(graph_for_matrix(ranks), ranks, n_ranks=2)
     assert_bitwise(threads, ref)
     assert_bitwise(ranks, ref)
 
@@ -346,7 +343,7 @@ def test_accuracy_against_both_oracles(eps):
     fused = base.copy()
     tlr_cholesky(fused)
     oracle = base.copy()
-    execute_graph(oracle_graph_for(oracle), oracle)
+    execute_graph_parallel(oracle_graph_for(oracle), oracle, n_workers=1)
 
     # the dense LAPACK factor, tile by tile
     chol = sla.cholesky(dense, lower=True)
@@ -408,7 +405,7 @@ def test_per_update_graph_is_the_loops_where_tiles_have_one_panel():
     base = BandTLRMatrix.from_problem(small, TruncationRule(eps=1e-6), 1)
     loops, oracle = base.copy(), base.copy()
     reference_cholesky(loops)
-    execute_graph(oracle_graph_for(oracle), oracle)
+    execute_graph_parallel(oracle_graph_for(oracle), oracle, n_workers=1)
     assert_bitwise(loops, oracle)
 
 

@@ -18,7 +18,7 @@ from repro.matrix import BandTLRMatrix
 from repro.runtime import (
     MachineSpec,
     build_cholesky_graph,
-    execute_graph,
+    execute_graph_parallel,
     simulate,
 )
 
@@ -64,7 +64,7 @@ class TestFullPipeline:
         g = build_cholesky_graph(
             m.ntiles, 2, 125, lambda i, j: int(max(grid[i, j], 1))
         )
-        execute_graph(g, m)
+        execute_graph_parallel(g, m, n_workers=1)
 
         a = prob.dense()
         rng = np.random.default_rng(1)
@@ -91,7 +91,7 @@ class TestSimulatorExecutorConsistency:
         res = simulate(g, dist, machine)
         assert res.total_flops == pytest.approx(g.total_flops())
 
-        rep = execute_graph(g, m)
+        rep = execute_graph_parallel(g, m, n_workers=1)
         assert rep.tasks_executed == g.n_tasks
 
     def test_makespan_bounded_by_serial_and_critical_path(self):

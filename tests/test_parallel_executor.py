@@ -23,7 +23,6 @@ from repro.runtime import (
     ThreadSafeFlopCounter,
     ThreadSafeMemoryPool,
     graph_for_matrix,
-    execute_graph,
     execute_graph_parallel,
 )
 from repro.runtime import executor, workpool
@@ -97,7 +96,7 @@ class TestConservation:
     def test_flops_match_sequential(self, small_tlr):
         g = _graph_for(small_tlr, 1)
         seq = small_tlr.copy()
-        rep_s = execute_graph(g, seq)
+        rep_s = execute_graph_parallel(g, seq, n_workers=1)
         rep_p = execute_graph_parallel(g, small_tlr, n_workers=4)
         assert rep_p.counter.total == pytest.approx(rep_s.counter.total)
         assert rep_p.rank_growth_events == rep_s.rank_growth_events

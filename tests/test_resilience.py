@@ -22,7 +22,6 @@ from repro.runtime import (
     RecoveryManager,
     RecoveryPolicy,
     graph_for_matrix,
-    execute_graph,
     execute_graph_parallel,
 )
 from repro.runtime.resilience import build_manager
@@ -53,7 +52,7 @@ def base_matrix(small_problem, rule8):
 def baseline_factor(base_matrix):
     """The fault-free factor every chaotic run must reproduce bitwise."""
     m = base_matrix.copy()
-    execute_graph(_graph_for(m), m)
+    execute_graph_parallel(_graph_for(m), m, n_workers=1)
     return m.to_dense(lower_only=True)
 
 
@@ -150,7 +149,9 @@ class TestBitwiseRecovery:
     def test_serial_executor(self, base_matrix, baseline_factor):
         m = base_matrix.copy()
         plan = FaultPlan.parse(self.SPEC, seed=3)
-        rep = execute_graph(_graph_for(m), m, faults=plan, recovery=FAST)
+        rep = execute_graph_parallel(
+            _graph_for(m), m, n_workers=1, faults=plan, recovery=FAST
+        )
         assert rep.resilience.retries > 0
         assert rep.resilience.recoveries > 0
         assert np.array_equal(m.to_dense(lower_only=True), baseline_factor)
@@ -174,7 +175,9 @@ class TestBitwiseRecovery:
     ):
         plan = FaultPlan.parse(self.SPEC, seed=3)
         seq, par = base_matrix.copy(), base_matrix.copy()
-        r1 = execute_graph(_graph_for(seq), seq, faults=plan, recovery=FAST)
+        r1 = execute_graph_parallel(
+            _graph_for(seq), seq, n_workers=1, faults=plan, recovery=FAST
+        )
         r2 = execute_graph_parallel(
             _graph_for(par), par, n_workers=3, faults=plan, recovery=FAST
         )
@@ -198,7 +201,9 @@ class TestBitwiseRecovery:
         plan = FaultPlan(
             clauses=(FaultClause(kind, "*", rate),), seed=seed
         )
-        execute_graph(_graph_for(m), m, faults=plan, recovery=deep)
+        execute_graph_parallel(
+            _graph_for(m), m, n_workers=1, faults=plan, recovery=deep
+        )
         assert np.array_equal(m.to_dense(lower_only=True), baseline_factor)
 
     def test_tlr_cholesky_routes_faults(self, base_matrix, baseline_factor):
@@ -218,7 +223,9 @@ class TestRecoveryPolicies:
         m = base_matrix.copy()
         plan = FaultPlan.parse("transient:potrf:1.0")  # fires every attempt
         with pytest.raises(TaskAbortedError):
-            execute_graph(_graph_for(m), m, faults=plan, recovery=FAST)
+            execute_graph_parallel(
+                _graph_for(m), m, n_workers=1, faults=plan, recovery=FAST
+            )
 
     @pytest.mark.parallel
     def test_retry_budget_exhaustion_parallel_wrapped(self, base_matrix):
@@ -422,7 +429,9 @@ class TestObsIntegration:
             "transient:*:0.08,nan:gemm:0.05", seed=3
         ).injector()
         with obs.observe() as run:
-            rep = execute_graph(_graph_for(m), m, faults=inj, recovery=FAST)
+            rep = execute_graph_parallel(
+                _graph_for(m), m, n_workers=1, faults=inj, recovery=FAST
+            )
         retried = sum(c.value for c in run.metrics.find("task_retried"))
         recovered = sum(c.value for c in run.metrics.find("task_recovered"))
         injected = sum(c.value for c in run.metrics.find("fault_injected"))

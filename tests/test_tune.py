@@ -28,7 +28,11 @@ from repro.analysis.ranks import paper_rank_model
 from repro.core import tie_break_band, tune_band_size
 from repro.matrix import BandTLRMatrix
 from repro.obs.analytics import load_run, occupancy
-from repro.runtime import MeasuredRates, build_cholesky_graph, get_executor
+from repro.runtime import (
+    MeasuredRates,
+    build_cholesky_graph,
+    execute_graph_parallel,
+)
 from repro.runtime.simulator import simulate_schedule
 from repro.tune import (
     Calibration,
@@ -58,14 +62,13 @@ def recorded(tmp_path_factory):
     graph = build_cholesky_graph(
         matrix.ntiles, BAND, TILE, lambda i, j: int(max(grid[i, j], 1))
     )
-    ex = get_executor("threads", n_workers=2)
     meta = {
         "n": N, "tile": TILE, "band": BAND, "accuracy": EPS, "seed": 0,
         "workers": 2, "compression": "auto", "precision": "fp64",
         "batch": True,
     }
     with obs.observe(meta=meta) as ob:
-        ex.execute(graph, matrix)
+        execute_graph_parallel(graph, matrix, n_workers=2)
     outdir = tmp_path_factory.mktemp("tune") / "run"
     ob.write(outdir)
     return outdir, grid
